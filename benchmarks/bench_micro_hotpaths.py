@@ -10,6 +10,7 @@ import random
 from repro.core.crypto_context import (
     StreamCryptoContext,
     derive_stream_iv,
+    prepare_record,
     record_nonce,
 )
 from repro.core.record import decode_inner, encode_inner
@@ -225,6 +226,27 @@ def test_tag_trial_miss_then_hit(benchmark):
         assert right.verify_at(wire, 0)
 
     benchmark(demux)
+
+
+def test_tag_trial_window_miss(benchmark):
+    """The duplicate-replay case: a record no candidate accepts, tried
+    against 3 streams x ``trial_window=64`` sequences.  One MAC pass
+    over the 16 KiB record, then 192 tag finishes."""
+    cipher = NullTagCipher(b"k" * 32)
+    tx = StreamCryptoContext(cipher, BASE_IV, 9)
+    candidates = [StreamCryptoContext(cipher, BASE_IV, stream_id)
+                  for stream_id in (1, 3, 5)]
+    wire = tx.seal(encode_inner(RECORD_TYPE_STREAM_DATA, PAYLOAD))
+
+    def demux():
+        trial = prepare_record(cipher, wire)
+        hits = 0
+        for ctx in candidates:
+            for seq in range(64):
+                hits += ctx.verify_at(trial, seq)
+        return hits
+
+    assert benchmark(demux) == 0
 
 
 def test_reorder_heap_interleaved(benchmark):

@@ -17,7 +17,7 @@ Encrypt-then-MAC AEADs) against candidate contexts.
 
 import struct
 
-from repro.crypto.aead import AeadAuthenticationError
+from repro.crypto.tagtrial import TagTrial
 from repro.tls.record import (
     RECORD_HEADER_SIZE,
     encode_record_header,
@@ -41,6 +41,20 @@ def record_nonce(stream_iv, record_seq):
     return stream_iv[:4] + struct.pack("!Q", right)
 
 
+def prepare_record(cipher, record):
+    """Split a wire record and fold the nonce-independent part of its
+    tag, once, for :meth:`StreamCryptoContext.verify_at` under many
+    candidates.
+
+    The trial is bound to the cipher, not to a stream: every context
+    sharing the traffic key can try it.  A record too short to carry a
+    header and a tag matches nothing.
+    """
+    view = memoryview(record)
+    return cipher.prepare(view[RECORD_HEADER_SIZE:],
+                          bytes(view[:RECORD_HEADER_SIZE]))
+
+
 class StreamCryptoContext:
     """Seal/open TCPLS records for one stream direction.
 
@@ -48,7 +62,9 @@ class StreamCryptoContext:
     wire records; ``open_at`` / ``verify_at`` operate at an explicit
     record sequence, which is how the session layer implements both
     in-order decryption and the bounded trial window used across stream
-    steering and failover replay.
+    steering and failover replay.  The receiver runs
+    :func:`prepare_record` once per record, so the whole window costs
+    one MAC pass.
     """
 
     def __init__(self, cipher, base_iv, stream_id):
@@ -116,22 +132,29 @@ class StreamCryptoContext:
         return self.cipher.open(nonce, ciphertext, aad=header)
 
     def verify_at(self, record, record_seq):
-        """Tag-only trial (no plaintext produced)."""
+        """Tag-only trial (no plaintext produced).
+
+        ``record`` is the wire bytes or, when one record is tried
+        against many (stream, seq) candidates, its
+        :func:`prepare_record` trial -- each candidate then costs
+        O(tag), not O(record).
+        """
         self.tag_trials += 1
-        view = memoryview(record)
-        header = bytes(view[:RECORD_HEADER_SIZE])
-        ciphertext = view[RECORD_HEADER_SIZE:]
-        nonce = self._nonce(record_seq)
-        ok = self.cipher.verify_tag(nonce, ciphertext, aad=header)
-        if ok:
+        trial = record if isinstance(record, TagTrial) \
+            else prepare_record(self.cipher, record)
+        if trial.matches(self._nonce(record_seq)):
             self.tag_hits += 1
-        return ok
+            return True
+        return False
+
+    def open_verified(self, trial, record_seq):
+        """Plaintext of a trial that :meth:`verify_at` has just matched
+        at ``record_seq``; the tag is not checked a second time."""
+        return trial.plaintext(self._nonce(record_seq))
 
     def try_open(self, record, record_seq):
-        """verify + open in one call; returns plaintext or None."""
-        if not self.verify_at(record, record_seq):
+        """verify + open in one MAC pass; returns plaintext or None."""
+        trial = prepare_record(self.cipher, record)
+        if not self.verify_at(trial, record_seq):
             return None
-        try:
-            return self.open_at(record, record_seq)
-        except AeadAuthenticationError:  # pragma: no cover - verify passed
-            return None
+        return self.open_verified(trial, record_seq)

@@ -25,10 +25,10 @@ steering and failover replay work without explicit wire signalling.
 from collections import deque
 
 from repro.core import record as rec
+from repro.core.crypto_context import prepare_record
 from repro.core.errors import SessionNotReadyError
 from repro.core.engine.policy import RecordContext, RoundRobinScheduler
 from repro.core.stream import CoupledGroup, TcplsStream, control_stream_id
-from repro.crypto.aead import AeadAuthenticationError
 from repro.tls.record import RecordReassembler
 
 #: default bytes allowed to sit unsent in one TCP connection's buffer
@@ -61,6 +61,9 @@ class ConnectionState:
         self.pending_out_bytes = 0
         self.control_stream = None
         self.last_stream = None
+        #: ``(epoch, last_stream, candidates)`` of the last tag-trial
+        #: order built for this connection (see ``_demux_candidates``)
+        self.demux_order = (None, None, ())
         self.alive = False
         self.failed = False
         #: we sent our FIN: the transport still receives (the peer's
@@ -132,6 +135,9 @@ class TcplsEngine:
 
         self.conns = []
         self.streams = {}
+        #: bumped whenever the stream set or an attachment changes
+        #: (invalidates every connection's cached tag-trial order)
+        self._demux_epoch = 0
         self.groups = {}
         self._next_stream_id = 1 if is_client else 2
         self._next_group_id = 1 if is_client else 2
@@ -312,6 +318,7 @@ class TcplsEngine:
             coupled_group=coupled_group,
         )
         self.streams[stream_id] = stream
+        self._demux_epoch += 1
         self._emit("session", "stream_created", {
             "stream": stream_id, "conn": conn.conn_id,
             "group": coupled_group or 0,
@@ -390,7 +397,7 @@ class TcplsEngine:
                 rec.encode_stream_detach(stream.stream_id,
                                          stream.ctx_send.send_seq),
             )
-        stream.connection = new_conn
+        self._attach(stream, new_conn)
         self._emit("session", "stream_steered", {
             "stream": stream.stream_id,
             "from": old_conn.conn_id if old_conn is not None else None,
@@ -842,54 +849,63 @@ class TcplsEngine:
 
     # -- demultiplexing ----------------------------------------------------
 
+    def _attach(self, stream, conn):
+        """Move ``stream`` to ``conn``; every cached trial order that
+        ranked it by its old connection is now stale."""
+        stream.connection = conn
+        self._demux_epoch += 1
+
     def _demux_candidates(self, conn):
-        seen = set()
-        order = []
-        if conn.last_stream is not None:
-            order.append(conn.last_stream)
-            seen.add(conn.last_stream.stream_id)
-        if conn.control_stream is not None and \
-                conn.control_stream.stream_id not in seen:
-            order.append(conn.control_stream)
-            seen.add(conn.control_stream.stream_id)
-        for stream in self.streams.values():
-            if stream.stream_id in seen:
-                continue
-            if stream.connection is conn:
-                order.append(stream)
-                seen.add(stream.stream_id)
-        for stream in self.streams.values():
-            if stream.stream_id not in seen:
-                order.append(stream)
-                seen.add(stream.stream_id)
+        """Streams in tag-trial order for a record arriving on ``conn``:
+        the last stream seen there, its control stream, the other
+        streams attached to it, then everything else.  Cached until the
+        stream set, an attachment or ``conn.last_stream`` changes."""
+        epoch, last, order = conn.demux_order
+        if epoch == self._demux_epoch and last is conn.last_stream:
+            return order
+        last = conn.last_stream
+        head = [s for s in (last, conn.control_stream) if s is not None]
+        if len(head) == 2 and head[0] is head[1]:
+            del head[1]
+        streams = [s for s in self.streams.values() if s not in head]
+        order = tuple(head
+                      + [s for s in streams if s.connection is conn]
+                      + [s for s in streams if s.connection is not conn])
+        conn.demux_order = (self._demux_epoch, last, order)
         return order
 
     def _process_record(self, conn, record_bytes):
         conn.records_received += 1
-        self.stats["records_received"] += 1
+        stats = self.stats
+        stats["records_received"] += 1
         candidates = self._demux_candidates(conn)
+        # One MAC pass over the record; every candidate below only
+        # finishes the tag under its own nonce.
+        trial = prepare_record(self._recv_key, record_bytes)
         # Fast pass: each candidate's single most likely sequence.
         for position, stream in enumerate(candidates):
             seq = stream.primary_trial_seq()
-            self.stats["tag_trials"] += 1
-            if stream.ctx_recv.verify_at(record_bytes, seq):
+            stats["tag_trials"] += 1
+            if stream.ctx_recv.verify_at(trial, seq):
                 if position > 0:
-                    self.stats["demux_fallbacks"] += 1
-                self._accept_record(conn, stream, seq, record_bytes)
+                    stats["demux_fallbacks"] += 1
+                self._accept_record(conn, stream, seq, trial,
+                                    len(record_bytes))
                 return
         # Slow pass: bounded sequence windows (steering / replay).
         for stream in candidates:
             for seq in stream.trial_seqs(self.trial_window)[1:]:
-                self.stats["tag_trials"] += 1
-                if stream.ctx_recv.verify_at(record_bytes, seq):
-                    self.stats["demux_fallbacks"] += 1
-                    self._accept_record(conn, stream, seq, record_bytes)
+                stats["tag_trials"] += 1
+                if stream.ctx_recv.verify_at(trial, seq):
+                    stats["demux_fallbacks"] += 1
+                    self._accept_record(conn, stream, seq, trial,
+                                        len(record_bytes))
                     return
         # Undecryptable: duplicate failover replay or forgery.  A
         # replayed duplicate means one of our ACKs was lost with the
         # dead connection -- re-acknowledge everything (rate-limited)
         # so the peer prunes its replay buffer and stops.
-        self.stats["demux_drops"] += 1
+        stats["demux_drops"] += 1
         self._emit("tls", "record_rejected", {
             "conn": conn.conn_id, "length": len(record_bytes),
         })
@@ -903,12 +919,10 @@ class TcplsEngine:
             if data_streams:
                 self._send_ack(conn, data_streams)
 
-    def _accept_record(self, conn, stream, seq, record_bytes):
-        try:
-            plaintext = stream.ctx_recv.open_at(record_bytes, seq)
-        except AeadAuthenticationError:  # pragma: no cover
-            self.stats["demux_drops"] += 1
-            return
+    def _accept_record(self, conn, stream, seq, trial, wire_length):
+        """``trial`` has just verified at ``(stream, seq)``: decrypt it
+        (no second MAC pass) and dispatch."""
+        plaintext = stream.ctx_recv.open_verified(trial, seq)
         stream.mark_decrypted(seq)
         self.stats["bytes_opened"] += len(plaintext)
         conn.last_stream = stream
@@ -916,7 +930,7 @@ class TcplsEngine:
         self._emit("tls", "record_opened", {
             "conn": conn.conn_id, "stream": stream.stream_id,
             "seq": seq, "type": inner.record_type,
-            "length": len(record_bytes),
+            "length": wire_length,
         })
         self._handle_inner(conn, stream, seq, inner)
 
@@ -1068,7 +1082,7 @@ class TcplsEngine:
                 if self.on_stream_open is not None:
                     self.on_stream_open(stream)
             else:
-                stream.connection = conn
+                self._attach(stream, conn)
         elif opcode == rec.CTRL_STREAM_DETACH:
             _, stream_id, final_seq = struct.unpack_from("!BIQ", payload, 0)
             stream = self.streams.get(stream_id)
@@ -1145,12 +1159,12 @@ class TcplsEngine:
         for stream_id, _resume_seq in entries:
             stream = self.streams.get(stream_id)
             if stream is not None:
-                stream.connection = conn
+                self._attach(stream, conn)
         if failed is not None:
             for stream in self.streams.values():
                 if stream.connection is failed and \
                         not self._is_control(stream):
-                    stream.connection = conn
+                    self._attach(stream, conn)
             self._pending_failover = [
                 c for c in self._pending_failover if c is not failed
             ]
@@ -1280,7 +1294,7 @@ class TcplsEngine:
         for stream in self.streams.values():
             if stream.connection is failed_conn and \
                     not self._is_control(stream):
-                stream.connection = target
+                self._attach(stream, target)
                 moved.append(stream)
         entries = []
         for stream in moved:

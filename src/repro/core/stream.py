@@ -106,14 +106,19 @@ class TcplsStream:
 
     # -- receive-side demux helpers ----------------------------------------
 
+    def primary_trial_seq(self):
+        """The single most likely next sequence (fast path): the lowest
+        one not yet decrypted.  O(1) -- sequences start at 0, so the
+        contiguous prefix can only be the first range."""
+        first = self.recv_decrypted.first_range_at_or_above(0)
+        if first is not None and first[0] == 0:
+            return first[1]
+        return 0
+
     def trial_seqs(self, window):
         """Candidate record sequences for tag trial: the first ``window``
         not-yet-decrypted sequences starting at the lowest gap."""
-        base = 0
-        if self.recv_decrypted:
-            first = self.recv_decrypted.first_range_at_or_above(0)
-            if first is not None and first[0] == 0:
-                base = first[1]
+        base = self.primary_trial_seq()
         gaps = self.recv_decrypted.complement_within(base, base + window)
         seqs = []
         for start, end in gaps:
@@ -123,22 +128,12 @@ class TcplsStream:
                     return seqs
         return seqs
 
-    def primary_trial_seq(self):
-        """The single most likely next sequence (fast path)."""
-        seqs = self.trial_seqs(1)
-        return seqs[0] if seqs else 0
-
     def mark_decrypted(self, seq):
         self.recv_decrypted.add(seq, seq + 1)
 
     def ack_state(self):
         """(stream_id, next contiguous decrypted record seq) for ACKs."""
-        next_seq = 0
-        if self.recv_decrypted:
-            first = self.recv_decrypted.first_range_at_or_above(0)
-            if first is not None and first[0] == 0:
-                next_seq = first[1]
-        return (self.stream_id, next_seq)
+        return (self.stream_id, self.primary_trial_seq())
 
     def prune_unacked(self, next_seq):
         """Peer acknowledged everything below ``next_seq``."""

@@ -5,17 +5,24 @@ per-stream contexts are cipher-agnostic:
 
 - ``seal(nonce, plaintext, aad) -> ciphertext||tag``
 - ``open(nonce, data, aad) -> plaintext`` (raises on bad tag)
-- ``verify_tag(nonce, data, aad) -> bool`` -- cheap authentication
-  check *without* full decryption, the operation TCPLS uses to find the
-  right stream context by trial (Sec. 3.3.1 of the paper).
+- ``verify_tag(nonce, data, aad) -> bool`` -- authentication check
+  without decryption
+- ``prepare(data, aad) -> TagTrial`` -- the operation TCPLS uses to find
+  the right stream context by trial (Sec. 3.3.1 of the paper): one MAC
+  pass over the record, then ``trial.matches(nonce)`` per candidate and
+  ``trial.plaintext(nonce)`` for the one that matched.
+
+A cipher implements the three :mod:`repro.crypto.tagtrial` primitives
+(``mac_state`` / ``finish_tag`` / ``crypt``); ``seal``, ``open`` and
+``verify_tag`` are built from them here, once, for every cipher.
 """
 
 import hashlib
-import hmac
 
 from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
 from repro.crypto.gcm import AesGcm
 from repro.crypto.poly1305 import poly1305_mac
+from repro.crypto.tagtrial import TagTrial
 
 
 class AeadAuthenticationError(Exception):
@@ -37,78 +44,68 @@ class Aead:
             )
         self.key = key
 
-    def seal(self, nonce, plaintext, aad=b""):
+    def mac_state(self, ciphertext, aad):
+        """Everything the tag depends on except the nonce, folded once."""
         raise NotImplementedError
+
+    def finish_tag(self, state, nonce):
+        """The tag of a :meth:`mac_state` under one nonce."""
+        raise NotImplementedError
+
+    def crypt(self, nonce, data):
+        """Unauthenticated en/decryption (the two are the same XOR)."""
+        raise NotImplementedError
+
+    def prepare(self, data, aad=b""):
+        """Fold ``ciphertext || tag`` once for trials under many nonces."""
+        return TagTrial(self, data, aad)
+
+    def seal(self, nonce, plaintext, aad=b""):
+        ciphertext = self.crypt(nonce, plaintext)
+        return ciphertext + self.finish_tag(
+            self.mac_state(ciphertext, aad), nonce)
 
     def open(self, nonce, data, aad=b""):
-        raise NotImplementedError
+        trial = self.prepare(data, aad)
+        if not trial.matches(nonce):
+            raise AeadAuthenticationError("%s tag mismatch" % self.name)
+        return trial.plaintext(nonce)
 
     def verify_tag(self, nonce, data, aad=b""):
-        """Default: attempt full open (subclasses optimise)."""
-        try:
-            self.open(nonce, data, aad)
-        except AeadAuthenticationError:
-            return False
-        return True
+        return self.prepare(data, aad).matches(nonce)
 
 
 class Chacha20Poly1305(Aead):
     """RFC 8439 AEAD_CHACHA20_POLY1305.
 
-    The Poly1305 one-time key (ChaCha20 block 0) is cached per nonce:
-    the TCPLS demux pattern verifies a tag and then opens the same
-    record, and sealing authenticates right after encrypting, so the
-    counter-0 block would otherwise be derived twice per record.
+    The Poly1305 one-time key is ChaCha20 block 0 *of the nonce*, so no
+    part of the MAC arithmetic is nonce-independent: a trial shares only
+    the padded MAC input, and every candidate nonce still costs one
+    Poly1305 pass over the record.
     """
 
     key_size = 32
     name = "chacha20poly1305"
 
-    def __init__(self, key):
-        super().__init__(key)
-        self._poly_cache = (None, None)
-
-    def _poly_key(self, nonce):
-        cached_nonce, cached_key = self._poly_cache
-        if cached_nonce == nonce:
-            return cached_key
-        poly_key = chacha20_block(self.key, 0, nonce)[:32]
-        self._poly_cache = (bytes(nonce), poly_key)
-        return poly_key
-
-    def _auth(self, nonce, ciphertext, aad):
-        mac_data = b"".join((
+    def mac_state(self, ciphertext, aad):
+        return b"".join((
             aad, b"\x00" * ((-len(aad)) % 16),
             ciphertext, b"\x00" * ((-len(ciphertext)) % 16),
             len(aad).to_bytes(8, "little"),
             len(ciphertext).to_bytes(8, "little"),
         ))
-        return poly1305_mac(self._poly_key(nonce), mac_data)
 
-    def seal(self, nonce, plaintext, aad=b""):
-        ciphertext = chacha20_encrypt(self.key, 1, nonce, plaintext)
-        return ciphertext + self._auth(nonce, ciphertext, aad)
+    def finish_tag(self, mac_data, nonce):
+        return poly1305_mac(chacha20_block(self.key, 0, nonce)[:32],
+                            mac_data)
 
-    def open(self, nonce, data, aad=b""):
-        if len(data) < self.tag_size:
-            raise AeadAuthenticationError("record shorter than tag")
-        view = memoryview(data)
-        ciphertext, tag = view[:-self.tag_size], view[-self.tag_size:]
-        expected = self._auth(nonce, ciphertext, aad)
-        if not hmac.compare_digest(expected, tag):
-            raise AeadAuthenticationError("Poly1305 tag mismatch")
-        return chacha20_encrypt(self.key, 1, nonce, ciphertext)
-
-    def verify_tag(self, nonce, data, aad=b""):
-        if len(data) < self.tag_size:
-            return False
-        view = memoryview(data)
-        ciphertext, tag = view[:-self.tag_size], view[-self.tag_size:]
-        return hmac.compare_digest(self._auth(nonce, ciphertext, aad), tag)
+    def crypt(self, nonce, data):
+        return chacha20_encrypt(self.key, 1, nonce, data)
 
 
 class Aes128Gcm(Aead):
-    """TLS_AES_128_GCM_SHA256's AEAD."""
+    """TLS_AES_128_GCM_SHA256's AEAD (GHASH once per record, one AES
+    block per candidate nonce: see :class:`~repro.crypto.gcm.AesGcm`)."""
 
     key_size = 16
     name = "aes128gcm"
@@ -117,17 +114,11 @@ class Aes128Gcm(Aead):
         super().__init__(key)
         self._gcm = AesGcm(key)
 
+    def prepare(self, data, aad=b""):
+        return self._gcm.prepare(data, aad)
+
     def seal(self, nonce, plaintext, aad=b""):
         return self._gcm.encrypt(nonce, plaintext, aad)
-
-    def open(self, nonce, data, aad=b""):
-        plaintext = self._gcm.decrypt(nonce, data, aad)
-        if plaintext is None:
-            raise AeadAuthenticationError("GCM tag mismatch")
-        return plaintext
-
-    def verify_tag(self, nonce, data, aad=b""):
-        return self._gcm.verify_tag(nonce, data, aad)
 
 
 class NullTagCipher(Aead):
@@ -140,38 +131,36 @@ class NullTagCipher(Aead):
     AAD, payload), failing verification under any other stream's key or
     nonce -- while "encrypting" at memcpy speed.  It offers **no
     confidentiality** and must never be used outside the simulator.
+
+    The tag is ``BLAKE2s_key(len(aad) || aad || payload || nonce)``.
+    The nonce goes *last* so that a tag trial hashes the record once and
+    each candidate nonce costs one state copy plus one 12-byte update;
+    the length prefix keeps the aad/payload boundary bound, and nonces
+    are always ``nonce_size`` bytes, so the encoding stays injective.
     """
 
     key_size = 32
     name = "null-tag"
 
-    def _tag(self, nonce, ciphertext, aad):
-        mac = hashlib.blake2s(
-            b"".join((nonce, len(aad).to_bytes(8, "little"), aad,
-                      ciphertext)),
-            key=self.key,
-            digest_size=self.tag_size,
-        )
+    def __init__(self, key):
+        super().__init__(key)
+        # keying absorbs one block; every record copies this state
+        self._keyed = hashlib.blake2s(key=key, digest_size=self.tag_size)
+
+    def mac_state(self, ciphertext, aad):
+        mac = self._keyed.copy()
+        mac.update(len(aad).to_bytes(8, "little"))
+        mac.update(aad)
+        mac.update(ciphertext)
+        return mac
+
+    def finish_tag(self, mac, nonce):
+        mac = mac.copy()
+        mac.update(nonce)
         return mac.digest()
 
-    def seal(self, nonce, plaintext, aad=b""):
-        return bytes(plaintext) + self._tag(nonce, plaintext, aad)
-
-    def open(self, nonce, data, aad=b""):
-        if len(data) < self.tag_size:
-            raise AeadAuthenticationError("record shorter than tag")
-        view = memoryview(data)
-        plaintext, tag = view[:-self.tag_size], view[-self.tag_size:]
-        if not hmac.compare_digest(self._tag(nonce, plaintext, aad), tag):
-            raise AeadAuthenticationError("null-tag mismatch")
-        return bytes(plaintext)
-
-    def verify_tag(self, nonce, data, aad=b""):
-        if len(data) < self.tag_size:
-            return False
-        view = memoryview(data)
-        plaintext, tag = view[:-self.tag_size], view[-self.tag_size:]
-        return hmac.compare_digest(self._tag(nonce, plaintext, aad), tag)
+    def crypt(self, nonce, data):
+        return bytes(data)
 
 
 _CIPHERS = {

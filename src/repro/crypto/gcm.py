@@ -16,6 +16,7 @@ done as one wide integer operation instead of a per-byte generator.
 import struct
 
 from repro.crypto.aes import Aes128
+from repro.crypto.tagtrial import TagTrial
 
 _R = 0xE1000000000000000000000000000000
 
@@ -130,54 +131,49 @@ def _xor_bytes(data, stream):
 
 
 class AesGcm:
-    """AES-128-GCM authenticated encryption with 12-byte nonces."""
+    """AES-128-GCM authenticated encryption with 12-byte nonces.
 
-    TAG_LENGTH = 16
+    The tag is ``GHASH_H(aad, ciphertext) XOR E_K(J0)``: only the one
+    AES block depends on the nonce, so a :class:`TagTrial` pays GHASH
+    once per record and one block encryption per candidate nonce.
+    """
+
+    tag_size = 16
 
     def __init__(self, key):
         self._aes = Aes128(key)
         self._ghash = Ghash(self._aes.encrypt_block(b"\x00" * 16))
 
-    def _ctr_stream(self, j0, length):
-        if not length:
+    def mac_state(self, ciphertext, aad):
+        """S = GHASH(aad, ciphertext): the nonce-independent tag part."""
+        return self._ghash.digest(aad, ciphertext)
+
+    def finish_tag(self, s, nonce):
+        """S XOR E_K(J0): one AES block per nonce."""
+        return _xor_bytes(
+            s, self._aes.encrypt_block(nonce + b"\x00\x00\x00\x01"))
+
+    def crypt(self, nonce, data):
+        """CTR en/decryption from counter 2 (no authentication)."""
+        n = len(data)
+        if not n:
             return b""
-        counter = int.from_bytes(j0[12:], "big")
-        return self._aes.ctr_keystream(
-            j0[:12], counter + 1, (length + 15) // 16
-        )
+        return _xor_bytes(
+            data, self._aes.ctr_keystream(nonce, 2, (n + 15) // 16))
+
+    def prepare(self, data, aad=b""):
+        """Fold ``ciphertext || tag`` once for trials under many nonces."""
+        return TagTrial(self, data, aad)
 
     def encrypt(self, nonce, plaintext, aad=b""):
         """Returns ciphertext || 16-byte tag."""
         if len(nonce) != 12:
             raise ValueError("GCM nonce must be 12 bytes")
-        j0 = nonce + b"\x00\x00\x00\x01"
-        ciphertext = _xor_bytes(plaintext, self._ctr_stream(j0,
-                                                            len(plaintext)))
-        s = self._ghash.digest(aad, ciphertext)
-        tag = _xor_bytes(s, self._aes.encrypt_block(j0))
-        return ciphertext + tag
+        ciphertext = self.crypt(nonce, plaintext)
+        return ciphertext + self.finish_tag(
+            self.mac_state(ciphertext, aad), nonce)
 
     def decrypt(self, nonce, data, aad=b""):
         """Returns plaintext, or None if the tag does not verify."""
-        if len(data) < self.TAG_LENGTH:
-            return None
-        view = memoryview(data)
-        ciphertext, tag = view[:-self.TAG_LENGTH], view[-self.TAG_LENGTH:]
-        j0 = nonce + b"\x00\x00\x00\x01"
-        s = self._ghash.digest(aad, ciphertext)
-        expected = _xor_bytes(s, self._aes.encrypt_block(j0))
-        if expected != tag:
-            return None
-        return _xor_bytes(ciphertext, self._ctr_stream(j0, len(ciphertext)))
-
-    def verify_tag(self, nonce, data, aad=b""):
-        """Tag check without producing plaintext (Encrypt-then-MAC-style
-        cheap trial used by TCPLS stream demux)."""
-        if len(data) < self.TAG_LENGTH:
-            return False
-        view = memoryview(data)
-        ciphertext, tag = view[:-self.TAG_LENGTH], view[-self.TAG_LENGTH:]
-        j0 = nonce + b"\x00\x00\x00\x01"
-        s = self._ghash.digest(aad, ciphertext)
-        expected = _xor_bytes(s, self._aes.encrypt_block(j0))
-        return expected == tag
+        trial = self.prepare(data, aad)
+        return trial.plaintext(nonce) if trial.matches(nonce) else None
