@@ -18,6 +18,7 @@ from repro.core.record import RECORD_TYPE_STREAM_DATA
 from repro.core.reorder import ReorderBuffer
 from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305, NullTagCipher
 from repro.crypto.aes import Aes128
+from repro.crypto.ffdhe import FFDHE2048
 from repro.crypto.gcm import Ghash
 from repro.ebpf import EbpfVm, assemble
 from repro.ebpf.cc_hooks import EbpfCongestionControl
@@ -200,6 +201,19 @@ def test_simulator_rto_cancel_churn(benchmark):
         return sim.pending_events
 
     assert benchmark(run) == 0
+
+
+def test_ffdhe_exchange(benchmark):
+    """One side of a psk_dhe_ke handshake: a key pair plus the shared
+    secret, i.e. two modexps with a 256-bit exponent."""
+    rng = random.Random(1)
+    peer = FFDHE2048.generate(rng)
+
+    def exchange():
+        pair = FFDHE2048.generate(rng)
+        return FFDHE2048.shared_secret(pair.private, peer.public)
+
+    assert len(benchmark(exchange)) == 256
 
 
 def test_iv_derivation_fig2(benchmark):

@@ -1,8 +1,8 @@
 """Finite-field Diffie-Hellman over the RFC 7919 ffdhe2048 group.
 
 Provides the ``(EC)DHE`` contribution to the TLS 1.3 handshake.  The
-group is the standardised 2048-bit safe prime; exponentiation uses
-Python's constant ``pow``.
+group is the standardised 2048-bit safe prime; private exponents are
+256 bits (RFC 7919 section 5.2); exponentiation uses Python's ``pow``.
 """
 
 import hashlib
@@ -35,10 +35,22 @@ class FFDHE2048:
     g = FFDHE2048_G
     key_length = FFDHE2048_LEN
 
+    #: private exponent size.  RFC 7919 section 5.2 / appendix A.1 put
+    #: ffdhe2048's strength at 103-112 bits and allow exponents down
+    #: to 225 bits; a short exponent makes each modexp ~8x cheaper.
+    exponent_bits = 256
+
     @classmethod
     def generate(cls, rng):
-        """Generate a key pair from the given ``random.Random``."""
-        private = rng.getrandbits(2048) % (cls.p - 2) + 1
+        """Generate a key pair from the given ``random.Random``.
+
+        The exponent is the top :attr:`exponent_bits` bits of one
+        2048-bit draw with the high bit forced, so the RNG advances
+        exactly as it did when the whole draw was the exponent (seeded
+        runs keep their loss patterns and traces).
+        """
+        private = (rng.getrandbits(2048) >> (2048 - cls.exponent_bits)) \
+            | (1 << (cls.exponent_bits - 1))
         public = pow(cls.g, private, cls.p)
         return DHKeyPair(private, public)
 

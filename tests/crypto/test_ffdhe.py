@@ -49,3 +49,22 @@ def test_prime_is_the_rfc7919_group():
     assert hex_p.startswith("ffffffffffffffffadf85458a2bb4a9a")
     assert hex_p.endswith("ffffffffffffffff")
     assert FFDHE2048.g == 2
+
+
+def test_short_exponent_with_top_bit_set():
+    rng = random.Random(8)
+    for _ in range(20):
+        private = FFDHE2048.generate(rng).private
+        assert 2 ** 255 <= private < 2 ** 256
+
+
+def test_generate_consumes_exactly_one_2048_bit_draw():
+    """Seeded simulations share this RNG with loss models and cookies:
+    key generation must advance it as a bare 2048-bit draw does, and the
+    exponent is that draw's top 256 bits (high bit forced)."""
+    used, bare = random.Random(9), random.Random(9)
+    pair = FFDHE2048.generate(used)
+    draw = bare.getrandbits(2048)
+    assert used.getstate() == bare.getstate()
+    assert pair.private == (draw >> (2048 - 256)) | (1 << 255)
+    assert pair.public == pow(2, pair.private, FFDHE2048.p)
