@@ -316,7 +316,6 @@ class Simulator:
         """
         entries = event.entries
         n = len(entries)
-        queue = self._queue
         while True:
             time, _seq, payload = entries[event.index]
             self.now = time
@@ -335,6 +334,9 @@ class Simulator:
             next_time = entries[event.index][0]
             next_seq = entries[event.index][1]
             park = until is not None and next_time > until
+            # Read the heap only now: a compaction inside the callback
+            # rebinds ``self._queue``.
+            queue = self._queue
             if not park and queue:
                 head = queue[0]
                 park = (head.time, head.seq) < (next_time, next_seq)

@@ -289,3 +289,25 @@ def test_min_compact_is_per_instance():
     for event in events[:5]:
         event.cancel()
     assert lazy.compactions == 0
+
+
+def test_compaction_inside_train_delivery_keeps_the_rest_of_the_train():
+    """A delivery callback that triggers a heap compaction (which
+    rebinds the heap list) must not strand the train's remaining
+    entries on the old list."""
+    sim = Simulator(min_compact=4)
+    fired = []
+
+    def deliver(payload):
+        fired.append(payload)
+        if payload == "a":
+            for event in [sim.schedule(5.0, fired.append, "timer")
+                          for _ in range(8)]:
+                event.cancel()
+
+    sim.at(1.5, fired.append, "x")
+    sim.at_train([(1.0, "a"), (2.0, "b"), (3.0, "c")], deliver)
+    sim.run()
+    assert sim.compactions >= 1
+    assert fired == ["a", "x", "b", "c"]
+    assert sim.pending_events == 0
