@@ -6,7 +6,7 @@ export PYTHONPATH := src
 JOBS ?= 1
 
 .PHONY: test test-obs bench bench-check bench-sweep bench-matrix \
-        bench-matrix-rerun trace-demo
+        bench-matrix-rerun ledger trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -55,6 +55,14 @@ bench-matrix-rerun:
 	$(PYTHON) benchmarks/trend.py \
 	    benchmarks/baselines/BENCH_matrix.json \
 	    benchmarks/BENCH_matrix.json
+
+# Wall-clock ledger smoke: one quick cycle of all six workloads (every
+# iteration checks its output), then the ledger's own tests.  The
+# ledger imports repro.* internals by their public names, so this is
+# what notices a rename under it; BENCHMARK.json is its contract.
+ledger:
+	$(PYTHON) ledger/run.py --quick
+	$(PYTHON) -m pytest ledger -q
 
 # Run the Fig. 8 failover scenario with the full observability stack
 # armed and write trace_failover.qlog (inspect with QVIS).

@@ -23,9 +23,13 @@ from repro.crypto.gcm import Ghash
 from repro.ebpf import EbpfVm, assemble
 from repro.ebpf.cc_hooks import EbpfCongestionControl
 from repro.ebpf.programs import cubic_bytecode
-from repro.net import Simulator
+from repro.net import Packet, Simulator, build_multipath
+from repro.net.address import Endpoint
+from repro.tcp import TcpStack
 from repro.tcp.buffers import ReceiveBuffer, SendBuffer
+from repro.tcp.connection import FLAGS_ACK
 from repro.tcp.ranges import RangeSet
+from repro.tcp.segment import Segment
 
 PAYLOAD = b"\xAB" * 16384
 BASE_IV = bytes(range(12))
@@ -201,6 +205,75 @@ def test_simulator_rto_cancel_churn(benchmark):
         return sim.pending_events
 
     assert benchmark(run) == 0
+
+
+def test_simulator_timer_rearm_churn(benchmark):
+    """The same 2000 re-arms through ``Simulator.timer``: the queued
+    entry stays where it is, nothing is pushed and nothing goes dead."""
+
+    def run():
+        sim = Simulator()
+        timer = sim.timer(lambda: None)
+
+        def rearm(n):
+            if n > 0:
+                timer.arm(10.0)
+                sim.schedule(0.001, rearm, n - 1)
+            else:
+                timer.cancel()
+
+        sim.schedule(0.0, rearm, 2000)
+        sim.run()
+        return sim.pending_events
+
+    assert benchmark(run) == 0
+
+
+def _established_pair():
+    """One established client connection on a one-path topology."""
+    sim = Simulator(seed=1)
+    topo = build_multipath(sim, n_paths=1)
+    cstack = TcpStack(sim, topo.client)
+    sstack = TcpStack(sim, topo.server)
+    sstack.listen(443, lambda conn: None)
+    path = topo.path(0)
+    conn = cstack.connect(path.client_addr, Endpoint(path.server_addr, 443))
+    sim.run(until=1.0)
+    assert conn.state == "ESTABLISHED"
+    return topo, path, conn
+
+
+def test_mark_holes_lost_wide_scoreboard(benchmark):
+    """IsLost over ~60 SACK ranges with one-segment holes between them
+    (the shape a blackholed path leaves behind): one pass, not one
+    re-summation of the ranges above per hole."""
+    _topo, _path, conn = _established_pair()
+    mss = conn.mss
+    base = conn.snd_una
+    conn._sacked = RangeSet(
+        (base + (2 * i + 1) * mss, base + (2 * i + 2) * mss)
+        for i in range(60))
+
+    def run():
+        conn._lost.clear()
+        conn._mark_holes_lost()
+        return len(conn._lost)
+
+    assert benchmark(run) == 58  # the top two holes have < 3 MSS above
+
+
+def test_tcp_demux_established(benchmark):
+    """One in-order pure ACK through ``TcpStack.receive``: connection
+    lookup, state dispatch, option-less ACK processing."""
+    topo, path, conn = _established_pair()
+    stack = topo.client.stack("tcp")
+    segment = Segment.data_segment(
+        443, conn.local.port, conn.rcv_buf.rcv_nxt, conn.snd_una,
+        FLAGS_ACK, 1 << 20, b"")
+    packet = Packet(path.server_addr, path.client_addr, "tcp", segment)
+    before = conn.segments_received
+    benchmark(stack.receive, packet)
+    assert conn.segments_received > before
 
 
 def test_ffdhe_exchange(benchmark):

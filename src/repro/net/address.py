@@ -2,7 +2,7 @@
 
 TCPLS experiments are dual-stack (the paper joins an IPv6 connection to
 a session opened over IPv4), so addresses carry an explicit family and
-compare/hash by their canonical text form.
+compare/hash by value.
 """
 
 import ipaddress
@@ -11,7 +11,7 @@ import ipaddress
 class IPAddress:
     """An IPv4 or IPv6 address with a stable canonical form."""
 
-    __slots__ = ("_addr", "_text", "family")
+    __slots__ = ("_addr", "_text", "_hash", "family")
 
     def __init__(self, text):
         if isinstance(text, IPAddress):
@@ -20,6 +20,10 @@ class IPAddress:
         else:
             self._addr = ipaddress.ip_address(text)
             self._text = None
+        # Addresses key the per-packet tables (connections, routes,
+        # local addresses); the stdlib hash is a Python-level method
+        # that formats the address on every call.
+        self._hash = hash(self._addr)
         #: 4 or 6.  A plain attribute, not a property: the per-packet
         #: header-size lookup reads it on every wire_size() call.
         self.family = self._addr.version
@@ -44,6 +48,8 @@ class IPAddress:
         return cls(str(ipaddress.ip_address(data)))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if isinstance(other, str):
             other = IPAddress(other)
         if not isinstance(other, IPAddress):
@@ -51,12 +57,11 @@ class IPAddress:
         return self._addr == other._addr
 
     def __hash__(self):
-        return hash(self._addr)
+        return self._hash
 
     def __str__(self):
-        # The canonical text form is the demultiplexer's dict key, hit
-        # once per packet -- cache it (ipaddress re-renders every time,
-        # which for IPv6 means hextet compression per call).
+        # Cached: ipaddress re-renders every time, which for IPv6
+        # means hextet compression per call.
         text = self._text
         if text is None:
             text = self._text = str(self._addr)

@@ -44,6 +44,9 @@ class Host:
         #: topology mutation (interfaces and addresses are immutable
         #: once attached, and up/down is checked after routing).
         self._route_cache = {}
+        #: local addresses, for the per-packet "is it for us" test;
+        #: kept with the interface list it mirrors.
+        self._local_addresses = set()
 
     # -- configuration -------------------------------------------------
 
@@ -51,6 +54,7 @@ class Host:
         """Attach a new interface and return it."""
         iface = Interface(name, address, tx_link)
         self.interfaces.append(iface)
+        self._local_addresses.add(address)
         self._route_cache.clear()
         return iface
 
@@ -144,14 +148,11 @@ class Host:
     def receive(self, packet):
         """Link delivery entry point; demux to the transport stack."""
         self.rx_packets += 1
-        if not self._local_address(packet.dst):
+        if packet.dst not in self._local_addresses:
             return  # not for us; hosts do not forward
         stack = self._stacks.get(packet.proto)
         if stack is not None:
             stack.receive(packet)
-
-    def _local_address(self, address):
-        return any(i.address == address for i in self.interfaces)
 
     def __repr__(self):
         return "Host(%s, %d ifaces)" % (self.name, len(self.interfaces))

@@ -5,13 +5,21 @@ MPTCP and QUIC baselines) runs on top of this event loop.  Time is a
 float in seconds.  Events with equal timestamps fire in the order they
 were scheduled, which keeps every experiment reproducible bit-for-bit.
 
+The heap holds ``(time, seq, item)`` tuples, so ``heapq`` orders them
+with C tuple comparison; ``seq`` is unique, so the comparison never
+reaches ``item``.  An item is an :class:`Event`, a :class:`TrainEvent`
+or a :class:`Timer`.
+
 Cancellation is lazy: a cancelled event stays in the heap and is
-skipped when popped.  The TCP retransmission timer cancels and re-arms
-on every ACK, so under bulk transfer most of the heap can end up being
-dead timers; the simulator therefore counts cancellations and compacts
-the heap (filter + heapify) once cancelled entries dominate.
-Compaction cannot change firing order -- the heap order is total over
-``(time, seq)`` -- so traces are bit-identical with or without it.
+skipped when popped.  The simulator counts dead entries and compacts
+the heap (filter + heapify) once they dominate.  Compaction cannot
+change firing order -- the heap order is total over ``(time, seq)`` --
+so traces are bit-identical with or without it.
+
+Timers that are re-armed far more often than they fire (the TCP
+retransmission timeout moves on every ACK) use :meth:`Simulator.timer`:
+a :class:`Timer` is re-armed in place and leaves its queued heap entry
+where it is, instead of cancelling one event and pushing another.
 
 Packet trains (:meth:`Simulator.at_train`) batch a sequence of
 already-ordered deliveries behind a single heap entry.  Each delivery
@@ -63,21 +71,19 @@ class Event:
         if sim is not None:
             sim._note_cancelled()
 
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class TrainEvent:
     """A batch of ordered deliveries behind one heap entry.
 
     ``entries`` is a list of ``(time, seq, payload)`` with
     non-decreasing ``(time, seq)``; ``index`` points at the next entry
-    to fire.  ``time``/``seq`` mirror the head entry so the event sorts
-    in the heap exactly where the head would have sorted on its own.
+    to fire.  The heap entry is keyed by that entry's ``(time, seq)``,
+    so the train sorts exactly where its head would have sorted on its
+    own.
     """
 
-    __slots__ = ("time", "seq", "entries", "index", "fn", "cancelled",
-                 "_sim", "_in_queue")
+    __slots__ = ("entries", "index", "fn", "cancelled", "_sim",
+                 "_in_queue")
 
     def __init__(self, entries, fn, sim):
         self.entries = entries
@@ -86,7 +92,6 @@ class TrainEvent:
         self.cancelled = False
         self._sim = sim
         self._in_queue = False
-        self.time, self.seq = entries[0][0], entries[0][1]
 
     def cancel(self):
         """Drop every not-yet-fired delivery.  Idempotent."""
@@ -110,8 +115,90 @@ class TrainEvent:
     def remaining(self):
         return len(self.entries) - self.index
 
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
+
+class Timer:
+    """A re-armable one-shot timer (:meth:`Simulator.timer`).
+
+    ``arm(delay)`` behaves exactly like cancelling a pending event and
+    calling :meth:`Simulator.schedule` again -- it draws its sequence
+    number at the same moment, so the timer fires at the same place in
+    the total ``(time, seq)`` order -- but it does not touch the heap
+    when the entry already queued fires no later than the new deadline.
+    That entry pops *stale*, finds the ``(deadline, seq)`` reserved by
+    the latest ``arm()`` and re-enters the heap under exactly that key.
+    Only a deadline *earlier* than the queued entry needs a new push;
+    the superseded entry is then dead weight like a cancelled event.
+
+    At most one heap entry per timer is live (``_entry_seq`` names it);
+    an armed timer always has one, keyed no later than its deadline.
+    """
+
+    __slots__ = ("fn", "args", "armed", "deadline", "_seq", "_sim",
+                 "_entry_time", "_entry_seq")
+
+    def __init__(self, sim, fn, args):
+        self.fn = fn
+        self.args = args
+        #: True from ``arm()`` until the timer fires or is cancelled.
+        self.armed = False
+        #: absolute firing time of the latest ``arm()``.
+        self.deadline = None
+        self._seq = None
+        self._sim = sim
+        self._entry_time = None
+        self._entry_seq = None
+
+    def arm(self, delay):
+        """(Re)start the timer to fire ``delay`` seconds from now."""
+        if delay < 0:
+            raise ValueError("cannot schedule into the past: delay=%r" % delay)
+        sim = self._sim
+        deadline = sim.now + delay
+        seq = next(sim._seq)
+        if self._entry_seq is not None and self._entry_time <= deadline:
+            if not self.armed:
+                # cancel() wrote the queued entry off; take it back.
+                sim._cancelled -= 1
+                self.armed = True
+            self.deadline = deadline
+            self._seq = seq
+            return
+        superseded = self.armed
+        self.armed = True
+        self.deadline = self._entry_time = deadline
+        self._seq = self._entry_seq = seq
+        heapq.heappush(sim._queue, (deadline, seq, self))
+        if superseded:
+            sim._note_cancelled()
+
+    def cancel(self):
+        """Stop the timer.  Idempotent; it can be armed again."""
+        if self.armed:
+            self.armed = False
+            self._sim._note_cancelled()
+
+    def _due(self, seq):
+        """The heap entry numbered ``seq`` was popped: True if the
+        timer expires now (it is then disarmed), False if the entry was
+        dead or stale (a stale one has re-entered the heap)."""
+        sim = self._sim
+        if self._entry_seq != seq:
+            sim._cancelled -= 1  # superseded by an earlier deadline
+            return False
+        if not self.armed:
+            self._entry_seq = None
+            sim._cancelled -= 1
+            return False
+        if self._seq != seq:
+            # Re-armed since this entry was pushed: re-enter under the
+            # key the latest arm() reserved.
+            self._entry_time = self.deadline
+            self._entry_seq = self._seq
+            heapq.heappush(sim._queue, (self.deadline, self._seq, self))
+            return False
+        self.armed = False
+        self._entry_seq = None
+        return True
 
 
 class Simulator:
@@ -189,9 +276,16 @@ class Simulator:
             raise ValueError(
                 "cannot schedule into the past: time=%r < now=%r" % (time, self.now)
             )
-        event = Event(time, next(self._seq), fn, args, self)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
+
+    def timer(self, fn, *args):
+        """A disarmed :class:`Timer` that calls ``fn(*args)`` each time
+        it expires.  Use it instead of :meth:`schedule` for a timeout
+        that is moved or cancelled much more often than it fires."""
+        return Timer(self, fn, args)
 
     def at_train(self, entries, fn):
         """Schedule ``fn(payload)`` at ``time`` for each ``(time,
@@ -227,35 +321,50 @@ class Simulator:
     def _push_train(self, stamped, fn):
         event = TrainEvent(stamped, fn, self)
         event._in_queue = True
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (stamped[0][0], stamped[0][1], event))
         self._train_pending += len(stamped) - 1
         self.trains_scheduled += 1
         return event
 
     def _note_cancelled(self):
-        """An in-queue event was cancelled; compact if dead entries
-        dominate the heap."""
+        """A queued entry went dead (cancelled event, stopped timer,
+        superseded timer entry); compact if dead entries dominate the
+        heap."""
         self._cancelled += 1
         if (self._cancelled >= self.min_compact
                 and self._cancelled * 2 >= len(self._queue)):
             self._compact()
 
     def _compact(self):
-        """Drop cancelled entries and re-heapify.
+        """Drop dead entries and re-heapify, in place.
 
         Heap order is total over ``(time, seq)``, so rebuilding the heap
         from the survivors pops in exactly the same order the lazy path
-        would have produced.
+        would have produced.  The list object is kept (``run`` and
+        ``_fire_train`` hold it across callbacks that may land here).
         """
-        before = len(self._queue)
-        self._queue = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
+        queue = self._queue
+        before = len(queue)
+        live = []
+        for entry in queue:
+            item = entry[2]
+            if type(item) is Timer:
+                if item._entry_seq != entry[1]:
+                    continue  # superseded by an earlier deadline
+                if not item.armed:
+                    item._entry_seq = None
+                    continue
+            elif item.cancelled:
+                continue
+            live.append(entry)
+        queue[:] = live
+        heapq.heapify(queue)
         self._cancelled = 0
         self.compactions += 1
         if self.bus.wants("perf"):
             self.bus.emit("perf", "heap_compaction", {
                 "before": before,
-                "after": len(self._queue),
+                "after": len(queue),
                 "compactions": self.compactions,
             })
 
@@ -273,29 +382,34 @@ class Simulator:
         """
         self._running = True
         fired = 0
+        queue = self._queue
+        pop = heapq.heappop
         try:
-            while self._queue:
-                event = self._queue[0]
-                if until is not None and event.time > until:
+            while queue:
+                time = queue[0][0]
+                if until is not None and time > until:
                     self.now = until
                     break
-                heapq.heappop(self._queue)
-                if type(event) is TrainEvent:
-                    event._in_queue = False
-                    if event.cancelled:
+                _, seq, item = pop(queue)
+                kind = type(item)
+                if kind is TrainEvent:
+                    item._in_queue = False
+                    if item.cancelled:
                         self._cancelled -= 1
                         continue
-                    fired = self._fire_train(event, until, max_events,
-                                             fired)
+                    fired = self._fire_train(item, until, max_events, fired)
                     continue
-                # Detach so a cancel() after firing (or after this pop)
-                # cannot skew the in-queue cancelled count.
-                event._sim = None
-                if event.cancelled:
-                    self._cancelled -= 1
+                if kind is Event:
+                    # Detach so a cancel() after firing (or after this
+                    # pop) cannot skew the in-queue cancelled count.
+                    item._sim = None
+                    if item.cancelled:
+                        self._cancelled -= 1
+                        continue
+                elif not item._due(seq):
                     continue
-                self.now = event.time
-                event.fn(*event.args)
+                self.now = time
+                item.fn(*item.args)
                 fired += 1
                 if max_events is not None and fired > max_events:
                     raise RuntimeError("simulation exceeded %d events" % max_events)
@@ -316,6 +430,7 @@ class Simulator:
         """
         entries = event.entries
         n = len(entries)
+        queue = self._queue
         while True:
             time, _seq, payload = entries[event.index]
             self.now = time
@@ -331,20 +446,17 @@ class Simulator:
             if event.cancelled:
                 # cancel() already settled the pending tally.
                 return fired
-            next_time = entries[event.index][0]
-            next_seq = entries[event.index][1]
+            following = entries[event.index]
+            next_time = following[0]
             park = until is not None and next_time > until
-            # Read the heap only now: a compaction inside the callback
-            # rebinds ``self._queue``.
-            queue = self._queue
             if not park and queue:
-                head = queue[0]
-                park = (head.time, head.seq) < (next_time, next_seq)
+                # (time, seq, item) against (time, seq, payload): seq
+                # is unique, so the comparison stops there.
+                park = queue[0] < following
             if park:
-                event.time, event.seq = next_time, next_seq
                 event._in_queue = True
                 self._train_pending -= 1
-                heapq.heappush(queue, event)
+                heapq.heappush(queue, (next_time, following[1], event))
                 return fired
             self._train_pending -= 1
             self.train_peels += 1
@@ -375,6 +487,7 @@ class Simulator:
 
     @property
     def pending_events(self):
-        """Number of not-yet-cancelled events in the queue, counting
-        every delivery still inside a train (O(1))."""
+        """Number of events still due to fire: live events, armed
+        timers (one each, however stale their heap entry) and every
+        delivery still inside a train (O(1))."""
         return len(self._queue) - self._cancelled + self._train_pending

@@ -13,7 +13,10 @@ twice more.  Immutability matters: a live memoryview over a resizable
 ``bytearray`` would make releasing acked data a ``BufferError``.
 """
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
+from itertools import islice
+
+from repro.tcp.ranges import RangeSet
 
 
 class SendBuffer:
@@ -141,9 +144,12 @@ class ReceiveBuffer:
     Out-of-order data is kept in a segment map keyed by sequence number;
     when the gap fills, contiguous bytes move to the readable queue.
     ``capacity`` bounds readable + buffered out-of-order data and is the
-    basis of the advertised receive window.  The out-of-order byte total
-    is maintained incrementally so :meth:`window` -- computed for every
-    outgoing segment -- is O(1).
+    basis of the advertised receive window.  Everything an arriving
+    segment or an outgoing ACK needs is maintained incrementally: the
+    out-of-order byte total (:meth:`window`, per outgoing segment), the
+    sorted segment starts (the drain after a gap fills touches only
+    what it delivers) and the merged out-of-order spans
+    (:meth:`sack_blocks`, per ACK while a gap is open).
     """
 
     def __init__(self, rcv_nxt, capacity=1 << 20):
@@ -152,6 +158,8 @@ class ReceiveBuffer:
         self._readable = bytearray()
         self._ooo = {}
         self._ooo_bytes = 0
+        self._ooo_seqs = []        # sorted keys of _ooo
+        self._ooo_spans = RangeSet()  # merged [seq, seq+len) of _ooo
 
     def window(self):
         """Advertised window: free space."""
@@ -182,37 +190,38 @@ class ReceiveBuffer:
         if seq > self.rcv_nxt:
             existing = self._ooo.get(seq)
             if existing is None:
-                self._ooo[seq] = data
+                insort(self._ooo_seqs, seq)
                 self._ooo_bytes += len(data)
             elif len(existing) < len(data):
-                self._ooo[seq] = data
                 self._ooo_bytes += len(data) - len(existing)
+            else:
+                return 0
+            self._ooo[seq] = data
+            self._ooo_spans.add(seq, end)
             return 0
         # In-order: deliver, then drain any now-contiguous segments.
         delivered = len(data)
         self._readable += data
         self.rcv_nxt = end
-        while True:
-            nxt = self._find_contiguous()
-            if nxt is None:
-                break
-            seq2, data2 = nxt
-            del self._ooo[seq2]
-            self._ooo_bytes -= len(data2)
-            if seq2 + len(data2) <= self.rcv_nxt:
-                continue
-            if seq2 < self.rcv_nxt:
-                data2 = data2[self.rcv_nxt - seq2:]
-            self._readable += data2
-            delivered += len(data2)
-            self.rcv_nxt += len(data2)
+        seqs = self._ooo_seqs
+        if seqs and seqs[0] <= end:
+            drained = 0
+            for seq2 in seqs:
+                if seq2 > self.rcv_nxt:
+                    break
+                drained += 1
+                data2 = self._ooo.pop(seq2)
+                self._ooo_bytes -= len(data2)
+                if seq2 + len(data2) <= self.rcv_nxt:
+                    continue
+                if seq2 < self.rcv_nxt:
+                    data2 = data2[self.rcv_nxt - seq2:]
+                self._readable += data2
+                delivered += len(data2)
+                self.rcv_nxt += len(data2)
+            del seqs[:drained]
+            self._ooo_spans.trim_below(self.rcv_nxt)
         return delivered
-
-    def _find_contiguous(self):
-        for seq, data in self._ooo.items():
-            if seq <= self.rcv_nxt:
-                return seq, data
-        return None
 
     def read(self, n=None):
         """Consume up to ``n`` readable bytes (all if None)."""
@@ -229,15 +238,5 @@ class ReceiveBuffer:
 
     def sack_blocks(self, limit=3):
         """Merged out-of-order ranges for SACK generation (RFC 2018)."""
-        if not self._ooo:
-            return []
-        spans = sorted((seq, seq + len(d)) for seq, d in self._ooo.items())
-        merged = [list(spans[0])]
-        for start, end in spans[1:]:
-            if start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
         # Most recently useful (highest) blocks first, like real stacks.
-        merged.sort(key=lambda b: b[1], reverse=True)
-        return [tuple(b) for b in merged[:limit]]
+        return list(islice(reversed(self._ooo_spans), limit))

@@ -96,7 +96,12 @@ class TcpConnection:
         self._fin_sent = False
         self._remote_fin_seen = False
 
-        self._rto_event = None
+        # One idiom for all four timers: a re-armable Simulator.timer.
+        # The RTO moves on every ACK; arm() re-uses its heap entry.
+        self._rto_timer = self.sim.timer(self._on_rto)
+        self._persist_timer = self.sim.timer(self._on_persist)
+        self._uto_timer = self.sim.timer(self._check_uto)
+        self._time_wait_timer = self.sim.timer(self._enter_closed, True)
         self._rto_backoff = 0
         self._syn_retries = 0
         self._dupacks = 0
@@ -109,13 +114,10 @@ class TcpConnection:
         self._rexmitted = RangeSet()
         self._rtt_seq = None
         self._rtt_time = None
-        self._time_wait_event = None
-        self._persist_event = None
         self._persist_backoff = 0
 
         # User timeout (RFC 5482): TCPLS's blackhole-detection trigger.
         self.user_timeout = None
-        self._uto_event = None
         self.last_segment_received = self.sim.now
         self.last_data_received = None
         #: fluid-mode liveness hook: a callable returning the timestamp
@@ -541,6 +543,9 @@ class TcpConnection:
             options=tuple(options),
             payload=payload,
         )
+        self._emit(segment)
+
+    def _emit(self, segment):
         packet = Packet(self.local.addr, self.remote.addr, "tcp", segment)
         self.segments_sent += 1
         if self._train is not None:
@@ -578,11 +583,18 @@ class TcpConnection:
                 })
 
     def _send_ack(self):
-        if self.state in (CLOSED,):
+        if self.state == CLOSED:
+            return
+        rcv_buf = self.rcv_buf
+        if rcv_buf is not None and not rcv_buf.has_gap():
+            # Pure ACK, nothing to SACK: the option-less constructor.
+            self._emit(Segment.data_segment(
+                self.local.port, self.remote.port, self.snd_nxt,
+                rcv_buf.rcv_nxt, FLAGS_ACK, rcv_buf.window(), b""))
             return
         options = ()
-        if self.rcv_buf is not None and self.rcv_buf.has_gap():
-            options = (SackOption(self.rcv_buf.sack_blocks()),)
+        if rcv_buf is not None:
+            options = (SackOption(rcv_buf.sack_blocks()),)
         self._send_segment(flags=FLAGS_ACK, seq=self.snd_nxt,
                            ack=self._ack_value(), options=options)
 
@@ -610,20 +622,33 @@ class TcpConnection:
         only once at least DupThresh (3) segments' worth of data above it
         has been SACKed -- otherwise it is merely still in flight and
         retransmitting it would inflate the pipe past cwnd."""
-        if not self._sacked:
-            return
+        # One pass down the scoreboard: the gap under each SACKed range
+        # has every range from that one upwards above it.
         threshold = 3 * self.mss
-        ranges = list(self._sacked)
-        gaps = self._sacked.complement_within(self.snd_una, self._sacked.max)
-        for start, end in gaps:
-            sacked_above = sum(e - s for s, e in ranges if s >= end)
-            if sacked_above < threshold:
-                continue
+        snd_una = self.snd_una
+        sacked_above = 0
+        holes = []
+        upper = None  # start of the range just above
+        for start, end in reversed(self._sacked):
+            if end <= snd_una:
+                break
+            if upper is not None and sacked_above >= threshold:
+                holes.append((end, upper))
+            sacked_above += end - start
+            upper = start
+        if upper is not None and upper > snd_una \
+                and sacked_above >= threshold:
+            holes.append((snd_una, upper))
+        # Mark bottom-up, in MSS chunks, skipping what this recovery
+        # episode already retransmitted.
+        mss = self.mss
+        covers, add = self._rexmitted.covers, self._lost.add
+        for start, end in reversed(holes):
             cursor = start
             while cursor < end:
-                chunk_end = min(cursor + self.mss, end)
-                if not self._rexmitted.covers(cursor, chunk_end):
-                    self._lost.add(cursor, chunk_end)
+                chunk_end = min(cursor + mss, end)
+                if not covers(cursor, chunk_end):
+                    add(cursor, chunk_end)
                 cursor = chunk_end
 
     def _retransmit_lost(self):
@@ -677,13 +702,12 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _arm_persist(self):
-        if self._persist_event is not None:
+        if self._persist_timer.armed:
             return
-        timeout = self.rtt.rto * (2 ** min(self._persist_backoff, 6))
-        self._persist_event = self.sim.schedule(timeout, self._on_persist)
+        self._persist_timer.arm(
+            self.rtt.rto * (2 ** min(self._persist_backoff, 6)))
 
     def _on_persist(self):
-        self._persist_event = None
         if self.state == CLOSED or self.peer_window > 0:
             self._persist_backoff = 0
             self._try_send()
@@ -702,17 +726,9 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _arm_rto(self):
-        self._cancel_rto()
-        timeout = self.rtt.rto * (2 ** self._rto_backoff)
-        self._rto_event = self.sim.schedule(timeout, self._on_rto)
-
-    def _cancel_rto(self):
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._rto_timer.arm(self.rtt.rto * (2 ** self._rto_backoff))
 
     def _on_rto(self):
-        self._rto_event = None
         if self.state == CLOSED:
             return
         if self.sim.bus.wants("tcp"):
@@ -787,11 +803,13 @@ class TcpConnection:
         if segment.is_rst:
             self._handle_rst(segment)
             return
-        handler = {
-            SYN_SENT: self._rx_syn_sent,
-            SYN_RCVD: self._rx_syn_rcvd,
-        }.get(self.state, self._rx_established_family)
-        handler(segment)
+        state = self.state
+        if state == SYN_SENT:
+            self._rx_syn_sent(segment)
+        elif state == SYN_RCVD:
+            self._rx_syn_rcvd(segment)
+        else:
+            self._rx_established_family(segment)
 
     def _handle_rst(self, segment):
         if self.state == CLOSED:
@@ -822,7 +840,7 @@ class TcpConnection:
             # retransmit the payload after establishment.
             self.snd_nxt = segment.ack
         self._rto_backoff = 0
-        self._cancel_rto()
+        self._rto_timer.cancel()
         self._become_established()
         self._send_ack()
         self._try_send()
@@ -838,7 +856,7 @@ class TcpConnection:
             self.snd_una = segment.ack
             self.peer_window = segment.window
             self._rto_backoff = 0
-            self._cancel_rto()
+            self._rto_timer.cancel()
             self._become_established()
             if segment.payload:
                 self._process_payload(segment)
@@ -866,7 +884,8 @@ class TcpConnection:
         self.peer_window = segment.window
         if ack > self.snd_nxt:
             return  # acks data never sent
-        sack_opt = segment.find_option(OPT_SACK)
+        sack_opt = segment.find_option(OPT_SACK) if segment.options \
+            else None
         if ack > self.snd_una:
             in_flight_before = self.snd_nxt - self.snd_una
             newly_acked = ack - self.snd_una
@@ -877,7 +896,7 @@ class TcpConnection:
             self._rto_backoff = 0
             if sack_opt is not None:
                 self._merge_sack_blocks(sack_opt.blocks)
-            else:
+            elif self._sacked or self._lost or self._rexmitted:
                 self._prune_scoreboard()
             rtt_sample = None
             if self._rtt_seq is not None and ack >= self._rtt_seq:
@@ -901,7 +920,7 @@ class TcpConnection:
                                in_flight_before)
                 self._observe_cc("ack")
             if self.snd_una >= self.snd_nxt:
-                self._cancel_rto()
+                self._rto_timer.cancel()
             else:
                 self._arm_rto()
             self._handle_ack_state_transitions(ack)
@@ -987,24 +1006,16 @@ class TcpConnection:
 
     def _enter_time_wait(self):
         self._set_state(TIME_WAIT)
-        self._cancel_rto()
-        self._time_wait_event = self.sim.schedule(
-            TIME_WAIT_DURATION, self._enter_closed, True
-        )
+        self._rto_timer.cancel()
+        self._time_wait_timer.arm(TIME_WAIT_DURATION)
 
     def _enter_closed(self, notify=False, reset=False):
         was_open = self.state not in (CLOSED,)
         self._set_state(CLOSED)
-        self._cancel_rto()
-        if self._uto_event is not None:
-            self._uto_event.cancel()
-            self._uto_event = None
-        if self._time_wait_event is not None:
-            self._time_wait_event.cancel()
-            self._time_wait_event = None
-        if self._persist_event is not None:
-            self._persist_event.cancel()
-            self._persist_event = None
+        self._rto_timer.cancel()
+        self._uto_timer.cancel()
+        self._time_wait_timer.cancel()
+        self._persist_timer.cancel()
         self.stack.forget(self)
         if not (notify and was_open):
             return
@@ -1016,14 +1027,9 @@ class TcpConnection:
     def _schedule_uto_check(self):
         if self.user_timeout is None or self.state != ESTABLISHED:
             return
-        if self._uto_event is not None:
-            self._uto_event.cancel()
-        self._uto_event = self.sim.schedule(
-            max(self.user_timeout / 4.0, 0.01), self._check_uto
-        )
+        self._uto_timer.arm(max(self.user_timeout / 4.0, 0.01))
 
     def _check_uto(self):
-        self._uto_event = None
         if self.user_timeout is None or self.state != ESTABLISHED:
             return
         reference = self.last_segment_received

@@ -5,15 +5,17 @@ ranges, RFC 6675) and reused by the TCPLS failover machinery to track
 acknowledged records.  Ranges are half-open ``[start, end)``.
 """
 
-import bisect
+from bisect import bisect_left, bisect_right
 
 
 class RangeSet:
     """A set of non-overlapping, sorted, merged [start, end) ranges."""
 
     def __init__(self, ranges=()):
+        #: sorted ``[start, end]`` lists; a probe ``[point]`` bisects to
+        #: the first range starting at or above ``point``.
         self._ranges = []
-        #: cached coverage (see :attr:`total`); ``None`` = recompute.
+        #: integers covered, maintained by every mutation.
         self._total = 0
         for start, end in ranges:
             self.add(start, end)
@@ -26,6 +28,9 @@ class RangeSet:
 
     def __iter__(self):
         return iter(tuple(r) for r in self._ranges)
+
+    def __reversed__(self):
+        return iter(tuple(r) for r in reversed(self._ranges))
 
     def __eq__(self, other):
         if isinstance(other, RangeSet):
@@ -41,16 +46,9 @@ class RangeSet:
 
     @property
     def total(self):
-        """Total integers covered.
-
-        Cached between mutations: the TCP pipe estimator reads the
-        sacked/lost totals on every send opportunity, which is far more
-        often than the scoreboard changes.
-        """
-        t = self._total
-        if t is None:
-            t = self._total = sum(e - s for s, e in self._ranges)
-        return t
+        """Total integers covered (O(1): the TCP pipe estimator reads
+        the sacked/lost totals on every send opportunity)."""
+        return self._total
 
     @property
     def min(self):
@@ -64,43 +62,57 @@ class RangeSet:
         """Insert [start, end), merging with neighbours."""
         if end <= start:
             return
-        self._total = None
-        i = bisect.bisect_left(self._ranges, [start, end])
+        ranges = self._ranges
+        i = bisect_left(ranges, [start])
         # Merge with the predecessor if it touches.
-        if i > 0 and self._ranges[i - 1][1] >= start:
+        if i > 0 and ranges[i - 1][1] >= start:
             i -= 1
-            start = min(start, self._ranges[i][0])
-            end = max(end, self._ranges[i][1])
-            del self._ranges[i]
-        # Swallow successors that overlap.
-        while i < len(self._ranges) and self._ranges[i][0] <= end:
-            end = max(end, self._ranges[i][1])
-            del self._ranges[i]
-        self._ranges.insert(i, [start, end])
+            start = ranges[i][0]
+        # Swallow every range that starts inside or touches [start, end).
+        j = i
+        n = len(ranges)
+        swallowed = 0
+        while j < n and ranges[j][0] <= end:
+            swallowed += ranges[j][1] - ranges[j][0]
+            j += 1
+        if j > i and ranges[j - 1][1] > end:
+            end = ranges[j - 1][1]
+        ranges[i:j] = [[start, end]]
+        self._total += end - start - swallowed
 
     def subtract(self, start, end):
         """Remove [start, end) from the set."""
-        if end <= start or not self._ranges:
+        if end <= start:
             return
-        self._total = None
-        out = []
-        for s, e in self._ranges:
-            if e <= start or s >= end:
-                out.append([s, e])
-                continue
-            if s < start:
-                out.append([s, start])
-            if e > end:
-                out.append([end, e])
-        self._ranges = out
+        ranges = self._ranges
+        # Affected slice: from the first range ending above ``start``
+        # to the last one starting below ``end``.
+        i = bisect_left(ranges, [start])
+        if i > 0 and ranges[i - 1][1] > start:
+            i -= 1
+        j = bisect_left(ranges, [end], i)
+        if i == j:
+            return
+        first_start, last_end = ranges[i][0], ranges[j - 1][1]
+        removed = sum(e - s for s, e in ranges[i:j])
+        keep = []
+        if first_start < start:
+            keep.append([first_start, start])
+            removed -= start - first_start
+        if last_end > end:
+            keep.append([end, last_end])
+            removed -= last_end - end
+        ranges[i:j] = keep
+        self._total -= removed
 
     def trim_below(self, cutoff):
         """Remove everything < cutoff."""
-        if self._ranges:
-            self.subtract(self._ranges[0][0], cutoff)
+        ranges = self._ranges
+        if ranges and ranges[0][0] < cutoff:
+            self.subtract(ranges[0][0], cutoff)
 
     def contains(self, point):
-        i = bisect.bisect_right(self._ranges, [point, float("inf")])
+        i = bisect_right(self._ranges, [point, float("inf")])
         if i > 0:
             s, e = self._ranges[i - 1]
             if s <= point < e:
@@ -111,7 +123,7 @@ class RangeSet:
         """True if [start, end) is entirely inside one range."""
         if end <= start:
             return True
-        i = bisect.bisect_right(self._ranges, [start, float("inf")])
+        i = bisect_right(self._ranges, [start, float("inf")])
         if i > 0:
             s, e = self._ranges[i - 1]
             return s <= start and end <= e
@@ -119,9 +131,12 @@ class RangeSet:
 
     def first_range_at_or_above(self, point):
         """First (start, end) with end > point, clamped to start >= point."""
-        for s, e in self._ranges:
-            if e > point:
-                return (max(s, point), e)
+        ranges = self._ranges
+        i = bisect_left(ranges, [point])
+        if i > 0 and ranges[i - 1][1] > point:
+            return (point, ranges[i - 1][1])
+        if i < len(ranges):
+            return tuple(ranges[i])
         return None
 
     def complement_within(self, start, end):

@@ -49,7 +49,9 @@ class Segment:
     @classmethod
     def data_segment(cls, src_port, dst_port, seq, ack, flags, window,
                      payload):
-        """Fast path for the segmentation-offload train builder.
+        """Option-less segment without validation: the per-packet
+        constructor of the segmentation-offload train builder and of
+        pure ACKs.
 
         ``flags`` must be one of the prebuilt frozensets from
         :mod:`repro.tcp.connection`; validation and option handling are

@@ -123,25 +123,25 @@ class TcpStack:
                 return port
         raise OSError("ephemeral port range exhausted")
 
-    def _key(self, local_addr, local_port, remote_addr, remote_port):
-        return (str(local_addr), local_port, str(remote_addr), remote_port)
+    @staticmethod
+    def _key(conn):
+        """Connection-table key: the address objects themselves
+        (:class:`~repro.net.address.IPAddress` hashes and compares by
+        value), so a lookup renders no text."""
+        return (conn.local.addr, conn.local.port, conn.remote.addr,
+                conn.remote.port)
 
     def _register(self, conn):
-        key = self._key(conn.local.addr, conn.local.port, conn.remote.addr,
-                        conn.remote.port)
-        self._connections[key] = conn
+        self._connections[self._key(conn)] = conn
 
     def forget(self, conn):
-        key = self._key(conn.local.addr, conn.local.port, conn.remote.addr,
-                        conn.remote.port)
-        self._connections.pop(key, None)
+        self._connections.pop(self._key(conn), None)
 
     def receive(self, packet):
         """Demultiplex one inbound packet."""
         segment = packet.payload
-        key = self._key(packet.dst, segment.dst_port, packet.src,
-                        segment.src_port)
-        conn = self._connections.get(key)
+        conn = self._connections.get(
+            (packet.dst, segment.dst_port, packet.src, segment.src_port))
         if conn is not None:
             conn.receive_segment(segment, packet)
             return

@@ -1,6 +1,8 @@
 """Event loop: ordering, cancellation, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import Simulator
 
@@ -311,3 +313,160 @@ def test_compaction_inside_train_delivery_keeps_the_rest_of_the_train():
     assert sim.compactions >= 1
     assert fired == ["a", "x", "b", "c"]
     assert sim.pending_events == 0
+
+
+# -- re-armable timers ------------------------------------------------------
+
+
+def test_timer_fires_once_at_its_latest_deadline():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(lambda: fired.append(sim.now))
+    assert not timer.armed
+    timer.arm(1.0)
+    sim.run(until=0.5)
+    timer.arm(1.0)          # later deadline: the queued entry is kept
+    assert timer.armed and sim.pending_events == 1
+    sim.run()
+    assert fired == [1.5]
+    assert not timer.armed and sim.pending_events == 0
+
+
+def test_timer_rearmed_earlier_fires_at_the_earlier_deadline():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(fired.append, "rto")
+    timer.arm(5.0)
+    timer.arm(1.0)          # earlier: needs its own heap entry
+    assert sim.pending_events == 1
+    sim.run(until=2.0)
+    assert fired == ["rto"]
+    sim.run()               # the superseded entry pops dead
+    assert fired == ["rto"] and sim.pending_events == 0
+
+
+def test_timer_cancel_and_rearm_reuses_the_queued_entry():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(lambda: fired.append(sim.now))
+    timer.arm(1.0)
+    timer.cancel()
+    timer.cancel()          # idempotent
+    assert not timer.armed and sim.pending_events == 0
+    timer.arm(2.0)
+    assert sim.pending_events == 1 and len(sim._queue) == 1
+    sim.run()
+    assert fired == [2.0]
+
+
+def test_timer_can_rearm_itself_from_its_callback():
+    sim = Simulator()
+    fired = []
+    holder = {}
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) < 3:
+            holder["timer"].arm(0.5)
+
+    holder["timer"] = sim.timer(tick)
+    holder["timer"].arm(0.5)
+    sim.run()
+    assert fired == [0.5, 1.0, 1.5]
+
+
+def test_timer_rejects_negative_delay():
+    with pytest.raises(ValueError):
+        Simulator().timer(lambda: None).arm(-0.1)
+
+
+def test_stopped_timers_are_compacted_and_can_be_armed_again():
+    sim = Simulator(min_compact=4)
+    fired = []
+    timers = [sim.timer(fired.append, i) for i in range(8)]
+    for timer in timers:
+        timer.arm(1.0)
+    for timer in timers[:6]:
+        timer.cancel()
+    assert sim.compactions >= 1
+    assert sim.pending_events == 2 and len(sim._queue) <= 4
+    timers[0].arm(0.5)
+    sim.run()
+    assert fired == [0, 6, 7]
+    assert sim.pending_events == 0
+
+
+class _CancelAndSchedule:
+    """The idiom Timer replaces, as the ordering oracle: cancel the
+    pending event and schedule a new one."""
+
+    def __init__(self, sim, fn, *args):
+        self.sim, self.fn, self.args = sim, fn, args
+        self.event = None
+
+    def arm(self, delay):
+        self.cancel()
+        self.event = self.sim.schedule(delay, self._fire)
+
+    def cancel(self):
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def _fire(self):
+        self.event = None
+        self.fn(*self.args)
+
+
+#: delays on a coarse grid so equal-time ties are common
+_delay = st.integers(0, 6).map(lambda n: n * 0.25)
+_timer_ops = st.lists(st.one_of(
+    st.tuples(st.just("arm"), st.integers(0, 2), _delay),
+    st.tuples(st.just("cancel"), st.integers(0, 2)),
+    st.tuples(st.just("schedule"), _delay),
+    st.tuples(st.just("train"), _delay),
+    st.tuples(st.just("advance"), _delay),
+), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_timer_ops, st.sampled_from([2, 64]))
+def test_property_timer_matches_cancel_and_schedule(ops, min_compact):
+    """Random arm/cancel/advance scripts over several timers, mixed
+    with plain events and trains, fire the same (time, label) sequence
+    as cancel-and-reschedule -- ties included -- and ``pending_events``
+    agrees after every step.  Timers also re-arm from callbacks."""
+
+    def play(make_timer):
+        sim = Simulator(min_compact=min_compact)
+        log = []
+        timers = []
+
+        def expired(index):
+            log.append((sim.now, "timer-%d" % index))
+            if index == 0:
+                timers[1].arm(0.25)   # a callback moving another timer
+
+        timers.extend(make_timer(sim, expired, i) for i in range(3))
+        for step, op in enumerate(ops):
+            if op[0] == "arm":
+                timers[op[1]].arm(op[2])
+            elif op[0] == "cancel":
+                timers[op[1]].cancel()
+            elif op[0] == "schedule":
+                sim.schedule(op[1], lambda s=step: log.append(
+                    (sim.now, "event-%d" % s)))
+            elif op[0] == "train":
+                sim.at_train(
+                    [(sim.now + op[1] + 0.25 * k, "train-%d-%d" % (step, k))
+                     for k in range(3)],
+                    lambda label: log.append((sim.now, label)))
+            else:
+                sim.run(until=sim.now + op[1])
+            log.append(("pending", sim.pending_events))
+        sim.run()
+        log.append(("pending", sim.pending_events))
+        return log
+
+    assert play(lambda sim, fn, i: sim.timer(fn, i)) == \
+        play(lambda sim, fn, i: _CancelAndSchedule(sim, fn, i))

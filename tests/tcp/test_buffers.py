@@ -125,6 +125,92 @@ def test_property_any_arrival_order_reassembles(spans):
     assert bytes(delivered) == data[:expected_len]
 
 
+class _ScanningReceiveBuffer(ReceiveBuffer):
+    """The reassembly ReceiveBuffer had before it kept its out-of-order
+    state incrementally -- a dict scan per arriving segment, a sort and
+    merge per ACK -- kept as the oracle."""
+
+    def offer(self, seq, data):
+        if not data:
+            return 0
+        end = seq + len(data)
+        if end <= self.rcv_nxt:
+            return 0
+        if seq < self.rcv_nxt:
+            data = data[self.rcv_nxt - seq:]
+            seq = self.rcv_nxt
+        limit = self.rcv_nxt + self.window() + len(self._readable)
+        if seq >= limit + self.capacity:
+            return 0
+        if seq > self.rcv_nxt:
+            existing = self._ooo.get(seq)
+            if existing is None:
+                self._ooo[seq] = data
+                self._ooo_bytes += len(data)
+            elif len(existing) < len(data):
+                self._ooo[seq] = data
+                self._ooo_bytes += len(data) - len(existing)
+            return 0
+        delivered = len(data)
+        self._readable += data
+        self.rcv_nxt = end
+        while True:
+            nxt = next(((s, d) for s, d in self._ooo.items()
+                        if s <= self.rcv_nxt), None)
+            if nxt is None:
+                break
+            seq2, data2 = nxt
+            del self._ooo[seq2]
+            self._ooo_bytes -= len(data2)
+            if seq2 + len(data2) <= self.rcv_nxt:
+                continue
+            if seq2 < self.rcv_nxt:
+                data2 = data2[self.rcv_nxt - seq2:]
+            self._readable += data2
+            delivered += len(data2)
+            self.rcv_nxt += len(data2)
+        return delivered
+
+    def sack_blocks(self, limit=3):
+        if not self._ooo:
+            return []
+        spans = sorted((seq, seq + len(d)) for seq, d in self._ooo.items())
+        merged = [list(spans[0])]
+        for start, end in spans[1:]:
+            if start <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], end)
+            else:
+                merged.append([start, end])
+        merged.sort(key=lambda b: b[1], reverse=True)
+        return [tuple(b) for b in merged[:limit]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 60)),
+                min_size=1, max_size=80),
+       st.sampled_from([1 << 20, 150]))
+def test_property_incremental_reassembly_equals_scanning(spans, capacity):
+    """Reordered, duplicated and overlapping segments (containment
+    included): after every arrival the incremental buffer reports the
+    same delivered count, SACK blocks, gap flag, advertised window and
+    ``rcv_nxt`` as the scan-and-sort implementation, and the same
+    bytes come out."""
+    data = bytes((7 * i) % 251 for i in range(460))
+    new = ReceiveBuffer(rcv_nxt=0, capacity=capacity)
+    old = _ScanningReceiveBuffer(rcv_nxt=0, capacity=capacity)
+    for step, (offset, length) in enumerate(spans):
+        piece = data[offset:offset + length]
+        assert new.offer(offset, piece) == old.offer(offset, piece)
+        assert new.sack_blocks() == old.sack_blocks()
+        assert new.sack_blocks(limit=2) == old.sack_blocks(limit=2)
+        assert new.has_gap() == old.has_gap()
+        assert new.window() == old.window()
+        assert new.rcv_nxt == old.rcv_nxt
+        if step % 3 == 0:
+            assert new.read() == old.read()
+    assert new.read() == old.read()
+
+
 class TestSendBufferZeroCopy:
     def test_peek_within_one_chunk_is_a_view(self):
         buf = SendBuffer(base_seq=0)

@@ -130,3 +130,59 @@ def test_property_complement_is_exact(spans, lo, hi):
     assert gaps.total == len(expected)
     for point in range(lo, hi, 5):
         assert gaps.contains(point) == (point in expected)
+
+
+def test_reversed_walks_top_down():
+    ranges = RangeSet([(0, 10), (20, 30), (40, 50)])
+    assert list(reversed(ranges)) == [(40, 50), (20, 30), (0, 10)]
+
+
+_op = st.one_of(
+    st.tuples(st.sampled_from(["add", "subtract"]),
+              st.integers(0, 300), st.integers(0, 60)),
+    st.tuples(st.just("trim_below"), st.integers(0, 320), st.just(0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_op, max_size=40), st.integers(0, 320), st.integers(0, 60))
+def test_property_every_operation_matches_a_set_of_ints(ops, probe, width):
+    """Interleaved add/subtract/trim_below against a plain set of
+    integers: after every step the ranges are the set's maximal runs
+    and ``total`` is its size; every query answers as the set does."""
+    ranges = RangeSet()
+    model = set()
+    for name, start, length in ops:
+        if name == "add":
+            ranges.add(start, start + length)
+            model.update(range(start, start + length))
+        elif name == "subtract":
+            ranges.subtract(start, start + length)
+            model.difference_update(range(start, start + length))
+        else:
+            ranges.trim_below(start)
+            model = {p for p in model if p >= start}
+        runs = []
+        for point in sorted(model):
+            if runs and runs[-1][1] == point:
+                runs[-1][1] = point + 1
+            else:
+                runs.append([point, point + 1])
+        assert list(ranges) == [tuple(run) for run in runs]
+        assert ranges.total == len(model)
+    assert ranges.contains(probe) == (probe in model)
+    assert ranges.covers(probe, probe + width) == \
+        all(p in model for p in range(probe, probe + width))
+    above = [p for p in model if p >= probe]
+    first = ranges.first_range_at_or_above(probe)
+    if not above:
+        assert first is None
+    else:
+        start = min(above)
+        end = start
+        while end in model:
+            end += 1
+        assert first == (start, end)
+    gaps = ranges.complement_within(probe, probe + width)
+    assert set().union(*(range(s, e) for s, e in gaps)) == \
+        {p for p in range(probe, probe + width) if p not in model}

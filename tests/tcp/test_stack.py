@@ -143,3 +143,25 @@ def test_forget_unknown_connection_is_noop():
     # Forgetting a connection whose key is already gone must not raise.
     cstack.forget(conn)
     assert cstack.connections() == []
+
+
+def test_demux_matches_addresses_by_value_not_identity():
+    """The connection table is keyed by address objects; a packet whose
+    addresses are equal but separately constructed (a middlebox copy, a
+    re-parsed header) must still reach its connection."""
+    from repro.net.address import IPAddress
+    from repro.net.packet import Packet
+    from repro.tcp.segment import Segment
+
+    sim, topo, cstack, sstack = make_net(n_paths=1)
+    sstack.listen(443, lambda c: None)
+    p = topo.path(0)
+    conn = cstack.connect(p.client_addr, Endpoint(p.server_addr, 443))
+    sim.run(until=1)
+    assert conn.state == "ESTABLISHED"
+    before = conn.segments_received
+    ack = Segment(443, conn.local.port, seq=conn.rcv_buf.rcv_nxt,
+                  ack=conn.snd_nxt, flags={"ACK"})
+    topo.client.receive(Packet(IPAddress(str(p.server_addr)),
+                               IPAddress(str(p.client_addr)), "tcp", ack))
+    assert conn.segments_received == before + 1
