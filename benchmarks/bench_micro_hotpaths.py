@@ -18,8 +18,10 @@ from repro.core.record import RECORD_TYPE_STREAM_DATA
 from repro.core.reorder import ReorderBuffer
 from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305, NullTagCipher
 from repro.crypto.aes import Aes128
+from repro.crypto.chacha20 import chacha20_encrypt
 from repro.crypto.ffdhe import FFDHE2048
 from repro.crypto.gcm import Ghash
+from repro.crypto.poly1305 import poly1305_mac
 from repro.ebpf import EbpfVm, assemble
 from repro.ebpf.cc_hooks import EbpfCongestionControl
 from repro.ebpf.programs import cubic_bytecode
@@ -123,6 +125,17 @@ def test_ghash_digest_16k(benchmark):
     ghash = Ghash(Aes128(b"K" * 16).encrypt_block(b"\x00" * 16))
     tag = benchmark(ghash.digest, b"hdr", PAYLOAD)
     assert len(tag) == 16
+
+
+def test_poly1305_mac_16k(benchmark):
+    tag = benchmark(poly1305_mac, b"K" * 32, PAYLOAD)
+    assert len(tag) == 16
+
+
+def test_chacha20_keystream_16k(benchmark):
+    """256 sequential blocks and their XOR: the lane tier."""
+    out = benchmark(chacha20_encrypt, b"K" * 32, 1, NONCE, PAYLOAD)
+    assert len(out) == len(PAYLOAD)
 
 
 def test_send_buffer_write_peek_ack_churn(benchmark):

@@ -18,7 +18,7 @@ run and for any ``--jobs`` value (cells run via
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_pageload.py --json benchmarks/BENCH_9.json
+    PYTHONPATH=src python benchmarks/bench_pageload.py --json /tmp/pageload.json
     PYTHONPATH=src python benchmarks/bench_pageload.py --jobs 4 --pages 8
     PYTHONPATH=src python benchmarks/bench_pageload.py --stacks tcpls,quic --grids clean,ge-light
 """

@@ -103,22 +103,17 @@ class Chacha20Poly1305(Aead):
         return chacha20_encrypt(self.key, 1, nonce, data)
 
 
-class Aes128Gcm(Aead):
-    """TLS_AES_128_GCM_SHA256's AEAD (GHASH once per record, one AES
-    block per candidate nonce: see :class:`~repro.crypto.gcm.AesGcm`)."""
+class Aes128Gcm(AesGcm, Aead):
+    """TLS_AES_128_GCM_SHA256's AEAD: the three primitives are
+    :class:`~repro.crypto.gcm.AesGcm`'s (GHASH once per record, one AES
+    block per candidate nonce)."""
 
     key_size = 16
     name = "aes128gcm"
 
     def __init__(self, key):
-        super().__init__(key)
-        self._gcm = AesGcm(key)
-
-    def prepare(self, data, aad=b""):
-        return self._gcm.prepare(data, aad)
-
-    def seal(self, nonce, plaintext, aad=b""):
-        return self._gcm.encrypt(nonce, plaintext, aad)
+        Aead.__init__(self, key)
+        AesGcm.__init__(self, key)
 
 
 class NullTagCipher(Aead):

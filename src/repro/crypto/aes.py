@@ -1,21 +1,27 @@
 """AES-128 block cipher (FIPS 197), pure Python.
 
 Only what GCM needs: key expansion, single-block encryption, and a
-batched CTR keystream generator.  Two encryption paths exist:
+batched CTR keystream generator.  The SubBytes/ShiftRows/MixColumns
+round is collapsed into four 256-entry 32-bit lookup tables (the
+classic "T-table" formulation) and runs in one of two tiers: list
+lookups and XORs on Python ints for :meth:`Aes128.encrypt_block` and
+short :meth:`Aes128.ctr_keystream` batches (and installs without
+numpy), numpy gathers over every counter block at once for long batches
+(:data:`_LANE_MIN_BLOCKS`).
 
-- :meth:`Aes128.encrypt_block` -- the table-driven fast path.  The
-  SubBytes/ShiftRows/MixColumns round is collapsed into four 256-entry
-  32-bit lookup tables (the classic "T-table" formulation), turning a
-  round into 16 table lookups and a handful of XORs on machine words.
-- :meth:`Aes128.encrypt_block_reference` -- the original byte-wise
-  implementation, retained verbatim as the cross-validation oracle.
-
-Both are validated against FIPS 197 / NIST vectors, and the fast path
-is property-tested byte-identical to the reference on random inputs
-(tests/crypto/test_fastpath_equivalence.py).
+:meth:`Aes128.encrypt_block_reference` is the original byte-wise
+implementation, retained verbatim as the cross-validation oracle; both
+tiers are validated against FIPS 197 / NIST vectors and property-tested
+byte-identical to it (tests/crypto/test_fastpath_equivalence.py).
 """
 
 import struct
+from functools import cached_property
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy ships with the image
+    _np = None
 
 _SBOX = [
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B,
@@ -73,23 +79,30 @@ _MASK32 = 0xFFFFFFFF
 _UNPACK4 = struct.Struct(">4I")
 _UNPACK3 = struct.Struct(">3I")
 
-# Optional vectorised CTR batch path: every counter block is independent,
-# so the T-table lookups become numpy gathers across the whole batch.
-# Gated -- the scalar loop below is the fallback (and the oracle the
-# numpy path is property-tested against).
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
+# -- lane tier: every counter block of a batch at once ------------------
+#
+# The state is a (4, nblocks) array of column words, little-endian so
+# that byte r of a word is the column's row r (explicit dtype: the bytes
+# out do not depend on the host's byte order).  A round gathers table r
+# with byte plane r of every word, rotates the gathered rows by r
+# columns (ShiftRows) and XORs the four; the last round does the same
+# over S-box-only tables.  11 array operations per round whatever the
+# block count.
+
+# Measured, us per ctr_keystream call (scalar / lanes): 4 blocks
+# 47 / 93, 6 blocks 71 / 94, 8 blocks 99 / 98, 10 blocks 125 / 96,
+# 94 blocks (a 1,500-byte record) 1202 / 131, 1,024 blocks 13302 / 414.
+_LANE_MIN_BLOCKS = 8
 
 if _np is not None:
-    _T0_NP = _np.array(_T0, dtype=_np.uint32)
-    _T1_NP = _np.array(_T1, dtype=_np.uint32)
-    _T2_NP = _np.array(_T2, dtype=_np.uint32)
-    _T3_NP = _np.array(_T3, dtype=_np.uint32)
-    _SBOX_NP = _np.array(_SBOX, dtype=_np.uint32)
-
-_NP_MIN_BLOCKS = 8  # below this, per-call numpy overhead loses
+    _U32 = _np.dtype("<u4")
+    # _T0[x] holds its four rows most significant first: as big-endian
+    # bytes they are rows 0..3, which the little-endian view keeps.
+    _LANE_T = _np.array([_T0, _T1, _T2, _T3], dtype=">u4").view(_U32)
+    _LANE_S = _np.array([[s << (8 * r) for s in _SBOX] for r in range(4)],
+                        dtype=_U32)
+    _LANE_ROUNDS = (_LANE_T,) * 9 + (_LANE_S,)
+    _COLUMN_ROTATIONS = (None, [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
 
 
 class Aes128:
@@ -160,11 +173,11 @@ class Aes128:
 
         ``prefix`` is the 12-byte nonce part of the counter block; only
         the trailing 32-bit word varies, so the three fixed words are
-        unpacked once for the whole batch.  Large batches go through the
-        numpy-gather path when numpy is available.
+        unpacked once for the whole batch.  Long batches take the numpy
+        lane tier when numpy is importable.
         """
-        if _np is not None and nblocks >= _NP_MIN_BLOCKS:
-            return self._ctr_keystream_np(prefix, counter, nblocks)
+        if _np is not None and nblocks >= _LANE_MIN_BLOCKS:
+            return self._ctr_keystream_lanes(prefix, counter, nblocks)
         p0, p1, p2 = _UNPACK3.unpack(prefix)
         out = bytearray(16 * nblocks)
         pack_into = _UNPACK4.pack_into
@@ -174,47 +187,28 @@ class Aes128:
             pack_into(out, 16 * i, *words)
         return bytes(out)
 
-    def _ctr_keystream_np(self, prefix, counter, nblocks):
-        """CTR batch with the T-table lookups as numpy gathers."""
-        rk = self._rk
-        p0, p1, p2 = _UNPACK3.unpack(prefix)
-        t0, t1, t2, t3 = _T0_NP, _T1_NP, _T2_NP, _T3_NP
-        s0 = _np.full(nblocks, (p0 ^ rk[0]) & _MASK32, dtype=_np.uint32)
-        s1 = _np.full(nblocks, (p1 ^ rk[1]) & _MASK32, dtype=_np.uint32)
-        s2 = _np.full(nblocks, (p2 ^ rk[2]) & _MASK32, dtype=_np.uint32)
-        s3 = (_np.arange(counter, counter + nblocks, dtype=_np.uint64)
-              .astype(_np.uint32)) ^ _np.uint32(rk[3])
-        k = 4
-        for _ in range(9):
-            u0 = (t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF]
-                  ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF]
-                  ^ _np.uint32(rk[k]))
-            u1 = (t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF]
-                  ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF]
-                  ^ _np.uint32(rk[k + 1]))
-            u2 = (t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF]
-                  ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF]
-                  ^ _np.uint32(rk[k + 2]))
-            u3 = (t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF]
-                  ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF]
-                  ^ _np.uint32(rk[k + 3]))
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            k += 4
-        sb = _SBOX_NP
-        out = _np.empty((nblocks, 4), dtype=_np.uint32)
-        out[:, 0] = ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 0xFF] << 16)
-                     | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) \
-            ^ _np.uint32(rk[40])
-        out[:, 1] = ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 0xFF] << 16)
-                     | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) \
-            ^ _np.uint32(rk[41])
-        out[:, 2] = ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 0xFF] << 16)
-                     | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) \
-            ^ _np.uint32(rk[42])
-        out[:, 3] = ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 0xFF] << 16)
-                     | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) \
-            ^ _np.uint32(rk[43])
-        return out.astype(">u4").tobytes()
+    @cached_property
+    def _lane_round_keys(self):
+        """(11, 4) column words, byte r of a word = row r."""
+        return _np.array(self._round_keys, dtype=_np.uint8).view(_U32)
+
+    def _ctr_keystream_lanes(self, prefix, counter, nblocks):
+        """The same keystream, every counter block one array column."""
+        round_keys = self._lane_round_keys
+        state = _np.empty((4, nblocks), dtype=_U32)
+        state[0:3] = _np.frombuffer(prefix, dtype=_U32)[:, None]
+        state[3] = ((_np.arange(nblocks, dtype=_np.uint64)
+                     + (counter & _MASK32))
+                    .astype(">u4").view(_U32))          # wraps mod 2^32
+        state ^= round_keys[0][:, None]
+        for tables, round_key in zip(_LANE_ROUNDS, round_keys[1:]):
+            planes = state.view(_np.uint8).reshape(4, nblocks, 4)
+            state = tables[0].take(planes[:, :, 0])
+            for row in (1, 2, 3):
+                state ^= tables[row].take(planes[:, :, row]).take(
+                    _COLUMN_ROTATIONS[row], 0)
+            state ^= round_key[:, None]
+        return state.T.tobytes()
 
     # -- reference implementation (cross-validation oracle) --------------
 

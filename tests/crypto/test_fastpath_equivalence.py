@@ -1,12 +1,20 @@
 """Property tests: every crypto fast path is byte-identical to the
 retained reference implementation.
 
-The hot paths introduced by the performance pass (T-table AES, batched
-CTR keystream, table-driven GHASH, the inlined and SWAR-batched ChaCha20
-cores) all keep their original implementations as oracles; Hypothesis
-drives random keys/nonces/AAD/lengths through both and demands equality.
-A deterministic 65536-byte case covers the large-batch paths explicitly.
+Each bulk primitive has two tiers -- a big-int/scalar one for short
+inputs and installs without numpy, and a lane one (numpy arrays, or four
+blocks per reduction for Poly1305) for long inputs -- and one crossover
+constant, ``_LANE_MIN_BLOCKS``, choosing between them.  All keep their
+original implementations as oracles; Hypothesis drives random
+keys/nonces/AAD/lengths through both tiers and across every crossover
+and demands equality.  A deterministic 65536-byte case covers the
+large-batch paths explicitly.
 """
+
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,10 +23,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import aes, chacha20, gcm, poly1305
 from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305
 from repro.crypto.aes import Aes128
 from repro.crypto.chacha20 import (
-    _SWAR_MIN_BLOCKS,
     chacha20_block,
     chacha20_block_reference,
     chacha20_encrypt,
@@ -26,12 +34,43 @@ from repro.crypto.chacha20 import (
 from repro.crypto.gcm import Ghash
 from repro.crypto.poly1305 import P1305, poly1305_mac
 
+from tests.crypto import test_vectors
+
+TIERED = (chacha20, aes, gcm, poly1305)
+NUMPY_TIERED = (chacha20, aes, gcm)
+
+needs_numpy = pytest.mark.skipif(
+    chacha20._np is None, reason="the numpy lane tier needs numpy")
+
 KEY16 = st.binary(min_size=16, max_size=16)
 KEY32 = st.binary(min_size=32, max_size=32)
 NONCE12 = st.binary(min_size=12, max_size=12)
 BLOCK16 = st.binary(min_size=16, max_size=16)
 DATA = st.binary(max_size=2048)
 COUNTER = st.integers(min_value=0, max_value=0xFFFFFFFF)
+# the buffer types TagTrial hands to the primitives
+BUFFER = st.sampled_from([bytes, bytearray, memoryview])
+
+
+def around_crossover(module, block_size):
+    """Byte strings from one block below ``module``'s crossover to one
+    block above it, ragged tails included."""
+    blocks = module._LANE_MIN_BLOCKS
+    return st.binary(min_size=(blocks - 2) * block_size + 1,
+                     max_size=(blocks + 1) * block_size - 1)
+
+
+def force_tier(monkeypatch, tier):
+    """``short``: no input reaches a lane tier; ``lanes``: every
+    non-empty input does; ``no-numpy``: the modules behave as on an
+    install where numpy is not importable."""
+    if tier == "no-numpy":
+        for module in NUMPY_TIERED:
+            monkeypatch.setattr(module, "_np", None)
+        return
+    minimum = {"short": math.inf, "lanes": 1}[tier]
+    for module in TIERED:
+        monkeypatch.setattr(module, "_LANE_MIN_BLOCKS", minimum)
 
 
 def poly1305_reference(key, message):
@@ -45,24 +84,37 @@ def poly1305_reference(key, message):
     return ((acc + s) & ((1 << 128) - 1)).to_bytes(16, "little")
 
 
-@given(key=KEY16, block=BLOCK16)
-def test_aes_block_fast_matches_reference(key, block):
-    aes = Aes128(key)
-    assert aes.encrypt_block(block) == aes.encrypt_block_reference(block)
+def chacha20_reference(key, counter, nonce, data):
+    stream = b"".join(
+        chacha20_block_reference(key, (counter + i) & 0xFFFFFFFF, nonce)
+        for i in range((len(data) + 63) // 64)
+    )
+    return bytes(p ^ k for p, k in zip(data, stream))
 
 
-@given(key=KEY16, prefix=NONCE12, counter=COUNTER,
-       nblocks=st.integers(min_value=1, max_value=40))
-@settings(max_examples=40, deadline=None)
-def test_aes_ctr_keystream_matches_reference(key, prefix, counter, nblocks):
-    aes = Aes128(key)
-    got = aes.ctr_keystream(prefix, counter, nblocks)
-    want = b"".join(
-        aes.encrypt_block_reference(
+def ctr_reference(aes128, prefix, counter, nblocks):
+    return b"".join(
+        aes128.encrypt_block_reference(
             prefix + ((counter + i) & 0xFFFFFFFF).to_bytes(4, "big"))
         for i in range(nblocks)
     )
-    assert got == want
+
+
+@given(key=KEY16, block=BLOCK16)
+def test_aes_block_fast_matches_reference(key, block):
+    aes128 = Aes128(key)
+    assert aes128.encrypt_block(block) == \
+        aes128.encrypt_block_reference(block)
+
+
+@given(key=KEY16, prefix=NONCE12, counter=COUNTER,
+       nblocks=st.integers(min_value=1, max_value=40), buffer=BUFFER)
+@settings(max_examples=40, deadline=None)
+def test_aes_ctr_keystream_matches_reference(
+        key, prefix, counter, nblocks, buffer):
+    aes128 = Aes128(key)
+    assert aes128.ctr_keystream(buffer(prefix), counter, nblocks) == \
+        ctr_reference(aes128, prefix, counter, nblocks)
 
 
 @given(key=KEY16, aad=DATA, ciphertext=DATA)
@@ -70,6 +122,18 @@ def test_aes_ctr_keystream_matches_reference(key, prefix, counter, nblocks):
 def test_ghash_tables_match_per_bit_reference(key, aad, ciphertext):
     ghash = Ghash(Aes128(key).encrypt_block(b"\x00" * 16))
     assert ghash.digest(aad, ciphertext) == \
+        ghash.digest_reference(aad, ciphertext)
+
+
+@given(key=KEY16, aad=st.binary(min_size=1, max_size=40),
+       ciphertext=around_crossover(gcm, 16), buffer=BUFFER)
+@settings(max_examples=40, deadline=None)
+def test_ghash_across_the_crossover_with_carry_in(
+        key, aad, ciphertext, buffer):
+    """A non-empty AAD leaves a non-zero state for the ciphertext fold
+    to start from, whichever tier that fold takes."""
+    ghash = Ghash(Aes128(key).encrypt_block(b"\x00" * 16))
+    assert ghash.digest(aad, buffer(ciphertext)) == \
         ghash.digest_reference(aad, ciphertext)
 
 
@@ -84,19 +148,71 @@ def test_chacha20_block_fast_matches_reference(key, counter, nonce):
 @settings(max_examples=60, deadline=None)
 def test_chacha20_encrypt_matches_reference_composition(
         key, counter, nonce, plaintext):
-    n = len(plaintext)
-    stream = b"".join(
-        chacha20_block_reference(key, counter + i, nonce)
-        for i in range((n + 63) // 64)
-    )[:n]
-    want = bytes(p ^ k for p, k in zip(plaintext, stream))
-    assert chacha20_encrypt(key, counter, nonce, plaintext) == want
+    assert chacha20_encrypt(key, counter, nonce, plaintext) == \
+        chacha20_reference(key, counter, nonce, plaintext)
+
+
+@given(key=KEY32, counter=COUNTER, nonce=NONCE12,
+       plaintext=around_crossover(chacha20, 64), buffer=BUFFER)
+@settings(max_examples=40, deadline=None)
+def test_chacha20_encrypt_across_the_crossover(
+        key, counter, nonce, plaintext, buffer):
+    assert chacha20_encrypt(key, counter, nonce, buffer(plaintext)) == \
+        chacha20_reference(key, counter, nonce, plaintext)
 
 
 @given(key=KEY32, message=DATA)
 @settings(max_examples=60, deadline=None)
 def test_poly1305_matches_reference(key, message):
     assert poly1305_mac(key, message) == poly1305_reference(key, message)
+
+
+@given(key=KEY32, message=around_crossover(poly1305, 16), buffer=BUFFER)
+@settings(max_examples=60, deadline=None)
+def test_poly1305_across_the_crossover(key, message, buffer):
+    assert poly1305_mac(key, buffer(message)) == \
+        poly1305_reference(key, message)
+
+
+@pytest.mark.parametrize("tier", ["short", "lanes"])
+@given(key=KEY32, nonce=NONCE12, aad=st.binary(max_size=40),
+       plaintext=st.binary(max_size=400), counter=COUNTER, buffer=BUFFER)
+@settings(max_examples=30, deadline=None)
+def test_every_primitive_in_a_forced_tier(
+        tier, key, nonce, aad, plaintext, counter, buffer):
+    """With the crossover at 1 every non-empty input takes the lane
+    tier, with it at infinity none does; the bytes out do not change."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_tier(monkeypatch, tier)
+        assert chacha20_encrypt(key, counter, nonce, buffer(plaintext)) == \
+            chacha20_reference(key, counter, nonce, plaintext)
+        assert poly1305_mac(key, buffer(plaintext)) == \
+            poly1305_reference(key, plaintext)
+        aes128 = Aes128(key[:16])
+        nblocks = len(plaintext) // 16
+        assert aes128.ctr_keystream(buffer(nonce), counter, nblocks) == \
+            ctr_reference(aes128, nonce, counter, nblocks)
+        ghash = Ghash(aes128.encrypt_block(b"\x00" * 16))
+        assert ghash.digest(buffer(aad), buffer(plaintext)) == \
+            ghash.digest_reference(aad, plaintext)
+
+
+VECTORS = [
+    test_vectors.test_chacha20_block_rfc8439_2_3_2,
+    test_vectors.test_chacha20_encrypt_rfc8439_2_4_2,
+    test_vectors.test_poly1305_rfc8439_2_5_2,
+    test_vectors.test_aes128_fips197,
+    test_vectors.test_aes_gcm_nist_case_3,
+    test_vectors.test_aes_gcm_nist_case_4_with_aad,
+]
+
+
+@pytest.mark.parametrize("vector", VECTORS, ids=lambda test: test.__name__)
+@pytest.mark.parametrize("tier", ["short", "lanes", "no-numpy"])
+def test_published_vectors_in_a_forced_tier(monkeypatch, tier, vector):
+    """RFC 8439 and NIST SP 800-38D answers from each tier alone."""
+    force_tier(monkeypatch, tier)
+    vector()
 
 
 @given(key=KEY32, nonce=NONCE12, plaintext=DATA, aad=DATA)
@@ -118,31 +234,27 @@ def test_aes128gcm_roundtrip(key, nonce, plaintext, aad):
 
 
 def test_large_batch_paths_match_references_65536():
-    """One deterministic 65536-byte case: exercises the SWAR ChaCha20
-    batch, the (optionally numpy) CTR batch and table GHASH at a size
-    far beyond what Hypothesis generates."""
+    """One deterministic 65536-byte case: exercises the lane tiers of
+    ChaCha20, AES-CTR, GHASH and Poly1305 (the short ones when numpy is
+    missing) at a size far beyond what Hypothesis generates."""
     data = bytes(i * 131 % 251 for i in range(65536))
     key32 = bytes(range(32))
     key16 = bytes(range(16))
     nonce = bytes(range(12))
 
-    stream = b"".join(
-        chacha20_block_reference(key32, 1 + i, nonce)
-        for i in range(len(data) // 64)
-    )
-    want = bytes(p ^ k for p, k in zip(data, stream))
-    assert chacha20_encrypt(key32, 1, nonce, data) == want
-    assert len(data) // 64 >= _SWAR_MIN_BLOCKS  # SWAR path was taken
+    assert chacha20_encrypt(key32, 1, nonce, data) == \
+        chacha20_reference(key32, 1, nonce, data)
+    assert len(data) // 64 >= chacha20._LANE_MIN_BLOCKS
 
-    aes = Aes128(key16)
+    aes128 = Aes128(key16)
     nblocks = len(data) // 16
-    assert aes.ctr_keystream(nonce, 2, nblocks) == b"".join(
-        aes.encrypt_block_reference(nonce + (2 + i).to_bytes(4, "big"))
-        for i in range(nblocks)
-    )
+    assert aes128.ctr_keystream(nonce, 2, nblocks) == \
+        ctr_reference(aes128, nonce, 2, nblocks)
 
-    ghash = Ghash(aes.encrypt_block(b"\x00" * 16))
+    ghash = Ghash(aes128.encrypt_block(b"\x00" * 16))
     assert ghash.digest(b"hdr", data) == ghash.digest_reference(b"hdr", data)
+
+    assert poly1305_mac(key32, data) == poly1305_reference(key32, data)
 
     for aead in (Chacha20Poly1305(key32), Aes128Gcm(key16)):
         sealed = aead.seal(nonce, data, b"hdr")
@@ -150,25 +262,66 @@ def test_large_batch_paths_match_references_65536():
 
 
 def test_ctr_counter_wraps_modulo_2_32():
-    aes = Aes128(bytes(range(16)))
+    aes128 = Aes128(bytes(range(16)))
     prefix = b"\xAA" * 12
-    got = aes.ctr_keystream(prefix, 0xFFFFFFFE, 12)
-    want = b"".join(
-        aes.encrypt_block_reference(
-            prefix + ((0xFFFFFFFE + i) & 0xFFFFFFFF).to_bytes(4, "big"))
-        for i in range(12)
-    )
-    assert got == want
+    nblocks = aes._LANE_MIN_BLOCKS - 1          # the scalar tier
+    assert aes128.ctr_keystream(prefix, 0xFFFFFFFE, nblocks) == \
+        ctr_reference(aes128, prefix, 0xFFFFFFFE, nblocks)
 
 
 def test_swar_counter_wraps_modulo_2_32():
     key = bytes(range(32))
     nonce = b"\x07" * 12
-    counter = 0xFFFFFFFD
-    nblocks = _SWAR_MIN_BLOCKS + 4
-    data = bytes(64 * nblocks)
-    stream = b"".join(
-        chacha20_block_reference(key, (counter + i) & 0xFFFFFFFF, nonce)
-        for i in range(nblocks)
+    data = bytes(64 * 8)                         # the wide-integer tier
+    assert len(data) // 64 < chacha20._LANE_MIN_BLOCKS
+    assert chacha20_encrypt(key, 0xFFFFFFFD, nonce, data) == \
+        chacha20_reference(key, 0xFFFFFFFD, nonce, data)
+
+
+@needs_numpy
+@pytest.mark.parametrize("first", [0xFFFFFFFD, 0xFFFFFFFF, 0x1FFFFFFFE])
+def test_lane_counters_wrap_modulo_2_32(first):
+    """The counter row of a lane state is 64-bit until it is cast, so a
+    run that crosses 2^32 -- or starts beyond it -- wraps as the scalar
+    tiers' ``& 0xFFFFFFFF`` does."""
+    nonce = b"\x07" * 12
+    data = bytes(64 * (chacha20._LANE_MIN_BLOCKS + 4))
+    assert chacha20_encrypt(bytes(range(32)), first, nonce, data) == \
+        chacha20_reference(bytes(range(32)), first, nonce, data)
+
+    aes128 = Aes128(bytes(range(16)))
+    nblocks = aes._LANE_MIN_BLOCKS + 4
+    assert aes128.ctr_keystream(nonce, first, nblocks) == \
+        ctr_reference(aes128, nonce, first, nblocks)
+
+
+def test_ghash_builds_its_tables_on_first_use():
+    """Half the keys of a connection never hash a byte: constructing a
+    ``Ghash`` builds nothing, a short fold builds the scalar tables only."""
+    ghash = Ghash(bytes(range(16)))
+    assert not {"_tables", "_lane_table"} & set(vars(ghash))
+    ghash.digest(b"hdr", b"short")
+    assert "_tables" in vars(ghash) and "_lane_table" not in vars(ghash)
+
+
+def test_aead_suite_passes_without_numpy():
+    """The rest of this directory in an interpreter whose crypto modules
+    found no numpy (``_np`` is ``None``, as after a failed import): what
+    an install without the ``fast`` extra runs."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.dirname(os.path.dirname(os.path.abspath(aes.__file__)))
+    script = (
+        "import sys, pytest\n"
+        "from repro.crypto import aes, chacha20, gcm\n"
+        "aes._np = chacha20._np = gcm._np = None\n"
+        "sys.exit(pytest.main(['-q', '-x', '-p', 'no:cacheprovider', %r,\n"
+        "                      '-k', 'not without_numpy']))\n" % here
     )
-    assert chacha20_encrypt(key, counter, nonce, data) == stream
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [source] + env.get("PYTHONPATH", "").split(os.pathsep))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, timeout=600,
+        cwd=os.path.dirname(os.path.dirname(here)),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    assert result.returncode == 0, result.stdout[-4000:]

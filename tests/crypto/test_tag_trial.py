@@ -95,6 +95,21 @@ def test_trial_agrees_with_naive_loop_and_reference(
 
 
 @pytest.mark.parametrize("cipher_cls", CIPHERS)
+def test_every_cipher_exposes_the_three_primitives(cipher_cls):
+    """``seal`` is ``crypt`` then ``finish_tag(mac_state(...))`` on the
+    cipher object itself, for all three ciphers (``Aes128Gcm`` used to
+    hide them on a wrapped object and raise ``NotImplementedError``)."""
+    key = bytes(range(cipher_cls.key_size))
+    cipher = cipher_cls(key)
+    nonce, payload, aad = b"\x05" * 12, b"three primitives" * 9, b"hdr"
+    ciphertext = cipher.crypt(nonce, payload)
+    tag = cipher.finish_tag(cipher.mac_state(ciphertext, aad), nonce)
+    assert ciphertext + tag == cipher.seal(nonce, payload, aad) \
+        == reference_seal(cipher_cls, key, nonce, payload, aad)
+    assert cipher.crypt(nonce, ciphertext) == payload
+
+
+@pytest.mark.parametrize("cipher_cls", CIPHERS)
 def test_trial_accepts_any_buffer_type(cipher_cls):
     cipher = cipher_cls(bytes(range(cipher_cls.key_size)))
     nonce = b"\x09" * 12

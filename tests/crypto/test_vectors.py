@@ -1,9 +1,11 @@
 """Published test vectors: RFC 8439 (ChaCha20/Poly1305), FIPS 197 /
 NIST GCM (AES), RFC 5869 (HKDF), RFC 8448-style expand-label."""
 
+import pytest
+
+from repro.crypto.aead import AeadAuthenticationError, Aes128Gcm
 from repro.crypto.aes import Aes128
 from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
-from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf_expand, hkdf_expand_label, hkdf_extract
 from repro.crypto.poly1305 import poly1305_mac
 
@@ -49,33 +51,34 @@ def test_aes128_fips197():
 
 
 def test_aes_gcm_nist_case_3():
-    gcm = AesGcm(bytes.fromhex("feffe9928665731c6d6a8f9467308308"))
+    gcm = Aes128Gcm(bytes.fromhex("feffe9928665731c6d6a8f9467308308"))
     nonce = bytes.fromhex("cafebabefacedbaddecaf888")
     plaintext = bytes.fromhex(
         "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
         "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
     )
-    out = gcm.encrypt(nonce, plaintext)
+    out = gcm.seal(nonce, plaintext)
     assert out[:64].hex() == (
         "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
         "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
     )
     assert out[64:].hex() == "4d5c2af327cd64a62cf35abd2ba6fab4"
-    assert gcm.decrypt(nonce, out) == plaintext
+    assert gcm.open(nonce, out) == plaintext
 
 
 def test_aes_gcm_nist_case_4_with_aad():
-    gcm = AesGcm(bytes.fromhex("feffe9928665731c6d6a8f9467308308"))
+    gcm = Aes128Gcm(bytes.fromhex("feffe9928665731c6d6a8f9467308308"))
     nonce = bytes.fromhex("cafebabefacedbaddecaf888")
     plaintext = bytes.fromhex(
         "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
         "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
     )
     aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
-    out = gcm.encrypt(nonce, plaintext, aad)
+    out = gcm.seal(nonce, plaintext, aad)
     assert out[-16:].hex() == "5bc94fbc3221a5db94fae95ae7121a47"
-    assert gcm.decrypt(nonce, out, aad) == plaintext
-    assert gcm.decrypt(nonce, out, b"wrong") is None
+    assert gcm.open(nonce, out, aad) == plaintext
+    with pytest.raises(AeadAuthenticationError):
+        gcm.open(nonce, out, b"wrong")
 
 
 def test_hkdf_rfc5869_case_1():
