@@ -102,7 +102,7 @@ if _np is not None:
     _LANE_S = _np.array([[s << (8 * r) for s in _SBOX] for r in range(4)],
                         dtype=_U32)
     _LANE_ROUNDS = (_LANE_T,) * 9 + (_LANE_S,)
-    _COLUMN_ROTATIONS = (None, [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
+    _COLUMN_ROTATIONS = ([1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
 
 
 class Aes128:
@@ -204,9 +204,8 @@ class Aes128:
         for tables, round_key in zip(_LANE_ROUNDS, round_keys[1:]):
             planes = state.view(_np.uint8).reshape(4, nblocks, 4)
             state = tables[0].take(planes[:, :, 0])
-            for row in (1, 2, 3):
-                state ^= tables[row].take(planes[:, :, row]).take(
-                    _COLUMN_ROTATIONS[row], 0)
+            for row, rotation in enumerate(_COLUMN_ROTATIONS, 1):
+                state ^= tables[row].take(planes[:, :, row]).take(rotation, 0)
             state ^= round_key[:, None]
         return state.T.tobytes()
 
