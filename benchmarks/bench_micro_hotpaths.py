@@ -289,9 +289,19 @@ def test_tcp_demux_established(benchmark):
     assert conn.segments_received > before
 
 
+def test_ffdhe_generate(benchmark):
+    """A key pair alone: the fixed-base half of an exchange (comb
+    table already built -- a process builds it once)."""
+    rng = random.Random(1)
+    FFDHE2048.generate(rng)
+    pair = benchmark(FFDHE2048.generate, rng)
+    assert 1 < pair.public < FFDHE2048.p - 1
+
+
 def test_ffdhe_exchange(benchmark):
     """One side of a psk_dhe_ke handshake: a key pair plus the shared
-    secret, i.e. two modexps with a 256-bit exponent."""
+    secret, i.e. a fixed-base and a variable-base modexp with a 256-bit
+    exponent."""
     rng = random.Random(1)
     peer = FFDHE2048.generate(rng)
 

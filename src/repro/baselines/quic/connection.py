@@ -147,7 +147,7 @@ class QuicConnection:
         self._received = set()
         self._recvd_unacked = 0
         self._largest_acked = -1
-        self._pto_event = None
+        self._pto_timer = sim.timer(self._on_pto)
 
         self.send_streams = {}
         self.recv_streams = {}
@@ -416,13 +416,9 @@ class QuicConnection:
                 stream.retransmit.append((offset, length))
 
     def _arm_pto(self):
-        if self._pto_event is not None:
-            self._pto_event.cancel()
-        pto = self.rtt.rto
-        self._pto_event = self.sim.schedule(pto, self._on_pto)
+        self._pto_timer.arm(self.rtt.rto)
 
     def _on_pto(self):
-        self._pto_event = None
         if self.closed:
             return
         if not self.established and self.is_client:

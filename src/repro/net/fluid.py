@@ -303,7 +303,7 @@ class FluidEngine:
         self.sim = sim
         self.cohorts = []
         self._t = sim.now
-        self._event = None
+        self._timer = sim.timer(self._on_event)
         # Counters (mirrored into bench envelopes).
         self.leaps = 0            # closed-form advances with dt > 0
         self.leapt_time = 0.0     # simulated seconds covered by leaps
@@ -517,17 +517,13 @@ class FluidEngine:
         return best
 
     def _arm(self):
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
         when = self._next_event_time()
         if when is None:
-            return
-        when = max(when, self.sim.now)
-        self._event = self.sim.at(when, self._on_event)
+            self._timer.cancel()
+        else:
+            self._timer.arm_at(max(when, self.sim.now))
 
     def _on_event(self):
-        self._event = None
         self.events += 1
         self._advance_to(self.sim.now)
         self._process_transitions()

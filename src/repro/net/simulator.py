@@ -150,10 +150,16 @@ class Timer:
 
     def arm(self, delay):
         """(Re)start the timer to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past: delay=%r" % delay)
+        self.arm_at(self._sim.now + delay)
+
+    def arm_at(self, deadline):
+        """(Re)start the timer to fire at absolute simulated time
+        ``deadline`` (the :meth:`Simulator.at` of timers)."""
         sim = self._sim
-        deadline = sim.now + delay
+        if deadline < sim.now:
+            raise ValueError(
+                "cannot schedule into the past: time=%r < now=%r"
+                % (deadline, sim.now))
         seq = next(sim._seq)
         if self._entry_seq is not None and self._entry_time <= deadline:
             if not self.armed:
@@ -227,6 +233,7 @@ class Simulator:
         self._queue = []
         self._seq = itertools.count()
         self._running = False
+        self._stopped = False
         #: cancelled-but-still-queued event count; keeps
         #: :attr:`pending_events` O(1) and drives compaction.
         self._cancelled = 0
@@ -379,13 +386,19 @@ class Simulator:
         max_events:
             Safety valve for tests; raise ``RuntimeError`` if more than
             this many events fire.
+
+        :meth:`stop` ends the run early, with the clock left at the
+        last event fired.
         """
         self._running = True
+        self._stopped = False
         fired = 0
         queue = self._queue
         pop = heapq.heappop
         try:
             while queue:
+                if self._stopped:
+                    break
                 time = queue[0][0]
                 if until is not None and time > until:
                     self.now = until
@@ -420,13 +433,21 @@ class Simulator:
             self._running = False
         return fired
 
+    def stop(self):
+        """End the :meth:`run` in progress once the event now firing
+        returns.  Everything still queued stays queued (a train parks
+        its unfired deliveries), so a later ``run()`` resumes where
+        this one left off; outside a run it does nothing."""
+        self._stopped = True
+
     def _fire_train(self, event, until, max_events, fired):
         """Fire train deliveries, peeling consecutive ones inline.
 
         After each delivery, the next entry runs without touching the
         heap iff nothing queued sorts before it -- exactly the entry
-        the per-packet scheduler would pop next.  Otherwise the train
-        re-enters the heap keyed by its next ``(time, seq)``.
+        the per-packet scheduler would pop next.  Otherwise (or once
+        :meth:`stop` is called) the train re-enters the heap keyed by
+        its next ``(time, seq)``.
         """
         entries = event.entries
         n = len(entries)
@@ -448,7 +469,7 @@ class Simulator:
                 return fired
             following = entries[event.index]
             next_time = following[0]
-            park = until is not None and next_time > until
+            park = self._stopped or (until is not None and next_time > until)
             if not park and queue:
                 # (time, seq, item) against (time, seq, payload): seq
                 # is unique, so the comparison stops there.
@@ -481,7 +502,7 @@ class Simulator:
         probe()
         while self._queue and not satisfied[0] and self.now <= deadline:
             self.run(until=min(deadline, self.now + check_interval))
-            if satisfied[0]:
+            if satisfied[0] or self._stopped:
                 break
         return satisfied[0] or predicate()
 

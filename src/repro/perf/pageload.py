@@ -114,7 +114,9 @@ def run_pageload_cell(stack="tcpls", policy="round-robin", grid="clean",
     Pages ramp in ``waves`` waves (so later pages contend with earlier
     ones for the pool -- reuse accounting only means something under
     overlap); page ``i`` uses the synthetic spec seeded ``seed + i``,
-    identical across every stack and policy of the same sweep.
+    identical across every stack and policy of the same sweep.  The
+    run ends when the last page reports its load; ``horizon`` only
+    bounds a cell whose pages never finish.
     """
     from repro.workload.pages import synthetic_page
     from repro.workload.transfers import TransferManager
@@ -129,11 +131,16 @@ def run_pageload_cell(stack="tcpls", policy="round-robin", grid="clean",
     schedule = build_wave_schedule(pages, waves, wave_interval)
     managers = []
 
+    def page_done():
+        if all(manager.done for manager in managers):
+            sim.stop()
+
     def start_pages():
         for offset, index in schedule:
             page = synthetic_page(seed=seed + index, n_objects=n_objects)
             manager = TransferManager(page, pool, chooser, sim,
-                                      fetcher.fetch, bus=sim.bus)
+                                      fetcher.fetch, bus=sim.bus,
+                                      on_page_done=page_done)
             managers.append(manager)
             sim.schedule(offset, manager.start)
 

@@ -315,6 +315,88 @@ def test_compaction_inside_train_delivery_keeps_the_rest_of_the_train():
     assert sim.pending_events == 0
 
 
+# -- stop() -----------------------------------------------------------------
+
+def test_stop_ends_the_run_after_the_current_event():
+    sim = Simulator()
+    fired = []
+
+    def last_useful():
+        fired.append("done")
+        sim.stop()
+        fired.append("still-this-event")
+
+    sim.at(1.0, last_useful)
+    sim.at(1.0, fired.append, "same-time")
+    sim.at(2.0, fired.append, "later")
+    assert sim.run(until=60.0) == 1
+    assert fired == ["done", "still-this-event"]
+    assert sim.now == 1.0            # not dragged to ``until``
+    assert sim.pending_events == 2
+    # The next run starts clean and picks up what was left.
+    sim.run()
+    assert fired[2:] == ["same-time", "later"]
+    assert sim.pending_events == 0
+
+
+def test_stop_outside_a_run_does_nothing():
+    sim = Simulator()
+    fired = []
+    sim.at(1.0, fired.append, "x")
+    sim.stop()
+    sim.run()
+    assert fired == ["x"]
+
+
+def test_stop_inside_a_train_delivery_parks_the_rest_of_the_train():
+    sim = Simulator()
+    fired = []
+
+    def deliver(payload):
+        fired.append(payload)
+        if payload == 2:
+            sim.stop()
+
+    sim.at_train([(0.1 * i, i) for i in range(1, 6)], deliver)
+    sim.at(1.0, fired.append, "solo")
+    assert sim.pending_events == 6
+    sim.run()
+    # Deliveries 1 and 2 ran (2 peeled inline); 3..5 would have peeled
+    # too, but went back into the heap behind one entry.
+    assert fired == [1, 2]
+    assert sim.now == pytest.approx(0.2)
+    assert sim.pending_events == 4
+    sim.run()
+    assert fired == [1, 2, 3, 4, 5, "solo"]
+    assert sim.pending_events == 0
+
+
+def test_stop_on_the_last_train_delivery_leaves_nothing_behind():
+    sim = Simulator()
+    fired = []
+
+    def deliver(payload):
+        fired.append(payload)
+        if payload == 3:
+            sim.stop()
+
+    sim.at_train([(0.1 * i, i) for i in range(1, 4)], deliver)
+    sim.at(1.0, fired.append, "solo")
+    sim.run()
+    assert fired == [1, 2, 3]
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == [1, 2, 3, "solo"]
+
+
+def test_stop_ends_run_until():
+    sim = Simulator()
+    sim.at(0.5, sim.stop)
+    sim.at(5.0, lambda: None)
+    assert sim.run_until(lambda: False, timeout=10.0) is False
+    assert sim.now == 0.5
+
+
 # -- re-armable timers ------------------------------------------------------
 
 
@@ -378,6 +460,18 @@ def test_timer_can_rearm_itself_from_its_callback():
 def test_timer_rejects_negative_delay():
     with pytest.raises(ValueError):
         Simulator().timer(lambda: None).arm(-0.1)
+
+
+def test_timer_arm_at_fires_at_exactly_the_given_time():
+    """``arm(when - now)`` would round; ``arm_at`` is ``Simulator.at``."""
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(lambda: fired.append(sim.now))
+    sim.at(0.2, timer.arm_at, 0.9)
+    sim.run()
+    assert fired == [0.9] and 0.2 + (0.9 - 0.2) != 0.9
+    with pytest.raises(ValueError):
+        timer.arm_at(0.5)            # the clock reads 0.9
 
 
 def test_stopped_timers_are_compacted_and_can_be_armed_again():

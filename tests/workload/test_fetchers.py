@@ -7,6 +7,7 @@ from repro.core.engine.policy import (
     PredictivePolicy,
     RoundRobinScheduler,
 )
+from repro.perf import pageload
 from repro.perf.pageload import run_pageload_cell
 from repro.workload import (
     MptcpPageFetcher,
@@ -91,6 +92,36 @@ class TestCellDeterminism:
             assert metrics["pages_completed"] == 2
             plts[policy] = metrics["plt_samples"]
         assert plts["round-robin"] != plts["lowest-rtt"]
+
+    @pytest.mark.parametrize("stack,policy", [
+        ("tcpls", "predictive"), ("quic", "round-robin"),
+        ("mptcp", "lowest-rtt")])
+    def test_cell_stops_with_its_last_page(self, monkeypatch, stack,
+                                           policy):
+        """The cell ends when its pages are done, not at the horizon,
+        and reports what a run to the horizon reports -- pool expiry is
+        booked on acquire, so ``pool`` cannot move in the idle tail."""
+        sims = []
+
+        def recording_simulator(**kwargs):
+            sims.append(Simulator(**kwargs))
+            return sims[-1]
+
+        monkeypatch.setattr(pageload, "Simulator", recording_simulator)
+        kwargs = dict(stack=stack, policy=policy, grid="ge-light",
+                      pages=3, waves=2, n_objects=12, seed=260177,
+                      horizon=60.0)
+        stopped = run_pageload_cell(**kwargs)
+        monkeypatch.setattr(Simulator, "stop", lambda self: None)
+        to_horizon = run_pageload_cell(**kwargs)
+
+        assert stopped == to_horizon
+        assert stopped["pages_completed"] == 3
+        early, late = sims
+        assert late.now == 60.0
+        # the clock still shows the last page landing: its load time
+        # after its wave offset (<= 0.25 s) and the connection set-up
+        assert stopped["plt_max"] <= early.now < stopped["plt_max"] + 0.5
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
