@@ -115,18 +115,15 @@ class ConnectionState:
 class TcplsEngine:
     """Shared session logic for both endpoints, over any driver."""
 
-    _next_obs_id = 0
-
     def __init__(self, driver, is_client, record_payload=16384,
                  trial_window=64, ack_interval=16,
                  unsent_target=DEFAULT_UNSENT_TARGET):
         self.driver = driver
         self.clock = driver.clock
         self.bus = driver.bus
-        TcplsEngine._next_obs_id += 1
         #: stable per-simulation ordinal carried in every event this
         #: session emits (the scoping key for bus subscriptions)
-        self.obs_id = TcplsEngine._next_obs_id
+        self.obs_id = self.bus.next_id("session")
         self.is_client = is_client
         self.record_payload = record_payload
         self.trial_window = trial_window
@@ -245,7 +242,8 @@ class TcplsEngine:
         """Input: ordered bytes arrived on ``conn``."""
         if not data:
             return
-        self._log_input("bytes", conn, bytes(data))
+        if self.input_log is not None:
+            self._log_input("bytes", conn, bytes(data))
         if conn.tls is not None and not conn.tls.handshake_complete:
             self._feed_handshake(conn, data)
             return
@@ -253,8 +251,15 @@ class TcplsEngine:
             self._process_record(conn, record_bytes)
 
     def conn_writable(self, conn):
-        """Input: the transport drained some of its buffer."""
-        self._log_input("writable", conn)
+        """Input: the transport drained some of its buffer.
+
+        The whole session is pumped, not ``conn``'s share of it: TCP
+        reports send space before it sends on the same ACK, so a
+        connection's budget can re-open just after its own pump, and
+        the next ACK on *any* connection is what notices.
+        """
+        if self.input_log is not None:
+            self._log_input("writable", conn)
         self._drain(conn)
         self._pump()
         if self.on_writable is not None:
@@ -625,11 +630,17 @@ class TcplsEngine:
         progressed = True
         while progressed:
             progressed = False
-            for group in list(self.groups.values()):
-                progressed |= self._pump_group(group)
-            for stream in list(self.streams.values()):
-                if stream.coupled_group is None and stream.connection and \
-                        not self._is_control(stream):
+            for group in self.groups.values():
+                if group.pending or (group.fin_pending
+                                     and not group.fin_sent):
+                    progressed |= self._pump_group(group)
+            for stream in self.streams.values():
+                conn = stream.connection
+                if (stream.pending or (stream.fin_pending
+                                       and not stream.fin_sent)) \
+                        and stream.coupled_group is None \
+                        and conn is not None \
+                        and conn.control_stream is not stream:
                     progressed |= self._pump_stream(stream)
 
     def _is_control(self, stream):
@@ -1217,14 +1228,6 @@ class TcplsEngine:
             if group.bytes_delivered and not group.complete:
                 return True
         return False
-
-    def _on_send_space(self, conn):
-        """Backwards-compatible alias for :meth:`conn_writable` minus
-        the input logging (internal callers)."""
-        self._drain(conn)
-        self._pump()
-        if self.on_writable is not None:
-            self.on_writable(self)
 
     def _conn_closed(self, conn):
         if conn.failed or not self.ready:

@@ -16,12 +16,9 @@ byte-identical to it (tests/crypto/test_fastpath_equivalence.py).
 """
 
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
+from repro.crypto.lanes import numpy as _numpy
 
 _SBOX = [
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B,
@@ -94,15 +91,21 @@ _UNPACK3 = struct.Struct(">3I")
 # 94 blocks (a 1,500-byte record) 1202 / 131, 1,024 blocks 13302 / 414.
 _LANE_MIN_BLOCKS = 8
 
-if _np is not None:
-    _U32 = _np.dtype("<u4")
+_U32 = "<u4"
+_COLUMN_ROTATIONS = ([1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
+
+
+@cache
+def _lane_rounds():
+    """The gather tables of the ten rounds, built when the lane tier
+    first runs."""
+    _np = _numpy()
     # _T0[x] holds its four rows most significant first: as big-endian
     # bytes they are rows 0..3, which the little-endian view keeps.
-    _LANE_T = _np.array([_T0, _T1, _T2, _T3], dtype=">u4").view(_U32)
-    _LANE_S = _np.array([[s << (8 * r) for s in _SBOX] for r in range(4)],
-                        dtype=_U32)
-    _LANE_ROUNDS = (_LANE_T,) * 9 + (_LANE_S,)
-    _COLUMN_ROTATIONS = ([1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
+    lane_t = _np.array([_T0, _T1, _T2, _T3], dtype=">u4").view(_U32)
+    lane_s = _np.array([[s << (8 * r) for s in _SBOX] for r in range(4)],
+                       dtype=_U32)
+    return (lane_t,) * 9 + (lane_s,)
 
 
 class Aes128:
@@ -176,7 +179,7 @@ class Aes128:
         unpacked once for the whole batch.  Long batches take the numpy
         lane tier when numpy is importable.
         """
-        if _np is not None and nblocks >= _LANE_MIN_BLOCKS:
+        if nblocks >= _LANE_MIN_BLOCKS and _numpy() is not None:
             return self._ctr_keystream_lanes(prefix, counter, nblocks)
         p0, p1, p2 = _UNPACK3.unpack(prefix)
         out = bytearray(16 * nblocks)
@@ -190,10 +193,11 @@ class Aes128:
     @cached_property
     def _lane_round_keys(self):
         """(11, 4) column words, byte r of a word = row r."""
-        return _np.array(self._round_keys, dtype=_np.uint8).view(_U32)
+        return _numpy().array(self._round_keys, dtype="u1").view(_U32)
 
     def _ctr_keystream_lanes(self, prefix, counter, nblocks):
         """The same keystream, every counter block one array column."""
+        _np = _numpy()
         round_keys = self._lane_round_keys
         state = _np.empty((4, nblocks), dtype=_U32)
         state[0:3] = _np.frombuffer(prefix, dtype=_U32)[:, None]
@@ -201,7 +205,7 @@ class Aes128:
                      + (counter & _MASK32))
                     .astype(">u4").view(_U32))          # wraps mod 2^32
         state ^= round_keys[0][:, None]
-        for tables, round_key in zip(_LANE_ROUNDS, round_keys[1:]):
+        for tables, round_key in zip(_lane_rounds(), round_keys[1:]):
             planes = state.view(_np.uint8).reshape(4, nblocks, 4)
             state = tables[0].take(planes[:, :, 0])
             for row, rotation in enumerate(_COLUMN_ROTATIONS, 1):

@@ -8,17 +8,16 @@ The keystream of a run of sequential counters comes from one of two
 tiers, chosen by block count alone (:data:`_LANE_MIN_BLOCKS`):
 :func:`_keystream_swar`, wide-integer arithmetic that serves short runs
 (a single block included) and installs without numpy, and
-:func:`_keystream_lanes`, numpy row arrays for long ones.  The original
+:func:`_keystream_lanes`, numpy row arrays for long ones (numpy itself
+is imported when first needed, see :mod:`repro.crypto.lanes`).  The original
 quarter-round implementation is retained as
 :func:`chacha20_block_reference`, the cross-validation oracle for both.
 """
 
 import struct
+from functools import cache
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
+from repro.crypto.lanes import numpy as _numpy
 
 MASK32 = 0xFFFFFFFF
 
@@ -262,10 +261,15 @@ def _keystream_swar(key_words, counter, nonce_words, nblocks):
 # record (24 blocks) stays on the swar tier.
 _LANE_MIN_BLOCKS = 40
 
-if _np is not None:
-    _U32 = _np.dtype("<u4")
-    _SIGMA = _np.array([_C0, _C1, _C2, _C3], dtype=_U32)[:, None]
-    _ROT1, _ROT2, _ROT3 = ([1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
+_U32 = "<u4"
+_ROT1, _ROT2, _ROT3 = ([1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
+
+
+@cache
+def _sigma():
+    """The four constant words as a column, built when the lane tier
+    first runs."""
+    return _numpy().array([_C0, _C1, _C2, _C3], dtype=_U32)[:, None]
 
 
 def _quarter_round_lanes(a, b, c, d):
@@ -281,8 +285,9 @@ def _quarter_round_lanes(a, b, c, d):
 
 def _keystream_lanes(key, counter, nonce, nblocks):
     """``nblocks`` sequential keystream blocks, one array column each."""
+    _np = _numpy()
     init = _np.empty((16, nblocks), dtype=_U32)
-    init[0:4] = _SIGMA
+    init[0:4] = _sigma()
     init[4:12] = _np.frombuffer(key, dtype=_U32)[:, None]
     init[12] = (_np.arange(nblocks, dtype=_np.uint64)
                 + (counter & MASK32)).astype(_U32)     # wraps mod 2^32
@@ -311,6 +316,7 @@ def chacha20_encrypt(key, counter, nonce, plaintext):
     if not n:
         return b""
     nblocks = (n + 63) // 64
+    _np = _numpy()
     if _np is not None and nblocks >= _LANE_MIN_BLOCKS:
         stream = _keystream_lanes(key, counter, nonce, nblocks)
     else:

@@ -17,14 +17,10 @@ one array (or, without numpy, one wide-integer) operation.
 """
 
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 
 from repro.crypto.aes import Aes128
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
+from repro.crypto.lanes import numpy as _numpy
 
 _R = 0xE1000000000000000000000000000000
 
@@ -81,9 +77,11 @@ _LANES = 64
 # chains, so it needs more than one block per lane to win.
 _LANE_MIN_BLOCKS = 80
 
-if _np is not None:
-    # row offset of byte position k in Ghash._lane_table
-    _TABLE_BASE = (_np.arange(16, dtype=_np.uint16) * 256)[:, None]
+@cache
+def _table_base():
+    """Row offset of byte position k in ``Ghash._lane_table``."""
+    _np = _numpy()
+    return (_np.arange(16, dtype=_np.uint16) * 256)[:, None]
 
 
 class Ghash:
@@ -105,6 +103,7 @@ class Ghash:
         power = self._h
         for _ in range(_LANES - 1):
             power = self._mul_h(power)
+        _np = _numpy()
         return _np.frombuffer(
             b"".join(product.to_bytes(16, "big")
                      for table in _build_ghash_tables(power)
@@ -124,7 +123,7 @@ class Ghash:
         place of a scratch copy.  A long input is first reduced to its
         64 lane chains, which then fold like any 64 blocks."""
         n = len(data)
-        if _np is not None and -(-n // 16) >= _LANE_MIN_BLOCKS:
+        if -(-n // 16) >= _LANE_MIN_BLOCKS and _numpy() is not None:
             y, data, n = 0, self._lane_chains(y, data), 16 * _LANES
         full = n - (n % 16)
         mul_h = self._mul_h
@@ -145,6 +144,7 @@ class Ghash:
         ``Y = Y * H^64 ^ block`` down its column, which leaves the whole
         fold as ``sum(Y[j] * H^(64 - j))``.
         """
+        _np = _numpy()
         n = len(data)
         rows = -(-n // (16 * _LANES))
         lead = 16 * _LANES * rows - 16 * -(-n // 16)
@@ -154,13 +154,13 @@ class Ghash:
             padded[lead:lead + 16] ^= _np.frombuffer(
                 y.to_bytes(16, "big"), dtype=_np.uint8)
         blocks = padded.view(_np.uint64).reshape(rows, _LANES, 2)
-        table = self._lane_table
+        table, table_base = self._lane_table, _table_base()
         lanes = blocks[0]
         for row in range(1, rows):
             # position-major indices, so that the products reduce over
             # the leading axis: 10x cheaper than over a middle one
             products = table.take(
-                lanes.view(_np.uint8).reshape(_LANES, 16).T + _TABLE_BASE, 0)
+                lanes.view(_np.uint8).reshape(_LANES, 16).T + table_base, 0)
             lanes = _np.bitwise_xor.reduce(products, axis=0)
             lanes ^= blocks[row]
         return lanes.tobytes()
@@ -228,6 +228,7 @@ class AesGcm:
         if not n:
             return b""
         stream = self._aes.ctr_keystream(nonce, 2, (n + 15) // 16)
+        _np = _numpy()
         if _np is None:
             return _xor_bytes(data, stream)
         return (_np.frombuffer(data, dtype=_np.uint8)

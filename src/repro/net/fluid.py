@@ -205,15 +205,13 @@ class FluidCohort:
     ``LinkStats`` advance.
     """
 
-    _next_id = 0
-
     def __init__(self, links, sizes, rtt, weight=None, cwnd=None,
                  overhead=1.0, pkt_bytes=1500.0, label="",
                  delivery_interval=None):
-        FluidCohort._next_id += 1
-        self.cohort_id = FluidCohort._next_id
-        self.label = label or ("cohort-%d" % self.cohort_id)
         self.links = tuple(links)
+        #: per-simulation ordinal (the default label's suffix)
+        self.cohort_id = self.links[0].sim.bus.next_id("cohort")
+        self.label = label or ("cohort-%d" % self.cohort_id)
         self.sizes = sorted(float(s) for s in sizes)
         self.n = len(self.sizes)
         self.completed = 0

@@ -123,7 +123,10 @@ class Host:
         caller sees that as a silent blackhole, exactly like an OS
         dropping on a dead interface.
         """
-        iface = self.route(packet.dst, packet.src)
+        try:
+            iface = self._route_cache[packet.dst, packet.src]
+        except KeyError:
+            iface = self.route(packet.dst, packet.src)
         if iface is None or not iface.up or iface.tx_link is None:
             return False
         self.tx_packets += 1
@@ -146,10 +149,12 @@ class Host:
         return True
 
     def receive(self, packet):
-        """Link delivery entry point; demux to the transport stack."""
+        """Link delivery entry point: a packet for a local address goes
+        to its protocol's stack (``TcpStack.receive``); hosts do not
+        forward."""
         self.rx_packets += 1
         if packet.dst not in self._local_addresses:
-            return  # not for us; hosts do not forward
+            return
         stack = self._stacks.get(packet.proto)
         if stack is not None:
             stack.receive(packet)

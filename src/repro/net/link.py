@@ -70,15 +70,14 @@ class Link:
         sending TCP stack is responsible for segmentation.
     """
 
-    _next_obs_id = 0
-
     def __init__(self, sim, rate_bps=None, delay=0.0, queue_bytes=None,
                  loss_rate=0.0, mtu=1500, name="", jitter=0.0):
         self.sim = sim
-        Link._next_obs_id += 1
         #: stable identifier carried in observability events ("link"
-        #: field); the human name when given, else a unique ordinal.
-        self.obs_name = name or ("link-%d" % Link._next_obs_id)
+        #: field); the human name when given, else this link's ordinal
+        #: in the simulation (named links count too).
+        ordinal = sim.bus.next_id("link")
+        self.obs_name = name or ("link-%d" % ordinal)
         self.rate_bps = rate_bps
         self.delay = delay
         #: uniform per-packet extra delay (order-preserving).  Zero by
@@ -174,11 +173,12 @@ class Link:
     def _admit(self, packet):
         """Run send-side checks; returns the delivery time, or None if
         the packet died on admission (already booked as a drop)."""
-        self._observe("enqueue", packet)
+        size = packet.wire_size()
+        if self.sim.bus.subscribed:
+            self._observe("enqueue", size)
         if not self.up:
             self._drop(packet, "down")
             return None
-        size = packet.wire_size()
         if size > self.mtu + 40:
             # Allow jumbo IP headroom; transports must respect the MTU.
             raise ValueError(
@@ -200,49 +200,55 @@ class Link:
         if self.loss_rate and self.sim.rng.random() < self.loss_rate:
             self._drop(packet, "loss")
             return None
-        if self.rate_bps is None:
-            return (self.sim.now + self.delay + fault_delay
-                    + self._jitter_sample())
         now = self.sim.now
-        backlog = max(self._busy_until - now, 0.0)
-        queued = backlog * self.rate_bps / 8.0
+        if self.rate_bps is None:
+            arrival = now + self.delay + fault_delay
+            if self.jitter:
+                arrival += self.sim.rng.random() * self.jitter
+            return arrival
+        busy = self._busy_until
+        if busy > now:
+            queued = (busy - now) * self.rate_bps / 8.0
+        else:
+            queued, busy = 0.0, now
         if self.queue_bytes is not None and queued + size > self.queue_bytes:
             self._drop(packet, "queue")
             return None
-        serialization = size * 8.0 / self.rate_bps
-        self._busy_until = max(self._busy_until, now) + serialization
-        arrival = (self._busy_until + self.delay + fault_delay
-                   + self._jitter_sample())
+        self._busy_until = busy = busy + size * 8.0 / self.rate_bps
+        arrival = busy + self.delay + fault_delay
+        if self.jitter:
+            arrival += self.sim.rng.random() * self.jitter
         # Jitter must not reorder the FIFO pipe; schedule at an absolute
         # time (re-deriving it from a delay loses ULPs and can land one
         # tick before the previous packet).
-        arrival = max(arrival, self._last_arrival)
+        if arrival < self._last_arrival:
+            arrival = self._last_arrival
         self._last_arrival = arrival
         return arrival
 
-    def _jitter_sample(self):
-        if not self.jitter:
-            return 0.0
-        return self.sim.rng.random() * self.jitter
-
     def _drop(self, packet, reason="loss"):
+        size = packet.wire_size()
         self.stats.dropped_packets += 1
-        self.stats.dropped_bytes += packet.wire_size()
+        self.stats.dropped_bytes += size
         reasons = self.stats.drop_reasons
         reasons[reason] = reasons.get(reason, 0) + 1
-        self._observe("drop", packet, reason=reason)
+        if self.sim.bus.subscribed:
+            self._observe("drop", size, reason)
 
-    def _observe(self, name, packet, reason=None):
-        """Emit one link event (skipped entirely when nobody listens)."""
+    def _observe(self, name, size, reason=None):
+        """Emit one link event (callers skip it while the bus has no
+        subscriber at all)."""
         bus = self.sim.bus
         if not bus.wants("link"):
             return
-        data = {"link": self.obs_name, "bytes": packet.wire_size()}
+        data = {"link": self.obs_name, "bytes": size}
         if reason is not None:
             data["reason"] = reason
         bus.emit("link", name, data)
 
     def _deliver(self, packet):
+        """The simulator's delivery callback: outage re-check, on-path
+        boxes, delivery accounting, then the sink (``Host.receive``)."""
         if not self.up:
             self._drop(packet, "down")
             return
@@ -258,9 +264,12 @@ class Link:
                 self._drop(packet, "middlebox")
                 return
             packet = processed
+        # The size _admit computed, unless a box swapped the payload.
+        size = packet.wire_size()
         self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.wire_size()
-        self._observe("deliver", packet)
+        self.stats.tx_bytes += size
+        if self.sim.bus.subscribed:
+            self._observe("deliver", size)
         if self._sink is not None:
             self._sink(packet)
 

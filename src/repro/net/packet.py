@@ -26,7 +26,8 @@ class Packet:
         on the wire (headers + data).
     """
 
-    __slots__ = ("src", "dst", "proto", "payload", "ttl", "meta")
+    __slots__ = ("src", "dst", "proto", "payload", "ttl", "_sized",
+                 "_size")
 
     def __init__(self, src, dst, proto, payload, ttl=64):
         self.src = src
@@ -34,14 +35,19 @@ class Packet:
         self.proto = proto
         self.payload = payload
         self.ttl = ttl
-        self.meta = {}
+        self._sized = None
 
     def wire_size(self):
         """Total bytes on the wire: IP header + transport PDU."""
-        # Inlined ip_header_size(): this runs a few times per simulated
-        # packet (admission, delivery stats, observability).
-        return (20 if self.src.family == 4 else 40) + \
-            self.payload.wire_size()
+        # Asked at admission and again at delivery; PDUs are value
+        # objects, so the answer holds until a middlebox or fault swaps
+        # ``payload`` for another object.
+        payload = self.payload
+        if payload is not self._sized:
+            self._size = (20 if self.src.family == 4 else 40) + \
+                payload.wire_size()
+            self._sized = payload
+        return self._size
 
     @property
     def family(self):
@@ -49,9 +55,7 @@ class Packet:
 
     def copy(self):
         """Shallow copy (payload shared) used by duplicating middleboxes."""
-        pkt = Packet(self.src, self.dst, self.proto, self.payload, self.ttl)
-        pkt.meta = dict(self.meta)
-        return pkt
+        return Packet(self.src, self.dst, self.proto, self.payload, self.ttl)
 
     def __repr__(self):
         return "Packet(%s -> %s, %s, %d B)" % (

@@ -73,14 +73,30 @@ class EventBus:
         # lifetime.  Both are invalidated together in _invalidate().
         self._snapshot = ()
         self._wants_cache = {}
+        #: True while anything at all is subscribed: a plain attribute,
+        #: so per-packet emitters can skip their hook without a call.
+        self.subscribed = False
         #: total events emitted to at least one subscriber
         self.events_emitted = 0
+        self._ids = {}
 
     # -- subscription ------------------------------------------------------
 
     def _invalidate(self):
         self._snapshot = tuple(self._subs)
         self._wants_cache = {}
+        self.subscribed = bool(self._subs)
+
+    def next_id(self, kind):
+        """The next ordinal (from 1) of ``kind`` in this simulation.
+
+        Every identifier an event carries -- TCP connection, session,
+        unnamed link, fluid cohort -- is drawn here, so two runs of one
+        seed emit identical events however many simulations the process
+        ran before them.
+        """
+        ordinal = self._ids[kind] = self._ids.get(kind, 0) + 1
+        return ordinal
 
     def subscribe(self, sink, categories=None, where=None):
         """Register ``sink``; returns the :class:`Subscription` (pass it

@@ -35,7 +35,8 @@ class SendBuffer:
         self._chunks = []      # immutable bytes objects
         self._ends = []        # absolute end seq of each chunk (sorted)
         self._head = 0         # index of first chunk with live bytes
-        self._end_seq = base_seq
+        #: absolute sequence number one past the last queued byte
+        self.end_seq = base_seq
         # Peek cursor: index of the chunk the last peek landed in.  The
         # train builder walks the buffer in MSS steps, so the next peek
         # almost always hits the same chunk or its successor -- O(1)
@@ -43,11 +44,7 @@ class SendBuffer:
         self._peek_index = 0
 
     def __len__(self):
-        return self._end_seq - self.base_seq
-
-    @property
-    def end_seq(self):
-        return self._end_seq
+        return self.end_seq - self.base_seq
 
     def free_space(self):
         if self.capacity is None:
@@ -71,8 +68,8 @@ class SendBuffer:
         else:
             chunk = bytes(memoryview(data)[:accept])
         self._chunks.append(chunk)
-        self._end_seq += accept
-        self._ends.append(self._end_seq)
+        self.end_seq += accept
+        self._ends.append(self.end_seq)
         return accept
 
     def peek(self, seq, length):
@@ -84,7 +81,7 @@ class SendBuffer:
         """
         if seq < self.base_seq:
             raise ValueError("peek below base_seq (already acked)")
-        end = min(seq + length, self._end_seq)
+        end = min(seq + length, self.end_seq)
         if seq >= end:
             return b""
         # Cursor fast path: sequential peeks hit the cached chunk or
@@ -117,7 +114,7 @@ class SendBuffer:
         """Release everything below absolute ``seq``; returns bytes freed."""
         if seq <= self.base_seq:
             return 0
-        freed = min(seq, self._end_seq) - self.base_seq
+        freed = min(seq, self.end_seq) - self.base_seq
         self.base_seq += freed
         head = self._head
         ends = self._ends
@@ -163,8 +160,8 @@ class ReceiveBuffer:
 
     def window(self):
         """Advertised window: free space."""
-        used = len(self._readable) + self._ooo_bytes
-        return max(self.capacity - used, 0)
+        free = self.capacity - len(self._readable) - self._ooo_bytes
+        return free if free > 0 else 0
 
     def readable_bytes(self):
         return len(self._readable)
@@ -184,10 +181,10 @@ class ReceiveBuffer:
         if seq < self.rcv_nxt:
             data = data[self.rcv_nxt - seq:]
             seq = self.rcv_nxt
-        limit = self.rcv_nxt + self.window() + len(self._readable)
-        if seq >= limit + self.capacity:
-            return 0  # absurdly far ahead; drop
         if seq > self.rcv_nxt:
+            limit = self.rcv_nxt + self.window() + len(self._readable)
+            if seq >= limit + self.capacity:
+                return 0  # absurdly far ahead; drop
             existing = self._ooo.get(seq)
             if existing is None:
                 insort(self._ooo_seqs, seq)

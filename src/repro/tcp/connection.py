@@ -66,15 +66,13 @@ class TcpConnection:
     argument.
     """
 
-    _next_id = 0
-
     def __init__(self, stack, local, remote, passive=False, cc="cubic",
                  iss=None, send_buffer_capacity=4 << 20,
                  recv_buffer_capacity=1 << 20):
-        TcpConnection._next_id += 1
-        self.conn_id = TcpConnection._next_id
         self.stack = stack
         self.sim = stack.sim
+        #: per-simulation ordinal (also seeds the default ISS)
+        self.conn_id = self.sim.bus.next_id("conn")
         self.local = local      # Endpoint
         self.remote = remote    # Endpoint
         self.passive = passive
@@ -282,12 +280,14 @@ class TcpConnection:
         """Read up to ``n`` in-order received bytes."""
         if self.rcv_buf is None:
             return b""
-        window_before = self.rcv_buf.window()
         data = self.rcv_buf.read(n)
         # Window-update ACK: reopening a closed (or nearly closed)
         # receive window must be announced or the sender deadlocks.
-        if data and window_before <= 2 * self.mss and self.is_open():
-            if self.rcv_buf.window() > 2 * self.mss:
+        # The window before the read was ``len(data)`` smaller.
+        if data:
+            window = self.rcv_buf.window()
+            if window - len(data) <= 2 * self.mss < window \
+                    and self.is_open():
                 self._send_ack()
         return data
 
@@ -450,64 +450,74 @@ class TcpConnection:
             return
         if self.state == SYN_RCVD and not self._tfo_accepted:
             return  # wait for the handshake ACK (no TFO validation)
-        sent_any = self._retransmit_lost()
+        sent_any = False
+        if self._lost.total:  # a plain attribute: no call while none is lost
+            sent_any = self._retransmit_lost()
         # New data leaves as one segment train (TSO/GSO-style offload):
         # the header template -- ports, ACK, advertised window -- is
         # built once for the whole burst, congestion/flow bookkeeping
-        # runs on exact local ints, and the burst goes out through a
-        # single transmit_train() call.  ``window`` is constant across
+        # runs on exact local ints, and a burst of two or more goes out
+        # through a single send_train() call (a burst of one is handed
+        # to the host as it is).  ``window`` is constant across
         # the burst (no ACK can arrive between synchronous sends), and
         # ``in_flight`` grows by exactly the payload length per segment,
         # so per-iteration arithmetic matches the unbatched loop
         # bit-for-bit.
-        available = self.snd_buf.end_seq - self.snd_nxt
+        snd_nxt = self.snd_nxt
+        available = self.snd_buf.end_seq - snd_nxt
         if available > 0:
             in_flight = self._pipe()
             window = self._send_window()
         if available > 0 and window > in_flight:
             mss = self.mss
-            ack = self._ack_value()
-            adv_window = (self.rcv_buf.window() if self.rcv_buf is not None
-                          else 1 << 20)
-            snd_nxt = self.snd_nxt
+            rcv_buf = self.rcv_buf
+            ack = rcv_buf.rcv_nxt if rcv_buf is not None else 0
+            adv_window = rcv_buf.window() if rcv_buf is not None else 1 << 20
             peek = self.snd_buf.peek
             data_segment = Segment.data_segment
             src_port, dst_port = self.local.port, self.remote.port
             src_addr, dst_addr = self.local.addr, self.remote.addr
-            train = self._train = []
-            try:
-                while available > 0:
-                    room = window - in_flight
-                    if room <= 0:
-                        break
-                    size = int(min(mss, available, room))
-                    if size <= 0:
-                        break
-                    # Silly-window avoidance: a fractionally-growing
-                    # cwnd must not clock out runt segments mid-stream;
-                    # wait until a full MSS of window opens (always
-                    # flush the stream tail).
-                    if size < mss and size < available and in_flight > 0:
-                        break
-                    payload = peek(snd_nxt, size)
-                    segment = data_segment(src_port, dst_port, snd_nxt,
-                                           ack, FLAGS_ACK, adv_window,
-                                           payload)
-                    train.append(Packet(src_addr, dst_addr, "tcp", segment))
-                    length = len(payload)
-                    if self._rtt_seq is None:
-                        self._rtt_seq = snd_nxt + length
-                        self._rtt_time = self.sim.now
-                    snd_nxt += length
-                    in_flight += length
-                    available -= length
-                if train:
+            first = train = None
+            while available > 0:
+                room = window - in_flight
+                if room <= 0:
+                    break
+                size = mss if mss <= available else available
+                if room < size:
+                    size = int(room)
+                if size <= 0:
+                    break
+                # Silly-window avoidance: a fractionally-growing
+                # cwnd must not clock out runt segments mid-stream;
+                # wait until a full MSS of window opens (always
+                # flush the stream tail).
+                if size < mss and size < available and in_flight > 0:
+                    break
+                packet = Packet(src_addr, dst_addr, "tcp", data_segment(
+                    src_port, dst_port, snd_nxt, ack, FLAGS_ACK, adv_window,
+                    peek(snd_nxt, size)))
+                if first is None:
+                    first = packet
+                elif train is None:
+                    train = [first, packet]
+                else:
+                    train.append(packet)
+                snd_nxt += size
+                if self._rtt_seq is None:
+                    self._rtt_seq = snd_nxt
+                    self._rtt_time = self.sim.now
+                in_flight += size
+                available -= size
+            if first is not None:
+                self.bytes_sent += snd_nxt - self.snd_nxt
+                self.snd_nxt = snd_nxt
+                sent_any = True
+                if train is None:
+                    self.segments_sent += 1
+                    self.stack.host.send(first)
+                else:
                     self.segments_sent += len(train)
-                    self.bytes_sent += snd_nxt - self.snd_nxt
-                    self.snd_nxt = snd_nxt
-                    sent_any = True
-            finally:
-                self._flush_train("data")
+                    self._flush_train(train, "data")
         if (not sent_any and self.peer_window == 0
                 and self.snd_buf.end_seq > self.snd_nxt):
             self._arm_persist()
@@ -524,10 +534,7 @@ class TcpConnection:
             self._arm_rto()
 
     def _ack_value(self):
-        if self.rcv_buf is None:
-            return 0
-        ack = self.rcv_buf.rcv_nxt
-        return ack
+        return 0 if self.rcv_buf is None else self.rcv_buf.rcv_nxt
 
     def _send_segment(self, flags, seq, ack=0, options=(), payload=b""):
         window = self.rcv_buf.window() if self.rcv_buf is not None else (
@@ -551,26 +558,26 @@ class TcpConnection:
         if self._train is not None:
             self._train.append(packet)
         else:
-            self.stack.transmit(packet)
+            self.stack.host.send(packet)
 
-    def _flush_train(self, kind):
-        """Hand the collected burst to the stack and reset collection.
+    def _flush_train(self, train, kind):
+        """Hand a collected burst to the host.
 
-        A single packet degenerates to a plain ``transmit`` (no train
-        bookkeeping downstream); larger bursts go out through one
-        ``transmit_train`` call: one routing pass, one link-admission
-        batch, one simulator heap event.  Admission still runs per
-        packet in append order, so drop/RNG/serialization behaviour is
-        bit-identical to individual sends.
+        Two or more packets go out through one ``send_train`` call: one
+        routing pass, one link-admission batch, one simulator heap
+        event.  Admission still runs per packet in append order, so
+        drop/RNG/serialization behaviour is bit-identical to individual
+        sends.  Only a retransmit burst can arrive here with a single
+        packet (no train bookkeeping downstream) or none; new data's
+        burst of one never gets this far.
         """
-        train, self._train = self._train, None
         n = len(train)
         if n == 0:
             return
         if n == 1:
-            self.stack.transmit(train[0])
+            self.stack.host.send(train[0])
         else:
-            self.stack.transmit_train(train)
+            self.stack.host.send_train(train)
             self.trains_sent += 1
             self.train_segments_sent += n
             bus = self.sim.bus
@@ -656,10 +663,6 @@ class TcpConnection:
 
         Returns True if anything was (re)sent.
         """
-        if not self._lost:
-            # Common case (no loss episode in progress): skip the window
-            # math and train setup entirely.
-            return False
         sent = False
         # Retransmissions form their own train (never merged with new
         # data: a retransmit boundary always splits bursts), flushed
@@ -692,7 +695,8 @@ class TcpConnection:
                 self.retransmissions += 1
                 sent = True
         finally:
-            self._flush_train("rexmit")
+            train, self._train = self._train, None
+            self._flush_train(train, "rexmit")
         if sent:
             self._arm_rto()
         return sent
@@ -726,7 +730,8 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _arm_rto(self):
-        self._rto_timer.arm(self.rtt.rto * (2 ** self._rto_backoff))
+        self._rto_timer.arm_at(
+            self.sim.now + self.rtt.rto * (2 ** self._rto_backoff))
 
     def _on_rto(self):
         if self.state == CLOSED:
@@ -797,9 +802,33 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def receive_segment(self, segment, packet):
-        """Entry point from the stack's demultiplexer."""
+        """Entry point from the stack's demultiplexer.
+
+        Header prediction (Van Jacobson; Linux ``tcp_rcv_established``):
+        an established connection handed an option-less segment whose
+        flags are the prebuilt :data:`FLAGS_ACK` itself -- every
+        constructor and ``Segment.replace`` keep that object's identity
+        -- calls the ACK and payload bodies directly.  Prediction only
+        routes: SYN, FIN, RST, options or a rebuilt flag set take
+        :meth:`_rx_established_family` to the same bodies, so a miss is
+        merely slower.
+        """
         self.segments_received += 1
         self.last_segment_received = self.sim.now
+        if self.state == ESTABLISHED and segment.flags is FLAGS_ACK \
+                and not segment.options:
+            if (segment.ack == self.snd_una == self.snd_nxt
+                    == self.snd_buf.end_seq and not self._fin_queued
+                    and not self._lost.total):
+                # Nothing outstanding, queued or lost (a pure
+                # receiver's every data segment): all _process_ack
+                # would do with this ACK is note the window.
+                self.peer_window = segment.window
+            else:
+                self._process_ack(segment)
+            if segment.payload:
+                self._process_payload(segment)
+            return
         if segment.is_rst:
             self._handle_rst(segment)
             return
@@ -870,6 +899,8 @@ class TcpConnection:
             self.on_established(self)
 
     def _rx_established_family(self, segment):
+        """Every segment for a synchronised connection that header
+        prediction did not route: ACK, then payload, then FIN."""
         if segment.is_syn:
             return  # stray SYN; a real stack would challenge-ACK
         if segment.is_ack:
@@ -896,7 +927,8 @@ class TcpConnection:
             self._rto_backoff = 0
             if sack_opt is not None:
                 self._merge_sack_blocks(sack_opt.blocks)
-            elif self._sacked or self._lost or self._rexmitted:
+            elif (self._sacked.total or self._lost.total
+                  or self._rexmitted.total):
                 self._prune_scoreboard()
             rtt_sample = None
             if self._rtt_seq is not None and ack >= self._rtt_seq:
@@ -923,7 +955,8 @@ class TcpConnection:
                 self._rto_timer.cancel()
             else:
                 self._arm_rto()
-            self._handle_ack_state_transitions(ack)
+            if self._fin_sent:
+                self._handle_ack_state_transitions(ack)
             if self.on_send_space is not None and data_acked:
                 self.on_send_space(self)
         elif (ack == self.snd_una and not segment.payload
@@ -979,12 +1012,10 @@ class TcpConnection:
         self._send_ack()
 
     def _process_fin(self, segment):
-        if self.rcv_buf is None or segment.end_seq - 1 != self.rcv_buf.rcv_nxt:
-            # FIN not yet in order; the ACK we sent covers what we have.
-            if self.rcv_buf is not None and segment.seq <= self.rcv_buf.rcv_nxt:
-                pass
-            else:
-                return
+        rcv_buf = self.rcv_buf
+        if rcv_buf is None or (segment.end_seq - 1 != rcv_buf.rcv_nxt
+                               and segment.seq > rcv_buf.rcv_nxt):
+            return  # FIN not yet in order; the ACK we sent covers what we have
         if self._remote_fin_seen:
             self._send_ack()
             return

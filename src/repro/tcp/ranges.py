@@ -15,8 +15,10 @@ class RangeSet:
         #: sorted ``[start, end]`` lists; a probe ``[point]`` bisects to
         #: the first range starting at or above ``point``.
         self._ranges = []
-        #: integers covered, maintained by every mutation.
-        self._total = 0
+        #: total integers covered, maintained by every mutation (a
+        #: plain attribute: the TCP pipe estimator and the scoreboard
+        #: emptiness tests read it on every send opportunity).
+        self.total = 0
         for start, end in ranges:
             self.add(start, end)
 
@@ -42,13 +44,7 @@ class RangeSet:
 
     def clear(self):
         self._ranges = []
-        self._total = 0
-
-    @property
-    def total(self):
-        """Total integers covered (O(1): the TCP pipe estimator reads
-        the sacked/lost totals on every send opportunity)."""
-        return self._total
+        self.total = 0
 
     @property
     def min(self):
@@ -78,7 +74,7 @@ class RangeSet:
         if j > i and ranges[j - 1][1] > end:
             end = ranges[j - 1][1]
         ranges[i:j] = [[start, end]]
-        self._total += end - start - swallowed
+        self.total += end - start - swallowed
 
     def subtract(self, start, end):
         """Remove [start, end) from the set."""
@@ -103,7 +99,7 @@ class RangeSet:
             keep.append([end, last_end])
             removed -= last_end - end
         ranges[i:j] = keep
-        self._total -= removed
+        self.total -= removed
 
     def trim_below(self, cutoff):
         """Remove everything < cutoff."""

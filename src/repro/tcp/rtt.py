@@ -18,6 +18,9 @@ class RttEstimator:
         self.min_rtt = float("inf")
         self.latest_rtt = None
         self.samples = 0
+        #: current retransmission timeout; read on every timer arm,
+        #: so kept as a value that :meth:`on_sample` alone moves.
+        self.rto = self.INITIAL_RTO
 
     def on_sample(self, rtt):
         """Feed one RTT measurement (seconds)."""
@@ -34,11 +37,5 @@ class RttEstimator:
                 self.srtt - rtt
             )
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-
-    @property
-    def rto(self):
-        """Current retransmission timeout."""
-        if self.srtt is None:
-            return self.INITIAL_RTO
         rto = self.srtt + max(self.CLOCK_GRANULARITY, self.K * self.rttvar)
-        return min(max(rto, self.MIN_RTO), self.MAX_RTO)
+        self.rto = min(max(rto, self.MIN_RTO), self.MAX_RTO)

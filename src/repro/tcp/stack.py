@@ -102,13 +102,6 @@ class TcpStack:
             mtu = iface.tx_link.mtu
         return mtu - ip_header_size(remote.addr.family) - 20
 
-    def transmit(self, packet):
-        return self.host.send(packet)
-
-    def transmit_train(self, packets):
-        """Hand a TSO/GSO segment train to the host in one call."""
-        return self.host.send_train(packets)
-
     def _allocate_port(self):
         """Pick a free ephemeral port, wrapping within the IANA dynamic
         range and skipping ports still used by live connections."""
@@ -138,7 +131,8 @@ class TcpStack:
         self._connections.pop(self._key(conn), None)
 
     def receive(self, packet):
-        """Demultiplex one inbound packet."""
+        """Demultiplex one inbound packet: to its connection's
+        ``receive_segment``, else to a listener (SYN), else a RST."""
         segment = packet.payload
         conn = self._connections.get(
             (packet.dst, segment.dst_port, packet.src, segment.src_port))

@@ -23,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import aes, chacha20, gcm, poly1305
+from repro.crypto import aes, chacha20, gcm, lanes, poly1305
 from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305
 from repro.crypto.aes import Aes128
 from repro.crypto.chacha20 import (
@@ -37,10 +37,9 @@ from repro.crypto.poly1305 import P1305, poly1305_mac
 from tests.crypto import test_vectors
 
 TIERED = (chacha20, aes, gcm, poly1305)
-NUMPY_TIERED = (chacha20, aes, gcm)
 
 needs_numpy = pytest.mark.skipif(
-    chacha20._np is None, reason="the numpy lane tier needs numpy")
+    lanes.numpy() is None, reason="the numpy lane tier needs numpy")
 
 KEY16 = st.binary(min_size=16, max_size=16)
 KEY32 = st.binary(min_size=32, max_size=32)
@@ -65,8 +64,7 @@ def force_tier(monkeypatch, tier):
     non-empty input does; ``no-numpy``: the modules behave as on an
     install where numpy is not importable."""
     if tier == "no-numpy":
-        for module in NUMPY_TIERED:
-            monkeypatch.setattr(module, "_np", None)
+        monkeypatch.setattr(lanes, "_np", None)
         return
     minimum = {"short": math.inf, "lanes": 1}[tier]
     for module in TIERED:
@@ -306,13 +304,13 @@ def test_ghash_builds_its_tables_on_first_use():
 
 def test_aead_suite_passes_without_numpy():
     """The rest of this directory in an interpreter whose crypto modules
-    found no numpy (``_np`` is ``None``, as after a failed import): what
-    an install without the ``fast`` extra runs."""
+    found no numpy (``lanes._np`` is ``None``, as after a failed import):
+    what an install without the ``fast`` extra runs."""
     here = os.path.dirname(os.path.abspath(__file__))
     script = (
         "import sys, pytest\n"
-        "from repro.crypto import aes, chacha20, gcm\n"
-        "aes._np = chacha20._np = gcm._np = None\n"
+        "from repro.crypto import lanes\n"
+        "lanes._np = None\n"
         "sys.exit(pytest.main(['-q', '-x', '-p', 'no:cacheprovider', %r,\n"
         "                      '-k', 'not without_numpy']))\n" % here
     )

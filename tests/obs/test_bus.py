@@ -192,3 +192,19 @@ def test_bad_sink_raises_type_error():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.bus.subscribe(object())
+
+
+def test_next_id_counts_from_one_per_kind_and_per_bus():
+    sim, other = Simulator(), Simulator()
+    assert [sim.bus.next_id("conn") for _ in range(3)] == [1, 2, 3]
+    assert sim.bus.next_id("session") == 1
+    assert other.bus.next_id("conn") == 1
+
+
+def test_subscribed_tracks_whether_anyone_listens():
+    sim = Simulator()
+    assert sim.bus.subscribed is False
+    sub = sim.bus.subscribe(CaptureSink(), categories=("tcp",))
+    assert sim.bus.subscribed is True
+    sim.bus.unsubscribe(sub)
+    assert sim.bus.subscribed is False

@@ -152,3 +152,31 @@ def test_unsubscribed_run_emits_nothing():
     client.create_stream(conn).send(b"q" * SIZE)
     sim.run(until=sim.now + 2.0)
     assert sim.bus.events_emitted == 0
+
+
+def test_two_captures_of_one_seed_agree_from_the_first_event():
+    """Every id an event carries (TCP connection, session, unnamed
+    link) is drawn from the simulation's own bus, so how many
+    simulations the process ran before does not show in a capture."""
+    from repro.net import Link
+
+    def capture():
+        sim, topo, cstack, sstack = make_net()
+        sink = CaptureSink()
+        sim.bus.subscribe(sink)
+        client, server, sessions = tcpls_pair(sim, topo, cstack, sstack)
+        conn = connect_tcpls(sim, topo, client)
+        client.join(topo.path(1).client_addr)
+        sessions[0].on_stream_data = lambda st: st.recv()
+        client.create_stream(conn).send(b"i" * (64 << 10))
+        sim.run(until=sim.now + 1.0)
+        return ([(e.time, e.category, e.name, e.data) for e in sink],
+                client.obs_id, conn.tcp.conn_id, Link(sim).obs_name)
+
+    first, second = capture(), capture()
+    assert first == second
+    events, session_id, tcp_id, link_name = first
+    assert (session_id, tcp_id) == (1, 1)
+    assert link_name == "link-5"        # the four path links count too
+    assert events[0][2:] == ("state_changed", {
+        "conn": 1, "old": "CLOSED", "new": "SYN_SENT"})

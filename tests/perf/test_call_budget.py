@@ -1,0 +1,122 @@
+"""Python calls per simulated TCP segment, as a count.
+
+Every simulated experiment costs what one segment costs in
+``repro.tcp`` + ``repro.net`` (+ the engine pump its ACK drives), and
+with no hotspot left that cost is dispatch: frames and built-in calls.
+A ``cProfile`` call count repeats exactly on every machine, so unlike a
+wall clock it can gate tier-1: a 256 KiB null-tag download over the
+two-path topology, nothing subscribed to the bus, handshake included,
+must stay under :data:`CEILING` calls per segment sent.
+
+History of the figure (this scenario, 381 segments; the ledger's traced
+``bulk_download`` counts its observer's events too and reads 141.7 and
+98.9): 110.3 before the header-predicted receive path, one-segment
+send path and pending-first pump; 73.0 after.
+"""
+
+import cProfile
+import os
+import subprocess
+import sys
+
+from helpers import PSK
+
+from repro.core import TcplsClient, TcplsServer
+from repro.net import Simulator, build_multipath
+from repro.net.address import Endpoint
+from repro.tcp import TcpStack
+
+SIZE = 256 << 10
+
+#: calls per segment this scenario may cost: 15 % above the measured
+#: figure, a quarter below where it stood before
+CEILING = 84
+
+
+def download():
+    """One TCPLS session, record ACKs on, the server pushing SIZE bytes
+    on one stream; returns (received bytes, segments sent)."""
+    sim = Simulator(seed=42)
+    topo = build_multipath(sim, n_paths=2)
+    stacks = [TcpStack(sim, topo.client), TcpStack(sim, topo.server)]
+    payload = bytes(range(256)) * (SIZE // 256)
+    received = bytearray()
+    conns = []
+
+    def on_session(session):
+        session.enable_failover()
+
+        def on_request(stream):
+            if stream.recv().startswith(b"GET"):
+                out = session.create_stream(session.conns[0])
+                out.send(payload)
+                out.close()
+        session.on_stream_data = on_request
+
+    server = TcplsServer(sim, stacks[1], 443, psk=PSK)
+    server.on_session = on_session
+    client = TcplsClient(sim, stacks[0], psk=PSK)
+    client.on_stream_data = lambda stream: received.extend(stream.recv())
+
+    def on_ready(_session):
+        for stack in stacks:
+            conns.extend(stack.connections())
+        client.create_stream(client.conns[0]).send(b"GET /file")
+    client.on_ready = on_ready
+    path = topo.path(0)
+    client.connect(path.client_addr, Endpoint(path.server_addr, 443))
+    sim.run(until=10.0)
+    assert sim.bus.events_emitted == 0
+    return bytes(received) == payload, sum(c.segments_sent for c in conns)
+
+
+def test_calls_per_segment_stay_under_the_ceiling():
+    download()                      # imports, tables, caches
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        intact, segments = download()
+    finally:
+        profile.disable()
+    calls = sum(entry.callcount for entry in profile.getstats())
+    assert intact and segments > 2 * SIZE // 1500
+    assert calls / segments <= CEILING, (
+        "%d calls for %d segments: %.1f each" % (
+            calls, segments, calls / segments))
+
+
+def test_call_count_repeats_exactly():
+    """The gate is a count, not a clock: two profiles of one seed agree
+    to the call (object ids are per simulation, nothing else is
+    process-global)."""
+    download()
+    counts = []
+    for _ in range(2):
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            download()
+        finally:
+            profile.disable()
+        counts.append(sum(e.callcount for e in profile.getstats()))
+    assert counts[0] == counts[1]
+
+
+def test_importing_the_core_does_not_import_numpy():
+    """``import numpy`` is most of what a null-tag process would spend
+    importing; only a lane kernel's first use may pay it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    script = (
+        "import sys\n"
+        "import repro.core, repro.crypto.aead, repro.tls, repro.tcp\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported eagerly'\n"
+        "from repro.crypto.aead import Chacha20Poly1305\n"
+        "Chacha20Poly1305(bytes(32)).seal(bytes(12), bytes(4096), b'')\n"
+        "from repro.crypto import lanes\n"
+        "assert lanes.numpy() is None or 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    assert result.returncode == 0, result.stdout[-2000:]
