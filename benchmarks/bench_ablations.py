@@ -14,7 +14,7 @@ from conftest import run_once
 
 from common import PSK, banner, build_tcpls_group_upload, scaled
 from repro.core import TcplsClient, TcplsServer
-from repro.core.scheduler import LowestRttScheduler, RoundRobinScheduler
+from repro.core.engine.policy import LowestRttScheduler, RoundRobinScheduler
 from repro.net import Simulator, build_multipath
 from repro.net.address import Endpoint
 from repro.tcp import TcpStack

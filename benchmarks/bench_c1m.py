@@ -84,7 +84,6 @@ def run_fluid(args):
             "stalls": sum(r["stalls"] for r in results),
             "migrations": sum(r["migrations"] for r in results),
             "heap_compactions": sum(r["heap_compactions"] for r in results),
-            "train_peels": sum(r["train_peels"] for r in results),
         },
     }
     if args.compare_packet:

@@ -161,7 +161,7 @@ def test_send_buffer_write_peek_ack_churn(benchmark):
 
 
 def test_send_buffer_sequential_peek_cursor(benchmark):
-    """The train builder's access pattern: many small app writes, then
+    """``_try_send``'s access pattern: many small app writes, then
     MSS-stride peeks walking the whole buffer.  The peek cursor makes
     each step O(1) where a cold bisect pays O(log chunks)."""
     buf = SendBuffer(base_seq=0, capacity=None)

@@ -51,7 +51,7 @@ from repro.core.session import TcplsEngine, TcplsSession
 from repro.core.stream import TcplsStream
 from repro.core.client import TcplsClient
 from repro.core.server import TcplsServer
-from repro.core.scheduler import (
+from repro.core.engine.policy import (
     LowestRttScheduler,
     Policy,
     PredictivePolicy,

@@ -746,10 +746,6 @@ class TcplsEngine:
             total += len(wire)
         conn.pending_out_bytes += total
         self._drain(conn)
-        self._emit("perf", "pump_batch", {
-            "conn": conn.conn_id, "stream": stream.stream_id,
-            "records": len(wires), "bytes": total,
-        })
 
     def _pick_targets(self, group, candidates):
         """Consult the group's policy for the next record's streams.

@@ -133,21 +133,6 @@ class Host:
         iface.tx_link.send(packet)
         return True
 
-    def send_train(self, packets):
-        """Transmit a burst of same-flow packets as one link train.
-
-        All packets must share ``(src, dst)`` -- the caller (the TCP
-        segmentation-offload path) guarantees it, so routing runs once
-        for the whole train.  Same silent-blackhole semantics as
-        :meth:`send`.
-        """
-        iface = self.route(packets[0].dst, packets[0].src)
-        if iface is None or not iface.up or iface.tx_link is None:
-            return False
-        self.tx_packets += len(packets)
-        iface.tx_link.send_train(packets)
-        return True
-
     def receive(self, packet):
         """Link delivery entry point: a packet for a local address goes
         to its protocol's stack (``TcpStack.receive``); hosts do not

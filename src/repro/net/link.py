@@ -146,30 +146,6 @@ class Link:
         if arrival is not None:
             self.sim.at(arrival, self._deliver, packet)
 
-    def send_train(self, packets):
-        """Entry point for a segment train (TSO/GSO-style burst).
-
-        Admission control -- faults, random loss, queue occupancy,
-        serialization spacing -- runs per packet with the exact
-        arithmetic (and RNG draw order) of ``len(packets)`` consecutive
-        :meth:`send` calls, but all surviving deliveries are enqueued
-        behind a single simulator train event (see
-        :meth:`~repro.net.simulator.Simulator.at_train`), which the
-        event loop peels through without per-packet heap traffic.
-        """
-        if len(packets) == 1:
-            self.send(packets[0])
-            return
-        entries = []
-        try:
-            for packet in packets:
-                arrival = self._admit(packet)
-                if arrival is not None:
-                    entries.append((arrival, packet))
-        finally:
-            if entries:
-                self.sim.at_train(entries, self._deliver)
-
     def _admit(self, packet):
         """Run send-side checks; returns the delivery time, or None if
         the packet died on admission (already booked as a drop)."""

@@ -7,8 +7,7 @@ were scheduled, which keeps every experiment reproducible bit-for-bit.
 
 The heap holds ``(time, seq, item)`` tuples, so ``heapq`` orders them
 with C tuple comparison; ``seq`` is unique, so the comparison never
-reaches ``item``.  An item is an :class:`Event`, a :class:`TrainEvent`
-or a :class:`Timer`.
+reaches ``item``.  An item is an :class:`Event` or a :class:`Timer`.
 
 Cancellation is lazy: a cancelled event stays in the heap and is
 skipped when popped.  The simulator counts dead entries and compacts
@@ -21,14 +20,10 @@ retransmission timeout moves on every ACK) use :meth:`Simulator.timer`:
 a :class:`Timer` is re-armed in place and leaves its queued heap entry
 where it is, instead of cancelling one event and pushing another.
 
-Packet trains (:meth:`Simulator.at_train`) batch a sequence of
-already-ordered deliveries behind a single heap entry.  Each delivery
-still fires at its own timestamp with its own sequence number -- the
-numbers it would have drawn had it been scheduled individually -- so
-firing order is bit-identical to per-packet scheduling.  The win is
-*peeling*: after one delivery fires, the next one in the train runs
-without a heap push/pop whenever no other queued event sorts before
-it, which under bulk transfer is nearly always.
+A packet delivery is an ordinary :class:`Event` (``Link.send`` calls
+:meth:`Simulator.at` once per admitted packet): there is one way onto
+the heap, so ``stop()``, cancellation and compaction have one shape to
+be right about.
 """
 
 import heapq
@@ -39,9 +34,6 @@ import random
 #: cancelled entries (tiny heaps are cheaper to pop through than to
 #: rebuild).  Per-instance override: ``Simulator(min_compact=N)``.
 MIN_COMPACT = 64
-
-#: backwards-compatible alias (pre-fluid name).
-_COMPACT_MIN_CANCELLED = MIN_COMPACT
 
 
 class Event:
@@ -70,50 +62,6 @@ class Event:
         sim = self._sim
         if sim is not None:
             sim._note_cancelled()
-
-
-class TrainEvent:
-    """A batch of ordered deliveries behind one heap entry.
-
-    ``entries`` is a list of ``(time, seq, payload)`` with
-    non-decreasing ``(time, seq)``; ``index`` points at the next entry
-    to fire.  The heap entry is keyed by that entry's ``(time, seq)``,
-    so the train sorts exactly where its head would have sorted on its
-    own.
-    """
-
-    __slots__ = ("entries", "index", "fn", "cancelled", "_sim",
-                 "_in_queue")
-
-    def __init__(self, entries, fn, sim):
-        self.entries = entries
-        self.index = 0
-        self.fn = fn
-        self.cancelled = False
-        self._sim = sim
-        self._in_queue = False
-
-    def cancel(self):
-        """Drop every not-yet-fired delivery.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is None:
-            return
-        remaining = len(self.entries) - self.index
-        if self._in_queue:
-            # The head occupies a queue slot; the rest were counted in
-            # the simulator's train-pending tally.
-            sim._train_pending -= remaining - 1
-            sim._note_cancelled()
-        else:
-            # Mid-execution cancel (a delivery callback cancelled us):
-            # every unfired entry is still in the pending tally.
-            sim._train_pending -= remaining
-
-    def remaining(self):
-        return len(self.entries) - self.index
 
 
 class Timer:
@@ -239,13 +187,9 @@ class Simulator:
         self._cancelled = 0
         #: number of heap compactions performed (perf observability).
         self.compactions = 0
-        #: deliveries queued inside train events beyond each train's
-        #: head (keeps :attr:`pending_events` truthful and O(1)).
-        self._train_pending = 0
-        #: train deliveries that fired without a heap push/pop.
+        #: always 0: read by ``ledger/tracing.py`` (``net.train_peels``);
+        #: the ``benchmark``-archetype PR that edits the ledger may drop it.
         self.train_peels = 0
-        #: train events pushed (each covers >= 1 deliveries).
-        self.trains_scheduled = 0
         #: the simulation-wide observability bus (see :mod:`repro.obs`);
         #: emission is a near-no-op until something subscribes.
         self.bus = EventBus(self)
@@ -294,45 +238,6 @@ class Simulator:
         that is moved or cancelled much more often than it fires."""
         return Timer(self, fn, args)
 
-    def at_train(self, entries, fn):
-        """Schedule ``fn(payload)`` at ``time`` for each ``(time,
-        payload)`` entry, batched behind as few heap entries as
-        possible.
-
-        Every entry draws its own sequence number -- the same numbers
-        individual :meth:`at` calls would have drawn -- so firing order
-        is bit-identical to scheduling each entry separately.  Entries
-        whose times run backwards split the train (each pushed run must
-        be internally ordered); the heap restores global order.
-
-        Returns the :class:`TrainEvent` list (usually length 1).
-        """
-        events = []
-        run = []
-        last = None
-        for time, payload in entries:
-            if time < self.now:
-                raise ValueError(
-                    "cannot schedule into the past: time=%r < now=%r"
-                    % (time, self.now)
-                )
-            if last is not None and time < last:
-                events.append(self._push_train(run, fn))
-                run = []
-            run.append((time, next(self._seq), payload))
-            last = time
-        if run:
-            events.append(self._push_train(run, fn))
-        return events
-
-    def _push_train(self, stamped, fn):
-        event = TrainEvent(stamped, fn, self)
-        event._in_queue = True
-        heapq.heappush(self._queue, (stamped[0][0], stamped[0][1], event))
-        self._train_pending += len(stamped) - 1
-        self.trains_scheduled += 1
-        return event
-
     def _note_cancelled(self):
         """A queued entry went dead (cancelled event, stopped timer,
         superseded timer entry); compact if dead entries dominate the
@@ -347,8 +252,8 @@ class Simulator:
 
         Heap order is total over ``(time, seq)``, so rebuilding the heap
         from the survivors pops in exactly the same order the lazy path
-        would have produced.  The list object is kept (``run`` and
-        ``_fire_train`` hold it across callbacks that may land here).
+        would have produced.  The list object is kept (``run`` holds it
+        across callbacks that may land here).
         """
         queue = self._queue
         before = len(queue)
@@ -404,15 +309,7 @@ class Simulator:
                     self.now = until
                     break
                 _, seq, item = pop(queue)
-                kind = type(item)
-                if kind is TrainEvent:
-                    item._in_queue = False
-                    if item.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    fired = self._fire_train(item, until, max_events, fired)
-                    continue
-                if kind is Event:
+                if type(item) is Event:
                     # Detach so a cancel() after firing (or after this
                     # pop) cannot skew the in-queue cancelled count.
                     item._sim = None
@@ -435,52 +332,10 @@ class Simulator:
 
     def stop(self):
         """End the :meth:`run` in progress once the event now firing
-        returns.  Everything still queued stays queued (a train parks
-        its unfired deliveries), so a later ``run()`` resumes where
-        this one left off; outside a run it does nothing."""
+        returns.  Everything still queued stays queued, so a later
+        ``run()`` resumes where this one left off; outside a run it
+        does nothing."""
         self._stopped = True
-
-    def _fire_train(self, event, until, max_events, fired):
-        """Fire train deliveries, peeling consecutive ones inline.
-
-        After each delivery, the next entry runs without touching the
-        heap iff nothing queued sorts before it -- exactly the entry
-        the per-packet scheduler would pop next.  Otherwise (or once
-        :meth:`stop` is called) the train re-enters the heap keyed by
-        its next ``(time, seq)``.
-        """
-        entries = event.entries
-        n = len(entries)
-        queue = self._queue
-        while True:
-            time, _seq, payload = entries[event.index]
-            self.now = time
-            event.index += 1
-            event.fn(payload)
-            fired += 1
-            if max_events is not None and fired > max_events:
-                raise RuntimeError(
-                    "simulation exceeded %d events" % max_events)
-            if event.index >= n:
-                event._sim = None
-                return fired
-            if event.cancelled:
-                # cancel() already settled the pending tally.
-                return fired
-            following = entries[event.index]
-            next_time = following[0]
-            park = self._stopped or (until is not None and next_time > until)
-            if not park and queue:
-                # (time, seq, item) against (time, seq, payload): seq
-                # is unique, so the comparison stops there.
-                park = queue[0] < following
-            if park:
-                event._in_queue = True
-                self._train_pending -= 1
-                heapq.heappush(queue, (next_time, following[1], event))
-                return fired
-            self._train_pending -= 1
-            self.train_peels += 1
 
     def run_until(self, predicate, check_interval=0.01, timeout=600.0):
         """Run until ``predicate()`` is true or ``timeout`` sim-seconds pass.
@@ -508,7 +363,6 @@ class Simulator:
 
     @property
     def pending_events(self):
-        """Number of events still due to fire: live events, armed
-        timers (one each, however stale their heap entry) and every
-        delivery still inside a train (O(1))."""
-        return len(self._queue) - self._cancelled + self._train_pending
+        """Number of events still due to fire: live events and armed
+        timers (one each, however stale their heap entry) (O(1))."""
+        return len(self._queue) - self._cancelled

@@ -27,7 +27,8 @@ Shipped checkers (see DESIGN.md for the event taxonomy they consume):
   *different*, established, not-failed connection;
 - :class:`LinkConservationChecker` — per link, packets out + packets
   dropped never exceed packets in (nothing is created or double-counted
-  on a pipe).
+  on a pipe), and equal them once the simulator has nothing queued
+  (nothing vanishes on one either).
 """
 
 from repro.obs.events import (
@@ -89,6 +90,8 @@ class InvariantChecker:
     categories = None
     #: short stable identifier used in violation records
     name = "invariant"
+    #: the simulator under watch (set by :func:`arm_invariants`)
+    sim = None
 
     def __init__(self, strict=False):
         self.strict = strict
@@ -244,7 +247,11 @@ class LinkConservationChecker(InvariantChecker):
     """Per link: every delivered or dropped packet was first enqueued,
     so ``delivered + dropped <= enqueued`` at every instant, and the
     residue (in flight) is never negative.  ``finish()`` re-checks the
-    final residue so a counting bug at the tail of a run still fails."""
+    final residue, which must be exactly zero once the simulator has no
+    event left to fire: a packet that is neither delivered nor dropped
+    by then was lost by the simulator, not by the network.  While
+    events are still queued (``sim.run(until=...)`` callers) a positive
+    residue is traffic in flight and passes."""
 
     categories = (CAT_LINK,)
     name = "link-conservation"
@@ -275,13 +282,16 @@ class LinkConservationChecker(InvariantChecker):
             )
 
     def finish(self):
+        quiescent = self.sim is not None and self.sim.pending_events == 0
         for link, (enq, dlv, drp) in self._counts.items():
-            if dlv + drp > enq:
+            residue = enq - dlv - drp
+            if residue < 0 or (residue and quiescent):
                 self.violate(
                     None,
-                    "link %s: final residue negative (%d enqueued, %d "
-                    "delivered, %d dropped)" % (link, enq, dlv, drp),
+                    "link %s: final residue %d (%d enqueued, %d delivered, "
+                    "%d dropped)" % (link, residue, enq, dlv, drp),
                     link=link, enqueued=enq, delivered=dlv, dropped=drp,
+                    residue=residue,
                 )
 
 
@@ -355,4 +365,6 @@ def arm_invariants(sim, checkers=None, strict=False):
             instances.append(checker)
         else:
             instances.append(checker(strict=strict))
+    for checker in instances:
+        checker.sim = sim
     return InvariantHarness(sim.bus, instances)

@@ -48,7 +48,6 @@ from repro.perf.matrix import (
     run_matrix,
 )
 from repro.perf.sweep import SweepPoint, run_sweep, sweep_to_json
-from repro.perf.traincost import TrainCostAccountant, attach_train_accounting
 
 __all__ = [
     "Axis",
@@ -72,8 +71,6 @@ __all__ = [
     "TcplsModel",
     "TcplsVariant",
     "TlsTcpModel",
-    "TrainCostAccountant",
-    "attach_train_accounting",
     "make_policy",
     "merge_shards",
     "pageload_sweep_point",

@@ -377,8 +377,6 @@ class LoadgenHarness:
             # Simulator internals (heap hygiene + fast-forward), mirrored
             # into the bench ``--json`` envelopes.
             "heap_compactions": self.sim.compactions,
-            "train_peels": self.sim.train_peels,
-            "trains_scheduled": self.sim.trains_scheduled,
             "fluid_leaps": self.sim.fluid_leaps,
             "fluid_leapt_time": round(self.sim.fluid_leapt_time, 9),
         }
@@ -595,7 +593,6 @@ class FluidScenarioHarness:
             "fluid_solves": engine.solves,
             "fluid_events": engine.events,
             "heap_compactions": self.sim.compactions,
-            "train_peels": self.sim.train_peels,
             "links": links,
         }
 
@@ -659,7 +656,7 @@ def merge_shards(results):
         "peak_concurrent_sessions": 0, "table_peak": 0,
         "table_end": 0, "sessions_end": 0, "bytes_delivered": 0,
         "budget_pauses": 0, "retired": 0,
-        "heap_compactions": 0, "train_peels": 0, "fluid_leaps": 0,
+        "heap_compactions": 0, "fluid_leaps": 0,
     }
     hs_p99 = []
     tr_p99 = []
@@ -671,7 +668,7 @@ def merge_shards(results):
                     "sessions_end", "bytes_delivered", "budget_pauses",
                     "retired"):
             total[key] += result[key]
-        for key in ("heap_compactions", "train_peels", "fluid_leaps"):
+        for key in ("heap_compactions", "fluid_leaps"):
             total[key] += result.get(key, 0)
         for key in ("peak_concurrent_sessions", "table_peak"):
             total[key] += result[key]

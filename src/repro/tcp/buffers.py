@@ -37,8 +37,8 @@ class SendBuffer:
         self._head = 0         # index of first chunk with live bytes
         #: absolute sequence number one past the last queued byte
         self.end_seq = base_seq
-        # Peek cursor: index of the chunk the last peek landed in.  The
-        # train builder walks the buffer in MSS steps, so the next peek
+        # Peek cursor: index of the chunk the last peek landed in.
+        # ``_try_send`` walks the buffer in MSS steps, so the next peek
         # almost always hits the same chunk or its successor -- O(1)
         # instead of a bisect per segment.
         self._peek_index = 0

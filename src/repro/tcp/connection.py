@@ -140,11 +140,8 @@ class TcpConnection:
         self.retransmissions = 0
         self.established_at = None
 
-        # TSO/GSO-style segmentation offload: data and retransmit
-        # bursts leave as segment *trains* (one routing pass, one
-        # link-admission batch, one heap event downstream).  ``_train``
-        # is the collection buffer while a burst is being built.
-        self._train = None
+        # Burst counters: a burst ("train") is two or more segments one
+        # ``_try_send`` or ``_retransmit_lost`` emits back to back.
         self.trains_sent = 0
         self.train_segments_sent = 0
 
@@ -453,16 +450,13 @@ class TcpConnection:
         sent_any = False
         if self._lost.total:  # a plain attribute: no call while none is lost
             sent_any = self._retransmit_lost()
-        # New data leaves as one segment train (TSO/GSO-style offload):
-        # the header template -- ports, ACK, advertised window -- is
-        # built once for the whole burst, congestion/flow bookkeeping
-        # runs on exact local ints, and a burst of two or more goes out
-        # through a single send_train() call (a burst of one is handed
-        # to the host as it is).  ``window`` is constant across
-        # the burst (no ACK can arrive between synchronous sends), and
-        # ``in_flight`` grows by exactly the payload length per segment,
-        # so per-iteration arithmetic matches the unbatched loop
-        # bit-for-bit.
+        # New data is built as one burst: the header template -- ports,
+        # ACK, advertised window -- is built once, congestion/flow
+        # bookkeeping runs on exact local ints, and connection state is
+        # committed before the first packet leaves.  ``window`` is
+        # constant across the burst (no ACK can arrive between
+        # synchronous sends), and ``in_flight`` grows by exactly the
+        # payload length per segment.
         snd_nxt = self.snd_nxt
         available = self.snd_buf.end_seq - snd_nxt
         if available > 0:
@@ -477,7 +471,7 @@ class TcpConnection:
             data_segment = Segment.data_segment
             src_port, dst_port = self.local.port, self.remote.port
             src_addr, dst_addr = self.local.addr, self.remote.addr
-            first = train = None
+            burst = []
             while available > 0:
                 room = window - in_flight
                 if room <= 0:
@@ -493,31 +487,27 @@ class TcpConnection:
                 # flush the stream tail).
                 if size < mss and size < available and in_flight > 0:
                     break
-                packet = Packet(src_addr, dst_addr, "tcp", data_segment(
+                burst.append(Packet(src_addr, dst_addr, "tcp", data_segment(
                     src_port, dst_port, snd_nxt, ack, FLAGS_ACK, adv_window,
-                    peek(snd_nxt, size)))
-                if first is None:
-                    first = packet
-                elif train is None:
-                    train = [first, packet]
-                else:
-                    train.append(packet)
+                    peek(snd_nxt, size))))
                 snd_nxt += size
                 if self._rtt_seq is None:
                     self._rtt_seq = snd_nxt
                     self._rtt_time = self.sim.now
                 in_flight += size
                 available -= size
-            if first is not None:
+            if burst:
                 self.bytes_sent += snd_nxt - self.snd_nxt
                 self.snd_nxt = snd_nxt
                 sent_any = True
-                if train is None:
-                    self.segments_sent += 1
-                    self.stack.host.send(first)
-                else:
-                    self.segments_sent += len(train)
-                    self._flush_train(train, "data")
+                n = len(burst)
+                self.segments_sent += n
+                if n > 1:
+                    self.trains_sent += 1
+                    self.train_segments_sent += n
+                send = self.stack.host.send
+                for packet in burst:
+                    send(packet)
         if (not sent_any and self.peer_window == 0
                 and self.snd_buf.end_seq > self.snd_nxt):
             self._arm_persist()
@@ -555,39 +545,7 @@ class TcpConnection:
     def _emit(self, segment):
         packet = Packet(self.local.addr, self.remote.addr, "tcp", segment)
         self.segments_sent += 1
-        if self._train is not None:
-            self._train.append(packet)
-        else:
-            self.stack.host.send(packet)
-
-    def _flush_train(self, train, kind):
-        """Hand a collected burst to the host.
-
-        Two or more packets go out through one ``send_train`` call: one
-        routing pass, one link-admission batch, one simulator heap
-        event.  Admission still runs per packet in append order, so
-        drop/RNG/serialization behaviour is bit-identical to individual
-        sends.  Only a retransmit burst can arrive here with a single
-        packet (no train bookkeeping downstream) or none; new data's
-        burst of one never gets this far.
-        """
-        n = len(train)
-        if n == 0:
-            return
-        if n == 1:
-            self.stack.host.send(train[0])
-        else:
-            self.stack.host.send_train(train)
-            self.trains_sent += 1
-            self.train_segments_sent += n
-            bus = self.sim.bus
-            if bus.wants("perf"):
-                bus.emit("perf", "segment_train", {
-                    "conn": self.conn_id,
-                    "segments": n,
-                    "bytes": sum(p.wire_size() for p in train),
-                    "kind": kind,
-                })
+        self.stack.host.send(packet)
 
     def _send_ack(self):
         if self.state == CLOSED:
@@ -663,43 +621,39 @@ class TcpConnection:
 
         Returns True if anything was (re)sent.
         """
-        sent = False
-        # Retransmissions form their own train (never merged with new
-        # data: a retransmit boundary always splits bursts), flushed
-        # before the RTO re-arm so simulator bookkeeping happens in the
-        # same order as per-segment sends.
-        self._train = []
-        try:
-            while self._pipe() < self._send_window():
-                hole = self._lost.first_range_at_or_above(self.snd_una)
-                if hole is None:
-                    break
-                seq, end = hole
-                if self._fin_sent and self._fin_seq is not None and \
-                        seq >= self._fin_seq:
-                    self._lost.subtract(seq, end)
-                    self._send_segment(flags=FLAGS_FIN_ACK, seq=self._fin_seq,
-                                       ack=self._ack_value())
-                    self.retransmissions += 1
-                    sent = True
-                    continue
-                end = min(end, seq + self.mss, self.snd_buf.end_seq)
-                if end <= seq:
-                    self._lost.subtract(seq, hole[1])
-                    continue
-                payload = self.snd_buf.peek(seq, end - seq)
-                self._send_segment(flags=FLAGS_ACK, seq=seq,
-                                   ack=self._ack_value(), payload=payload)
-                self._lost.subtract(seq, end)      # back in flight
-                self._rexmitted.add(seq, end)
+        # Retransmissions are a burst of their own (never counted with
+        # the new data that may follow them).
+        before = self.retransmissions
+        while self._pipe() < self._send_window():
+            hole = self._lost.first_range_at_or_above(self.snd_una)
+            if hole is None:
+                break
+            seq, end = hole
+            if self._fin_sent and self._fin_seq is not None and \
+                    seq >= self._fin_seq:
+                self._lost.subtract(seq, end)
+                self._send_segment(flags=FLAGS_FIN_ACK, seq=self._fin_seq,
+                                   ack=self._ack_value())
                 self.retransmissions += 1
-                sent = True
-        finally:
-            train, self._train = self._train, None
-            self._flush_train(train, "rexmit")
-        if sent:
-            self._arm_rto()
-        return sent
+                continue
+            end = min(end, seq + self.mss, self.snd_buf.end_seq)
+            if end <= seq:
+                self._lost.subtract(seq, hole[1])
+                continue
+            payload = self.snd_buf.peek(seq, end - seq)
+            self._send_segment(flags=FLAGS_ACK, seq=seq,
+                               ack=self._ack_value(), payload=payload)
+            self._lost.subtract(seq, end)      # back in flight
+            self._rexmitted.add(seq, end)
+            self.retransmissions += 1
+        n = self.retransmissions - before
+        if n == 0:
+            return False
+        if n > 1:
+            self.trains_sent += 1
+            self.train_segments_sent += n
+        self._arm_rto()
+        return True
 
     # ------------------------------------------------------------------
     # Persist timer (zero-window probing)

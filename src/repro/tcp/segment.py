@@ -49,13 +49,12 @@ class Segment:
     @classmethod
     def data_segment(cls, src_port, dst_port, seq, ack, flags, window,
                      payload):
-        """Option-less segment without validation: the per-packet
-        constructor of the segmentation-offload train builder and of
-        pure ACKs.
+        """Option-less segment without validation: the constructor
+        ``_try_send`` uses for new data and ``_send_ack`` for pure ACKs.
 
         ``flags`` must be one of the prebuilt frozensets from
         :mod:`repro.tcp.connection`; validation and option handling are
-        skipped because a data train shares one header template and
+        skipped because a data burst shares one header template and
         only ``seq``/``payload`` vary per segment.
         """
         seg = cls.__new__(cls)

@@ -47,5 +47,20 @@ def test_engine_modules_do_not_import_io_layers():
 def test_engine_package_is_nonempty():
     modules = list(ENGINE_DIR.glob("*.py"))
     names = {p.stem for p in modules}
-    assert {"interfaces", "session", "client", "server", "scheduler",
+    assert {"interfaces", "session", "client", "server", "policy",
             "replay"} <= names
+
+
+def test_no_segment_train_fork_under_src():
+    """One send path: the per-train twin of ``Host.send -> Link.send ->
+    Simulator.at`` was deleted and must not grow back."""
+    gone = {"send_train", "at_train", "_flush_train", "_fire_train",
+            "TrainEvent"}
+    offences = []
+    for path in sorted(ENGINE_DIR.parents[1].rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "name", None) or getattr(node, "attr", None) \
+                or getattr(node, "id", None)
+            if name in gone:
+                offences.append("%s:%d %s" % (path, node.lineno, name))
+    assert not offences, "\n".join(offences)

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import connect_tcpls, make_net, tcpls_pair
 
-from repro.core.scheduler import LowestRttScheduler
+from repro.core.engine.policy import LowestRttScheduler
 
 
 def join_second_path(sim, topo, client):

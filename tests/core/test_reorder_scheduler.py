@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.reorder import ReorderBuffer
-from repro.core.scheduler import (
+from repro.core.engine.policy import (
     LowestRttScheduler,
     RedundantScheduler,
     RoundRobinScheduler,

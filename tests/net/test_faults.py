@@ -306,56 +306,26 @@ def test_scenario_applies_to_both_directions_of_a_path():
     assert not p1.c2s.faults  # untouched path has no scenario flap
 
 
-# -- segment trains through faults and middleboxes -----------------------
+# -- back-to-back bursts through faults and middleboxes -------------------
 
 
-def pump_trains(sim, link, times, batch=8):
-    """Like :func:`pump` but sends in ``batch``-sized trains."""
-    arrivals = []
-    link.connect(lambda pkt: arrivals.append(sim.now))
-    for i in range(0, len(times), batch):
-        chunk = times[i:i + batch]
-        sim.at(chunk[0], link.send_train,
-               [make_packet() for _ in chunk])
-    sim.run()
-    return arrivals
-
-
-def test_train_corruption_drops_match_per_packet_sends():
-    """BitCorruption admission runs per packet inside a train with the
-    same RNG draw order as individual sends: identical seeds must drop
-    the same packets and deliver at the same times either way."""
-
-    def send_individually(link, packets):
-        for packet in packets:
-            link.send(packet)
-
-    def run(trains):
-        sim = Simulator(seed=2)
-        link = Link(sim, rate_bps=80_000_000, delay=0.002)
-        fault = link.add_fault(BitCorruption(rate=0.3, seed=11))
-        arrivals = []
-        link.connect(lambda pkt: arrivals.append(sim.now))
-        for i in range(25):  # 25 bursts of 8
-            burst = [make_packet() for _ in range(8)]
-            if trains:
-                sim.at(i * 0.01, link.send_train, burst)
-            else:
-                sim.at(i * 0.01, send_individually, link, burst)
-        sim.run()
-        return arrivals, fault.corrupted, link.stats.dropped_packets
-
-    assert run(trains=True) == run(trains=False)
+def send_burst(link, packets):
+    """One sender emitting ``packets`` back to back at one instant."""
+    for packet in packets:
+        link.send(packet)
 
 
 def test_train_survivors_keep_serialization_spacing():
     """Dropped entries must not leave holes in the wire schedule: the
-    survivors of a corrupted train stay spaced by serialization time."""
+    survivors of a corrupted burst stay spaced by serialization time."""
     sim = Simulator(seed=3)
     rate = 8_000_000  # 1480 B -> 1.48 ms per packet
     link = Link(sim, rate_bps=rate, delay=0.0)
     link.add_fault(BitCorruption(rate=0.4, seed=5))
-    arrivals = pump_trains(sim, link, [0.0] * 32, batch=32)
+    arrivals = []
+    link.connect(lambda pkt: arrivals.append(sim.now))
+    send_burst(link, [make_packet() for _ in range(32)])
+    sim.run()
     assert 0 < len(arrivals) < 32  # some died, some survived
     ser = 1480 * 8.0 / rate
     for a, b in zip(arrivals, arrivals[1:]):
@@ -363,8 +333,8 @@ def test_train_survivors_keep_serialization_spacing():
 
 
 def test_train_through_rewriting_middlebox():
-    """Every packet of a train passes the middlebox individually; a
-    rewriting box must see and rewrite each one, in order."""
+    """A rewriting box sees and rewrites each packet of a burst, in
+    order."""
 
     class Rewriter:
         def __init__(self):
@@ -385,8 +355,7 @@ def test_train_through_rewriting_middlebox():
     link.add_middlebox(box)
     delivered = []
     link.connect(delivered.append)
-    sim.at(0.0, link.send_train,
-           [make_packet(data=b"original") for _ in range(6)])
+    send_burst(link, [make_packet(data=b"original") for _ in range(6)])
     sim.run()
     assert box.seen == 6
     assert [p.payload.payload for p in delivered] == [
@@ -394,14 +363,14 @@ def test_train_through_rewriting_middlebox():
 
 
 def test_train_through_dropping_middlebox_books_drops():
-    """A blackhole at delivery kills each train entry individually and
-    books every drop in the link stats."""
+    """A blackhole at delivery kills each packet of a burst and books
+    every drop in the link stats."""
     sim = Simulator(seed=4)
     link = Link(sim, rate_bps=None, delay=0.0)
     link.add_middlebox(Blackhole(active=True))
     delivered = []
     link.connect(delivered.append)
-    sim.at(0.0, link.send_train, [make_packet(1000) for _ in range(5)])
+    send_burst(link, [make_packet(1000) for _ in range(5)])
     sim.run()
     assert delivered == []
     assert link.stats.dropped_by("middlebox") == 5
@@ -409,14 +378,14 @@ def test_train_through_dropping_middlebox_books_drops():
 
 
 def test_train_inflight_outage_kills_unfired_deliveries():
-    """An outage that starts mid-train must kill the entries still in
-    flight, just as it kills individually scheduled packets."""
+    """An outage that starts while a burst is serializing kills the
+    deliveries still in flight and spares the ones already made."""
     sim = Simulator(seed=1)
     link = Link(sim, rate_bps=8_000_000, delay=0.0)  # 1.48 ms/packet
     link.add_fault(LinkFlap(windows=[(0.004, 1.0)]))
     delivered = []
     link.connect(delivered.append)
-    sim.at(0.0, link.send_train, [make_packet() for _ in range(6)])
+    send_burst(link, [make_packet() for _ in range(6)])
     sim.run()
     # Packets arriving at ~1.48/2.96 ms survive; >= 4.44 ms die.
     assert len(delivered) == 2

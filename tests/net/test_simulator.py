@@ -120,22 +120,22 @@ def test_cancel_after_firing_is_harmless():
 
 
 def test_compaction_drops_cancelled_events():
-    from repro.net.simulator import _COMPACT_MIN_CANCELLED
+    from repro.net.simulator import MIN_COMPACT
 
     sim = Simulator()
-    total = 2 * _COMPACT_MIN_CANCELLED + 10
+    total = 2 * MIN_COMPACT + 10
     events = [sim.schedule(1.0 + i, lambda: None) for i in range(total)]
-    for event in events[:_COMPACT_MIN_CANCELLED + 5]:
+    for event in events[:MIN_COMPACT + 5]:
         event.cancel()
     assert sim.compactions >= 1
-    assert len(sim._queue) == total - (_COMPACT_MIN_CANCELLED + 5)
-    assert sim.pending_events == total - (_COMPACT_MIN_CANCELLED + 5)
+    assert len(sim._queue) == total - (MIN_COMPACT + 5)
+    assert sim.pending_events == total - (MIN_COMPACT + 5)
 
 
 def test_compaction_preserves_firing_order():
-    from repro.net.simulator import _COMPACT_MIN_CANCELLED
+    from repro.net.simulator import MIN_COMPACT
 
-    n = 3 * _COMPACT_MIN_CANCELLED
+    n = 3 * MIN_COMPACT
     expected_sim = Simulator()
     expected = []
     for i in range(n):
@@ -155,15 +155,15 @@ def test_compaction_preserves_firing_order():
 
 
 def test_compaction_emits_perf_event():
-    from repro.net.simulator import _COMPACT_MIN_CANCELLED
+    from repro.net.simulator import MIN_COMPACT
     from repro.obs.bus import CaptureSink
 
     sim = Simulator()
     sink = CaptureSink()
     sim.bus.subscribe(sink, categories=["perf"])
     events = [sim.schedule(1.0 + i, lambda: None)
-              for i in range(2 * _COMPACT_MIN_CANCELLED)]
-    for event in events[:_COMPACT_MIN_CANCELLED + 1]:
+              for i in range(2 * MIN_COMPACT)]
+    for event in events[:MIN_COMPACT + 1]:
         event.cancel()
     compactions = [e for e in sink.events if e.name == "heap_compaction"]
     assert compactions
@@ -171,105 +171,17 @@ def test_compaction_emits_perf_event():
     assert data["before"] > data["after"]
 
 
-# -- train events ---------------------------------------------------------
-
-
-def test_at_train_fires_in_per_event_order():
-    """A train must fire exactly like the equivalent individual at()
-    calls, including interleaving with independently scheduled events
-    (seq draws decide ties at equal times)."""
-
-    def run(trains):
-        sim = Simulator()
-        fired = []
-        sim.at(0.05, fired.append, "solo-early")
-        entries = [(0.02 * i, "train-%d" % i) for i in range(1, 6)]
-        if trains:
-            sim.at_train(entries, fired.append)
-        else:
-            for t, payload in entries:
-                sim.at(t, fired.append, payload)
-        sim.at(0.05, fired.append, "solo-late")
-        sim.run()
-        return fired
-
-    assert run(trains=True) == run(trains=False)
-    # And the tie at t=0.05 lands between the two solo events.
-    assert run(trains=True).index("train-2") < \
-        run(trains=True).index("solo-late")
-
-
-def test_at_train_splits_on_backwards_times():
-    """Non-monotonic entry times split the train; the heap restores
-    global firing order across the splits."""
-    sim = Simulator()
-    fired = []
-    events = sim.at_train(
-        [(0.3, "a"), (0.4, "b"), (0.1, "c"), (0.2, "d")], fired.append)
-    assert len(events) == 2
-    sim.run()
-    assert fired == ["c", "d", "a", "b"]
-
-
-def test_train_cancel_drops_unfired_deliveries():
-    sim = Simulator()
-    fired = []
-    (event,) = sim.at_train(
-        [(0.1 * i, i) for i in range(1, 6)], fired.append)
-    sim.at(0.25, event.cancel)
-    sim.run()
-    assert fired == [1, 2]
-    assert sim.pending_events == 0
-
-
-def test_train_cancel_from_inside_a_delivery():
-    """A delivery callback cancelling its own train stops the peel
-    immediately and settles the pending tally."""
-    sim = Simulator()
-    fired = []
-    holder = {}
-
-    def deliver(payload):
-        fired.append(payload)
-        if payload == 2:
-            holder["event"].cancel()
-
-    (holder["event"],) = sim.at_train(
-        [(0.1 * i, i) for i in range(1, 6)], deliver)
-    sim.run()
-    assert fired == [1, 2]
-    assert sim.pending_events == 0
-
-
 def test_pending_events_counts_train_entries():
+    """Every delivery of a back-to-back burst is its own queued event."""
     sim = Simulator()
-    sim.at_train([(0.1 * i, i) for i in range(1, 9)], lambda _p: None)
+    for i in range(1, 9):
+        sim.at(0.1 * i, lambda: None)
     sim.at(1.0, lambda: None)
-    # 8 deliveries inside one heap entry, plus the solo event.
     assert sim.pending_events == 9
-    assert sim.trains_scheduled == 1
+    sim.run(until=0.45)
+    assert sim.pending_events == 5
     sim.run()
     assert sim.pending_events == 0
-
-
-def test_uncontended_train_peels_without_heap_traffic():
-    sim = Simulator()
-    fired = []
-    sim.at_train([(0.1 * i, i) for i in range(1, 9)], fired.append)
-    sim.run()
-    assert fired == list(range(1, 9))
-    # Head pops once; the 7 followers peel inline.
-    assert sim.train_peels == 7
-
-
-def test_contended_train_reenters_heap_for_interleaved_event():
-    sim = Simulator()
-    fired = []
-    sim.at_train([(0.1, "t1"), (0.3, "t2")], fired.append)
-    sim.at(0.2, fired.append, "solo")
-    sim.run()
-    assert fired == ["t1", "solo", "t2"]
-    assert sim.train_peels == 0  # the follower had to re-enter the heap
 
 
 def test_min_compact_is_per_instance():
@@ -294,9 +206,9 @@ def test_min_compact_is_per_instance():
 
 
 def test_compaction_inside_train_delivery_keeps_the_rest_of_the_train():
-    """A delivery callback that triggers a heap compaction (which
-    rebinds the heap list) must not strand the train's remaining
-    entries on the old list."""
+    """A delivery callback that triggers a heap compaction must not
+    strand the burst's later deliveries (the PR 15 alias bug's shape:
+    ``run`` holds the heap list across the callback)."""
     sim = Simulator(min_compact=4)
     fired = []
 
@@ -308,7 +220,8 @@ def test_compaction_inside_train_delivery_keeps_the_rest_of_the_train():
                 event.cancel()
 
     sim.at(1.5, fired.append, "x")
-    sim.at_train([(1.0, "a"), (2.0, "b"), (3.0, "c")], deliver)
+    for time, payload in [(1.0, "a"), (2.0, "b"), (3.0, "c")]:
+        sim.at(time, deliver, payload)
     sim.run()
     assert sim.compactions >= 1
     assert fired == ["a", "x", "b", "c"]
@@ -357,12 +270,11 @@ def test_stop_inside_a_train_delivery_parks_the_rest_of_the_train():
         if payload == 2:
             sim.stop()
 
-    sim.at_train([(0.1 * i, i) for i in range(1, 6)], deliver)
+    for i in range(1, 6):
+        sim.at(0.1 * i, deliver, i)
     sim.at(1.0, fired.append, "solo")
     assert sim.pending_events == 6
     sim.run()
-    # Deliveries 1 and 2 ran (2 peeled inline); 3..5 would have peeled
-    # too, but went back into the heap behind one entry.
     assert fired == [1, 2]
     assert sim.now == pytest.approx(0.2)
     assert sim.pending_events == 4
@@ -380,7 +292,8 @@ def test_stop_on_the_last_train_delivery_leaves_nothing_behind():
         if payload == 3:
             sim.stop()
 
-    sim.at_train([(0.1 * i, i) for i in range(1, 4)], deliver)
+    for i in range(1, 4):
+        sim.at(0.1 * i, deliver, i)
     sim.at(1.0, fired.append, "solo")
     sim.run()
     assert fired == [1, 2, 3]
@@ -518,7 +431,6 @@ _timer_ops = st.lists(st.one_of(
     st.tuples(st.just("arm"), st.integers(0, 2), _delay),
     st.tuples(st.just("cancel"), st.integers(0, 2)),
     st.tuples(st.just("schedule"), _delay),
-    st.tuples(st.just("train"), _delay),
     st.tuples(st.just("advance"), _delay),
 ), max_size=60)
 
@@ -527,7 +439,7 @@ _timer_ops = st.lists(st.one_of(
 @given(_timer_ops, st.sampled_from([2, 64]))
 def test_property_timer_matches_cancel_and_schedule(ops, min_compact):
     """Random arm/cancel/advance scripts over several timers, mixed
-    with plain events and trains, fire the same (time, label) sequence
+    with plain events, fire the same (time, label) sequence
     as cancel-and-reschedule -- ties included -- and ``pending_events``
     agrees after every step.  Timers also re-arm from callbacks."""
 
@@ -550,11 +462,6 @@ def test_property_timer_matches_cancel_and_schedule(ops, min_compact):
             elif op[0] == "schedule":
                 sim.schedule(op[1], lambda s=step: log.append(
                     (sim.now, "event-%d" % s)))
-            elif op[0] == "train":
-                sim.at_train(
-                    [(sim.now + op[1] + 0.25 * k, "train-%d-%d" % (step, k))
-                     for k in range(3)],
-                    lambda label: log.append((sim.now, label)))
             else:
                 sim.run(until=sim.now + op[1])
             log.append(("pending", sim.pending_events))

@@ -4,6 +4,9 @@ event stream (the negative tests) and stay silent on a clean one."""
 import pytest
 
 from repro.net import Simulator
+from repro.net.address import IPAddress
+from repro.net.link import Link
+from repro.net.packet import Packet
 from repro.obs import (
     CwndSanityChecker,
     FailoverSanityChecker,
@@ -13,6 +16,7 @@ from repro.obs import (
     NonceUniquenessChecker,
     arm_invariants,
 )
+from repro.tcp.segment import Segment
 
 pytestmark = pytest.mark.obs
 
@@ -166,6 +170,7 @@ def test_link_conservation_accepts_balanced_flow():
     sim.bus.emit("link", "deliver", {"link": "l0", "bytes": 100})
     sim.bus.emit("link", "drop", {"link": "l0", "bytes": 100,
                                   "reason": "loss"})
+    sim.schedule(1.0, lambda: None)     # the third packet's delivery
     harness.assert_clean()      # one packet legitimately still in flight
 
 
@@ -196,6 +201,54 @@ def test_link_conservation_finish_reports_residue():
     (violation,) = checker.violations
     assert violation.time == -1.0       # finish()-time, no event
     assert "residue" in violation.message
+
+
+def _burst_on_a_link(sim, sink, n=3):
+    """``n`` packets sent back to back to ``sink`` over a 1.48
+    ms/packet link named "wire"."""
+    link = Link(sim, rate_bps=8_000_000, delay=0.0, name="wire")
+    link.connect(sink)
+    for seq in range(n):
+        link.send(Packet(IPAddress("10.0.0.1"), IPAddress("10.0.0.2"), "tcp",
+                         Segment(1, 2, seq=seq, payload=b"x" * 1440)))
+
+
+def test_link_conservation_quiescence_survives_compaction_in_a_delivery():
+    """The PR 15 packet-eating bug's shape, per packet: a delivery
+    callback cancels enough timers to compact the heap while the rest
+    of its burst is still queued.  Every packet arrives and the drained
+    simulator leaves no residue."""
+    sim = Simulator(min_compact=4)
+    harness = arm_invariants(sim, checkers=(LinkConservationChecker,))
+    delivered = []
+
+    def deliver_and_churn(packet):
+        delivered.append(packet)
+        if len(delivered) == 1:
+            for event in [sim.schedule(5.0, lambda: None) for _ in range(8)]:
+                event.cancel()
+
+    _burst_on_a_link(sim, deliver_and_churn)
+    sim.run()
+    assert sim.compactions >= 1
+    assert len(delivered) == 3 and sim.pending_events == 0
+    harness.assert_clean()
+
+
+def test_link_conservation_fires_when_a_queued_delivery_vanishes():
+    sim, harness, checker = armed(LinkConservationChecker)
+    delivered = []
+    _burst_on_a_link(sim, delivered.append)
+    sim.run(until=0.002)            # one delivered, two in flight
+    harness.finish()
+    assert not checker.violations   # events still queued: in flight
+    # Remove one queued delivery behind the link's back (no drop booked).
+    del sim._queue[-1]
+    sim.run()
+    assert len(delivered) == 2 and sim.pending_events == 0
+    (violation,) = harness.finish()
+    assert violation.details["link"] == "wire"
+    assert violation.details["residue"] == 1
 
 
 # -- harness behaviour -------------------------------------------------------

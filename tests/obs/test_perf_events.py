@@ -63,14 +63,14 @@ def test_stats_track_sealed_and_opened_bytes():
 
 
 def test_heap_compaction_event_carries_queue_sizes():
-    from repro.net.simulator import _COMPACT_MIN_CANCELLED
+    from repro.net.simulator import MIN_COMPACT
 
     sim = Simulator()
     sink = CaptureSink()
     sim.bus.subscribe(sink, categories=(CAT_PERF,))
     events = [sim.schedule(1.0 + i, lambda: None)
-              for i in range(2 * _COMPACT_MIN_CANCELLED)]
-    for event in events[: _COMPACT_MIN_CANCELLED + 1]:
+              for i in range(2 * MIN_COMPACT)]
+    for event in events[: MIN_COMPACT + 1]:
         event.cancel()
     names = [e.name for e in sink.events]
     assert "heap_compaction" in names

@@ -11,7 +11,8 @@ must stay under :data:`CEILING` calls per segment sent.
 History of the figure (this scenario, 381 segments; the ledger's traced
 ``bulk_download`` counts its observer's events too and reads 141.7 and
 98.9): 110.3 before the header-predicted receive path, one-segment
-send path and pending-first pump; 73.0 after.
+send path and pending-first pump; 73.0 after; 71.0 once the
+segment-train fork was deleted and every packet took ``Host.send``.
 """
 
 import cProfile
@@ -28,8 +29,8 @@ from repro.tcp import TcpStack
 
 SIZE = 256 << 10
 
-#: calls per segment this scenario may cost: 15 % above the measured
-#: figure, a quarter below where it stood before
+#: calls per segment this scenario may cost: 15 % above the 73.0 it
+#: was set against, a quarter below where it stood before that
 CEILING = 84
 
 

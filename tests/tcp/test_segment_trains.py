@@ -1,8 +1,8 @@
-"""Segment-train (TSO/GSO coalescing) edge cases.
+"""Back-to-back segment bursts ("trains") edge cases.
 
-The train builder must behave exactly like per-segment sends: split at
-the receive-window boundary, survive partial ACKs of a train, and keep
-the per-connection counters truthful.
+A burst is what one ``_try_send`` or ``_retransmit_lost`` emits: it
+must stop at the receive-window boundary, survive partial ACKs, and
+keep the per-connection burst counters truthful.
 """
 
 from repro.net import Simulator, build_multipath
@@ -26,8 +26,8 @@ def test_bulk_transfer_emits_trains():
     payload = bytes(range(256)) * 4096  # 1 MiB
     bulk_sender(conn, payload)
     assert run_transfer(sim, conn, received, len(payload)) == payload
-    # A bulk transfer must actually coalesce: trains were sent, every
-    # train covered >= 2 segments, and the sum matches the counters.
+    # A bulk transfer clocks out bursts: each counted burst covers >= 2
+    # segments, and never more than were sent.
     assert conn.trains_sent > 0
     assert conn.train_segments_sent >= 2 * conn.trains_sent
     assert conn.train_segments_sent <= conn.segments_sent
@@ -74,7 +74,7 @@ def test_train_splits_at_receive_window_boundary():
 
 
 def test_retransmit_of_partially_acked_train():
-    """Drop a mid-train segment, deliver a cumulative ACK for the
+    """Drop a mid-burst segment, deliver a cumulative ACK for the
     prefix, and check the retransmission covers exactly the hole."""
     sim, topo, cstack, sstack = make_net(n_paths=1)
     on_accept, received = bulk_receiver()
@@ -84,7 +84,7 @@ def test_retransmit_of_partially_acked_train():
     sim.run(until=1.0)
     assert conn.state == "ESTABLISHED"
 
-    # Drop one data segment out of the middle of the first big train.
+    # Drop one data segment out of the middle of the first big burst.
     link = topo.path(0).c2s
     state = {"seen": 0}
     original_sink = link._sink
@@ -93,7 +93,7 @@ def test_retransmit_of_partially_acked_train():
         seg = packet.payload
         if seg.payload:
             state["seen"] += 1
-            if state["seen"] == 3:   # third data segment of the train
+            if state["seen"] == 3:   # third data segment of the burst
                 state["dropped"] = (seg.seq, seg.seq + len(seg.payload))
                 return               # swallowed
         original_sink(packet)
@@ -105,17 +105,17 @@ def test_retransmit_of_partially_acked_train():
     conn.on_send_space(conn)
     sim.run_until(lambda: len(received) >= len(payload), timeout=60.0)
     assert bytes(received) == payload
-    assert "dropped" in state, "the dropper never saw a mid-train segment"
+    assert "dropped" in state, "the dropper never saw a mid-burst segment"
     assert conn.retransmissions >= 1
-    # Let the final ACK land: the partially-acked train is fully
+    # Let the final ACK land: the partially-acked burst is fully
     # recovered and everything below snd_nxt is acknowledged again.
     sim.run(until=sim.now + 2.0)
     assert conn.snd_una == conn.snd_nxt
 
 
 def test_train_counters_zero_without_bulk():
-    """Pure handshake + tiny exchange: no coalescing opportunity, so
-    single-segment sends must not book trains."""
+    """Pure handshake + tiny exchange: single-segment sends must not
+    book bursts."""
     sim, topo, cstack, sstack = make_net(n_paths=1)
     on_accept, received = bulk_receiver()
     sstack.listen(443, on_accept)
@@ -127,24 +127,3 @@ def test_train_counters_zero_without_bulk():
     assert bytes(received) == b"hi"
     assert conn.trains_sent == 0
     assert conn.train_segments_sent == 0
-
-
-def test_segment_train_perf_event_emitted():
-    sim, topo, cstack, sstack = make_net(n_paths=1)
-    events = []
-    sim.bus.subscribe(events.append, categories=("perf",))
-    on_accept, received = bulk_receiver()
-    sstack.listen(443, on_accept)
-    p = topo.path(0)
-    conn = cstack.connect(p.client_addr, Endpoint(p.server_addr, 443))
-    payload = b"\x3C" * (256 * 1024)
-    bulk_sender(conn, payload)
-    sim.run_until(lambda: len(received) >= len(payload), timeout=30.0)
-    trains = [e for e in events if e.name == "segment_train"]
-    assert trains, "bulk transfer emitted no segment_train events"
-    assert sum(e.data["segments"] for e in trains) == \
-        conn.train_segments_sent
-    for event in trains:
-        assert event.data["segments"] >= 2
-        assert event.data["kind"] in ("data", "rexmit")
-        assert event.data["conn"] == conn.conn_id
