@@ -58,17 +58,16 @@ def run_fluid(args):
     }
     started = time.monotonic()
     results = []
-    scenario_walls = {}
     for scenario in scenarios:
         t0 = time.monotonic()
         metrics = run_fluid_scenario(
             scenario=scenario, flows=args.flows, seed=args.seed)
-        scenario_walls[scenario] = round(time.monotonic() - t0, 3)
+        scenario_wall = time.monotonic() - t0
         print("c1m-fluid: %s: %d/%d flows, %d leaps (%.1fs sim leapt), "
               "%d solves, wall %.1fs"
               % (scenario, metrics["flows_completed"], metrics["flows"],
                  metrics["fluid_leaps"], metrics["fluid_leapt_time"],
-                 metrics["fluid_solves"], scenario_walls[scenario]),
+                 metrics["fluid_solves"], scenario_wall),
               file=sys.stderr)
         results.append(metrics)
     wall = time.monotonic() - started
@@ -86,28 +85,6 @@ def run_fluid(args):
             "heap_compactions": sum(r["heap_compactions"] for r in results),
         },
     }
-    if args.compare_packet:
-        # Before/after record: the same machine runs the packet-level
-        # acceptance C1M so BENCH_7-style files carry both wall clocks.
-        # Wall timing is machine-dependent and only included under this
-        # flag -- the default envelope stays deterministic.
-        print("c1m-fluid: running packet-level baseline (%d sessions)..."
-              % args.sessions, file=sys.stderr)
-        t0 = time.monotonic()
-        packet = run_shard(sessions=args.sessions, seed=args.seed,
-                           budget_bytes=args.budget)
-        packet_wall = round(time.monotonic() - t0, 3)
-        envelope["wall_clock"] = {
-            "note": "machine-dependent; recorded by --compare-packet",
-            "fluid_scenarios_s": scenario_walls,
-            "fluid_total_s": round(time.monotonic() - started
-                                   - packet_wall, 3),
-            "packet_c1m_s": packet_wall,
-            "packet_sessions": args.sessions,
-            "fluid_flows": args.flows,
-        }
-        print("c1m-fluid: packet baseline %d sessions in %.1fs wall"
-              % (args.sessions, packet_wall), file=sys.stderr)
     text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     if args.json:
         with open(args.json, "w") as fh:
@@ -145,10 +122,6 @@ def main(argv=None):
                              % "/".join(FluidScenarioHarness.SCENARIOS))
     parser.add_argument("--flows", type=int, default=100_000,
                         help="flow population for --fluid (default 100000)")
-    parser.add_argument("--compare-packet", action="store_true",
-                        help="with --fluid: also run the packet-level "
-                             "C1M and record both wall clocks in the "
-                             "envelope (machine-dependent)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the deterministic envelope here")
     args = parser.parse_args(argv)

@@ -166,11 +166,6 @@ class TcplsEngine:
         #: set, every external input event is appended for deterministic
         #: replay (debugging).
         self.input_log = None
-        #: optional fluid fast-forward bridge (see
-        #: :class:`repro.net.fluid.SessionFluidAdapter`): when set, the
-        #: pump offers it bulk stream backlogs so steady-state transfers
-        #: advance analytically instead of sealing per-record.
-        self.fluid = None
 
         # Statistics (the ablation benches read these).
         self.stats = {
@@ -185,7 +180,6 @@ class TcplsEngine:
             "failovers": 0,
             "bytes_sealed": 0,
             "bytes_opened": 0,
-            "bytes_fluid": 0,
         }
 
         # Application callbacks (all optional, called with rich args).
@@ -663,14 +657,6 @@ class TcplsEngine:
         -- same records, same wire bytes, one ``_drain`` per batch.
         """
         conn = stream.connection
-        if self.fluid is not None:
-            if stream.fluid_active:
-                # The fluid engine owns this stream's bytes; the FIN
-                # (and any tail bytes) are pumped when it hands back.
-                return False
-            if (stream.pending and conn is not None and conn.usable()
-                    and self.fluid.offer(self, stream, conn)):
-                return False
         sent = False
         while (stream.pending or
                (stream.fin_pending and not stream.fin_sent)):
@@ -1153,8 +1139,6 @@ class TcplsEngine:
             if not failed.failed:
                 failed.failed = True
                 failed.alive = False
-                if self.fluid is not None:
-                    self.fluid.conn_failed_hook(failed)
                 failed.tcp.abort()
                 failed.pending_out.clear()
                 failed.pending_out_bytes = 0
@@ -1204,10 +1188,6 @@ class TcplsEngine:
         for stream in self.streams.values():
             if self._is_control(stream) or stream.connection is not conn:
                 continue
-            if stream.fluid_active:
-                # Fluid-served transfer: in flight by definition (the
-                # engine's progress clock decides whether it stalled).
-                return True
             if (stream.pending or stream.unacked
                     or (stream.fin_pending and not stream.fin_sent)):
                 return True
@@ -1244,10 +1224,6 @@ class TcplsEngine:
             return
         conn.failed = True
         conn.alive = False
-        if self.fluid is not None:
-            # Unserved fluid bytes return to stream.pending before the
-            # failover pump runs, so replay/re-handoff see them.
-            self.fluid.conn_failed_hook(conn)
         self._emit("session", "conn_failed",
                    {"conn": conn.conn_id, "reason": reason})
         self.emit_perf_totals()

@@ -55,9 +55,6 @@ class TcplsStream:
         self.unacked = []                # [(record_seq, wire_bytes)]
         self.fin_pending = False
         self.fin_sent = False
-        #: bytes of this stream are being served by the fluid
-        #: fast-forward engine (set on both endpoints' views)
-        self.fluid_active = False
         # Receive side.
         self.recv_decrypted = RangeSet()
         self.recv_reorder = ReorderBuffer()

@@ -36,7 +36,6 @@ from repro.net.scenario import Scenario
 from repro.net.fluid import (
     FluidCohort,
     FluidEngine,
-    SessionFluidAdapter,
     max_min_shares,
 )
 from repro.net.topology import (
@@ -74,7 +73,6 @@ __all__ = [
     "Router",
     "RstInjector",
     "Scenario",
-    "SessionFluidAdapter",
     "Simulator",
     "StatefulFirewall",
     "build_dumbbell",

@@ -1,24 +1,26 @@
-"""Fluid-model fast-forward: leap steady-state flows analytically.
+"""Fluid-model fast-forward: cohorts of flows advance analytically.
 
 Per-packet simulation is exact but costs one event per segment; at
 100k flows the interpreter, not the model, dominates wall-clock.  This
-module adds the hybrid mode the ROADMAP calls for (in the style of
-dt-simulator's ``eventSimulator``): once a flow is in
-congestion-avoidance steady state its throughput is computed *in
-closed form* — weighted max-min fair shares over the links it crosses
-— and simulated time leaps directly to the next **discrete** event:
+module models a flow population instead of simulating its packets (in
+the style of dt-simulator's ``eventSimulator``): a flow's throughput is
+computed *in closed form* — weighted max-min fair shares over the links
+it crosses — and simulated time leaps directly to the next **discrete**
+event:
 
-* a scheduled fault boundary (flap window opening/closing, a blackhole
-  activating, a path forced down),
-* an application write / close / new flow joining a link,
+* a scheduled fault boundary (flap window opening/closing, a path
+  forced down, a link hot-plugged),
+* a cohort joining or leaving a link,
 * a slow-start exit (one event per RTT while a flow still doubles),
 * a bulk-transfer completion.
 
 Between those events no per-packet work happens at all: per-flow
 delivered-byte counters, the modelled cwnd, and ``LinkStats`` advance
-arithmetically over the leapt interval.  Around transitions — loss,
-failover, handshakes — flows leave the fluid engine and the packet
-simulator regains full fidelity (see :class:`SessionFluidAdapter`).
+arithmetically over the leapt interval.  Fluid flows are never TCP
+connections and never touch the TCPLS engine: what the model leaves out
+(loss, queueing, the failover handshake) is measured against the packet
+path in ``tests/net/test_fluid_equivalence.py`` and stated in
+DESIGN.md section 8.
 
 The unit of bookkeeping is the :class:`FluidCohort`: ``n`` flows that
 share a path, a weight and a start time, and therefore always have
@@ -46,10 +48,10 @@ STALLED = "stalled"
 def link_capacity_bps(link, now):
     """Fluid-visible capacity of a link at ``now`` in bits/s.
 
-    Zero while the link is administratively down, any attached
-    flap-style fault is inside an outage window (or forced down), or an
-    attached blackhole middlebox is active.  ``rate_bps=None`` means
-    uncapped (``inf``).
+    Zero while the link is administratively down or any attached
+    flap-style fault is inside an outage window (or forced down).
+    Middleboxes are not consulted: no cohort crosses a blackhole.
+    ``rate_bps=None`` means uncapped (``inf``).
     """
     if not link.up:
         return 0.0
@@ -57,10 +59,6 @@ def link_capacity_bps(link, now):
         down_at = getattr(fault, "down_at", None)
         if down_at is not None and down_at(now):
             return 0.0
-    for box in link.middleboxes:
-        if getattr(box, "active", False) and hasattr(box, "activate"):
-            if type(box).__name__ == "Blackhole":
-                return 0.0
     if link.rate_bps is None:
         return float("inf")
     return float(link.rate_bps)
@@ -70,10 +68,9 @@ def link_next_change(link, now):
     """Earliest scheduled capacity boundary strictly after ``now``.
 
     Scans flap-style fault windows (the only *passively* scheduled
-    outages: forced flaps, blackhole middleboxes and ``set_up`` run as
-    simulator events and notify the engine directly via
-    :meth:`FluidEngine.touch`).  Returns ``None`` when nothing is
-    scheduled.
+    outages: forced flaps and ``set_up`` run as simulator events and
+    notify the engine directly via :meth:`FluidEngine.touch`).  Returns
+    ``None`` when nothing is scheduled.
     """
     best = None
     for fault in link.faults:
@@ -206,8 +203,7 @@ class FluidCohort:
     """
 
     def __init__(self, links, sizes, rtt, weight=None, cwnd=None,
-                 overhead=1.0, pkt_bytes=1500.0, label="",
-                 delivery_interval=None):
+                 overhead=1.0, pkt_bytes=1500.0, label=""):
         self.links = tuple(links)
         #: per-simulation ordinal (the default label's suffix)
         self.cohort_id = self.links[0].sim.bus.next_id("cohort")
@@ -229,7 +225,6 @@ class FluidCohort:
         self.phase = SLOW_START if cwnd is not None else STEADY
         self.overhead = float(overhead)      # link bytes per app byte
         self.pkt_bytes = float(pkt_bytes)    # link bytes per packet
-        self.delivery_interval = delivery_interval
         self.served = 0.0        # app bytes served per member flow
         self.rate = 0.0          # current per-flow app bytes/s
         self.stalled_at = None
@@ -240,7 +235,6 @@ class FluidCohort:
         self.on_all_done = None        # (cohort)
         self.on_stall = None           # (cohort)
         self.on_resume = None          # (cohort)
-        self.on_advance = None         # (cohort, app_bytes_per_flow)
 
     @property
     def active_flows(self):
@@ -260,17 +254,6 @@ class FluidCohort:
         """App bytes left across all member flows (O(1))."""
         return max(self._size_total - self._completed_total
                    - self.active_flows * self.served, 0.0)
-
-    def add_bytes(self, nbytes):
-        """Grow a single-flow cohort's transfer (late application
-        write).  Only meaningful for ``n == 1`` cohorts."""
-        if self.n != 1:
-            raise ValueError("add_bytes requires a single-flow cohort")
-        self.sizes[0] += float(nbytes)
-        self._size_total += float(nbytes)
-        if self.completed:
-            self.completed = 0
-            self._completed_total = 0.0
 
     def cap_rate(self):
         """Per-flow demand ceiling in app bytes/s (``None`` = greedy)."""
@@ -335,19 +318,6 @@ class FluidEngine:
         self._process_transitions()
         self._resolve()
 
-    def progress_time(self, cohort):
-        """Timestamp of the cohort's last forward progress.
-
-        ``now`` while it is being served (progress is continuous
-        between events), the stall time while a dead link starves it.
-        Wired into :attr:`TcpConnection.fluid_progress
-        <repro.tcp.connection.TcpConnection>` so user timeouts fire on
-        real stalls but never on leapt (eventless) healthy intervals.
-        """
-        if cohort.stalled_at is not None:
-            return cohort.stalled_at
-        return self.sim.now
-
     # -- closed-form advance --------------------------------------------
 
     def _advance_to(self, now):
@@ -367,8 +337,6 @@ class FluidEngine:
                 delta = head
             cohort.served += delta
             self._book_link_stats(cohort, delta)
-            if cohort.on_advance is not None and delta > 0.0:
-                cohort.on_advance(cohort, delta)
         self._t = now
         self.leaps += 1
         self.leapt_time += dt
@@ -502,8 +470,6 @@ class FluidEngine:
                 head = cohort.remaining_head()
                 if head is not None:
                     consider(now + head / cohort.rate)
-                if cohort.delivery_interval:
-                    consider(now + cohort.delivery_interval)
             elif cohort.rate == float("inf"):
                 consider(now)  # degenerate: complete immediately
             if cohort.phase == SLOW_START and cohort.stalled_at is None:
@@ -528,250 +494,10 @@ class FluidEngine:
         self._resolve()
 
 
-class SessionFluidAdapter:
-    """Hybrid bridge: bulk TCPLS stream bytes ride the fluid engine.
-
-    Installed on the *sending* session (``session.fluid``); the pump
-    offers it any stream whose backlog crosses ``threshold`` while its
-    connection is in congestion-avoidance steady state.  Accepted bytes
-    leave ``stream.pending`` and become a single-flow
-    :class:`FluidCohort` on the connection's path links; delivery goes
-    straight into the peer session's stream buffer.  Everything
-    *discrete* — handshakes, control records, the FIN record, user
-    timeouts, SYNC/failover — stays packet-level, so both endpoints run
-    the exact same state machines as in pure packet mode:
-
-    * a stall (dead link) freezes :meth:`FluidEngine.progress_time`,
-      the untouched UTO machinery fires, and the session's normal
-      failover path runs;
-    * on connection failure the unserved bytes return to the *front* of
-      ``stream.pending`` and re-enter fluid service on the failover
-      target (fresh slow start, matching the new connection);
-    * at completion the modelled cwnd resyncs into the TCP connection
-      and the pump seals the FIN record packet-level.
-    """
-
-    def __init__(self, engine, session, peer, links_for,
-                 threshold=64 * 1024, delivery_interval=None):
-        self.engine = engine
-        self.session = session
-        self.peer = peer
-        self.links_for = links_for
-        self.threshold = threshold
-        self.delivery_interval = delivery_interval
-        self.flows = {}     # stream_id -> _AdapterFlow
-        self.handoffs = 0
-        self.bytes_handed = 0
-        session.fluid = self
-
-    # -- pump-facing hook -------------------------------------------------
-
-    def offer(self, session, stream, conn):
-        """Take over ``stream``'s backlog if it qualifies; returns
-        ``True`` when the fluid engine now owns the bytes."""
-        if stream.stream_id in self.flows:
-            return True
-        if len(stream.pending) < self.threshold:
-            return False
-        tcp = conn.tcp
-        if not tcp.is_steady_state():
-            return False
-        links = self.links_for(conn)
-        if not links:
-            return False
-        data = bytes(stream.pending)
-        del stream.pending[:]
-        rtt = tcp.rtt.srtt
-        if not rtt:
-            rtt = 2.0 * sum(link.delay for link in links) or 0.001
-        overhead, pkt_bytes = self._overhead(session, stream, tcp)
-        cohort = FluidCohort(
-            links=links, sizes=[len(data)], rtt=rtt,
-            cwnd=max(float(tcp.cc.cwnd) / overhead, float(tcp.mss)),
-            overhead=overhead, pkt_bytes=pkt_bytes,
-            label="stream-%d" % stream.stream_id,
-            delivery_interval=self.delivery_interval,
-        )
-        flow = _AdapterFlow(self, stream, conn, cohort, data)
-        cohort.on_advance = flow.advanced
-        cohort.on_all_done = flow.completed
-        cohort.on_stall = flow.stalled
-        self.flows[stream.stream_id] = flow
-        stream.fluid_active = True
-        self.handoffs += 1
-        self.bytes_handed += len(data)
-        session.stats["bytes_fluid"] = (
-            session.stats.get("bytes_fluid", 0) + len(data))
-        tcp.fluid_progress = lambda: self.engine.progress_time(cohort)
-        peer_conn = self._peer_conn(flow)
-        if peer_conn is not None:
-            peer_conn.tcp.fluid_progress = (
-                lambda: self.engine.progress_time(cohort))
-        session._emit("perf", "fluid_handoff", {
-            "stream": stream.stream_id, "conn": conn.conn_id,
-            "bytes": len(data),
-        })
-        self.engine.add_cohort(cohort)
-        return True
-
-    def _overhead(self, session, stream, tcp):
-        """Link bytes per application byte, and link bytes per packet.
-
-        One full record carries ``record_payload - len(control) - 2``
-        app bytes in ``record_payload + 5 + tag`` wire bytes; TCP packs
-        the wire byte stream into MSS segments of ``mss + 40`` link
-        bytes each.
-        """
-        from repro.core import record as rec
-
-        control = rec.encode_stream_control(0)
-        app_per_record = session.record_payload - len(control) - 2
-        tag = stream.ctx_send.cipher.tag_size
-        wire_per_record = session.record_payload + 5 + tag
-        mss = float(tcp.mss)
-        tcp_per_app = wire_per_record / float(app_per_record)
-        link_per_tcp = (mss + 40.0) / mss
-        return tcp_per_app * link_per_tcp, mss + 40.0
-
-    def _peer_conn(self, flow):
-        peer_stream = self.peer.streams.get(flow.stream.stream_id)
-        if peer_stream is not None and peer_stream.connection is not None:
-            return peer_stream.connection
-        return None
-
-    # -- session-facing hooks ---------------------------------------------
-
-    def conn_failed_hook(self, conn):
-        """A session connection died: pull unserved bytes back into the
-        stream so the ordinary failover machinery owns them again."""
-        for stream_id, flow in list(self.flows.items()):
-            if flow.conn is not conn:
-                continue
-            self.engine.remove_cohort(flow.cohort)
-            flow.flush()
-            remaining = flow.unserved()
-            del self.flows[stream_id]
-            flow.detach()
-            if remaining:
-                flow.stream.pending[:0] = remaining
-
-    def has_flow(self, conn):
-        return any(flow.conn is conn for flow in self.flows.values())
-
-
-class _AdapterFlow:
-    """Book-keeping for one handed-off stream transfer."""
-
-    def __init__(self, adapter, stream, conn, cohort, data):
-        self.adapter = adapter
-        self.stream = stream
-        self.conn = conn
-        self.cohort = cohort
-        self.data = data
-        self.pushed = 0          # bytes delivered into the peer stream
-        self.stream_id = stream.stream_id
-
-    def unserved(self):
-        served = int(min(self.cohort.served, len(self.data)))
-        return self.data[served:]
-
-    def advanced(self, cohort, _delta):
-        # Deliveries materialise lazily at engine events; nothing to do
-        # here beyond (optionally) flushing on a delivery interval.
-        if cohort.delivery_interval:
-            self.flush()
-
-    def flush(self):
-        """Push served-but-undelivered bytes into the peer stream."""
-        if self.cohort.done:
-            # Completion may fire within the relative tolerance of the
-            # last byte; delivery is byte-exact by construction.
-            served = len(self.data)
-        else:
-            served = int(min(self.cohort.served, len(self.data)))
-        if served <= self.pushed:
-            return
-        peer_stream = self.adapter.peer.streams.get(self.stream_id)
-        if peer_stream is None:
-            return  # STREAM_ATTACH still in flight; retry next event
-        chunk = self.data[self.pushed:served]
-        sim_now = self.adapter.engine.sim.now
-        self.pushed = served
-        peer_stream.fluid_active = True
-        peer_stream.recv_buffer += chunk
-        peer_stream.last_delivery = sim_now
-        self.conn.tcp.fluid_advance_send(len(chunk))
-        peer_conn = peer_stream.connection
-        if peer_conn is not None:
-            peer_conn.tcp.fluid_advance_recv(len(chunk))
-        if self.adapter.peer.on_stream_data is not None:
-            self.adapter.peer.on_stream_data(peer_stream)
-
-    def stalled(self, _cohort):
-        # Nothing to do: progress_time freezes, the armed user timeout
-        # notices, and the session failover machinery takes over via
-        # conn_failed_hook.
-        pass
-
-    def completed(self, cohort):
-        self.flush()
-        adapter = self.adapter
-        adapter.flows.pop(self.stream_id, None)
-        self.detach(resync=True)
-        # The FIN record (and any late application bytes) go out
-        # packet-level, after every fluid byte was delivered.
-        adapter.session._pump()
-
-    def detach(self, resync=False):
-        stream = self.stream
-        stream.fluid_active = False
-        peer_stream = self.adapter.peer.streams.get(self.stream_id)
-        if peer_stream is not None:
-            peer_stream.fluid_active = False
-            peer_conn = peer_stream.connection
-            if peer_conn is not None:
-                peer_conn.tcp.fluid_progress = None
-        tcp = self.conn.tcp
-        tcp.fluid_progress = None
-        if resync:
-            tcp.fluid_resync(self.cohort)
-
-
-def multipath_links_for(topo, sender="server"):
-    """``links_for`` resolver for :class:`SessionFluidAdapter` over a
-    :class:`~repro.net.topology.MultipathTopology`: maps a session
-    connection to the one directed link its data crosses."""
-    def links_for(conn):
-        local = conn.tcp.local.addr
-        for path in topo.paths:
-            if sender == "server" and path.server_addr == local:
-                return [path.s2c]
-            if sender == "client" and path.client_addr == local:
-                return [path.c2s]
-        return []
-    return links_for
-
-
-def attach_download_fluid(sim, topo, server_session, client_session,
-                          threshold=64 * 1024, delivery_interval=None):
-    """Wire a server-push download (the fig7/fig8/fig9 shape) into
-    fluid mode; returns the (engine, adapter) pair."""
-    engine = sim.fluid or FluidEngine(sim)
-    adapter = SessionFluidAdapter(
-        engine, server_session, client_session,
-        multipath_links_for(topo, sender="server"),
-        threshold=threshold, delivery_interval=delivery_interval,
-    )
-    return engine, adapter
-
-
 __all__ = [
     "FluidCohort",
     "FluidEngine",
-    "SessionFluidAdapter",
-    "attach_download_fluid",
     "link_capacity_bps",
     "link_next_change",
     "max_min_shares",
-    "multipath_links_for",
 ]

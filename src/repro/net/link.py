@@ -128,15 +128,15 @@ class Link:
 
     def _fluid_touch(self):
         """Notify an attached fluid engine of an immediate capacity
-        change (administrative up/down, forced flap, blackhole toggle)
-        so it can re-solve shares; a no-op in pure packet mode."""
+        change (administrative up/down, forced flap) so it can re-solve
+        shares; a no-op when no engine is attached."""
         engine = self.sim.fluid
         if engine is not None:
             engine.touch()
 
     def fluid_advance(self, nbytes, npackets):
-        """Advance delivery counters in closed form (fluid mode books
-        leapt traffic here instead of per-packet ``_deliver`` calls)."""
+        """Advance delivery counters in closed form (the fluid engine
+        books leapt traffic here; no ``_deliver`` call ever happens)."""
         self.stats.tx_bytes += nbytes
         self.stats.tx_packets += npackets
 

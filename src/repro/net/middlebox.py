@@ -47,13 +47,9 @@ class Blackhole(Middlebox):
 
     def activate(self):
         self.active = True
-        if self.link is not None:
-            self.link._fluid_touch()
 
     def deactivate(self):
         self.active = False
-        if self.link is not None:
-            self.link._fluid_touch()
 
     def schedule_outage(self, sim, start, end=None):
         """Blackhole the link during ``[start, end)`` simulated seconds."""

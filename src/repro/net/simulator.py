@@ -204,17 +204,6 @@ class Simulator:
         self.fluid = engine
         return engine
 
-    @property
-    def fluid_leaps(self):
-        """Closed-form fast-forward advances performed (0 without an
-        attached fluid engine)."""
-        return self.fluid.leaps if self.fluid is not None else 0
-
-    @property
-    def fluid_leapt_time(self):
-        """Simulated seconds covered by fluid leaps."""
-        return self.fluid.leapt_time if self.fluid is not None else 0.0
-
     def schedule(self, delay, fn, *args):
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:

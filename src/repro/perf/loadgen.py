@@ -374,11 +374,9 @@ class LoadgenHarness:
             "sessions_per_sec": round(c["ready"] / done, 3),
             "bytes_per_sec": round(c["bytes"] / done, 3),
             "sim_elapsed": elapsed,
-            # Simulator internals (heap hygiene + fast-forward), mirrored
-            # into the bench ``--json`` envelopes.
+            # Simulator internals (heap hygiene), mirrored into the
+            # bench ``--json`` envelopes.
             "heap_compactions": self.sim.compactions,
-            "fluid_leaps": self.sim.fluid_leaps,
-            "fluid_leapt_time": round(self.sim.fluid_leapt_time, 9),
         }
         return metrics
 
@@ -656,7 +654,7 @@ def merge_shards(results):
         "peak_concurrent_sessions": 0, "table_peak": 0,
         "table_end": 0, "sessions_end": 0, "bytes_delivered": 0,
         "budget_pauses": 0, "retired": 0,
-        "heap_compactions": 0, "fluid_leaps": 0,
+        "heap_compactions": 0,
     }
     hs_p99 = []
     tr_p99 = []
@@ -666,10 +664,8 @@ def merge_shards(results):
         for key in ("started", "ready", "transfers_completed",
                     "joins_completed", "failovers", "table_end",
                     "sessions_end", "bytes_delivered", "budget_pauses",
-                    "retired"):
+                    "retired", "heap_compactions"):
             total[key] += result[key]
-        for key in ("heap_compactions", "fluid_leaps"):
-            total[key] += result.get(key, 0)
         for key in ("peak_concurrent_sessions", "table_peak"):
             total[key] += result[key]
         if result["handshake_latency"]["p99"] is not None:

@@ -118,13 +118,6 @@ class TcpConnection:
         self.user_timeout = None
         self.last_segment_received = self.sim.now
         self.last_data_received = None
-        #: fluid-mode liveness hook: a callable returning the timestamp
-        #: of the flow's last modelled progress.  While a fluid engine
-        #: serves this connection's transfer no segments arrive, so the
-        #: user-timeout check consults this instead of going off on a
-        #: healthy (merely leapt-over) interval; a stalled flow freezes
-        #: the timestamp and the UTO fires exactly as packet mode would.
-        self.fluid_progress = None
 
         # TFO state for this connection attempt.
         self._tfo_data = b""
@@ -323,46 +316,6 @@ class TcpConnection:
     def congestion_window(self):
         """Current congestion window in bytes (Transport interface)."""
         return self.cc.cwnd
-
-    # -- fluid fast-forward interface (see repro.net.fluid) -------------
-
-    def is_steady_state(self):
-        """Eligible for fluid fast-forward: established and between
-        loss episodes — nothing marked lost or SACKed, no duplicate-ACK
-        run, no recovery in progress.  Transitions (handshakes, loss,
-        recovery, teardown) must run packet-level."""
-        return (self.state == ESTABLISHED
-                and not self._in_recovery
-                and self._dupacks == 0
-                and not self._lost
-                and not self._sacked)
-
-    def fluid_advance_send(self, nbytes):
-        """Book ``nbytes`` of payload analytically sent-and-acked (the
-        fluid engine served them; no segments existed).  Sequence spaces
-        are untouched — the bytes never entered the send buffer."""
-        self.bytes_sent += nbytes
-        self.bytes_acked += nbytes
-
-    def fluid_advance_recv(self, nbytes):
-        """Book ``nbytes`` of payload analytically received, keeping
-        the liveness timestamps fresh."""
-        self.bytes_received += nbytes
-        self.last_segment_received = self.sim.now
-        self.last_data_received = self.sim.now
-
-    def fluid_resync(self, cohort):
-        """Re-enter packet mode after a completed fluid interval: adopt
-        the modelled congestion state so the next packet-level send
-        starts at the converged window instead of re-probing."""
-        bdp = cohort.rate * cohort.overhead * cohort.rtt
-        if cohort.cwnd is not None:
-            bdp = max(bdp, cohort.cwnd * cohort.overhead)
-        if bdp > 0:
-            target = max(float(self.cc.min_cwnd), bdp)
-            self.cc.cwnd = max(float(self.cc.cwnd), min(
-                target, 64 * 1024 * 1024))
-        self.last_segment_received = self.sim.now
 
     def set_callbacks(self, on_data=None, on_close=None, on_reset=None,
                       on_user_timeout=None, on_send_space=None,
@@ -1017,10 +970,7 @@ class TcpConnection:
     def _check_uto(self):
         if self.user_timeout is None or self.state != ESTABLISHED:
             return
-        reference = self.last_segment_received
-        if self.fluid_progress is not None:
-            reference = max(reference, self.fluid_progress())
-        idle = self.sim.now - reference
+        idle = self.sim.now - self.last_segment_received
         # RFC 5482 covers unacknowledged sent data; the paper
         # additionally uses it receiver-side to notice a stalled inbound
         # transfer.  Either way an *idle* connection must not fire.
@@ -1029,11 +979,6 @@ class TcpConnection:
             and self.sim.now - self.last_data_received
             < 4 * self.user_timeout
         )
-        if not transfer_active and self.fluid_progress is not None:
-            # A fluid-served transfer counts as active while it made
-            # progress recently (stall detection window, as above).
-            transfer_active = (
-                self.sim.now - reference < 4 * self.user_timeout)
         if idle >= self.user_timeout and transfer_active:
             if self.on_user_timeout is not None:
                 self.on_user_timeout(self)

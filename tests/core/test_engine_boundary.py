@@ -13,6 +13,7 @@ import pathlib
 import repro.core.engine
 
 ENGINE_DIR = pathlib.Path(repro.core.engine.__file__).parent
+SRC_DIR = ENGINE_DIR.parents[1]     # src/repro
 FORBIDDEN_PREFIXES = ("repro.net", "repro.tcp")
 
 
@@ -51,16 +52,37 @@ def test_engine_package_is_nonempty():
             "replay"} <= names
 
 
+def _identifiers(root):
+    """``(path, lineno, name)`` of every definition, attribute, variable,
+    argument and imported name in the modules under ``root``."""
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for field in ("name", "attr", "id", "arg"):
+                name = getattr(node, field, None)
+                if isinstance(name, str):
+                    yield path, getattr(node, "lineno", 0), name
+
+
 def test_no_segment_train_fork_under_src():
     """One send path: the per-train twin of ``Host.send -> Link.send ->
     Simulator.at`` was deleted and must not grow back."""
     gone = {"send_train", "at_train", "_flush_train", "_fire_train",
             "TrainEvent"}
-    offences = []
-    for path in sorted(ENGINE_DIR.parents[1].rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            name = getattr(node, "name", None) or getattr(node, "attr", None) \
-                or getattr(node, "id", None)
-            if name in gone:
-                offences.append("%s:%d %s" % (path, node.lineno, name))
+    offences = ["%s:%d %s" % hit for hit in _identifiers(SRC_DIR)
+                if hit[2] in gone]
+    assert not offences, "\n".join(offences)
+
+
+def test_no_fluid_hooks_in_the_protocol_layers():
+    """The fluid model is a cohort-level simulator feature
+    (``repro.net.fluid``, ``repro.perf.loadgen``): the TCPLS engine and
+    the TCP stack carry no state for it, and the hybrid bridge that once
+    needed such state must not grow back anywhere."""
+    gone = {"SessionFluidAdapter", "attach_download_fluid",
+            "multipath_links_for"}
+    protocol = {SRC_DIR / "core", SRC_DIR / "tcp"}
+    offences = ["%s:%d %s" % (path, lineno, name)
+                for path, lineno, name in _identifiers(SRC_DIR)
+                if name in gone or ("fluid" in name.lower()
+                                    and protocol & set(path.parents))]
     assert not offences, "\n".join(offences)

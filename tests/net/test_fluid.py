@@ -263,9 +263,6 @@ def test_flap_window_stalls_and_resumes_with_slow_start_restart():
     # but within a few RTTs of it.
     assert done and 1.2 < done[0] < 1.3
     assert engine.stalls == 1
-    # Progress time freezes at the stall point during the outage.
-    sim2_probe = engine.progress_time(cohort)
-    assert sim2_probe == sim.now    # healthy again by the end
 
 
 def test_forced_flap_notifies_engine_immediately():
@@ -298,37 +295,11 @@ def test_set_up_false_touches_engine():
     assert cohort.stalled_at == pytest.approx(0.5)
 
 
-def test_add_bytes_extends_a_single_flow_cohort():
-    sim = Simulator()
-    link = make_link(sim, rate_bps=8_000_000)
-    engine = FluidEngine(sim)
-    done = []
-    cohort = FluidCohort([link], [100_000.0], rtt=0.02)
-    cohort.on_all_done = lambda c: done.append(sim.now)
-    engine.add_cohort(cohort)
-    def extend():
-        cohort.add_bytes(100_000)
-        engine.touch()
-    sim.schedule(0.05, extend)
-    sim.run(until=10.0)
-    assert done and done[0] == pytest.approx(0.2, rel=1e-6)
-    with pytest.raises(ValueError):
-        FluidCohort([link], [1.0, 2.0], rtt=0.02).add_bytes(5)
-
-
 def test_leap_counters_report_fast_forward_coverage():
     sim = Simulator()
     link = make_link(sim, rate_bps=8_000_000)
     engine = FluidEngine(sim)
     engine.add_cohort(FluidCohort([link], [1_000_000.0], rtt=0.02))
     sim.run(until=10.0)
-    assert sim.fluid_leaps == engine.leaps >= 1
-    assert sim.fluid_leapt_time == pytest.approx(engine.leapt_time)
+    assert engine.leaps >= 1
     assert engine.leapt_time == pytest.approx(1.0, rel=1e-6)
-
-
-def test_simulator_without_engine_reports_zero_fluid_counters():
-    sim = Simulator()
-    assert sim.fluid is None
-    assert sim.fluid_leaps == 0
-    assert sim.fluid_leapt_time == 0.0

@@ -157,6 +157,25 @@ class TestVegas:
         assert vegas.cwnd > reno.cwnd
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 9: on_rto recomputes ssthresh from cwnd on every "
+    "timeout, so the second of two back-to-back RTOs sets it to 2*MSS "
+    "and the flow crawls in congestion avoidance from one segment"))
+def test_second_rto_for_the_same_segment_holds_ssthresh():
+    """RFC 5681 section 3.1: ssthresh is reduced when the retransmission
+    timer detects a loss for a segment *not yet resent* by that timer;
+    when the retransmission itself times out it keeps its value."""
+    for algorithm in (NewReno, Cubic, Vegas):
+        cc = algorithm(MSS)
+        cc.cwnd = 100 * MSS
+        cc.on_rto(0.0)
+        after_first = cc.ssthresh
+        assert after_first >= 50 * MSS
+        cc.on_rto(0.4)      # no ACK in between: the same segment again
+        assert cc.cwnd == MSS
+        assert cc.ssthresh == after_first, algorithm.__name__
+
+
 def test_factory_and_registry():
     assert isinstance(make_congestion_control("cubic", MSS), Cubic)
     assert isinstance(make_congestion_control("RENO", MSS), NewReno)

@@ -130,3 +130,12 @@ class TestCellDeterminism:
             run_pageload_cell(policy="oracle")
         with pytest.raises(ValueError):
             run_pageload_cell(grid="hurricane")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1(a): burst loss takes the client's last handshake "
+    "flight, the join reaches the server before the primary does, and "
+    "every record is rejected from then on; 0 of 180 objects complete"))
+def test_join_that_overtakes_the_primary_handshake_still_loads_pages():
+    metrics = run_pageload_cell(stack="tcpls", grid="ge-light", seed=114223)
+    assert metrics["objects_completed"] == metrics["objects"] == 180
