@@ -1,11 +1,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-# Worker processes for the parallel sweep (make bench-check JOBS=8).
-# Output is byte-identical for any JOBS value; see repro/perf/sweep.py.
+# Worker processes for the matrix (make bench-matrix JOBS=8).  Output
+# is byte-identical for any JOBS value; see repro/perf/matrix.py.
 JOBS ?= 1
 
-.PHONY: test test-obs bench bench-check bench-sweep bench-matrix \
+.PHONY: test test-obs bench bench-check bench-matrix \
         bench-matrix-rerun ledger trace-demo
 
 test:
@@ -21,38 +21,33 @@ bench:
 # benchmark slowed >20% against the committed baseline
 # (benchmarks/baselines/BENCH_micro.json; regenerate it with the same
 # pytest command when a slowdown is intended).
-bench-check: bench-sweep
+bench-check:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest bench_micro_hotpaths.py -q -s --benchmark-only --benchmark-disable-gc --benchmark-min-rounds=7 --json BENCH_micro.json
-	$(PYTHON) benchmarks/compare.py benchmarks/baselines/BENCH_micro.json benchmarks/BENCH_micro.json $(BENCH_COMPARE_FLAGS)
+	$(PYTHON) benchmarks/gate.py benchmarks/baselines/BENCH_micro.json benchmarks/BENCH_micro.json $(BENCH_GATE_FLAGS)
 
-# Scenario/model sweep, sharded over $(JOBS) worker processes.  The
-# merged JSON is independent of JOBS (deterministic merge order).
-bench-sweep:
-	$(PYTHON) benchmarks/runner.py --jobs $(JOBS) --json benchmarks/BENCH_sweep.json
-
-# Full experiment matrix (200+ scenario x topology x cipher x
-# scheduler x seed points) with the content-addressed result cache:
-# unchanged points are served from .bench_cache (override with
-# --cache-dir or REPRO_BENCH_CACHE), so an immediately repeated run is
-# ~100% cache hits and finishes in seconds.  The trend gate diffs the
-# whole matrix against the committed envelope, grouping regressions by
-# axis value; refresh benchmarks/baselines/BENCH_matrix.json when a
-# drift is intended.
+# Full experiment matrix (176 scenario x topology x cipher x scheduler
+# points), sharded over $(JOBS) worker processes, with the
+# content-addressed result cache: unchanged points are served from
+# .bench_cache (override with --cache-dir or REPRO_BENCH_CACHE), so an
+# immediately repeated run is ~100% cache hits and finishes in under a
+# second.  The gate diffs the whole matrix against the committed
+# envelope, grouping regressions by axis value; refresh
+# benchmarks/baselines/BENCH_matrix.json when a drift is intended.
 bench-matrix:
-	$(PYTHON) benchmarks/runner.py --matrix --jobs $(JOBS) \
+	$(PYTHON) benchmarks/runner.py --jobs $(JOBS) \
 	    --json benchmarks/BENCH_matrix.json \
 	    --stats-json benchmarks/BENCH_matrix.stats.json
-	$(PYTHON) benchmarks/trend.py \
+	$(PYTHON) benchmarks/gate.py \
 	    benchmarks/baselines/BENCH_matrix.json \
 	    benchmarks/BENCH_matrix.json
 
 # Re-execute exactly the matrix points whose journalled result carried
 # an "error" tag (everything else is reused), then re-gate.
 bench-matrix-rerun:
-	$(PYTHON) benchmarks/runner.py --matrix --jobs $(JOBS) \
+	$(PYTHON) benchmarks/runner.py --jobs $(JOBS) \
 	    --rerun-failed --json benchmarks/BENCH_matrix.json \
 	    --stats-json benchmarks/BENCH_matrix.stats.json
-	$(PYTHON) benchmarks/trend.py \
+	$(PYTHON) benchmarks/gate.py \
 	    benchmarks/baselines/BENCH_matrix.json \
 	    benchmarks/BENCH_matrix.json
 

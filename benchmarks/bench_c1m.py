@@ -12,7 +12,7 @@ Default shape is the acceptance run: 10k sessions concurrently alive
 inside ONE process.  ``--shards N`` instead fans the population out
 over N worker processes in the deterministic
 :class:`~repro.core.drivers.multi.ShardLayout` (listener per shard,
-one core each), merged through :func:`repro.perf.sweep.run_sweep` so
+one core each), merged through :func:`repro.perf.matrix.run_matrix` so
 the output is byte-identical for any ``--jobs`` value.
 
 The JSON envelope (``--json``) contains only simulator-time metrics --
@@ -26,7 +26,7 @@ seconds of wall clock where the packet path needs minutes.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_c1m.py --json benchmarks/BENCH_6.json
+    PYTHONPATH=src python benchmarks/bench_c1m.py --json /tmp/c1m.json
     PYTHONPATH=src python benchmarks/bench_c1m.py --sessions 20000 --shards 4 --jobs 4
     PYTHONPATH=src python benchmarks/bench_c1m.py --fluid fairness --flows 100000
 """
@@ -43,7 +43,7 @@ from repro.perf.loadgen import (
     run_shard,
     shard_points,
 )
-from repro.perf.sweep import run_sweep
+from repro.perf.matrix import run_matrix
 
 
 def run_fluid(args):
@@ -142,8 +142,9 @@ def main(argv=None):
     else:
         points = shard_points(args.sessions, args.shards, seed=args.seed,
                               budget_bytes=args.budget)
+        results, _ = run_matrix(points, jobs=args.jobs)
         shard_results = []
-        for result in run_sweep(points, jobs=args.jobs):
+        for result in results:
             if "error" in result:
                 print("c1m: shard %s failed: %s"
                       % (result["name"], result["error"]),

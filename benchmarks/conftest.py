@@ -22,7 +22,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--json", metavar="PATH", default=None, dest="bench_json",
         help="write the run's benchmark timings to PATH as JSON "
-             "(consumed by benchmarks/compare.py for regression checks)",
+             "(consumed by benchmarks/gate.py for regression checks)",
     )
 
 
@@ -65,11 +65,6 @@ def pytest_sessionfinish(session, exitstatus):
             "rounds": getattr(getattr(bench, "stats", None), "rounds",
                               None),
         }
-        # Simulated-time metrics (e.g. the page-load percentiles the
-        # workload cells record) ride along for compare.py's PLT table.
-        extra = getattr(bench, "extra_info", None)
-        if extra:
-            entry["extra_info"] = dict(extra)
         entries.append(entry)
     import json
 

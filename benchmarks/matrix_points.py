@@ -1,11 +1,11 @@
-"""Sweep points for the parallel bench runner (``runner.py``).
+"""The experiment matrix the bench runner (``runner.py``) executes.
 
 Each point is a plain top-level function returning a JSON-serialisable
-metrics dict, so :mod:`repro.perf.sweep` can pickle it by reference
+metrics dict, so :mod:`repro.perf.matrix` can pickle it by reference
 into spawn workers.  Scenario points run scaled-down versions of the
 fig8/fig9 simulations (a couple of MiB instead of tens) -- big enough
-to exercise handshakes, outages and recovery, small enough that the
-JOBS=1 vs JOBS=2 determinism gate in CI stays cheap.
+to exercise handshakes, outages and recovery, small enough that a cold
+matrix stays well under a minute.
 
 Every metric here must be bit-deterministic: times come from the
 simulator clock, byte counts from stack counters.  Nothing may read
@@ -133,7 +133,7 @@ def c1m_loadgen_point(sessions=400, failover_sessions=8, seed=42):
     :class:`~repro.core.drivers.multi.MultiSessionServer`, with joins,
     a mid-transfer path outage and close/reconnect churn.  The full
     10k-session run lives in ``bench_c1m.py``; this point keeps the
-    multi-session path under the JOBS determinism gate."""
+    multi-session path in the gated matrix."""
     from repro.perf.loadgen import run_shard
 
     return run_shard(sessions=sessions,
@@ -143,7 +143,7 @@ def c1m_loadgen_point(sessions=400, failover_sessions=8, seed=42):
 def fluid_scenario_point(scenario="fairness", flows=20_000, seed=42):
     """Scaled-down fluid fast-forward population: the 100k-flow
     scenarios live in ``bench_c1m.py --fluid``; this point keeps the
-    closed-form engine under the JOBS determinism gate."""
+    closed-form engine in the gated matrix."""
     from repro.perf.loadgen import run_fluid_scenario
 
     metrics = run_fluid_scenario(scenario=scenario, flows=flows,
@@ -155,11 +155,9 @@ def fluid_scenario_point(scenario="fairness", flows=20_000, seed=42):
 def pageload_point(stack="tcpls", policy="round-robin", grid="ge-light",
                    seed=42):
     """Scaled-down page-load cell: a synthetic page burst over one
-    stack under one scheduling policy on a Gilbert-Elliott loss grid.
-    The full policy x stack x grid matrix lives in
-    ``bench_pageload.py``; this point keeps the workload layer (pool,
-    transfer manager, assign_transfer decisions) under the JOBS
-    determinism gate."""
+    stack under one scheduling policy on a Gilbert-Elliott loss grid;
+    it keeps the workload layer (pool, transfer manager,
+    assign_transfer decisions) in the gated matrix."""
     from repro.perf.pageload import run_pageload_cell
 
     return run_pageload_cell(stack=stack, policy=policy, grid=grid,
@@ -167,31 +165,27 @@ def pageload_point(stack="tcpls", policy="round-robin", grid="ge-light",
                              horizon=60.0, seed=seed)
 
 
-def fig8_matrix_point(proto="tcpls", outage="blackhole", outage_at=0.3,
-                      seed=8):
+def fig8_matrix_point(proto="tcpls", outage="blackhole", outage_at=0.3):
     """Matrix dispatcher over the two Fig. 8 protocol stacks (one
     picklable fn per family; the ``proto`` axis picks the scenario)."""
     if proto == "tcpls":
-        return fig8_tcpls_point(outage=outage, outage_at=outage_at,
-                                seed=seed)
+        return fig8_tcpls_point(outage=outage, outage_at=outage_at)
     if proto == "mptcp":
-        return fig8_mptcp_point(outage=outage, outage_at=outage_at,
-                                seed=seed)
+        return fig8_mptcp_point(outage=outage, outage_at=outage_at)
     raise ValueError("unknown proto %r" % proto)
 
 
 def default_matrix():
     """The full experiment matrix: scenario x topology x cipher x
-    scheduler x seed families expanding to 200+ points.
+    scheduler families expanding to 176 points.
 
-    This supersedes the 13-point :func:`default_points` list for
-    evaluation purposes (the small list stays as the cheap JOBS
-    determinism gate): the same point functions are crossed over
-    explicit axes, validity predicates drop meaningless combinations
-    (an ``ack_interval`` only matters to the failover/multipath
-    variants; a C1M shard cannot fail over more sessions than it
-    serves), and every point carries its axis assignment into the
-    merged JSON so the trend gate can group regressions by axis value.
+    The point functions are crossed over explicit axes, validity
+    predicates drop meaningless combinations (an ``ack_interval`` only
+    matters to the failover/multipath variants; a C1M shard cannot fail
+    over more sessions than it serves), and every point carries its
+    axis assignment into the merged JSON so the gate can group
+    regressions by axis value.  fig8/fig9 have no ``seed`` axis: the
+    scenarios draw nothing from the RNG, so every seed is the same row.
     """
     from repro.perf import Axis, MatrixSpec, expand_matrix
 
@@ -216,19 +210,16 @@ def default_matrix():
             "fig8", fig8_matrix_point,
             [Axis("proto", ("tcpls", "mptcp")),
              Axis("outage", ("blackhole", "rst")),
-             Axis("at", (0.2, 0.3, 0.45)),
-             Axis("seed", (8, 18, 28))],
+             Axis("at", (0.2, 0.3, 0.45))],
             to_kwargs=lambda c: {
                 "proto": c["proto"], "outage": c["outage"],
-                "outage_at": c["at"], "seed": c["seed"]}),
+                "outage_at": c["at"]}),
         MatrixSpec(
             "fig9", fig9_rotation_point,
             [Axis("rotate", (0.35, 0.5, 0.8)),
-             Axis("paths", (2, 4)),
-             Axis("seed", (9, 19, 29))],
+             Axis("paths", (2, 4))],
             to_kwargs=lambda c: {
-                "rotate_every": c["rotate"], "n_paths": c["paths"],
-                "seed": c["seed"]}),
+                "rotate_every": c["rotate"], "n_paths": c["paths"]}),
         MatrixSpec(
             "c1m", c1m_loadgen_point,
             [Axis("sessions", (120, 240)),
@@ -251,32 +242,3 @@ def default_matrix():
     ]
     return expand_matrix(specs)
 
-
-def default_points():
-    """The standard sweep, in canonical (merge) order."""
-    from repro.perf import SweepPoint
-
-    points = []
-    for stack in ("tls-tcp", "tcpls", "tcpls-failover", "tcpls-multipath"):
-        for mtu in (1500, 9000):
-            points.append(SweepPoint(
-                "fig7/%s/mtu%d" % (stack, mtu),
-                fig7_model_point, {"stack": stack, "mtu": mtu}))
-    for outage in ("blackhole", "rst"):
-        points.append(SweepPoint("fig8/tcpls/%s" % outage,
-                                 fig8_tcpls_point, {"outage": outage}))
-        points.append(SweepPoint("fig8/mptcp/%s" % outage,
-                                 fig8_mptcp_point, {"outage": outage}))
-    points.append(SweepPoint("fig9/rotation", fig9_rotation_point))
-    points.append(SweepPoint("c1m/loadgen", c1m_loadgen_point))
-    for scenario in ("fairness", "incast", "failover_storm"):
-        points.append(SweepPoint("fluid/%s" % scenario,
-                                 fluid_scenario_point,
-                                 {"scenario": scenario}))
-    for stack, policy in (("tcpls", "round-robin"),
-                          ("tcpls", "predictive"),
-                          ("quic", "round-robin")):
-        points.append(SweepPoint("pageload/%s/%s" % (stack, policy),
-                                 pageload_point,
-                                 {"stack": stack, "policy": policy}))
-    return points

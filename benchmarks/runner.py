@@ -1,19 +1,18 @@
-"""Parallel bench/scenario sweep + experiment-matrix runner.
+"""Experiment-matrix runner.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python benchmarks/runner.py --jobs 4 --json out.json
-    PYTHONPATH=src python benchmarks/runner.py --matrix --jobs 4 \
-        --json benchmarks/BENCH_matrix.json
+    python benchmarks/runner.py --jobs 4 --json benchmarks/BENCH_matrix.json
+    python benchmarks/runner.py --list
+    python benchmarks/runner.py --points fig8 --json out.json
 
-The default mode shards the 13 :mod:`sweep_points` determinism-gate
-points; ``--matrix`` runs the full declarative experiment matrix (200+
+Runs the declarative experiment matrix (:mod:`matrix_points`, 176
 points) with the content-addressed result cache and per-shard journals:
 
 - unchanged points (same spec, same source fingerprint) are served
   from ``.bench_cache/`` (``--cache-dir`` / ``$REPRO_BENCH_CACHE``)
-  without spawning a worker -- an immediately repeated matrix run is
-  ~100% cache hits and finishes in seconds;
+  without spawning a worker -- an immediately repeated run is ~100%
+  cache hits and finishes in under a second;
 - ``--resume`` reuses successful entries from the journal directory
   and re-runs only missing/failed points;
 - ``--rerun-failed`` re-executes exactly the points whose journalled
@@ -51,10 +50,6 @@ def main(argv=None):
                              "point names instead of substrings")
     parser.add_argument("--list", action="store_true",
                         help="list point names and exit")
-    parser.add_argument("--matrix", action="store_true",
-                        help="run the full experiment matrix (with "
-                             "result cache + shard journals) instead "
-                             "of the 13-point determinism sweep")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result-cache root (default: "
                              "$REPRO_BENCH_CACHE or .bench_cache)")
@@ -63,7 +58,7 @@ def main(argv=None):
                              "executes)")
     parser.add_argument("--journal-dir", default=None, metavar="DIR",
                         help="shard-journal directory (default: "
-                             "<cache-dir>/journal; matrix mode only)")
+                             "<cache-dir>/journal)")
     parser.add_argument("--resume", action="store_true",
                         help="reuse successful journal entries; re-run "
                              "only missing/failed points")
@@ -81,14 +76,17 @@ def main(argv=None):
                              "parent; implies --jobs 1 semantics)")
     args = parser.parse_args(argv)
 
-    import sweep_points
-    from repro.perf import filter_points, run_sweep, sweep_to_json
+    import matrix_points
+    from repro.perf import (
+        ResultCache,
+        ShardJournal,
+        filter_points,
+        matrix_to_json,
+        run_matrix,
+    )
+    from repro.perf.cache import resolve_cache_dir
 
-    if args.matrix:
-        points = sweep_points.default_matrix()
-    else:
-        points = sweep_points.default_points()
-    wanted = None
+    points = matrix_points.default_matrix()
     if args.points:
         wanted = [w.strip() for w in args.points.split(",") if w.strip()]
         points = filter_points(points, wanted, exact=args.exact)
@@ -97,7 +95,7 @@ def main(argv=None):
             print(point.name)
         return 0
     if not points:
-        print("no sweep points matched", file=sys.stderr)
+        print("no matrix points matched", file=sys.stderr)
         return 2
 
     started = time.perf_counter()
@@ -122,10 +120,7 @@ def main(argv=None):
               % (stats_obj.total_calls, stats_obj.total_tt, args.profile),
               file=sys.stderr)
         stats_obj.sort_stats("cumulative").print_stats(10)
-    elif args.matrix:
-        from repro.perf import ResultCache, ShardJournal, run_matrix
-        from repro.perf.cache import resolve_cache_dir
-
+    else:
         cache = None
         if not args.no_cache:
             cache = ResultCache.open(
@@ -138,12 +133,10 @@ def main(argv=None):
             points, jobs=args.jobs, cache=cache, journal=journal,
             resume=args.resume or args.rerun_failed,
             rerun_failed=args.rerun_failed)
-    else:
-        results = run_sweep(points, jobs=args.jobs)
     elapsed = time.perf_counter() - started
 
     failures = [r for r in results if "error" in r]
-    text = sweep_to_json(results, args.json)
+    text = matrix_to_json(results, args.json)
     if args.json:
         print("wrote %s (%d points, %d workers, %.1fs wall)"
               % (args.json, len(results), args.jobs, elapsed))

@@ -25,14 +25,7 @@ from repro.perf.loadgen import (
     run_shard,
     shard_points,
 )
-from repro.perf.pageload import (
-    PAGELOAD_GRIDS,
-    PAGELOAD_POLICIES,
-    PAGELOAD_STACKS,
-    make_policy,
-    pageload_sweep_point,
-    run_pageload_cell,
-)
+from repro.perf.pageload import make_policy, run_pageload_cell
 from repro.perf.cache import (
     ResultCache,
     resolve_cache_dir,
@@ -45,9 +38,9 @@ from repro.perf.matrix import (
     ShardJournal,
     expand_matrix,
     filter_points,
+    matrix_to_json,
     run_matrix,
 )
-from repro.perf.sweep import SweepPoint, run_sweep, sweep_to_json
 
 __all__ = [
     "Axis",
@@ -58,26 +51,20 @@ __all__ = [
     "ShardJournal",
     "expand_matrix",
     "filter_points",
+    "matrix_to_json",
     "resolve_cache_dir",
     "run_matrix",
     "source_fingerprint",
     "LoadgenHarness",
-    "PAGELOAD_GRIDS",
-    "PAGELOAD_POLICIES",
-    "PAGELOAD_STACKS",
     "QuicModel",
     "QuicSenderModel",
-    "SweepPoint",
     "TcplsModel",
     "TcplsVariant",
     "TlsTcpModel",
     "make_policy",
     "merge_shards",
-    "pageload_sweep_point",
     "run_pageload_cell",
     "run_shard",
-    "run_sweep",
     "shard_points",
     "solve_throughput_gbps",
-    "sweep_to_json",
 ]

@@ -1,4 +1,4 @@
-"""Content-addressed result cache for sweep/matrix points.
+"""Content-addressed result cache for matrix points.
 
 A point's result is a pure function of (a) its canonical spec -- name,
 callable identity and kwargs -- and (b) the source code that executes
@@ -69,7 +69,7 @@ def _canon(value):
 
 
 def canonical_point_spec(point):
-    """The deterministic JSON text identifying one sweep point."""
+    """The deterministic JSON text identifying one matrix point."""
     fn = point.fn
     spec = {
         "name": point.name,

@@ -21,7 +21,7 @@ Every metric is derived from simulator time and deterministic
 counters; a fixed configuration yields byte-identical results on every
 run -- the property the churn/soak test and the ``bench_c1m``
 determinism gate assert.  ``run_shard`` is a top-level function so
-:func:`repro.perf.sweep.run_sweep` can pickle it by reference into
+:func:`repro.perf.matrix.run_matrix` can pickle it by reference into
 spawn workers for the listener-per-shard layout
 (:class:`~repro.core.drivers.multi.ShardLayout`).
 """
@@ -598,29 +598,16 @@ class FluidScenarioHarness:
 def run_fluid_scenario(**kwargs):
     """Run one fluid population scenario; returns its metrics dict.
 
-    Top-level (picklable) so sweep workers can fan scenarios out in
+    Top-level (picklable) so spawn workers can fan scenarios out in
     parallel next to the packet C1M shards.
     """
     return FluidScenarioHarness(**kwargs).run()
 
 
-def fluid_scenario_points(flows=100_000, **kwargs):
-    """One sweep point per fluid scenario at ``flows`` scale."""
-    from repro.perf.sweep import SweepPoint
-
-    points = []
-    for scenario in FluidScenarioHarness.SCENARIOS:
-        cfg = dict(kwargs)
-        cfg.update(scenario=scenario, flows=flows)
-        points.append(SweepPoint(
-            "fluid/%s" % scenario, run_fluid_scenario, cfg))
-    return points
-
-
 def run_shard(**kwargs):
     """Run one loadgen shard; returns its deterministic metrics dict.
 
-    Top-level (picklable) so sweep workers can run shards in parallel:
+    Top-level (picklable) so spawn workers can run shards in parallel:
     shard ``i`` of ``n`` serves ``sessions`` sessions on
     ``ShardLayout(n, base_port).port_for(i)`` in its own process, and
     the merged JSON is byte-identical for any worker count.
@@ -629,9 +616,9 @@ def run_shard(**kwargs):
 
 
 def shard_points(total_sessions, n_shards, base_port=4443, **kwargs):
-    """Sweep points for a sharded run (listener-per-shard layout)."""
+    """Matrix points for a sharded run (listener-per-shard layout)."""
     from repro.core.drivers.multi import ShardLayout
-    from repro.perf.sweep import SweepPoint
+    from repro.perf.matrix import MatrixPoint
 
     layout = ShardLayout(n_shards, base_port)
     per_shard = total_sessions // n_shards
@@ -641,7 +628,7 @@ def shard_points(total_sessions, n_shards, base_port=4443, **kwargs):
         cfg = dict(kwargs)
         cfg.update(sessions=count, shard=shard,
                    port=layout.port_for(shard))
-        points.append(SweepPoint("c1m/shard%d" % shard, run_shard, cfg))
+        points.append(MatrixPoint("c1m/shard%d" % shard, run_shard, cfg))
     return points
 
 
@@ -688,7 +675,6 @@ __all__ = [
     "FluidScenarioHarness",
     "LoadgenHarness",
     "build_wave_schedule",
-    "fluid_scenario_points",
     "merge_shards",
     "run_fluid_scenario",
     "run_shard",

@@ -1,14 +1,14 @@
-"""Declarative experiment matrices with resumable, cached execution.
+"""Declarative experiment matrices with deterministic, resumable,
+cached execution.
 
 The paper's evaluation is a grid -- scenario x topology x cipher x
-scheduler x seed -- and :mod:`repro.perf.sweep` already runs point
-lists deterministically in parallel.  This module adds the fleet
-layer on top:
+scheduler.  A *point* is a named ``(callable, kwargs)`` pair returning
+a JSON-serialisable metrics dict; this module expands, runs and
+serialises point lists:
 
 - :class:`MatrixSpec` expands named :class:`Axis` values into
-  :class:`MatrixPoint`\\ s (a :class:`~repro.perf.sweep.SweepPoint`
-  that remembers its axis assignment), dropping combinations a
-  validity predicate rejects;
+  :class:`MatrixPoint`\\ s (each remembers its axis assignment),
+  dropping combinations a validity predicate rejects;
 - :func:`filter_points` applies the runner's substring (default) or
   ``--exact`` name filters;
 - :func:`run_matrix` executes a point list with a content-addressed
@@ -18,16 +18,30 @@ layer on top:
   missing/failed entries) and ``rerun_failed`` (force re-execution of
   exactly the error-tagged entries).
 
-The merged result list is ordered by the canonical point order, so the
-serialised JSON is byte-identical for any jobs/shard split, any
+Determinism rules:
+
+- **spawn** start method: workers never inherit parent state by fork,
+  so a point's result cannot depend on what the parent imported or ran
+  first.
+- ``maxtasksperchild=1``: every point runs in a fresh interpreter.
+  Simulation code keeps module/class-level counters (connection ids
+  seed the ISS, links number themselves for observability); a reused
+  worker would leak those from whatever point it ran previously.
+- results are merged in canonical (input) order regardless of
+  completion order.
+
+So the serialised JSON is byte-identical for any jobs/shard split, any
 interrupt/resume history, and any cache hit/miss pattern.
+
+Points must be importable top-level callables (pickled by reference);
+closures and lambdas are rejected up front with a clear error rather
+than a multiprocessing pickle backtrace.
 """
 
 import itertools
 import json
 import os
-
-from repro.perf.sweep import SweepPoint, _check_picklable, _execute
+import pickle
 
 
 class Axis:
@@ -45,14 +59,24 @@ class Axis:
         return "Axis(%r, %r)" % (self.name, self.values)
 
 
-class MatrixPoint(SweepPoint):
-    """A sweep point carrying its axis assignment (for trend grouping)."""
+class MatrixPoint:
+    """One named point: ``fn(**kwargs)`` -> metrics dict, plus the axis
+    assignment the gate groups regressions by (empty for a point that
+    belongs to no spec, e.g. a C1M shard)."""
 
-    __slots__ = ("axes",)
+    __slots__ = ("name", "fn", "kwargs", "axes")
 
     def __init__(self, name, fn, kwargs=None, axes=None):
-        super().__init__(name, fn, kwargs)
+        self.name = name
+        self.fn = fn
+        self.kwargs = dict(kwargs) if kwargs else {}
         self.axes = dict(axes) if axes else {}
+
+    def run(self):
+        return self.fn(**self.kwargs)
+
+    def __repr__(self):
+        return "MatrixPoint(%r)" % (self.name,)
 
 
 class MatrixSpec:
@@ -199,15 +223,41 @@ class MatrixStats:
 def _entry_for(point, result):
     """The merged-JSON entry shape: result plus the axis assignment."""
     entry = dict(result)
-    axes = getattr(point, "axes", None)
-    if axes:
-        entry["axes"] = dict(axes)
+    if point.axes:
+        entry["axes"] = dict(point.axes)
     return entry
 
 
-def _execute_indexed(job):
+def _execute(job):
+    """Worker entry: run one ``(index, point)`` job, tagging failures
+    instead of crashing the pool (a broken point must not hide the
+    others)."""
     index, point = job
-    return index, _execute(point)
+    try:
+        metrics = point.run()
+    except Exception as exc:  # noqa: BLE001 - reported in the result
+        return index, {"name": point.name, "error": "%s: %s"
+                       % (type(exc).__name__, exc)}
+    return index, {"name": point.name, "metrics": metrics}
+
+
+def _check_picklable(points):
+    # Many points share one callable (a family crosses a single fn over
+    # hundreds of axis combinations); pickle each distinct fn once, not
+    # once per point.
+    checked = set()
+    for point in points:
+        if id(point.fn) in checked:
+            continue
+        checked.add(id(point.fn))
+        try:
+            pickle.dumps(point.fn)
+        except Exception as exc:
+            raise ValueError(
+                "matrix point %r is not picklable (%s): points must be "
+                "importable top-level functions, not closures/lambdas"
+                % (point.name, exc)
+            ) from exc
 
 
 def run_matrix(points, jobs=1, cache=None, journal=None, resume=False,
@@ -268,8 +318,7 @@ def run_matrix(points, jobs=1, cache=None, journal=None, resume=False,
         ctx = multiprocessing.get_context("spawn")
         workers = min(jobs, len(todo))
         with ctx.Pool(processes=workers, maxtasksperchild=1) as pool:
-            for index, result in pool.imap_unordered(
-                    _execute_indexed, todo):
+            for index, result in pool.imap_unordered(_execute, todo):
                 point = points[index]
                 entry = _entry_for(point, result)
                 results[index] = entry
@@ -283,3 +332,15 @@ def run_matrix(points, jobs=1, cache=None, journal=None, resume=False,
                     journal.append(index % jobs, entry)
 
     return results, stats
+
+
+def matrix_to_json(results, path=None):
+    """Serialise results deterministically (sorted keys, fixed indent).
+
+    Returns the JSON text; writes it to ``path`` when given.
+    """
+    text = json.dumps({"results": results}, sort_keys=True, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text

@@ -1,4 +1,5 @@
-"""Deterministic page-load experiment cells (the bench_pageload core).
+"""Deterministic page-load experiment cells (the ``pageload/*`` matrix
+family's core).
 
 One *cell* is a full browsing burst: ``pages`` synthetic pages, ramped
 in waves (the same :func:`~repro.perf.loadgen.build_wave_schedule`
@@ -7,30 +8,18 @@ one scheduling policy on one loss grid.  The result dict carries the
 page-load-time distribution (every sample plus p50/p95), per-object
 counts and the pool's reuse accounting -- all derived from simulator
 time and deterministic counters, so a fixed configuration is
-byte-identical on every run (the ``bench_pageload`` determinism gate).
+byte-identical on every run.
 
 Every runner here is a plain top-level function, so
-:func:`repro.perf.sweep.run_sweep` can pickle it by reference into
+:func:`repro.perf.matrix.run_matrix` can pickle it by reference into
 spawn workers.
 """
 
 from repro.net import Simulator, build_faulty_multipath
 from repro.perf.loadgen import build_wave_schedule
 
-#: the stacks a cell can drive (fetcher per stack)
-PAGELOAD_STACKS = ("tcpls", "quic", "mptcp")
-#: the policies a cell can schedule with
-PAGELOAD_POLICIES = ("round-robin", "lowest-rtt", "predictive",
-                     "weighted", "redundant")
-#: the loss grids (fault-DSL recipes) a cell can run under
-PAGELOAD_GRIDS = ("clean", "ge-light", "ge-burst")
-
 __all__ = [
-    "PAGELOAD_GRIDS",
-    "PAGELOAD_POLICIES",
-    "PAGELOAD_STACKS",
     "make_policy",
-    "pageload_sweep_point",
     "run_pageload_cell",
 ]
 
@@ -165,12 +154,3 @@ def run_pageload_cell(stack="tcpls", policy="round-robin", grid="clean",
         "plt_max": round(plts[-1], 9) if plts else None,
         "pool": pool.stats(),
     }
-
-
-def pageload_sweep_point(stack="tcpls", policy="round-robin",
-                         grid="ge-light"):
-    """Scaled-down page-load cell for the JOBS determinism gate (the
-    full policy x stack x grid matrix lives in ``bench_pageload.py``)."""
-    return run_pageload_cell(stack=stack, policy=policy, grid=grid,
-                             pages=3, waves=2, n_objects=12,
-                             horizon=60.0)

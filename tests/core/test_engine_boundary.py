@@ -73,6 +73,29 @@ def test_no_segment_train_fork_under_src():
     assert not offences, "\n".join(offences)
 
 
+def test_one_executor_one_point_list_one_gate():
+    """The evaluation stack has one of each: the second executor, the
+    second point list and the second gate's option were deleted and
+    must not grow back, in code or in prose."""
+    this = pathlib.Path(__file__).resolve()
+    repo = this.parents[2]
+    gone = ("run_sweep", "default_points", "SweepPoint", "sweep_to_json",
+            "sweep_points")
+    offences = []
+    for top in ("src", "benchmarks", "tests"):
+        for path in sorted((repo / top).rglob("*.py")):
+            if path == this:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                offences += ["%s:%d %s" % (path, lineno, name)
+                             for name in gone if name in line]
+    for script, option in (("runner.py", "--matrix"),
+                           ("gate.py", "--metric")):
+        if option in (repo / "benchmarks" / script).read_text():
+            offences.append("%s defines %s" % (script, option))
+    assert not offences, "\n".join(offences)
+
+
 def test_no_fluid_hooks_in_the_protocol_layers():
     """The fluid model is a cohort-level simulator feature
     (``repro.net.fluid``, ``repro.perf.loadgen``): the TCPLS engine and

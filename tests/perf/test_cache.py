@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.perf import ResultCache, SweepPoint, source_fingerprint
+from repro.perf import MatrixPoint, ResultCache, source_fingerprint
 from repro.perf.cache import (
     CACHE_ENV_VAR,
     canonical_point_spec,
@@ -29,7 +29,7 @@ def metrics_point(x=1, label="a"):
 
 
 def make_point(**kwargs):
-    return SweepPoint("unit/point", metrics_point, kwargs)
+    return MatrixPoint("unit/point", metrics_point, kwargs)
 
 
 def make_cache(tmp_path, fingerprint="fp"):
@@ -52,9 +52,9 @@ def test_key_depends_on_name_fn_and_kwargs(tmp_path):
     assert cache.key(base) == cache.key(make_point(x=1))
     assert cache.key(base) != cache.key(make_point(x=2))
     assert cache.key(base) != cache.key(
-        SweepPoint("unit/other", metrics_point, {"x": 1}))
+        MatrixPoint("unit/other", metrics_point, {"x": 1}))
     assert cache.key(base) != cache.key(
-        SweepPoint("unit/point", make_point, {"x": 1}))
+        MatrixPoint("unit/point", make_point, {"x": 1}))
 
 
 def test_value_type_changes_the_key(tmp_path):
@@ -74,9 +74,9 @@ def test_key_stable_across_processes(tmp_path):
     point = make_point(x=7, label="cross")
     here = ResultCache("unused", "fp-x").key(point)
     script = (
-        "from repro.perf import ResultCache, SweepPoint\n"
+        "from repro.perf import ResultCache, MatrixPoint\n"
         "import tests.perf.test_cache as tc\n"
-        "point = SweepPoint('unit/point', tc.metrics_point,"
+        "point = MatrixPoint('unit/point', tc.metrics_point,"
         " {'x': 7, 'label': 'cross'})\n"
         "print(ResultCache('unused', 'fp-x').key(point))\n"
     )

@@ -1,11 +1,11 @@
 """The experiment matrix layer (``repro.perf.matrix``).
 
 Pins the fleet-grade properties: declarative expansion with validity
-predicates, substring/exact filters, shard journals that survive an
-interrupt, resume that re-runs only missing/failed points,
-rerun-failed that re-executes exactly the error-tagged points, and a
-merged JSON that is byte-identical across jobs counts, cache states
-and resume histories.
+predicates, substring/exact filters, one fresh interpreter per point,
+shard journals that survive an interrupt, resume that re-runs only
+missing/failed points, rerun-failed that re-executes exactly the
+error-tagged points, and a merged JSON that is byte-identical across
+jobs counts, cache states and resume histories.
 """
 
 import json
@@ -16,18 +16,17 @@ from repro.perf import (
     Axis,
     MatrixSpec,
     ResultCache,
+    MatrixPoint,
     ShardJournal,
-    SweepPoint,
     expand_matrix,
     filter_points,
+    matrix_to_json,
     run_matrix,
-    sweep_to_json,
 )
-from repro.perf.matrix import MatrixPoint
 
 
 # Importable top-level callables: spawn workers pickle them by
-# reference (the same rule sweep points follow).
+# reference.
 
 def cube_point(x=1, scale=1):
     return {"cube": x * x * x * scale}
@@ -37,6 +36,22 @@ def flaky_point(x=0, fail=False):
     if fail:
         raise RuntimeError("scripted failure %d" % x)
     return {"ok": x}
+
+
+def connection_id_probe():
+    """Exposes interpreter-state leaks: TcpConnection numbers itself
+    with a class counter, so a reused worker would return different
+    ids for the same point."""
+    from repro.net import Simulator, build_multipath
+    from repro.net.address import Endpoint
+    from repro.tcp import TcpStack
+
+    sim = Simulator(seed=1)
+    topo = build_multipath(sim, n_paths=1)
+    stack = TcpStack(sim, topo.client)
+    conn = stack.connect(topo.path(0).client_addr,
+                         Endpoint(topo.path(0).server_addr, 443))
+    return {"conn_id": conn.conn_id, "iss": conn.iss}
 
 
 def spec_for(values=(1, 2, 3), family="unit"):
@@ -99,12 +114,6 @@ def test_filter_substring_and_exact():
     assert filter_points(points, ["x=2"], exact=True) == []
 
 
-def test_matrix_point_is_a_sweep_point():
-    point = MatrixPoint("p", cube_point, {"x": 2}, axes={"x": 2})
-    assert isinstance(point, SweepPoint)
-    assert point.run() == {"cube": 8}
-
-
 # -- execution ---------------------------------------------------------------
 
 POINTS = spec_for().expand()
@@ -119,12 +128,53 @@ def test_run_matrix_results_in_canonical_order(tmp_path):
     assert stats.skipped == 0
 
 
+def test_empty_point_list():
+    results, stats = run_matrix([], jobs=4)
+    assert results == [] and stats.executed == 0
+
+
+def test_fresh_interpreter_per_point():
+    """Two identical simulation points must return identical ids even
+    in the same worker slot -- maxtasksperchild=1 guarantees it."""
+    points = [MatrixPoint("probe-a", connection_id_probe),
+              MatrixPoint("probe-b", connection_id_probe)]
+    (a, b), _ = run_matrix(points, jobs=1)
+    assert a["metrics"] == b["metrics"]
+
+
+def test_unpicklable_point_rejected_up_front():
+    with pytest.raises(ValueError, match="not picklable"):
+        run_matrix([MatrixPoint("lam", lambda: {})], jobs=1)
+
+
+def test_picklability_checked_once_per_distinct_fn(monkeypatch):
+    """A matrix crosses one fn over hundreds of points; the up-front
+    pickle check must pay per distinct callable, not per point."""
+    from repro.perf import matrix as matrix_module
+
+    calls = []
+    real_dumps = matrix_module.pickle.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(matrix_module.pickle, "dumps", counting_dumps)
+    matrix_module._check_picklable(
+        [MatrixPoint("p%d" % i, cube_point, {"x": i}) for i in range(50)]
+        + [MatrixPoint("q", flaky_point)])
+    assert len(calls) == 2
+
+
 def test_merged_json_identical_for_any_shard_split(tmp_path):
     serial, _ = run_matrix(POINTS, jobs=1,
                            journal=ShardJournal(str(tmp_path / "j1")))
     parallel, _ = run_matrix(POINTS, jobs=3,
                              journal=ShardJournal(str(tmp_path / "j3")))
-    assert sweep_to_json(serial) == sweep_to_json(parallel)
+    text = matrix_to_json(serial)
+    assert text == matrix_to_json(parallel)
+    assert text.endswith("\n")
+    assert json.loads(text) == {"results": serial}
 
 
 def test_cache_serves_second_run_without_a_pool(tmp_path):
@@ -136,7 +186,17 @@ def test_cache_serves_second_run_without_a_pool(tmp_path):
     warm, warm_stats = run_matrix(POINTS, jobs=2, cache=warm_cache)
     assert warm_stats.executed == 0
     assert warm_stats.cache_hits == len(POINTS)
-    assert sweep_to_json(cold) == sweep_to_json(warm)
+    assert matrix_to_json(cold) == matrix_to_json(warm)
+
+
+def test_partially_cached_run_executes_only_the_misses(tmp_path):
+    run_matrix(POINTS[:3], jobs=1,
+               cache=ResultCache(str(tmp_path / "cache"), "fp"))
+    results, stats = run_matrix(
+        POINTS, jobs=2, cache=ResultCache(str(tmp_path / "cache"), "fp"))
+    assert stats.cache_hits == 3
+    assert stats.executed == len(POINTS) - 3
+    assert results == run_matrix(POINTS, jobs=1)[0]
 
 
 def test_journal_written_per_shard_as_points_complete(tmp_path):
@@ -163,7 +223,7 @@ def test_interrupted_shard_resumes_to_identical_json(tmp_path):
                                 resume=True)
     assert stats.journal_reused == 2
     assert stats.executed == len(POINTS) - 2
-    assert sweep_to_json(resumed) == sweep_to_json(uninterrupted)
+    assert matrix_to_json(resumed) == matrix_to_json(uninterrupted)
 
 
 def test_resume_reruns_failed_entries(tmp_path):
@@ -172,7 +232,9 @@ def test_resume_reruns_failed_entries(tmp_path):
               for x in range(3)]
     journal = ShardJournal(str(tmp_path / "journal"))
     first, stats = run_matrix(points, jobs=1, journal=journal)
-    assert "error" in first[1] and stats.errors == 1
+    assert first[1] == {"name": "f/x=1", "axes": {"x": 1},
+                        "error": "RuntimeError: scripted failure 1"}
+    assert stats.errors == 1
 
     fixed = [MatrixPoint(p.name, flaky_point, {"x": p.axes["x"],
                                                "fail": False},
