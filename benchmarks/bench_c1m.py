@@ -10,9 +10,8 @@ core.
 
 Default shape is the acceptance run: 10k sessions concurrently alive
 inside ONE process.  ``--shards N`` instead fans the population out
-over N worker processes in the deterministic
-:class:`~repro.core.drivers.multi.ShardLayout` (listener per shard,
-one core each), merged through :func:`repro.perf.matrix.run_matrix` so
+over N worker processes in a deterministic listener-per-shard layout
+(shard ``i`` on ``base_port + i``, one core each), merged through :func:`repro.perf.matrix.run_matrix` so
 the output is byte-identical for any ``--jobs`` value.
 
 The JSON envelope (``--json``) contains only simulator-time metrics --

@@ -12,7 +12,7 @@ def probe_features():
     from repro.tcp.connection import TcpConnection
     from repro.baselines.mptcp import MptcpConnection
     from repro.baselines.quic.connection import QuicConnection
-    from repro.core.session import TcplsSession
+    from repro.core import TcplsEngine
     from repro.tls.endpoint import _TlsEndpoint
 
     def has(cls, *names):
@@ -58,11 +58,11 @@ def probe_features():
     matrix["TCPLS"] = {
         "reliability": True,
         "conf_auth": True,
-        "failover": has(TcplsSession, "_do_failover", "_replay_unacked"),
+        "failover": has(TcplsEngine, "_do_failover", "_replay_unacked"),
         "hol_avoidance": "partial",  # per-stream, unless coupled
-        "streams": has(TcplsSession, "create_stream"),
-        "migration": has(TcplsSession, "steer_stream", "add_group_stream"),
-        "concurrent_paths": has(TcplsSession, "create_coupled_group"),
+        "streams": has(TcplsEngine, "create_stream"),
+        "migration": has(TcplsEngine, "steer_stream", "add_group_stream"),
+        "concurrent_paths": has(TcplsEngine, "create_coupled_group"),
     }
     return matrix
 

@@ -19,8 +19,8 @@ Run:  PYTHONPATH=src python examples/c1m_server.py [n_clients]
 For the 10k-session simulated churn benchmark (connect waves, MPJOINs,
 scripted path outage + failovers, close/reconnect churn), see
 ``benchmarks/bench_c1m.py``.  For worker-process sharding, give each
-worker its own ``ShardLayout(n).port_for(i)`` listener (or one shared
-port with ``SocketDriver(reuse_port=True)``).
+worker its own listener on ``base_port + i`` (or one shared port with
+``SocketDriver(reuse_port=True)``).
 """
 
 import sys

@@ -12,7 +12,7 @@ The package implements every mechanism of Secs. 3-4 of the paper:
   summed into the left 32 IV bits, record sequence XORed into the right
   64), giving every record of every stream a unique nonce.
 - **Stream multiplexing** with implicit stream ids recovered by AEAD
-  tag trial (:class:`~repro.core.session.TcplsSession` demux).
+  tag trial (:class:`~repro.core.engine.session.TcplsEngine` demux).
 - **Session management**: TCPLS Hello negotiation, SESSID + single-use
   COOKIE join of additional TCP connections, server address
   advertisement (Sec. 3.2, Fig. 3).
@@ -47,10 +47,9 @@ from repro.core.errors import (
     StreamClosedError,
     TcplsError,
 )
-from repro.core.session import TcplsEngine, TcplsSession
+from repro.core.engine.session import TcplsEngine
 from repro.core.stream import TcplsStream
-from repro.core.client import TcplsClient
-from repro.core.server import TcplsServer
+from repro.core.drivers.sim import TcplsClient, TcplsServer
 from repro.core.engine.policy import (
     LowestRttScheduler,
     Policy,
@@ -88,7 +87,6 @@ __all__ = [
     "TcplsError",
     "TcplsRecord",
     "TcplsServer",
-    "TcplsSession",
     "TcplsStream",
     "WeightedScheduler",
     "derive_stream_iv",

@@ -5,10 +5,10 @@ configures a context, registers callbacks, explicitly opens TCP
 connections between chosen address pairs (optionally racing them,
 Happy-Eyeballs style), and then drives streams.
 :class:`TcplsConnection` is that facade over
-:class:`~repro.core.client.TcplsClient`.
+:func:`~repro.core.drivers.sim.TcplsClient`.
 """
 
-from repro.core.client import TcplsClient
+from repro.core.drivers.sim import TcplsClient
 from repro.core.errors import SessionStateError
 from repro.net.address import Endpoint
 
@@ -182,7 +182,7 @@ class TcplsConnection:
 
 def tcpls_connect(sim, stack, local_addr, remote, psk, **kwargs):
     """One-call helper: build a client session and open the primary
-    connection.  Returns the :class:`~repro.core.client.TcplsClient`."""
+    connection.  Returns the :func:`~repro.core.drivers.sim.TcplsClient`."""
     client = TcplsClient(sim, stack, psk, **kwargs)
     client.connect(local_addr, remote)
     return client

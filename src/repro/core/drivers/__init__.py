@@ -10,12 +10,15 @@
 
 from repro.core.drivers.multi import (
     ConnectionTable,
-    CookieCache,
     MemoryBudget,
     MultiSessionServer,
-    ShardLayout,
 )
-from repro.core.drivers.sim import SimClock, SimDriver
+from repro.core.drivers.sim import (
+    SimClock,
+    SimDriver,
+    TcplsClient,
+    TcplsServer,
+)
 from repro.core.drivers.sockets import (
     SocketClock,
     SocketDriver,
@@ -24,13 +27,13 @@ from repro.core.drivers.sockets import (
 
 __all__ = [
     "ConnectionTable",
-    "CookieCache",
     "MemoryBudget",
     "MultiSessionServer",
-    "ShardLayout",
     "SimClock",
     "SimDriver",
     "SocketClock",
     "SocketDriver",
     "SocketTransport",
+    "TcplsClient",
+    "TcplsServer",
 ]

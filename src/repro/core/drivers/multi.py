@@ -13,11 +13,6 @@ code:
   teardown -- including transports that die *mid-handshake*, which the
   stock :class:`~repro.core.engine.server.TcplsServerEngine` never
   cleans up.
-- :class:`CookieCache` -- O(1) join-credential -> session map with a
-  per-session reverse index, so MPJOIN cookies/tokens resolve without
-  scanning all sessions and a retired session's outstanding
-  credentials are invalidated atomically (no resurrection by a late
-  join racing the teardown).
 - :class:`MemoryBudget` -- bounded per-session receive memory with
   hysteresis.  When a session's buffered bytes
   (:meth:`~repro.core.engine.session.TcplsEngine.buffered_rx_bytes`)
@@ -26,23 +21,20 @@ code:
   stop being drained -- either way the receive window closes and the
   *peer* is throttled, while every other session keeps progressing.
   Reads resume once the application drains below the low watermark.
-- :class:`ShardLayout` -- deterministic listener-per-shard port layout
-  plus a stable key -> shard hash for worker-process sharding.
 
 :class:`MultiSessionServer` composes these around a server engine on
-any driver (simulator or kernel sockets).
+any driver (simulator or kernel sockets), through the engine's three
+serving callbacks (accepted / attached / aborted before attach).  Join
+credentials live in the engine and nowhere else; retiring a session
+revokes them there.
 """
 
-import zlib
-
 from repro.core.engine.server import TcplsServerEngine
-from repro.core.stream import conn_id_from_cookie
-from repro.tls.extensions import decode_tcpls_join
 
 #: default per-session receive-memory budget (bytes)
 DEFAULT_BUDGET = 256 * 1024
 #: resume reads when buffered bytes drain below this fraction of budget
-DEFAULT_RESUME_FRACTION = 0.5
+RESUME_FRACTION = 0.5
 
 STATE_PENDING = "pending"     # accepted, handshake in flight
 STATE_ATTACHED = "attached"   # wired to a session
@@ -86,9 +78,6 @@ class ConnectionTable:
 
     def __len__(self):
         return len(self._entries)
-
-    def __contains__(self, fd):
-        return fd in self._entries
 
     def _fd_for(self, transport):
         fileno = getattr(transport, "fileno", None)
@@ -153,69 +142,13 @@ class ConnectionTable:
         return [self._entries[fd] for fd in sorted(fds)
                 if fd in self._entries]
 
-    def sessions(self):
-        """Distinct sessions currently holding table entries."""
-        seen = {}
-        for entry in self._entries.values():
-            if entry.session is not None:
-                seen[entry.session.obs_id] = entry.session
-        return list(seen.values())
-
-
-class CookieCache:
-    """O(1) join-credential -> session map with per-session reverse
-    index, so MPJOIN and token joins never scan the session table and
-    a retiring session invalidates all its outstanding credentials."""
-
-    def __init__(self):
-        self._by_credential = {}
-        self._by_session = {}     # session obs_id -> set of credentials
-
-    def __len__(self):
-        return len(self._by_credential)
-
-    def register(self, session, credential):
-        previous = self._by_credential.get(credential)
-        if previous is not None and previous is not session:
-            # Credential reissued to another session: drop the stale
-            # reverse-index entry or it would outlive its owner.
-            creds = self._by_session.get(previous.obs_id)
-            if creds is not None:
-                creds.discard(credential)
-                if not creds:
-                    del self._by_session[previous.obs_id]
-        self._by_credential[credential] = session
-        self._by_session.setdefault(session.obs_id, set()).add(credential)
-
-    def pop(self, credential):
-        """Resolve and consume one credential (single use)."""
-        session = self._by_credential.pop(credential, None)
-        if session is not None:
-            creds = self._by_session.get(session.obs_id)
-            if creds is not None:
-                creds.discard(credential)
-                if not creds:
-                    del self._by_session[session.obs_id]
-        return session
-
-    def invalidate_session(self, session):
-        """Atomically revoke every outstanding credential of a retiring
-        session; returns how many were revoked."""
-        creds = self._by_session.pop(session.obs_id, None)
-        if not creds:
-            return 0
-        for credential in creds:
-            self._by_credential.pop(credential, None)
-        return len(creds)
-
 
 class MemoryBudget:
     """Per-session receive-memory bound with pause/resume hysteresis."""
 
-    def __init__(self, limit=DEFAULT_BUDGET,
-                 resume_fraction=DEFAULT_RESUME_FRACTION):
+    def __init__(self, limit=DEFAULT_BUDGET):
         self.limit = limit
-        self.low_watermark = int(limit * resume_fraction)
+        self.low_watermark = int(limit * RESUME_FRACTION)
 
     def over(self, session):
         return session.buffered_rx_bytes() >= self.limit
@@ -224,136 +157,22 @@ class MemoryBudget:
         return session.buffered_rx_bytes() <= self.low_watermark
 
 
-class ShardLayout:
-    """Deterministic listener-per-shard layout for worker processes.
-
-    Shard ``i`` listens on ``base_port + i`` (distinct ports keep the
-    layout valid on drivers without ``SO_REUSEPORT``; kernel-socket
-    shards sharing one port set ``SocketDriver(reuse_port=True)`` and
-    use ``base_port`` for every shard).  ``shard_for_key`` hashes any
-    byte/str key (e.g. a client id) to its home shard with crc32 --
-    stable across processes and runs, unlike ``hash()``.
-    """
-
-    def __init__(self, n_shards, base_port=4443):
-        if n_shards < 1:
-            raise ValueError("need at least one shard")
-        self.n_shards = n_shards
-        self.base_port = base_port
-
-    def port_for(self, shard):
-        if not 0 <= shard < self.n_shards:
-            raise ValueError("shard %d outside layout of %d"
-                             % (shard, self.n_shards))
-        return self.base_port + shard
-
-    def ports(self):
-        return [self.base_port + i for i in range(self.n_shards)]
-
-    def shard_for_key(self, key):
-        if isinstance(key, str):
-            key = key.encode()
-        elif isinstance(key, int):
-            key = key.to_bytes(8, "big", signed=True)
-        return zlib.crc32(key) % self.n_shards
-
-
-class _MuxServerEngine(TcplsServerEngine):
-    """Server engine whose join credentials live in the mux's
-    :class:`CookieCache` (O(1) resolution + teardown invalidation)."""
-
-    def __init__(self, mux, driver, port, psk, **kwargs):
-        self._mux = mux
-        super().__init__(driver, port, psk, **kwargs)
-
-    # -- credential minting: mirror into the cache ----------------------
-
-    def _mint_cookies(self, session, count):
-        cookies = super()._mint_cookies(session, count)
-        for cookie in cookies:
-            self._mux.cache.register(session, cookie)
-        return cookies
-
-    def _mint_tokens(self, session, count):
-        tokens = super()._mint_tokens(session, count)
-        for token in tokens:
-            self._mux.cache.register(session, token)
-        return tokens
-
-    # -- join answering: resolve through the cache ----------------------
-
-    def _answer_join(self, join_ext, pending):
-        from repro.tls.endpoint import TlsError
-
-        session_id, cookie = decode_tcpls_join(join_ext.data)
-        session = self._mux.cache.pop(cookie)
-        if session is None or session.session_id != session_id \
-                or session_id not in self.sessions:
-            raise TlsError("TCPLS join: unknown session or stale cookie")
-        session.issued_cookies.discard(cookie)
-        pending["session"] = session
-        pending["is_join"] = True
-        pending["conn_id"] = conn_id_from_cookie(cookie)
-        from repro.tls.extensions import EXT_TCPLS_HELLO, Extension
-
-        return [Extension(EXT_TCPLS_HELLO, b"")]
-
-    def _answer_token_join(self, token_ext, pending):
-        from repro.tls.endpoint import TlsError
-
-        token = token_ext.data
-        session = self._mux.cache.pop(token)
-        self._tokens.pop(token, None)
-        if session is None or session.session_id not in self.sessions:
-            raise TlsError("TCPLS join: unknown, reused or stale token")
-        pending["session"] = session
-        pending["is_join"] = True
-        pending["conn_id"] = conn_id_from_cookie(token)
-        from repro.tls.extensions import EXT_TCPLS_HELLO, Extension
-
-        return [Extension(EXT_TCPLS_HELLO, b"")]
-
-    # -- lifecycle hooks into the mux -----------------------------------
-
-    def _on_accept(self, tcp):
-        self._mux._track_accept(tcp)
-        super()._on_accept(tcp)
-
-    def _feed(self, conn, pending):
-        super()._feed(conn, pending)
-        # A bad ClientHello (stale cookie, reused token, TLS garbage)
-        # makes the engine abort the transport -- which fires no
-        # callback, so sweep the table entry here or it leaks.
-        if not conn.tcp.is_open():
-            self._mux._transport_aborted(conn.tcp)
-
-    def _on_handshake_complete(self, conn, pending):
-        super()._on_handshake_complete(conn, pending)
-        self._mux._track_attach(conn)
-
-
 class MultiSessionServer:
     """One event loop, thousands of TCPLS sessions.
 
     Wraps a :class:`~repro.core.engine.server.TcplsServerEngine` on any
-    driver with the connection table, the credential cache and
-    per-session memory budgets.  The per-session engine code is
-    untouched; the mux only re-points transport callbacks after the
-    engine wires them, which is exactly where libconvert interposes
-    its ``_tcpls_lookup`` registry between the kernel and picotcpls.
+    driver with the connection table and per-session memory budgets.
+    The per-session engine code is untouched; the mux only re-points
+    transport callbacks after the engine wires them, which is exactly
+    where libconvert interposes its ``_tcpls_lookup`` registry between
+    the kernel and picotcpls.
     """
 
     def __init__(self, driver, port, psk, budget_bytes=DEFAULT_BUDGET,
-                 resume_fraction=DEFAULT_RESUME_FRACTION,
-                 release_handshakes=True, auto_retire=False,
-                 **server_kwargs):
+                 auto_retire=False, **server_kwargs):
         self.driver = driver
         self.table = ConnectionTable()
-        self.cache = CookieCache()
-        self.budget = MemoryBudget(budget_bytes, resume_fraction)
-        #: drop each connection's TLS handshake machine after attach
-        #: (tens of KB per connection at C1M scale)
-        self.release_handshakes = release_handshakes
+        self.budget = MemoryBudget(budget_bytes)
         #: retire a session automatically once its last transport is
         #: gone (herd-scale churn would otherwise leak session state)
         self.auto_retire = auto_retire
@@ -364,9 +183,11 @@ class MultiSessionServer:
         self.resumes = 0
         #: application callback: one new ready session
         self.on_session = None
-        self.engine = _MuxServerEngine(self, driver, port, psk,
-                                       **server_kwargs)
+        self.engine = TcplsServerEngine(driver, port, psk, **server_kwargs)
         self.engine.on_session = self._on_session_ready
+        self.engine.on_accepted = self._track_accept
+        self.engine.on_attached = self._track_attach
+        self.engine.on_aborted = self._transport_aborted
         self.port = self.engine.port
 
     # -- observability ---------------------------------------------------
@@ -391,20 +212,14 @@ class MultiSessionServer:
     def session_count(self):
         return len(self.engine.sessions)
 
-    def lookup(self, fd):
-        """``_tcpls_lookup(sd)``: the table entry for a transport fd."""
-        return self.table.lookup(fd)
-
     def retire_session(self, session):
         """Tear one session down completely: close its transports,
         drop its table entries, revoke its outstanding join
         credentials, and forget it -- a later MPJOIN with one of its
         cookies/tokens must fail, not resurrect it."""
-        revoked = self.cache.invalidate_session(session)
         for entry in self.table.entries_for(session):
             self.table.remove(entry.fd)
-        session.close()
-        self.engine.sessions.pop(session.session_id, None)
+        revoked = self.engine.retire(session)
         self.retired += 1
         self._emit("session_retired", {
             "session": session.obs_id, "revoked_credentials": revoked,
@@ -423,7 +238,8 @@ class MultiSessionServer:
 
     # -- accept / attach / teardown tracking -----------------------------
 
-    def _track_accept(self, tcp):
+    def _track_accept(self, conn):
+        tcp = conn.tcp
         entry = self.table.add_pending(tcp)
         # The stock engine leaves pre-handshake transports without
         # close/reset callbacks; a client that gives up mid-handshake
@@ -439,12 +255,13 @@ class MultiSessionServer:
             self.table.remove(entry.fd)
             self._emit("pending_teardown", {"fd": entry.fd})
 
-    def _transport_aborted(self, tcp):
-        fd = getattr(tcp, "_mux_fd", None)
-        if fd is None:
-            return
+    def _transport_aborted(self, conn):
+        # A bad ClientHello (stale cookie, reused token, TLS garbage)
+        # made the engine abort the transport -- which fires no
+        # transport callback, so sweep the table entry here.
+        fd = conn.tcp._mux_fd
         entry = self.table.lookup(fd)
-        if entry is not None and entry.transport is tcp:
+        if entry is not None and entry.transport is conn.tcp:
             self.table.remove(fd)
             self._emit("pending_teardown", {"fd": fd, "reason": "abort"})
 
@@ -457,23 +274,15 @@ class MultiSessionServer:
     def _conn_failed_hook(self, conn, reason):
         # A failover sync aborts the dead connection's transport
         # without any transport callback; sweep its table entry here.
-        fd = getattr(conn.tcp, "_mux_fd", None)
-        if fd is None:
-            return
-        entry = self.table.lookup(fd)
+        entry = self.table.lookup(conn.tcp._mux_fd)
         if entry is not None and entry.conn is conn:
             self._attached_gone(entry, "failed:%s" % reason)
 
     def _track_attach(self, conn):
         session = conn.session
-        if session is None or conn.failed:
+        if conn.failed:
             return
-        fd = getattr(conn.tcp, "_mux_fd", None)
-        if fd is None:
-            # Transport never went through _track_accept (engine built
-            # directly); register it now so lookups still work.
-            entry = self.table.add_pending(conn.tcp)
-            fd = entry.fd
+        fd = conn.tcp._mux_fd
         entry = self.table.attach(fd, session, conn)
         if entry is None:
             return
@@ -484,13 +293,13 @@ class MultiSessionServer:
         if session.on_conn_failed is None:
             session.on_conn_failed = self._conn_failed_hook
         self._wrap_transport(entry)
-        if self.release_handshakes:
-            # Deferred one tick: the handshake often completes inside
-            # tls.feed(), whose caller still touches conn.tls after.
-            self.driver.clock.call_later(0.0, conn.release_handshake)
+        # Drop the TLS handshake machine (tens of KB per connection at
+        # C1M scale).  Deferred one tick: the handshake often completes
+        # inside tls.feed(), whose caller still touches conn.tls after.
+        self.driver.clock.call_later(0.0, conn.release_handshake)
         self._emit("attach", {
             "fd": fd, "session": session.obs_id, "conn": conn.conn_id,
-            "join": conn.index > 0,
+            "join": not conn.is_primary,
         })
 
     def _wrap_transport(self, entry):
@@ -553,14 +362,12 @@ class MultiSessionServer:
             return
         entry.paused = True
         self.pauses += 1
-        pause = getattr(entry.transport, "pause_reading", None)
-        if pause is not None:
-            pause()
-        # Without pause_reading (simulator transports) the pause is
+        # On simulator transports this does nothing and the pause is
         # purely "stop draining": bytes pile up in the transport's
         # receive buffer, its advertised window closes, and TCP
         # throttles the peer -- the same mechanism a kernel socket
         # gets from dropping read interest.
+        entry.transport.pause_reading()
         self._emit("pause", {
             "fd": entry.fd, "session": entry.session.obs_id,
             "buffered": entry.session.buffered_rx_bytes(),
@@ -576,9 +383,7 @@ class MultiSessionServer:
     def _resume_entry(self, entry):
         entry.paused = False
         self.resumes += 1
-        resume = getattr(entry.transport, "resume_reading", None)
-        if resume is not None:
-            resume()
+        entry.transport.resume_reading()
         self._emit("resume", {
             "fd": entry.fd, "session": entry.session.obs_id,
         })
@@ -592,23 +397,12 @@ class MultiSessionServer:
             return
         if self.table.lookup(entry.fd) is not entry:
             return
-        if entry.transport.is_open() or self._transport_has_bytes(
-                entry.transport):
+        if entry.transport.is_open() or entry.transport.readable_bytes():
             # Through the wrapped on_data, so the backlog read is
             # budget-checked and re-pauses if it overshoots again.
             on_data = entry.transport.on_data
             if on_data is not None:
                 on_data(entry.transport)
-
-    @staticmethod
-    def _transport_has_bytes(transport):
-        readable = getattr(transport, "readable_bytes", None)
-        if readable is not None:
-            return readable() > 0
-        buffered = getattr(transport, "_recv_buffer", None)
-        if buffered is not None:
-            return bool(buffered)
-        return False
 
     def paused_fds(self):
         """fds currently under backpressure (tests / gauges)."""
@@ -620,9 +414,7 @@ class MultiSessionServer:
 
 __all__ = [
     "ConnectionTable",
-    "CookieCache",
     "MemoryBudget",
     "MultiSessionServer",
-    "ShardLayout",
     "TableEntry",
 ]

@@ -3,12 +3,16 @@
 The transports handed to the engine are the simulator's own
 :class:`repro.tcp.connection.TcpConnection` objects (they satisfy the
 :class:`~repro.core.engine.interfaces.Transport` contract directly), so
-this driver adds no per-byte indirection -- the engine under
-``SimDriver`` executes the exact code path the pre-split
-``TcplsSession`` did, which is what keeps golden traces bit-identical.
+this driver adds no per-byte indirection.
+
+:func:`TcplsClient` and :func:`TcplsServer` build the engines bound to
+a simulated host's TCP stack -- the constructors the experiments, the
+examples and the tests use.
 """
 
+from repro.core.engine.client import TcplsClientEngine
 from repro.core.engine.interfaces import Clock, Driver
+from repro.core.engine.server import TcplsServerEngine
 from repro.net.address import Endpoint
 
 
@@ -73,4 +77,21 @@ class SimDriver(Driver):
         return self.stack.host.addresses()
 
 
-__all__ = ["SimClock", "SimDriver"]
+def TcplsClient(sim, stack, psk, **client_kwargs):
+    """A TCPLS client on a simulated host."""
+    client = TcplsClientEngine(SimDriver(sim, stack), psk, **client_kwargs)
+    client.sim = sim
+    client.stack = stack
+    return client
+
+
+def TcplsServer(sim, stack, port, psk, **server_kwargs):
+    """A TCPLS server listening on a simulated host's ``port``."""
+    server = TcplsServerEngine(SimDriver(sim, stack), port, psk,
+                               **server_kwargs)
+    server.sim = sim
+    server.stack = stack
+    return server
+
+
+__all__ = ["SimClock", "SimDriver", "TcplsClient", "TcplsServer"]

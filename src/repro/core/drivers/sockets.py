@@ -191,6 +191,9 @@ class SocketTransport(Transport):
     def unsent_bytes(self):
         return len(self._outbuf)
 
+    def readable_bytes(self):
+        return len(self._recv_buffer)
+
     def fileno(self):
         """Kernel fd (the multi-session connection-table key)."""
         try:

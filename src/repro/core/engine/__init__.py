@@ -23,18 +23,13 @@ from repro.core.engine.replay import (
     StubDriver,
     bootstrap_ready_session,
 )
-from repro.core.engine.session import (
-    DEFAULT_UNSENT_TARGET,
-    ConnectionState,
-    TcplsEngine,
-)
+from repro.core.engine.session import ConnectionState, TcplsEngine
 from repro.core.engine.client import TcplsClientEngine
 from repro.core.engine.server import TcplsServerEngine, TcplsServerSessionEngine
 
 __all__ = [
     "Clock",
     "ConnectionState",
-    "DEFAULT_UNSENT_TARGET",
     "Driver",
     "InputLog",
     "ManualClock",

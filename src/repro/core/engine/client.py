@@ -12,7 +12,7 @@ reset outright (legacy servers aborting on unknown extensions), the
 client retries once without any TCPLS extension.
 """
 
-from repro.core.engine.session import ConnectionState, TcplsEngine
+from repro.core.engine.session import TcplsEngine
 from repro.core.errors import JoinError, SessionStateError
 from repro.core.stream import conn_id_from_cookie
 from repro.tls.endpoint import TlsClient
@@ -50,7 +50,6 @@ class TcplsClientEngine(TcplsEngine):
         #: abandon a join attempt that has not completed in this long
         #: and rotate to another path (failover path probing)
         self.join_timeout = join_timeout
-        self.fell_back = False
         self._primary_remote = None
         self._primary_local = None
         self._recently_failed_pairs = {}
@@ -76,8 +75,8 @@ class TcplsClientEngine(TcplsEngine):
         self._primary_remote = remote
         self._primary_local = local_addr
         extra = [Extension(EXT_TCPLS_HELLO, b"")] if self.enable_tcpls else []
-        return self._open(local_addr, remote, extra, index=0, cc=cc,
-                          tfo=tfo, early_data=early_data)
+        return self._open(local_addr, remote, extra, cc=cc, tfo=tfo,
+                          early_data=early_data)
 
     def join(self, local_addr, remote=None, cc=None):
         """Join one more TCP connection to the session using a stored
@@ -101,8 +100,7 @@ class TcplsClientEngine(TcplsEngine):
                 EXT_TCPLS_JOIN,
                 encode_tcpls_join(self.session_id, credential),
             )
-        conn = self._open(local_addr, remote, [join_ext],
-                          index=len(self.conns), cc=cc,
+        conn = self._open(local_addr, remote, [join_ext], cc=cc,
                           conn_id=conn_id_from_cookie(credential))
         if self.join_timeout is not None:
             self.clock.call_later(self.join_timeout, self._check_join, conn)
@@ -134,8 +132,8 @@ class TcplsClientEngine(TcplsEngine):
                                             self._primary_remote.port)
         return self._primary_remote
 
-    def _open(self, local_addr, remote, extra_extensions, index, cc=None,
-              conn_id=None, tfo=False, early_data=b""):
+    def _open(self, local_addr, remote, extra_extensions, cc=None,
+              conn_id=0, tfo=False, early_data=b""):
         tls = TlsClient(self.psk, self.driver.rng,
                         cipher_names=self.cipher_names,
                         extra_extensions=extra_extensions,
@@ -150,9 +148,7 @@ class TcplsClientEngine(TcplsEngine):
             tfo_payload = tls.data_to_send()
         tcp = self.driver.connect(local_addr, remote, cc=cc,
                                   tfo_data=tfo_payload)
-        conn = ConnectionState(self, index, tcp, tls, conn_id=conn_id)
-        self.conns.append(conn)
-        self._wire_tcp_callbacks(conn)
+        conn = self._open_conn(tcp, tls, conn_id)
         tls.on_handshake_complete = (
             lambda _endpoint: self._on_handshake_complete(conn)
         )
@@ -174,56 +170,16 @@ class TcplsClientEngine(TcplsEngine):
     # ------------------------------------------------------------------
 
     def _on_handshake_complete(self, conn):
-        conn.alive = True
-        # Flush the client Finished before any callback can queue
-        # application records behind it.
-        self._flush_tls(conn)
-        self._emit("session", "conn_established", {
-            "conn": conn.conn_id, "index": conn.index,
-            "local": str(conn.tcp.local), "remote": str(conn.tcp.remote),
-        })
+        """Read the server's answer, then attach: the primary learns
+        the session's identity and join budget from it, a join only
+        whether it was accepted."""
+        ee = conn.tls.peer_encrypted_extensions
+        accepted = find_extension(ee, EXT_TCPLS_HELLO) is not None
         if conn.is_primary:
-            self._complete_primary(conn)
-        else:
-            self._complete_join(conn)
-        # Route records arriving after the handshake through the session
-        # (keys and control streams are installed above).
-        self._takeover_tls(conn)
-        self._flush_tls(conn)
-        if self.on_conn_established is not None:
-            self.on_conn_established(conn)
-        self._pump()
-
-    def _complete_primary(self, conn):
-        ee = conn.tls.peer_encrypted_extensions
-        hello = find_extension(ee, EXT_TCPLS_HELLO)
-        self.tcpls_enabled = hello is not None
-        if self.tcpls_enabled:
-            sessid = find_extension(ee, EXT_TCPLS_SESSID)
-            cookies = find_extension(ee, EXT_COOKIE_TCPLS)
-            tokens = find_extension(ee, EXT_TCPLS_TOKENS)
-            addresses = find_extension(ee, EXT_TCPLS_ADDRESSES)
-            if sessid is not None:
-                self.session_id = sessid.data
-            if cookies is not None:
-                self.cookies = decode_cookie_list(cookies.data)
-            if tokens is not None:
-                self.tokens = decode_cookie_list(tokens.data)
-            if addresses is not None:
-                self.peer_addresses = decode_address_list(addresses.data)
-        self._setup_keys(conn.tls.schedule, conn.tls.cipher_cls)
-        self._install_control_stream(conn)
-        self.ready = True
-        self._emit("session", "ready", {"tcpls": self.tcpls_enabled,
-                                        "fallback": self.fell_back})
-        if self.tcpls_enabled and self.auto_user_timeout is not None:
-            self.set_user_timeout(conn, self.auto_user_timeout)
-        if self.on_ready is not None:
-            self.on_ready(self)
-
-    def _complete_join(self, conn):
-        ee = conn.tls.peer_encrypted_extensions
-        if find_extension(ee, EXT_TCPLS_HELLO) is None:
+            self.tcpls_enabled = accepted
+            if accepted:
+                self._read_session_extensions(ee)
+        elif not accepted:
             # Join rejected (blocked extension on this path, Sec. 5.2):
             # cancel the attachment and notify the application.
             conn.failed = True
@@ -233,14 +189,25 @@ class TcplsClientEngine(TcplsEngine):
             if self.on_conn_failed is not None:
                 self.on_conn_failed(conn, "join-rejected")
             return
-        self._install_control_stream(conn)
-        if self.auto_user_timeout is not None:
+        self.attach_conn(conn, self._arm_auto_user_timeout)
+
+    def _read_session_extensions(self, ee):
+        sessid = find_extension(ee, EXT_TCPLS_SESSID)
+        cookies = find_extension(ee, EXT_COOKIE_TCPLS)
+        tokens = find_extension(ee, EXT_TCPLS_TOKENS)
+        addresses = find_extension(ee, EXT_TCPLS_ADDRESSES)
+        if sessid is not None:
+            self.session_id = sessid.data
+        if cookies is not None:
+            self.cookies = decode_cookie_list(cookies.data)
+        if tokens is not None:
+            self.tokens = decode_cookie_list(tokens.data)
+        if addresses is not None:
+            self.peer_addresses = decode_address_list(addresses.data)
+
+    def _arm_auto_user_timeout(self, conn):
+        if self.tcpls_enabled and self.auto_user_timeout is not None:
             self.set_user_timeout(conn, self.auto_user_timeout)
-        self._emit("session", "join", {"conn": conn.conn_id,
-                                       "index": conn.index})
-        self._resolve_pending_failover(conn)
-        if self.on_join is not None:
-            self.on_join(conn)
 
     # ------------------------------------------------------------------
     # Fallback (legacy servers aborting on unknown extensions)
@@ -259,7 +226,7 @@ class TcplsClientEngine(TcplsEngine):
         super()._conn_failed(conn, reason)
 
     def _retry_plain_tls(self):
-        self._open(self._primary_local, self._primary_remote, [], index=0)
+        self._open(self._primary_local, self._primary_remote, [])
 
     def _on_no_failover_target(self, failed_conn):
         """Break-before-make recovery (Fig. 4): open a fresh TCP

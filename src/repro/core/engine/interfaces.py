@@ -68,6 +68,19 @@ class Transport(abc.ABC):
     def unsent_bytes(self):
         """Bytes accepted by :meth:`send` but not yet on the wire."""
 
+    @abc.abstractmethod
+    def readable_bytes(self):
+        """Bytes a :meth:`recv` would return right now."""
+
+    def pause_reading(self):
+        """Stop delivering ``on_data`` (receive backpressure).  The
+        default does nothing: a transport nobody drains is already
+        paused -- its receive buffer fills, its window closes and the
+        peer is throttled.  Kernel sockets drop read interest."""
+
+    def resume_reading(self):
+        """Undo :meth:`pause_reading`."""
+
     # -- lifecycle ------------------------------------------------------
 
     @abc.abstractmethod

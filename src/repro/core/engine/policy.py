@@ -78,9 +78,7 @@ class Policy:
     """Base scheduling policy: both decision points, safe defaults.
 
     Subclasses override :meth:`pick_stream` (record scheduling) and
-    optionally :meth:`assign_transfer` (transfer placement).  The
-    legacy ``scheduler.pick(streams)`` surface is kept as an alias so
-    two generations of callers keep working.
+    optionally :meth:`assign_transfer` (transfer placement).
     """
 
     #: human-readable policy name, carried on every ``scheduler`` bus
@@ -100,10 +98,6 @@ class Policy:
         None for bare callers) describes the decision point.
         """
         raise NotImplementedError
-
-    def pick(self, streams):
-        """Legacy record-scheduler surface (pre-policy callers)."""
-        return self.pick_stream(streams, None)
 
     # -- decision point 2: transfer -> pooled connection -----------------
 
@@ -256,12 +250,6 @@ class RedundantScheduler(Policy):
         if not streams:
             raise ValueError("no streams to schedule")
         return streams[0]
-
-    def pick(self, streams):
-        """Legacy surface: historical callers expect the full list."""
-        if not streams:
-            raise ValueError("no streams to schedule")
-        return list(streams)
 
 
 class PredictivePolicy(Policy):

@@ -18,7 +18,7 @@ import heapq
 import random
 
 from repro.core.engine.interfaces import Clock, Driver, Transport
-from repro.core.engine.session import ConnectionState, TcplsEngine
+from repro.core.engine.session import TcplsEngine
 from repro.core.errors import DriverError
 from repro.crypto.aead import get_cipher
 from repro.obs.bus import EventBus
@@ -196,6 +196,9 @@ class ReplayTransport(Transport):
     def unsent_bytes(self):
         return 0
 
+    def readable_bytes(self):
+        return len(self._recv_buffer)
+
     # -- harness helpers ------------------------------------------------
 
     def inject(self, data):
@@ -304,18 +307,14 @@ def bootstrap_ready_session(driver=None, is_client=True,
         _StubEndpoint(_StubAddress("server" if is_client else "client"),
                       443),
     )
-    conn = ConnectionState(engine, 0, transport)
-    conn.alive = True
-    engine.conns.append(conn)
-    engine._wire_tcp_callbacks(conn)
     cipher_cls = get_cipher(cipher_name)
     if is_client:
         engine.install_raw_keys(cipher_cls, key, peer_key, iv, peer_iv)
     else:
         engine.install_raw_keys(cipher_cls, peer_key, key, peer_iv, iv)
-    engine._install_control_stream(conn)
     engine.tcpls_enabled = True
-    engine.ready = True
+    conn = engine._open_conn(transport)
+    engine.attach_conn(conn)
     return engine, conn
 
 

@@ -8,14 +8,20 @@ advertisement in EncryptedExtensions), while a ClientHello carrying
 TCPLS Join attaches the connection to the existing session named by its
 SESSID -- after validating and consuming the cookie.  By issuing ``n``
 cookies the server caps the client at ``n`` additional connections
-(resource-exhaustion resistance, Sec. 3.3.2).
+(resource-exhaustion resistance, Sec. 3.3.2).  Cookies and the
+unlinkable tokens of Sec. 3.4 live in one ``credential -> session``
+map.  Either way the connection enters its session through
+:meth:`~repro.core.engine.session.TcplsEngine.attach_conn`; a join whose
+handshake completes before its session's primary has attached waits,
+parked, until it has.
 """
 
 import hashlib
 
+from repro.core import record as rec
 from repro.core.engine.session import ConnectionState, TcplsEngine
 from repro.core.stream import conn_id_from_cookie
-from repro.tls.endpoint import TlsServer
+from repro.tls.endpoint import TlsError, TlsServer
 from repro.tls.extensions import (
     EXT_COOKIE_TCPLS,
     EXT_TCPLS_ADDRESSES,
@@ -29,24 +35,26 @@ from repro.tls.extensions import (
     encode_address_list,
     encode_cookie_list,
 )
+from repro.tls.record import TlsRecordError
 
 
 class TcplsServerSessionEngine(TcplsEngine):
     """One server-side session (a client plus its joined connections)."""
 
-    def __init__(self, server, session_id, **session_kwargs):
-        super().__init__(server.driver, is_client=False, **session_kwargs)
-        self.server = server
+    def __init__(self, driver, session_id, **session_kwargs):
+        super().__init__(driver, is_client=False, **session_kwargs)
         self.session_id = session_id
-        self.issued_cookies = set()
+        #: join credentials minted for this session and not yet spent:
+        #: what :meth:`TcplsServerEngine.retire` revokes
+        self.outstanding = set()
+        #: joins whose handshake completed before the primary's, in
+        #: arrival order (each spent a single-use credential, so at
+        #: most one batch of them); attached right after the primary
+        self.parked = []
 
 
 class TcplsServerEngine:
     """Listener managing TCPLS sessions on a port, over any driver."""
-
-    #: session class instantiated per client (drivers' glue subclasses
-    #: may override to keep their historical public type).
-    session_cls = TcplsServerSessionEngine
 
     def __init__(self, driver, port, psk, cipher_names=("null-tag",),
                  cookie_batch=8, auto_replenish=True, enable_tcpls=True,
@@ -57,14 +65,15 @@ class TcplsServerEngine:
         self.psk = psk
         self.cipher_names = tuple(cipher_names)
         self.cookie_batch = cookie_batch
-        #: refresh the client's cookie budget on each successful join
-        #: (failed probes over dead paths burn cookies silently)
+        #: refresh the client's join budget on each successful join
+        #: (failed probes over dead paths burn credentials silently)
         self.auto_replenish = auto_replenish
         #: Sec. 3.4 unlinkable joins: hand out single-use tokens that
         #: identify both the session and the join right, instead of a
         #: session-long SESSID plus per-join cookies.
         self.token_mode = token_mode
-        self._tokens = {}          # token -> session
+        #: every unspent join credential, cookie or token -> its session
+        self._credentials = {}
         self.enable_tcpls = enable_tcpls
         self.strict_extensions = strict_extensions
         self.advertise_addresses = advertise_addresses
@@ -72,17 +81,26 @@ class TcplsServerEngine:
         self.sessions = {}
         self._cookie_seq = 0
         #: monotonic session ordinal -- NOT ``len(self.sessions)``:
-        #: once sessions are retired (repro.core.drivers.multi) the
-        #: length repeats and a fresh id would collide with, and
-        #: silently overwrite, a live session's dict slot.
+        #: once sessions are retired the length repeats and a fresh id
+        #: would collide with, and silently overwrite, a live session's
+        #: dict slot.
         self._session_seq = 0
         #: called with each new server session so the application can
         #: attach stream/data callbacks before any record arrives.
         self.on_session = None
+        #: serving-layer callbacks, each called with the connection: a
+        #: transport was accepted; it attached to its session; its
+        #: handshake was refused and the transport aborted (which fires
+        #: no transport callback) before it ever attached.
+        self.on_accepted = None
+        self.on_attached = None
+        self.on_aborted = None
         self.listener = driver.listen(port, self._on_accept, cc=cc)
         #: actual bound port (drivers may assign one when ``port`` is 0)
         self.port = self.listener.port
 
+    # ------------------------------------------------------------------
+    # Sessions and join credentials
     # ------------------------------------------------------------------
 
     def _new_session_id(self):
@@ -92,145 +110,116 @@ class TcplsServerEngine:
         self._session_seq += 1
         return hashlib.sha256(material).digest()[:16]
 
-    def _mint_cookies(self, session, count):
-        cookies = []
+    def _mint(self, session, count):
+        prefix = b"token" if self.token_mode else b""
+        credentials = []
         for _ in range(count):
             self._cookie_seq += 1
-            cookie = hashlib.sha256(
-                session.session_id + self._cookie_seq.to_bytes(8, "big")
-                + self.psk
-            ).digest()[:16]
-            session.issued_cookies.add(cookie)
-            cookies.append(cookie)
-        return cookies
-
-    def _mint_tokens(self, session, count):
-        tokens = []
-        for _ in range(count):
-            self._cookie_seq += 1
-            token = hashlib.sha256(
-                b"token" + session.session_id
+            credential = hashlib.sha256(
+                prefix + session.session_id
                 + self._cookie_seq.to_bytes(8, "big") + self.psk
             ).digest()[:16]
-            self._tokens[token] = session
-            tokens.append(token)
-        return tokens
+            self._credentials[credential] = session
+            session.outstanding.add(credential)
+            credentials.append(credential)
+        return credentials
 
-    def issue_tokens(self, session, count):
-        """Send a fresh batch of unlinkable join tokens in-band."""
-        from repro.core import record as rec
+    def issue_credentials(self, session, count):
+        """Send a fresh batch of join credentials (cookies, or tokens
+        in token mode) over the secure channel: the server can extend
+        the join budget at any time (Sec. 3.3.2)."""
+        credentials = self._mint(session, count)
+        conn = session._first_writable()
+        if conn is not None:
+            opcode = (rec.CTRL_NEW_TOKENS if self.token_mode
+                      else rec.CTRL_NEW_COOKIES)
+            session._send_control(
+                conn, bytes([opcode, count]) + b"".join(credentials))
+        return credentials
 
-        tokens = self._mint_tokens(session, count)
-        primary = session._first_writable()
-        if primary is not None:
-            payload = bytes([rec.CTRL_NEW_TOKENS, len(tokens)]) + b"".join(
-                tokens
-            )
-            session._send_control(primary, payload)
-        return tokens
+    def retire(self, session):
+        """Close ``session`` and forget it, revoking its unspent join
+        credentials: a later join presenting one must be refused, not
+        resurrect the session.  Returns how many were revoked."""
+        revoked = len(session.outstanding)
+        for credential in session.outstanding:
+            del self._credentials[credential]
+        session.outstanding.clear()
+        session.close()
+        self.sessions.pop(session.session_id, None)
+        return revoked
 
-    def issue_cookies(self, session, count):
-        """Send a fresh batch of join cookies over the secure channel
-        (the server can extend the join budget at any time)."""
-        from repro.core import record as rec
-
-        cookies = self._mint_cookies(session, count)
-        primary = session._first_writable()
-        if primary is not None:
-            payload = bytes([rec.CTRL_NEW_COOKIES, len(cookies)]) + b"".join(
-                cookies
-            )
-            session._send_control(primary, payload)
-        return cookies
-
+    # ------------------------------------------------------------------
+    # Accept and ClientHello
     # ------------------------------------------------------------------
 
     def _on_accept(self, tcp):
-        pending = {"session": None, "is_join": False, "conn_id": 0}
-
-        def ee_fn(client_hello):
-            return self._answer_client_hello(client_hello, pending)
-
         tls = TlsServer(
             self.psk, self.driver.rng, cipher_names=self.cipher_names,
-            encrypted_extensions_fn=ee_fn,
             strict_extensions=self.strict_extensions,
         )
+        # The session is only known once the ClientHello is parsed.
+        conn = ConnectionState(tcp, tls)
+        tls.encrypted_extensions_fn = (
+            lambda hello: self._answer_client_hello(conn, hello))
         # 0-RTT early data (Sec. 4.5): buffered until the session is up,
         # then delivered as stream-0 application data.
-        early_chunks = []
         tls.on_application_data = (
-            lambda _e, data: early_chunks.append(data))
-        pending["early"] = early_chunks
-        holder = {}
+            lambda _e, data: conn.early_data.append(data))
+        tls.on_handshake_complete = (
+            lambda _e: self._on_handshake_complete(conn))
+        tcp.set_callbacks(on_data=lambda _c: self._feed(conn))
+        if self.on_accepted is not None:
+            self.on_accepted(conn)
 
-        def on_complete(_endpoint):
-            self._on_handshake_complete(holder["conn"], pending)
-
-        tls.on_handshake_complete = on_complete
-
-        # The session is only known once the ClientHello is parsed, so
-        # the ConnectionState is created lazily inside the data callback.
-        conn = ConnectionState(None, 0, tcp, tls)
-        holder["conn"] = conn
-
-        def on_data(_c):
-            session = pending["session"]
-            if session is not None and conn.session is None:
-                conn.session = session
-            self._feed(conn, pending)
-
-        tcp.set_callbacks(on_data=on_data)
-        conn.session = None
-
-    def _feed(self, conn, pending):
-        session = pending["session"]
-        if session is not None and getattr(conn, "_wired", False):
-            session._on_tcp_data(conn)
+    def _feed(self, conn):
+        """Handshake bytes of a connection that has not attached yet."""
+        if conn.tls.handshake_complete:
+            # Parked: what arrives now is records for a session without
+            # keys.  They wait, unread, in the transport.
             return
         data = conn.tcp.recv()
         if not data:
             return
-        from repro.tls.endpoint import TlsError
-        from repro.tls.record import TlsRecordError
-
         try:
             conn.tls.feed(data)
         except (TlsError, TlsRecordError):
             conn.tcp.abort()
+            if self.on_aborted is not None:
+                self.on_aborted(conn)
             return
         out = conn.tls.data_to_send()
         if out:
             conn.tcp.send(out)
 
-    def _answer_client_hello(self, client_hello, pending):
+    def _answer_client_hello(self, conn, client_hello):
         token_ext = client_hello.find_extension(EXT_TCPLS_TOKEN)
         if token_ext is not None:
-            return self._answer_token_join(token_ext, pending)
+            return self._answer_join(conn, token_ext.data)
         join_ext = client_hello.find_extension(EXT_TCPLS_JOIN)
         if join_ext is not None:
-            return self._answer_join(join_ext, pending)
+            session_id, cookie = decode_tcpls_join(join_ext.data)
+            return self._answer_join(conn, cookie, session_id)
         hello_ext = client_hello.find_extension(EXT_TCPLS_HELLO)
         if hello_ext is not None and self.enable_tcpls:
-            return self._answer_hello(pending)
+            return self._answer_hello(conn)
         return []
 
-    def _answer_hello(self, pending):
+    def _answer_hello(self, conn):
         session_id = self._new_session_id()
-        session = self.session_cls(self, session_id,
-                                   **self.session_kwargs)
+        session = TcplsServerSessionEngine(self.driver, session_id,
+                                           **self.session_kwargs)
+        session.tcpls_enabled = True
         self.sessions[session_id] = session
-        pending["session"] = session
+        conn.session = session
         extensions = [Extension(EXT_TCPLS_HELLO, b"")]
+        credentials = encode_cookie_list(
+            self._mint(session, self.cookie_batch))
         if self.token_mode:
-            tokens = self._mint_tokens(session, self.cookie_batch)
-            extensions.append(Extension(EXT_TCPLS_TOKENS,
-                                        encode_cookie_list(tokens)))
+            extensions.append(Extension(EXT_TCPLS_TOKENS, credentials))
         else:
-            cookies = self._mint_cookies(session, self.cookie_batch)
             extensions.append(Extension(EXT_TCPLS_SESSID, session_id))
-            extensions.append(Extension(EXT_COOKIE_TCPLS,
-                                        encode_cookie_list(cookies)))
+            extensions.append(Extension(EXT_COOKIE_TCPLS, credentials))
         if self.advertise_addresses:
             extensions.append(Extension(
                 EXT_TCPLS_ADDRESSES,
@@ -238,93 +227,68 @@ class TcplsServerEngine:
             ))
         return extensions
 
-    def _answer_token_join(self, token_ext, pending):
-        from repro.tls.endpoint import TlsError
-
-        token = token_ext.data
-        session = self._tokens.pop(token, None)  # single use
-        if session is None:
-            raise TlsError("TCPLS join: unknown or reused token")
-        pending["session"] = session
-        pending["is_join"] = True
-        pending["conn_id"] = conn_id_from_cookie(token)
+    def _answer_join(self, conn, credential, session_id=None):
+        """A token names its session by itself; a cookie must also
+        come with the session's SESSID."""
+        session = self._credentials.get(credential)
+        if session is None or session_id not in (None, session.session_id):
+            raise TlsError("TCPLS join: unknown session, or invalid or "
+                           "reused credential")
+        del self._credentials[credential]     # single use
+        session.outstanding.discard(credential)
+        conn.session = session
+        conn.conn_id = conn_id_from_cookie(credential)
         return [Extension(EXT_TCPLS_HELLO, b"")]
 
-    def _answer_join(self, join_ext, pending):
-        from repro.tls.endpoint import TlsError
+    # ------------------------------------------------------------------
+    # Handshake completion
+    # ------------------------------------------------------------------
 
-        session_id, cookie = decode_tcpls_join(join_ext.data)
-        session = self.sessions.get(session_id)
-        if session is None:
-            raise TlsError("TCPLS join: unknown session")
-        if cookie not in session.issued_cookies:
-            raise TlsError("TCPLS join: invalid or reused cookie")
-        session.issued_cookies.discard(cookie)  # single use
-        pending["session"] = session
-        pending["is_join"] = True
-        pending["conn_id"] = conn_id_from_cookie(cookie)
-        return [Extension(EXT_TCPLS_HELLO, b"")]
-
-    def _on_handshake_complete(self, conn, pending):
-        session = pending["session"]
-        conn.alive = True
+    def _on_handshake_complete(self, conn):
+        session = conn.session
         if session is None:
             # Plain TLS client: wrap it in a degraded session so the
             # application still gets stream-0 data callbacks.
-            session = self.session_cls(self, b"\x00" * 16,
-                                       **self.session_kwargs)
-            session.tcpls_enabled = False
-        conn.session = session
-        conn.index = len(session.conns)
-        conn.conn_id = pending.get("conn_id", 0)
-        session.conns.append(conn)
-        session._wire_tcp_callbacks(conn)
-        conn._wired = True
-        session._emit("session", "conn_established", {
-            "conn": conn.conn_id, "index": conn.index,
-            "local": str(conn.tcp.local), "remote": str(conn.tcp.remote),
-        })
-        if conn.index == 0:
-            session._setup_keys(conn.tls.schedule, conn.tls.cipher_cls)
-            session.tcpls_enabled = pending["session"] is not None
-            session._install_control_stream(conn)
-            session.ready = True
-            session._emit("session", "ready",
-                          {"tcpls": session.tcpls_enabled})
+            session = conn.session = TcplsServerSessionEngine(
+                self.driver, b"\x00" * 16, **self.session_kwargs)
+        if not conn.is_primary and not session.ready:
+            # The join overtook its primary (the client's last handshake
+            # flight was lost on the first path): the session has no
+            # keys yet.  Park it; records that shared a read with its
+            # Finished wait in the connection's own reassembler.
+            conn.tls.takeover = conn.reassembler._buffer.extend
+            session.parked.append(conn)
+            return
+        self._attach(conn)
+        if conn.is_primary:
+            parked, session.parked = session.parked, []
+            for join in parked:
+                if join.tcp.is_open():
+                    self._attach(join)
+                    join.tcp.on_data(join.tcp)    # what waited unread
+
+    def _attach(self, conn):
+        session = conn.session
+        session.attach_conn(conn, self._role_step)
+        if conn.early_data:
+            stream0 = conn.control_stream
+            for chunk in conn.early_data:
+                stream0.recv_buffer += chunk
+            if session.on_stream_data is not None:
+                session.on_stream_data(stream0)
+        if self.on_attached is not None:
+            self.on_attached(conn)
+
+    def _role_step(self, conn):
+        if conn.is_primary:
             if self.on_session is not None:
-                self.on_session(session)
-            if session.on_ready is not None:
-                session.on_ready(session)
-            early = pending.get("early") or []
-            if early:
-                stream0 = conn.control_stream
-                for chunk in early:
-                    stream0.recv_buffer += chunk
-                if session.on_stream_data is not None:
-                    session.on_stream_data(stream0)
-        else:
-            session._install_control_stream(conn)
-            # Keep the client's join budget topped up: failed probes over
-            # dead paths burn single-use cookies the server never sees
-            # (Sec. 3.3.2 allows the server to send additional cookies
-            # at any time), so each successful join refreshes a batch.
-            if self.auto_replenish:
-                if self.token_mode:
-                    self.issue_tokens(session, self.cookie_batch)
-                else:
-                    self.issue_cookies(session, self.cookie_batch)
-            session._emit("session", "join", {"conn": conn.conn_id,
-                                              "index": conn.index})
-            session._resolve_pending_failover(conn)
-            if session.on_join is not None:
-                session.on_join(conn)
-        if session.on_conn_established is not None:
-            session.on_conn_established(conn)
-        out = conn.tls.data_to_send()
-        if out:
-            session._conn_write(conn, out)
-        session._takeover_tls(conn)
-        session._pump()
+                self.on_session(conn.session)
+        elif self.auto_replenish:
+            # Keep the client's join budget topped up: failed probes
+            # over dead paths burn single-use credentials the server
+            # never sees (Sec. 3.3.2 allows the server to send more at
+            # any time), so each successful join refreshes a batch.
+            self.issue_credentials(conn.session, self.cookie_batch)
 
 
 __all__ = ["TcplsServerEngine", "TcplsServerSessionEngine"]

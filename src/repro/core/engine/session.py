@@ -2,9 +2,10 @@
 
 A :class:`TcplsEngine` owns one or more transports (paths), the streams
 and coupled groups multiplexed over them, and the control machinery of
-Secs. 3-4 of the paper.  Client- and server-specific handshake setup
-lives in :mod:`repro.core.engine.client` /
-:mod:`repro.core.engine.server`; everything after the handshake is
+Secs. 3-4 of the paper.  What a ClientHello asks for and how it is
+answered is role-specific and lives in :mod:`repro.core.engine.client` /
+:mod:`repro.core.engine.server`; how a connection then enters the
+session (:meth:`TcplsEngine.attach_conn`) and everything after it is
 symmetric and lives here.
 
 The engine is I/O-agnostic: it consumes input events
@@ -31,9 +32,9 @@ from repro.core.engine.policy import RecordContext, RoundRobinScheduler
 from repro.core.stream import CoupledGroup, TcplsStream, control_stream_id
 from repro.tls.record import RecordReassembler
 
-#: default bytes allowed to sit unsent in one TCP connection's buffer
-#: before the pump stops sealing records for it (keeps data steerable).
-DEFAULT_UNSENT_TARGET = 128 * 1024
+#: bytes allowed to sit unsent in one TCP connection's buffer before
+#: the pump stops sealing records for it (keeps data steerable).
+UNSENT_TARGET = 128 * 1024
 
 #: RFC 5482 TCP User Timeout option kind (mirrors
 #: ``repro.tcp.options.OPT_USER_TIMEOUT``; redefined here because the
@@ -44,12 +45,17 @@ OPT_USER_TIMEOUT = 28
 class ConnectionState:
     """One TCP connection (transport) participating in the session."""
 
-    def __init__(self, session, index, tcp, tls=None, conn_id=None):
-        self.session = session
-        self.index = index
-        #: wire identity shared by both endpoints: 0 for the primary,
-        #: cookie-derived for joined connections
-        self.conn_id = conn_id if conn_id is not None else index
+    def __init__(self, tcp, tls=None, conn_id=0):
+        #: the session and the position in its ``conns``; both unknown
+        #: until the connection is registered (an accepted connection
+        #: learns its session from the ClientHello and its position
+        #: when it attaches)
+        self.session = None
+        self.index = None
+        #: wire identity shared by both endpoints: 0 for the primary
+        #: (the ClientHello said TCPLS Hello), credential-derived for a
+        #: joined connection (it said TCPLS Join)
+        self.conn_id = conn_id
         #: the transport; named ``tcp`` because that is what it models
         #: (and what two generations of tests call it).
         self.tcp = tcp
@@ -70,6 +76,8 @@ class ConnectionState:
         #: half may be open) but can no longer accept sends.
         self.local_closed = False
         self.records_received = 0
+        #: server: 0-RTT chunks decrypted before the session was up
+        self.early_data = []
 
     @property
     def transport(self):
@@ -78,7 +86,7 @@ class ConnectionState:
 
     @property
     def is_primary(self):
-        return self.index == 0
+        return self.conn_id == 0
 
     def writable(self):
         """Bytes may be handed to TCP (handshake data included)."""
@@ -107,7 +115,7 @@ class ConnectionState:
         state = "failed" if self.failed else (
             "alive" if self.alive else "opening"
         )
-        return "Conn(%d, %s, %s->%s)" % (
+        return "Conn(%s, %s, %s->%s)" % (
             self.index, state, self.tcp.local, self.tcp.remote
         )
 
@@ -115,9 +123,12 @@ class ConnectionState:
 class TcplsEngine:
     """Shared session logic for both endpoints, over any driver."""
 
+    #: sequences tried per stream before a record is declared
+    #: undecryptable (the slow pass of the tag-trial demux)
+    trial_window = 64
+
     def __init__(self, driver, is_client, record_payload=16384,
-                 trial_window=64, ack_interval=16,
-                 unsent_target=DEFAULT_UNSENT_TARGET):
+                 ack_interval=16):
         self.driver = driver
         self.clock = driver.clock
         self.bus = driver.bus
@@ -126,9 +137,7 @@ class TcplsEngine:
         self.obs_id = self.bus.next_id("session")
         self.is_client = is_client
         self.record_payload = record_payload
-        self.trial_window = trial_window
         self.ack_interval = ack_interval
-        self.unsent_target = unsent_target
 
         self.conns = []
         self.streams = {}
@@ -140,6 +149,9 @@ class TcplsEngine:
         self._next_group_id = 1 if is_client else 2
 
         self.tcpls_enabled = False
+        #: client: the server reset the TCPLS handshake and the session
+        #: was re-opened as plain TLS (Sec. 5.2)
+        self.fell_back = False
         self.ready = False
         self.failover_enabled = False
         #: when set, every connection (primary and joined) automatically
@@ -327,6 +339,79 @@ class TcplsEngine:
     def _install_control_stream(self, conn):
         sid = control_stream_id(conn.conn_id)
         conn.control_stream = self._make_stream(sid, conn)
+
+    # ------------------------------------------------------------------
+    # Attachment: the one way a connection enters the session
+    # ------------------------------------------------------------------
+
+    def _register(self, conn):
+        """Give ``conn`` its place in ``conns`` and route its
+        transport's events here.  A connection this endpoint opened is
+        registered when it opens (``close()`` and the failover engine
+        must see it while it is still handshaking); an accepted one
+        when it attaches."""
+        conn.session = self
+        conn.index = len(self.conns)
+        self.conns.append(conn)
+        self._wire_tcp_callbacks(conn)
+        return conn
+
+    def _open_conn(self, tcp, tls=None, conn_id=0):
+        """Track a transport this endpoint opened itself."""
+        return self._register(ConnectionState(tcp, tls, conn_id))
+
+    def attach_conn(self, conn, role_step=None):
+        """``conn`` finished its handshake: make it carry the session
+        (Sec. 3.2-3.3.2, Fig. 3).
+
+        Client, server and replay bootstrap all come through here.  The
+        caller has already decided *which* session (TCPLS Hello opens
+        one, TCPLS Join names one) and set ``tcpls_enabled``; whether
+        the connection is the primary is what its ClientHello said
+        (``conn_id == 0``), never the order in which handshakes happened
+        to complete -- the session keys come from the primary's TLS
+        schedule, so a join booked as primary would key the session
+        from the wrong handshake and every record would be rejected.
+        ``role_step(conn)`` is the part that differs per role (client:
+        arm the automatic User Timeout; server: announce the session or
+        replenish join credentials); it runs once the connection can
+        carry records.
+        """
+        if conn.index is None:
+            self._register(conn)
+        conn.alive = True
+        # The client Finished leaves before any record queues behind it.
+        self._flush_tls(conn)
+        self._emit("session", "conn_established", {
+            "conn": conn.conn_id, "index": conn.index,
+            "local": str(conn.tcp.local), "remote": str(conn.tcp.remote),
+        })
+        if conn.is_primary:
+            if conn.tls is not None:
+                self._setup_keys(conn.tls.schedule, conn.tls.cipher_cls)
+            self._install_control_stream(conn)
+            self.ready = True
+            self._emit("session", "ready", {"tcpls": self.tcpls_enabled,
+                                            "fallback": self.fell_back})
+            if role_step is not None:
+                role_step(conn)
+            if self.on_ready is not None:
+                self.on_ready(self)
+        else:
+            self._install_control_stream(conn)
+            if role_step is not None:
+                role_step(conn)
+            self._emit("session", "join", {"conn": conn.conn_id,
+                                           "index": conn.index})
+            self._resolve_pending_failover(conn)
+            if self.on_join is not None:
+                self.on_join(conn)
+        # Records from here on are the session's, not the TLS machine's.
+        if conn.tls is not None:
+            self._takeover_tls(conn)
+        if self.on_conn_established is not None:
+            self.on_conn_established(conn)
+        self._pump()
 
     # ------------------------------------------------------------------
     # Public stream / group API
@@ -611,7 +696,7 @@ class TcplsEngine:
             return 0
         queued = conn.pending_out_bytes
         backlog = conn.tcp.unsent_bytes() + queued
-        target = min(self.unsent_target,
+        target = min(UNSENT_TARGET,
                      2 * int(conn.tcp.congestion_window())
                      + self.record_payload)
         return max(target - backlog, 0)
@@ -739,20 +824,13 @@ class TcplsEngine:
         Replication is a declared capability
         (:attr:`~repro.core.engine.policy.Policy.replicate`), not a
         return-type convention: a replicating policy fans out to every
-        candidate, every other policy names exactly one stream.  Legacy
-        schedulers (any object with only ``pick``) still work; a policy
-        proper gets a :class:`~repro.core.engine.policy.RecordContext`.
+        candidate, every other policy names exactly one stream.
         """
         policy = group.scheduler
         if getattr(policy, "replicate", False):
             return list(candidates)
-        pick_stream = getattr(policy, "pick_stream", None)
-        if pick_stream is not None:
-            picked = pick_stream(candidates, RecordContext(
-                group=group, session=self, now=self.clock.now))
-        else:
-            picked = policy.pick(candidates)
-        return [picked]
+        return [policy.pick_stream(candidates, RecordContext(
+            group=group, session=self, now=self.clock.now))]
 
     def _pump_group(self, group):
         sent = False
@@ -835,10 +913,11 @@ class TcplsEngine:
             lambda record_bytes: self._process_record(conn, record_bytes)
         )
         leftover = bytes(conn.tls.reassembler._buffer)
-        if leftover:
-            conn.tls.reassembler._buffer.clear()
-            for record_bytes in conn.reassembler.feed(leftover):
-                self._process_record(conn, record_bytes)
+        conn.tls.reassembler._buffer.clear()
+        # Also cuts the records a parked join held back (see the server
+        # engine), hence the feed even without a leftover.
+        for record_bytes in conn.reassembler.feed(leftover):
+            self._process_record(conn, record_bytes)
 
     # -- demultiplexing ----------------------------------------------------
 

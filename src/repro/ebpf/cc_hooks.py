@@ -39,7 +39,7 @@ CTX_SIZE = 72 + 8 * 8
 class EbpfCongestionControl(CongestionControl):
     """Adapter: runs a verified eBPF program behind the native CC API.
 
-    This is what :meth:`repro.core.session.TcplsSession` attaches when
+    This is what :class:`repro.core.engine.session.TcplsEngine` attaches when
     the peer ships congestion-controller bytecode (Fig. 12).
     """
 

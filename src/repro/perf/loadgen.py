@@ -22,13 +22,12 @@ counters; a fixed configuration yields byte-identical results on every
 run -- the property the churn/soak test and the ``bench_c1m``
 determinism gate assert.  ``run_shard`` is a top-level function so
 :func:`repro.perf.matrix.run_matrix` can pickle it by reference into
-spawn workers for the listener-per-shard layout
-(:class:`~repro.core.drivers.multi.ShardLayout`).
+spawn workers for the listener-per-shard layout (shard ``i`` listens
+on ``base_port + i``).
 """
 
-from repro.core.client import TcplsClient
 from repro.core.drivers.multi import MultiSessionServer
-from repro.core.drivers.sim import SimDriver
+from repro.core.drivers.sim import SimDriver, TcplsClient
 from repro.net import Simulator, build_dumbbell, build_faulty_multipath
 from repro.net.fluid import FluidCohort, FluidEngine
 from repro.tcp import TcpStack
@@ -609,25 +608,22 @@ def run_shard(**kwargs):
 
     Top-level (picklable) so spawn workers can run shards in parallel:
     shard ``i`` of ``n`` serves ``sessions`` sessions on
-    ``ShardLayout(n, base_port).port_for(i)`` in its own process, and
-    the merged JSON is byte-identical for any worker count.
+    ``base_port + i`` in its own process, and the merged JSON is
+    byte-identical for any worker count.
     """
     return LoadgenHarness(**kwargs).run()
 
 
 def shard_points(total_sessions, n_shards, base_port=4443, **kwargs):
     """Matrix points for a sharded run (listener-per-shard layout)."""
-    from repro.core.drivers.multi import ShardLayout
     from repro.perf.matrix import MatrixPoint
 
-    layout = ShardLayout(n_shards, base_port)
     per_shard = total_sessions // n_shards
     points = []
     for shard in range(n_shards):
         count = per_shard + (1 if shard < total_sessions % n_shards else 0)
         cfg = dict(kwargs)
-        cfg.update(sessions=count, shard=shard,
-                   port=layout.port_for(shard))
+        cfg.update(sessions=count, shard=shard, port=base_port + shard)
         points.append(MatrixPoint("c1m/shard%d" % shard, run_shard, cfg))
     return points
 

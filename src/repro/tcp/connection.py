@@ -284,6 +284,13 @@ class TcpConnection:
     def readable_bytes(self):
         return 0 if self.rcv_buf is None else self.rcv_buf.readable_bytes()
 
+    def pause_reading(self):
+        """Transport interface: nothing to do -- a connection nobody
+        reads is already paused (its receive window closes)."""
+
+    def resume_reading(self):
+        """Transport interface (see :meth:`pause_reading`)."""
+
     def close(self):
         """Graceful close: FIN after all queued data."""
         if self.state in (CLOSED, TIME_WAIT, LAST_ACK, CLOSING, FIN_WAIT_1,

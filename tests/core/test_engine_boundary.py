@@ -9,11 +9,14 @@ Transport/Clock/Driver interfaces.
 
 import ast
 import pathlib
+import re
 
 import repro.core.engine
 
 ENGINE_DIR = pathlib.Path(repro.core.engine.__file__).parent
 SRC_DIR = ENGINE_DIR.parents[1]     # src/repro
+THIS = pathlib.Path(__file__).resolve()
+REPO = THIS.parents[2]
 FORBIDDEN_PREFIXES = ("repro.net", "repro.tcp")
 
 
@@ -73,25 +76,29 @@ def test_no_segment_train_fork_under_src():
     assert not offences, "\n".join(offences)
 
 
+def _lines(*tops):
+    """``(path, lineno, line)`` of every python source line under the
+    repository's ``tops`` directories, this file excepted."""
+    for top in tops:
+        for path in sorted((REPO / top).rglob("*.py")):
+            if path != THIS:
+                for lineno, line in enumerate(
+                        path.read_text().splitlines(), 1):
+                    yield path.relative_to(REPO), lineno, line
+
+
 def test_one_executor_one_point_list_one_gate():
     """The evaluation stack has one of each: the second executor, the
     second point list and the second gate's option were deleted and
     must not grow back, in code or in prose."""
-    this = pathlib.Path(__file__).resolve()
-    repo = this.parents[2]
     gone = ("run_sweep", "default_points", "SweepPoint", "sweep_to_json",
             "sweep_points")
-    offences = []
-    for top in ("src", "benchmarks", "tests"):
-        for path in sorted((repo / top).rglob("*.py")):
-            if path == this:
-                continue
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                offences += ["%s:%d %s" % (path, lineno, name)
-                             for name in gone if name in line]
+    offences = ["%s:%d %s" % (path, lineno, name)
+                for path, lineno, line in _lines("src", "benchmarks", "tests")
+                for name in gone if name in line]
     for script, option in (("runner.py", "--matrix"),
                            ("gate.py", "--metric")):
-        if option in (repo / "benchmarks" / script).read_text():
+        if option in (REPO / "benchmarks" / script).read_text():
             offences.append("%s defines %s" % (script, option))
     assert not offences, "\n".join(offences)
 
@@ -109,3 +116,52 @@ def test_no_fluid_hooks_in_the_protocol_layers():
                 if name in gone or ("fluid" in name.lower()
                                     and protocol & set(path.parents))]
     assert not offences, "\n".join(offences)
+
+
+def _definitions_containing(kind, predicate):
+    """``path:name`` of every ``kind`` (function or class) definition
+    under ``src/repro`` with a node satisfying ``predicate`` in it."""
+    return {
+        "%s:%s" % (path.relative_to(SRC_DIR), definition.name)
+        for path in sorted(SRC_DIR.rglob("*.py"))
+        for definition in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(definition, kind)
+        and any(predicate(node) for node in ast.walk(definition))}
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_one_way_into_a_session():
+    """A connection enters a session through ``TcplsEngine.attach_conn``
+    and nowhere else: one function makes a session ready, at most two
+    build a ``ConnectionState`` (opened, accepted), the serving layer
+    composes the server engine instead of subclassing it, and the
+    wrappers and second credential store that stood in for the missing
+    unit stay deleted -- in code and in prose."""
+    sets_ready = _definitions_containing(ast.FunctionDef, lambda n: (
+        isinstance(n, ast.Assign)
+        and any(_name(target) == "ready" for target in n.targets)
+        and isinstance(n.value, ast.Constant) and n.value.value is True))
+    assert sets_ready == {"core/engine/session.py:attach_conn"}
+
+    builds_conn = _definitions_containing(ast.FunctionDef, lambda n: (
+        isinstance(n, ast.Call) and _name(n.func) == "ConnectionState"))
+    assert len(builds_conn) <= 2, builds_conn
+
+    subclasses = _definitions_containing(ast.ClassDef, lambda n: (
+        isinstance(n, ast.ClassDef)
+        and any(_name(base) == "TcplsServerEngine" for base in n.bases)))
+    assert not subclasses, subclasses
+
+    gone = re.compile(r"\b(CookieCache|_MuxServerEngine|TcplsSession|"
+                      r"_BareSimDriver|TcplsServerSession|session_cls|"
+                      r"ShardLayout|issued_cookies)\b")
+    offences = ["%s:%d %s" % (path, lineno, match.group(0))
+                for path, lineno, line in _lines("src", "benchmarks",
+                                                 "examples", "tests")
+                for match in [gone.search(line)] if match]
+    assert not offences, "\n".join(offences)
+    for module in ("session", "client", "server"):
+        assert not (SRC_DIR / "core" / (module + ".py")).exists()

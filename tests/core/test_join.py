@@ -5,6 +5,7 @@ import pytest
 from helpers import connect_tcpls, make_net, tcpls_pair
 
 from repro.net.address import Endpoint
+from repro.net.scenario import Scenario
 
 
 def test_join_second_path():
@@ -99,7 +100,7 @@ def test_server_can_issue_more_cookies():
     client.join(topo.path(1).client_addr)
     sim.run(until=sim.now + 0.5)
     assert not client.cookies
-    server.issue_cookies(sessions[0], 2)
+    server.issue_credentials(sessions[0], 2)
     sim.run(until=sim.now + 0.5)
     assert len(client.cookies) == 2
     client.join(topo.path(2).client_addr)
@@ -120,3 +121,52 @@ def test_data_flows_on_joined_connection():
     sim.run(until=sim.now + 1.0)
     assert bytes(received) == b"via-the-joined-path" * 500
     assert topo.path(1).c2s.stats.tx_packets > 5  # really used path 1
+
+
+@pytest.mark.parametrize("join_flight_lost", [False, True])
+def test_join_that_overtakes_its_primary_attaches_after_it(join_flight_lost):
+    """ROADMAP 1(a) without the loss lottery: the client's Finished is
+    dropped on path 0, the client (ready) joins on path 1, the join
+    completes first.  What it sends meanwhile waits unread in the
+    transport -- or, its own Finished lost too, shares a read with it."""
+    sim, topo, cstack, sstack = make_net()
+    client, server, sessions = tcpls_pair(sim, topo, cstack, sstack)
+    server.on_session = lambda s: (
+        sessions.append(s),
+        setattr(s, "on_stream_data", lambda st: st.send(st.recv())))
+    echoed = bytearray()
+    client.on_stream_data = lambda st: echoed.extend(st.recv())
+    script = Scenario().between(0.04, 0.06).loss(topo.path(0).c2s, 1.0)
+    if join_flight_lost:
+        script.between(0.08, 0.09).loss(topo.path(1).c2s, 1.0)
+    script.install(sim)
+    p = topo.path(0)
+    client.connect(p.client_addr, Endpoint(p.server_addr, 443))
+    sim.run(until=0.045)
+    assert client.ready and not sessions    # Finished lost at ~0.0404 s
+    join = client.join(topo.path(1).client_addr)
+    sim.run(until=0.15)
+    assert join.alive and not sessions      # the RTO resend is at ~0.28 s
+    client.create_stream(join).send(b"sent before the server was up" * 300)
+    sim.run(until=2.0)
+    session, = sessions
+    assert [c.conn_id for c in session.conns] == [0, join.conn_id]
+    assert bytes(echoed) == b"sent before the server was up" * 300
+    assert client.stats["demux_drops"] == session.stats["demux_drops"] == 0
+
+
+@pytest.mark.parametrize("token_mode", [False, True], ids=["cookie", "token"])
+def test_retired_session_refuses_joins(token_mode):
+    """``retire`` revokes what is outstanding, whichever kind it is."""
+    sim, topo, cstack, sstack = make_net()
+    client, server, sessions = tcpls_pair(
+        sim, topo, cstack, sstack, server_kwargs={"token_mode": token_mode})
+    connect_tcpls(sim, topo, client)
+    assert client.tokens if token_mode else client.cookies
+    assert server.retire(sessions[0]) == 8
+    assert not server.sessions and not server._credentials
+    failures = []
+    client.on_conn_failed = lambda c, r: failures.append(r)
+    client.join(topo.path(1).client_addr)
+    sim.run(until=sim.now + 1.0)
+    assert failures and len(sessions[0].conns) == 1

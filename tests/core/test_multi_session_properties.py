@@ -9,21 +9,21 @@ Random interleavings of accept / join / close / failover against one
   the session map are empty and accepts == teardowns;
 - **no resurrection**: a retired session's outstanding join
   credentials are dead -- a late MPJOIN must fail, not revive it.
+
+The last two are also pinned by example, through the engine's serving
+callbacks and :meth:`TcplsServerEngine.retire`.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PSK, make_net
 
 from repro.core import TcplsClient
-from repro.core.drivers.multi import (
-    ConnectionTable,
-    CookieCache,
-    MultiSessionServer,
-)
+from repro.core.drivers.multi import ConnectionTable, MultiSessionServer
 from repro.core.drivers.sim import SimDriver
 from repro.net import Simulator, build_multipath
 from repro.net.address import Endpoint
@@ -72,13 +72,13 @@ class _EchoClient:
         self.send_chunk()
 
 
-def _mux_net(seed):
+def _mux_net(seed, **server_kwargs):
     sim = Simulator(seed=seed)
     topo = build_multipath(sim, n_paths=N_PATHS, families=[4, 6, 4])
     cstack = TcpStack(sim, topo.client)
     sstack = TcpStack(sim, topo.server)
     mux = MultiSessionServer(SimDriver(sim, sstack), PORT, PSK,
-                             auto_retire=True)
+                             auto_retire=True, **server_kwargs)
 
     def serve(session):
         session.on_stream_data = lambda s: s.send(s.recv())
@@ -149,59 +149,58 @@ def test_property_random_churn_interleavings(ops, seed):
     assert not mux.paused_fds()
 
 
-def test_cookie_cache_never_resurrects_retired_session():
-    sim, topo, cstack, mux = _mux_net(7)
+@pytest.mark.parametrize("token_mode", [False, True],
+                         ids=["cookie", "token"])
+def test_retired_session_is_never_resurrected(token_mode):
+    sim, topo, cstack, mux = _mux_net(7, token_mode=token_mode)
     ec = _EchoClient(sim, cstack, topo, b"A")
     _settle(sim)
-    assert ec.client.ready and ec.client.cookies
+    assert ec.client.ready
+    assert ec.client.tokens if token_mode else ec.client.cookies
 
     session = next(iter(mux.sessions.values()))
+    assert session.outstanding
     mux.retire_session(session)
     assert mux.session_count() == 0
-    assert len(mux.cache) == 0
+    assert not session.outstanding and not mux.engine._credentials
 
-    # A join presenting one of the retired session's cookies must be
-    # refused (transport aborted), not resurrect the session.
+    # A join presenting one of the retired session's credentials must
+    # be refused (transport aborted), not resurrect the session.
     ec.join(1)
     _settle(sim)
     assert mux.session_count() == 0
     assert len(mux.table) == 0
-    assert len(ec.client.conns) == 1 or not ec.client.conns[1].alive
+    assert mux.table.accepts == mux.table.teardowns == 2
+    assert len(session.conns) == 1
+    assert not ec.client.conns[1].alive
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(
-    st.tuples(st.sampled_from(["register", "pop", "invalidate"]),
-              st.integers(0, 5), st.integers(0, 11)),
-    max_size=40,
-))
-def test_cookie_cache_index_consistency(steps):
-    """The credential map and the per-session reverse index stay in
-    lockstep under arbitrary register/pop/invalidate sequences."""
+def test_handshakes_that_never_attach_leave_no_table_entry():
+    """The engine's accepted / aborted callbacks are all the mux needs
+    to keep ``accepts == teardowns``: a client that gives up
+    mid-handshake and a ClientHello with a stale cookie both leave the
+    table empty."""
+    sim, topo, cstack, mux = _mux_net(11)
+    p = topo.path(0)
+    # Gives up mid-handshake: TCP opens, no ClientHello ever follows.
+    quitter = cstack.connect(p.client_addr, Endpoint(p.server_addr, PORT))
+    _settle(sim, 0.2)
+    assert len(mux.table) == 1 and mux.session_count() == 0
+    quitter.abort()
+    _settle(sim, 0.2)
+    assert len(mux.table) == 0
 
-    class FakeSession:
-        def __init__(self, obs_id):
-            self.obs_id = obs_id
-
-    cache = CookieCache()
-    sessions = [FakeSession(i) for i in range(6)]
-    for op, sid, cred_i in steps:
-        cred = b"c%02d" % cred_i
-        if op == "register":
-            cache.register(sessions[sid], cred)
-        elif op == "pop":
-            cache.pop(cred)
-        else:
-            cache.invalidate_session(sessions[sid])
-        # Invariant: reverse index matches the forward map exactly.
-        forward = {}
-        for s_id, creds in cache._by_session.items():
-            assert creds, "empty reverse-index bucket leaked"
-            for c in creds:
-                forward[c] = s_id
-        assert forward == {
-            c: s.obs_id for c, s in cache._by_credential.items()
-        }
+    # Stale cookie: a live session, then a join the server refuses.
+    ec = _EchoClient(sim, cstack, topo, b"B")
+    _settle(sim)
+    ec.client.cookies = [b"\x5a" * 16]
+    ec.join(1)
+    _settle(sim)
+    assert len(mux.table) == 1 and mux.session_count() == 1
+    ec.client.close()
+    _settle(sim)
+    assert len(mux.table) == 0 and mux.session_count() == 0
+    assert mux.table.accepts == mux.table.teardowns == 3
 
 
 def test_connection_table_counts_and_lookup():

@@ -176,22 +176,6 @@ class TestBusAttribution:
         picks = run_group_upload(RoundRobinScheduler())
         assert all(len(e.data["streams"]) == 1 for e in picks)
 
-    def test_legacy_pick_only_scheduler_still_works(self):
-        class LegacyScheduler:
-            """Pre-policy surface: only ``pick``, no name."""
-
-            def __init__(self):
-                self.calls = 0
-
-            def pick(self, streams):
-                self.calls += 1
-                return streams[self.calls % len(streams)]
-
-        legacy = LegacyScheduler()
-        picks = run_group_upload(legacy)
-        assert legacy.calls > 0
-        assert all(e.data["scheduler"] == "custom" for e in picks)
-
 
 # -- the replicate capability ----------------------------------------------
 
@@ -207,10 +191,6 @@ class TestReplicateCapability:
         streams = [FakeStream(1), FakeStream(3)]
         picked = RedundantScheduler().pick_stream(streams)
         assert picked is streams[0]
-
-    def test_legacy_pick_returns_all(self):
-        streams = [FakeStream(1), FakeStream(3)]
-        assert RedundantScheduler().pick(streams) == streams
 
 
 # -- deficit round robin ----------------------------------------------------

@@ -78,26 +78,27 @@ class TestSchedulers:
     def test_round_robin_alternates(self):
         scheduler = RoundRobinScheduler()
         streams = ["a", "b", "c"]
-        picks = [scheduler.pick(streams) for _ in range(6)]
+        picks = [scheduler.pick_stream(streams) for _ in range(6)]
         assert picks == ["a", "b", "c", "a", "b", "c"]
 
     def test_round_robin_empty_rejected(self):
         with pytest.raises(ValueError):
-            RoundRobinScheduler().pick([])
+            RoundRobinScheduler().pick_stream([])
 
     def test_lowest_rtt_prefers_fast_path(self):
         fast, slow = FakeStream(0.01), FakeStream(0.08)
-        assert LowestRttScheduler().pick([slow, fast]) is fast
+        assert LowestRttScheduler().pick_stream([slow, fast]) is fast
 
     def test_lowest_rtt_skips_full_cwnd(self):
         fast_full = FakeStream(0.01, in_flight=20_000)
         slow_open = FakeStream(0.08)
-        assert LowestRttScheduler().pick([fast_full, slow_open]) is slow_open
+        assert LowestRttScheduler().pick_stream(
+            [fast_full, slow_open]) is slow_open
 
     def test_weighted_ratio(self):
         scheduler = WeightedScheduler([3, 1])
         streams = ["a", "b"]
-        picks = [scheduler.pick(streams) for _ in range(8)]
+        picks = [scheduler.pick_stream(streams) for _ in range(8)]
         assert picks.count("a") == 6 and picks.count("b") == 2
 
     def test_weighted_rejects_bad_weights(self):
@@ -107,5 +108,7 @@ class TestSchedulers:
             WeightedScheduler([1, 0])
 
     def test_redundant_returns_all(self):
-        streams = ["a", "b"]
-        assert RedundantScheduler().pick(streams) == streams
+        # "All" is the declared capability the pump fans out on; asked
+        # for exactly one stream, the policy names the first.
+        assert RedundantScheduler.replicate is True
+        assert RedundantScheduler().pick_stream(["a", "b"]) == "a"
