@@ -7,6 +7,8 @@ reordering heap, the SACK scoreboard, and eBPF VM dispatch.
 
 import random
 
+import pytest
+
 from repro.core.crypto_context import (
     StreamCryptoContext,
     derive_stream_iv,
@@ -14,6 +16,7 @@ from repro.core.crypto_context import (
     record_nonce,
 )
 from repro.core.record import decode_inner, encode_inner
+from repro.core.engine import bootstrap_ready_session
 from repro.core.record import RECORD_TYPE_STREAM_DATA
 from repro.core.reorder import ReorderBuffer
 from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305, NullTagCipher
@@ -119,6 +122,51 @@ def test_aes128gcm_open_16k(benchmark):
     cipher = Aes128Gcm(b"K" * 16)
     sealed = cipher.seal(NONCE, PAYLOAD, b"hdr")
     assert benchmark(cipher.open, NONCE, sealed, b"hdr") == PAYLOAD
+
+
+BATCH_KEYS = {
+    "chacha20poly1305": {},
+    "aes128gcm": {"key": b"\x11" * 16, "peer_key": b"\x33" * 16},
+}
+
+
+@pytest.mark.parametrize("cipher", sorted(BATCH_KEYS))
+def test_seal_many_8x16k(benchmark, cipher):
+    """What the pump hands the record layer per writable event: eight
+    full records, their keystreams and tag keys from one lane pass."""
+    client, conn = bootstrap_ready_session(cipher_name=cipher,
+                                           **BATCH_KEYS[cipher])
+    ctx = client.create_stream(conn).ctx_send
+    inners = [encode_inner(RECORD_TYPE_STREAM_DATA, PAYLOAD[:16382], b"\x00")
+              for _ in range(8)]
+    wires = benchmark(ctx.seal_many, inners)
+    assert [len(wire) for wire in wires] == [16384 + 1 + 16 + 5] * 8
+
+
+@pytest.mark.parametrize("cipher", sorted(BATCH_KEYS))
+def test_open_batch_8x16k(benchmark, cipher):
+    """One read of a STREAM_ATTACH and eight full records through the
+    engine: the first data record is opened on its own, the seven after
+    it with pads guessed in one lane pass."""
+    client, conn = bootstrap_ready_session(cipher_name=cipher,
+                                           **BATCH_KEYS[cipher])
+    client.create_stream(conn).send(PAYLOAD[:16382] * 8)
+    wire = conn.tcp.take_sent()
+
+    def receiver():
+        server, sconn = bootstrap_ready_session(
+            is_client=False, cipher_name=cipher, **BATCH_KEYS[cipher])
+        # a connection past its first record: GHASH tables built
+        server._recv_key.mac_state(PAYLOAD, b"")
+        return (server, sconn), {}
+
+    def read(server, sconn):
+        server.bytes_received(sconn, wire)
+        return server.stats["bytes_opened"]
+
+    opened = benchmark.pedantic(read, setup=receiver, rounds=25,
+                                warmup_rounds=2)
+    assert opened > 8 * 16382
 
 
 def test_ghash_digest_16k(benchmark):

@@ -41,18 +41,20 @@ def record_nonce(stream_iv, record_seq):
     return stream_iv[:4] + struct.pack("!Q", right)
 
 
-def prepare_record(cipher, record):
+def prepare_record(cipher, record, ahead=None):
     """Split a wire record and fold the nonce-independent part of its
     tag, once, for :meth:`StreamCryptoContext.verify_at` under many
     candidates.
 
     The trial is bound to the cipher, not to a stream: every context
     sharing the traffic key can try it.  A record too short to carry a
-    header and a tag matches nothing.
+    header and a tag matches nothing.  ``ahead`` is one
+    :meth:`StreamCryptoContext.pads_ahead` entry: the nonce-dependent
+    part too, for the one candidate the record is expected to be.
     """
     view = memoryview(record)
     return cipher.prepare(view[RECORD_HEADER_SIZE:],
-                          bytes(view[:RECORD_HEADER_SIZE]))
+                          bytes(view[:RECORD_HEADER_SIZE]), ahead)
 
 
 class StreamCryptoContext:
@@ -84,40 +86,39 @@ class StreamCryptoContext:
         right = self._iv_right ^ (record_seq & 0xFFFFFFFFFFFFFFFF)
         return self._iv_left + right.to_bytes(8, "big")
 
-    def seal(self, inner_plaintext):
-        """Encrypt at the next send sequence; returns full record bytes."""
-        nonce = self._nonce(self.send_seq)
-        length = len(inner_plaintext) + self.cipher.tag_size
-        header = encode_record_header(CONTENT_APPLICATION_DATA, length)
-        ciphertext = self.cipher.seal(nonce, inner_plaintext, aad=header)
+    def seal(self, inner_plaintext, pad=None):
+        """Encrypt at the next send sequence; returns full record bytes.
+        ``pad`` is the record's share of a :meth:`seal_many` pass."""
+        cipher = self.cipher
+        header = encode_record_header(
+            CONTENT_APPLICATION_DATA, len(inner_plaintext) + cipher.tag_size)
+        sealed = cipher.seal(self._nonce(self.send_seq), inner_plaintext,
+                             header, pad)
         self.send_seq += 1
-        return header + ciphertext
+        return header + sealed
 
     def seal_many(self, inner_plaintexts):
-        """Seal consecutive records in one pass.
+        """:meth:`seal` for consecutive records.
 
-        Byte-identical to ``[self.seal(p) for p in inner_plaintexts]``;
-        the win is hoisting the cipher/IV attribute lookups out of the
-        per-record loop, which matters when the session pump seals a
-        whole congestion window's worth of records per writable event.
+        The nonces of the whole run are known before the first byte is
+        encrypted, so a cipher with pads makes every keystream and
+        one-time key of the run in one lane pass, ahead of the records.
         """
-        cipher = self.cipher
-        cipher_seal = cipher.seal
-        tag_size = cipher.tag_size
-        iv_left = self._iv_left
-        iv_right = self._iv_right
-        seq = self.send_seq
-        out = []
-        append = out.append
-        for inner in inner_plaintexts:
-            nonce = iv_left + (
-                iv_right ^ (seq & 0xFFFFFFFFFFFFFFFF)).to_bytes(8, "big")
-            header = encode_record_header(
-                CONTENT_APPLICATION_DATA, len(inner) + tag_size)
-            append(header + cipher_seal(nonce, inner, aad=header))
-            seq += 1
-        self.send_seq = seq
-        return out
+        if not self.cipher.pads:
+            return [self.seal(inner) for inner in inner_plaintexts]
+        ahead = self.pads_ahead(self.send_seq,
+                                list(map(len, inner_plaintexts)))
+        return [self.seal(inner, pad)
+                for inner, (_, pad) in zip(inner_plaintexts, ahead)]
+
+    def pads_ahead(self, first_seq, lengths):
+        """``(nonce, pad)`` of records of ``lengths`` ciphertext bytes
+        at consecutive sequences from ``first_seq``, in one lane pass.
+        The sender knows its run (:meth:`seal_many`); the receiver
+        guesses that the records of a read continue one stream and
+        hands each entry to :func:`prepare_record` as ``ahead``."""
+        nonces = [self._nonce(first_seq + i) for i in range(len(lengths))]
+        return list(zip(nonces, self.cipher.pads(nonces, lengths)))
 
     def open_at(self, record, record_seq):
         """Decrypt a full wire record at an explicit sequence.

@@ -256,7 +256,9 @@ class TcplsServerEngine:
             # flight was lost on the first path): the session has no
             # keys yet.  Park it; records that shared a read with its
             # Finished wait in the connection's own reassembler.
-            conn.tls.takeover = conn.reassembler._buffer.extend
+            conn.tls.takeover = (
+                lambda records: conn.reassembler._buffer.extend(
+                    b"".join(records)))
             session.parked.append(conn)
             return
         self._attach(conn)

@@ -30,7 +30,7 @@ from repro.core.crypto_context import prepare_record
 from repro.core.errors import SessionNotReadyError
 from repro.core.engine.policy import RecordContext, RoundRobinScheduler
 from repro.core.stream import CoupledGroup, TcplsStream, control_stream_id
-from repro.tls.record import RecordReassembler
+from repro.tls.record import RECORD_HEADER_SIZE, RecordReassembler
 
 #: bytes allowed to sit unsent in one TCP connection's buffer before
 #: the pump stops sealing records for it (keeps data steerable).
@@ -253,8 +253,9 @@ class TcplsEngine:
         if conn.tls is not None and not conn.tls.handshake_complete:
             self._feed_handshake(conn, data)
             return
-        for record_bytes in conn.reassembler.feed(data):
-            self._process_record(conn, record_bytes)
+        records = conn.reassembler.feed(data)
+        if records:
+            self._process_records(conn, records)
 
     def conn_writable(self, conn):
         """Input: the transport drained some of its buffer.
@@ -910,14 +911,13 @@ class TcplsEngine:
         """Route post-handshake records through the session and migrate
         any partial record buffered in the TLS endpoint's reassembler."""
         conn.tls.takeover = (
-            lambda record_bytes: self._process_record(conn, record_bytes)
+            lambda records: self._process_records(conn, records)
         )
         leftover = bytes(conn.tls.reassembler._buffer)
         conn.tls.reassembler._buffer.clear()
         # Also cuts the records a parked join held back (see the server
         # engine), hence the feed even without a leftover.
-        for record_bytes in conn.reassembler.feed(leftover):
-            self._process_record(conn, record_bytes)
+        self._process_records(conn, conn.reassembler.feed(leftover))
 
     # -- demultiplexing ----------------------------------------------------
 
@@ -946,14 +946,57 @@ class TcplsEngine:
         conn.demux_order = (self._demux_epoch, last, order)
         return order
 
-    def _process_record(self, conn, record_bytes):
+    def _process_records(self, conn, records):
+        """The complete records of one read, strictly in order.
+
+        A cipher with a lane tier makes the keystreams of a run of
+        records for little more than one (``Aead.pads``), but a receiver
+        learns a record's nonce only by tag trial.  So it guesses: once
+        a record has been accepted on a data stream, the records after
+        it in the read are taken to continue that stream at the next
+        sequences, and their pads are made in one pass.  A guess rides
+        in its record's trial and serves only the candidate whose nonce
+        is the guessed one; the record is tried, authenticated and
+        dispatched exactly as without it.  A record accepted anywhere
+        else drops the guesses left (at most one pass of lane work) and
+        starts over from where it was accepted; a rejected record says
+        nothing about its neighbours, so theirs stand.
+        """
+        cipher = self._recv_key
+        per_pass = len(records) > 1 and cipher.pads_per_pass()
+        if not per_pass:
+            for record_bytes in records:
+                self._process_record(conn, record_bytes)
+            return
+        overhead = RECORD_HEADER_SIZE + cipher.tag_size
+        guesses = {}        # record index -> ((stream, seq), (nonce, pad))
+        for index, record_bytes in enumerate(records):
+            guessed, ahead = guesses.pop(index, (None, None))
+            accepted = self._process_record(conn, record_bytes, ahead)
+            if accepted is None:
+                continue
+            if accepted != guessed:
+                guesses.clear()
+            stream, seq = accepted
+            rest = records[index + 1:index + 1 + per_pass]
+            if not rest or index + 1 in guesses \
+                    or self._is_control(stream):
+                continue
+            pads = stream.ctx_recv.pads_ahead(
+                seq + 1, [max(len(r) - overhead, 0) for r in rest])
+            for offset, ahead in enumerate(pads, 1):
+                guesses[index + offset] = ((stream, seq + offset), ahead)
+
+    def _process_record(self, conn, record_bytes, ahead=None):
+        """Find the record's stream by tag trial and dispatch it;
+        returns the ``(stream, seq)`` it was accepted at, or ``None``."""
         conn.records_received += 1
         stats = self.stats
         stats["records_received"] += 1
         candidates = self._demux_candidates(conn)
         # One MAC pass over the record; every candidate below only
         # finishes the tag under its own nonce.
-        trial = prepare_record(self._recv_key, record_bytes)
+        trial = prepare_record(self._recv_key, record_bytes, ahead)
         # Fast pass: each candidate's single most likely sequence.
         for position, stream in enumerate(candidates):
             seq = stream.primary_trial_seq()
@@ -963,7 +1006,7 @@ class TcplsEngine:
                     stats["demux_fallbacks"] += 1
                 self._accept_record(conn, stream, seq, trial,
                                     len(record_bytes))
-                return
+                return stream, seq
         # Slow pass: bounded sequence windows (steering / replay).
         for stream in candidates:
             for seq in stream.trial_seqs(self.trial_window)[1:]:
@@ -972,7 +1015,7 @@ class TcplsEngine:
                     stats["demux_fallbacks"] += 1
                     self._accept_record(conn, stream, seq, trial,
                                         len(record_bytes))
-                    return
+                    return stream, seq
         # Undecryptable: duplicate failover replay or forgery.  A
         # replayed duplicate means one of our ACKs was lost with the
         # dead connection -- re-acknowledge everything (rate-limited)
@@ -990,6 +1033,7 @@ class TcplsEngine:
             ]
             if data_streams:
                 self._send_ack(conn, data_streams)
+        return None
 
     def _accept_record(self, conn, stream, seq, trial, wire_length):
         """``trial`` has just verified at ``(stream, seq)``: decrypt it

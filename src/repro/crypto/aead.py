@@ -12,15 +12,17 @@ per-stream contexts are cipher-agnostic:
   pass over the record, then ``trial.matches(nonce)`` per candidate and
   ``trial.plaintext(nonce)`` for the one that matched.
 
-A cipher implements the three :mod:`repro.crypto.tagtrial` primitives
-(``mac_state`` / ``finish_tag`` / ``crypt``); ``seal``, ``open`` and
-``verify_tag`` are built from them here, once, for every cipher.
+A cipher implements the :mod:`repro.crypto.tagtrial` primitives
+(``mac_state`` / ``finish_tag`` / ``crypt`` and, where something depends
+on the nonce alone, ``pads``); ``seal``, ``open`` and ``verify_tag`` are
+built from them here, once, for every cipher.
 """
 
 import hashlib
 
-from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
+from repro.crypto.chacha20 import chacha20_keystreams
 from repro.crypto.gcm import AesGcm
+from repro.crypto.lanes import PASS_RECORDS, numpy as _numpy, xor
 from repro.crypto.poly1305 import poly1305_mac
 from repro.crypto.tagtrial import TagTrial
 
@@ -48,22 +50,42 @@ class Aead:
         """Everything the tag depends on except the nonce, folded once."""
         raise NotImplementedError
 
-    def finish_tag(self, state, nonce):
+    #: ``pads(nonces, lengths)``: everything that depends on the nonce
+    #: *alone*, for a run of records of ``lengths`` bytes -- one pad per
+    #: record, the whole run in one lane pass.  A pad is what
+    #: :meth:`finish_tag` and :meth:`crypt` otherwise work out from the
+    #: nonce.  ``None`` where nothing depends on the nonce alone.
+    pads = None
+
+    def finish_tag(self, state, nonce, pad=None):
         """The tag of a :meth:`mac_state` under one nonce."""
         raise NotImplementedError
 
-    def crypt(self, nonce, data):
+    def crypt(self, nonce, data, pad=None):
         """Unauthenticated en/decryption (the two are the same XOR)."""
         raise NotImplementedError
 
-    def prepare(self, data, aad=b""):
-        """Fold ``ciphertext || tag`` once for trials under many nonces."""
-        return TagTrial(self, data, aad)
+    def pads_per_pass(self):
+        """How many records ahead it pays to ask :meth:`pads` for
+        before their nonces are certain: a lane pass's worth, or 0
+        without pads or without numpy (a run then costs what its
+        records cost one by one, and a wrong guess is pure loss)."""
+        return PASS_RECORDS if self.pads and _numpy() is not None else 0
 
-    def seal(self, nonce, plaintext, aad=b""):
-        ciphertext = self.crypt(nonce, plaintext)
+    def prepare(self, data, aad=b"", ahead=None):
+        """Fold ``ciphertext || tag`` once for trials under many nonces;
+        ``ahead`` is a ``(nonce, pad)`` worked out beforehand."""
+        return TagTrial(self, data, aad, ahead)
+
+    def seal(self, nonce, plaintext, aad=b"", pad=None):
+        """``ciphertext || tag``.  ``pad`` is the record's share of a
+        :meth:`pads` pass over a run of records; a record sealed on its
+        own is a run of one and asks for its own."""
+        if pad is None and self.pads:
+            pad, = self.pads((nonce,), (len(plaintext),))
+        ciphertext = self.crypt(nonce, plaintext, pad)
         return ciphertext + self.finish_tag(
-            self.mac_state(ciphertext, aad), nonce)
+            self.mac_state(ciphertext, aad), nonce, pad)
 
     def open(self, nonce, data, aad=b""):
         trial = self.prepare(data, aad)
@@ -95,16 +117,25 @@ class Chacha20Poly1305(Aead):
             len(ciphertext).to_bytes(8, "little"),
         ))
 
-    def finish_tag(self, mac_data, nonce):
-        return poly1305_mac(chacha20_block(self.key, 0, nonce)[:32],
-                            mac_data)
+    def pads(self, nonces, lengths):
+        """``(Poly1305 key, keystream)`` per record: block 0 of each
+        nonce and the blocks after it, the whole run in one pass."""
+        return [(bytes(stream[:32]), stream[64:])
+                for stream in chacha20_keystreams(
+                    self.key, [(0, nonce, 1 + (n + 63) // 64)
+                               for nonce, n in zip(nonces, lengths)])]
 
-    def crypt(self, nonce, data):
-        return chacha20_encrypt(self.key, 1, nonce, data)
+    def finish_tag(self, mac_data, nonce, pad=None):
+        key, _ = pad or self.pads((nonce,), (0,))[0]
+        return poly1305_mac(key, mac_data)
+
+    def crypt(self, nonce, data, pad=None):
+        _, stream = pad or self.pads((nonce,), (len(data),))[0]
+        return xor(data, stream)
 
 
 class Aes128Gcm(AesGcm, Aead):
-    """TLS_AES_128_GCM_SHA256's AEAD: the three primitives are
+    """TLS_AES_128_GCM_SHA256's AEAD: the primitives are
     :class:`~repro.crypto.gcm.AesGcm`'s (GHASH once per record, one AES
     block per candidate nonce)."""
 
@@ -144,17 +175,16 @@ class NullTagCipher(Aead):
 
     def mac_state(self, ciphertext, aad):
         mac = self._keyed.copy()
-        mac.update(len(aad).to_bytes(8, "little"))
-        mac.update(aad)
+        mac.update(len(aad).to_bytes(8, "little") + aad)
         mac.update(ciphertext)
         return mac
 
-    def finish_tag(self, mac, nonce):
+    def finish_tag(self, mac, nonce, pad=None):
         mac = mac.copy()
         mac.update(nonce)
         return mac.digest()
 
-    def crypt(self, nonce, data):
+    def crypt(self, nonce, data, pad=None):
         return bytes(data)
 
 

@@ -1,13 +1,14 @@
 """AES-128 block cipher (FIPS 197), pure Python.
 
 Only what GCM needs: key expansion, single-block encryption, and a
-batched CTR keystream generator.  The SubBytes/ShiftRows/MixColumns
-round is collapsed into four 256-entry 32-bit lookup tables (the
-classic "T-table" formulation) and runs in one of two tiers: list
+CTR keystream generator that takes a batch of requests at a time.  The
+SubBytes/ShiftRows/MixColumns round is collapsed into four 256-entry
+32-bit lookup tables (the classic "T-table" formulation) and runs in
+one of two tiers: list
 lookups and XORs on Python ints for :meth:`Aes128.encrypt_block` and
-short :meth:`Aes128.ctr_keystream` batches (and installs without
-numpy), numpy gathers over every counter block at once for long batches
-(:data:`_LANE_MIN_BLOCKS`).
+short :meth:`Aes128.ctr_keystreams` batches (and installs without
+numpy), numpy gathers over every counter block of every request at once
+for long batches (:data:`_LANE_MIN_BLOCKS`).
 
 :meth:`Aes128.encrypt_block_reference` is the original byte-wise
 implementation, retained verbatim as the cross-validation oracle; both
@@ -17,8 +18,9 @@ byte-identical to it (tests/crypto/test_fastpath_equivalence.py).
 
 import struct
 from functools import cache, cached_property
+from itertools import accumulate
 
-from repro.crypto.lanes import numpy as _numpy
+from repro.crypto.lanes import numpy as _numpy, passes
 
 _SBOX = [
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B,
@@ -84,11 +86,16 @@ _UNPACK3 = struct.Struct(">3I")
 # with byte plane r of every word, rotates the gathered rows by r
 # columns (ShiftRows) and XORs the four; the last round does the same
 # over S-box-only tables.  11 array operations per round whatever the
-# block count.
+# column count, so the columns of a pass are every counter block of
+# every request in a batch: a request is one (prefix, counter, nblocks)
+# run, told from its neighbours only by its slice of the input state.
 
 # Measured, us per ctr_keystream call (scalar / lanes): 4 blocks
 # 47 / 93, 6 blocks 71 / 94, 8 blocks 99 / 98, 10 blocks 125 / 96,
 # 94 blocks (a 1,500-byte record) 1202 / 131, 1,024 blocks 13302 / 414.
+# The crossover is on the blocks of a whole batch; re-measured with the
+# 8 blocks spread over several requests: 1 x 8 83 / 80, 2 x 4 85 / 84,
+# 4 x 2 86 / 89, and 8 x 2 177 / 104.
 _LANE_MIN_BLOCKS = 8
 
 _U32 = "<u4"
@@ -170,40 +177,56 @@ class Aes128:
         s0, s1, s2, s3 = _UNPACK4.unpack(block)
         return _UNPACK4.pack(*self._encrypt_words(s0, s1, s2, s3))
 
-    def ctr_keystream(self, prefix, counter, nblocks):
-        """Concatenated keystream E_K(prefix || (counter + i) mod 2^32)
-        for i in 0..nblocks-1.
+    def ctr_keystreams(self, requests):
+        """One keystream per ``(prefix, counter, nblocks)`` request:
+        E_K(prefix || (counter + i) mod 2^32) for i in 0..nblocks-1.
 
-        ``prefix`` is the 12-byte nonce part of the counter block; only
-        the trailing 32-bit word varies, so the three fixed words are
-        unpacked once for the whole batch.  Long batches take the numpy
-        lane tier when numpy is importable.
+        ``prefix`` is the 12-byte nonce part of the counter block.  The
+        batch is the unit: when its blocks together reach the lane tier
+        and numpy is importable, every request rides one lane pass (at
+        most :data:`~repro.crypto.lanes.PASS_RECORDS` per pass);
+        otherwise each is encrypted block by block.
         """
-        if nblocks >= _LANE_MIN_BLOCKS and _numpy() is not None:
-            return self._ctr_keystream_lanes(prefix, counter, nblocks)
-        p0, p1, p2 = _UNPACK3.unpack(prefix)
-        out = bytearray(16 * nblocks)
+        if (sum(nblocks for _, _, nblocks in requests) >= _LANE_MIN_BLOCKS
+                and _numpy() is not None):
+            return [stream for run in passes(requests)
+                    for stream in self._ctr_keystream_lanes(run)]
         pack_into = _UNPACK4.pack_into
         encrypt = self._encrypt_words
-        for i in range(nblocks):
-            words = encrypt(p0, p1, p2, (counter + i) & _MASK32)
-            pack_into(out, 16 * i, *words)
-        return bytes(out)
+        streams = []
+        for prefix, counter, nblocks in requests:
+            # only the trailing word varies: unpack the rest once
+            p0, p1, p2 = _UNPACK3.unpack(prefix)
+            out = bytearray(16 * nblocks)
+            for i in range(nblocks):
+                words = encrypt(p0, p1, p2, (counter + i) & _MASK32)
+                pack_into(out, 16 * i, *words)
+            streams.append(bytes(out))
+        return streams
+
+    def ctr_keystream(self, prefix, counter, nblocks):
+        """The keystream of one request (see :meth:`ctr_keystreams`)."""
+        return bytes(self.ctr_keystreams([(prefix, counter, nblocks)])[0])
 
     @cached_property
     def _lane_round_keys(self):
         """(11, 4) column words, byte r of a word = row r."""
         return _numpy().array(self._round_keys, dtype="u1").view(_U32)
 
-    def _ctr_keystream_lanes(self, prefix, counter, nblocks):
-        """The same keystream, every counter block one array column."""
+    def _ctr_keystream_lanes(self, requests):
+        """The same keystreams, every counter block of every request
+        one array column."""
         _np = _numpy()
         round_keys = self._lane_round_keys
+        bounds = [0, *accumulate(nblocks for _, _, nblocks in requests)]
+        nblocks = bounds[-1]
         state = _np.empty((4, nblocks), dtype=_U32)
-        state[0:3] = _np.frombuffer(prefix, dtype=_U32)[:, None]
-        state[3] = ((_np.arange(nblocks, dtype=_np.uint64)
-                     + (counter & _MASK32))
-                    .astype(">u4").view(_U32))          # wraps mod 2^32
+        for (prefix, counter, count), start, end in zip(
+                requests, bounds, bounds[1:]):
+            state[0:3, start:end] = _np.frombuffer(prefix, dtype=_U32)[:, None]
+            state[3, start:end] = ((_np.arange(count, dtype=_np.uint64)
+                                    + (counter & _MASK32))
+                                   .astype(">u4").view(_U32))  # mod 2^32
         state ^= round_keys[0][:, None]
         for tables, round_key in zip(_lane_rounds(), round_keys[1:]):
             planes = state.view(_np.uint8).reshape(4, nblocks, 4)
@@ -211,7 +234,9 @@ class Aes128:
             for row, rotation in enumerate(_COLUMN_ROTATIONS, 1):
                 state ^= tables[row].take(planes[:, :, row]).take(rotation, 0)
             state ^= round_key[:, None]
-        return state.T.tobytes()
+        stream = memoryview(state.T.tobytes())
+        return [stream[16 * start:16 * end]
+                for start, end in zip(bounds, bounds[1:])]
 
     # -- reference implementation (cross-validation oracle) --------------
 

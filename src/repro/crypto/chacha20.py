@@ -4,20 +4,23 @@ Pure-Python, word-exact against the RFC test vectors.  Used by the
 CHACHA20_POLY1305_SHA256 suite; simulator-scale experiments prefer the
 fast null-tag cipher (see :mod:`repro.crypto.aead`).
 
-The keystream of a run of sequential counters comes from one of two
-tiers, chosen by block count alone (:data:`_LANE_MIN_BLOCKS`):
+Keystream is asked for a batch at a time (:func:`chacha20_keystreams`):
+one ``(counter, nonce, nblocks)`` request per record, and the blocks of
+the whole batch choose between two tiers (:data:`_LANE_MIN_BLOCKS`):
 :func:`_keystream_swar`, wide-integer arithmetic that serves short runs
 (a single block included) and installs without numpy, and
-:func:`_keystream_lanes`, numpy row arrays for long ones (numpy itself
-is imported when first needed, see :mod:`repro.crypto.lanes`).  The original
-quarter-round implementation is retained as
+:func:`_keystream_lanes`, numpy row arrays with every block of every
+request as one column (numpy itself is imported when first needed, see
+:mod:`repro.crypto.lanes`).  The original quarter-round implementation
+is retained as
 :func:`chacha20_block_reference`, the cross-validation oracle for both.
 """
 
 import struct
 from functools import cache
+from itertools import accumulate
 
-from repro.crypto.lanes import numpy as _numpy
+from repro.crypto.lanes import numpy as _numpy, passes, xor
 
 MASK32 = 0xFFFFFFFF
 
@@ -47,13 +50,6 @@ def _check_sizes(key, nonce):
         raise ValueError("ChaCha20 key must be 32 bytes")
     if len(nonce) != 12:
         raise ValueError("ChaCha20 nonce must be 12 bytes")
-
-
-def chacha20_block(key, counter, nonce):
-    """One 64-byte keystream block."""
-    _check_sizes(key, nonce)
-    return _keystream_swar(_KEY_WORDS.unpack(key), counter,
-                           _NONCE_WORDS.unpack(nonce), 1)
 
 
 def chacha20_block_reference(key, counter, nonce):
@@ -251,14 +247,22 @@ def _keystream_swar(key_words, counter, nonce_words, nblocks):
 # The state is four (4, nblocks) arrays -- rows a (words 0-3), b (4-7),
 # c (8-11), d (12-15), one column per block -- so a column round is one
 # quarter-round over whole rows and a diagonal round is the same call
-# after rotating rows b, c, d by one, two and three words.  About 470
-# array operations whatever the block count.  The dtype is explicitly
+# after rotating rows b, c, d by one, two and three words.  A pass is
+# about 470 array operations whatever the column count, so the columns
+# of a pass are every block of every request in a batch: a request is
+# one (counter, nonce, nblocks) run, and only its slice of the counter
+# and nonce rows tells it from its neighbours.  The dtype is explicitly
 # little-endian: the bytes out do not depend on the host's byte order.
 
 # Measured, us per chacha20_encrypt call (swar / lanes): 24 blocks
 # 188 / 249, 32 blocks 220 / 252, 36 blocks 244 / 249, 40 blocks
 # 265 / 254, 48 blocks 306 / 254, 256 blocks 1516 / 330.  A 1,500-byte
-# record (24 blocks) stays on the swar tier.
+# record (24 blocks) stays on the swar tier.  The crossover is on the
+# blocks of a whole batch; re-measured with the 40 blocks spread over
+# several requests (us per batch, swar / lanes): 1 x 40 206 / 206,
+# 2 x 20 261 / 210, 4 x 10 359 / 218, 8 x 5 613 / 227 -- the swar tier
+# pays its fixed cost per request, so where one request breaks even a
+# batch already wins.
 _LANE_MIN_BLOCKS = 40
 
 _U32 = "<u4"
@@ -283,15 +287,19 @@ def _quarter_round_lanes(a, b, c, d):
         z |= high
 
 
-def _keystream_lanes(key, counter, nonce, nblocks):
-    """``nblocks`` sequential keystream blocks, one array column each."""
+def _keystream_lanes(key, requests):
+    """The keystream of every ``(counter, nonce, nblocks)`` request,
+    one array column per block, as one byte string per request."""
     _np = _numpy()
-    init = _np.empty((16, nblocks), dtype=_U32)
+    bounds = [0, *accumulate(nblocks for _, _, nblocks in requests)]
+    init = _np.empty((16, bounds[-1]), dtype=_U32)
     init[0:4] = _sigma()
     init[4:12] = _np.frombuffer(key, dtype=_U32)[:, None]
-    init[12] = (_np.arange(nblocks, dtype=_np.uint64)
-                + (counter & MASK32)).astype(_U32)     # wraps mod 2^32
-    init[13:16] = _np.frombuffer(nonce, dtype=_U32)[:, None]
+    for (counter, nonce, nblocks), start, end in zip(
+            requests, bounds, bounds[1:]):
+        init[12, start:end] = (_np.arange(nblocks, dtype=_np.uint64)
+                               + (counter & MASK32)).astype(_U32)  # mod 2^32
+        init[13:16, start:end] = _np.frombuffer(nonce, dtype=_U32)[:, None]
     work = init.copy()
     a, b, c, d = work[0:4], work[4:8], work[8:12], work[12:16]
     for _ in range(10):
@@ -301,29 +309,38 @@ def _keystream_lanes(key, counter, nonce, nblocks):
         b, c, d = b.take(_ROT3, 0), c.take(_ROT2, 0), d.take(_ROT1, 0)
     out = _np.concatenate((a, b, c, d))
     out += init
-    return out.T.tobytes()              # word-major state, block-major bytes
+    # word-major state, block-major bytes
+    stream = memoryview(out.T.tobytes())
+    return [stream[64 * start:64 * end]
+            for start, end in zip(bounds, bounds[1:])]
+
+
+def chacha20_keystreams(key, requests):
+    """One keystream per ``(counter, nonce, nblocks)`` request.
+
+    The batch is the unit: when its blocks together reach the lane tier
+    and numpy is importable, every request rides one lane pass (at most
+    :data:`~repro.crypto.lanes.PASS_RECORDS` per pass); otherwise each
+    takes the wide-integer tier on its own.
+    """
+    for _, nonce, _ in requests:
+        _check_sizes(key, nonce)
+    if (sum(nblocks for _, _, nblocks in requests) >= _LANE_MIN_BLOCKS
+            and _numpy() is not None):
+        return [stream for run in passes(requests)
+                for stream in _keystream_lanes(key, run)]
+    key_words = _KEY_WORDS.unpack(key)
+    return [_keystream_swar(key_words, counter, _NONCE_WORDS.unpack(nonce),
+                            nblocks)
+            for counter, nonce, nblocks in requests]
+
+
+def chacha20_block(key, counter, nonce):
+    """One 64-byte keystream block."""
+    return chacha20_keystreams(key, [(counter, nonce, 1)])[0]
 
 
 def chacha20_encrypt(key, counter, nonce, plaintext):
-    """Encrypt/decrypt (XOR keystream starting at block ``counter``).
-
-    Long runs take the numpy lane tier when numpy is importable, all
-    others the wide-integer one; the XOR is one array (or, without
-    numpy, one wide-integer) operation.
-    """
-    _check_sizes(key, nonce)
-    n = len(plaintext)
-    if not n:
-        return b""
-    nblocks = (n + 63) // 64
-    _np = _numpy()
-    if _np is not None and nblocks >= _LANE_MIN_BLOCKS:
-        stream = _keystream_lanes(key, counter, nonce, nblocks)
-    else:
-        stream = _keystream_swar(_KEY_WORDS.unpack(key), counter,
-                                 _NONCE_WORDS.unpack(nonce), nblocks)
-    if _np is None:
-        return (int.from_bytes(plaintext, "big")
-                ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
-    return (_np.frombuffer(plaintext, dtype=_np.uint8)
-            ^ _np.frombuffer(stream, dtype=_np.uint8, count=n)).tobytes()
+    """Encrypt/decrypt (XOR keystream starting at block ``counter``)."""
+    return xor(plaintext, chacha20_keystreams(
+        key, [(counter, nonce, (len(plaintext) + 63) // 64)])[0])

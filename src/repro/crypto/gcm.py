@@ -5,14 +5,17 @@ GHASH is table-driven, in one of two tiers (:data:`_LANE_MIN_BLOCKS`):
 per-byte-position tables of GF(2^128) products of H (short inputs,
 installs without numpy); :meth:`Ghash._lane_chains` runs 64 interleaved
 Horner chains over the same kind of table for H^64, one numpy gather
-and XOR-reduce per 64 blocks.  Both tables are built on first use: half
+and XOR-reduce per 64 blocks.  Neither table is built up front: half
 the ``Ghash`` objects of a connection belong to keys that never hash a
-byte.  The per-bit loop (:func:`_gf_mult`) and
+byte, and the handshake-traffic keys hash too few blocks to repay a
+table, so a key multiplies per bit until it has done
+:data:`_TABLE_MIN_MULTS` multiplications and gets its H^64 table when
+the first lane-sized input arrives.  The per-bit loop (:func:`_gf_mult`) and
 :meth:`Ghash.digest_reference` are retained as the cross-validation
 oracle (tests/crypto/test_fastpath_equivalence.py).
 
-CTR keystream generation is batched through
-:meth:`~repro.crypto.aes.Aes128.ctr_keystream` and the plaintext XOR is
+CTR keystream generation is batched across records through
+:meth:`~repro.crypto.aes.Aes128.ctr_keystreams` and the plaintext XOR is
 one array (or, without numpy, one wide-integer) operation.
 """
 
@@ -20,7 +23,7 @@ import struct
 from functools import cache, cached_property
 
 from repro.crypto.aes import Aes128
-from repro.crypto.lanes import numpy as _numpy
+from repro.crypto.lanes import numpy as _numpy, xor
 
 _R = 0xE1000000000000000000000000000000
 
@@ -28,8 +31,8 @@ _R = 0xE1000000000000000000000000000000
 def _gf_mult(x, y):
     """Carry-less multiplication in GF(2^128) with the GCM polynomial.
 
-    Reference implementation (per-bit); the sealing path uses the
-    precomputed tables below.
+    Per-bit: the oracle for the tables below, and what a key that
+    hashes only a few blocks uses instead of building them.
     """
     z = 0
     v = x
@@ -84,15 +87,22 @@ def _table_base():
     return (_np.arange(16, dtype=_np.uint16) * 256)[:, None]
 
 
+# Measured, us: one ``_gf_mult`` 20, one table-driven ``_mul_h`` 1.1,
+# one ``_build_ghash_tables`` 580.  The tables pay for themselves after
+# 580 / (20 - 1.1) multiplications; the handshake-traffic keys of a
+# connection hash 16 blocks or fewer and never get there.
+_TABLE_MIN_MULTS = 30
+
+
 class Ghash:
     """GHASH universal hash keyed by H = E_K(0^128)."""
 
     def __init__(self, h_key):
         self._h = int.from_bytes(h_key, "big")
-
-    @cached_property
-    def _tables(self):
-        return _build_ghash_tables(self._h)
+        #: the byte tables of H, built once this many multiplications
+        #: have gone the per-bit way
+        self._tables = None
+        self._mults = 0
 
     @cached_property
     def _lane_table(self):
@@ -111,9 +121,16 @@ class Ghash:
             dtype=_np.uint64).reshape(16 * 256, 2)
 
     def _mul_h(self, x):
-        """Table-driven ``x * H``: one lookup per input byte."""
+        """``x * H``: one table lookup per input byte, or per bit while
+        this key has multiplied too little to be worth its tables."""
+        tables = self._tables
+        if tables is None:
+            self._mults += 1
+            if self._mults < _TABLE_MIN_MULTS:
+                return _gf_mult(x, self._h)
+            tables = self._tables = _build_ghash_tables(self._h)
         y = 0
-        for table, byte in zip(self._tables, x.to_bytes(16, "big")):
+        for table, byte in zip(tables, x.to_bytes(16, "big")):
             y ^= table[byte]
         return y
 
@@ -190,16 +207,9 @@ class Ghash:
         return y.to_bytes(16, "big")
 
 
-def _xor_bytes(data, stream):
-    """XOR ``data`` with a same-or-longer keystream as wide integers."""
-    n = len(data)
-    return (int.from_bytes(data, "big")
-            ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
-
-
 class AesGcm:
-    """The three :mod:`~repro.crypto.tagtrial` primitives of AES-128-GCM
-    with 12-byte nonces (:class:`~repro.crypto.aead.Aes128Gcm` builds
+    """The :mod:`~repro.crypto.tagtrial` primitives of AES-128-GCM with
+    12-byte nonces (:class:`~repro.crypto.aead.Aes128Gcm` builds
     seal/open/verify from them).
 
     The tag is ``GHASH_H(aad, ciphertext) XOR E_K(J0)``: only the one
@@ -215,21 +225,24 @@ class AesGcm:
         """S = GHASH(aad, ciphertext): the nonce-independent tag part."""
         return self._ghash.digest(aad, ciphertext)
 
-    def finish_tag(self, s, nonce):
-        """S XOR E_K(J0): one AES block per nonce."""
-        return _xor_bytes(
-            s, self._aes.encrypt_block(nonce + b"\x00\x00\x00\x01"))
+    def pads(self, nonces, lengths):
+        """``(E_K(J0), CTR stream from counter 2)`` per record: counter
+        blocks 1, 2, ... of each nonce, the whole run in one pass."""
+        for nonce in nonces:
+            if len(nonce) != 12:
+                raise ValueError("GCM nonce must be 12 bytes")
+        return [(stream[:16], stream[16:])
+                for stream in self._aes.ctr_keystreams(
+                    [(nonce, 1, 1 + (n + 15) // 16)
+                     for nonce, n in zip(nonces, lengths)])]
 
-    def crypt(self, nonce, data):
+    def finish_tag(self, s, nonce, pad=None):
+        """S XOR E_K(J0): one AES block per nonce."""
+        block, _ = pad or self.pads((nonce,), (0,))[0]
+        return (int.from_bytes(s, "big")
+                ^ int.from_bytes(block, "big")).to_bytes(16, "big")
+
+    def crypt(self, nonce, data, pad=None):
         """CTR en/decryption from counter 2 (no authentication)."""
-        if len(nonce) != 12:
-            raise ValueError("GCM nonce must be 12 bytes")
-        n = len(data)
-        if not n:
-            return b""
-        stream = self._aes.ctr_keystream(nonce, 2, (n + 15) // 16)
-        _np = _numpy()
-        if _np is None:
-            return _xor_bytes(data, stream)
-        return (_np.frombuffer(data, dtype=_np.uint8)
-                ^ _np.frombuffer(stream, dtype=_np.uint8, count=n)).tobytes()
+        _, stream = pad or self.pads((nonce,), (len(data),))[0]
+        return xor(data, stream)

@@ -8,14 +8,25 @@ ciphertext are the same for every candidate -- only the nonce differs
 **once per record** (:meth:`mac_state`) and each candidate only
 finishes it (:meth:`finish_tag`).
 
-A cipher takes part by providing three primitives:
+A cipher takes part by providing four primitives:
 
 - ``mac_state(ciphertext, aad)`` -- the nonce-independent part;
-- ``finish_tag(state, nonce)`` -- the tag under one nonce;
-- ``crypt(nonce, data)`` -- the unauthenticated en/decryption.
+- ``pads(nonces, lengths)`` -- the part that depends on the nonce
+  *alone* (keystream, one-time MAC key), for a whole run of records in
+  one lane pass;
+- ``finish_tag(state, nonce, pad=None)`` -- the tag under one nonce;
+- ``crypt(nonce, data, pad=None)`` -- the unauthenticated
+  en/decryption.
+
+The last two work their pad out from the nonce unless handed one.  A
+sender knows the nonces of a run before it seals, so the record layer's
+``seal_many`` asks for all the pads at once; a receiver can only guess them (the stream a
+read's last record belonged to, at the next sequences), so a guessed
+``(nonce, pad)`` rides in the record's trial and serves only the
+candidate whose nonce is that one.
 
 Sealing, opening and one-off verification are all built from the same
-three calls, so each cipher has exactly one authentication
+four calls, so each cipher has exactly one authentication
 implementation.
 """
 
@@ -25,10 +36,12 @@ from hmac import compare_digest
 class TagTrial:
     """One received ``ciphertext || tag``, prepared for tag trials."""
 
-    __slots__ = ("_cipher", "_ciphertext", "_tag", "_state")
+    __slots__ = ("_cipher", "_ciphertext", "_tag", "_state",
+                 "_ahead_nonce", "_ahead_pad")
 
-    def __init__(self, cipher, data, aad=b""):
+    def __init__(self, cipher, data, aad=b"", ahead=None):
         self._cipher = cipher
+        self._ahead_nonce, self._ahead_pad = ahead or (None, None)
         tag_size = cipher.tag_size
         if len(data) < tag_size:
             self._tag = None        # too short to carry a tag
@@ -42,9 +55,14 @@ class TagTrial:
         """Constant-time: does the record authenticate under ``nonce``?"""
         tag = self._tag
         return tag is not None and compare_digest(
-            self._cipher.finish_tag(self._state, nonce), tag)
+            self._cipher.finish_tag(
+                self._state, nonce,
+                self._ahead_pad if nonce == self._ahead_nonce else None),
+            tag)
 
     def plaintext(self, nonce):
         """Decrypt **without authenticating**: only for a ``nonce`` that
         :meth:`matches` has just accepted."""
-        return self._cipher.crypt(nonce, self._ciphertext)
+        return self._cipher.crypt(
+            nonce, self._ciphertext,
+            self._ahead_pad if nonce == self._ahead_nonce else None)

@@ -87,8 +87,9 @@ class _TlsEndpoint:
         # Callbacks.
         self.on_handshake_complete = None
         self.on_application_data = None
-        #: once set (by TCPLS after handshake completion), raw records
-        #: are handed over instead of being processed here.
+        #: once set (by TCPLS after handshake completion), the raw
+        #: records of a read are handed over, as a list, instead of
+        #: being processed here.
         self.takeover = None
 
     # -- transport glue -----------------------------------------------------
@@ -112,15 +113,17 @@ class _TlsEndpoint:
 
     def feed(self, data):
         """Process inbound transport bytes."""
-        for record in self.reassembler.feed(data):
+        records = self.reassembler.feed(data)
+        for index, record in enumerate(records):
+            if self.handshake_complete and self.takeover is not None:
+                # what shared a read with the Finished, as one read
+                self.takeover(records[index:])
+                return
             self._process_record(record)
 
     # -- internals -----------------------------------------------------------
 
     def _process_record(self, record):
-        if self.handshake_complete and self.takeover is not None:
-            self.takeover(record)
-            return
         outer_type = record[0]
         body = record[RECORD_HEADER_SIZE:]
         if outer_type == CONTENT_HANDSHAKE:
@@ -289,7 +292,6 @@ class TlsClient(_TlsEndpoint):
         fin_raw = Finished(verify).encode()
         self.schedule.update_transcript(fin_raw)
         self._out += self._encryptor.protect(CONTENT_HANDSHAKE, fin_raw)
-        self.schedule.derive_resumption_master()
         self._app_encryptor = RecordEncryptor(
             self.cipher_cls(client_app.key), client_app.iv
         )
@@ -447,7 +449,6 @@ class TlsServer(_TlsEndpoint):
         if finished.verify_data != expected:
             raise TlsError("client Finished verification failed")
         self.schedule.update_transcript(raw)
-        self.schedule.derive_resumption_master()
         self._app_decryptor = self._pending_app_decryptor
         self.handshake_complete = True
         self._state = "CONNECTED"

@@ -46,7 +46,6 @@ class KeySchedule:
         self.server_handshake = None
         self.client_application = None
         self.server_application = None
-        self.resumption_master_secret = None
 
     # -- transcript ------------------------------------------------------
 
@@ -104,12 +103,6 @@ class KeySchedule:
             server, self.cipher_cls.key_size, hash_name=self.hash_name
         )
         return self.client_application, self.server_application
-
-    def derive_resumption_master(self):
-        """After client Finished (for session resumption / 0-RTT PSKs)."""
-        self.resumption_master_secret = self._derive("res master",
-                                                     self.master_secret)
-        return self.resumption_master_secret
 
     def finished_verify_data(self, traffic_secret):
         """Finished.verify_data = HMAC(finished_key, Transcript-Hash)."""

@@ -135,11 +135,12 @@ class RecordReassembler:
 
     def feed(self, data):
         """Buffer incoming bytes and return a list of complete records."""
-        self._buffer += data
+        buf = self._buffer
+        buf += data
+        size = len(buf)
         records = []
         offset = 0
-        buf = self._buffer
-        while len(buf) - offset >= RECORD_HEADER_SIZE:
+        while size - offset >= RECORD_HEADER_SIZE:
             content_type, _version, length = struct.unpack_from(
                 "!BHH", buf, offset
             )
@@ -149,13 +150,13 @@ class RecordReassembler:
                     % (length, self.max_record)
                 )
             total = RECORD_HEADER_SIZE + length
-            if len(buf) - offset < total:
+            if size - offset < total:
                 break
             records.append(bytes(buf[offset:offset + total]))
             offset += total
         if offset:
             del buf[:offset]
-        self.records_out += len(records)
+            self.records_out += len(records)
         return records
 
     @property

@@ -75,6 +75,33 @@ def test_multi_stream_encrypted_transfer_over_loopback():
         driver.close()
 
 
+def test_aes_gcm_connection_builds_four_ghash_tables(monkeypatch):
+    """One handshake and one upload: the four handshake-traffic keys
+    hash a dozen blocks each and never repay a table (they were four of
+    the eight builds); the sender's and the receiver's application keys
+    build their byte table and their H^64 table."""
+    from repro.crypto import gcm
+
+    builds = []
+    build = gcm._build_ghash_tables
+    monkeypatch.setattr(gcm, "_build_ghash_tables",
+                        lambda h: builds.append(h) or build(h))
+    driver = SocketDriver()
+    try:
+        client, _server, session = _connect_pair(driver, cipher="aes128gcm")
+        assert not builds
+        received = bytearray()
+        session.on_stream_data = lambda s: received.extend(s.recv())
+        stream = client.create_stream(client.conns[0])
+        stream.send(b"G" * (64 * 1024))
+        stream.close()
+        driver.run_until(lambda: len(received) == 64 * 1024, timeout=30.0)
+        assert bytes(received) == b"G" * (64 * 1024)
+    finally:
+        driver.close()
+    assert 2 <= len(builds) <= 4
+
+
 def _load_example():
     import importlib.util
     import pathlib

@@ -9,8 +9,16 @@ original implementations as oracles; Hypothesis drives random
 keys/nonces/AAD/lengths through both tiers and across every crossover
 and demands equality.  A deterministic 65536-byte case covers the
 large-batch paths explicitly.
+
+The last section is the batch: a run of records shares one lane pass on
+seal (``seal_many``) and, by guessing the nonces, on open
+(``TcplsEngine._process_records``).  Both are pinned byte for byte and
+event for event against the same records taken one at a time, in every
+tier.
 """
 
+import ast
+import inspect
 import math
 import os
 import subprocess
@@ -23,8 +31,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import aes, chacha20, gcm, lanes, poly1305
-from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305
+from repro.core import crypto_context
+from repro.core.crypto_context import StreamCryptoContext
+from repro.core.record import RECORD_TYPE_STREAM_DATA
+from repro.core.engine import bootstrap_ready_session
+from repro.crypto import aead, aes, chacha20, gcm, lanes, poly1305
+from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305, NullTagCipher
 from repro.crypto.aes import Aes128
 from repro.crypto.chacha20 import (
     chacha20_block,
@@ -33,8 +45,11 @@ from repro.crypto.chacha20 import (
 )
 from repro.crypto.gcm import Ghash
 from repro.crypto.poly1305 import P1305, poly1305_mac
+from repro.obs import CaptureSink
+from repro.tls.record import RecordReassembler
 
 from tests.crypto import test_vectors
+from tests.crypto.test_tag_trial import reference_seal
 
 TIERED = (chacha20, aes, gcm, poly1305)
 
@@ -293,13 +308,224 @@ def test_lane_counters_wrap_modulo_2_32(first):
         ctr_reference(aes128, nonce, first, nblocks)
 
 
-def test_ghash_builds_its_tables_on_first_use():
-    """Half the keys of a connection never hash a byte: constructing a
-    ``Ghash`` builds nothing, a short fold builds the scalar tables only."""
+def test_ghash_builds_its_tables_once_they_pay():
+    """Half the keys of a connection never hash a byte and the
+    handshake-traffic keys hash a few blocks: neither builds a table.
+    The byte tables come with multiplication ``_TABLE_MIN_MULTS``, the
+    H^64 table with the first lane-sized input; the digests are the
+    reference's all along."""
     ghash = Ghash(bytes(range(16)))
-    assert not {"_tables", "_lane_table"} & set(vars(ghash))
-    ghash.digest(b"hdr", b"short")
-    assert "_tables" in vars(ghash) and "_lane_table" not in vars(ghash)
+    block = bytes(range(16))          # two multiplications a digest
+    for _ in range((gcm._TABLE_MIN_MULTS - 1) // 2):
+        assert ghash.digest(b"", block) == ghash.digest_reference(b"", block)
+    assert ghash._tables is None and "_lane_table" not in vars(ghash)
+    assert ghash.digest(b"", block) == ghash.digest_reference(b"", block)
+    assert ghash._tables is not None and "_lane_table" not in vars(ghash)
+    if lanes.numpy() is not None:
+        long = bytes(16 * gcm._LANE_MIN_BLOCKS)
+        assert ghash.digest(b"hdr", long) == \
+            ghash.digest_reference(b"hdr", long)
+        assert "_lane_table" in vars(ghash)
+
+
+# -- one lane pass per batch of records -----------------------------------
+
+AEADS = [Chacha20Poly1305, Aes128Gcm, NullTagCipher]
+TIERS = ["short", "lanes", "no-numpy"]
+RECORD = 16384
+# empty, one byte, around a ChaCha20 and an AES block, ragged, a whole
+# 16 KiB record and its neighbours
+LENGTH = st.sampled_from([0, 1, 15, 16, 17, 63, 64, 65, 100, 1000, 1500,
+                          2571, RECORD - 1, RECORD])
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("cipher_cls", AEADS)
+@given(key=KEY32, lengths=st.lists(LENGTH, min_size=1, max_size=20),
+       data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_seal_many_is_seal_record_by_record(
+        cipher_cls, tier, key, lengths, data):
+    """A run sealed with the pads of one pass, sealed one by one and
+    sealed straight from the specification: the same bytes, whatever
+    lengths share a pass."""
+    key = key[:cipher_cls.key_size]
+    nonces = data.draw(st.lists(NONCE12, min_size=len(lengths),
+                                max_size=len(lengths)))
+    aads = data.draw(st.lists(st.binary(max_size=24), min_size=len(lengths),
+                              max_size=len(lengths)))
+    plaintexts = [bytes((i + 7 * n) % 251 for i in range(length))
+                  for n, length in enumerate(lengths)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_tier(monkeypatch, tier)
+        cipher = cipher_cls(key)
+        pads = cipher.pads(nonces, lengths) if cipher.pads \
+            else [None] * len(lengths)
+        sealed = [cipher.seal(*record)
+                  for record in zip(nonces, plaintexts, aads, pads)]
+        assert sealed == [cipher.seal(*record)
+                          for record in zip(nonces, plaintexts, aads)]
+        assert sealed == [reference_seal(cipher_cls, key, *record)
+                          for record in zip(nonces, plaintexts, aads)]
+        # the record layer: consecutive sequences of one stream
+        twins = [StreamCryptoContext(cipher, bytes(range(12)), 5)
+                 for _ in range(2)]
+        assert twins[0].seal_many(plaintexts) == \
+            [twins[1].seal(plaintext) for plaintext in plaintexts]
+        assert twins[0].send_seq == twins[1].send_seq == len(lengths)
+
+
+def _one_read(cipher_name):
+    """The wire records of one busy read, cut apart: stream A, a PING
+    inside A's run (a control record where the receiver guessed data),
+    more of A, stream B attached and sending (the run switches streams
+    mid-read), A again -- and one record of A's first run tampered."""
+    keys = {"key": b"\x11" * 16, "peer_key": b"\x33" * 16} \
+        if cipher_name == "aes128gcm" else {}
+    client, conn = bootstrap_ready_session(
+        is_client=True, cipher_name=cipher_name, record_payload=700, **keys)
+    first = client.create_stream(conn)
+    first.send(bytes(range(256)) * 11)
+    client.ping(conn, b"probe")
+    first.send(b"A" * 1400)
+    second = client.create_stream(conn)
+    second.send(b"B" * 2000)
+    first.send(b"a" * 650)
+    records = RecordReassembler().feed(conn.tcp.take_sent())
+    assert len(records) > 12
+    tampered = bytearray(records[3])
+    tampered[40] ^= 0x20
+    records[3] = bytes(tampered)
+
+    def receive(chunks, watch=lambda server: None):
+        server, sconn = bootstrap_ready_session(
+            is_client=False, cipher_name=cipher_name, record_payload=700,
+            **keys)
+        sink = CaptureSink()
+        server.bus.subscribe(sink, categories=("tls",))
+        watch(server)
+        for chunk in chunks:
+            server.bytes_received(sconn, chunk)
+        return (
+            {stream_id: (bytes(stream.recv_buffer),
+                         list(stream.recv_decrypted),
+                         stream.ctx_recv.tag_trials, stream.ctx_recv.tag_hits)
+             for stream_id, stream in server.streams.items()},
+            [(event.name, event.data) for event in sink],
+            server.stats,
+        )
+    return records, receive
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("cipher_cls", AEADS)
+def test_one_read_is_its_records_one_at_a_time(
+        monkeypatch, cipher_cls, tier):
+    """Plaintexts, trial counts, ``record_opened`` / ``record_rejected``
+    events and stats do not depend on how many records shared a read:
+    a guessed pad only ever saves work.  The tampered record is
+    rejected, its neighbours are accepted."""
+    force_tier(monkeypatch, tier)
+    records, receive = _one_read(cipher_cls.name)
+    at_once = receive([b"".join(records)])
+    assert at_once == receive(records)
+    streams, events, stats = at_once
+    assert [name for name, _ in events].count("record_rejected") == 1 \
+        == stats["demux_drops"]
+    assert events[3][0] == "record_rejected"
+    assert events[2][0] == events[4][0] == "record_opened"
+    assert stats["records_received"] == len(records)
+    assert b"B" * 2000 in [buffer for buffer, *_ in streams.values()]
+
+
+@needs_numpy
+@pytest.mark.parametrize("cipher_cls", [Chacha20Poly1305, Aes128Gcm])
+def test_guessed_pads_serve_the_run_and_only_the_run(
+        monkeypatch, cipher_cls):
+    """The helped property, counted: of the records of the busy read,
+    those that continue a data stream are opened with a pad made ahead;
+    a record after a wrong guess, and every control record, is not."""
+    force_tier(monkeypatch, "lanes")
+    records, receive = _one_read(cipher_cls.name)
+    opened = []
+
+    def watch(server):
+        cipher = server._recv_key
+        crypt = cipher.crypt
+        cipher.crypt = lambda nonce, data, pad=None: (
+            opened.append(pad is not None), crypt(nonce, data, pad))[1]
+
+    _, events, _ = receive([b"".join(records)], watch)
+    accepted = [data for name, data in events if name == "record_opened"]
+    assert len(opened) == len(accepted) == len(records) - 1
+    on_data_stream = [data["type"] == RECORD_TYPE_STREAM_DATA
+                      for data in accepted]
+    assert not any(ahead for ahead, is_data in zip(opened, on_data_stream)
+                   if not is_data)
+    # most of the data records rode a guess, and some guesses were wrong
+    assert sum(on_data_stream) > sum(opened) > sum(on_data_stream) / 2
+    # a cipher with nothing to make ahead is never asked to
+    opened.clear()
+    monkeypatch.setattr(lanes, "_np", None)
+    receive([b"".join(records)], watch)
+    assert opened and not any(opened)
+
+
+@needs_numpy
+def test_eight_16k_records_seal_in_one_lane_pass(monkeypatch):
+    """ChaCha20-Poly1305: the eight keystreams *and* the eight Poly1305
+    keys (block 0 of each nonce) come out of one pass; no scalar block
+    is computed beside it."""
+    passes, scalar = [], []
+    lane_kernel, swar_kernel = chacha20._keystream_lanes, \
+        chacha20._keystream_swar
+    monkeypatch.setattr(chacha20, "_keystream_lanes", lambda key, requests: (
+        passes.append(len(requests)), lane_kernel(key, requests))[1])
+    monkeypatch.setattr(chacha20, "_keystream_swar", lambda *args: (
+        scalar.append(args), swar_kernel(*args))[1])
+    monkeypatch.setattr(chacha20, "chacha20_block", scalar.append)
+    context = StreamCryptoContext(
+        Chacha20Poly1305(bytes(range(32))), bytes(range(12)), 3)
+    wires = context.seal_many([bytes([i]) * RECORD for i in range(8)])
+    assert passes == [8] and not scalar
+    # and more records than a pass holds are cut, not grown
+    context.seal_many([b"x" * RECORD] * (2 * lanes.PASS_RECORDS + 1))
+    assert passes == [8, lanes.PASS_RECORDS, lanes.PASS_RECORDS, 1]
+    assert len(wires) == 8 and not scalar
+
+
+def _functions_mentioning(module, name):
+    tree = ast.parse(inspect.getsource(module))
+    return sorted(
+        definition.name for definition in ast.walk(tree)
+        if isinstance(definition, ast.FunctionDef)
+        and any(getattr(node, "id", getattr(node, "attr", None)) == name
+                for node in ast.walk(definition)))
+
+
+def test_one_lane_kernel_per_module():
+    """The multi-request kernels replaced the single-request ones: each
+    module has one function that runs the rounds and one that calls it,
+    and the record layer has one body for ``seal`` and ``seal_many``."""
+    assert _functions_mentioning(chacha20, "_quarter_round_lanes") == \
+        ["_keystream_lanes"]
+    assert _functions_mentioning(chacha20, "_keystream_lanes") == \
+        ["chacha20_keystreams"]
+    assert _functions_mentioning(chacha20, "_keystream_swar") == \
+        ["chacha20_keystreams"]
+    assert _functions_mentioning(aes, "_lane_rounds") == \
+        ["_ctr_keystream_lanes"]
+    assert _functions_mentioning(aes, "_ctr_keystream_lanes") == \
+        ["ctr_keystreams"]
+    assert _functions_mentioning(aes, "_encrypt_words") == \
+        ["ctr_keystreams", "encrypt_block"]
+    # every cipher's seal is the base class's, and a run is sealed by
+    # the body that seals one record
+    assert _functions_mentioning(aead, "mac_state") == ["seal"]
+    assert _functions_mentioning(crypto_context, "seal") == \
+        ["seal", "seal_many"]       # cipher.seal, then self.seal
+    assert _functions_mentioning(crypto_context, "encode_record_header") \
+        == ["seal"]
 
 
 def test_aead_suite_passes_without_numpy():
