@@ -46,6 +46,7 @@ from repro.core.errors import (
     SessionStateError,
     StreamClosedError,
     TcplsError,
+    TcplsProtocolError,
 )
 from repro.core.engine.session import TcplsEngine
 from repro.core.stream import TcplsStream
@@ -85,6 +86,7 @@ __all__ = [
     "TcplsConnection",
     "TcplsEngine",
     "TcplsError",
+    "TcplsProtocolError",
     "TcplsRecord",
     "TcplsServer",
     "TcplsStream",

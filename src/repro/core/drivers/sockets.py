@@ -13,14 +13,19 @@ when available and degrades to conservative defaults elsewhere.
 """
 
 import errno
-import heapq
 import random
 import selectors
 import socket
 import struct
 import time
 
-from repro.core.engine.interfaces import Clock, Driver, Transport
+from repro.core.engine.interfaces import (
+    Driver,
+    HeapClock,
+    PlainAddress,
+    PlainEndpoint,
+    Transport,
+)
 from repro.core.errors import DriverError
 from repro.obs.bus import EventBus
 
@@ -31,103 +36,23 @@ _TCP_INFO_SIZE = struct.calcsize(_TCP_INFO_FMT)
 _TCP_USER_TIMEOUT = getattr(socket, "TCP_USER_TIMEOUT", 18)
 
 
-class SocketAddress:
-    """An IP address string with the engine's ``family`` attribute."""
-
-    __slots__ = ("value", "family")
-
-    def __init__(self, value, family=4):
-        self.value = value
-        self.family = family
-
-    def __eq__(self, other):
-        return (isinstance(other, SocketAddress)
-                and (self.value, self.family)
-                == (other.value, other.family))
-
-    def __hash__(self):
-        return hash((self.value, self.family))
-
-    def __repr__(self):
-        return self.value
-
-
-class SocketEndpoint:
-    """(address, port) pair mirroring :class:`repro.net.Endpoint`."""
-
-    __slots__ = ("addr", "port")
-
-    def __init__(self, addr, port):
-        self.addr = addr
-        self.port = port
-
-    @property
-    def family(self):
-        return self.addr.family
-
-    def __eq__(self, other):
-        return (isinstance(other, SocketEndpoint)
-                and (self.addr, self.port) == (other.addr, other.port))
-
-    def __hash__(self):
-        return hash((self.addr, self.port))
-
-    def __repr__(self):
-        return "%s:%d" % (self.addr, self.port)
-
-
 def _endpoint_from_sockname(sockname, family):
     host, port = sockname[0], sockname[1]
-    return SocketEndpoint(
-        SocketAddress(host, 6 if family == socket.AF_INET6 else 4), port
+    return PlainEndpoint(
+        PlainAddress(host, 6 if family == socket.AF_INET6 else 4), port
     )
 
 
-class SocketClock(Clock):
+class SocketClock(HeapClock):
     """Monotonic real time (epoch at driver creation) + timer heap."""
 
     def __init__(self):
+        super().__init__()
         self._epoch = time.monotonic()
-        self.compactions = 0
-        self._heap = []
-        self._seq = 0
 
     @property
     def now(self):
         return time.monotonic() - self._epoch
-
-    class _Timer:
-        __slots__ = ("when", "fn", "args", "cancelled")
-
-        def __init__(self, when, fn, args):
-            self.when = when
-            self.fn = fn
-            self.args = args
-            self.cancelled = False
-
-        def cancel(self):
-            self.cancelled = True
-
-    def call_later(self, delay, fn, *args):
-        timer = self._Timer(self.now + delay, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (timer.when, self._seq, timer))
-        return timer
-
-    def next_deadline(self):
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
-    def fire_due(self):
-        fired = 0
-        while self._heap and self._heap[0][0] <= self.now:
-            _when, _seq, timer = heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue
-            timer.fn(*timer.args)
-            fired += 1
-        return fired
 
 
 class SocketTransport(Transport):
@@ -505,12 +430,12 @@ class SocketDriver(Driver):
         return listener
 
     def endpoint(self, address, port):
-        if isinstance(address, SocketAddress):
-            return SocketEndpoint(address, port)
-        return SocketEndpoint(SocketAddress(str(address)), port)
+        if isinstance(address, PlainAddress):
+            return PlainEndpoint(address, port)
+        return PlainEndpoint(PlainAddress(str(address)), port)
 
     def usable_local_addresses(self):
-        return [SocketAddress(self.host)]
+        return [PlainAddress(self.host)]
 
     # -- event loop -----------------------------------------------------
 

@@ -35,6 +35,8 @@ app callbacks           deliver application data / lifecycle events
 """
 
 import abc
+import heapq
+from collections import namedtuple
 
 
 class Transport(abc.ABC):
@@ -148,6 +150,77 @@ class Clock(abc.ABC):
         with a ``cancel()`` method."""
 
 
+class HeapClock(Clock):
+    """A :class:`Clock` whose timers live in one heap, fired in deadline
+    order (arming order among equal deadlines); subclasses supply
+    ``now``."""
+
+    class _Timer:
+        __slots__ = ("when", "fn", "args", "cancelled")
+
+        def __init__(self, when, fn, args):
+            self.when = when
+            self.fn = fn
+            self.args = args
+            self.cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+
+    def call_later(self, delay, fn, *args):
+        timer = self._Timer(self.now + delay, fn, args)
+        self._seq += 1
+        heapq.heappush(self._heap, (timer.when, self._seq, timer))
+        return timer
+
+    def next_deadline(self):
+        """When the earliest live timer is due (``None`` if none is)."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def fire_due(self):
+        """Fire every live timer due by ``now`` (re-read after each);
+        returns how many fired."""
+        fired = 0
+        heap = self._heap
+        while heap and heap[0][0] <= self.now:
+            _when, _seq, timer = heapq.heappop(heap)
+            if not timer.cancelled:
+                timer.fn(*timer.args)
+                fired += 1
+        return fired
+
+
+class PlainAddress(namedtuple("PlainAddress", "value family",
+                              defaults=(4,))):
+    """An address value with the engine's ``family`` attribute, for
+    drivers that have no :mod:`repro.net` address (sockets, stubs)."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return str(self.value)
+
+
+class PlainEndpoint(namedtuple("PlainEndpoint", "addr port")):
+    """(address, port) pair mirroring :class:`repro.net.Endpoint`."""
+
+    __slots__ = ()
+
+    @property
+    def family(self):
+        return self.addr.family
+
+    def __repr__(self):
+        return "%s:%d" % self
+
+
 class Driver(abc.ABC):
     """Factory and event-loop facade binding engines to an environment.
 
@@ -201,4 +274,5 @@ class Driver(abc.ABC):
         return []
 
 
-__all__ = ["Clock", "Driver", "Transport"]
+__all__ = ["Clock", "Driver", "HeapClock", "PlainAddress", "PlainEndpoint",
+           "Transport"]

@@ -14,10 +14,15 @@ recreates the ready state directly from raw key material via
 :meth:`~repro.core.engine.session.TcplsEngine.install_raw_keys`.
 """
 
-import heapq
 import random
 
-from repro.core.engine.interfaces import Clock, Driver, Transport
+from repro.core.engine.interfaces import (
+    Driver,
+    HeapClock,
+    PlainAddress,
+    PlainEndpoint,
+    Transport,
+)
 from repro.core.engine.session import TcplsEngine
 from repro.core.errors import DriverError
 from repro.crypto.aead import get_cipher
@@ -78,80 +83,25 @@ class InputLog:
             engine.input_log = saved
 
 
-class ManualClock(Clock):
+class ManualClock(HeapClock):
     """A clock advanced explicitly by the test/replay harness."""
 
     def __init__(self, start=0.0):
+        super().__init__()
         self.now = start
-        self.compactions = 0
-        self._heap = []
-        self._seq = 0
-
-    class _Timer:
-        __slots__ = ("when", "fn", "args", "cancelled")
-
-        def __init__(self, when, fn, args):
-            self.when = when
-            self.fn = fn
-            self.args = args
-            self.cancelled = False
-
-        def cancel(self):
-            self.cancelled = True
-
-    def call_later(self, delay, fn, *args):
-        timer = self._Timer(self.now + delay, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (timer.when, self._seq, timer))
-        return timer
 
     def run_until(self, t):
-        """Fire due timers in order, then set ``now`` to ``t``."""
-        while self._heap and self._heap[0][0] <= t:
-            when, _seq, timer = heapq.heappop(self._heap)
-            if timer.cancelled:
-                continue
-            self.now = when
-            timer.fn(*timer.args)
+        """Fire due timers in order, each at its deadline, then set
+        ``now`` to ``t``."""
+        deadline = self.next_deadline()
+        while deadline is not None and deadline <= t:
+            self.now = deadline
+            self.fire_due()
+            deadline = self.next_deadline()
         self.now = max(self.now, t)
 
     def advance(self, dt):
         self.run_until(self.now + dt)
-
-
-class _StubAddress:
-    """Minimal address object (family + value) for stub endpoints."""
-
-    __slots__ = ("family", "value")
-
-    def __init__(self, value, family=4):
-        self.value = value
-        self.family = family
-
-    def __eq__(self, other):
-        return (isinstance(other, _StubAddress)
-                and (self.family, self.value) == (other.family, other.value))
-
-    def __hash__(self):
-        return hash((self.family, self.value))
-
-    def __repr__(self):
-        return str(self.value)
-
-
-class _StubEndpoint:
-    __slots__ = ("addr", "port")
-
-    def __init__(self, addr, port):
-        self.addr = addr
-        self.port = port
-
-    @property
-    def family(self):
-        return self.addr.family
-
-    def __repr__(self):
-        return "%s:%d" % (self.addr, self.port)
 
 
 class ReplayTransport(Transport):
@@ -159,8 +109,8 @@ class ReplayTransport(Transport):
     reads.  The replay harness's stand-in for a real connection."""
 
     def __init__(self, local=None, remote=None, capacity=1 << 30):
-        self.local = local or _StubEndpoint(_StubAddress("stub-local"), 0)
-        self.remote = remote or _StubEndpoint(_StubAddress("stub-remote"), 0)
+        self.local = local or PlainEndpoint(PlainAddress("stub-local"), 0)
+        self.remote = remote or PlainEndpoint(PlainAddress("stub-remote"), 0)
         self.capacity = capacity
         self.sent = bytearray()          # everything the engine wrote
         self._recv_buffer = bytearray()  # injected, awaiting recv()
@@ -268,7 +218,7 @@ class StubDriver(Driver):
 
     def connect(self, local_addr, remote, cc=None, tfo_data=b""):
         transport = ReplayTransport(
-            local=_StubEndpoint(local_addr, 49152 + len(self.transports)),
+            local=PlainEndpoint(local_addr, 49152 + len(self.transports)),
             remote=remote,
         )
         self.transports.append(transport)
@@ -281,7 +231,7 @@ class StubDriver(Driver):
         return listener
 
     def endpoint(self, address, port):
-        return _StubEndpoint(address, port)
+        return PlainEndpoint(address, port)
 
 
 def bootstrap_ready_session(driver=None, is_client=True,
@@ -303,8 +253,8 @@ def bootstrap_ready_session(driver=None, is_client=True,
     driver = driver or StubDriver()
     engine = TcplsEngine(driver, is_client=is_client, **session_kwargs)
     transport = driver.connect(
-        _StubAddress("client" if is_client else "server"),
-        _StubEndpoint(_StubAddress("server" if is_client else "client"),
+        PlainAddress("client" if is_client else "server"),
+        PlainEndpoint(PlainAddress("server" if is_client else "client"),
                       443),
     )
     cipher_cls = get_cipher(cipher_name)

@@ -134,7 +134,7 @@ class TcplsServerEngine:
             opcode = (rec.CTRL_NEW_TOKENS if self.token_mode
                       else rec.CTRL_NEW_COOKIES)
             session._send_control(
-                conn, bytes([opcode, count]) + b"".join(credentials))
+                conn, rec.encode_credentials(opcode, credentials))
         return credentials
 
     def retire(self, session):

@@ -27,7 +27,7 @@ from collections import deque
 
 from repro.core import record as rec
 from repro.core.crypto_context import prepare_record
-from repro.core.errors import SessionNotReadyError
+from repro.core.errors import SessionNotReadyError, TcplsProtocolError
 from repro.core.engine.policy import RecordContext, RoundRobinScheduler
 from repro.core.stream import CoupledGroup, TcplsStream, control_stream_id
 from repro.tls.record import RECORD_HEADER_SIZE, RecordReassembler
@@ -36,10 +36,9 @@ from repro.tls.record import RECORD_HEADER_SIZE, RecordReassembler
 #: the pump stops sealing records for it (keeps data steerable).
 UNSENT_TARGET = 128 * 1024
 
-#: RFC 5482 TCP User Timeout option kind (mirrors
-#: ``repro.tcp.options.OPT_USER_TIMEOUT``; redefined here because the
-#: engine may not import :mod:`repro.tcp`).
-OPT_USER_TIMEOUT = 28
+#: CONTROL opcodes' rows in :attr:`TcplsEngine.ROWS` are keyed
+#: ``(_CONTROL, opcode)``
+_CONTROL = rec.RECORD_TYPE_CONTROL
 
 
 class ConnectionState:
@@ -558,7 +557,8 @@ class TcplsEngine:
         self._emit("session", "failover_enabled", {})
         primary = self._first_writable()
         if primary is not None:
-            self._send_control(primary, bytes([rec.CTRL_ENABLE_FAILOVER]))
+            self._send_control(
+                primary, rec.encode_control(rec.CTRL_ENABLE_FAILOVER))
 
     def set_user_timeout(self, conn, seconds):
         """Ship the User Timeout inside an encrypted record so the
@@ -568,12 +568,8 @@ class TcplsEngine:
         the record-conveyed variant is not space-constrained (Sec. 3.1)
         and carries milliseconds -- the paper's experiments use 250 ms.
         """
-        import struct
-
-        payload = rec.encode_tcp_option(
-            OPT_USER_TIMEOUT, struct.pack("!I", int(seconds * 1000))
-        )
-        self._send_typed(conn, rec.RECORD_TYPE_TCP_OPTION, payload)
+        self.send_tcp_option(conn, rec.OPT_USER_TIMEOUT,
+                             rec.encode_user_timeout(seconds))
         conn.tcp.set_user_timeout(seconds)
 
     def ping(self, conn, payload=b""):
@@ -592,27 +588,17 @@ class TcplsEngine:
         """Advertise one more local address to the peer mid-session
         (Sec. 3.3.2: "The server can later ... update its list of
         addresses")."""
-        from repro.tls.extensions import encode_address_list
-
         target = self._first_writable()
         if target is not None:
             self._send_control(
-                target,
-                bytes([rec.CTRL_ADD_ADDRESS])
-                + encode_address_list([address]),
-            )
+                target, rec.encode_addresses(rec.CTRL_ADD_ADDRESS, [address]))
 
     def withdraw_address(self, address):
         """Tell the peer an address is no longer usable."""
-        from repro.tls.extensions import encode_address_list
-
         target = self._first_writable()
         if target is not None:
-            self._send_control(
-                target,
-                bytes([rec.CTRL_REMOVE_ADDRESS])
-                + encode_address_list([address]),
-            )
+            self._send_control(target, rec.encode_addresses(
+                rec.CTRL_REMOVE_ADDRESS, [address]))
 
     def request_peer_tcp_info(self, conn, callback):
         """Retrieve the *remote* endpoint's ``tcp_info`` for this
@@ -621,7 +607,7 @@ class TcplsEngine:
         tcp_info").  ``callback(conn, info_dict)`` fires on response."""
         self._tcpinfo_callbacks.setdefault(conn.conn_id, []).append(
             callback)
-        self._send_control(conn, bytes([rec.CTRL_TCPINFO_REQUEST]))
+        self._send_control(conn, rec.encode_control(rec.CTRL_TCPINFO_REQUEST))
 
     def send_ebpf_program(self, conn, bytecode, program_id=1):
         """Chunk congestion-controller bytecode over the session
@@ -651,15 +637,13 @@ class TcplsEngine:
     def _send_control(self, conn, payload):
         self._send_typed(conn, rec.RECORD_TYPE_CONTROL, payload)
 
-    def _send_typed(self, conn, record_type, payload, control=b"",
-                    stream=None, store_unacked=False):
-        """Seal one record on ``conn`` (control stream by default)."""
-        stream = stream if stream is not None else conn.control_stream
+    def _send_typed(self, conn, record_type, payload):
+        """Seal one record on ``conn``'s control stream (never stored
+        for replay: each connection's control stream is its own)."""
+        stream = conn.control_stream
         seq = stream.ctx_send.send_seq
-        inner = rec.encode_inner(record_type, payload, control)
+        inner = rec.encode_inner(record_type, payload)
         wire = stream.ctx_send.seal(inner)
-        if store_unacked and self.failover_enabled:
-            stream.unacked.append((seq, wire))
         self.stats["records_sent"] += 1
         self.stats["bytes_sealed"] += len(inner)
         self._emit("tls", "record_sealed", {
@@ -752,7 +736,7 @@ class TcplsEngine:
             if budget <= 0:
                 break
             ctx = stream.ctx_send
-            record_overhead = ctx.cipher.tag_size + 5  # TLS header
+            record_overhead = ctx.cipher.tag_size + RECORD_HEADER_SIZE
             pending = stream.pending
             remaining = len(pending)
             fin_left = stream.fin_pending and not stream.fin_sent
@@ -764,7 +748,8 @@ class TcplsEngine:
             view = memoryview(pending)
             try:
                 while budget > 0 and (remaining or fin_left):
-                    last = fin_left and remaining <= self._chunk_size(1)
+                    last = fin_left and remaining <= self._chunk_size(
+                        rec.STREAM_CONTROL_SIZE)
                     flags = rec.FLAG_FIN if last else 0
                     control = rec.encode_stream_control(flags)
                     size = self._chunk_size(len(control))
@@ -784,16 +769,17 @@ class TcplsEngine:
             finally:
                 view.release()
             del pending[:offset]
-            seq = ctx.send_seq
-            wires = ctx.seal_many(inners)
-            self._book_sealed(conn, stream, seq, inners, wires)
+            self._seal_batch(conn, stream, inners)
             sent = True
         return sent
 
-    def _book_sealed(self, conn, stream, first_seq, inners, wires):
-        """Post-seal bookkeeping for one pump batch: unacked replay
-        copies, stats, per-record trace events, one queue append pass
-        and one transport drain."""
+    def _seal_batch(self, conn, stream, inners):
+        """Seal a pump batch of STREAM_DATA records on ``stream``
+        (:meth:`seal_many`) and book it: unacked replay copies, stats,
+        per-record trace events, one queue append pass and one
+        transport drain.  Streams and coupled groups both send here."""
+        first_seq = stream.ctx_send.send_seq
+        wires = stream.ctx_send.seal_many(inners)
         if self.failover_enabled:
             unacked = stream.unacked
             seq = first_seq
@@ -854,20 +840,20 @@ class TcplsEngine:
                 })
             last = (
                 group.fin_pending
-                and len(group.pending) <= self._chunk_size(9)
+                and len(group.pending)
+                <= self._chunk_size(rec.COUPLED_CONTROL_SIZE)
             )
             control = group.next_control(fin=last)
             size = self._chunk_size(len(control))
             chunk = memoryview(group.pending)[:size]
             try:
-                for stream in targets:
-                    self._send_typed(
-                        stream.connection, rec.RECORD_TYPE_STREAM_DATA,
-                        chunk, control, stream=stream, store_unacked=True,
-                    )
+                inner = rec.encode_inner(rec.RECORD_TYPE_STREAM_DATA, chunk,
+                                         control)
             finally:
                 chunk.release()
             del group.pending[:size]
+            for stream in targets:
+                self._seal_batch(stream.connection, stream, [inner])
             if last:
                 group.fin_sent = True
             sent = True
@@ -961,31 +947,41 @@ class TcplsEngine:
         else drops the guesses left (at most one pass of lane work) and
         starts over from where it was accepted; a rejected record says
         nothing about its neighbours, so theirs stand.
+
+        A malformed record -- its row's decoder raised
+        :class:`TcplsProtocolError` -- fails the connection, and the
+        rest of the read is dropped with it.
         """
-        cipher = self._recv_key
-        per_pass = len(records) > 1 and cipher.pads_per_pass()
-        if not per_pass:
-            for record_bytes in records:
-                self._process_record(conn, record_bytes)
-            return
-        overhead = RECORD_HEADER_SIZE + cipher.tag_size
-        guesses = {}        # record index -> ((stream, seq), (nonce, pad))
-        for index, record_bytes in enumerate(records):
-            guessed, ahead = guesses.pop(index, (None, None))
-            accepted = self._process_record(conn, record_bytes, ahead)
-            if accepted is None:
-                continue
-            if accepted != guessed:
-                guesses.clear()
-            stream, seq = accepted
-            rest = records[index + 1:index + 1 + per_pass]
-            if not rest or index + 1 in guesses \
-                    or self._is_control(stream):
-                continue
-            pads = stream.ctx_recv.pads_ahead(
-                seq + 1, [max(len(r) - overhead, 0) for r in rest])
-            for offset, ahead in enumerate(pads, 1):
-                guesses[index + offset] = ((stream, seq + offset), ahead)
+        try:
+            cipher = self._recv_key
+            per_pass = len(records) > 1 and cipher.pads_per_pass()
+            if not per_pass:
+                for record_bytes in records:
+                    self._process_record(conn, record_bytes)
+                return
+            overhead = RECORD_HEADER_SIZE + cipher.tag_size
+            # record index -> ((stream, seq), (nonce, pad))
+            guesses = {}
+            for index, record_bytes in enumerate(records):
+                guessed, ahead = guesses.pop(index, (None, None))
+                accepted = self._process_record(conn, record_bytes, ahead)
+                if accepted is None:
+                    continue
+                if accepted != guessed:
+                    guesses.clear()
+                stream, seq = accepted
+                rest = records[index + 1:index + 1 + per_pass]
+                if not rest or index + 1 in guesses \
+                        or self._is_control(stream):
+                    continue
+                pads = stream.ctx_recv.pads_ahead(
+                    seq + 1, [max(len(r) - overhead, 0) for r in rest])
+                for offset, ahead in enumerate(pads, 1):
+                    guesses[index + offset] = ((stream, seq + offset),
+                                               ahead)
+        except TcplsProtocolError:
+            conn.tcp.abort()
+            self._conn_failed(conn, "protocol")
 
     def _process_record(self, conn, record_bytes, ahead=None):
         """Find the record's stream by tag trial and dispatch it;
@@ -1037,7 +1033,7 @@ class TcplsEngine:
 
     def _accept_record(self, conn, stream, seq, trial, wire_length):
         """``trial`` has just verified at ``(stream, seq)``: decrypt it
-        (no second MAC pass) and dispatch."""
+        (no second MAC pass) and dispatch it to its :attr:`ROWS` row."""
         plaintext = stream.ctx_recv.open_verified(trial, seq)
         stream.mark_decrypted(seq)
         self.stats["bytes_opened"] += len(plaintext)
@@ -1048,40 +1044,16 @@ class TcplsEngine:
             "seq": seq, "type": inner.record_type,
             "length": wire_length,
         })
-        self._handle_inner(conn, stream, seq, inner)
+        rows = self.ROWS
+        if inner.record_type in rows:
+            rows[inner.record_type](self, conn, stream, seq, inner)
 
-    # -- record dispatch -----------------------------------------------------
+    # -- the control plane: one row per record type and CONTROL opcode ------
+    #
+    # Each row decodes its payload with its codec in :mod:`repro.core.record`
+    # (which raises TcplsProtocolError on malformed bytes) and acts on it.
 
-    def _handle_inner(self, conn, stream, seq, inner):
-        record_type = inner.record_type
-        if record_type == rec.RECORD_TYPE_STREAM_DATA:
-            self._handle_stream_data(conn, stream, seq, inner)
-        elif record_type == rec.RECORD_TYPE_APPDATA:
-            stream.recv_buffer += inner.payload
-            if self.on_stream_data is not None:
-                self.on_stream_data(stream)
-        elif record_type == rec.RECORD_TYPE_ACK:
-            for stream_id, next_seq in rec.decode_ack(inner.payload):
-                target = self.streams.get(stream_id)
-                if target is not None:
-                    target.prune_unacked(next_seq)
-        elif record_type == rec.RECORD_TYPE_SYNC:
-            failed_index, entries = rec.decode_sync(inner.payload)
-            self._handle_sync(conn, failed_index, entries)
-        elif record_type == rec.RECORD_TYPE_TCP_OPTION:
-            kind, data = rec.decode_tcp_option(inner.payload)
-            self._handle_tcp_option(conn, kind, data)
-        elif record_type == rec.RECORD_TYPE_EBPF:
-            self._handle_ebpf_chunk(conn, inner.payload)
-        elif record_type == rec.RECORD_TYPE_CONTROL:
-            self._handle_control(conn, inner.payload)
-        elif record_type == rec.RECORD_TYPE_PING:
-            self._send_typed(conn, rec.RECORD_TYPE_PONG, inner.payload)
-        elif record_type == rec.RECORD_TYPE_PONG:
-            if self.on_pong is not None:
-                self.on_pong(conn, inner.payload)
-
-    def _handle_stream_data(self, conn, stream, seq, inner):
+    def _on_stream_data(self, conn, stream, seq, inner):
         flags, coupled_seq = rec.decode_stream_control(inner.control)
         if coupled_seq is not None:
             group = self._ensure_group(stream.coupled_group or 0)
@@ -1150,105 +1122,101 @@ class TcplsEngine:
             self.groups[group_id] = group
         return group
 
-    def _handle_tcp_option(self, conn, kind, data):
-        if kind == OPT_USER_TIMEOUT:
-            import struct
+    def _on_appdata(self, conn, stream, seq, inner):
+        stream.recv_buffer += inner.payload
+        if self.on_stream_data is not None:
+            self.on_stream_data(stream)
 
-            (milliseconds,) = struct.unpack("!I", data)
-            conn.tcp.set_user_timeout(milliseconds / 1000.0)
+    def _on_ack(self, conn, stream, seq, inner):
+        for stream_id, next_seq in rec.decode_ack(inner.payload):
+            target = self.streams.get(stream_id)
+            if target is not None:
+                target.prune_unacked(next_seq)
+
+    def _on_tcp_option(self, conn, stream, seq, inner):
+        kind, data = rec.decode_tcp_option(inner.payload)
+        if kind == rec.OPT_USER_TIMEOUT:
+            conn.tcp.set_user_timeout(rec.decode_user_timeout(data))
         if self.on_tcp_option is not None:
             self.on_tcp_option(conn, kind, data)
 
-    def _handle_ebpf_chunk(self, conn, payload):
-        program_id, index, total, data = rec.decode_ebpf_chunk(payload)
-        chunks = self._ebpf_chunks.setdefault(program_id, {})
+    def _on_ebpf_chunk(self, conn, stream, seq, inner):
+        """Collect a program's chunks (keyed with their total, so a
+        complete set is every index below it) and ask the transport to
+        verify and attach it (drivers without pluggable CC decline)."""
+        program_id, index, total, data = rec.decode_ebpf_chunk(inner.payload)
+        chunks = self._ebpf_chunks.setdefault((program_id, total), {})
         chunks[index] = data
-        if len(chunks) == total:
-            bytecode = b"".join(chunks[i] for i in range(total))
-            del self._ebpf_chunks[program_id]
-            self._attach_ebpf(conn, program_id, bytecode)
-
-    def _attach_ebpf(self, conn, program_id, bytecode):
-        """Ask the transport to verify and attach a received congestion
-        controller (drivers without pluggable CC decline)."""
+        if len(chunks) < total:
+            return
+        del self._ebpf_chunks[program_id, total]
         attached = conn.tcp.attach_ebpf_congestion(
-            bytecode, program_name="prog%d" % program_id
+            b"".join(chunks[i] for i in range(total)),
+            program_name="prog%d" % program_id,
         )
         if attached and self.on_ebpf_attached is not None:
             self.on_ebpf_attached(conn, program_id)
 
-    def _handle_control(self, conn, payload):
-        import struct
+    def _on_control(self, conn, stream, seq, inner):
+        handler = self.ROWS.get((_CONTROL, rec.decode_control(inner.payload)))
+        if handler is not None:
+            handler(self, conn, inner.payload)
 
-        opcode = payload[0]
-        if opcode == rec.CTRL_STREAM_ATTACH:
-            _, stream_id, from_seq, group_id = struct.unpack_from(
-                "!BIQI", payload, 0
-            )
-            stream = self.streams.get(stream_id)
-            if stream is None:
-                stream = self._make_stream(
-                    stream_id, conn,
-                    coupled_group=group_id or None,
-                )
-                if group_id:
-                    group = self._ensure_group(group_id)
-                    if stream not in group.streams:
-                        group.streams.append(stream)
-                if self.on_stream_open is not None:
-                    self.on_stream_open(stream)
-            else:
-                self._attach(stream, conn)
-        elif opcode == rec.CTRL_STREAM_DETACH:
-            _, stream_id, final_seq = struct.unpack_from("!BIQ", payload, 0)
-            stream = self.streams.get(stream_id)
-            if stream is not None and stream.connection is conn:
-                pass  # demux keeps trying it; sender stopped using it
-        elif opcode == rec.CTRL_STREAM_CLOSE:
-            _, stream_id = struct.unpack_from("!BI", payload, 0)
-            stream = self.streams.get(stream_id)
-            if stream is not None:
-                stream.closed = True
-                self._emit("session", "stream_closed",
-                           {"stream": stream_id, "conn": conn.conn_id})
-        elif opcode == rec.CTRL_ENABLE_FAILOVER:
-            self.failover_enabled = True
-        elif opcode == rec.CTRL_NEW_COOKIES:
-            count = payload[1]
-            for i in range(count):
-                self.cookies.append(payload[2 + 16 * i:2 + 16 * (i + 1)])
-        elif opcode == rec.CTRL_NEW_TOKENS:
-            count = payload[1]
-            for i in range(count):
-                self.tokens.append(payload[2 + 16 * i:2 + 16 * (i + 1)])
-        elif opcode == rec.CTRL_ADD_ADDRESS:
-            from repro.tls.extensions import decode_address_list
+    def _on_ping(self, conn, stream, seq, inner):
+        self._send_typed(conn, rec.RECORD_TYPE_PONG, inner.payload)
 
-            for address in decode_address_list(payload[1:]):
-                if address not in self.peer_addresses:
-                    self.peer_addresses.append(address)
-        elif opcode == rec.CTRL_REMOVE_ADDRESS:
-            from repro.tls.extensions import decode_address_list
+    def _on_pong(self, conn, stream, seq, inner):
+        if self.on_pong is not None:
+            self.on_pong(conn, inner.payload)
 
-            for address in decode_address_list(payload[1:]):
-                if address in self.peer_addresses:
-                    self.peer_addresses.remove(address)
-        elif opcode == rec.CTRL_TCPINFO_REQUEST:
-            self._send_control(
-                conn, rec.encode_tcpinfo_response(conn.tcp_info())
-            )
-        elif opcode == rec.CTRL_TCPINFO_RESPONSE:
-            info = rec.decode_tcpinfo_response(payload)
-            callbacks = self._tcpinfo_callbacks.pop(conn.conn_id, [])
-            for callback in callbacks:
-                callback(conn, info)
-        elif opcode == rec.CTRL_CONN_CLOSE:
-            conn.alive = False
+    def _on_stream_attach(self, conn, payload):
+        stream_id, _from_seq, group_id = rec.decode_stream_attach(payload)
+        stream = self.streams.get(stream_id)
+        if stream is not None:
+            self._attach(stream, conn)
+            return
+        stream = self._make_stream(stream_id, conn,
+                                   coupled_group=group_id or None)
+        if group_id:
+            group = self._ensure_group(group_id)
+            if stream not in group.streams:
+                group.streams.append(stream)
+        if self.on_stream_open is not None:
+            self.on_stream_open(stream)
 
-    def _handle_sync(self, conn, failed_conn_id, entries):
+    def _on_enable_failover(self, conn, payload):
+        self.failover_enabled = True
+
+    def _on_new_cookies(self, conn, payload):
+        self.cookies.extend(rec.decode_credentials(payload))
+
+    def _on_new_tokens(self, conn, payload):
+        self.tokens.extend(rec.decode_credentials(payload))
+
+    def _on_add_address(self, conn, payload):
+        for address in rec.decode_addresses(payload):
+            if address not in self.peer_addresses:
+                self.peer_addresses.append(address)
+
+    def _on_remove_address(self, conn, payload):
+        for address in rec.decode_addresses(payload):
+            if address in self.peer_addresses:
+                self.peer_addresses.remove(address)
+
+    def _on_tcpinfo_request(self, conn, payload):
+        self._send_control(conn,
+                           rec.encode_tcpinfo_response(conn.tcp_info()))
+
+    def _on_tcpinfo_response(self, conn, payload):
+        info = rec.decode_tcpinfo_response(payload)
+        for callback in self._tcpinfo_callbacks.pop(conn.conn_id, []):
+            callback(conn, info)
+
+    def _on_sync(self, conn, stream, seq, inner):
         """Peer signalled failover: reattach our view of its streams to
         this connection, move our own streams off the dead connection,
         and replay our unacked records (Fig. 4)."""
+        failed_conn_id, entries = rec.decode_sync(inner.payload)
         self._emit("recovery", "sync_received", {
             "conn": conn.conn_id, "failed": failed_conn_id,
             "streams": len(entries),
@@ -1284,6 +1252,30 @@ class TcplsEngine:
             ]
         self._replay_unacked(conn)
         self._pump()
+
+    #: the control plane (record.py's table): a decrypted record goes to
+    #: its type's row; a CONTROL record to its ``(CONTROL, opcode)`` row.
+    #: Anything else -- an unknown type or opcode, STREAM_DETACH -- is
+    #: ignored.
+    ROWS = {
+        rec.RECORD_TYPE_STREAM_DATA: _on_stream_data,
+        rec.RECORD_TYPE_APPDATA: _on_appdata,
+        rec.RECORD_TYPE_ACK: _on_ack,
+        rec.RECORD_TYPE_SYNC: _on_sync,
+        rec.RECORD_TYPE_TCP_OPTION: _on_tcp_option,
+        rec.RECORD_TYPE_EBPF: _on_ebpf_chunk,
+        rec.RECORD_TYPE_CONTROL: _on_control,
+        rec.RECORD_TYPE_PING: _on_ping,
+        rec.RECORD_TYPE_PONG: _on_pong,
+        (_CONTROL, rec.CTRL_NEW_COOKIES): _on_new_cookies,
+        (_CONTROL, rec.CTRL_ADD_ADDRESS): _on_add_address,
+        (_CONTROL, rec.CTRL_REMOVE_ADDRESS): _on_remove_address,
+        (_CONTROL, rec.CTRL_STREAM_ATTACH): _on_stream_attach,
+        (_CONTROL, rec.CTRL_ENABLE_FAILOVER): _on_enable_failover,
+        (_CONTROL, rec.CTRL_TCPINFO_REQUEST): _on_tcpinfo_request,
+        (_CONTROL, rec.CTRL_TCPINFO_RESPONSE): _on_tcpinfo_response,
+        (_CONTROL, rec.CTRL_NEW_TOKENS): _on_new_tokens,
+    }
 
     # ------------------------------------------------------------------
     # Failover engine (Sec. 3.3.2, Fig. 4)

@@ -33,6 +33,12 @@ class StreamClosedError(TcplsError):
     """Data was queued on a stream or group that is already closed."""
 
 
+class TcplsProtocolError(TcplsError):
+    """An authenticated record is malformed: a field is truncated, a
+    count overruns its payload, or a value is out of range.  The
+    connection that carried it fails with reason ``"protocol"``."""
+
+
 class DriverError(TcplsError):
     """A transport driver failed (socket error, event-loop timeout, or
     an operation the driver does not support)."""
@@ -45,4 +51,5 @@ __all__ = [
     "SessionStateError",
     "StreamClosedError",
     "TcplsError",
+    "TcplsProtocolError",
 ]

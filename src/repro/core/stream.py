@@ -13,6 +13,7 @@ from repro.core.crypto_context import StreamCryptoContext
 from repro.core.errors import StreamClosedError
 from repro.core.record import (
     FLAG_COUPLED,
+    FLAG_FIN,
     encode_stream_control,
 )
 from repro.core.reorder import ReorderBuffer
@@ -64,14 +65,13 @@ class TcplsStream:
         self.records_since_ack = 0
         self.bytes_since_ack = 0
         self.fin_received = False
-        self.closed = False
 
     # -- application send API -------------------------------------------
 
     def send(self, data):
         """Queue application bytes (sealed lazily at transmit time so
         steering can redirect not-yet-sent data)."""
-        if self.closed or self.fin_pending:
+        if self.fin_pending:
             raise StreamClosedError(
                 "send on closed stream %d" % self.stream_id)
         self.pending += data
@@ -209,11 +209,7 @@ class CoupledGroup:
 
     def next_control(self, fin=False):
         """Allocate the control tail for the next scheduled record."""
-        flags = FLAG_COUPLED
-        if fin:
-            from repro.core.record import FLAG_FIN
-
-            flags |= FLAG_FIN
+        flags = FLAG_COUPLED | FLAG_FIN if fin else FLAG_COUPLED
         control = encode_stream_control(flags, self.next_group_seq)
         self.next_group_seq += 1
         return control

@@ -165,3 +165,38 @@ def test_one_way_into_a_session():
     assert not offences, "\n".join(offences)
     for module in ("session", "client", "server"):
         assert not (SRC_DIR / "core" / (module + ".py")).exists()
+
+
+def _table_names(node):
+    """Every ``CTRL_*`` / ``RECORD_TYPE_*`` name compared under ``node``."""
+    return {name for sub in ast.walk(node) if isinstance(sub, ast.Compare)
+            for part in ast.walk(sub)
+            for name in [_name(part)] if isinstance(name, str)
+            and name.startswith(("CTRL_", "RECORD_TYPE_"))}
+
+
+def test_one_table_for_the_control_plane():
+    """Record types and CONTROL opcodes are dispatched through one table
+    (``TcplsEngine.ROWS``) and decoded by the codecs
+    in ``core/record.py``: the engine parses no bytes itself, no
+    ``if``/``elif`` chain on a type or opcode grows back, and the rows
+    nothing sent stay deleted."""
+    offences = []
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                for name in _table_names(node.test):
+                    offences.append("%s:%d compares %s" % (
+                        path.relative_to(SRC_DIR), node.lineno, name))
+        if ENGINE_DIR in path.parents:
+            offences += ["%s:%d imports struct" % (path.name, lineno)
+                         for module, lineno in _imports_of(tree)
+                         if module == "struct"]
+    gone = re.compile(r"\b(CTRL_CONN_CLOSE|CTRL_ENABLE_TCPLS|"
+                      r"CTRL_STREAM_CLOSE|encode_stream_close|"
+                      r"_handle_inner|_handle_control)\b")
+    offences += ["%s:%d %s" % (path, lineno, match.group(0))
+                 for path, lineno, line in _lines("src")
+                 for match in [gone.search(line)] if match]
+    assert not offences, "\n".join(offences)

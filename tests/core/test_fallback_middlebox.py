@@ -52,11 +52,10 @@ def test_fallback_session_still_carries_data():
     received = bytearray()
     sessions[0].on_stream_data = lambda st: received.extend(st.recv())
     # Stream 0 (the TLS application-data context) still works.
-    stream0 = client.conns[0].control_stream
     from repro.core import record as rec
 
     client._send_typed(client.conns[0], rec.RECORD_TYPE_APPDATA,
-                       b"plain tls data", stream=stream0)
+                       b"plain tls data")
     sim.run(until=sim.now + 0.5)
     assert bytes(received) == b"plain tls data"
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import record as rec
+from repro.core.errors import TcplsProtocolError
 
 
 def test_roundtrip_no_control():
@@ -35,9 +36,9 @@ def test_control_length_limit():
 
 
 def test_decode_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(TcplsProtocolError):
         rec.decode_inner(b"")
-    with pytest.raises(ValueError):
+    with pytest.raises(TcplsProtocolError):
         rec.decode_inner(bytes([200, rec.RECORD_TYPE_ACK]))  # bad ctrl len
 
 
@@ -79,6 +80,23 @@ def test_tcp_option_codec():
 def test_ebpf_chunk_codec():
     payload = rec.encode_ebpf_chunk(3, 1, 4, b"code")
     assert rec.decode_ebpf_chunk(payload) == (3, 1, 4, b"code")
+
+
+def test_user_timeout_codec():
+    assert rec.decode_user_timeout(rec.encode_user_timeout(0.25)) == 0.25
+
+
+def test_control_codecs():
+    attach = rec.encode_stream_attach(7, 2**40, coupled_group=3)
+    assert rec.decode_control(attach) == rec.CTRL_STREAM_ATTACH
+    assert rec.decode_stream_attach(attach) == (7, 2**40, 3)
+    cookies = [bytes([i]) * 16 for i in range(3)]
+    for opcode in (rec.CTRL_NEW_COOKIES, rec.CTRL_NEW_TOKENS):
+        payload = rec.encode_credentials(opcode, cookies)
+        assert rec.decode_control(payload) == opcode
+        assert rec.decode_credentials(payload) == cookies
+    enable = rec.encode_control(rec.CTRL_ENABLE_FAILOVER)
+    assert rec.decode_control(enable) == rec.CTRL_ENABLE_FAILOVER
 
 
 @settings(max_examples=100)
