@@ -48,6 +48,7 @@ from repro.core.errors import (
     TcplsError,
     TcplsProtocolError,
 )
+from repro.core.engine.events import SessionEvent
 from repro.core.engine.session import TcplsEngine
 from repro.core.stream import TcplsStream
 from repro.core.drivers.sim import TcplsClient, TcplsServer
@@ -78,6 +79,7 @@ __all__ = [
     "RecordContext",
     "RedundantScheduler",
     "RoundRobinScheduler",
+    "SessionEvent",
     "SessionNotReadyError",
     "SessionStateError",
     "StreamClosedError",

@@ -9,6 +9,7 @@ Happy-Eyeballs style), and then drives streams.
 """
 
 from repro.core.drivers.sim import TcplsClient
+from repro.core.engine.events import SessionEvent
 from repro.core.errors import SessionStateError
 from repro.net.address import Endpoint
 
@@ -29,12 +30,6 @@ class TcplsConnection:
         group.send(data)
     """
 
-    EVENTS = frozenset({
-        "ready", "stream_data", "group_data", "conn_established",
-        "conn_failed", "failover", "join", "pong", "ebpf_attached",
-        "writable", "stream_open", "tcp_option",
-    })
-
     def __init__(self, sim, stack, psk, cipher_names=("null-tag",),
                  enable_tcpls=True, **session_kwargs):
         self.sim = sim
@@ -45,40 +40,19 @@ class TcplsConnection:
                                    **session_kwargs)
         self.local_addresses = []
         self.peer_endpoints = []
-        self._handlers = {}
-        self._wire()
-
-    def _wire(self):
-        session = self.session
-        session.on_ready = lambda s: self._emit("ready", s)
-        session.on_stream_data = lambda st: self._emit("stream_data", st)
-        session.on_group_data = lambda g: self._emit("group_data", g)
-        session.on_stream_open = lambda st: self._emit("stream_open", st)
-        session.on_conn_established = (
-            lambda c: self._emit("conn_established", c))
-        session.on_conn_failed = (
-            lambda c, r: self._emit("conn_failed", c, r))
-        session.on_failover = lambda o, n: self._emit("failover", o, n)
-        session.on_join = lambda c: self._emit("join", c)
-        session.on_pong = lambda c, p: self._emit("pong", c, p)
-        session.on_ebpf_attached = (
-            lambda c, p: self._emit("ebpf_attached", c, p))
-        session.on_writable = lambda s: self._emit("writable", s)
-        session.on_tcp_option = (
-            lambda c, k, d: self._emit("tcp_option", c, k, d))
 
     def on(self, event, handler):
-        """Register a callback; events mirror the paper's connection
-        events (establishment, stream attachment, joins, options...)."""
-        if event not in self.EVENTS:
-            raise ValueError("unknown event %r (have: %s)"
-                             % (event, ", ".join(sorted(self.EVENTS))))
-        self._handlers.setdefault(event, []).append(handler)
+        """Subscribe ``handler`` to the session's
+        :class:`~repro.core.engine.events.SessionEvent` named ``event``
+        in lower case (``"ready"``, ``"conn_failed"``, ...): the paper's
+        connection events (establishment, stream attachment, joins,
+        options...)."""
+        member = SessionEvent.__members__.get(event.upper())
+        if member is None:
+            raise ValueError("unknown event %r (have: %s)" % (
+                event, ", ".join(e.name.lower() for e in SessionEvent)))
+        self.session.subscribe(member, handler)
         return self
-
-    def _emit(self, event, *args):
-        for handler in self._handlers.get(event, ()):
-            handler(*args)
 
     # -- address bookkeeping ------------------------------------------------
 

@@ -23,12 +23,16 @@ code:
   Reads resume once the application drains below the low watermark.
 
 :class:`MultiSessionServer` composes these around a server engine on
-any driver (simulator or kernel sockets), through the engine's three
-serving callbacks (accepted / attached / aborted before attach).  Join
-credentials live in the engine and nowhere else; retiring a session
-revokes them there.
+any driver (simulator or kernel sockets) by subscribing to the engine's
+serving events (a new session; a connection accepted / attached /
+aborted before attach) and to each session's ``CONN_FAILED`` and
+``DRAIN``.  It only subscribes, so the application's ``on_*`` slots on
+the engine and its sessions stay the application's.  Join credentials
+live in the engine and nowhere else; retiring a session revokes them
+there.
 """
 
+from repro.core.engine.events import SessionEvent
 from repro.core.engine.server import TcplsServerEngine
 
 #: default per-session receive-memory budget (bytes)
@@ -181,13 +185,11 @@ class MultiSessionServer:
         #: lifetime backpressure pause / resume counts
         self.pauses = 0
         self.resumes = 0
-        #: application callback: one new ready session
-        self.on_session = None
         self.engine = TcplsServerEngine(driver, port, psk, **server_kwargs)
-        self.engine.on_session = self._on_session_ready
-        self.engine.on_accepted = self._track_accept
-        self.engine.on_attached = self._track_attach
-        self.engine.on_aborted = self._transport_aborted
+        self.engine.subscribe(SessionEvent.SESSION, self._watch_session)
+        self.engine.subscribe(SessionEvent.ACCEPTED, self._track_accept)
+        self.engine.subscribe(SessionEvent.ATTACHED, self._track_attach)
+        self.engine.subscribe(SessionEvent.ABORTED, self._transport_aborted)
         self.port = self.engine.port
 
     # -- observability ---------------------------------------------------
@@ -203,6 +205,16 @@ class MultiSessionServer:
         bus.emit("mux", name, payload)
 
     # -- public surface --------------------------------------------------
+
+    @property
+    def on_session(self):
+        """The application's handler for each new session (the
+        engine's ``on_session`` slot)."""
+        return self.engine.on_session
+
+    @on_session.setter
+    def on_session(self, fn):
+        self.engine.on_session = fn
 
     @property
     def sessions(self):
@@ -265,11 +277,9 @@ class MultiSessionServer:
             self.table.remove(fd)
             self._emit("pending_teardown", {"fd": fd, "reason": "abort"})
 
-    def _on_session_ready(self, session):
-        session.on_drain = self._on_session_drain
-        session.on_conn_failed = self._conn_failed_hook
-        if self.on_session is not None:
-            self.on_session(session)
+    def _watch_session(self, session):
+        session.subscribe(SessionEvent.CONN_FAILED, self._conn_failed_hook)
+        session.subscribe(SessionEvent.DRAIN, self._on_session_drain)
 
     def _conn_failed_hook(self, conn, reason):
         # A failover sync aborts the dead connection's transport
@@ -286,12 +296,6 @@ class MultiSessionServer:
         entry = self.table.attach(fd, session, conn)
         if entry is None:
             return
-        # Joined connections attach to sessions created before the
-        # join; make sure the mux hooks exist either way.
-        if session.on_drain is None:
-            session.on_drain = self._on_session_drain
-        if session.on_conn_failed is None:
-            session.on_conn_failed = self._conn_failed_hook
         self._wrap_transport(entry)
         # Drop the TLS handshake machine (tens of KB per connection at
         # C1M scale).  Deferred one tick: the handshake often completes

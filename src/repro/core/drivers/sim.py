@@ -79,19 +79,13 @@ class SimDriver(Driver):
 
 def TcplsClient(sim, stack, psk, **client_kwargs):
     """A TCPLS client on a simulated host."""
-    client = TcplsClientEngine(SimDriver(sim, stack), psk, **client_kwargs)
-    client.sim = sim
-    client.stack = stack
-    return client
+    return TcplsClientEngine(SimDriver(sim, stack), psk, **client_kwargs)
 
 
 def TcplsServer(sim, stack, port, psk, **server_kwargs):
     """A TCPLS server listening on a simulated host's ``port``."""
-    server = TcplsServerEngine(SimDriver(sim, stack), port, psk,
-                               **server_kwargs)
-    server.sim = sim
-    server.stack = stack
-    return server
+    return TcplsServerEngine(SimDriver(sim, stack), port, psk,
+                             **server_kwargs)
 
 
 __all__ = ["SimClock", "SimDriver", "TcplsClient", "TcplsServer"]

@@ -182,12 +182,7 @@ class TcplsClientEngine(TcplsEngine):
         elif not accepted:
             # Join rejected (blocked extension on this path, Sec. 5.2):
             # cancel the attachment and notify the application.
-            conn.failed = True
-            conn.tcp.abort()
-            self._emit("session", "conn_failed",
-                       {"conn": conn.conn_id, "reason": "join-rejected"})
-            if self.on_conn_failed is not None:
-                self.on_conn_failed(conn, "join-rejected")
+            self._abort_conn(conn, "join-rejected")
             return
         self.attach_conn(conn, self._arm_auto_user_timeout)
 

@@ -30,7 +30,7 @@ interface call          meaning
 ``Transport.set_user_timeout``  arm the TCP user timeout
 ``Clock.call_later``    arm a timer
 ``bus.emit``            publish an observability event
-app callbacks           deliver application data / lifecycle events
+``emit(SessionEvent)``  deliver application data / lifecycle events
 ======================  ==============================================
 """
 

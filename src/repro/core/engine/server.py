@@ -19,6 +19,7 @@ parked, until it has.
 import hashlib
 
 from repro.core import record as rec
+from repro.core.engine.events import EventSource, SessionEvent, slot
 from repro.core.engine.session import ConnectionState, TcplsEngine
 from repro.core.stream import conn_id_from_cookie
 from repro.tls.endpoint import TlsError, TlsServer
@@ -53,13 +54,25 @@ class TcplsServerSessionEngine(TcplsEngine):
         self.parked = []
 
 
-class TcplsServerEngine:
+class TcplsServerEngine(EventSource):
     """Listener managing TCPLS sessions on a port, over any driver."""
+
+    #: each new server session, before any of its records is processed
+    #: (where the application attaches its session handlers)
+    on_session = slot(SessionEvent.SESSION)
+    #: the serving layer's view of a connection, each called with it: a
+    #: transport was accepted; it attached to its session; its handshake
+    #: was refused and the transport aborted (which fires no transport
+    #: callback) before it ever attached
+    on_accepted = slot(SessionEvent.ACCEPTED)
+    on_attached = slot(SessionEvent.ATTACHED)
+    on_aborted = slot(SessionEvent.ABORTED)
 
     def __init__(self, driver, port, psk, cipher_names=("null-tag",),
                  cookie_batch=8, auto_replenish=True, enable_tcpls=True,
                  strict_extensions=False, advertise_addresses=True,
                  token_mode=False, cc=None, **session_kwargs):
+        super().__init__()
         self.driver = driver
         self.clock = driver.clock
         self.psk = psk
@@ -85,16 +98,6 @@ class TcplsServerEngine:
         #: would collide with, and silently overwrite, a live session's
         #: dict slot.
         self._session_seq = 0
-        #: called with each new server session so the application can
-        #: attach stream/data callbacks before any record arrives.
-        self.on_session = None
-        #: serving-layer callbacks, each called with the connection: a
-        #: transport was accepted; it attached to its session; its
-        #: handshake was refused and the transport aborted (which fires
-        #: no transport callback) before it ever attached.
-        self.on_accepted = None
-        self.on_attached = None
-        self.on_aborted = None
         self.listener = driver.listen(port, self._on_accept, cc=cc)
         #: actual bound port (drivers may assign one when ``port`` is 0)
         self.port = self.listener.port
@@ -169,8 +172,7 @@ class TcplsServerEngine:
         tls.on_handshake_complete = (
             lambda _e: self._on_handshake_complete(conn))
         tcp.set_callbacks(on_data=lambda _c: self._feed(conn))
-        if self.on_accepted is not None:
-            self.on_accepted(conn)
+        self.emit(SessionEvent.ACCEPTED, conn)
 
     def _feed(self, conn):
         """Handshake bytes of a connection that has not attached yet."""
@@ -185,8 +187,7 @@ class TcplsServerEngine:
             conn.tls.feed(data)
         except (TlsError, TlsRecordError):
             conn.tcp.abort()
-            if self.on_aborted is not None:
-                self.on_aborted(conn)
+            self.emit(SessionEvent.ABORTED, conn)
             return
         out = conn.tls.data_to_send()
         if out:
@@ -276,15 +277,12 @@ class TcplsServerEngine:
             stream0 = conn.control_stream
             for chunk in conn.early_data:
                 stream0.recv_buffer += chunk
-            if session.on_stream_data is not None:
-                session.on_stream_data(stream0)
-        if self.on_attached is not None:
-            self.on_attached(conn)
+            session.emit(SessionEvent.STREAM_DATA, stream0)
+        self.emit(SessionEvent.ATTACHED, conn)
 
     def _role_step(self, conn):
         if conn.is_primary:
-            if self.on_session is not None:
-                self.on_session(conn.session)
+            self.emit(SessionEvent.SESSION, conn.session)
         elif self.auto_replenish:
             # Keep the client's join budget topped up: failed probes
             # over dead paths burn single-use credentials the server

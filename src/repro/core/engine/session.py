@@ -28,6 +28,7 @@ from collections import deque
 from repro.core import record as rec
 from repro.core.crypto_context import prepare_record
 from repro.core.errors import SessionNotReadyError, TcplsProtocolError
+from repro.core.engine.events import EventSource, SessionEvent, slot
 from repro.core.engine.policy import RecordContext, RoundRobinScheduler
 from repro.core.stream import CoupledGroup, TcplsStream, control_stream_id
 from repro.tls.record import RECORD_HEADER_SIZE, RecordReassembler
@@ -39,6 +40,12 @@ UNSENT_TARGET = 128 * 1024
 #: CONTROL opcodes' rows in :attr:`TcplsEngine.ROWS` are keyed
 #: ``(_CONTROL, opcode)``
 _CONTROL = rec.RECORD_TYPE_CONTROL
+
+#: the events emitted per record or per ACK, as module globals: reading
+#: one costs a fraction of an enum class attribute
+_STREAM_DATA = SessionEvent.STREAM_DATA
+_GROUP_DATA = SessionEvent.GROUP_DATA
+_WRITABLE = SessionEvent.WRITABLE
 
 
 class ConnectionState:
@@ -119,15 +126,32 @@ class ConnectionState:
         )
 
 
-class TcplsEngine:
+class TcplsEngine(EventSource):
     """Shared session logic for both endpoints, over any driver."""
 
     #: sequences tried per stream before a record is declared
     #: undecryptable (the slow pass of the tag-trial demux)
     trial_window = 64
 
+    # The application's slots, one per session event (see
+    # repro.core.engine.events); library code subscribes instead.
+    on_ready = slot(SessionEvent.READY)
+    on_stream_data = slot(SessionEvent.STREAM_DATA)
+    on_group_data = slot(SessionEvent.GROUP_DATA)
+    on_stream_open = slot(SessionEvent.STREAM_OPEN)
+    on_conn_established = slot(SessionEvent.CONN_ESTABLISHED)
+    on_conn_failed = slot(SessionEvent.CONN_FAILED)
+    on_failover = slot(SessionEvent.FAILOVER)
+    on_join = slot(SessionEvent.JOIN)
+    on_pong = slot(SessionEvent.PONG)
+    on_ebpf_attached = slot(SessionEvent.EBPF_ATTACHED)
+    on_writable = slot(SessionEvent.WRITABLE)
+    on_tcp_option = slot(SessionEvent.TCP_OPTION)
+    on_drain = slot(SessionEvent.DRAIN)
+
     def __init__(self, driver, is_client, record_payload=16384,
                  ack_interval=16):
+        super().__init__()
         self.driver = driver
         self.clock = driver.clock
         self.bus = driver.bus
@@ -193,21 +217,6 @@ class TcplsEngine:
             "bytes_opened": 0,
         }
 
-        # Application callbacks (all optional, called with rich args).
-        self.on_ready = None
-        self.on_stream_data = None       # (stream)
-        self.on_group_data = None        # (group)
-        self.on_stream_open = None       # (stream)
-        self.on_conn_established = None  # (conn)
-        self.on_conn_failed = None       # (conn, reason)
-        self.on_failover = None          # (old_conn, new_conn)
-        self.on_join = None              # (conn)
-        self.on_pong = None              # (conn, payload)
-        self.on_ebpf_attached = None     # (conn, program_id)
-        self.on_writable = None          # (session)
-        self.on_tcp_option = None        # (conn, kind, data)
-        self.on_drain = None             # (session)
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -268,8 +277,8 @@ class TcplsEngine:
             self._log_input("writable", conn)
         self._drain(conn)
         self._pump()
-        if self.on_writable is not None:
-            self.on_writable(self)
+        for handler in self._handlers[_WRITABLE]:
+            handler(self)
 
     def conn_failed(self, conn, reason):
         """Input: the connection died (RST, timeout, driver error)."""
@@ -395,8 +404,7 @@ class TcplsEngine:
                                             "fallback": self.fell_back})
             if role_step is not None:
                 role_step(conn)
-            if self.on_ready is not None:
-                self.on_ready(self)
+            self.emit(SessionEvent.READY, self)
         else:
             self._install_control_stream(conn)
             if role_step is not None:
@@ -404,13 +412,11 @@ class TcplsEngine:
             self._emit("session", "join", {"conn": conn.conn_id,
                                            "index": conn.index})
             self._resolve_pending_failover(conn)
-            if self.on_join is not None:
-                self.on_join(conn)
+            self.emit(SessionEvent.JOIN, conn)
         # Records from here on are the session's, not the TLS machine's.
         if conn.tls is not None:
             self._takeover_tls(conn)
-        if self.on_conn_established is not None:
-            self.on_conn_established(conn)
+        self.emit(SessionEvent.CONN_ESTABLISHED, conn)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -511,12 +517,6 @@ class TcplsEngine:
             total += group.reorder.buffered_bytes
         return total
 
-    def _notify_drain(self):
-        """A stream/group ``recv()`` handed bytes to the application;
-        let the driver re-evaluate read backpressure."""
-        if self.on_drain is not None:
-            self.on_drain(self)
-
     def close(self):
         """Gracefully close every connection (FIN after buffered data).
 
@@ -579,8 +579,8 @@ class TcplsEngine:
     def send_tcp_option(self, conn, kind, data=b""):
         """Convey an arbitrary TCP option inside an encrypted record
         (Sec. 3.1): reliable, unbounded by the 40-byte header limit, and
-        invisible to middleboxes.  The peer surfaces it through
-        ``on_tcp_option(conn, kind, data)``."""
+        invisible to middleboxes.  The peer reports it as
+        ``SessionEvent.TCP_OPTION`` with ``(conn, kind, data)``."""
         self._send_typed(conn, rec.RECORD_TYPE_TCP_OPTION,
                          rec.encode_tcp_option(kind, data))
 
@@ -875,17 +875,11 @@ class TcplsEngine:
         try:
             conn.tls.feed(data)
         except (TlsError, TlsRecordError) as exc:
-            self._on_handshake_failed(conn, exc)
+            self._abort_conn(conn, "tls:%s" % exc)
             return
         out = conn.tls.data_to_send()
         if out:
             self._conn_write(conn, out)
-
-    def _on_handshake_failed(self, conn, exc):
-        conn.failed = True
-        conn.tcp.abort()
-        if self.on_conn_failed is not None:
-            self.on_conn_failed(conn, "tls:%s" % exc)
 
     def _flush_tls(self, conn):
         if conn.tls is not None:
@@ -1065,8 +1059,8 @@ class TcplsEngine:
                 for payload in released:
                     group.recv_buffer += payload
                     group.bytes_delivered += len(payload)
-                if self.on_group_data is not None:
-                    self.on_group_data(group)
+                for handler in self._handlers[_GROUP_DATA]:
+                    handler(group)
         else:
             if flags & rec.FLAG_FIN:
                 stream.fin_received = True
@@ -1076,8 +1070,8 @@ class TcplsEngine:
                     stream.recv_buffer += payload
                 stream.records_delivered += len(released)
                 stream.last_delivery = self.clock.now
-                if self.on_stream_data is not None:
-                    self.on_stream_data(stream)
+                for handler in self._handlers[_STREAM_DATA]:
+                    handler(stream)
         self._maybe_ack(conn, stream, len(inner.payload),
                         fin=bool(flags & rec.FLAG_FIN))
 
@@ -1124,8 +1118,8 @@ class TcplsEngine:
 
     def _on_appdata(self, conn, stream, seq, inner):
         stream.recv_buffer += inner.payload
-        if self.on_stream_data is not None:
-            self.on_stream_data(stream)
+        for handler in self._handlers[_STREAM_DATA]:
+            handler(stream)
 
     def _on_ack(self, conn, stream, seq, inner):
         for stream_id, next_seq in rec.decode_ack(inner.payload):
@@ -1137,8 +1131,7 @@ class TcplsEngine:
         kind, data = rec.decode_tcp_option(inner.payload)
         if kind == rec.OPT_USER_TIMEOUT:
             conn.tcp.set_user_timeout(rec.decode_user_timeout(data))
-        if self.on_tcp_option is not None:
-            self.on_tcp_option(conn, kind, data)
+        self.emit(SessionEvent.TCP_OPTION, conn, kind, data)
 
     def _on_ebpf_chunk(self, conn, stream, seq, inner):
         """Collect a program's chunks (keyed with their total, so a
@@ -1154,8 +1147,8 @@ class TcplsEngine:
             b"".join(chunks[i] for i in range(total)),
             program_name="prog%d" % program_id,
         )
-        if attached and self.on_ebpf_attached is not None:
-            self.on_ebpf_attached(conn, program_id)
+        if attached:
+            self.emit(SessionEvent.EBPF_ATTACHED, conn, program_id)
 
     def _on_control(self, conn, stream, seq, inner):
         handler = self.ROWS.get((_CONTROL, rec.decode_control(inner.payload)))
@@ -1166,8 +1159,7 @@ class TcplsEngine:
         self._send_typed(conn, rec.RECORD_TYPE_PONG, inner.payload)
 
     def _on_pong(self, conn, stream, seq, inner):
-        if self.on_pong is not None:
-            self.on_pong(conn, inner.payload)
+        self.emit(SessionEvent.PONG, conn, inner.payload)
 
     def _on_stream_attach(self, conn, payload):
         stream_id, _from_seq, group_id = rec.decode_stream_attach(payload)
@@ -1181,8 +1173,7 @@ class TcplsEngine:
             group = self._ensure_group(group_id)
             if stream not in group.streams:
                 group.streams.append(stream)
-        if self.on_stream_open is not None:
-            self.on_stream_open(stream)
+        self.emit(SessionEvent.STREAM_OPEN, stream)
 
     def _on_enable_failover(self, conn, payload):
         self.failover_enabled = True
@@ -1228,16 +1219,9 @@ class TcplsEngine:
         )
         if failed is not None:
             if not failed.failed:
-                failed.failed = True
-                failed.alive = False
-                failed.tcp.abort()
                 failed.pending_out.clear()
                 failed.pending_out_bytes = 0
-                # abort() fires no transport callback, so this is the
-                # only teardown signal observers (e.g. a connection
-                # table) get for the peer-declared-dead connection.
-                if self.on_conn_failed is not None:
-                    self.on_conn_failed(failed, "sync")
+                self._abort_conn(failed, "sync")
         for stream_id, _resume_seq in entries:
             stream = self.streams.get(stream_id)
             if stream is not None:
@@ -1342,8 +1326,7 @@ class TcplsEngine:
         self._emit("session", "conn_failed",
                    {"conn": conn.conn_id, "reason": reason})
         self.emit_perf_totals()
-        if self.on_conn_failed is not None:
-            self.on_conn_failed(conn, reason)
+        self.emit(SessionEvent.CONN_FAILED, conn, reason)
         if not self.failover_enabled or not self.ready:
             return
         self.stats["failovers"] += 1
@@ -1355,6 +1338,19 @@ class TcplsEngine:
             self._on_no_failover_target(conn)
             return
         self._do_failover(conn, target)
+
+    def _abort_conn(self, conn, reason):
+        """Fail ``conn`` outright, without failover: a handshake that
+        broke, a join the server refused, a connection the peer's SYNC
+        declared dead.  ``abort()`` fires no transport callback, so the
+        bus event and the handlers are the only teardown signal
+        observers (e.g. a connection table) get."""
+        conn.failed = True
+        conn.alive = False
+        conn.tcp.abort()
+        self._emit("session", "conn_failed",
+                   {"conn": conn.conn_id, "reason": reason})
+        self.emit(SessionEvent.CONN_FAILED, conn, reason)
 
     def _on_no_failover_target(self, conn):
         """Hook: the client overrides this to open + join a new path."""
@@ -1405,8 +1401,7 @@ class TcplsEngine:
         # is covered by the unacked store; drop the queue.
         failed_conn.pending_out.clear()
         failed_conn.pending_out_bytes = 0
-        if self.on_failover is not None:
-            self.on_failover(failed_conn, target)
+        self.emit(SessionEvent.FAILOVER, failed_conn, target)
         self._pump()
 
     def _replay_unacked(self, target):

@@ -10,6 +10,7 @@ receiver reorders with a heap.
 """
 
 from repro.core.crypto_context import StreamCryptoContext
+from repro.core.engine.events import SessionEvent
 from repro.core.errors import StreamClosedError
 from repro.core.record import (
     FLAG_COUPLED,
@@ -18,6 +19,10 @@ from repro.core.record import (
 )
 from repro.core.reorder import ReorderBuffer
 from repro.tcp.ranges import RangeSet
+
+#: emitted on every read that returns bytes; a module global reads
+#: faster than an enum class attribute
+_DRAIN = SessionEvent.DRAIN
 
 #: per-connection implicit control stream ids (the primary connection
 #: uses stream 0, which is exactly the TLS application-data context).
@@ -93,7 +98,9 @@ class TcplsStream:
             data = bytes(self.recv_buffer[:n])
             del self.recv_buffer[:n]
         if data:
-            self.session._notify_drain()
+            # Bytes left the session: a paused reader may resume.
+            for handler in self.session._handlers[_DRAIN]:
+                handler(self.session)
         return data
 
     @property
@@ -204,7 +211,8 @@ class CoupledGroup:
             data = bytes(self.recv_buffer[:n])
             del self.recv_buffer[:n]
         if data:
-            self.session._notify_drain()
+            for handler in self.session._handlers[_DRAIN]:
+                handler(self.session)
         return data
 
     def next_control(self, fin=False):

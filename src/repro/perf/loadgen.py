@@ -28,6 +28,7 @@ on ``base_port + i``).
 
 from repro.core.drivers.multi import MultiSessionServer
 from repro.core.drivers.sim import SimDriver, TcplsClient
+from repro.core.engine.events import SessionEvent
 from repro.net import Simulator, build_dumbbell, build_faulty_multipath
 from repro.net.fluid import FluidCohort, FluidEngine
 from repro.tcp import TcpStack
@@ -109,6 +110,10 @@ class _ClientScript:
             client.auto_user_timeout = h.uto
         client.on_ready = self._on_ready
         client.on_stream_data = self._on_stream_data
+        client.subscribe(SessionEvent.JOIN, self._on_join)
+        if self.is_failover:
+            client.subscribe(SessionEvent.JOIN,
+                             lambda _conn: client.enable_failover())
         self.client = client
         path = h.failover_path if self.is_failover else 0
         p = h.topo.path(path)
@@ -146,8 +151,6 @@ class _ClientScript:
         if not (self.client.cookies or self.client.tokens):
             return
         p = h.topo.path(path)
-        self.client.on_join = (self._on_failover_join if self.is_failover
-                               else self._on_join)
         try:
             self.client.join(p.client_addr,
                              remote=Endpoint(p.server_addr, h.port))
@@ -158,10 +161,6 @@ class _ClientScript:
     def _on_join(self, _conn):
         self.harness.counters["joins_completed"] += 1
         self.harness.sim.schedule(0.0, self._release_handshakes)
-
-    def _on_failover_join(self, _conn):
-        self._on_join(_conn)
-        self.client.enable_failover()
 
     def _start_transfer(self, nbytes):
         if self.closed or not self.client.ready:
@@ -481,7 +480,7 @@ class FluidScenarioHarness:
     def _rtt(self, links):
         return 2.0 * sum(link.delay for link in links)
 
-    def _wire(self, cohort):
+    def _watch(self, cohort):
         cohort.on_flow_complete = self._on_flow_complete
         if self.scenario == "failover_storm":
             cohort.on_stall = self._on_stall
@@ -492,7 +491,7 @@ class FluidScenarioHarness:
             links, [self.flow_bytes] * count, rtt=self._rtt(links),
             cwnd=self._iw, label="leaf%d-w%d" % (leaf, self.cohorts_started))
         cohort.leaf = leaf
-        self._wire(cohort)
+        self._watch(cohort)
         self.cohorts_started += 1
         self.engine.add_cohort(cohort)
 
@@ -521,7 +520,7 @@ class FluidScenarioHarness:
         moved = FluidCohort(links, remaining, rtt=self._rtt(links),
                             cwnd=self._iw, label=cohort.label + "-bk")
         moved.leaf = cohort.leaf
-        self._wire(moved)
+        self._watch(moved)
         self.migrations += 1
         self.engine.add_cohort(moved)
 

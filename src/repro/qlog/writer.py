@@ -4,10 +4,13 @@
 (:mod:`repro.obs`): subscribe it to ``sim.bus`` and every event it
 receives becomes one qlog event in the output document.  The manual
 :meth:`QlogTracer.log` entry point remains for ad-hoc events, and
-:func:`attach_session_tracer` remains as the session-scoped shim.
+:func:`attach_session_tracer` subscribes a tracer to one session's
+lifecycle events (:class:`~repro.core.engine.events.SessionEvent`).
 """
 
 import json
+
+from repro.core.engine.events import SessionEvent
 
 
 class QlogTracer:
@@ -59,12 +62,30 @@ class QlogTracer:
             fh.write(self.dumps(indent=indent))
 
 
-def attach_session_tracer(session, tracer, trace_records=False):
-    """Wire a tracer into a TCPLS session's callback points.
+#: the session events a session tracer logs:
+#: ``(event, qlog category, qlog event, handler args -> data)``
+LIFECYCLE = (
+    (SessionEvent.READY, "connectivity", "session_ready", lambda s: {}),
+    (SessionEvent.CONN_ESTABLISHED, "connectivity", "connection_established",
+     lambda c: {"conn": c.index, "local": str(c.tcp.local),
+                "remote": str(c.tcp.remote)}),
+    (SessionEvent.CONN_FAILED, "connectivity", "connection_failed",
+     lambda c, r: {"conn": c.index, "reason": r}),
+    (SessionEvent.FAILOVER, "recovery", "failover",
+     lambda o, n: {"from": o.index, "to": n.index}),
+    (SessionEvent.JOIN, "connectivity", "connection_joined",
+     lambda c: {"conn": c.index}),
+    (SessionEvent.EBPF_ATTACHED, "extensibility", "ebpf_cc_attached",
+     lambda c, p: {"conn": c.index, "program": p}),
+)
 
-    Existing application callbacks are preserved (the tracer chains
-    them).  Lifecycle events (ready / established / failed / failover /
-    join / eBPF) are always traced.
+
+def attach_session_tracer(session, tracer, trace_records=False):
+    """Subscribe a tracer to a TCPLS session's :data:`LIFECYCLE` events
+    (ready / established / failed / failover / join / eBPF).
+
+    The tracer subscribes, so the application's ``on_*`` slots keep
+    firing whether they are assigned before or after it.
 
     ``trace_records=True`` additionally subscribes the tracer to the
     session's ``tls``-category events on the bus — one event per record
@@ -76,31 +97,9 @@ def attach_session_tracer(session, tracer, trace_records=False):
         sim.bus.subscribe(tracer, categories=("tls",))
     """
     if trace_records:
-        session.sim.bus.subscribe(
-            tracer, categories=("tls",),
-            where={"session": session.obs_id},
-        )
-
-    def chain(attr, category, event, datafn):
-        previous = getattr(session, attr)
-
-        def wrapper(*args):
-            tracer.log(category, event, datafn(*args))
-            if previous is not None:
-                previous(*args)
-
-        setattr(session, attr, wrapper)
-
-    chain("on_ready", "connectivity", "session_ready", lambda s: {})
-    chain("on_conn_established", "connectivity", "connection_established",
-          lambda c: {"conn": c.index, "local": str(c.tcp.local),
-                     "remote": str(c.tcp.remote)})
-    chain("on_conn_failed", "connectivity", "connection_failed",
-          lambda c, r: {"conn": c.index, "reason": r})
-    chain("on_failover", "recovery", "failover",
-          lambda o, n: {"from": o.index, "to": n.index})
-    chain("on_join", "connectivity", "connection_joined",
-          lambda c: {"conn": c.index})
-    chain("on_ebpf_attached", "extensibility", "ebpf_cc_attached",
-          lambda c, p: {"conn": c.index, "program": p})
+        session.bus.subscribe(tracer, categories=("tls",),
+                              where={"session": session.obs_id})
+    for event, category, name, data in LIFECYCLE:
+        session.subscribe(event, lambda *args, c=category, n=name, d=data:
+                          tracer.log(c, n, d(*args)))
     return tracer

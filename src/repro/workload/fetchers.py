@@ -143,6 +143,8 @@ class TcplsPageFetcher:
         """Connect path 0, MPJOIN the rest; ``on_ready`` fires once the
         whole session is up (page-load clocks start *after* session
         establishment, like a browser with a warm connection)."""
+        from repro.core import SessionEvent
+
         joined = {"count": 1}
 
         def maybe_ready():
@@ -155,12 +157,12 @@ class TcplsPageFetcher:
             maybe_ready()
 
         def on_client_ready(_session):
-            self.client.on_join = on_join
             for i in range(1, self.n_paths):
                 self.client.join(self.topo.path(i).client_addr)
             maybe_ready()
 
         self.client.on_ready = on_client_ready
+        self.client.subscribe(SessionEvent.JOIN, on_join)
         p0 = self.topo.path(0)
         self.client.connect(p0.client_addr, Endpoint(p0.server_addr,
                                                      self.port))

@@ -6,7 +6,7 @@ from helpers import make_net, tcpls_pair, PSK
 
 from repro.core.api import TcplsConnection, tcpls_connect
 from repro.net.address import Endpoint
-from repro.core import TcplsServer
+from repro.core import SessionEvent, TcplsServer
 
 
 def make_api(sim, topo, cstack, sstack, **kwargs):
@@ -35,8 +35,21 @@ def test_connect_explicit_pair_and_events():
 def test_unknown_event_rejected():
     sim, topo, cstack, sstack = make_net()
     api, _, _ = make_api(sim, topo, cstack, sstack)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         api.on("no-such-event", lambda: None)
+    assert ", ".join(e.name.lower() for e in SessionEvent) in str(
+        excinfo.value)
+
+
+@pytest.mark.parametrize("event", list(SessionEvent),
+                         ids=lambda e: e.name.lower())
+def test_every_session_event_can_be_subscribed(event):
+    sim, topo, cstack, sstack = make_net()
+    api, _, _ = make_api(sim, topo, cstack, sstack)
+    seen = []
+    assert api.on(event.name.lower(), lambda *args: seen.append(args)) is api
+    api.session.emit(event, "arg")
+    assert seen == [("arg",)]
 
 
 def test_happy_eyeballs_races_address_pairs():

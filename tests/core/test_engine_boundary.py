@@ -200,3 +200,70 @@ def test_one_table_for_the_control_plane():
                  for path, lineno, line in _lines("src")
                  for match in [gone.search(line)] if match]
     assert not offences, "\n".join(offences)
+
+
+def _assigned_attributes(tree):
+    """``(lineno, attr)`` of every attribute assigned under ``tree``,
+    through ``=``, ``+=`` or ``setattr(obj, "name", ...)``, except in a
+    property setter (which passes its caller's own assignment on)."""
+    setters = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(_name(d) == "setter" for d in node.decorator_list)]
+    skipped = {id(sub) for setter in setters for sub in ast.walk(setter)}
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and _name(node.func) == "setattr" \
+                and len(node.args) > 1:
+            name = node.args[1]
+            if not isinstance(name, ast.Constant):
+                yield node.lineno, "setattr(<computed name>)"
+            else:
+                yield node.lineno, name.value
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute):
+                    yield sub.lineno, sub.attr
+
+
+def test_one_event_vocabulary():
+    """Library code subscribes to :class:`SessionEvent`s: nothing under
+    ``core`` or ``qlog`` assigns an application's ``on_<event>`` slot,
+    the re-wiring and chaining that did stays deleted, and the two
+    workload drivers subscribe once, not in the handlers that ran on
+    every join."""
+    from repro.core import SessionEvent
+    from repro.core.api import TcplsConnection
+
+    slots = {"on_" + event.name.lower() for event in SessionEvent}
+    offences = []
+    for top in ("core", "qlog"):
+        for path in sorted((SRC_DIR / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            offences += ["%s:%d assigns %s" % (
+                path.relative_to(SRC_DIR), lineno, attr)
+                for lineno, attr in _assigned_attributes(tree)
+                if attr in slots or attr.startswith("setattr")]
+    gone = {"_wire", "_on_session_ready", "chain", "_notify_drain"}
+    offences += ["%s:%d %s" % (path.relative_to(SRC_DIR), lineno, name)
+                 for path, lineno, name in _identifiers(SRC_DIR)
+                 if name in gone]
+    if hasattr(TcplsConnection, "EVENTS"):
+        offences.append("TcplsConnection.EVENTS")
+    for module, function in (("perf/loadgen.py", "_join"),
+                             ("workload/fetchers.py", "on_client_ready")):
+        tree = ast.parse((SRC_DIR / module).read_text())
+        for definition in ast.walk(tree):
+            if isinstance(definition, ast.FunctionDef) \
+                    and definition.name == function:
+                offences += ["%s:%s registers a handler" % (module, function)
+                             for node in ast.walk(definition)
+                             if _name(node) == "subscribe"
+                             or (_name(node) in slots
+                                 and isinstance(node.ctx, ast.Store))]
+    assert not offences, "\n".join(offences)

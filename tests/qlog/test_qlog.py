@@ -6,6 +6,7 @@ import pytest
 
 from helpers import connect_tcpls, make_net, tcpls_pair
 
+from repro.core.engine import bootstrap_ready_session
 from repro.net import Simulator
 from repro.qlog import QlogTracer, attach_session_tracer
 
@@ -112,6 +113,17 @@ def test_record_level_tracing_subscribes_to_the_bus():
     assert sessions_seen == {client.obs_id}
 
 
+def test_record_level_tracing_needs_no_simulator():
+    """trace_records=True subscribes through the session's own bus, so
+    it works on an engine no simulator built."""
+    engine, conn = bootstrap_ready_session()
+    tracer = attach_session_tracer(engine, QlogTracer(engine.clock),
+                                   trace_records=True)
+    engine.create_stream(conn).send(b"traced")
+    assert [e["data"]["session"] for e in tracer.events
+            if e["event"] == "record_sealed"] == [engine.obs_id] * 2
+
+
 def test_trace_records_false_captures_no_record_events():
     """Without trace_records, lifecycle is chained but no per-record
     events are captured (the former half-wired session.qlog behaviour
@@ -135,6 +147,17 @@ def test_tracer_chains_existing_callbacks():
     seen = []
     client.on_ready = lambda s: seen.append("app")
     tracer = attach_session_tracer(client, QlogTracer(sim))
+    connect_tcpls(sim, topo, client)
+    assert seen == ["app"]
+    assert any(e["event"] == "session_ready" for e in tracer.events)
+
+
+def test_a_slot_assigned_after_the_tracer_keeps_it():
+    sim, topo, cstack, sstack = make_net()
+    client, server, sessions = tcpls_pair(sim, topo, cstack, sstack)
+    tracer = attach_session_tracer(client, QlogTracer(sim))
+    seen = []
+    client.on_ready = lambda s: seen.append("app")
     connect_tcpls(sim, topo, client)
     assert seen == ["app"]
     assert any(e["event"] == "session_ready" for e in tracer.events)
