@@ -6,7 +6,7 @@ export PYTHONPATH := src
 JOBS ?= 1
 
 .PHONY: test test-obs bench bench-check bench-matrix \
-        bench-matrix-rerun ledger trace-demo
+        bench-matrix-rerun ledger trace-demo loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -58,6 +58,11 @@ bench-matrix-rerun:
 ledger:
 	$(PYTHON) ledger/run.py --quick
 	$(PYTHON) -m pytest ledger -q
+
+# Raw and code lines (blank, comment and docstring lines excluded,
+# counted with tokenize) per src/repro package; information, not a gate.
+loc:
+	$(PYTHON) benchmarks/loc.py
 
 # Run the Fig. 8 failover scenario with the full observability stack
 # armed and write trace_failover.qlog (inspect with QVIS).

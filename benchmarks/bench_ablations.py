@@ -202,18 +202,8 @@ def run_scheduler(scheduler_factory):
     topo = build_multipath(sim, n_paths=2,
                            rates=[25_000_000, 25_000_000],
                            delays=[0.005, 0.050])  # 10 ms vs 100 ms RTT
-    client, sessions, probe, done = build_tcpls_group_upload(
-        sim, topo, scaled(8 << 20), n_paths=2)
-    # Replace the scheduler on the (single) group once it exists.
-    original_pump = client._pump_group
-
-    def pump(group):
-        if scheduler_factory is not None and not hasattr(group, "_swapped"):
-            group.scheduler = scheduler_factory()
-            group._swapped = True
-        return original_pump(group)
-
-    client._pump_group = pump
+    _client, _sessions, _probe, done = build_tcpls_group_upload(
+        sim, topo, scaled(8 << 20), n_paths=2, scheduler=scheduler_factory())
     sim.run(until=60)
     return done[0] if done else None
 

@@ -13,6 +13,7 @@ def probe_features():
     from repro.baselines.mptcp import MptcpConnection
     from repro.baselines.quic.connection import QuicConnection
     from repro.core import TcplsEngine
+    from repro.core.engine.failover import Failover
     from repro.tls.endpoint import _TlsEndpoint
 
     def has(cls, *names):
@@ -58,7 +59,7 @@ def probe_features():
     matrix["TCPLS"] = {
         "reliability": True,
         "conf_auth": True,
-        "failover": has(TcplsEngine, "_do_failover", "_replay_unacked"),
+        "failover": has(Failover, "fail", "_replay_unacked"),
         "hol_avoidance": "partial",  # per-stream, unless coupled
         "streams": has(TcplsEngine, "create_stream"),
         "migration": has(TcplsEngine, "steer_stream", "add_group_stream"),

@@ -166,9 +166,10 @@ def build_tcpls_download(sim, topo, size, uto=0.25, failover=True,
 
 
 def build_tcpls_group_upload(sim, topo, size, record_payload=16384,
-                             n_paths=2):
+                             n_paths=2, scheduler=None):
     """Client aggregates ``n_paths`` connections and uploads ``size``
-    bytes on a coupled group.  Returns (client, sessions, probe, done).
+    bytes on a coupled group scheduled by ``scheduler`` (round-robin
+    when None).  Returns (client, sessions, probe, done).
     """
     cstack = TcpStack(sim, topo.client)
     sstack = TcpStack(sim, topo.server)
@@ -194,7 +195,8 @@ def build_tcpls_group_upload(sim, topo, size, record_payload=16384,
     state = {"joined": 1}
 
     def start_upload():
-        group = client.create_coupled_group(client.alive_connections())
+        group = client.create_coupled_group(client.alive_connections(),
+                                            scheduler=scheduler)
         group.send(b"U" * size)
         group.close()
 

@@ -310,10 +310,8 @@ class MultiSessionServer:
         """Interpose budget + table bookkeeping between the transport
         callbacks the engine just wired and the session, mirroring how
         libconvert slots its registry between kernel and picotcpls."""
-        conn, session, tcp = entry.conn, entry.session, entry.transport
+        session, tcp = entry.session, entry.transport
         session_on_data = tcp.on_data
-        session_on_close = tcp.on_close
-        session_on_reset = tcp.on_reset
 
         def on_data(_c):
             if entry.paused:
@@ -325,18 +323,16 @@ class MultiSessionServer:
             if self.budget.over(session):
                 self._pause_entry(entry)
 
-        def on_close(_c):
-            if session_on_close is not None:
-                session_on_close(_c)
-            self._attached_gone(entry, "close")
+        def then_gone(session_callback, reason):
+            def callback(_c):
+                if session_callback is not None:
+                    session_callback(_c)
+                self._attached_gone(entry, reason)
+            return callback
 
-        def on_reset(_c):
-            if session_on_reset is not None:
-                session_on_reset(_c)
-            self._attached_gone(entry, "reset")
-
-        tcp.set_callbacks(on_data=on_data, on_close=on_close,
-                          on_reset=on_reset)
+        tcp.set_callbacks(on_data=on_data,
+                          on_close=then_gone(tcp.on_close, "close"),
+                          on_reset=then_gone(tcp.on_reset, "reset"))
 
     def _attached_gone(self, entry, reason):
         if self.table.lookup(entry.fd) is entry:

@@ -74,13 +74,6 @@ class SocketTransport(Transport):
         self._open = True
         self._close_pending = False
         self._paused = False
-        self.user_timeout = None
-        self.on_established = None
-        self.on_data = None
-        self.on_close = None
-        self.on_reset = None
-        self.on_user_timeout = None
-        self.on_send_space = None
         sock.setblocking(False)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -178,22 +171,6 @@ class SocketTransport(Transport):
             self.sock.close()
         except OSError:
             pass
-
-    def set_callbacks(self, on_data=None, on_close=None, on_reset=None,
-                      on_user_timeout=None, on_send_space=None,
-                      on_established=None):
-        if on_data is not None:
-            self.on_data = on_data
-        if on_close is not None:
-            self.on_close = on_close
-        if on_reset is not None:
-            self.on_reset = on_reset
-        if on_user_timeout is not None:
-            self.on_user_timeout = on_user_timeout
-        if on_send_space is not None:
-            self.on_send_space = on_send_space
-        if on_established is not None:
-            self.on_established = on_established
 
     # -- kernel services ------------------------------------------------
 
@@ -373,7 +350,7 @@ class _SocketListener:
             self.on_accept(transport)
 
     def close(self):
-        self.driver._unregister_listener(self)
+        self.driver._unregister(self, self.driver.listeners)
         try:
             self.sock.close()
         except OSError:
@@ -515,21 +492,16 @@ class SocketDriver(Driver):
             except (ValueError, OSError):
                 pass
 
-    def _unregister(self, transport):
+    def _unregister(self, transport, registry=None):
+        """Forget a transport (or, with ``registry=self.listeners``, a
+        listener): out of the selector and out of its list."""
+        registry = self.transports if registry is None else registry
         try:
             self.selector.unregister(transport.sock)
         except (KeyError, ValueError, OSError):
             pass
-        if transport in self.transports:
-            self.transports.remove(transport)
-
-    def _unregister_listener(self, listener):
-        try:
-            self.selector.unregister(listener.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        if listener in self.listeners:
-            self.listeners.remove(listener)
+        if transport in registry:
+            registry.remove(transport)
 
 
 __all__ = ["SocketClock", "SocketDriver", "SocketTransport"]

@@ -23,7 +23,8 @@ from repro.core.engine.replay import (
     StubDriver,
     bootstrap_ready_session,
 )
-from repro.core.engine.session import ConnectionState, TcplsEngine
+from repro.core.engine.connection import ConnectionState
+from repro.core.engine.session import TcplsEngine
 from repro.core.engine.client import TcplsClientEngine
 from repro.core.engine.server import TcplsServerEngine, TcplsServerSessionEngine
 

@@ -111,8 +111,7 @@ class TcplsClientEngine(TcplsEngine):
         blackholed) so the failover engine can probe another path."""
         if conn.alive or conn.failed:
             return
-        conn.tcp.abort()
-        self._conn_failed(conn, "join-timeout")
+        self.failover.fail(conn, "join-timeout")
 
     def _mark_pair_failed(self, conn):
         pair = (conn.tcp.local.addr, conn.tcp.remote.addr)
@@ -182,7 +181,7 @@ class TcplsClientEngine(TcplsEngine):
         elif not accepted:
             # Join rejected (blocked extension on this path, Sec. 5.2):
             # cancel the attachment and notify the application.
-            self._abort_conn(conn, "join-rejected")
+            self.failover.fail(conn, "join-rejected")
             return
         self.attach_conn(conn, self._arm_auto_user_timeout)
 
@@ -208,17 +207,15 @@ class TcplsClientEngine(TcplsEngine):
     # Fallback (legacy servers aborting on unknown extensions)
     # ------------------------------------------------------------------
 
-    def _conn_failed(self, conn, reason):
-        if (conn.is_primary and not self.ready and self.enable_tcpls
+    def _fall_back(self, conn):
+        if not (conn.is_primary and not self.ready and self.enable_tcpls
                 and self.fallback_retry and not self.fell_back):
-            conn.failed = True
-            conn.alive = False
-            self.fell_back = True
-            self.enable_tcpls = False
-            self.conns.clear()
-            self.clock.call_later(0.0, self._retry_plain_tls)
-            return
-        super()._conn_failed(conn, reason)
+            return False
+        self.fell_back = True
+        self.enable_tcpls = False
+        self.conns.clear()
+        self.clock.call_later(0.0, self._retry_plain_tls)
+        return True
 
     def _retry_plain_tls(self):
         self._open(self._primary_local, self._primary_remote, [])

@@ -52,6 +52,11 @@ class Transport(abc.ABC):
       connection completes its open.
     """
 
+    #: the callbacks :meth:`set_callbacks` installs (``None`` until set)
+    on_data = on_close = on_reset = None
+    on_user_timeout = on_send_space = on_established = None
+    user_timeout = None
+
     # -- data path ------------------------------------------------------
 
     @abc.abstractmethod
@@ -99,12 +104,23 @@ class Transport(abc.ABC):
 
     # -- callbacks ------------------------------------------------------
 
-    @abc.abstractmethod
     def set_callbacks(self, on_data=None, on_close=None, on_reset=None,
                       on_user_timeout=None, on_send_space=None,
                       on_established=None):
         """Install event callbacks; ``None`` leaves a slot unchanged.
         Each callback is invoked with the transport as sole argument."""
+        if on_data is not None:
+            self.on_data = on_data
+        if on_close is not None:
+            self.on_close = on_close
+        if on_reset is not None:
+            self.on_reset = on_reset
+        if on_user_timeout is not None:
+            self.on_user_timeout = on_user_timeout
+        if on_send_space is not None:
+            self.on_send_space = on_send_space
+        if on_established is not None:
+            self.on_established = on_established
 
     # -- introspection / services --------------------------------------
 

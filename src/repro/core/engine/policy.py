@@ -7,7 +7,7 @@ claim made first-class: a :class:`Policy` decides
 
 - **per record** which coupled stream carries the next record
   (:meth:`Policy.pick_stream` -- the decision
-  :meth:`~repro.core.engine.session.TcplsEngine._pump_group` consults
+  :meth:`~repro.core.engine.pump.Pump._pump_group` consults
   on every sealed record), and
 - **per transfer** which pooled connection carries a whole web object
   (:meth:`Policy.assign_transfer` -- the decision the workload layer's
@@ -61,6 +61,13 @@ class RecordContext:
         )
 
 
+def _pool_candidates(transfer, pool_view):
+    candidates = pool_view.candidates()
+    if not candidates:
+        raise ValueError("no pool candidates for transfer %r" % (transfer,))
+    return candidates
+
+
 def _conn_srtt(stream):
     """Smoothed RTT of a stream's connection (inf when unmeasured)."""
     info = stream.connection.tcp.tcp_info()
@@ -111,10 +118,7 @@ class Policy:
         when one exists, open a fresh one while the per-host limit
         allows, otherwise share the least-loaded busy connection.
         """
-        candidates = pool_view.candidates()
-        if not candidates:
-            raise ValueError("no pool candidates for transfer %r"
-                             % (transfer,))
+        candidates = _pool_candidates(transfer, pool_view)
         idle = [c for c in candidates if c.kind == "reuse"]
         if idle:
             return idle[0]
@@ -147,10 +151,7 @@ class RoundRobinScheduler(Policy):
         """Rotate over every assignable candidate (opening new
         connections counts as one rotation slot, so a fresh pool warms
         up to its per-host limit round by round)."""
-        candidates = pool_view.candidates()
-        if not candidates:
-            raise ValueError("no pool candidates for transfer %r"
-                             % (transfer,))
+        candidates = _pool_candidates(transfer, pool_view)
         choice = candidates[self._transfer_index % len(candidates)]
         self._transfer_index += 1
         return choice
@@ -172,11 +173,7 @@ class LowestRttScheduler(Policy):
     def assign_transfer(self, transfer, pool_view):
         """Lowest measured RTT wins; an unopened candidate (no RTT yet)
         is only chosen when nothing has been measured."""
-        candidates = pool_view.candidates()
-        if not candidates:
-            raise ValueError("no pool candidates for transfer %r"
-                             % (transfer,))
-        return min(candidates,
+        return min(_pool_candidates(transfer, pool_view),
                    key=lambda c: (c.srtt(), c.active, c.index))
 
 
@@ -350,10 +347,7 @@ class PredictivePolicy(Policy):
     # -- decision point 2 -------------------------------------------------
 
     def assign_transfer(self, transfer, pool_view):
-        candidates = pool_view.candidates()
-        if not candidates:
-            raise ValueError("no pool candidates for transfer %r"
-                             % (transfer,))
+        candidates = _pool_candidates(transfer, pool_view)
         size = float(getattr(transfer, "size", 0) or self.MSS)
         self.last_estimates = []
         best = None

@@ -32,9 +32,6 @@ from repro.obs.bus import EventBus
 class InputLog:
     """An append-only log of the engine's external input events."""
 
-    #: event kinds produced by the engine's input methods
-    KINDS = ("bytes", "writable", "failed", "closed", "user_timeout")
-
     def __init__(self):
         self.entries = []
 
@@ -117,13 +114,6 @@ class ReplayTransport(Transport):
         self._open = True
         self.closed = False
         self.aborted = False
-        self.user_timeout = None
-        self.on_data = None
-        self.on_close = None
-        self.on_reset = None
-        self.on_user_timeout = None
-        self.on_send_space = None
-        self.on_established = None
 
     # -- data path ------------------------------------------------------
 
@@ -175,22 +165,6 @@ class ReplayTransport(Transport):
     def abort(self):
         self._open = False
         self.aborted = True
-
-    def set_callbacks(self, on_data=None, on_close=None, on_reset=None,
-                      on_user_timeout=None, on_send_space=None,
-                      on_established=None):
-        if on_data is not None:
-            self.on_data = on_data
-        if on_close is not None:
-            self.on_close = on_close
-        if on_reset is not None:
-            self.on_reset = on_reset
-        if on_user_timeout is not None:
-            self.on_user_timeout = on_user_timeout
-        if on_send_space is not None:
-            self.on_send_space = on_send_space
-        if on_established is not None:
-            self.on_established = on_established
 
     def tcp_info(self):
         return {

@@ -19,10 +19,11 @@ parked, until it has.
 import hashlib
 
 from repro.core import record as rec
+from repro.core.engine.connection import ConnectionState
 from repro.core.engine.events import EventSource, SessionEvent, slot
-from repro.core.engine.session import ConnectionState, TcplsEngine
+from repro.core.engine.session import TcplsEngine
 from repro.core.stream import conn_id_from_cookie
-from repro.tls.endpoint import TlsError, TlsServer
+from repro.tls.endpoint import TlsServer
 from repro.tls.extensions import (
     EXT_COOKIE_TCPLS,
     EXT_TCPLS_ADDRESSES,
@@ -36,7 +37,7 @@ from repro.tls.extensions import (
     encode_address_list,
     encode_cookie_list,
 )
-from repro.tls.record import TlsRecordError
+from repro.tls.record import TlsError
 
 
 class TcplsServerSessionEngine(TcplsEngine):
@@ -136,7 +137,7 @@ class TcplsServerEngine(EventSource):
         if conn is not None:
             opcode = (rec.CTRL_NEW_TOKENS if self.token_mode
                       else rec.CTRL_NEW_COOKIES)
-            session._send_control(
+            session.pump.send_control(
                 conn, rec.encode_credentials(opcode, credentials))
         return credentials
 
@@ -185,7 +186,7 @@ class TcplsServerEngine(EventSource):
             return
         try:
             conn.tls.feed(data)
-        except (TlsError, TlsRecordError):
+        except TlsError:
             conn.tcp.abort()
             self.emit(SessionEvent.ABORTED, conn)
             return

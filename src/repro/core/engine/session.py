@@ -1,20 +1,16 @@
-"""The sans-I/O TCPLS session engine: multiplexing, joining, failover.
+"""The sans-I/O TCPLS session engine: the composition root.
 
 A :class:`TcplsEngine` owns one or more transports (paths), the streams
 and coupled groups multiplexed over them, and the control machinery of
-Secs. 3-4 of the paper.  What a ClientHello asks for and how it is
-answered is role-specific and lives in :mod:`repro.core.engine.client` /
-:mod:`repro.core.engine.server`; how a connection then enters the
-session (:meth:`TcplsEngine.attach_conn`) and everything after it is
-symmetric and lives here.
-
-The engine is I/O-agnostic: it consumes input events
-(:meth:`bytes_received`, :meth:`conn_writable`, :meth:`conn_failed`,
-:meth:`conn_closed`, :meth:`user_timeout_fired`, clock timers) and
-emits effects only through the :class:`~repro.core.engine.interfaces`
-contracts -- write bytes on a transport, arm a timer, deliver
-application data, publish an observability event.  It never touches
-:mod:`repro.net` or :mod:`repro.tcp`; drivers do.
+Secs. 3-4 of the paper.  The ClientHello and its answer are per role
+(:mod:`~repro.core.engine.client`, :mod:`~repro.core.engine.server`).
+Here live the input events, :meth:`TcplsEngine.attach_conn`, the
+receive path, :attr:`TcplsEngine.ROWS` and the public API; the send
+pump (``engine.pump``, :mod:`~repro.core.engine.pump`) and record-level
+failover (``engine.failover``, :mod:`~repro.core.engine.failover`) do
+the rest.  Effects leave only through the
+:mod:`~repro.core.engine.interfaces` contracts, never through
+:mod:`repro.net` or :mod:`repro.tcp`.
 
 Receive-path demultiplexing (Sec. 4.1): records carry no stream id; the
 session first tries the connection's last successful stream at its next
@@ -23,19 +19,17 @@ bounded trial window of sequences -- which is what makes stream
 steering and failover replay work without explicit wire signalling.
 """
 
-from collections import deque
-
 from repro.core import record as rec
 from repro.core.crypto_context import prepare_record
 from repro.core.errors import SessionNotReadyError, TcplsProtocolError
+from repro.core.engine.connection import ConnectionState
 from repro.core.engine.events import EventSource, SessionEvent, slot
-from repro.core.engine.policy import RecordContext, RoundRobinScheduler
+from repro.core.engine.failover import (Failover, on_ack,
+                                        on_enable_failover, on_sync)
+from repro.core.engine.policy import RoundRobinScheduler
+from repro.core.engine.pump import Pump
 from repro.core.stream import CoupledGroup, TcplsStream, control_stream_id
-from repro.tls.record import RECORD_HEADER_SIZE, RecordReassembler
-
-#: bytes allowed to sit unsent in one TCP connection's buffer before
-#: the pump stops sealing records for it (keeps data steerable).
-UNSENT_TARGET = 128 * 1024
+from repro.tls.record import RECORD_HEADER_SIZE, TlsError
 
 #: CONTROL opcodes' rows in :attr:`TcplsEngine.ROWS` are keyed
 #: ``(_CONTROL, opcode)``
@@ -46,84 +40,6 @@ _CONTROL = rec.RECORD_TYPE_CONTROL
 _STREAM_DATA = SessionEvent.STREAM_DATA
 _GROUP_DATA = SessionEvent.GROUP_DATA
 _WRITABLE = SessionEvent.WRITABLE
-
-
-class ConnectionState:
-    """One TCP connection (transport) participating in the session."""
-
-    def __init__(self, tcp, tls=None, conn_id=0):
-        #: the session and the position in its ``conns``; both unknown
-        #: until the connection is registered (an accepted connection
-        #: learns its session from the ClientHello and its position
-        #: when it attaches)
-        self.session = None
-        self.index = None
-        #: wire identity shared by both endpoints: 0 for the primary
-        #: (the ClientHello said TCPLS Hello), credential-derived for a
-        #: joined connection (it said TCPLS Join)
-        self.conn_id = conn_id
-        #: the transport; named ``tcp`` because that is what it models
-        #: (and what two generations of tests call it).
-        self.tcp = tcp
-        self.tls = tls
-        self.reassembler = RecordReassembler()
-        self.pending_out = deque()
-        #: total bytes queued in ``pending_out`` (kept incrementally so
-        #: the pump's budget check is O(1) per record, not O(queue)).
-        self.pending_out_bytes = 0
-        self.control_stream = None
-        self.last_stream = None
-        #: ``(epoch, last_stream, candidates)`` of the last tag-trial
-        #: order built for this connection (see ``_demux_candidates``)
-        self.demux_order = (None, None, ())
-        self.alive = False
-        self.failed = False
-        #: we sent our FIN: the transport still receives (the peer's
-        #: half may be open) but can no longer accept sends.
-        self.local_closed = False
-        self.records_received = 0
-        #: server: 0-RTT chunks decrypted before the session was up
-        self.early_data = []
-
-    @property
-    def transport(self):
-        """Alias for :attr:`tcp` (the driver-facing name)."""
-        return self.tcp
-
-    @property
-    def is_primary(self):
-        return self.conn_id == 0
-
-    def writable(self):
-        """Bytes may be handed to TCP (handshake data included)."""
-        return (not self.failed and not self.local_closed
-                and self.tcp.is_open())
-
-    def usable(self):
-        """Established TCPLS connection ready for records."""
-        return (self.alive and not self.failed and self.tcp.is_open()
-                and self.control_stream is not None)
-
-    def tcp_info(self):
-        """Expose the underlying connection statistics (paper Sec. 3.3.3)."""
-        return self.tcp.tcp_info()
-
-    def release_handshake(self):
-        """Drop the TLS handshake machine once the session has taken
-        over record processing (the traffic keys live in the stream
-        crypto contexts, not here).  Saves tens of kilobytes per
-        connection; the mass-session server calls this after
-        :meth:`TcplsEngine._takeover_tls`."""
-        if self.tls is not None and self.tls.handshake_complete:
-            self.tls = None
-
-    def __repr__(self):
-        state = "failed" if self.failed else (
-            "alive" if self.alive else "opening"
-        )
-        return "Conn(%s, %s, %s->%s)" % (
-            self.index, state, self.tcp.local, self.tcp.remote
-        )
 
 
 class TcplsEngine(EventSource):
@@ -192,11 +108,11 @@ class TcplsEngine(EventSource):
         self._recv_iv = None
 
         self._ebpf_chunks = {}
-        self._last_ack_all = -1.0
         self._tcpinfo_callbacks = {}
-        #: connections that failed with no alternate available yet;
-        #: resolved as soon as a usable connection (re)appears.
-        self._pending_failover = []
+        #: the send side: sealing, booking, connection queues
+        self.pump = Pump(self)
+        #: record ACKs, the failure body, SYNC and replay
+        self.failover = Failover(self)
         #: optional :class:`~repro.core.engine.replay.InputLog`; when
         #: set, every external input event is appended for deterministic
         #: replay (debugging).
@@ -275,25 +191,26 @@ class TcplsEngine(EventSource):
         """
         if self.input_log is not None:
             self._log_input("writable", conn)
-        self._drain(conn)
-        self._pump()
+        pump = self.pump
+        pump.drain(conn)
+        pump.run()
         for handler in self._handlers[_WRITABLE]:
             handler(self)
 
     def conn_failed(self, conn, reason):
         """Input: the connection died (RST, timeout, driver error)."""
         self._log_input("failed", conn, reason)
-        self._conn_failed(conn, reason)
+        self.failover.fail(conn, reason)
 
     def conn_closed(self, conn):
         """Input: the peer closed the connection cleanly (FIN)."""
         self._log_input("closed", conn)
-        self._conn_closed(conn)
+        self.failover.peer_closed(conn)
 
     def user_timeout_fired(self, conn):
         """Input: the armed user timeout elapsed without progress."""
         self._log_input("user_timeout", conn)
-        self._on_user_timeout(conn)
+        self.failover.timed_out(conn)
 
     def conn_by_id(self, conn_id):
         """Resolve a wire connection id (replay helper)."""
@@ -365,9 +282,26 @@ class TcplsEngine(EventSource):
         self._wire_tcp_callbacks(conn)
         return conn
 
+    def _wire_tcp_callbacks(self, conn):
+        conn.tcp.set_callbacks(
+            on_data=lambda _c: self._on_tcp_data(conn),
+            on_reset=lambda _c: self.conn_failed(conn, "rst"),
+            on_close=lambda _c: self.conn_closed(conn),
+            on_user_timeout=lambda _c: self.user_timeout_fired(conn),
+            on_send_space=lambda _c: self.conn_writable(conn),
+        )
+
     def _open_conn(self, tcp, tls=None, conn_id=0):
         """Track a transport this endpoint opened itself."""
         return self._register(ConnectionState(tcp, tls, conn_id))
+
+    def _fall_back(self, conn):
+        """Hook: True retries a recoverable failure instead of
+        publishing it (the client's plain-TLS retry, Sec. 5.2)."""
+        return False
+
+    def _on_no_failover_target(self, conn):
+        """Hook: the client overrides this to open + join a new path."""
 
     def attach_conn(self, conn, role_step=None):
         """``conn`` finished its handshake: make it carry the session
@@ -411,13 +345,13 @@ class TcplsEngine(EventSource):
                 role_step(conn)
             self._emit("session", "join", {"conn": conn.conn_id,
                                            "index": conn.index})
-            self._resolve_pending_failover(conn)
+            self.failover.resolve(conn)
             self.emit(SessionEvent.JOIN, conn)
         # Records from here on are the session's, not the TLS machine's.
         if conn.tls is not None:
             self._takeover_tls(conn)
         self.emit(SessionEvent.CONN_ESTABLISHED, conn)
-        self._pump()
+        self.pump.run()
 
     # ------------------------------------------------------------------
     # Public stream / group API
@@ -426,12 +360,20 @@ class TcplsEngine(EventSource):
     def create_stream(self, conn):
         """Open a new application stream attached to ``conn``."""
         self._require_ready()
+        return self._open_stream(conn)
+
+    def _open_stream(self, conn, group=None):
+        """A new stream of ours on ``conn`` (a member of ``group``, if
+        given), announced to the peer with a STREAM_ATTACH."""
         stream_id = self._next_stream_id
         self._next_stream_id += 2
-        stream = self._make_stream(stream_id, conn)
-        self._send_control(
-            conn, rec.encode_stream_attach(stream_id, 0, 0)
-        )
+        group_id = group.group_id if group is not None else 0
+        stream = self._make_stream(stream_id, conn,
+                                   coupled_group=group_id or None)
+        if group is not None:
+            group.add_stream(stream)
+        self.pump.send_control(
+            conn, rec.encode_stream_attach(stream_id, 0, group_id))
         return stream
 
     def create_coupled_group(self, conns, scheduler=None):
@@ -450,27 +392,23 @@ class TcplsEngine(EventSource):
     def add_group_stream(self, group, conn):
         """Attach the group to one more connection (e.g. a path enabled
         mid-transfer, as in the Fig. 11 experiment)."""
-        stream_id = self._next_stream_id
-        self._next_stream_id += 2
-        stream = self._make_stream(stream_id, conn,
-                                   coupled_group=group.group_id)
-        group.add_stream(stream)
-        self._send_control(
-            conn, rec.encode_stream_attach(stream_id, 0, group.group_id)
-        )
-        self._pump()
+        stream = self._open_stream(conn, group)
+        self.pump.run()
         return stream
 
     def remove_group_stream(self, group, stream):
         """Detach a group member (migration away from its path)."""
         group.remove_stream(stream)
-        if stream.connection is not None and stream.connection.writable():
-            self._send_control(
-                stream.connection,
-                rec.encode_stream_detach(stream.stream_id,
-                                         stream.ctx_send.send_seq),
-            )
-        self._pump()
+        self._send_detach(stream)
+        self.pump.run()
+
+    def _send_detach(self, stream):
+        """Tell the peer ``stream`` leaves its connection, if that one
+        can still send."""
+        conn = stream.connection
+        if conn is not None and conn.writable():
+            self.pump.send_control(conn, rec.encode_stream_detach(
+                stream.stream_id, stream.ctx_send.send_seq))
 
     def steer_stream(self, stream, new_conn):
         """Move an (uncoupled) stream to another TCP connection.
@@ -481,25 +419,20 @@ class TcplsEngine(EventSource):
         old_conn = stream.connection
         if old_conn is new_conn:
             return
-        if old_conn is not None and old_conn.writable():
-            self._send_control(
-                old_conn,
-                rec.encode_stream_detach(stream.stream_id,
-                                         stream.ctx_send.send_seq),
-            )
+        self._send_detach(stream)
         self._attach(stream, new_conn)
         self._emit("session", "stream_steered", {
             "stream": stream.stream_id,
             "from": old_conn.conn_id if old_conn is not None else None,
             "to": new_conn.conn_id,
         })
-        self._send_control(
+        self.pump.send_control(
             new_conn,
             rec.encode_stream_attach(stream.stream_id,
                                      stream.ctx_send.send_seq,
                                      stream.coupled_group or 0),
         )
-        self._pump()
+        self.pump.run()
 
     def buffered_rx_bytes(self):
         """Receive-side bytes this session holds for the application:
@@ -526,9 +459,8 @@ class TcplsEngine(EventSource):
         """
         for conn in list(self.conns):
             if conn.pending_out:
-                self._drain(conn)
-                conn.pending_out.clear()
-                conn.pending_out_bytes = 0
+                self.pump.drain(conn)
+                self.pump.drop(conn)
             if not conn.failed and conn.tcp.is_open():
                 conn.tcp.close()
             conn.local_closed = True
@@ -557,7 +489,7 @@ class TcplsEngine(EventSource):
         self._emit("session", "failover_enabled", {})
         primary = self._first_writable()
         if primary is not None:
-            self._send_control(
+            self.pump.send_control(
                 primary, rec.encode_control(rec.CTRL_ENABLE_FAILOVER))
 
     def set_user_timeout(self, conn, seconds):
@@ -574,31 +506,31 @@ class TcplsEngine(EventSource):
 
     def ping(self, conn, payload=b""):
         """Application path probe (echo request)."""
-        self._send_typed(conn, rec.RECORD_TYPE_PING, payload)
+        self.pump.send_typed(conn, rec.RECORD_TYPE_PING, payload)
 
     def send_tcp_option(self, conn, kind, data=b""):
         """Convey an arbitrary TCP option inside an encrypted record
         (Sec. 3.1): reliable, unbounded by the 40-byte header limit, and
         invisible to middleboxes.  The peer reports it as
         ``SessionEvent.TCP_OPTION`` with ``(conn, kind, data)``."""
-        self._send_typed(conn, rec.RECORD_TYPE_TCP_OPTION,
-                         rec.encode_tcp_option(kind, data))
+        self.pump.send_typed(conn, rec.RECORD_TYPE_TCP_OPTION,
+                             rec.encode_tcp_option(kind, data))
 
     def announce_address(self, address):
         """Advertise one more local address to the peer mid-session
         (Sec. 3.3.2: "The server can later ... update its list of
         addresses")."""
-        target = self._first_writable()
-        if target is not None:
-            self._send_control(
-                target, rec.encode_addresses(rec.CTRL_ADD_ADDRESS, [address]))
+        self._send_address(rec.CTRL_ADD_ADDRESS, address)
 
     def withdraw_address(self, address):
         """Tell the peer an address is no longer usable."""
+        self._send_address(rec.CTRL_REMOVE_ADDRESS, address)
+
+    def _send_address(self, opcode, address):
         target = self._first_writable()
         if target is not None:
-            self._send_control(target, rec.encode_addresses(
-                rec.CTRL_REMOVE_ADDRESS, [address]))
+            self.pump.send_control(
+                target, rec.encode_addresses(opcode, [address]))
 
     def request_peer_tcp_info(self, conn, callback):
         """Retrieve the *remote* endpoint's ``tcp_info`` for this
@@ -607,7 +539,8 @@ class TcplsEngine(EventSource):
         tcp_info").  ``callback(conn, info_dict)`` fires on response."""
         self._tcpinfo_callbacks.setdefault(conn.conn_id, []).append(
             callback)
-        self._send_control(conn, rec.encode_control(rec.CTRL_TCPINFO_REQUEST))
+        self.pump.send_control(conn,
+                               rec.encode_control(rec.CTRL_TCPINFO_REQUEST))
 
     def send_ebpf_program(self, conn, bytecode, program_id=1):
         """Chunk congestion-controller bytecode over the session
@@ -618,10 +551,10 @@ class TcplsEngine(EventSource):
         for index, chunk in enumerate(chunks):
             payload = rec.encode_ebpf_chunk(program_id, index, len(chunks),
                                             chunk)
-            self._send_typed(conn, rec.RECORD_TYPE_EBPF, payload)
+            self.pump.send_typed(conn, rec.RECORD_TYPE_EBPF, payload)
 
     # ------------------------------------------------------------------
-    # Output path
+    # Which connection, which streams
     # ------------------------------------------------------------------
 
     def _require_ready(self):
@@ -634,230 +567,16 @@ class TcplsEngine(EventSource):
                 return conn
         return None
 
-    def _send_control(self, conn, payload):
-        self._send_typed(conn, rec.RECORD_TYPE_CONTROL, payload)
-
-    def _send_typed(self, conn, record_type, payload):
-        """Seal one record on ``conn``'s control stream (never stored
-        for replay: each connection's control stream is its own)."""
-        stream = conn.control_stream
-        seq = stream.ctx_send.send_seq
-        inner = rec.encode_inner(record_type, payload)
-        wire = stream.ctx_send.seal(inner)
-        self.stats["records_sent"] += 1
-        self.stats["bytes_sealed"] += len(inner)
-        self._emit("tls", "record_sealed", {
-            "conn": conn.conn_id, "stream": stream.stream_id,
-            "seq": seq, "type": record_type, "length": len(wire),
-        })
-        self._conn_write(conn, wire)
-        return seq
-
-    def _conn_write(self, conn, data):
-        conn.pending_out.append(data)
-        conn.pending_out_bytes += len(data)
-        self._drain(conn)
-
-    def _drain(self, conn):
-        if not conn.writable():
-            return
-        while conn.pending_out:
-            head = conn.pending_out[0]
-            if conn.tcp.send_space() < len(head):
-                break
-            conn.tcp.send(head)
-            conn.pending_out.popleft()
-            conn.pending_out_bytes -= len(head)
-
-    def _conn_budget(self, conn):
-        """Bytes the pump may still seal for this connection.
-
-        Bounded by the congestion window (about two windows' worth may
-        wait in the TCP buffer) so the scheduler cannot bury megabytes
-        in a slow path's queue -- that data could neither be steered
-        away nor delivered in order by the coupled reorder buffer.
-        """
-        if not conn.writable():
-            return 0
-        queued = conn.pending_out_bytes
-        backlog = conn.tcp.unsent_bytes() + queued
-        target = min(UNSENT_TARGET,
-                     2 * int(conn.tcp.congestion_window())
-                     + self.record_payload)
-        return max(target - backlog, 0)
-
-    def _pump(self):
-        """Seal pending application bytes into records wherever there is
-        room.  Called on sends, ACK progress and topology changes."""
-        if not self.ready:
-            return
-        progressed = True
-        while progressed:
-            progressed = False
-            for group in self.groups.values():
-                if group.pending or (group.fin_pending
-                                     and not group.fin_sent):
-                    progressed |= self._pump_group(group)
-            for stream in self.streams.values():
-                conn = stream.connection
-                if (stream.pending or (stream.fin_pending
-                                       and not stream.fin_sent)) \
-                        and stream.coupled_group is None \
-                        and conn is not None \
-                        and conn.control_stream is not stream:
-                    progressed |= self._pump_stream(stream)
-
     def _is_control(self, stream):
         return (stream.connection is not None
                 and stream.connection.control_stream is stream)
 
-    def _chunk_size(self, control_len):
-        return self.record_payload - control_len - 2
-
-    def _pump_stream(self, stream):
-        """Seal pending stream bytes into records, a batch at a time.
-
-        The outer loop recomputes the true connection budget; the inner
-        loop seals against a conservative local copy (decremented by
-        each record's full wire length, i.e. assuming nothing leaves the
-        TCP buffer meanwhile), so a batch never seals a record the
-        record-at-a-time pump would not have.  Within a batch the
-        framing, AEAD sealing (:meth:`seal_many`), unacked bookkeeping
-        and transport drain each run as one pass instead of per record
-        -- same records, same wire bytes, one ``_drain`` per batch.
-        """
-        conn = stream.connection
-        sent = False
-        while (stream.pending or
-               (stream.fin_pending and not stream.fin_sent)):
-            if conn is None or not conn.usable():
-                break
-            budget = self._conn_budget(conn)
-            if budget <= 0:
-                break
-            ctx = stream.ctx_send
-            record_overhead = ctx.cipher.tag_size + RECORD_HEADER_SIZE
-            pending = stream.pending
-            remaining = len(pending)
-            fin_left = stream.fin_pending and not stream.fin_sent
-            inners = []
-            offset = 0
-            # Zero-copy: hand the framer views of the app buffer; the
-            # gather in encode_inner is the send path's only copy.  The
-            # views must be released before the bytearray can shrink.
-            view = memoryview(pending)
-            try:
-                while budget > 0 and (remaining or fin_left):
-                    last = fin_left and remaining <= self._chunk_size(
-                        rec.STREAM_CONTROL_SIZE)
-                    flags = rec.FLAG_FIN if last else 0
-                    control = rec.encode_stream_control(flags)
-                    size = self._chunk_size(len(control))
-                    chunk = view[offset:offset + size]
-                    try:
-                        inners.append(rec.encode_inner(
-                            rec.RECORD_TYPE_STREAM_DATA, chunk, control))
-                    finally:
-                        chunk.release()
-                    consumed = min(size, remaining)
-                    offset += consumed
-                    remaining -= consumed
-                    budget -= len(inners[-1]) + record_overhead
-                    if last:
-                        fin_left = False
-                        stream.fin_sent = True
-            finally:
-                view.release()
-            del pending[:offset]
-            self._seal_batch(conn, stream, inners)
-            sent = True
-        return sent
-
-    def _seal_batch(self, conn, stream, inners):
-        """Seal a pump batch of STREAM_DATA records on ``stream``
-        (:meth:`seal_many`) and book it: unacked replay copies, stats,
-        per-record trace events, one queue append pass and one
-        transport drain.  Streams and coupled groups both send here."""
-        first_seq = stream.ctx_send.send_seq
-        wires = stream.ctx_send.seal_many(inners)
-        if self.failover_enabled:
-            unacked = stream.unacked
-            seq = first_seq
-            for wire in wires:
-                unacked.append((seq, wire))
-                seq += 1
-        self.stats["records_sent"] += len(wires)
-        self.stats["bytes_sealed"] += sum(len(i) for i in inners)
-        if self.bus.wants("tls"):
-            seq = first_seq
-            for wire in wires:
-                self._emit("tls", "record_sealed", {
-                    "conn": conn.conn_id, "stream": stream.stream_id,
-                    "seq": seq, "type": rec.RECORD_TYPE_STREAM_DATA,
-                    "length": len(wire),
-                })
-                seq += 1
-        pending_out = conn.pending_out
-        total = 0
-        for wire in wires:
-            pending_out.append(wire)
-            total += len(wire)
-        conn.pending_out_bytes += total
-        self._drain(conn)
-
-    def _pick_targets(self, group, candidates):
-        """Consult the group's policy for the next record's streams.
-
-        Replication is a declared capability
-        (:attr:`~repro.core.engine.policy.Policy.replicate`), not a
-        return-type convention: a replicating policy fans out to every
-        candidate, every other policy names exactly one stream.
-        """
-        policy = group.scheduler
-        if getattr(policy, "replicate", False):
-            return list(candidates)
-        return [policy.pick_stream(candidates, RecordContext(
-            group=group, session=self, now=self.clock.now))]
-
-    def _pump_group(self, group):
-        sent = False
-        while (group.pending or
-               (group.fin_pending and not group.fin_sent)):
-            candidates = [
-                s for s in group.streams
-                if s.connection is not None and s.connection.usable()
-                and self._conn_budget(s.connection) > 0
-            ]
-            if not candidates:
-                break
-            targets = self._pick_targets(group, candidates)
-            if self.bus.wants("scheduler"):
-                self._emit("scheduler", "pick", {
-                    "group": group.group_id,
-                    "scheduler": getattr(group.scheduler, "name", "custom"),
-                    "streams": [t.stream_id for t in targets],
-                    "candidates": len(candidates),
-                })
-            last = (
-                group.fin_pending
-                and len(group.pending)
-                <= self._chunk_size(rec.COUPLED_CONTROL_SIZE)
-            )
-            control = group.next_control(fin=last)
-            size = self._chunk_size(len(control))
-            chunk = memoryview(group.pending)[:size]
-            try:
-                inner = rec.encode_inner(rec.RECORD_TYPE_STREAM_DATA, chunk,
-                                         control)
-            finally:
-                chunk.release()
-            del group.pending[:size]
-            for stream in targets:
-                self._seal_batch(stream.connection, stream, [inner])
-            if last:
-                group.fin_sent = True
-            sent = True
-        return sent
+    def data_streams(self, conn):
+        """The streams attached to ``conn``, its control stream
+        excepted (what fails over with it)."""
+        control = conn.control_stream
+        return (s for s in self.streams.values()
+                if s.connection is conn and s is not control)
 
     # ------------------------------------------------------------------
     # Input path
@@ -869,23 +588,18 @@ class TcplsEngine(EventSource):
         self.bytes_received(conn, conn.tcp.recv())
 
     def _feed_handshake(self, conn, data):
-        from repro.tls.endpoint import TlsError
-        from repro.tls.record import TlsRecordError
-
         try:
             conn.tls.feed(data)
-        except (TlsError, TlsRecordError) as exc:
-            self._abort_conn(conn, "tls:%s" % exc)
+        except TlsError as exc:
+            self.failover.fail(conn, "tls:%s" % exc)
             return
-        out = conn.tls.data_to_send()
-        if out:
-            self._conn_write(conn, out)
+        self._flush_tls(conn)
 
     def _flush_tls(self, conn):
         if conn.tls is not None:
             out = conn.tls.data_to_send()
             if out:
-                self._conn_write(conn, out)
+                self.pump.write(conn, out)
 
     def _takeover_tls(self, conn):
         """Route post-handshake records through the session and migrate
@@ -974,8 +688,7 @@ class TcplsEngine(EventSource):
                     guesses[index + offset] = ((stream, seq + offset),
                                                ahead)
         except TcplsProtocolError:
-            conn.tcp.abort()
-            self._conn_failed(conn, "protocol")
+            self.failover.fail(conn, "protocol")
 
     def _process_record(self, conn, record_bytes, ahead=None):
         """Find the record's stream by tag trial and dispatch it;
@@ -1006,23 +719,12 @@ class TcplsEngine(EventSource):
                     self._accept_record(conn, stream, seq, trial,
                                         len(record_bytes))
                     return stream, seq
-        # Undecryptable: duplicate failover replay or forgery.  A
-        # replayed duplicate means one of our ACKs was lost with the
-        # dead connection -- re-acknowledge everything (rate-limited)
-        # so the peer prunes its replay buffer and stops.
+        # Undecryptable: duplicate failover replay or forgery.
         stats["demux_drops"] += 1
         self._emit("tls", "record_rejected", {
             "conn": conn.conn_id, "length": len(record_bytes),
         })
-        if self.failover_enabled and \
-                self.clock.now - self._last_ack_all >= 0.05:
-            self._last_ack_all = self.clock.now
-            data_streams = [
-                s for s in self.streams.values()
-                if not self._is_control(s) and s.recv_decrypted
-            ]
-            if data_streams:
-                self._send_ack(conn, data_streams)
+        self.failover.reack(conn)
         return None
 
     def _accept_record(self, conn, stream, seq, trial, wire_length):
@@ -1072,42 +774,8 @@ class TcplsEngine(EventSource):
                 stream.last_delivery = self.clock.now
                 for handler in self._handlers[_STREAM_DATA]:
                     handler(stream)
-        self._maybe_ack(conn, stream, len(inner.payload),
-                        fin=bool(flags & rec.FLAG_FIN))
-
-    def _maybe_ack(self, conn, stream, payload_len, fin=False):
-        if not self.failover_enabled:
-            return
-        stream.records_since_ack += 1
-        stream.bytes_since_ack += payload_len
-        # A FIN record acks immediately -- covering every data stream,
-        # since a coupled transfer's FIN rides only one member stream --
-        # so the sender's replay buffer empties when the transfer ends.
-        if fin:
-            data_streams = [
-                s for s in self.streams.values()
-                if not self._is_control(s) and s.recv_decrypted
-            ]
-            self._send_ack(conn, data_streams or [stream])
-            for acked in data_streams:
-                acked.records_since_ack = 0
-                acked.bytes_since_ack = 0
-            return
-        if (stream.records_since_ack >= self.ack_interval
-                or stream.bytes_since_ack >= self.ack_interval *
-                self.record_payload):
-            self._send_ack(conn, [stream])
-            stream.records_since_ack = 0
-            stream.bytes_since_ack = 0
-
-    def _send_ack(self, conn, streams):
-        target = conn if conn.usable() else self._first_writable()
-        if target is None:
-            return
-        entries = [s.ack_state() for s in streams]
-        self._send_typed(target, rec.RECORD_TYPE_ACK,
-                         rec.encode_ack(entries))
-        self.stats["acks_sent"] += 1
+        self.failover.maybe_ack(conn, stream, len(inner.payload),
+                                fin=bool(flags & rec.FLAG_FIN))
 
     def _ensure_group(self, group_id):
         group = self.groups.get(group_id)
@@ -1120,12 +788,6 @@ class TcplsEngine(EventSource):
         stream.recv_buffer += inner.payload
         for handler in self._handlers[_STREAM_DATA]:
             handler(stream)
-
-    def _on_ack(self, conn, stream, seq, inner):
-        for stream_id, next_seq in rec.decode_ack(inner.payload):
-            target = self.streams.get(stream_id)
-            if target is not None:
-                target.prune_unacked(next_seq)
 
     def _on_tcp_option(self, conn, stream, seq, inner):
         kind, data = rec.decode_tcp_option(inner.payload)
@@ -1156,7 +818,7 @@ class TcplsEngine(EventSource):
             handler(self, conn, inner.payload)
 
     def _on_ping(self, conn, stream, seq, inner):
-        self._send_typed(conn, rec.RECORD_TYPE_PONG, inner.payload)
+        self.pump.send_typed(conn, rec.RECORD_TYPE_PONG, inner.payload)
 
     def _on_pong(self, conn, stream, seq, inner):
         self.emit(SessionEvent.PONG, conn, inner.payload)
@@ -1175,9 +837,6 @@ class TcplsEngine(EventSource):
                 group.streams.append(stream)
         self.emit(SessionEvent.STREAM_OPEN, stream)
 
-    def _on_enable_failover(self, conn, payload):
-        self.failover_enabled = True
-
     def _on_new_cookies(self, conn, payload):
         self.cookies.extend(rec.decode_credentials(payload))
 
@@ -1195,57 +854,24 @@ class TcplsEngine(EventSource):
                 self.peer_addresses.remove(address)
 
     def _on_tcpinfo_request(self, conn, payload):
-        self._send_control(conn,
-                           rec.encode_tcpinfo_response(conn.tcp_info()))
+        self.pump.send_control(
+            conn, rec.encode_tcpinfo_response(conn.tcp_info()))
 
     def _on_tcpinfo_response(self, conn, payload):
         info = rec.decode_tcpinfo_response(payload)
         for callback in self._tcpinfo_callbacks.pop(conn.conn_id, []):
             callback(conn, info)
 
-    def _on_sync(self, conn, stream, seq, inner):
-        """Peer signalled failover: reattach our view of its streams to
-        this connection, move our own streams off the dead connection,
-        and replay our unacked records (Fig. 4)."""
-        failed_conn_id, entries = rec.decode_sync(inner.payload)
-        self._emit("recovery", "sync_received", {
-            "conn": conn.conn_id, "failed": failed_conn_id,
-            "streams": len(entries),
-        })
-        failed = next(
-            (c for c in self.conns if c.conn_id == failed_conn_id
-             and c is not conn),
-            None,
-        )
-        if failed is not None:
-            if not failed.failed:
-                failed.pending_out.clear()
-                failed.pending_out_bytes = 0
-                self._abort_conn(failed, "sync")
-        for stream_id, _resume_seq in entries:
-            stream = self.streams.get(stream_id)
-            if stream is not None:
-                self._attach(stream, conn)
-        if failed is not None:
-            for stream in self.streams.values():
-                if stream.connection is failed and \
-                        not self._is_control(stream):
-                    self._attach(stream, conn)
-            self._pending_failover = [
-                c for c in self._pending_failover if c is not failed
-            ]
-        self._replay_unacked(conn)
-        self._pump()
-
     #: the control plane (record.py's table): a decrypted record goes to
     #: its type's row; a CONTROL record to its ``(CONTROL, opcode)`` row.
     #: Anything else -- an unknown type or opcode, STREAM_DETACH -- is
-    #: ignored.
+    #: ignored.  The ACK, SYNC and ENABLE_FAILOVER rows are failover's
+    #: (:mod:`repro.core.engine.failover`).
     ROWS = {
         rec.RECORD_TYPE_STREAM_DATA: _on_stream_data,
         rec.RECORD_TYPE_APPDATA: _on_appdata,
-        rec.RECORD_TYPE_ACK: _on_ack,
-        rec.RECORD_TYPE_SYNC: _on_sync,
+        rec.RECORD_TYPE_ACK: on_ack,
+        rec.RECORD_TYPE_SYNC: on_sync,
         rec.RECORD_TYPE_TCP_OPTION: _on_tcp_option,
         rec.RECORD_TYPE_EBPF: _on_ebpf_chunk,
         rec.RECORD_TYPE_CONTROL: _on_control,
@@ -1255,165 +881,8 @@ class TcplsEngine(EventSource):
         (_CONTROL, rec.CTRL_ADD_ADDRESS): _on_add_address,
         (_CONTROL, rec.CTRL_REMOVE_ADDRESS): _on_remove_address,
         (_CONTROL, rec.CTRL_STREAM_ATTACH): _on_stream_attach,
-        (_CONTROL, rec.CTRL_ENABLE_FAILOVER): _on_enable_failover,
+        (_CONTROL, rec.CTRL_ENABLE_FAILOVER): on_enable_failover,
         (_CONTROL, rec.CTRL_TCPINFO_REQUEST): _on_tcpinfo_request,
         (_CONTROL, rec.CTRL_TCPINFO_RESPONSE): _on_tcpinfo_response,
         (_CONTROL, rec.CTRL_NEW_TOKENS): _on_new_tokens,
     }
-
-    # ------------------------------------------------------------------
-    # Failover engine (Sec. 3.3.2, Fig. 4)
-    # ------------------------------------------------------------------
-
-    def _wire_tcp_callbacks(self, conn):
-        conn.tcp.set_callbacks(
-            on_data=lambda _c: self._on_tcp_data(conn),
-            on_reset=lambda _c: self.conn_failed(conn, "rst"),
-            on_close=lambda _c: self.conn_closed(conn),
-            on_user_timeout=lambda _c: self.user_timeout_fired(conn),
-            on_send_space=lambda _c: self.conn_writable(conn),
-        )
-
-    def _on_user_timeout(self, conn):
-        """UTO fired: fail over only if a transfer actually hangs on
-        this connection; a merely idle session re-arms the timer."""
-        if self._has_pending_transfer(conn):
-            self._conn_failed(conn, "uto")
-        elif conn.tcp.user_timeout is not None:
-            conn.tcp.set_user_timeout(conn.tcp.user_timeout)
-
-    def _has_pending_transfer(self, conn):
-        """Is this connection carrying an unfinished transfer?"""
-        for stream in self.streams.values():
-            if self._is_control(stream) or stream.connection is not conn:
-                continue
-            if (stream.pending or stream.unacked
-                    or (stream.fin_pending and not stream.fin_sent)):
-                return True
-            # Inbound stream mid-transfer: recent data, no FIN yet.
-            if stream.recv_decrypted and not stream.fin_received and \
-                    stream.coupled_group is None and \
-                    self.clock.now - stream.last_delivery < 2.0:
-                return True
-        for group in self.groups.values():
-            if not any(s.connection is conn for s in group.streams):
-                continue
-            if group.pending or (group.fin_pending and not group.fin_sent):
-                return True
-            if group.bytes_delivered and not group.complete:
-                return True
-        return False
-
-    def _conn_closed(self, conn):
-        if conn.failed or not self.ready:
-            return
-        has_unacked = any(
-            s.unacked for s in self.streams.values()
-            if s.connection is conn
-        )
-        pending = conn.pending_out or conn.tcp.unsent_bytes()
-        if self.failover_enabled and (has_unacked or pending):
-            self._conn_failed(conn, "fin")
-        else:
-            conn.alive = False
-            self.emit_perf_totals()
-
-    def _conn_failed(self, conn, reason):
-        if conn.failed:
-            return
-        conn.failed = True
-        conn.alive = False
-        self._emit("session", "conn_failed",
-                   {"conn": conn.conn_id, "reason": reason})
-        self.emit_perf_totals()
-        self.emit(SessionEvent.CONN_FAILED, conn, reason)
-        if not self.failover_enabled or not self.ready:
-            return
-        self.stats["failovers"] += 1
-        target = self._failover_target(conn)
-        if target is None:
-            self._pending_failover.append(conn)
-            self._emit("recovery", "failover_pending",
-                       {"conn": conn.conn_id, "reason": reason})
-            self._on_no_failover_target(conn)
-            return
-        self._do_failover(conn, target)
-
-    def _abort_conn(self, conn, reason):
-        """Fail ``conn`` outright, without failover: a handshake that
-        broke, a join the server refused, a connection the peer's SYNC
-        declared dead.  ``abort()`` fires no transport callback, so the
-        bus event and the handlers are the only teardown signal
-        observers (e.g. a connection table) get."""
-        conn.failed = True
-        conn.alive = False
-        conn.tcp.abort()
-        self._emit("session", "conn_failed",
-                   {"conn": conn.conn_id, "reason": reason})
-        self.emit(SessionEvent.CONN_FAILED, conn, reason)
-
-    def _on_no_failover_target(self, conn):
-        """Hook: the client overrides this to open + join a new path."""
-
-    def _resolve_pending_failover(self, new_conn):
-        """A connection became usable; complete any stalled failovers."""
-        pending, self._pending_failover = self._pending_failover, []
-        for failed in pending:
-            self._do_failover(failed, new_conn)
-
-    def _failover_target(self, failed_conn):
-        """Prefer a connection on different addresses than the failed one
-        (Sec. 4.2)."""
-        alive = [c for c in self.conns if c is not failed_conn
-                 and c.usable()]
-        if not alive:
-            return None
-        different = [
-            c for c in alive
-            if c.tcp.local.addr != failed_conn.tcp.local.addr
-            and c.tcp.remote.addr != failed_conn.tcp.remote.addr
-        ]
-        return (different or alive)[0]
-
-    def _do_failover(self, failed_conn, target):
-        moved = []
-        for stream in self.streams.values():
-            if stream.connection is failed_conn and \
-                    not self._is_control(stream):
-                self._attach(stream, target)
-                moved.append(stream)
-        entries = []
-        for stream in moved:
-            resume = stream.unacked[0][0] if stream.unacked else \
-                stream.ctx_send.send_seq
-            entries.append((stream.stream_id, resume))
-        self._emit("recovery", "failover", {
-            "from": failed_conn.conn_id, "to": target.conn_id,
-            "streams": len(moved),
-        })
-        self._send_typed(
-            target, rec.RECORD_TYPE_SYNC,
-            rec.encode_sync(failed_conn.conn_id, entries),
-        )
-        self.stats["syncs_sent"] += 1
-        self._replay_unacked(target)
-        # Anything sealed but stuck in the dead TCP connection's buffer
-        # is covered by the unacked store; drop the queue.
-        failed_conn.pending_out.clear()
-        failed_conn.pending_out_bytes = 0
-        self.emit(SessionEvent.FAILOVER, failed_conn, target)
-        self._pump()
-
-    def _replay_unacked(self, target):
-        """Retransmit stored ciphertexts as-is (per-stream contexts make
-        the bytes connection-independent)."""
-        replayed = 0
-        for stream in self.streams.values():
-            if stream.connection is target and stream.unacked:
-                for _seq, wire in stream.unacked:
-                    self._conn_write(target, wire)
-                    self.stats["records_replayed"] += 1
-                    replayed += 1
-        if replayed:
-            self._emit("recovery", "replay",
-                       {"conn": target.conn_id, "records": replayed})

@@ -45,7 +45,46 @@ def conn_id_from_cookie(cookie):
     return (value % 0xFFFE) + 1
 
 
-class TcplsStream:
+class _Channel:
+    """What a stream and a coupled group share on the application side:
+    the half-close, the delivered bytes and the unsealed backlog."""
+
+    def send(self, data):
+        """Queue application bytes (sealed lazily at transmit time so
+        steering can redirect not-yet-sent data)."""
+        if self.fin_pending:
+            raise StreamClosedError("send on closed %r" % (self,))
+        self.pending += data
+        self.session.pump.run()
+        return len(data)
+
+    def close(self):
+        """Half-close: a FIN flag rides the last record."""
+        if not self.fin_pending:
+            self.fin_pending = True
+            self.session.pump.run()
+
+    def recv(self, n=None):
+        """Read delivered bytes."""
+        if n is None or n >= len(self.recv_buffer):
+            data = bytes(self.recv_buffer)
+            self.recv_buffer.clear()
+        else:
+            data = bytes(self.recv_buffer[:n])
+            del self.recv_buffer[:n]
+        if data:
+            # Bytes left the session: a paused reader may resume.
+            for handler in self.session._handlers[_DRAIN]:
+                handler(self.session)
+        return data
+
+    @property
+    def queued_bytes(self):
+        """Application bytes accepted but not yet sealed into records."""
+        return len(self.pending)
+
+
+class TcplsStream(_Channel):
     """One TCPLS stream endpoint (both directions)."""
 
     def __init__(self, session, stream_id, connection, cipher_send,
@@ -70,43 +109,6 @@ class TcplsStream:
         self.records_since_ack = 0
         self.bytes_since_ack = 0
         self.fin_received = False
-
-    # -- application send API -------------------------------------------
-
-    def send(self, data):
-        """Queue application bytes (sealed lazily at transmit time so
-        steering can redirect not-yet-sent data)."""
-        if self.fin_pending:
-            raise StreamClosedError(
-                "send on closed stream %d" % self.stream_id)
-        self.pending += data
-        self.session._pump()
-        return len(data)
-
-    def close(self):
-        """Half-close: a FIN flag rides the last record."""
-        if not self.fin_pending:
-            self.fin_pending = True
-            self.session._pump()
-
-    def recv(self, n=None):
-        """Read delivered bytes."""
-        if n is None or n >= len(self.recv_buffer):
-            data = bytes(self.recv_buffer)
-            self.recv_buffer.clear()
-        else:
-            data = bytes(self.recv_buffer[:n])
-            del self.recv_buffer[:n]
-        if data:
-            # Bytes left the session: a paused reader may resume.
-            for handler in self.session._handlers[_DRAIN]:
-                handler(self.session)
-        return data
-
-    @property
-    def queued_bytes(self):
-        """Application bytes accepted but not yet sealed into records."""
-        return len(self.pending)
 
     # -- receive-side demux helpers ----------------------------------------
 
@@ -150,7 +152,7 @@ class TcplsStream:
         )
 
 
-class CoupledGroup:
+class CoupledGroup(_Channel):
     """A set of coupled streams carrying one application object.
 
     The sender schedules sealed records across member streams (one per
@@ -189,42 +191,12 @@ class CoupledGroup:
             self.streams.remove(stream)
         stream.coupled_group = None
 
-    def send(self, data):
-        """Queue object bytes for scheduling across member streams."""
-        if self.fin_pending:
-            raise StreamClosedError(
-                "send on finished group %d" % self.group_id)
-        self.pending += data
-        self.session._pump()
-        return len(data)
-
-    def close(self):
-        if not self.fin_pending:
-            self.fin_pending = True
-            self.session._pump()
-
-    def recv(self, n=None):
-        if n is None or n >= len(self.recv_buffer):
-            data = bytes(self.recv_buffer)
-            self.recv_buffer.clear()
-        else:
-            data = bytes(self.recv_buffer[:n])
-            del self.recv_buffer[:n]
-        if data:
-            for handler in self.session._handlers[_DRAIN]:
-                handler(self.session)
-        return data
-
     def next_control(self, fin=False):
         """Allocate the control tail for the next scheduled record."""
         flags = FLAG_COUPLED | FLAG_FIN if fin else FLAG_COUPLED
         control = encode_stream_control(flags, self.next_group_seq)
         self.next_group_seq += 1
         return control
-
-    @property
-    def queued_bytes(self):
-        return len(self.pending)
 
     def __repr__(self):
         return "CoupledGroup(%d, %d streams)" % (

@@ -12,8 +12,8 @@ fallback", Sec. 5.2).
 """
 
 from repro.net.address import Endpoint
-from repro.tls.endpoint import TlsClient, TlsError, TlsServer
-from repro.tls.record import TlsRecordError
+from repro.tls.endpoint import TlsClient, TlsServer
+from repro.tls.record import TlsError
 
 
 class TlsTerminatingProxy:
@@ -93,7 +93,7 @@ class _ProxySession:
             return
         try:
             endpoint.feed(data)
-        except (TlsError, TlsRecordError):
+        except TlsError:
             self.client_tcp.abort()
             self.origin_tcp.abort()
             return

@@ -56,13 +56,18 @@ from repro.tls.record import (
     RecordDecryptor,
     RecordEncryptor,
     RecordReassembler,
+    TlsError,
     TlsRecordError,
     encode_plaintext_record,
 )
 
 
-class TlsError(Exception):
-    """Fatal handshake or record-layer failure."""
+def _peer_public(key_share):
+    """The peer's FFDHE public value from its key_share extension."""
+    try:
+        return DHKeyPair.public_from_bytes(key_share.data)
+    except ValueError as exc:
+        raise TlsError("malformed key_share: %s" % exc) from None
 
 
 class _TlsEndpoint:
@@ -267,8 +272,8 @@ class TlsClient(_TlsEndpoint):
         else:
             if key_share is None:
                 raise TlsError("server omitted key_share")
-            peer_public = DHKeyPair.public_from_bytes(key_share.data)
-            shared = FFDHE2048.shared_secret(self._dh.private, peer_public)
+            shared = FFDHE2048.shared_secret(self._dh.private,
+                                             _peer_public(key_share))
         self.schedule.update_transcript(raw)
         client_hs, server_hs = self.schedule.derive_handshake(shared)
         self._decryptor = RecordDecryptor(self.cipher_cls(server_hs.key),
@@ -371,7 +376,7 @@ class TlsServer(_TlsEndpoint):
         else:
             if key_share is None:
                 raise TlsError("client omitted key_share")
-            peer_public = DHKeyPair.public_from_bytes(key_share.data)
+            peer_public = _peer_public(key_share)
             dh = FFDHE2048.generate(self.rng)
             shared = FFDHE2048.shared_secret(dh.private, peer_public)
 

@@ -4,10 +4,13 @@ Extensions are ``type(u16) || length(u16) || data`` concatenations
 inside a length-prefixed vector (RFC 8446 section 4.2).  TCPLS claims
 identifiers from the private-use range (0xFA00+) for the messages of
 Sec. 3 of the paper: TCPLS Hello, TCPLS Join, SESSID, COOKIE and the
-server's address advertisement.
+server's address advertisement.  Every decoder raises
+:class:`~repro.tls.record.TlsError` on truncated or malformed bytes.
 """
 
 import struct
+
+from repro.tls.record import TlsError
 
 # Standard TLS 1.3 extensions used by the handshake.
 EXT_SERVER_NAME = 0
@@ -63,20 +66,20 @@ def encode_extensions(extensions):
 def decode_extensions(data, offset=0):
     """Decode a vector; returns (list, new_offset)."""
     if offset + 2 > len(data):
-        raise ValueError("truncated extension vector length")
+        raise TlsError("truncated extension vector length")
     (total,) = struct.unpack_from("!H", data, offset)
     offset += 2
     end = offset + total
     if end > len(data):
-        raise ValueError("extension vector exceeds message")
+        raise TlsError("extension vector exceeds message")
     extensions = []
     while offset < end:
         if offset + 4 > end:
-            raise ValueError("truncated extension header")
+            raise TlsError("truncated extension header")
         ext_type, length = struct.unpack_from("!HH", data, offset)
         offset += 4
         if offset + length > end:
-            raise ValueError("extension data exceeds vector")
+            raise TlsError("extension data exceeds vector")
         extensions.append(Extension(ext_type, data[offset:offset + length]))
         offset += length
     return extensions, end
@@ -102,7 +105,7 @@ def encode_tcpls_join(session_id, cookie):
 
 def decode_tcpls_join(data):
     if len(data) != 32:
-        raise ValueError("malformed TCPLS Join extension")
+        raise TlsError("malformed TCPLS Join extension")
     return data[:16], data[16:]
 
 
@@ -116,10 +119,10 @@ def encode_cookie_list(cookies):
 
 def decode_cookie_list(data):
     if len(data) < 2:
-        raise ValueError("truncated cookie list")
+        raise TlsError("truncated cookie list")
     (total,) = struct.unpack_from("!H", data, 0)
     if total % 16 or 2 + total != len(data):
-        raise ValueError("malformed cookie list")
+        raise TlsError("malformed cookie list")
     return [data[2 + i:2 + i + 16] for i in range(0, total, 16)]
 
 
@@ -143,7 +146,7 @@ def decode_address_list(data):
         offset += 1
         size = 4 if family == 4 else 16
         if family not in (4, 6) or offset + size > len(data):
-            raise ValueError("malformed address list")
+            raise TlsError("malformed address list")
         addresses.append(IPAddress.from_packed(data[offset:offset + size]))
         offset += size
     return addresses

@@ -3,7 +3,9 @@
 Each message encodes as ``msg_type(u8) || length(u24) || body`` and is
 hashed into the transcript in this serialized form (RFC 8446 4.4.1).
 The subset implemented is what the PSK + FFDHE handshake needs:
-ClientHello, ServerHello, EncryptedExtensions, Finished.
+ClientHello, ServerHello, EncryptedExtensions, Finished.  A decoder
+raises :class:`~repro.tls.record.TlsError` on truncated or malformed
+bytes, never anything else.
 """
 
 import struct
@@ -13,6 +15,7 @@ from repro.tls.extensions import (
     encode_extensions,
     find_extension,
 )
+from repro.tls.record import TlsError
 
 HS_CLIENT_HELLO = 1
 HS_SERVER_HELLO = 2
@@ -83,23 +86,26 @@ class ClientHello:
 
     @classmethod
     def decode(cls, body):
-        (version,) = struct.unpack_from("!H", body, 0)
-        if version != LEGACY_VERSION:
-            raise ValueError("unexpected legacy_version 0x%04x" % version)
-        random = body[2:34]
-        offset = 34
-        sid_len = body[offset]
-        offset += 1
-        session_id = body[offset:offset + sid_len]
-        offset += sid_len
-        (suites_len,) = struct.unpack_from("!H", body, offset)
-        offset += 2
-        cipher_suites = [
-            struct.unpack_from("!H", body, offset + i)[0]
-            for i in range(0, suites_len, 2)
-        ]
-        offset += suites_len
-        comp_len = body[offset]
+        try:
+            (version,) = struct.unpack_from("!H", body, 0)
+            if version != LEGACY_VERSION:
+                raise TlsError("unexpected legacy_version 0x%04x" % version)
+            random = body[2:34]
+            offset = 34
+            sid_len = body[offset]
+            offset += 1
+            session_id = body[offset:offset + sid_len]
+            offset += sid_len
+            (suites_len,) = struct.unpack_from("!H", body, offset)
+            offset += 2
+            cipher_suites = [
+                struct.unpack_from("!H", body, offset + i)[0]
+                for i in range(0, suites_len, 2)
+            ]
+            offset += suites_len
+            comp_len = body[offset]
+        except (IndexError, struct.error):
+            raise TlsError("truncated ClientHello") from None
         offset += 1 + comp_len
         extensions, _ = decode_extensions(body, offset)
         return cls(random, cipher_suites, extensions, session_id)
@@ -130,13 +136,16 @@ class ServerHello:
 
     @classmethod
     def decode(cls, body):
-        random = body[2:34]
-        offset = 34
-        sid_len = body[offset]
-        offset += 1
-        session_id = body[offset:offset + sid_len]
-        offset += sid_len
-        (cipher_suite,) = struct.unpack_from("!H", body, offset)
+        try:
+            random = body[2:34]
+            offset = 34
+            sid_len = body[offset]
+            offset += 1
+            session_id = body[offset:offset + sid_len]
+            offset += sid_len
+            (cipher_suite,) = struct.unpack_from("!H", body, offset)
+        except (IndexError, struct.error):
+            raise TlsError("truncated ServerHello") from None
         offset += 3  # suite + compression byte
         extensions, _ = decode_extensions(body, offset)
         return cls(random, cipher_suite, extensions, session_id)

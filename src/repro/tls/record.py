@@ -26,7 +26,12 @@ MAX_RECORD_PAYLOAD = 16384
 MAX_CIPHERTEXT_EXPANSION = 256 + 1 + 16
 
 
-class TlsRecordError(Exception):
+class TlsError(ValueError):
+    """Fatal handshake or record-layer failure, malformed handshake
+    bytes included (a ``ValueError``, as the codecs raised before)."""
+
+
+class TlsRecordError(TlsError):
     """Malformed or unauthenticatable record."""
 
 

@@ -231,6 +231,127 @@ def _assigned_attributes(tree):
                     yield sub.lineno, sub.attr
 
 
+#: what left ``TcplsEngine`` for each collaborator, and may be defined
+#: nowhere else under ``core``
+MOVED = {
+    "pump.py": {"Pump", "UNSENT_TARGET", "run", "write", "drain", "drop",
+                "send_typed", "send_control", "_seal_batch", "_conn_budget",
+                "_pump_stream", "_pump_group", "_pick_targets",
+                "_chunk_size"},
+    "failover.py": {"Failover", "maybe_ack", "reack", "send_ack", "fail",
+                    "resolve", "_failover_target",
+                    "_do_failover", "_migrate", "_replay_unacked",
+                    "_has_pending_transfer", "on_ack", "on_sync",
+                    "on_enable_failover", "peer_closed", "timed_out"},
+}
+#: the engine methods and state that forwarded to, or were, the above
+GONE_FROM_ENGINE = {"_pump", "_drain", "_conn_write", "_send_typed",
+                    "_send_control", "_maybe_ack", "_send_ack", "_on_ack",
+                    "_on_sync", "_on_enable_failover", "_conn_failed",
+                    "_abort_conn", "_conn_closed", "_on_user_timeout",
+                    "_resolve_pending_failover", "_pending_failover",
+                    "transport"}
+SESSION_CEILING = 900
+
+
+def _scoped(tree):
+    """``(node, enclosing function names)`` for every node under
+    ``tree``, outermost function first."""
+    stack = [(tree, ())]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def _defined(node, scope):
+    """Names ``node`` defines: a function or class, a module constant,
+    or an attribute assigned on ``self``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [_name(t) for t in node.targets
+                if (isinstance(t, ast.Name) and not scope) or (
+                    isinstance(t, ast.Attribute) and _name(t.value) == "self")]
+    return []
+
+
+def _is_forwarder(function):
+    """A method whose body (docstring aside) is one call to a method of
+    ``self.pump`` or ``self.failover``, passing its own arguments on."""
+    body = [s for s in function.body if not (
+        isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    if len(body) != 1 or not isinstance(body[0], (ast.Expr, ast.Return)):
+        return False
+    call = body[0].value
+    params = [a.arg for a in function.args.args[1:]]
+    return (isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Attribute)
+            and _name(call.func.value.value) == "self"
+            and call.func.value.attr in ("pump", "failover")
+            and [_name(a) for a in call.args]
+            + [k.arg for k in call.keywords] == params)
+
+
+def test_engine_is_a_composition_root():
+    """The send pump (``engine/pump.py``) and record-level failover
+    (``engine/failover.py``) own what left ``TcplsEngine``: their names
+    are defined nowhere else in ``core``, the engine keeps no method
+    that only forwards to them, only the pump writes a connection's
+    ``pending_out`` queue, only the failure body (``Failover.fail``)
+    marks a connection failed, and ``session.py`` stays under its
+    ceiling.  The I/O-layer lint above walks both new modules."""
+    offences = []
+    mutators = {"append", "appendleft", "extend", "clear", "pop", "popleft"}
+    owner = {name: module for module, names in MOVED.items()
+             for name in names}
+    for path in sorted((SRC_DIR / "core").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = "%s:%%d" % path.relative_to(SRC_DIR)
+        for node, scope in _scoped(tree):
+            for name in _defined(node, scope):
+                if owner.get(name, path.name) != path.name:
+                    offences.append((where + " defines %s") % (
+                        node.lineno, name))
+                if name in GONE_FROM_ENGINE and path.parent == ENGINE_DIR:
+                    offences.append((where + " defines %s again") % (
+                        node.lineno, name))
+            declaring = scope[-2:] == ("ConnectionState", "__init__")
+            targets = [node.func.value] if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in mutators) else []
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets += getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                if not isinstance(target, ast.Attribute):
+                    continue
+                if target.attr in ("pending_out", "pending_out_bytes") \
+                        and path.name != "pump.py" and not declaring:
+                    offences.append((where + " writes %s") % (
+                        node.lineno, target.attr))
+                if target.attr == "failed" and isinstance(node, ast.Assign) \
+                        and not declaring and scope[-2:] != ("Failover",
+                                                             "fail"):
+                    offences.append((where + " assigns .failed") %
+                                    node.lineno)
+    session = ast.parse((ENGINE_DIR / "session.py").read_text())
+    offences += ["session.py forwards %s" % node.name
+                 for node in ast.walk(session)
+                 if isinstance(node, ast.FunctionDef) and _is_forwarder(node)]
+    lines = len((ENGINE_DIR / "session.py").read_text().splitlines())
+    if lines > SESSION_CEILING:
+        offences.append("session.py has %d lines (ceiling %d)"
+                        % (lines, SESSION_CEILING))
+    linted = {path.name for path in ENGINE_DIR.glob("*.py")}
+    offences += ["%s escapes the I/O-layer lint" % module
+                 for module in MOVED if module not in linted]
+    assert not offences, "\n".join(offences)
+
+
 def test_one_event_vocabulary():
     """Library code subscribes to :class:`SessionEvent`s: nothing under
     ``core`` or ``qlog`` assigns an application's ``on_<event>`` slot,

@@ -54,8 +54,8 @@ def test_fallback_session_still_carries_data():
     # Stream 0 (the TLS application-data context) still works.
     from repro.core import record as rec
 
-    client._send_typed(client.conns[0], rec.RECORD_TYPE_APPDATA,
-                       b"plain tls data")
+    client.pump.send_typed(client.conns[0], rec.RECORD_TYPE_APPDATA,
+                           b"plain tls data")
     sim.run(until=sim.now + 0.5)
     assert bytes(received) == b"plain tls data"
 

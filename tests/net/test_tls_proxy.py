@@ -58,8 +58,8 @@ def test_proxy_triggers_tcpls_fallback_and_relays_data():
             data = stream.recv()
             origin_rx.extend(data)
             reply = b"resp:" + data[:16]
-            sess._send_typed(sess.conns[0], rec.RECORD_TYPE_APPDATA,
-                             reply)
+            sess.pump.send_typed(sess.conns[0], rec.RECORD_TYPE_APPDATA,
+                                 reply)
         sess.on_stream_data = on_stream_data
 
     server.on_session = on_session
@@ -81,7 +81,8 @@ def test_proxy_triggers_tcpls_fallback_and_relays_data():
     # Plain-TLS application data still flows end to end through the two
     # re-encrypted legs.
     payload = b"through-the-proxy" * 200
-    client._send_typed(client.conns[0], rec.RECORD_TYPE_APPDATA, payload)
+    client.pump.send_typed(client.conns[0], rec.RECORD_TYPE_APPDATA,
+                           payload)
     sim.run(until=sim.now + 2)
     assert bytes(origin_rx) == payload
     assert bytes(client_rx) == b"resp:" + payload[:16]
