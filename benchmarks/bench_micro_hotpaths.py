@@ -24,7 +24,7 @@ from repro.crypto.aes import Aes128
 from repro.crypto.chacha20 import chacha20_encrypt
 from repro.crypto.ffdhe import FFDHE2048
 from repro.crypto.gcm import Ghash
-from repro.crypto.poly1305 import poly1305_mac
+from repro.crypto.poly1305 import poly1305_mac, poly1305_macs
 from repro.ebpf import EbpfVm, assemble
 from repro.ebpf.cc_hooks import EbpfCongestionControl
 from repro.ebpf.programs import cubic_bytecode
@@ -175,9 +175,47 @@ def test_ghash_digest_16k(benchmark):
     assert len(tag) == 16
 
 
+def test_ghash_digests_8x16k(benchmark):
+    """Eight records' GHASH in one lane pass: what a sealed run or a
+    read of eight full records costs its key."""
+    ghash = Ghash(Aes128(b"K" * 16).encrypt_block(b"\x00" * 16))
+    tags = benchmark(ghash.digests, [b"hdr"] * 8, [PAYLOAD] * 8)
+    assert len(tags) == 8
+
+
+def test_aes128gcm_cold_key_digest_16k(benchmark):
+    """A new key and its first full record's GHASH: the key schedule,
+    H and the lane tables of H ... H^64, then the digest (a connection
+    pays it once per direction)."""
+    keys = iter(range(1 << 30))
+
+    def cold():
+        key = next(keys).to_bytes(16, "big")
+        return Aes128Gcm(key).mac_state(PAYLOAD, b"hdr")
+
+    assert len(benchmark(cold)) == 16
+
+
 def test_poly1305_mac_16k(benchmark):
     tag = benchmark(poly1305_mac, b"K" * 32, PAYLOAD)
     assert len(tag) == 16
+
+
+def test_poly1305_macs_8x16k(benchmark):
+    """Eight records' Poly1305, each under its own one-time key, in one
+    lane pass."""
+    keys = [bytes([i]) * 32 for i in range(8)]
+    tags = benchmark(poly1305_macs, keys, [PAYLOAD] * 8)
+    assert len(tags) == 8
+
+
+def test_aes_ctr_keystreams_8x16k(benchmark):
+    """Eight records' AES-CTR keystreams in one gather-bound lane pass:
+    with the MACs batched, what an AES-GCM record costs."""
+    aes = Aes128(b"K" * 16)
+    requests = [(bytes([i]) * 12, 2, len(PAYLOAD) // 16) for i in range(8)]
+    streams = benchmark(aes.ctr_keystreams, requests)
+    assert [len(stream) for stream in streams] == [len(PAYLOAD)] * 8
 
 
 def test_chacha20_keystream_16k(benchmark):

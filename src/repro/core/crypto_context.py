@@ -16,8 +16,9 @@ Encrypt-then-MAC AEADs) against candidate contexts.
 """
 
 import struct
+from operator import add
 
-from repro.crypto.tagtrial import TagTrial
+from repro.crypto.tagtrial import TagTrial, ahead_of, prepare_many
 from repro.tls.record import (
     RECORD_HEADER_SIZE,
     encode_record_header,
@@ -41,20 +42,27 @@ def record_nonce(stream_iv, record_seq):
     return stream_iv[:4] + struct.pack("!Q", right)
 
 
-def prepare_record(cipher, record, ahead=None):
+def prepare_record(cipher, record):
     """Split a wire record and fold the nonce-independent part of its
     tag, once, for :meth:`StreamCryptoContext.verify_at` under many
     candidates.
 
     The trial is bound to the cipher, not to a stream: every context
     sharing the traffic key can try it.  A record too short to carry a
-    header and a tag matches nothing.  ``ahead`` is one
-    :meth:`StreamCryptoContext.pads_ahead` entry: the nonce-dependent
-    part too, for the one candidate the record is expected to be.
+    header and a tag matches nothing.
     """
     view = memoryview(record)
     return cipher.prepare(view[RECORD_HEADER_SIZE:],
-                          bytes(view[:RECORD_HEADER_SIZE]), ahead)
+                          bytes(view[:RECORD_HEADER_SIZE]))
+
+
+def prepare_records(cipher, records):
+    """:func:`prepare_record` for a run of records, every tag's
+    nonce-independent part in one MAC pass."""
+    views = [memoryview(record) for record in records]
+    return prepare_many(cipher,
+                        [view[RECORD_HEADER_SIZE:] for view in views],
+                        [bytes(view[:RECORD_HEADER_SIZE]) for view in views])
 
 
 class StreamCryptoContext:
@@ -86,39 +94,37 @@ class StreamCryptoContext:
         right = self._iv_right ^ (record_seq & 0xFFFFFFFFFFFFFFFF)
         return self._iv_left + right.to_bytes(8, "big")
 
-    def seal(self, inner_plaintext, pad=None):
-        """Encrypt at the next send sequence; returns full record bytes.
-        ``pad`` is the record's share of a :meth:`seal_many` pass."""
-        cipher = self.cipher
-        header = encode_record_header(
-            CONTENT_APPLICATION_DATA, len(inner_plaintext) + cipher.tag_size)
-        sealed = cipher.seal(self._nonce(self.send_seq), inner_plaintext,
-                             header, pad)
-        self.send_seq += 1
-        return header + sealed
+    def seal(self, inner_plaintext):
+        """Encrypt at the next send sequence; returns full record bytes."""
+        return self.seal_many((inner_plaintext,))[0]
 
     def seal_many(self, inner_plaintexts):
-        """:meth:`seal` for consecutive records.
+        """Full wire records of consecutive records from the next send
+        sequence.
 
         The nonces of the whole run are known before the first byte is
         encrypted, so a cipher with pads makes every keystream and
-        one-time key of the run in one lane pass, ahead of the records.
+        one-time key of the run in one lane pass, then every tag in one
+        MAC pass (``Aead.seal_many``).
         """
-        if not self.cipher.pads:
-            return [self.seal(inner) for inner in inner_plaintexts]
-        ahead = self.pads_ahead(self.send_seq,
-                                list(map(len, inner_plaintexts)))
-        return [self.seal(inner, pad)
-                for inner, (_, pad) in zip(inner_plaintexts, ahead)]
+        cipher = self.cipher
+        first = self.send_seq
+        self.send_seq = first + len(inner_plaintexts)
+        headers = [encode_record_header(CONTENT_APPLICATION_DATA,
+                                        len(inner) + cipher.tag_size)
+                   for inner in inner_plaintexts]
+        return list(map(add, headers, cipher.seal_many(
+            [self._nonce(seq) for seq in range(first, self.send_seq)],
+            inner_plaintexts, headers)))
 
-    def pads_ahead(self, first_seq, lengths):
-        """``(nonce, pad)`` of records of ``lengths`` ciphertext bytes
-        at consecutive sequences from ``first_seq``, in one lane pass.
-        The sender knows its run (:meth:`seal_many`); the receiver
-        guesses that the records of a read continue one stream and
-        hands each entry to :func:`prepare_record` as ``ahead``."""
-        nonces = [self._nonce(first_seq + i) for i in range(len(lengths))]
-        return list(zip(nonces, self.cipher.pads(nonces, lengths)))
+    def expect(self, first_seq, trials):
+        """The :attr:`~repro.crypto.tagtrial.TagTrial.ahead` of each of
+        ``trials`` were the records at consecutive sequences from
+        ``first_seq``: pads in one lane pass, tags in one MAC pass.  The
+        receiver guesses that the records of a read continue one stream
+        and hands each its entry."""
+        return ahead_of(self.cipher, trials, [self._nonce(first_seq + i)
+                                              for i in range(len(trials))])
 
     def open_at(self, record, record_seq):
         """Decrypt a full wire record at an explicit sequence.

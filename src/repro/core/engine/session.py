@@ -20,7 +20,7 @@ steering and failover replay work without explicit wire signalling.
 """
 
 from repro.core import record as rec
-from repro.core.crypto_context import prepare_record
+from repro.core.crypto_context import prepare_record, prepare_records
 from repro.core.errors import SessionNotReadyError, TcplsProtocolError
 from repro.core.engine.connection import ConnectionState
 from repro.core.engine.events import EventSource, SessionEvent, slot
@@ -29,7 +29,7 @@ from repro.core.engine.failover import (Failover, on_ack,
 from repro.core.engine.policy import RoundRobinScheduler
 from repro.core.engine.pump import Pump
 from repro.core.stream import CoupledGroup, TcplsStream, control_stream_id
-from repro.tls.record import RECORD_HEADER_SIZE, TlsError
+from repro.tls.record import TlsError
 
 #: CONTROL opcodes' rows in :attr:`TcplsEngine.ROWS` are keyed
 #: ``(_CONTROL, opcode)``
@@ -643,18 +643,20 @@ class TcplsEngine(EventSource):
     def _process_records(self, conn, records):
         """The complete records of one read, strictly in order.
 
-        A cipher with a lane tier makes the keystreams of a run of
-        records for little more than one (``Aead.pads``), but a receiver
-        learns a record's nonce only by tag trial.  So it guesses: once
-        a record has been accepted on a data stream, the records after
-        it in the read are taken to continue that stream at the next
-        sequences, and their pads are made in one pass.  A guess rides
-        in its record's trial and serves only the candidate whose nonce
-        is the guessed one; the record is tried, authenticated and
-        dispatched exactly as without it.  A record accepted anywhere
-        else drops the guesses left (at most one pass of lane work) and
-        starts over from where it was accepted; a rejected record says
-        nothing about its neighbours, so theirs stand.
+        A cipher with a lane tier makes the keystreams and tags of a run
+        of records for little more than one, but a receiver learns a
+        record's nonce only by tag trial.  So the read's trials are
+        prepared first, the nonce-independent part of every tag (all of
+        GHASH) in one MAC pass per lane pass, and the rest is guessed:
+        once a record has been accepted on a data stream, the records
+        after it are taken to continue that stream at the next
+        sequences, and their pads and tags (all of Poly1305) are made in
+        one pass each.  A guess rides in its record's trial and serves
+        only the candidate whose nonce is the guessed one; the record is
+        tried, authenticated and dispatched exactly as without it.  A
+        record accepted anywhere else drops the guesses left (at most
+        one pass of lane work); a rejected one says nothing about its
+        neighbours.
 
         A malformed record -- its row's decoder raised
         :class:`TcplsProtocolError` -- fails the connection, and the
@@ -667,39 +669,41 @@ class TcplsEngine(EventSource):
                 for record_bytes in records:
                     self._process_record(conn, record_bytes)
                 return
-            overhead = RECORD_HEADER_SIZE + cipher.tag_size
-            # record index -> ((stream, seq), (nonce, pad))
+            trials = prepare_records(cipher, records)
+            # record index -> ((stream, seq), ahead)
             guesses = {}
-            for index, record_bytes in enumerate(records):
-                guessed, ahead = guesses.pop(index, (None, None))
-                accepted = self._process_record(conn, record_bytes, ahead)
+            for index, (record_bytes, trial) in enumerate(zip(records,
+                                                              trials)):
+                guessed, trial.ahead = guesses.pop(index, (None, None))
+                accepted = self._process_record(conn, record_bytes, trial)
                 if accepted is None:
                     continue
                 if accepted != guessed:
                     guesses.clear()
                 stream, seq = accepted
-                rest = records[index + 1:index + 1 + per_pass]
+                rest = trials[index + 1:index + 1 + per_pass]
                 if not rest or index + 1 in guesses \
                         or self._is_control(stream):
                     continue
-                pads = stream.ctx_recv.pads_ahead(
-                    seq + 1, [max(len(r) - overhead, 0) for r in rest])
-                for offset, ahead in enumerate(pads, 1):
+                aheads = stream.ctx_recv.expect(seq + 1, rest)
+                for offset, ahead in enumerate(aheads, 1):
                     guesses[index + offset] = ((stream, seq + offset),
                                                ahead)
         except TcplsProtocolError:
             self.failover.fail(conn, "protocol")
 
-    def _process_record(self, conn, record_bytes, ahead=None):
+    def _process_record(self, conn, record_bytes, trial=None):
         """Find the record's stream by tag trial and dispatch it;
-        returns the ``(stream, seq)`` it was accepted at, or ``None``."""
+        returns the ``(stream, seq)`` it was accepted at, or ``None``.
+        ``trial`` is the record's, prepared with its read's."""
         conn.records_received += 1
         stats = self.stats
         stats["records_received"] += 1
         candidates = self._demux_candidates(conn)
         # One MAC pass over the record; every candidate below only
         # finishes the tag under its own nonce.
-        trial = prepare_record(self._recv_key, record_bytes, ahead)
+        if trial is None:
+            trial = prepare_record(self._recv_key, record_bytes)
         # Fast pass: each candidate's single most likely sequence.
         for position, stream in enumerate(candidates):
             seq = stream.primary_trial_seq()

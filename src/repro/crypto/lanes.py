@@ -2,15 +2,17 @@
 
 ``import numpy`` costs about as much as importing the rest of this
 package, and a process that only ever seals with the null-tag cipher
-(every simulated experiment) never reaches a lane tier.  The three
+(every simulated experiment) never reaches a lane tier.  The four
 numpy-tiered modules (:mod:`~repro.crypto.chacha20`,
-:mod:`~repro.crypto.aes`, :mod:`~repro.crypto.gcm`) ask :func:`numpy`
-instead of importing it; the answer is resolved once and kept here.
+:mod:`~repro.crypto.aes`, :mod:`~repro.crypto.gcm`,
+:mod:`~repro.crypto.poly1305`) ask :func:`numpy` instead of importing
+it; the answer is resolved once and kept here.
 
 A lane kernel takes a *list* of requests -- one ``(counter, nonce,
-blocks)`` run per record -- and lays them side by side as array columns,
-so the few hundred array operations of a pass are paid once per batch
-of records, not once per record (:data:`PASS_RECORDS`).
+blocks)`` run, or one message to authenticate, per record -- and lays
+them side by side in its arrays, so the array operations of a pass are
+paid once per batch of records, not once per record
+(:data:`PASS_RECORDS`).
 """
 
 #: ``False`` until first asked; then the module, or ``None`` on an

@@ -18,16 +18,25 @@ A cipher takes part by providing four primitives:
 - ``crypt(nonce, data, pad=None)`` -- the unauthenticated
   en/decryption.
 
-The last two work their pad out from the nonce unless handed one.  A
-sender knows the nonces of a run before it seals, so the record layer's
-``seal_many`` asks for all the pads at once; a receiver can only guess them (the stream a
-read's last record belonged to, at the next sequences), so a guessed
-``(nonce, pad)`` rides in the record's trial and serves only the
-candidate whose nonce is that one.
+and, for a run of records, ``mac_states`` / ``finish_tags``: the first
+and third over every record of the run at once, in one MAC lane pass
+where the cipher has one (GHASH is nonce-independent and batches in
+``mac_states``; a Poly1305 key is the nonce's, so Poly1305 batches in
+``finish_tags``).
 
-Sealing, opening and one-off verification are all built from the same
-four calls, so each cipher has exactly one authentication
-implementation.
+The last two single-record primitives work their pad out from the
+nonce unless handed one.  A sender knows the nonces of a run before it
+seals, so it makes all the pads, then all the tags, at once
+(``Aead.seal_many``).  A receiver prepares the trials of a read's
+records in one ``mac_states`` pass (:func:`prepare_many`) and can only
+guess the nonces (the stream a read's last record belonged to, at the
+next sequences): :func:`ahead_of` works out the guessed records' pads
+and tags in one pass each, and a guess rides in its record's trial as
+:attr:`TagTrial.ahead`, serving only the candidate whose nonce is that
+one.
+
+Sealing, opening and one-off verification are all built from these
+calls, so each cipher has exactly one authentication implementation.
 """
 
 from hmac import compare_digest
@@ -36,12 +45,14 @@ from hmac import compare_digest
 class TagTrial:
     """One received ``ciphertext || tag``, prepared for tag trials."""
 
-    __slots__ = ("_cipher", "_ciphertext", "_tag", "_state",
-                 "_ahead_nonce", "_ahead_pad")
+    __slots__ = ("_cipher", "_ciphertext", "_tag", "_state", "ahead")
 
-    def __init__(self, cipher, data, aad=b"", ahead=None):
+    def __init__(self, cipher, data, aad=b"", fold=True):
         self._cipher = cipher
-        self._ahead_nonce, self._ahead_pad = ahead or (None, None)
+        #: ``(nonce, pad, tag)`` worked out before the trials
+        #: (:func:`ahead_of`), or ``None``: serves only the candidate
+        #: with that nonce
+        self.ahead = None
         tag_size = cipher.tag_size
         if len(data) < tag_size:
             self._tag = None        # too short to carry a tag
@@ -49,20 +60,54 @@ class TagTrial:
         view = memoryview(data)
         self._ciphertext = view[:-tag_size]
         self._tag = view[-tag_size:]
-        self._state = cipher.mac_state(self._ciphertext, aad)
+        if fold:
+            self._state = cipher.mac_state(self._ciphertext, aad)
 
     def matches(self, nonce):
         """Constant-time: does the record authenticate under ``nonce``?"""
         tag = self._tag
-        return tag is not None and compare_digest(
-            self._cipher.finish_tag(
-                self._state, nonce,
-                self._ahead_pad if nonce == self._ahead_nonce else None),
-            tag)
+        if tag is None:
+            return False
+        ahead = self.ahead
+        if ahead is not None and nonce == ahead[0]:
+            return compare_digest(ahead[2], tag)
+        return compare_digest(self._cipher.finish_tag(self._state, nonce),
+                              tag)
 
     def plaintext(self, nonce):
         """Decrypt **without authenticating**: only for a ``nonce`` that
         :meth:`matches` has just accepted."""
+        ahead = self.ahead
         return self._cipher.crypt(
             nonce, self._ciphertext,
-            self._ahead_pad if nonce == self._ahead_nonce else None)
+            ahead[1] if ahead is not None and nonce == ahead[0] else None)
+
+
+def prepare_many(cipher, datas, aads):
+    """One :class:`TagTrial` per record of a run, the nonce-independent
+    parts of every tag folded in one ``mac_states`` pass."""
+    trials = [TagTrial(cipher, data, fold=False) for data in datas]
+    tagged = [(trial, aad) for trial, aad in zip(trials, aads)
+              if trial._tag is not None]
+    states = cipher.mac_states([trial._ciphertext for trial, _ in tagged],
+                               [aad for _, aad in tagged])
+    for (trial, _), state in zip(tagged, states):
+        trial._state = state
+    return trials
+
+
+def ahead_of(cipher, trials, nonces):
+    """The :attr:`TagTrial.ahead` of each trial were it sealed under its
+    nonce: every pad in one lane pass, every tag from them in one MAC
+    pass.  A trial too short to carry a tag gets none."""
+    ahead = [None] * len(trials)
+    tagged = [i for i, trial in enumerate(trials) if trial._tag is not None]
+    if tagged:
+        guessed = [nonces[i] for i in tagged]
+        pads = cipher.pads(guessed, [len(trials[i]._ciphertext)
+                                     for i in tagged])
+        tags = cipher.finish_tags([trials[i]._state for i in tagged],
+                                  guessed, pads)
+        for i, nonce, pad, tag in zip(tagged, guessed, pads, tags):
+            ahead[i] = (nonce, pad, tag)
+    return ahead

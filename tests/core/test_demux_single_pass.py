@@ -17,15 +17,20 @@ RECORD = 16384
 
 
 def count_mac_passes(cipher):
-    """Record the length of every ``mac_state`` pass ``cipher`` makes."""
+    """Record the length of every record ``cipher`` folds, one record
+    at a time (``mac_state``) or a read's at once (``mac_states``)."""
     passes = []
-    inner = cipher.mac_state
+    inner, run = cipher.mac_state, cipher.mac_states
 
     def counted(ciphertext, aad):
         passes.append(len(ciphertext))
         return inner(ciphertext, aad)
 
-    cipher.mac_state = counted
+    def counted_run(ciphertexts, aads):
+        passes.extend(map(len, ciphertexts))
+        return run(ciphertexts, aads)
+
+    cipher.mac_state, cipher.mac_states = counted, counted_run
     return passes
 
 

@@ -79,13 +79,21 @@ def test_aes_gcm_connection_builds_four_ghash_tables(monkeypatch):
     """One handshake and one upload: the four handshake-traffic keys
     hash a dozen blocks each and never repay a table (they were four of
     the eight builds); the sender's and the receiver's application keys
-    build their byte table and their H^64 table."""
+    build their lane tables (H ... H^64), and no more than their byte
+    tables besides."""
+    from functools import cached_property
+
     from repro.crypto import gcm
 
     builds = []
     build = gcm._build_ghash_tables
     monkeypatch.setattr(gcm, "_build_ghash_tables",
                         lambda h: builds.append(h) or build(h))
+    power_tables = gcm.Ghash._power_tables.func
+    counted = cached_property(
+        lambda ghash: builds.append(ghash._h) or power_tables(ghash))
+    counted.__set_name__(gcm.Ghash, "_power_tables")
+    monkeypatch.setattr(gcm.Ghash, "_power_tables", counted)
     driver = SocketDriver()
     try:
         client, _server, session = _connect_pair(driver, cipher="aes128gcm")

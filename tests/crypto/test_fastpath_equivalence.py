@@ -2,16 +2,18 @@
 retained reference implementation.
 
 Each bulk primitive has two tiers -- a big-int/scalar one for short
-inputs and installs without numpy, and a lane one (numpy arrays, or four
-blocks per reduction for Poly1305) for long inputs -- and one crossover
-constant, ``_LANE_MIN_BLOCKS``, choosing between them.  All keep their
+batches and installs without numpy, and a numpy lane one for long
+batches -- and one crossover constant, ``_LANE_MIN_BLOCKS``, choosing
+between them on a batch's blocks (Poly1305's big-int tier has a second,
+``_FOUR_MIN_BLOCKS``, for four blocks per reduction).  All keep their
 original implementations as oracles; Hypothesis drives random
 keys/nonces/AAD/lengths through both tiers and across every crossover
 and demands equality.  A deterministic 65536-byte case covers the
 large-batch paths explicitly.
 
-The last section is the batch: a run of records shares one lane pass on
-seal (``seal_many``) and, by guessing the nonces, on open
+The last sections are the batch: a run of records shares one keystream
+lane pass and one MAC lane pass on seal (``seal_many``) and, by
+preparing a read's trials together and guessing the nonces, on open
 (``TcplsEngine._process_records``).  Both are pinned byte for byte and
 event for event against the same records taken one at a time, in every
 tier.
@@ -21,8 +23,10 @@ import ast
 import inspect
 import math
 import os
+import random
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 
@@ -44,7 +48,7 @@ from repro.crypto.chacha20 import (
     chacha20_encrypt,
 )
 from repro.crypto.gcm import Ghash
-from repro.crypto.poly1305 import P1305, poly1305_mac
+from repro.crypto.poly1305 import P1305, poly1305_mac, poly1305_macs
 from repro.obs import CaptureSink
 from repro.tls.record import RecordReassembler
 
@@ -66,10 +70,10 @@ COUNTER = st.integers(min_value=0, max_value=0xFFFFFFFF)
 BUFFER = st.sampled_from([bytes, bytearray, memoryview])
 
 
-def around_crossover(module, block_size):
-    """Byte strings from one block below ``module``'s crossover to one
-    block above it, ragged tails included."""
-    blocks = module._LANE_MIN_BLOCKS
+def around_crossover(module, block_size, blocks=None):
+    """Byte strings from one block below ``module``'s crossover (or
+    ``blocks``) to one block above it, ragged tails included."""
+    blocks = blocks or module._LANE_MIN_BLOCKS
     return st.binary(min_size=(blocks - 2) * block_size + 1,
                      max_size=(blocks + 1) * block_size - 1)
 
@@ -180,9 +184,12 @@ def test_poly1305_matches_reference(key, message):
     assert poly1305_mac(key, message) == poly1305_reference(key, message)
 
 
-@given(key=KEY32, message=around_crossover(poly1305, 16), buffer=BUFFER)
+@given(key=KEY32, message=around_crossover(
+    poly1305, 16, poly1305._FOUR_MIN_BLOCKS), buffer=BUFFER)
 @settings(max_examples=60, deadline=None)
 def test_poly1305_across_the_crossover(key, message, buffer):
+    """One block per reduction, then four: the big-int tier's own
+    crossover (the lane tier's is a batch's, below)."""
     assert poly1305_mac(key, buffer(message)) == \
         poly1305_reference(key, message)
 
@@ -312,20 +319,20 @@ def test_ghash_builds_its_tables_once_they_pay():
     """Half the keys of a connection never hash a byte and the
     handshake-traffic keys hash a few blocks: neither builds a table.
     The byte tables come with multiplication ``_TABLE_MIN_MULTS``, the
-    H^64 table with the first lane-sized input; the digests are the
-    reference's all along."""
+    lane tables (H ... H^64) with the first lane-sized batch; the
+    digests are the reference's all along."""
     ghash = Ghash(bytes(range(16)))
     block = bytes(range(16))          # two multiplications a digest
     for _ in range((gcm._TABLE_MIN_MULTS - 1) // 2):
         assert ghash.digest(b"", block) == ghash.digest_reference(b"", block)
-    assert ghash._tables is None and "_lane_table" not in vars(ghash)
+    assert ghash._tables is None and "_power_tables" not in vars(ghash)
     assert ghash.digest(b"", block) == ghash.digest_reference(b"", block)
-    assert ghash._tables is not None and "_lane_table" not in vars(ghash)
+    assert ghash._tables is not None and "_power_tables" not in vars(ghash)
     if lanes.numpy() is not None:
         long = bytes(16 * gcm._LANE_MIN_BLOCKS)
         assert ghash.digest(b"hdr", long) == \
             ghash.digest_reference(b"hdr", long)
-        assert "_lane_table" in vars(ghash)
+        assert "_power_tables" in vars(ghash)
 
 
 # -- one lane pass per batch of records -----------------------------------
@@ -333,10 +340,21 @@ def test_ghash_builds_its_tables_once_they_pay():
 AEADS = [Chacha20Poly1305, Aes128Gcm, NullTagCipher]
 TIERS = ["short", "lanes", "no-numpy"]
 RECORD = 16384
-# empty, one byte, around a ChaCha20 and an AES block, ragged, a whole
-# 16 KiB record and its neighbours
-LENGTH = st.sampled_from([0, 1, 15, 16, 17, 63, 64, 65, 100, 1000, 1500,
-                          2571, RECORD - 1, RECORD])
+
+
+def crossings(*crossovers):
+    """Byte lengths one block either side of crossovers (in blocks)."""
+    return [16 * (blocks + step) for blocks in crossovers
+            for step in (-1, 0, 1)]
+
+
+MAC_CROSSINGS = crossings(poly1305._FOUR_MIN_BLOCKS,
+                          poly1305._LANE_MIN_BLOCKS, gcm._LANE_MIN_BLOCKS)
+# empty, one byte, around a ChaCha20 and an AES block, ragged, around
+# the MAC crossovers, a whole 16 KiB record and its neighbours
+LENGTH = st.sampled_from(sorted({
+    0, 1, 15, 16, 17, 63, 64, 65, 100, 1000, 1500, 2571, RECORD - 1, RECORD,
+    *MAC_CROSSINGS}))
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -346,9 +364,9 @@ LENGTH = st.sampled_from([0, 1, 15, 16, 17, 63, 64, 65, 100, 1000, 1500,
 @settings(max_examples=12, deadline=None)
 def test_seal_many_is_seal_record_by_record(
         cipher_cls, tier, key, lengths, data):
-    """A run sealed with the pads of one pass, sealed one by one and
-    sealed straight from the specification: the same bytes, whatever
-    lengths share a pass."""
+    """A run sealed with the pads and tags of one pass each, sealed one
+    by one and sealed straight from the specification: the same bytes,
+    whatever lengths share a pass."""
     key = key[:cipher_cls.key_size]
     nonces = data.draw(st.lists(NONCE12, min_size=len(lengths),
                                 max_size=len(lengths)))
@@ -359,10 +377,7 @@ def test_seal_many_is_seal_record_by_record(
     with pytest.MonkeyPatch.context() as monkeypatch:
         force_tier(monkeypatch, tier)
         cipher = cipher_cls(key)
-        pads = cipher.pads(nonces, lengths) if cipher.pads \
-            else [None] * len(lengths)
-        sealed = [cipher.seal(*record)
-                  for record in zip(nonces, plaintexts, aads, pads)]
+        sealed = cipher.seal_many(nonces, plaintexts, aads)
         assert sealed == [cipher.seal(*record)
                           for record in zip(nonces, plaintexts, aads)]
         assert sealed == [reference_seal(cipher_cls, key, *record)
@@ -373,6 +388,80 @@ def test_seal_many_is_seal_record_by_record(
         assert twins[0].seal_many(plaintexts) == \
             [twins[1].seal(plaintext) for plaintext in plaintexts]
         assert twins[0].send_seq == twins[1].send_seq == len(lengths)
+
+
+# -- one MAC pass per batch of records ------------------------------------
+#
+# A message is named by its length and a fill -- zeros, all ones (the
+# largest limbs a lane holds) or pseudo-random bytes -- so that the slow
+# references run once per distinct message, not once per example.
+
+MAC_LENGTH = st.sampled_from(sorted({
+    0, 1, 15, 16, 17, RECORD - 1, RECORD, RECORD + 1, *MAC_CROSSINGS}))
+MAC_FILL = st.integers(0, 2)
+
+
+@cache
+def filled(length, fill):
+    if fill == 2:
+        return random.Random(length).randbytes(length)
+    return bytes([0xFF * fill]) * length
+
+
+@cache
+def poly1305_reference_of(key, length, fill):
+    return poly1305_reference(key, filled(length, fill))
+
+
+@cache
+def ghash_reference_of(h_key, aad, length, fill):
+    return Ghash(h_key).digest_reference(aad, filled(length, fill))
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@given(batch=st.lists(st.tuples(
+    st.sampled_from([bytes(32), b"\xFF" * 32, bytes(range(32))]),
+    MAC_LENGTH, MAC_FILL), min_size=1, max_size=20))
+@settings(max_examples=15, deadline=None)
+def test_poly1305_macs_is_poly1305_mac_message_by_message(tier, batch):
+    """A batch of mixed lengths in one pass, message by message and
+    straight from the specification: the same tags, in every tier."""
+    keys = [key for key, _, _ in batch]
+    messages = [filled(length, fill) for _, length, fill in batch]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_tier(monkeypatch, tier)
+        tags = poly1305_macs(keys, messages)
+        assert tags == list(map(poly1305_mac, keys, messages))
+    assert tags == [poly1305_reference_of(*message) for message in batch]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@given(h_key=st.sampled_from([bytes(range(16)), b"\xFF" * 16]),
+       batch=st.lists(st.tuples(
+           st.sampled_from([b"", b"\x17\x03\x03\x40\x11", bytes(range(17))]),
+           MAC_LENGTH, MAC_FILL), min_size=1, max_size=20))
+@settings(max_examples=15, deadline=None)
+def test_ghash_digests_is_digest_reference_record_by_record(
+        tier, h_key, batch):
+    aads = [aad for aad, _, _ in batch]
+    ciphertexts = [filled(length, fill) for _, length, fill in batch]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_tier(monkeypatch, tier)
+        assert Ghash(h_key).digests(aads, ciphertexts) == \
+            [ghash_reference_of(h_key, *record) for record in batch]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@given(count=st.integers(1, 20), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_a_wrong_size_key_anywhere_in_a_batch_raises(tier, count, data):
+    keys = [bytes(32)] * count
+    keys[data.draw(st.integers(0, count - 1))] = bytes(
+        data.draw(st.sampled_from([0, 16, 31, 33])))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_tier(monkeypatch, tier)
+        with pytest.raises(ValueError):
+            poly1305_macs(keys, [bytes(RECORD)] * count)
 
 
 def _one_read(cipher_name):
@@ -438,22 +527,53 @@ def test_one_read_is_its_records_one_at_a_time(
     assert b"B" * 2000 in [buffer for buffer, *_ in streams.values()]
 
 
+def _counting(monkeypatch, module, name, counts):
+    """Wrap ``module.name`` (a kernel taking a list first) to append
+    the length of that list to ``counts`` on every call."""
+    kernel = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda first, *rest: (
+        counts.append(len(first)), kernel(first, *rest))[1])
+
+
 @needs_numpy
 @pytest.mark.parametrize("cipher_cls", [Chacha20Poly1305, Aes128Gcm])
 def test_guessed_pads_serve_the_run_and_only_the_run(
         monkeypatch, cipher_cls):
     """The helped property, counted: of the records of the busy read,
-    those that continue a data stream are opened with a pad made ahead;
-    a record after a wrong guess, and every control record, is not."""
+    those that continue a data stream are opened with a pad and a tag
+    made ahead; a record after a wrong guess, and every control record,
+    is not.  A ChaCha20-Poly1305 guessed run's tags are one Poly1305
+    lane pass.  The tampered record sits inside a guessed run: its
+    precomputed tag does not match, it is rejected, and its neighbours
+    are accepted with theirs."""
     force_tier(monkeypatch, "lanes")
     records, receive = _one_read(cipher_cls.name)
-    opened = []
+    opened, tried, macs, runs = [], [], [], []
+    _counting(monkeypatch, poly1305, "_macs_lanes", macs)
 
     def watch(server):
         cipher = server._recv_key
-        crypt = cipher.crypt
+        crypt, finish_tags = cipher.crypt, cipher.finish_tags
+        process = server._process_record
         cipher.crypt = lambda nonce, data, pad=None: (
             opened.append(pad is not None), crypt(nonce, data, pad))[1]
+
+        def counted_finish_tags(*run):
+            """The Poly1305 lane passes one guessed run's tags took."""
+            before = len(macs)
+            tags = finish_tags(*run)
+            runs.append(len(macs) - before)
+            return tags
+
+        def watched_process(conn, record, trial=None):
+            """(did the record ride a guess, was it accepted)"""
+            accepted = process(conn, record, trial)
+            tried.append((trial is not None and trial.ahead is not None,
+                          accepted is not None))
+            return accepted
+
+        cipher.finish_tags = counted_finish_tags
+        server._process_record = watched_process
 
     _, events, _ = receive([b"".join(records)], watch)
     accepted = [data for name, data in events if name == "record_opened"]
@@ -464,6 +584,11 @@ def test_guessed_pads_serve_the_run_and_only_the_run(
                    if not is_data)
     # most of the data records rode a guess, and some guesses were wrong
     assert sum(on_data_stream) > sum(opened) > sum(on_data_stream) / 2
+    assert tried[3] == (True, False)
+    assert tried[2] == tried[4] == (True, True)
+    # one Poly1305 lane pass per guessed run (GHASH has no nonce part)
+    assert runs and set(runs) == {1 if cipher_cls is Chacha20Poly1305
+                                  else 0}
     # a cipher with nothing to make ahead is never asked to
     opened.clear()
     monkeypatch.setattr(lanes, "_np", None)
@@ -472,25 +597,52 @@ def test_guessed_pads_serve_the_run_and_only_the_run(
 
 
 @needs_numpy
+@pytest.mark.parametrize("pass_records", [16, 4])
+def test_one_ghash_pass_per_lane_pass_of_a_read(monkeypatch, pass_records):
+    """AES-GCM: a read's records are hashed before their trials, one
+    GHASH lane pass per lane pass of records; no record is hashed on
+    its own, and a wrong guess costs no GHASH."""
+    force_tier(monkeypatch, "lanes")
+    monkeypatch.setattr(lanes, "PASS_RECORDS", pass_records)
+    records, receive = _one_read("aes128gcm")
+    passes, single, receiver = [], [], []
+    kernel = Ghash._digests_lanes
+    monkeypatch.setattr(Ghash, "_digests_lanes", lambda ghash, run: (
+        ghash in receiver and passes.append(len(run)), kernel(ghash, run))[1])
+
+    def watch(server):
+        cipher = server._recv_key
+        receiver.append(cipher._ghash)
+        mac_state = cipher.mac_state
+        cipher.mac_state = lambda *args: (single.append(args),
+                                          mac_state(*args))[1]
+
+    receive([b"".join(records)], watch)
+    assert passes == [len(run) for run in lanes.passes(records)]
+    assert not single
+
+
+@needs_numpy
 def test_eight_16k_records_seal_in_one_lane_pass(monkeypatch):
     """ChaCha20-Poly1305: the eight keystreams *and* the eight Poly1305
-    keys (block 0 of each nonce) come out of one pass; no scalar block
-    is computed beside it."""
-    passes, scalar = [], []
-    lane_kernel, swar_kernel = chacha20._keystream_lanes, \
-        chacha20._keystream_swar
+    keys (block 0 of each nonce) come out of one pass, and the eight
+    tags out of one Poly1305 lane pass; no scalar block or MAC is
+    computed beside them."""
+    passes, macs, scalar = [], [], []
+    lane_kernel = chacha20._keystream_lanes
     monkeypatch.setattr(chacha20, "_keystream_lanes", lambda key, requests: (
         passes.append(len(requests)), lane_kernel(key, requests))[1])
-    monkeypatch.setattr(chacha20, "_keystream_swar", lambda *args: (
-        scalar.append(args), swar_kernel(*args))[1])
+    _counting(monkeypatch, chacha20, "_keystream_swar", scalar)
+    _counting(monkeypatch, poly1305, "_mac_scalar", scalar)
+    _counting(monkeypatch, poly1305, "_macs_lanes", macs)
     monkeypatch.setattr(chacha20, "chacha20_block", scalar.append)
     context = StreamCryptoContext(
         Chacha20Poly1305(bytes(range(32))), bytes(range(12)), 3)
     wires = context.seal_many([bytes([i]) * RECORD for i in range(8)])
-    assert passes == [8] and not scalar
+    assert passes == macs == [8] and not scalar
     # and more records than a pass holds are cut, not grown
     context.seal_many([b"x" * RECORD] * (2 * lanes.PASS_RECORDS + 1))
-    assert passes == [8, lanes.PASS_RECORDS, lanes.PASS_RECORDS, 1]
+    assert passes == macs == [8, lanes.PASS_RECORDS, lanes.PASS_RECORDS, 1]
     assert len(wires) == 8 and not scalar
 
 
@@ -505,8 +657,9 @@ def _functions_mentioning(module, name):
 
 def test_one_lane_kernel_per_module():
     """The multi-request kernels replaced the single-request ones: each
-    module has one function that runs the rounds and one that calls it,
-    and the record layer has one body for ``seal`` and ``seal_many``."""
+    module has one lane kernel and one dispatcher that calls it, the
+    single MAC is its batch of one, and a run and a single record share
+    one authentication body (at the cipher and at the record layer)."""
     assert _functions_mentioning(chacha20, "_quarter_round_lanes") == \
         ["_keystream_lanes"]
     assert _functions_mentioning(chacha20, "_keystream_lanes") == \
@@ -519,13 +672,32 @@ def test_one_lane_kernel_per_module():
         ["ctr_keystreams"]
     assert _functions_mentioning(aes, "_encrypt_words") == \
         ["ctr_keystreams", "encrypt_block"]
-    # every cipher's seal is the base class's, and a run is sealed by
-    # the body that seals one record
-    assert _functions_mentioning(aead, "mac_state") == ["seal"]
-    assert _functions_mentioning(crypto_context, "seal") == \
-        ["seal", "seal_many"]       # cipher.seal, then self.seal
+    assert _functions_mentioning(poly1305, "_macs_lanes") == \
+        ["poly1305_macs"]
+    assert _functions_mentioning(poly1305, "_mac_scalar") == \
+        ["poly1305_macs"]
+    assert _functions_mentioning(poly1305, "poly1305_macs") == \
+        ["poly1305_mac"]
+    assert _functions_mentioning(gcm, "_digests_lanes") == ["digests"]
+    assert _functions_mentioning(gcm, "_digest_scalar") == ["digests"]
+    assert _functions_mentioning(gcm, "_power_tables") == \
+        ["_digests_lanes"]
+    assert _functions_mentioning(gcm, "digests") == \
+        ["digest", "mac_states"]
+    for gone in ("_lane_chains", "_lane_table"):
+        assert not hasattr(Ghash, gone)
+    # one authentication body: a record sealed on its own is a run of
+    # one, and only the run folds and finishes tags -- except that the
+    # null-tag cipher, with nothing to batch, seals record by record
+    assert _functions_mentioning(aead, "seal_many") == ["seal"]
+    assert _functions_mentioning(aead, "mac_states") == ["seal_many"]
+    assert _functions_mentioning(aead, "finish_tags") == ["seal_many"]
+    assert _functions_mentioning(aead, "mac_state") == \
+        ["mac_states", "seal"]      # the run's default, null-tag's seal
+    assert _functions_mentioning(crypto_context, "seal_many") == \
+        ["seal", "seal_many"]       # self.seal_many, cipher.seal_many
     assert _functions_mentioning(crypto_context, "encode_record_header") \
-        == ["seal"]
+        == ["seal_many"]
 
 
 def test_aead_suite_passes_without_numpy():
