@@ -18,7 +18,7 @@ Encrypt-then-MAC AEADs) against candidate contexts.
 import struct
 from operator import add
 
-from repro.crypto.tagtrial import TagTrial, ahead_of, prepare_many
+from repro.crypto.tagtrial import TagTrial
 from repro.tls.record import (
     RECORD_HEADER_SIZE,
     encode_record_header,
@@ -60,7 +60,7 @@ def prepare_records(cipher, records):
     """:func:`prepare_record` for a run of records, every tag's
     nonce-independent part in one MAC pass."""
     views = [memoryview(record) for record in records]
-    return prepare_many(cipher,
+    return TagTrial.run(cipher,
                         [view[RECORD_HEADER_SIZE:] for view in views],
                         [bytes(view[:RECORD_HEADER_SIZE]) for view in views])
 
@@ -118,13 +118,12 @@ class StreamCryptoContext:
             inner_plaintexts, headers)))
 
     def expect(self, first_seq, trials):
-        """The :attr:`~repro.crypto.tagtrial.TagTrial.ahead` of each of
-        ``trials`` were the records at consecutive sequences from
-        ``first_seq``: pads in one lane pass, tags in one MAC pass.  The
-        receiver guesses that the records of a read continue one stream
-        and hands each its entry."""
-        return ahead_of(self.cipher, trials, [self._nonce(first_seq + i)
-                                              for i in range(len(trials))])
+        """Make ``trials`` ready to be the records at consecutive
+        sequences from ``first_seq`` (:meth:`TagTrial.expect
+        <repro.crypto.tagtrial.TagTrial.expect>`): the receiver guesses
+        that the records of a read continue one stream."""
+        TagTrial.expect(trials, [self._nonce(first_seq + i)
+                                 for i in range(len(trials))])
 
     def open_at(self, record, record_seq):
         """Decrypt a full wire record at an explicit sequence.

@@ -651,12 +651,12 @@ class TcplsEngine(EventSource):
         once a record has been accepted on a data stream, the records
         after it are taken to continue that stream at the next
         sequences, and their pads and tags (all of Poly1305) are made in
-        one pass each.  A guess rides in its record's trial and serves
+        one pass each.  A guess stays in its record's trial and serves
         only the candidate whose nonce is the guessed one; the record is
         tried, authenticated and dispatched exactly as without it.  A
-        record accepted anywhere else drops the guesses left (at most
-        one pass of lane work); a rejected one says nothing about its
-        neighbours.
+        record accepted anywhere else ends the guessed run (at most one
+        pass of lane work) and starts over from where it was accepted; a
+        rejected one says nothing about its neighbours.
 
         A malformed record -- its row's decoder raised
         :class:`TcplsProtocolError` -- fails the connection, and the
@@ -670,11 +670,11 @@ class TcplsEngine(EventSource):
                     self._process_record(conn, record_bytes)
                 return
             trials = prepare_records(cipher, records)
-            # record index -> ((stream, seq), ahead)
+            # record index -> the (stream, seq) its trial expects
             guesses = {}
             for index, (record_bytes, trial) in enumerate(zip(records,
                                                               trials)):
-                guessed, trial.ahead = guesses.pop(index, (None, None))
+                guessed = guesses.pop(index, None)
                 accepted = self._process_record(conn, record_bytes, trial)
                 if accepted is None:
                     continue
@@ -685,10 +685,9 @@ class TcplsEngine(EventSource):
                 if not rest or index + 1 in guesses \
                         or self._is_control(stream):
                     continue
-                aheads = stream.ctx_recv.expect(seq + 1, rest)
-                for offset, ahead in enumerate(aheads, 1):
-                    guesses[index + offset] = ((stream, seq + offset),
-                                               ahead)
+                stream.ctx_recv.expect(seq + 1, rest)
+                for offset in range(1, len(rest) + 1):
+                    guesses[index + offset] = (stream, seq + offset)
         except TcplsProtocolError:
             self.failover.fail(conn, "protocol")
 

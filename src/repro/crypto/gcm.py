@@ -1,23 +1,24 @@
 """Galois/Counter Mode (NIST SP 800-38D) over AES-128.
 
 GHASH is asked for a batch at a time (:meth:`Ghash.digests`): one
-``(aad, ciphertext)`` pair per record, and the blocks of the whole batch
-choose between two tiers (:data:`_LANE_MIN_BLOCKS`), as the keystreams
-do.  Both are table-driven:
+``(aad, ciphertext)`` pair per record, and each record's blocks choose
+between two tiers (:data:`_LANE_MIN_BLOCKS`,
+:func:`~repro.crypto.lanes.tiered`).  Both are table-driven:
 
 - :meth:`Ghash._fold` folds one 16-byte block at a time with
   :meth:`Ghash._mul_h`, 16 list lookups into per-byte-position tables of
-  GF(2^128) products of H (short batches, installs without numpy);
-- :meth:`Ghash._digests_lanes` cuts every record into :data:`_LANES`
-  interleaved Horner chains over the byte tables of H^64, one numpy
-  gather and XOR-reduce per row of all the batch's chains, and joins
-  each record's chains with a tree fold over the tables of H^32 ... H.
+  GF(2^128) products of H (short records, installs without numpy);
+- :meth:`Ghash._digests_lanes` cuts every long record of the batch into
+  :data:`_LANES` interleaved Horner chains over the byte tables of H^64,
+  one numpy gather and XOR-reduce per row of all the batch's chains,
+  and joins each record's chains with a tree fold over the tables of
+  H^32 ... H.
 
 No table is built up front: half the ``Ghash`` objects of a connection
 belong to keys that never hash a byte, and the handshake-traffic keys
 hash too few blocks to repay one, so a key multiplies per bit until it
 has done :data:`_TABLE_MIN_MULTS` multiplications, and builds its numpy
-power tables when the first lane-sized batch arrives.  The per-bit loop
+power tables when the first lane-sized record arrives.  The per-bit loop
 (:func:`_gf_mult`) and :meth:`Ghash.digest_reference` are retained as
 the cross-validation oracle (tests/crypto/test_fastpath_equivalence.py).
 
@@ -30,7 +31,7 @@ import struct
 from functools import cache, cached_property
 
 from repro.crypto.aes import Aes128
-from repro.crypto.lanes import numpy as _numpy, passes, xor
+from repro.crypto.lanes import numpy as _numpy, tiered, xor
 
 _R = 0xE1000000000000000000000000000000
 
@@ -107,13 +108,22 @@ _TABLE_MIN_MULTS = 30
 # Measured on a 2-core x86-64 VM, us, min of interleaved runs.  A 16 KiB
 # record (1,026 blocks), per record by records per pass: 1: 184, 2: 119,
 # 4: 98, 8: 77, 16: 64, against 1,530 block by block and 229 for one
-# record on 64 chains joined by 64 ``_mul_h``.  Short batches, per
-# batch, scalar / lanes: 1 x 32 blocks 51 / 53, 1 x 48 74 / 53, 1 x 64
-# 99 / 53, 8 x 48 630 / 113.  A key's lane tables cost ~600 us once, as
-# the byte tables of ``_mul_h`` do (580).
+# record on 64 chains joined by 64 ``_mul_h``.  One record of n blocks,
+# scalar / lanes on its own / added to a pass of fifteen 16 KiB records:
+# 32: 44 / 44 / 52, 40: 56 / 45 / 38, 48: 68 / 46 / 67, 64: 87 / 45 /
+# 45, 96: 130 / 52 / 19; 16 x 64 blocks 1,200 record by record, 130 in
+# one pass.  A key's lane tables cost ~600 us once, as the byte tables
+# of ``_mul_h`` do (580).
 _LANE_MIN_BLOCKS = 48
 
 _LANES = 64
+
+
+def _blocks(record):
+    """The GHASH blocks of an ``(aad, ciphertext)``: both zero-padded,
+    and the lengths block."""
+    aad, ciphertext = record
+    return -(-len(aad) // 16) + -(-len(ciphertext) // 16) + 1
 
 
 @cache
@@ -219,8 +229,7 @@ class Ghash:
         """The digest of every ``(aad, ciphertext)`` of one pass."""
         _np = _numpy()
         count = len(records)
-        sizes = [-(-len(aad) // 16) + -(-len(ciphertext) // 16) + 1
-                 for aad, ciphertext in records]
+        sizes = list(map(_blocks, records))
         rows = -(-max(sizes) // _LANES)
         total = rows * _LANES
         padded = _np.zeros((count, 16 * total), dtype=_np.uint8)
@@ -253,18 +262,14 @@ class Ghash:
     def digests(self, aads, ciphertexts):
         """One digest per ``(aad, ciphertext)``.
 
-        The batch is the unit: when its blocks together reach the lane
-        tier and numpy is importable, every record rides one lane pass
-        (at most :data:`~repro.crypto.lanes.PASS_RECORDS` per pass);
-        otherwise each is folded block by block.
+        Every record of :data:`_LANE_MIN_BLOCKS` blocks or more rides a
+        lane pass with the batch's others (at most
+        :data:`~repro.crypto.lanes.PASS_RECORDS` per pass) when numpy is
+        importable; each shorter one is folded block by block.
         """
-        if (sum(-(-len(aad) // 16) + -(-len(ciphertext) // 16) + 1
-                for aad, ciphertext in zip(aads, ciphertexts))
-                >= _LANE_MIN_BLOCKS and _numpy() is not None):
-            return [digest
-                    for run in passes(list(zip(aads, ciphertexts)))
-                    for digest in self._digests_lanes(run)]
-        return list(map(self._digest_scalar, aads, ciphertexts))
+        return tiered(list(zip(aads, ciphertexts)), _blocks,
+                      _LANE_MIN_BLOCKS, self._digests_lanes,
+                      self._digest_scalar)
 
     def digest(self, aad, ciphertext):
         """The digest of one record: a batch of one."""

@@ -12,7 +12,9 @@ A lane kernel takes a *list* of requests -- one ``(counter, nonce,
 blocks)`` run, or one message to authenticate, per record -- and lays
 them side by side in its arrays, so the array operations of a pass are
 paid once per batch of records, not once per record
-(:data:`PASS_RECORDS`).
+(:data:`PASS_RECORDS`).  A keystream batch takes the lanes on its
+blocks together; a MAC batch sends each record to the tier its own
+length calls for (:func:`tiered`).
 """
 
 #: ``False`` until first asked; then the module, or ``None`` on an
@@ -49,6 +51,27 @@ def passes(requests):
     """``requests`` cut into the runs that each share one lane pass."""
     return [requests[i:i + PASS_RECORDS]
             for i in range(0, len(requests), PASS_RECORDS)]
+
+
+def tiered(requests, blocks, minimum, lane_kernel, scalar):
+    """One answer per request, the tier chosen request by request: one
+    of at least ``minimum`` blocks (``blocks(request)``) rides a lane
+    pass of ``lane_kernel`` when numpy is importable, the rest take
+    ``scalar(*request)``.
+
+    A MAC kernel pads every record of a pass to the pass's longest, so
+    a short record beside a long one would pay the long one's rows; the
+    crossover is where a record on its own is cheaper in lanes, and one
+    at it still is when padded to a whole 16 KiB record.
+    """
+    answers = {}
+    if numpy() is not None:
+        long = [i for i, request in enumerate(requests)
+                if blocks(request) >= minimum]
+        for run in passes(long):
+            answers.update(zip(run, lane_kernel([requests[i] for i in run])))
+    return [answers[i] if i in answers else scalar(*request)
+            for i, request in enumerate(requests)]
 
 
 def xor(data, stream):

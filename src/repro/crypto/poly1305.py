@@ -1,18 +1,18 @@
 """Poly1305 one-time authenticator (RFC 8439 section 2.5).
 
 A MAC is asked for a batch at a time (:func:`poly1305_macs`): one
-``(key, message)`` pair per record, and the blocks of the whole batch
-choose between two tiers (:data:`_LANE_MIN_BLOCKS`), as ChaCha20's
-keystreams do:
+``(key, message)`` pair per record, and each message's blocks choose
+between two tiers (:data:`_LANE_MIN_BLOCKS`,
+:func:`~repro.crypto.lanes.tiered`):
 
 - :func:`_mac_scalar`, big-int arithmetic one message at a time: one
   block per ``% p`` for short messages, four blocks per ``% p`` (Horner
   over ``r^4``, the three inner blocks weighted by ``r^3, r^2, r``) for
-  long ones (:data:`_FOUR_MIN_BLOCKS`).  It serves short batches and
+  long ones (:data:`_FOUR_MIN_BLOCKS`).  It serves short messages and
   installs without numpy;
-- :func:`_macs_lanes`, numpy arrays with every record's message cut into
-  :data:`_LANES` lanes (numpy itself is imported when first needed, see
-  :mod:`repro.crypto.lanes`).
+- :func:`_macs_lanes`, numpy arrays with every long message of the
+  batch cut into :data:`_LANES` lanes (numpy itself is imported when
+  first needed, see :mod:`repro.crypto.lanes`).
 
 :func:`poly1305_mac` is the batch of one.
 """
@@ -20,7 +20,7 @@ keystreams do:
 import struct
 from functools import cache
 
-from repro.crypto.lanes import numpy as _numpy, passes
+from repro.crypto.lanes import numpy as _numpy, tiered
 
 P1305 = (1 << 130) - 5
 
@@ -101,24 +101,32 @@ def _mac_scalar(key, message):
 # steps.  A record costs R + 16 scalar multiplications for its powers;
 # the array work is one pass for the whole batch.
 #
-# Bounds: block limbs are under 2^26 and matrix entries under 5 * 2^26,
-# so the product of R rows sums 5R terms under 5 * 2^52 each, below 2^64
-# while R < 655 (a longer message takes more lanes, _ROWS_MAX); two
-# carry passes take any uint64 back to limbs under 2^26 + 2^17.
+# Bounds: block limbs are under 2^26 (the top one under 2^25) and a
+# power's limbs under 2^26, so output limb 0 of one row, the largest,
+# is c0 v0 + 5 (c1 v4 + c2 v3 + c3 v2 + c4 v1) < (1 + 15 + 2.5) 2^52.
+# R rows sum to under 18.5 R 2^52, below 2^64 while R <= 221: numpy
+# wraps a uint64 silently, so a message longer than _ROWS_MAX rows of
+# _LANES blocks takes more lanes instead.  A fold step sums at most
+# _FOLD rows of carried limbs, far below.  Two carry passes take any
+# uint64 back to limbs under 2^26 + 2^15 -- not under 2^26, so a value
+# is joined from its limbs by adding them (_join), never by OR.
 
 # Measured on a 2-core x86-64 VM, us, min of interleaved runs.  A 16 KiB
 # record's MAC input (1,026 blocks), per record by records per pass,
 # four-block tier / lanes: 1: 240 / 140, 2: 239 / 98, 4: 240 / 78,
 # 8: 248 / 68, 16: 239 / 92.  A pass costs ~100 us and each record in
-# it ~15 (its powers), so short batches keep the big-int tier; per
-# batch, scalar / lanes: 1 x 512 blocks 129 / 130, 1 x 768 191 / 140,
-# 8 x 64 158 / 260, 8 x 96 206 / 261, 16 x 96 442 / 450.  The crossover
-# sits where a lone 16 KiB record takes the lanes.
-_LANE_MIN_BLOCKS = 1024
+# it ~15 (its powers), so short records keep the big-int tier.  One
+# record of n blocks, scalar / lanes on its own / added to a pass of
+# seven 16 KiB records: 256: 57 / 99 / 55, 384: 84 / 100 / 38, 512:
+# 108 / 107 / 41, 768: 176 / 123 / 62.  The crossover sits where a lone
+# record breaks even; padded to 16 KiB it is still cheaper in lanes.
+# Batch against record-by-record, us: one 16 KiB record and 15 of 40
+# bytes 155 / 238, 16 x 64 blocks (all scalar) 243 / 233.
+_LANE_MIN_BLOCKS = 512
 
 _LANES = 64
 _FOLD = 8
-_ROWS_MAX = 256
+_ROWS_MAX = 128
 _MASK26 = (1 << 26) - 1
 
 
@@ -149,7 +157,7 @@ def _limbs(words, top):
 
 
 def _carry(h):
-    """Limbs (last axis) back under 2^26 + 2^17, in place."""
+    """Limbs (last axis) back under 2^26 + 2^15, in place."""
     for _ in range(2):
         c = h >> 26
         h &= _MASK26
@@ -159,9 +167,17 @@ def _carry(h):
     return h
 
 
-def _macs_lanes(keys, messages):
+def _join(limbs):
+    """The integer of five carried limbs: a limb may reach past bit 26,
+    into the next one's, so they add."""
+    l0, l1, l2, l3, l4 = limbs
+    return l0 + (l1 << 26) + (l2 << 52) + (l3 << 78) + (l4 << 104)
+
+
+def _macs_lanes(pairs):
     """The tag of every ``(key, message)`` of one pass."""
     _np = _numpy()
+    keys, messages = zip(*pairs)
     count = len(messages)
     sizes = [len(message) for message in messages]
     blocks = [-(-size // 16) for size in sizes]
@@ -216,9 +232,8 @@ def _macs_lanes(keys, messages):
                    @ matrices[:, at:at + group].reshape(count, 5 * group, 5))
         at += group
     tags = []
-    for (l0, l1, l2, l3, l4), r, s in zip(h[:, 0].tolist(), rs, ss):
-        accumulator = (l0 | l1 << 26 | l2 << 52 | l3 << 78 | l4 << 104) \
-            * r % P1305
+    for limbs, r, s in zip(h[:, 0].tolist(), rs, ss):
+        accumulator = _join(limbs) * r % P1305
         tags.append(((accumulator + s) & ((1 << 128) - 1))
                     .to_bytes(16, "little"))
     return tags
@@ -228,20 +243,17 @@ def poly1305_macs(keys, messages):
     """One 16-byte tag per ``(key, message)``, each key a 32-byte
     one-time key.
 
-    The batch is the unit: when its blocks together reach the lane tier
-    and numpy is importable, every message rides one lane pass (at most
-    :data:`~repro.crypto.lanes.PASS_RECORDS` per pass); otherwise each
-    takes the big-int tier on its own.
+    Every message of :data:`_LANE_MIN_BLOCKS` blocks or more rides a
+    lane pass with the batch's others (at most
+    :data:`~repro.crypto.lanes.PASS_RECORDS` per pass) when numpy is
+    importable; each shorter one takes the big-int tier on its own.
     """
     for key in keys:
         if len(key) != 32:
             raise ValueError("Poly1305 key must be 32 bytes")
-    if (sum(-(-len(message) // 16) for message in messages)
-            >= _LANE_MIN_BLOCKS and _numpy() is not None):
-        pairs = list(zip(keys, messages))
-        return [tag for run in passes(pairs)
-                for tag in _macs_lanes(*zip(*run))]
-    return list(map(_mac_scalar, keys, messages))
+    return tiered(list(zip(keys, messages)),
+                  lambda pair: -(-len(pair[1]) // 16), _LANE_MIN_BLOCKS,
+                  _macs_lanes, _mac_scalar)
 
 
 def poly1305_mac(key, message):

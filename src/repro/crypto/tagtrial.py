@@ -28,12 +28,11 @@ The last two single-record primitives work their pad out from the
 nonce unless handed one.  A sender knows the nonces of a run before it
 seals, so it makes all the pads, then all the tags, at once
 (``Aead.seal_many``).  A receiver prepares the trials of a read's
-records in one ``mac_states`` pass (:func:`prepare_many`) and can only
+records in one ``mac_states`` pass (:meth:`TagTrial.run`) and can only
 guess the nonces (the stream a read's last record belonged to, at the
-next sequences): :func:`ahead_of` works out the guessed records' pads
-and tags in one pass each, and a guess rides in its record's trial as
-:attr:`TagTrial.ahead`, serving only the candidate whose nonce is that
-one.
+next sequences): :meth:`TagTrial.expect` makes the guessed records'
+pads and tags in one pass each and keeps each in its record's trial,
+where it serves only the candidate whose nonce is the guessed one.
 
 Sealing, opening and one-off verification are all built from these
 calls, so each cipher has exactly one authentication implementation.
@@ -45,14 +44,15 @@ from hmac import compare_digest
 class TagTrial:
     """One received ``ciphertext || tag``, prepared for tag trials."""
 
-    __slots__ = ("_cipher", "_ciphertext", "_tag", "_state", "ahead")
+    __slots__ = ("_cipher", "_ciphertext", "_tag", "_state", "_ahead")
 
-    def __init__(self, cipher, data, aad=b"", fold=True):
+    def __init__(self, cipher, data, aad=b"", state=None):
+        """``state`` is the record's ``mac_state`` where it was folded
+        with its run's (:meth:`run`)."""
         self._cipher = cipher
-        #: ``(nonce, pad, tag)`` worked out before the trials
-        #: (:func:`ahead_of`), or ``None``: serves only the candidate
-        #: with that nonce
-        self.ahead = None
+        #: ``(nonce, pad, tag)`` made before the trials (:meth:`expect`),
+        #: or ``None``: serves only the candidate with that nonce
+        self._ahead = None
         tag_size = cipher.tag_size
         if len(data) < tag_size:
             self._tag = None        # too short to carry a tag
@@ -60,15 +60,46 @@ class TagTrial:
         view = memoryview(data)
         self._ciphertext = view[:-tag_size]
         self._tag = view[-tag_size:]
-        if fold:
-            self._state = cipher.mac_state(self._ciphertext, aad)
+        self._state = cipher.mac_state(self._ciphertext, aad) \
+            if state is None else state
+
+    @classmethod
+    def run(cls, cipher, datas, aads):
+        """One trial per record of a run, the nonce-independent parts of
+        every tag folded in one ``mac_states`` pass."""
+        tag_size = cipher.tag_size
+        tagged = [i for i, data in enumerate(datas) if len(data) >= tag_size]
+        states = dict(zip(tagged, cipher.mac_states(
+            [memoryview(datas[i])[:-tag_size] for i in tagged],
+            [aads[i] for i in tagged])))
+        return [cls(cipher, data, aad, states.get(i))
+                for i, (data, aad) in enumerate(zip(datas, aads))]
+
+    @staticmethod
+    def expect(trials, nonces):
+        """Make each trial's pad and tag as if it were sealed under its
+        nonce: every pad in one lane pass, every tag from them in one
+        MAC pass.  A guess is the tag under that nonce whether or not
+        the guess was right, so it stays with its trial; a trial too
+        short to carry a tag gets none."""
+        tagged = [(trial, nonce) for trial, nonce in zip(trials, nonces)
+                  if trial._tag is not None]
+        if not tagged:
+            return
+        run, guessed = zip(*tagged)
+        cipher = run[0]._cipher
+        pads = cipher.pads(guessed, [len(trial._ciphertext) for trial in run])
+        tags = cipher.finish_tags([trial._state for trial in run], guessed,
+                                  pads)
+        for trial, ahead in zip(run, zip(guessed, pads, tags)):
+            trial._ahead = ahead
 
     def matches(self, nonce):
         """Constant-time: does the record authenticate under ``nonce``?"""
         tag = self._tag
         if tag is None:
             return False
-        ahead = self.ahead
+        ahead = self._ahead
         if ahead is not None and nonce == ahead[0]:
             return compare_digest(ahead[2], tag)
         return compare_digest(self._cipher.finish_tag(self._state, nonce),
@@ -77,37 +108,7 @@ class TagTrial:
     def plaintext(self, nonce):
         """Decrypt **without authenticating**: only for a ``nonce`` that
         :meth:`matches` has just accepted."""
-        ahead = self.ahead
+        ahead = self._ahead
         return self._cipher.crypt(
             nonce, self._ciphertext,
             ahead[1] if ahead is not None and nonce == ahead[0] else None)
-
-
-def prepare_many(cipher, datas, aads):
-    """One :class:`TagTrial` per record of a run, the nonce-independent
-    parts of every tag folded in one ``mac_states`` pass."""
-    trials = [TagTrial(cipher, data, fold=False) for data in datas]
-    tagged = [(trial, aad) for trial, aad in zip(trials, aads)
-              if trial._tag is not None]
-    states = cipher.mac_states([trial._ciphertext for trial, _ in tagged],
-                               [aad for _, aad in tagged])
-    for (trial, _), state in zip(tagged, states):
-        trial._state = state
-    return trials
-
-
-def ahead_of(cipher, trials, nonces):
-    """The :attr:`TagTrial.ahead` of each trial were it sealed under its
-    nonce: every pad in one lane pass, every tag from them in one MAC
-    pass.  A trial too short to carry a tag gets none."""
-    ahead = [None] * len(trials)
-    tagged = [i for i, trial in enumerate(trials) if trial._tag is not None]
-    if tagged:
-        guessed = [nonces[i] for i in tagged]
-        pads = cipher.pads(guessed, [len(trials[i]._ciphertext)
-                                     for i in tagged])
-        tags = cipher.finish_tags([trials[i]._state for i in tagged],
-                                  guessed, pads)
-        for i, nonce, pad, tag in zip(tagged, guessed, pads, tags):
-            ahead[i] = (nonce, pad, tag)
-    return ahead

@@ -4,11 +4,11 @@ retained reference implementation.
 Each bulk primitive has two tiers -- a big-int/scalar one for short
 batches and installs without numpy, and a numpy lane one for long
 batches -- and one crossover constant, ``_LANE_MIN_BLOCKS``, choosing
-between them on a batch's blocks (Poly1305's big-int tier has a second,
-``_FOUR_MIN_BLOCKS``, for four blocks per reduction).  All keep their
-original implementations as oracles; Hypothesis drives random
-keys/nonces/AAD/lengths through both tiers and across every crossover
-and demands equality.  A deterministic 65536-byte case covers the
+between them on a keystream batch's blocks and on each MAC record's
+(Poly1305's big-int tier has a second, ``_FOUR_MIN_BLOCKS``, for four
+blocks per reduction).  All keep their original implementations as
+oracles; Hypothesis drives random keys/nonces/AAD/lengths through both
+tiers and across every crossover and demands equality.  A deterministic 65536-byte case covers the
 large-batch paths explicitly.
 
 The last sections are the batch: a run of records shares one keystream
@@ -189,7 +189,7 @@ def test_poly1305_matches_reference(key, message):
 @settings(max_examples=60, deadline=None)
 def test_poly1305_across_the_crossover(key, message, buffer):
     """One block per reduction, then four: the big-int tier's own
-    crossover (the lane tier's is a batch's, below)."""
+    crossover (the lane tier's is each record's, below)."""
     assert poly1305_mac(key, buffer(message)) == \
         poly1305_reference(key, message)
 
@@ -319,7 +319,7 @@ def test_ghash_builds_its_tables_once_they_pay():
     """Half the keys of a connection never hash a byte and the
     handshake-traffic keys hash a few blocks: neither builds a table.
     The byte tables come with multiplication ``_TABLE_MIN_MULTS``, the
-    lane tables (H ... H^64) with the first lane-sized batch; the
+    lane tables (H ... H^64) with the first lane-sized record; the
     digests are the reference's all along."""
     ghash = Ghash(bytes(range(16)))
     block = bytes(range(16))          # two multiplications a digest
@@ -464,6 +464,78 @@ def test_a_wrong_size_key_anywhere_in_a_batch_raises(tier, count, data):
             poly1305_macs(keys, [bytes(RECORD)] * count)
 
 
+def test_carried_limbs_join_by_adding():
+    """A carried limb may reach 2^26, into the next limb's bit 0: the
+    value is the limbs' sum, which OR-ing them would lose."""
+    limbs = [(1 << 26) + 3, 1, (1 << 26) + (1 << 15) - 1, 5, 1 << 26]
+    assert poly1305._join(limbs) == sum(
+        limb << (26 * i) for i, limb in enumerate(limbs))
+
+
+# Found by search (about one two-block message in four million): the
+# last fold's carry leaves a limb at 2^26 with the next limb's bit 0
+# set, where an OR join of the limbs gives a wrong tag.
+CARRIED_INTO_NEXT_LIMB = [
+    ("456d6e8325ab05a1c2907537c1b54b890ee97a2aa9c3072e78d48118cb66c156",
+     "06b18bdee9c16faf460bf7a099d331844cb3795959bcec3736aa7869a365e5e6"),
+    ("c720a518fb9495a4a2501a2549e4cfc28756f78ffda0c42876c16ace2b658ddb",
+     "f1fb87d7f1cdd03d3a345c7fa9a11ba6c64a2c568c1d40f1acc22f6ef940a23a"),
+]
+
+
+@needs_numpy
+@pytest.mark.parametrize("key, message", CARRIED_INTO_NEXT_LIMB,
+                         ids=["first", "second"])
+def test_a_limb_carried_into_the_next_keeps_the_tag(
+        monkeypatch, key, message):
+    key, message = bytes.fromhex(key), bytes.fromhex(message)
+    force_tier(monkeypatch, "lanes")
+    assert poly1305_macs([key], [message]) == \
+        [poly1305_reference(key, message)]
+
+
+@needs_numpy
+def test_a_message_past_the_row_cap_takes_more_lanes(monkeypatch):
+    """Longer than ``_ROWS_MAX`` rows of ``_LANES`` blocks: the lanes
+    double instead of the rows growing past what a uint64 sum holds;
+    beside a short message that pads to it."""
+    long = random.Random(9).randbytes(
+        16 * poly1305._LANES * poly1305._ROWS_MAX + 17)
+    keys = [b"\xFF" * 32, bytes(range(32))]
+    force_tier(monkeypatch, "lanes")
+    assert poly1305_macs(keys, [long, b"short"]) == \
+        [poly1305_reference(keys[0], long),
+         poly1305_reference(keys[1], b"short")]
+
+
+@needs_numpy
+def test_each_record_takes_the_tier_of_its_own_length(monkeypatch):
+    """A MAC pass pads every record to its longest, so one 16 KiB record
+    among short ones rides the lanes alone and the short ones take the
+    scalar tier, as they would on their own."""
+    short = [b"\x17" * 40] * 15
+    lane, scalar = [], []
+    _counting(monkeypatch, poly1305, "_macs_lanes", lane)
+    _counting(monkeypatch, poly1305, "_mac_scalar", scalar)
+    keys = [bytes(range(32))] * 16
+    assert poly1305_macs(keys, [bytes(RECORD)] + short) == \
+        [poly1305_reference(key, message)
+         for key, message in zip(keys, [bytes(RECORD)] + short)]
+    assert lane == [1] and len(scalar) == 15
+
+    ghash = Ghash(bytes(range(16)))
+    runs, single = [], []
+    kernel, one = Ghash._digests_lanes, Ghash._digest_scalar
+    monkeypatch.setattr(Ghash, "_digests_lanes", lambda self, run: (
+        runs.append(len(run)), kernel(self, run))[1])
+    monkeypatch.setattr(Ghash, "_digest_scalar", lambda self, *record: (
+        single.append(record), one(self, *record))[1])
+    assert ghash.digests([b"hdr"] * 16, [bytes(RECORD)] + short) == \
+        [ghash.digest_reference(b"hdr", ciphertext)
+         for ciphertext in [bytes(RECORD)] + short]
+    assert runs == [1] and len(single) == 15
+
+
 def _one_read(cipher_name):
     """The wire records of one busy read, cut apart: stream A, a PING
     inside A's run (a control record where the receiver guessed data),
@@ -568,7 +640,7 @@ def test_guessed_pads_serve_the_run_and_only_the_run(
         def watched_process(conn, record, trial=None):
             """(did the record ride a guess, was it accepted)"""
             accepted = process(conn, record, trial)
-            tried.append((trial is not None and trial.ahead is not None,
+            tried.append((trial is not None and trial._ahead is not None,
                           accepted is not None))
             return accepted
 
