@@ -20,7 +20,6 @@ from repro.net.address import IPAddress
 from repro.net.host import Host
 from repro.net.link import duplex_link
 from repro.net.topology import MultipathTopology, PathInfo
-from repro.net.middlebox import Blackhole
 from repro.tcp import TcpStack
 
 RATE = 100_000_000
@@ -50,10 +49,7 @@ def shared_bottleneck(sim, delay):
     si = server.add_interface("s0", s_addr, tx_link=s2c)
     client.add_route(s_addr, ci)
     server.add_route(c_addr, si)
-    hole_a, hole_b = Blackhole(), Blackhole()
-    c2s.add_middlebox(hole_a)
-    s2c.add_middlebox(hole_b)
-    path = PathInfo(0, 4, c_addr, s_addr, c2s, s2c, hole_a, hole_b)
+    path = PathInfo(0, 4, c_addr, s_addr, c2s, s2c)
     return MultipathTopology(sim, client, server, [path])
 
 

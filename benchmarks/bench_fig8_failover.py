@@ -6,7 +6,7 @@ The figure is the goodput-over-time series; the numbers that matter are
 the recovery gaps.
 
 Outages are driven through the deterministic fault layer
-(:mod:`repro.net.scenario` via :class:`FaultyTopology`), so two runs
+(:mod:`repro.net.scenario` via :class:`MultipathTopology`), so two runs
 with the same seed replay the identical failure and produce identical
 metrics — ``tests/net/test_bench_scenarios.py`` asserts that.
 """

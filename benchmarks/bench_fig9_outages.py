@@ -6,7 +6,7 @@ The paper's result: MPTCP handles the first failure well but needs
 several seconds for the following ones; TCPLS finds the right path
 quickly every time and finishes the transfer sooner.
 
-The rotation is scripted with ``FaultyTopology.rotate_working`` — the
+The rotation is scripted with ``MultipathTopology.rotate_working`` — the
 deterministic fault layer — so identical seeds replay the identical
 outage pattern (asserted by ``tests/net/test_bench_scenarios.py``).
 """

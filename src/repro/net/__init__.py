@@ -2,7 +2,8 @@
 
 This package provides the emulated network that replaces the paper's
 Mininet testbed: an event loop, links with bandwidth/latency/drop-tail
-queues, multihomed hosts, routers, and programmable middleboxes.
+queues, multihomed hosts joined by disjoint paths, fault models (every
+outage is a :class:`LinkFlap`) and programmable middleboxes.
 
 The simulator is fully deterministic: events scheduled at equal times
 fire in scheduling order, and all randomness flows through a seeded
@@ -13,10 +14,8 @@ from repro.net.address import Endpoint, IPAddress
 from repro.net.link import Link, duplex_link
 from repro.net.host import Host, Interface
 from repro.net.packet import Packet
-from repro.net.router import Router
 from repro.net.simulator import Simulator
 from repro.net.middlebox import (
-    Blackhole,
     Middlebox,
     NAT,
     OptionStrippingFirewall,
@@ -26,7 +25,6 @@ from repro.net.middlebox import (
 )
 from repro.net.faults import (
     BitCorruption,
-    BlackholeFault,
     Fault,
     GilbertElliott,
     LatencySpike,
@@ -40,7 +38,6 @@ from repro.net.fluid import (
 )
 from repro.net.topology import (
     DumbbellTopology,
-    FaultyTopology,
     MultipathTopology,
     build_dumbbell,
     build_faulty_multipath,
@@ -49,12 +46,9 @@ from repro.net.topology import (
 
 __all__ = [
     "BitCorruption",
-    "Blackhole",
-    "BlackholeFault",
     "DumbbellTopology",
     "Endpoint",
     "Fault",
-    "FaultyTopology",
     "FluidCohort",
     "FluidEngine",
     "GilbertElliott",
@@ -70,7 +64,6 @@ __all__ = [
     "OptionStrippingFirewall",
     "Packet",
     "Resegmenter",
-    "Router",
     "RstInjector",
     "Scenario",
     "Simulator",

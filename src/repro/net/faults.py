@@ -1,23 +1,19 @@
 """Deterministic fault injection for links.
 
-Faults are the third interposition layer of the simulator, next to the
-administrative ``Link.up`` flag and the middlebox chain:
-
-* the **fault layer** (this module) models the *network* misbehaving —
-  link flaps, bursty (Gilbert–Elliott) loss, one-way blackholes, bit
-  corruption, latency spikes;
-* **middleboxes** (:mod:`repro.net.middlebox`) model *equipment* that
-  parses and rewrites packets (NATs, firewalls, resegmenters).
+Faults model the *network* misbehaving — link flaps (every outage,
+one-way or both ways, is a :class:`LinkFlap`), bursty (Gilbert–Elliott)
+loss, bit corruption, latency spikes — while middleboxes
+(:mod:`repro.net.middlebox`) model *equipment* that parses and
+rewrites packets (NATs, firewalls, resegmenters, RST injectors).
 
 Faults attach to a :class:`~repro.net.link.Link` via
 :meth:`~repro.net.link.Link.add_fault` and are consulted twice: at
 ``send()`` (before the drop-tail queue, so a faulted packet never
 occupies queue space) and again at delivery (so an outage also kills
-packets that were already in flight, exactly like the ``Blackhole``
-middlebox).  Every fault decision is drawn either from scheduled time
-windows or from a dedicated ``random.Random`` seeded from the
-simulator RNG at attach time, so identical seeds produce bit-for-bit
-identical drop sequences.
+packets that were already in flight).  Every fault decision is drawn
+either from scheduled time windows or from a dedicated
+``random.Random`` seeded from the simulator RNG at attach time, so
+identical seeds produce bit-for-bit identical drop sequences.
 
 The verdict protocol of :meth:`Fault.filter` /
 :meth:`Fault.at_delivery`:
@@ -110,9 +106,8 @@ class LinkFlap(Fault):
     unidirectional, a flap on a single link *is* a one-way blackhole;
     flap both links of a path for a symmetric outage.
 
-    In-flight packets are also dropped at delivery time while down,
-    matching the behaviour of the ``Blackhole`` middlebox the outage
-    benchmarks historically used.
+    In-flight packets are also dropped at delivery time while down, so
+    a packet admitted just before the outage dies with the rest.
     """
 
     kind = "flap"
@@ -147,15 +142,6 @@ class LinkFlap(Fault):
         if self.link is not None:
             self.link._fluid_touch()
 
-    def reopen(self, now):
-        """Bring the link back up *now*: clears the forced flag and
-        closes any window that is currently open."""
-        self.forced_down = False
-        self.windows = [
-            (s, now if (e is None or e > now) and s <= now else e)
-            for s, e in self.windows
-        ]
-
     def down_at(self, now):
         if self.forced_down:
             return True
@@ -176,20 +162,6 @@ class LinkFlap(Fault):
             self.dropped += 1
             return DROP
         return None
-
-
-class BlackholeFault(LinkFlap):
-    """A one-way blackhole: silence starting at ``start`` (until ``end``).
-
-    Sugar over :class:`LinkFlap` with a single window and its own
-    drop-reason key, so outage counters stay distinguishable from
-    scripted flapping.
-    """
-
-    kind = "blackhole"
-
-    def __init__(self, start, end=None, name=""):
-        super().__init__(windows=[(start, end)], name=name)
 
 
 class GilbertElliott(Fault):

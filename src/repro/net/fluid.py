@@ -9,7 +9,7 @@ it crosses — and simulated time leaps directly to the next **discrete**
 event:
 
 * a scheduled fault boundary (flap window opening/closing, a path
-  forced down, a link hot-plugged),
+  forced down),
 * a cohort joining or leaving a link,
 * a slow-start exit (one event per RTT while a flow still doubles),
 * a bulk-transfer completion.
@@ -37,6 +37,8 @@ hypothesis suite can hammer it with random populations and assert
 per-link conservation and bottleneck saturation.
 """
 
+from repro.net.faults import LinkFlap
+
 EPS = 1e-9
 
 #: phases of a cohort's modelled congestion state
@@ -48,16 +50,12 @@ STALLED = "stalled"
 def link_capacity_bps(link, now):
     """Fluid-visible capacity of a link at ``now`` in bits/s.
 
-    Zero while the link is administratively down or any attached
-    flap-style fault is inside an outage window (or forced down).
-    Middleboxes are not consulted: no cohort crosses a blackhole.
+    Zero while any :class:`LinkFlap` on the link is inside an outage
+    window (or forced down); every outage a packet run sees is one.
     ``rate_bps=None`` means uncapped (``inf``).
     """
-    if not link.up:
-        return 0.0
     for fault in link.faults:
-        down_at = getattr(fault, "down_at", None)
-        if down_at is not None and down_at(now):
+        if isinstance(fault, LinkFlap) and fault.down_at(now):
             return 0.0
     if link.rate_bps is None:
         return float("inf")
@@ -67,17 +65,16 @@ def link_capacity_bps(link, now):
 def link_next_change(link, now):
     """Earliest scheduled capacity boundary strictly after ``now``.
 
-    Scans flap-style fault windows (the only *passively* scheduled
-    outages: forced flaps and ``set_up`` run as simulator events and
-    notify the engine directly via :meth:`FluidEngine.touch`).  Returns
-    ``None`` when nothing is scheduled.
+    Scans :class:`LinkFlap` windows (the only *passively* scheduled
+    outages: a forced flap runs as a simulator event and notifies the
+    engine directly via :meth:`FluidEngine.touch`).  Returns ``None``
+    when nothing is scheduled.
     """
     best = None
     for fault in link.faults:
-        windows = getattr(fault, "windows", None)
-        if windows is None:
+        if not isinstance(fault, LinkFlap):
             continue
-        for start, end in windows:
+        for start, end in fault.windows:
             for edge in (start, end):
                 if edge is not None and edge > now + EPS:
                     if best is None or edge < best:
@@ -274,10 +271,10 @@ class FluidEngine:
     form (:meth:`_advance_to`), which *is* the leap — fluid flows never
     schedule per-packet events in the first place.
 
-    External changes (a flow added or removed, a fault forced, a link
-    hot-plugged) must call :meth:`touch`; the link/fault layers do so
-    automatically once :meth:`~repro.net.simulator.Simulator.attach_fluid`
-    has installed the engine on the simulator.
+    External changes (a flow added or removed, a flap forced) must call
+    :meth:`touch`; :meth:`LinkFlap.force` does so automatically once
+    :meth:`~repro.net.simulator.Simulator.attach_fluid` has installed
+    the engine on the simulator.
     """
 
     def __init__(self, sim):

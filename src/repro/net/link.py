@@ -11,10 +11,12 @@ Middleboxes (see :mod:`repro.net.middlebox`) are attached to links and
 get a chance to drop, mutate, or inject packets between serialization
 and delivery.  Faults (see :mod:`repro.net.faults`) are consulted at
 send time and again at delivery, and model the network itself
-misbehaving: flaps, bursty loss, corruption, latency spikes.
+misbehaving: flaps, bursty loss, corruption, latency spikes.  A link
+has no up/down flag of its own: an outage is a
+:class:`~repro.net.faults.LinkFlap`.
 
-Every packet that dies on a link — administrative down, fault, random
-loss, full queue, or middlebox — is booked in
+Every packet that dies on a link — fault, random loss, full queue, or
+middlebox — is booked in
 ``LinkStats.dropped_packets``/``dropped_bytes`` and itemised by reason
 in ``LinkStats.drop_reasons``, so goodput probes and loss accounting
 stay truthful no matter which layer killed the packet.
@@ -26,10 +28,10 @@ from repro.net import faults as _faults
 class LinkStats:
     """Counters exported by every link, used by goodput probes.
 
-    ``drop_reasons`` itemises ``dropped_packets`` by cause: ``"down"``
-    (administrative), ``"loss"`` (i.i.d. random loss), ``"queue"``
-    (drop-tail overflow), ``"middlebox"``, or a fault's ``kind``
-    (``"flap"``, ``"blackhole"``, ``"burst-loss"``, ``"corruption"``).
+    ``drop_reasons`` itemises ``dropped_packets`` by cause: ``"loss"``
+    (i.i.d. random loss), ``"queue"`` (drop-tail overflow),
+    ``"middlebox"``, or a fault's ``kind`` (``"flap"`` for every outage,
+    ``"burst-loss"``, ``"corruption"``).
     """
 
     __slots__ = ("tx_packets", "tx_bytes", "dropped_packets",
@@ -96,7 +98,6 @@ class Link:
         self.stats = LinkStats()
         self.middleboxes = []
         self.faults = []
-        self.up = True
         self._sink = None
         self._queued_bytes = 0
         self._busy_until = 0.0
@@ -121,15 +122,10 @@ class Link:
         fault.attach(self)
         return fault
 
-    def set_up(self, up):
-        """Administratively enable/disable the link (interface hotplug)."""
-        self.up = up
-        self._fluid_touch()
-
     def _fluid_touch(self):
         """Notify an attached fluid engine of an immediate capacity
-        change (administrative up/down, forced flap) so it can re-solve
-        shares; a no-op when no engine is attached."""
+        change (a forced flap) so it can re-solve shares; a no-op when
+        no engine is attached."""
         engine = self.sim.fluid
         if engine is not None:
             engine.touch()
@@ -152,9 +148,6 @@ class Link:
         size = packet.wire_size()
         if self.sim.bus.subscribed:
             self._observe("enqueue", size)
-        if not self.up:
-            self._drop(packet, "down")
-            return None
         if size > self.mtu + 40:
             # Allow jumbo IP headroom; transports must respect the MTU.
             raise ValueError(
@@ -225,9 +218,6 @@ class Link:
     def _deliver(self, packet):
         """The simulator's delivery callback: outage re-check, on-path
         boxes, delivery accounting, then the sink (``Host.receive``)."""
-        if not self.up:
-            self._drop(packet, "down")
-            return
         if self.faults:
             now = self.sim.now
             for fault in self.faults:
@@ -250,7 +240,15 @@ class Link:
             self._sink(packet)
 
     def inject(self, packet):
-        """Deliver a packet created on-path (used by RST-injecting boxes)."""
+        """Deliver a packet created on-path (a resegmenter's extra
+        pieces), booked like a delivery: stats and an ``enqueue`` /
+        ``deliver`` event pair now, the sink on the next event."""
+        size = packet.wire_size()
+        self.stats.tx_packets += 1
+        self.stats.tx_bytes += size
+        if self.sim.bus.subscribed:
+            self._observe("enqueue", size)
+            self._observe("deliver", size)
         if self._sink is not None:
             self.sim.schedule(0.0, self._sink, packet)
 

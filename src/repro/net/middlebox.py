@@ -1,10 +1,12 @@
 """On-path middleboxes.
 
-These model the interference classes of Sec. 2 of the paper: NATs that
-rewrite addresses/ports, firewalls that strip unknown TCP options or
-drop flows without state, boxes that inject RSTs or blackhole traffic,
-and high-speed adapters that resegment large packets.  Middleboxes are
-attached to links and run between serialization and delivery.
+These model the interference classes of Sec. 2 of the paper, equipment
+that parses and rewrites packets: NATs that rewrite addresses/ports,
+firewalls that strip unknown TCP options or drop flows without state,
+boxes that inject RSTs, and high-speed adapters that resegment large
+packets.  Middleboxes are attached to links and run between
+serialization and delivery.  A silent outage is not a box but a
+:class:`~repro.net.faults.LinkFlap`.
 
 Middleboxes operate on real segment objects and real payload bytes, so
 anything conveyed in the TCP payload (TLS records, hence everything
@@ -34,37 +36,6 @@ class Middlebox:
         return "%s(%s)" % (type(self).__name__, self.name)
 
 
-class Blackhole(Middlebox):
-    """Silently drops everything while active.
-
-    Used for the outage experiments (Figs. 8 and 9): a path failure that
-    produces no explicit signal, only silence.
-    """
-
-    def __init__(self, name="", active=False):
-        super().__init__(name)
-        self.active = active
-
-    def activate(self):
-        self.active = True
-
-    def deactivate(self):
-        self.active = False
-
-    def schedule_outage(self, sim, start, end=None):
-        """Blackhole the link during ``[start, end)`` simulated seconds."""
-        sim.at(start, self.activate)
-        if end is not None:
-            sim.at(end, self.deactivate)
-
-    def process(self, packet):
-        self.processed += 1
-        if self.active:
-            self.dropped += 1
-            return None
-        return packet
-
-
 class RstInjector(Middlebox):
     """Drops matching packets and injects a spurious TCP RST downstream.
 
@@ -80,14 +51,8 @@ class RstInjector(Middlebox):
         self.injected = 0
 
     def activate(self):
+        """Rewrite the next matching packet into an RST (one-shot)."""
         self.active = True
-
-    def deactivate(self):
-        self.active = False
-
-    def schedule_rst(self, sim, at_time):
-        """Inject an RST into the first matching packet after ``at_time``."""
-        sim.at(at_time, self.activate)
 
     def process(self, packet):
         self.processed += 1
@@ -108,7 +73,7 @@ class RstInjector(Middlebox):
         )
         packet.payload = rst
         self.injected += 1
-        self.active = False  # one-shot; re-arm via schedule_rst
+        self.active = False  # one-shot; re-arm via activate()
         return packet
 
 
@@ -291,18 +256,4 @@ class Resegmenter(Middlebox):
             offset += self.chunk
         packet.payload = seg.replace(payload=seg.payload[: self.chunk],
                                      flags=seg.flags - {"FIN"})
-        return packet
-
-
-class PacketLogger(Middlebox):
-    """Records (time, packet repr, size) for debugging and traces."""
-
-    def __init__(self, sim, name=""):
-        super().__init__(name)
-        self.sim = sim
-        self.records = []
-
-    def process(self, packet):
-        self.processed += 1
-        self.records.append((self.sim.now, repr(packet), packet.wire_size()))
         return packet

@@ -29,12 +29,7 @@ Targets: every verb accepts either a single
 applied to both directions.
 """
 
-from repro.net.faults import (
-    BitCorruption,
-    GilbertElliott,
-    LatencySpike,
-    LinkFlap,
-)
+from repro.net.faults import GilbertElliott, LatencySpike, LinkFlap
 
 
 def _links_of(target):
@@ -126,11 +121,6 @@ class Scenario:
             self._flaps[link] = fault
         return fault
 
-    def set_down(self, target, down=True):
-        """Immediately force the target's links down (or back up)."""
-        for link in _links_of(target):
-            self.flap_fault(link).force(down)
-
     def __repr__(self):
         where = "installed" if self.sim is not None else (
             "%d pending" % len(self._pending))
@@ -153,18 +143,6 @@ class Moment:
             self.scenario.flap_fault(link).add_window(self.time, end)
         return self.scenario
 
-    def down(self, target):
-        """Open-ended outage starting at ``t``."""
-        return self.flap(target, duration=None)
-
-    def up(self, target):
-        """Bring the target back up at ``t``: releases forced-down
-        state and closes any open outage window."""
-        def reopen():
-            for link in _links_of(target):
-                self.scenario.flap_fault(link).reopen(self.scenario.sim.now)
-        return self.scenario._add(self.time, reopen, "up")
-
     def rst(self, link, match=None):
         """Arm a one-shot TCP RST injection on ``link`` at ``t``
         (attaches a fresh :class:`RstInjector` middlebox).  Returns the
@@ -175,46 +153,6 @@ class Moment:
         link.add_middlebox(injector)
         self.scenario._add(self.time, injector.activate, "rst")
         return injector
-
-    def enable(self, middlebox):
-        """Activate a middlebox at ``t`` (``activate()`` or ``.active``)."""
-        return self._toggle(middlebox, True, "enable")
-
-    def disable(self, middlebox):
-        """Deactivate a middlebox at ``t``."""
-        return self._toggle(middlebox, False, "disable")
-
-    def _toggle(self, middlebox, on, label):
-        def flip():
-            method = getattr(middlebox, "activate" if on else "deactivate",
-                             None)
-            if method is not None:
-                method()
-            else:
-                middlebox.active = on
-        return self.scenario._add(self.time, flip, label)
-
-    def set_delay(self, target, delay):
-        """Step-change the propagation delay at ``t`` (route change)."""
-        def apply():
-            for link in _links_of(target):
-                link.delay = delay
-        return self.scenario._add(self.time, apply, "set_delay")
-
-    def set_rate(self, target, rate_bps):
-        """Step-change the serialization rate at ``t``."""
-        def apply():
-            for link in _links_of(target):
-                link.rate_bps = rate_bps
-        return self.scenario._add(self.time, apply, "set_rate")
-
-    def set_loss(self, target, p):
-        """Set the i.i.d. loss rate at ``t`` (no automatic restore —
-        use :meth:`Window.loss` for a bounded episode)."""
-        def apply():
-            for link in _links_of(target):
-                link.loss_rate = p
-        return self.scenario._add(self.time, apply, "set_loss")
 
     def call(self, fn, *args):
         """Escape hatch: run ``fn(*args)`` at ``t``."""
@@ -230,12 +168,6 @@ class Window:
         self.scenario = scenario
         self.t0 = t0
         self.t1 = t1
-
-    def outage(self, target):
-        """Hard outage for the whole window."""
-        for link in _links_of(target):
-            self.scenario.flap_fault(link).add_window(self.t0, self.t1)
-        return self.scenario
 
     def loss(self, target, p):
         """Raise the i.i.d. loss rate to ``p`` inside the window, then
@@ -265,17 +197,6 @@ class Window:
             fault = GilbertElliott(p_gb, p_bg, loss_good=loss_good,
                                    loss_bad=loss_bad, seed=seed,
                                    start=self.t0, end=self.t1)
-            link.add_fault(fault)
-            faults.append(fault)
-        return faults
-
-    def corrupt(self, target, rate, mode="drop", seed=None):
-        """Bit corruption at ``rate`` inside the window; returns the
-        attached :class:`BitCorruption` faults."""
-        faults = []
-        for link in _links_of(target):
-            fault = BitCorruption(rate, mode=mode, seed=seed,
-                                  start=self.t0, end=self.t1)
             link.add_fault(fault)
             faults.append(fault)
         return faults

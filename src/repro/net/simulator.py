@@ -194,8 +194,8 @@ class Simulator:
         #: emission is a near-no-op until something subscribes.
         self.bus = EventBus(self)
         #: the attached fluid fast-forward engine, if any (see
-        #: :mod:`repro.net.fluid`).  Links and faults notify it of
-        #: immediate topology changes through this hook.
+        #: :mod:`repro.net.fluid`).  A forced :class:`LinkFlap` notifies
+        #: it of an immediate capacity change through this hook.
         self.fluid = None
 
     def attach_fluid(self, engine):

@@ -3,87 +3,54 @@
 All of the paper's emulated experiments (Secs. 5.3-5.6) run on the same
 shape of network: a dual-stack (or n-path) client and server joined by
 fully disjoint paths, each path with its own bandwidth and latency.
-:func:`build_multipath` constructs that network and pre-attaches a
-:class:`~repro.net.middlebox.Blackhole` on every path so outages can be
-scripted directly.
+:func:`build_multipath` constructs that network as a
+:class:`MultipathTopology`, whose :class:`~repro.net.scenario.Scenario`
+scripts every outage (a :class:`~repro.net.faults.LinkFlap` per link,
+attached on first use), spurious RST and loss episode.  The links
+carry no middlebox unless a scenario or a test attaches one.
 """
 
 from repro.net.address import IPAddress
 from repro.net.host import Host
 from repro.net.link import Link, duplex_link
-from repro.net.middlebox import Blackhole
 from repro.net.scenario import Scenario
 
 
 class PathInfo:
     """One disjoint path between the client and server."""
 
-    __slots__ = (
-        "index",
-        "family",
-        "client_addr",
-        "server_addr",
-        "c2s",
-        "s2c",
-        "blackhole_c2s",
-        "blackhole_s2c",
-    )
+    __slots__ = ("index", "family", "client_addr", "server_addr", "c2s",
+                 "s2c")
 
-    def __init__(self, index, family, client_addr, server_addr, c2s, s2c,
-                 blackhole_c2s, blackhole_s2c):
+    def __init__(self, index, family, client_addr, server_addr, c2s, s2c):
         self.index = index
         self.family = family
         self.client_addr = client_addr
         self.server_addr = server_addr
         self.c2s = c2s
         self.s2c = s2c
-        self.blackhole_c2s = blackhole_c2s
-        self.blackhole_s2c = blackhole_s2c
-
-    def blackhole(self, sim, start, end=None):
-        """Blackhole both directions during ``[start, end)``."""
-        self.blackhole_c2s.schedule_outage(sim, start, end)
-        self.blackhole_s2c.schedule_outage(sim, start, end)
-
-    def set_blackholed(self, active):
-        """Immediately (de)activate the blackhole in both directions."""
-        for hole in (self.blackhole_c2s, self.blackhole_s2c):
-            if active:
-                hole.activate()
-            else:
-                hole.deactivate()
 
 
 class MultipathTopology:
-    """A client and server joined by ``n`` disjoint paths."""
+    """A client and server joined by ``n`` disjoint paths, with a
+    :class:`Scenario` installed on ``sim``.
 
-    def __init__(self, sim, client, server, paths):
+    Per-path verbs script the adversity families of the evaluation:
+    hard outages (flaps), rotating outages (Fig. 9), spurious RSTs
+    (Fig. 8) and bursty loss.  All of them delegate to the scenario, so
+    every scripted fault is replayed identically under the same
+    simulator seed.
+    """
+
+    def __init__(self, sim, client, server, paths, scenario=None):
         self.sim = sim
         self.client = client
         self.server = server
         self.paths = paths
+        self.scenario = (scenario or Scenario()).install(sim)
 
     def path(self, index):
         return self.paths[index]
-
-    def client_endpoint_pairs(self):
-        """(client_addr, server_addr) per path, in path order."""
-        return [(p.client_addr, p.server_addr) for p in self.paths]
-
-
-class FaultyTopology(MultipathTopology):
-    """A multipath topology with a :class:`Scenario` pre-installed.
-
-    Adds per-path verbs for the adversity families of the evaluation:
-    hard outages (flaps / blackholes), rotating outages (Fig. 9),
-    spurious RSTs (Fig. 8), bursty loss and corruption.  All of them
-    delegate to the scenario, so every scripted fault is replayed
-    identically under the same simulator seed.
-    """
-
-    def __init__(self, sim, client, server, paths, scenario=None):
-        super().__init__(sim, client, server, paths)
-        self.scenario = (scenario or Scenario()).install(sim)
 
     def path_links(self, index, direction="both"):
         """Links of path ``index``: ``"c2s"``, ``"s2c"`` or ``"both"``."""
@@ -144,16 +111,6 @@ class FaultyTopology(MultipathTopology):
                     loss_bad=loss_bad, seed=seed))
         return faults
 
-    def corrupt_path(self, index, rate, t0=0.0, t1=None, mode="drop",
-                     seed=None, direction="both"):
-        """Bit corruption on path ``index`` during ``[t0, t1)``."""
-        faults = []
-        for link in self.path_links(index, direction):
-            faults.extend(
-                self.scenario.between(t0, t1).corrupt(
-                    link, rate, mode=mode, seed=seed))
-        return faults
-
     def fault_drops(self, index=None):
         """Total fault-layer drops, per path or across the topology."""
         paths = self.paths if index is None else [self.paths[index]]
@@ -161,18 +118,15 @@ class FaultyTopology(MultipathTopology):
         for path in paths:
             for link in (path.c2s, path.s2c):
                 for reason, n in link.stats.drop_reasons.items():
-                    if reason in ("flap", "blackhole", "burst-loss",
-                                  "corruption"):
+                    if reason in ("flap", "burst-loss", "corruption"):
                         total += n
         return total
 
 
 def build_faulty_multipath(sim, scenario=None, **kwargs):
-    """:func:`build_multipath`, wrapped in a :class:`FaultyTopology`
-    with ``scenario`` (a fresh one by default) installed on ``sim``."""
-    topo = build_multipath(sim, **kwargs)
-    return FaultyTopology(sim, topo.client, topo.server, topo.paths,
-                          scenario=scenario)
+    """:func:`build_multipath` with ``scenario`` (a fresh one by
+    default) installed on ``sim``."""
+    return build_multipath(sim, scenario=scenario, **kwargs)
 
 
 class DumbbellTopology:
@@ -230,7 +184,7 @@ def build_dumbbell(sim, n_leaves=8, leaf_rate_bps=1_000_000_000,
 
 def build_multipath(sim, n_paths=2, rate_bps=25_000_000, delay=0.010,
                     mtu=1500, queue_bytes=None, families=None,
-                    rates=None, delays=None):
+                    rates=None, delays=None, scenario=None):
     """Build the paper's Mininet-style disjoint-path network.
 
     Defaults match Sec. 5: each path offers 25 Mbps with 10 ms one-way
@@ -241,6 +195,8 @@ def build_multipath(sim, n_paths=2, rate_bps=25_000_000, delay=0.010,
     ----------
     rates, delays:
         Optional per-path overrides (lists of length ``n_paths``).
+    scenario:
+        The :class:`Scenario` to install (default: a fresh one).
 
     Returns a :class:`MultipathTopology`.
     """
@@ -265,11 +221,5 @@ def build_multipath(sim, n_paths=2, rate_bps=25_000_000, delay=0.010,
         s_iface = server.add_interface("s%d" % i, s_addr, tx_link=s2c)
         client.add_route(s_addr, c_iface)
         server.add_route(c_addr, s_iface)
-        hole_c2s = Blackhole(name="bh-c2s-%d" % i)
-        hole_s2c = Blackhole(name="bh-s2c-%d" % i)
-        c2s.add_middlebox(hole_c2s)
-        s2c.add_middlebox(hole_s2c)
-        paths.append(
-            PathInfo(i, family, c_addr, s_addr, c2s, s2c, hole_c2s, hole_s2c)
-        )
-    return MultipathTopology(sim, client, server, paths)
+        paths.append(PathInfo(i, family, c_addr, s_addr, c2s, s2c))
+    return MultipathTopology(sim, client, server, paths, scenario=scenario)

@@ -29,7 +29,8 @@ on ``base_port + i``).
 from repro.core.drivers.multi import MultiSessionServer
 from repro.core.drivers.sim import SimDriver, TcplsClient
 from repro.core.engine.events import SessionEvent
-from repro.net import Simulator, build_dumbbell, build_faulty_multipath
+from repro.net import (
+    LinkFlap, Simulator, build_dumbbell, build_faulty_multipath)
 from repro.net.fluid import FluidCohort, FluidEngine
 from repro.tcp import TcpStack
 from repro.net.address import Endpoint
@@ -562,7 +563,8 @@ class FluidScenarioHarness:
             self.sim.schedule(t, self._start_cohort, leaf, count)
         self.sim.schedule(self.t_probe, self._probe)
         if self.scenario == "failover_storm":
-            self.sim.schedule(self.fail_at, self.topo.core.set_up, False)
+            outage = self.topo.core.add_fault(LinkFlap(name="core-outage"))
+            self.sim.schedule(self.fail_at, outage.force, True)
         self.sim.run(until=self.horizon)
         return self.metrics()
 

@@ -209,16 +209,31 @@ def synthetic_page(seed=0, n_objects=30, fanout=4, depth=3,
 
 def page_from_dict(data):
     """Build a :class:`PageSpec` from a HAR-lite dict (see
-    :func:`load_page`)."""
-    objects = [
-        PageObject(
-            entry["name"],
-            entry["size"],
-            tuple(entry.get("depends_on", ())),
-            kind=entry.get("kind", "object"),
-        )
-        for entry in data["objects"]
-    ]
+    :func:`load_page`).  Malformed input raises ``ValueError`` naming
+    the field at fault."""
+    if not isinstance(data, dict):
+        raise ValueError("page must be a dict, got %s" % type(data).__name__)
+    entries = data.get("objects")
+    if not isinstance(entries, list):
+        raise ValueError("page 'objects' must be a list")
+    objects = []
+    for i, entry in enumerate(entries):
+        where = "objects[%d]" % i
+        if not isinstance(entry, dict):
+            raise ValueError("%s must be a dict" % where)
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise ValueError("%s 'name' must be a string" % where)
+        size = entry.get("size")
+        if type(size) is not int or size <= 0:
+            raise ValueError("%s 'size' must be a positive integer" % where)
+        deps = entry.get("depends_on", ())
+        if not isinstance(deps, (list, tuple)) or not all(
+                isinstance(dep, str) for dep in deps):
+            raise ValueError("%s 'depends_on' must be a list of names"
+                             % where)
+        objects.append(PageObject(name, size, tuple(deps),
+                                  kind=entry.get("kind", "object")))
     return PageSpec(data.get("name", "page"), objects)
 
 

@@ -85,7 +85,7 @@ def test_backup_failover_on_blackhole():
     client.connect(pairs_for(topo), 443)
     size = 8 << 20
     client.on_established = lambda c: (c.send(b"f" * size), c.close())
-    topo.path(0).blackhole(sim, 1.0)
+    topo.flap_path(0, at=1.0)
     sim.run(until=60)
     assert done, "transfer stalled after blackhole"
     assert bytes(received) == b"f" * size
@@ -96,10 +96,6 @@ def test_backup_failover_on_blackhole():
 
 def test_rst_kills_subflow_immediately():
     sim, topo, cstack, sstack = make_net()
-    from repro.net.middlebox import RstInjector
-
-    injector = RstInjector()
-    topo.path(0).s2c.add_middlebox(injector)
     client, server, conns = mptcp_pair(sim, topo, cstack, sstack)
     received, done = bytearray(), []
     server.on_connection = collect(conns, received, done, sim)
@@ -108,7 +104,7 @@ def test_rst_kills_subflow_immediately():
     client.connect(pairs_for(topo), 443)
     size = 4 << 20
     client.on_established = lambda c: (c.send(b"r" * size), c.close())
-    injector.schedule_rst(sim, 0.5)
+    topo.rst_path(0, at=0.5)
     sim.run(until=60)
     assert done and bytes(received) == b"r" * size
     assert failures and failures[0][1] == "rst"

@@ -69,7 +69,7 @@ def test_backup_subflow_promoted_only_after_failure():
     sim.run(until=1.0)
     backup = client.subflows[1]
     assert backup.backup
-    topo.path(0).blackhole(sim, 1.0)
+    topo.flap_path(0, at=1.0)
     sim.run(until=30)
     assert done and bytes(received) == payload
     assert not client.subflows[1].backup  # promoted

@@ -14,7 +14,6 @@ import hashlib
 from helpers import connect_tcpls, make_net, tcpls_pair
 
 from repro.core.engine.policy import RedundantScheduler, RoundRobinScheduler
-from repro.net.middlebox import RstInjector
 
 SIZE = 1 << 20
 
@@ -56,9 +55,7 @@ def coupled_upload(scheduler, failover):
     received = bytearray()
     session.on_group_data = lambda group: received.extend(group.recv())
     if failover:
-        injector = RstInjector()
-        topo.path(1).c2s.add_middlebox(injector)
-        injector.schedule_rst(sim, sim.now + 0.1)
+        topo.rst_path(1, at=sim.now + 0.1, direction="c2s")
     group = client.create_coupled_group(client.alive_connections(),
                                         scheduler=scheduler)
     payload = bytes(range(256)) * (SIZE // 256)

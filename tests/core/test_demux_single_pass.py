@@ -217,7 +217,7 @@ def test_cached_candidate_order_tracks_failover():
     connect_tcpls(sim, topo, client)
     client.set_user_timeout(client.conns[0], 0.25)
     client.create_stream(client.conns[0]).send(b"GET /file")
-    topo.path(0).blackhole(sim, 0.3)
+    topo.flap_path(0, at=0.3)
     sim.run(until=10)
     assert bytes(received) == b"F" * size
     assert client.stats["failovers"] >= 1

@@ -4,8 +4,6 @@ import pytest
 
 from helpers import connect_tcpls, make_net, tcpls_pair
 
-from repro.net.middlebox import RstInjector
-
 
 def download_setup(sim, topo, cstack, sstack, size, uto=0.25):
     """Server pushes ``size`` bytes to the client with failover enabled.
@@ -50,7 +48,7 @@ def test_blackhole_recovery_via_uto():
         sim, topo, cstack, sstack, size)
     failures = []
     client.on_conn_failed = lambda c, r: failures.append((sim.now, r))
-    topo.path(0).blackhole(sim, 1.0)
+    topo.flap_path(0, at=1.0)
     sim.run(until=20)
     assert done, "transfer never completed"
     assert bytes(received) == b"F" * size
@@ -65,11 +63,9 @@ def test_rst_recovery_is_fast():
     size = 4 << 20
     client, sessions, received, done = download_setup(
         sim, topo, cstack, sstack, size)
-    injector = RstInjector()
-    topo.path(0).s2c.add_middlebox(injector)
     failures = []
     client.on_conn_failed = lambda c, r: failures.append((sim.now, r))
-    injector.schedule_rst(sim, 1.0)
+    topo.rst_path(0, at=1.0)
     sim.run(until=20)
     assert done and bytes(received) == b"F" * size
     assert failures and failures[0][1] == "rst"
@@ -81,7 +77,7 @@ def test_no_data_lost_or_duplicated_across_failover():
     size = 2 << 20
     client, sessions, received, done = download_setup(
         sim, topo, cstack, sstack, size)
-    topo.path(0).blackhole(sim, 0.6)
+    topo.flap_path(0, at=0.6)
     sim.run(until=20)
     assert len(received) == size
     assert bytes(received) == b"F" * size  # exactly once, in order
@@ -91,7 +87,7 @@ def test_sync_and_replay_stats():
     sim, topo, cstack, sstack = make_net()
     client, sessions, received, done = download_setup(
         sim, topo, cstack, sstack, 2 << 20)
-    topo.path(0).blackhole(sim, 0.6)
+    topo.flap_path(0, at=0.6)
     sim.run(until=20)
     server_session = sessions[0]
     assert server_session.stats["syncs_sent"] >= 1 or \
@@ -146,6 +142,6 @@ def test_bidirectional_failover_replays_client_data():
     stream = client.create_stream(client.conns[0])
     size = 2 << 20
     stream.send(b"C" * size)
-    topo.path(0).blackhole(sim, 0.4)
+    topo.flap_path(0, at=0.4)
     sim.run(until=20)
     assert bytes(server_rx) == b"C" * size

@@ -59,9 +59,9 @@ def test_property_failover_exactly_once(outage_at, second_outage):
     client.on_ready = on_ready
     p0 = topo.path(0)
     client.connect(p0.client_addr, Endpoint(p0.server_addr, 443))
-    topo.path(0).blackhole(sim, outage_at)
+    topo.flap_path(0, at=outage_at)
     if second_outage:
-        topo.path(1).blackhole(sim, outage_at + 1.5)
+        topo.flap_path(1, at=outage_at + 1.5)
     sim.run(until=40)
     assert done, "download did not complete"
     assert bytes(received) == payload  # exactly once, in order
@@ -154,7 +154,7 @@ def test_fault_injection_random_loss_with_failover():
         client.conns[0]).send(b"GET /x")
     p0 = topo.path(0)
     client.connect(p0.client_addr, Endpoint(p0.server_addr, 443))
-    topo.path(0).blackhole(sim, 1.0)
+    topo.flap_path(0, at=1.0)
     sim.run(until=60)
     assert bytes(received) == payload
 

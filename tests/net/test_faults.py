@@ -7,21 +7,28 @@ identical drop sequences, and every fault/middlebox drop is booked in
 the link's loss accounting.
 """
 
+import ast
+import pathlib
+
 import pytest
 
-from repro.net import Simulator, Scenario, build_faulty_multipath
+from repro.net import (
+    Simulator,
+    Scenario,
+    build_faulty_multipath,
+    build_multipath,
+)
 from repro.net.address import IPAddress
 from repro.net.faults import (
     DROP,
     BitCorruption,
-    BlackholeFault,
     GilbertElliott,
     LatencySpike,
     LinkFlap,
 )
 from repro.net.link import Link
-from repro.net.middlebox import Blackhole
 from repro.net.packet import Packet
+from repro.net.scenario import Moment, Window
 
 pytestmark = pytest.mark.faults
 
@@ -42,6 +49,16 @@ class FakePayload:
 def make_packet(size=1480, data=b""):
     return Packet(IPAddress("10.0.0.1"), IPAddress("10.0.0.2"), "tcp",
                   FakePayload(size - 20, data))
+
+
+class DropAll:
+    """A middlebox that drops every packet it sees."""
+
+    def attach(self, link):
+        pass
+
+    def process(self, packet):
+        return None
 
 
 def pump(sim, link, times):
@@ -80,7 +97,7 @@ def test_flap_window_boundaries_are_half_open():
 
 def test_flap_kills_in_flight_packets():
     """A packet sent before the outage but still in flight when it
-    starts must die, exactly like with the Blackhole middlebox."""
+    starts must die."""
     sim = Simulator(seed=1)
     link = Link(sim, rate_bps=None, delay=0.5)
     link.add_fault(LinkFlap(windows=[(1.2, 5.0)]))
@@ -89,13 +106,13 @@ def test_flap_kills_in_flight_packets():
     assert link.stats.dropped_by("flap") == 1
 
 
-def test_blackhole_fault_is_open_ended():
+def test_open_ended_flap_drops_forever():
     sim = Simulator(seed=1)
     link = Link(sim, rate_bps=None, delay=0.0)
-    link.add_fault(BlackholeFault(start=2.0))
+    link.add_fault(LinkFlap(windows=[(2.0, None)]))
     arrivals = pump(sim, link, [0.0, 1.0, 2.0, 50.0, 1000.0])
     assert arrivals == [pytest.approx(0.0), pytest.approx(1.0)]
-    assert link.stats.dropped_by("blackhole") == 3
+    assert link.stats.dropped_by("flap") == 3
 
 
 def test_forced_flap_and_reopen():
@@ -230,8 +247,7 @@ def test_latency_spike_adds_delay_and_keeps_fifo_order():
 def test_middlebox_and_fault_drops_book_into_link_stats():
     sim = Simulator(seed=4)
     link = Link(sim, rate_bps=None, delay=0.0)
-    hole = Blackhole(active=True)
-    link.add_middlebox(hole)
+    link.add_middlebox(DropAll())
     link.send(make_packet(1000))
     sim.run()
     assert link.stats.dropped_packets == 1
@@ -239,7 +255,7 @@ def test_middlebox_and_fault_drops_book_into_link_stats():
     assert link.stats.dropped_by("middlebox") == 1
     assert link.stats.tx_packets == 0
 
-    hole.deactivate()
+    link.middleboxes.clear()
     link.add_fault(LinkFlap(windows=[(0.0, None)]))
     link.send(make_packet(500))
     sim.run()
@@ -363,11 +379,11 @@ def test_train_through_rewriting_middlebox():
 
 
 def test_train_through_dropping_middlebox_books_drops():
-    """A blackhole at delivery kills each packet of a burst and books
-    every drop in the link stats."""
+    """A dropping box at delivery kills each packet of a burst and
+    books every drop in the link stats."""
     sim = Simulator(seed=4)
     link = Link(sim, rate_bps=None, delay=0.0)
-    link.add_middlebox(Blackhole(active=True))
+    link.add_middlebox(DropAll())
     delivered = []
     link.connect(delivered.append)
     send_burst(link, [make_packet(1000) for _ in range(5)])
@@ -401,3 +417,56 @@ def test_rotate_working_keeps_exactly_one_path_up():
         states = [topo.scenario.flap_fault(p.c2s).forced_down
                   for p in topo.paths]
         assert states == [i != expect_up for i in range(3)]
+
+
+# -- lint: one way to break a path ---------------------------------------
+
+
+def _identifiers(*tops):
+    """``(path, lineno, name)`` of every definition, attribute, variable,
+    argument and imported name in the python files under ``tops``."""
+    for top in tops:
+        for path in sorted(top.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                for field in ("name", "attr", "id", "arg"):
+                    name = getattr(node, field, None)
+                    if isinstance(name, str):
+                        yield path, getattr(node, "lineno", 0), name
+
+
+def test_one_way_to_break_a_path():
+    """Every outage is a ``LinkFlap`` scripted through the scenario: the
+    blackhole box, its fault twin, the link's up flag and the fault
+    verbs nothing called stay deleted."""
+    repo = pathlib.Path(__file__).resolve().parents[2]
+    gone = {
+        "Blackhole", "BlackholeFault", "blackhole", "blackhole_c2s",
+        "blackhole_s2c", "set_blackholed", "schedule_outage",
+        "schedule_rst", "deactivate", "Router", "PacketLogger",
+        "FaultyTopology", "client_endpoint_pairs", "corrupt_path",
+        "set_down", "reopen", "_toggle", "set_delay", "set_rate",
+        "set_loss",
+    }
+    tops = [repo / top for top in ("src", "tests", "benchmarks", "examples")]
+    offences = ["%s:%d %s" % (path.relative_to(repo), lineno, name)
+                for path, lineno, name in _identifiers(*tops)
+                if name in gone]
+    assert not offences, "\n".join(offences)
+    assert not (repo / "src/repro/net/router.py").exists()
+    for cls, verbs in ((Moment, ("down", "up", "enable", "disable")),
+                       (Window, ("outage", "corrupt")),
+                       (Link, ("up", "set_up"))):
+        assert not [v for v in verbs if hasattr(cls, v)], cls
+    sim = Simulator(seed=1)
+    assert not hasattr(Link(sim), "up")
+
+    fluid = repo / "src/repro/net/fluid.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(fluid.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "getattr"]
+    assert not calls, "net/fluid.py calls getattr at lines %s" % calls
+
+    topo = build_multipath(sim, n_paths=3)
+    for path in topo.paths:
+        assert path.c2s.middleboxes == [] and path.s2c.middleboxes == []

@@ -159,7 +159,7 @@ def test_link_capacity_respects_flap_windows_and_up_flag():
     assert link_next_change(link, 0.0) == 1.0
     assert link_next_change(link, 1.0) == 2.0
     assert link_next_change(link, 2.0) is None
-    link.set_up(False)
+    flap.force(True)
     assert link_capacity_bps(link, 0.0) == 0.0
 
 
@@ -282,17 +282,6 @@ def test_forced_flap_notifies_engine_immediately():
     sim.run(until=1.0)
     assert cohort.stalled_at is None
     assert cohort.rate > 0.0
-
-
-def test_set_up_false_touches_engine():
-    sim = Simulator()
-    link = make_link(sim)
-    engine = FluidEngine(sim)
-    cohort = FluidCohort([link], [10_000_000.0], rtt=0.02)
-    engine.add_cohort(cohort)
-    sim.schedule(0.5, link.set_up, False)
-    sim.run(until=1.0)
-    assert cohort.stalled_at == pytest.approx(0.5)
 
 
 def test_leap_counters_report_fast_forward_coverage():

@@ -93,17 +93,9 @@ def test_blackhole_scripting():
             delivered.append(sim.now)
 
     topo.server.register_stack("tcp", Stack())
-    p.blackhole(sim, start=1.0, end=2.0)
+    topo.flap_path(0, at=1.0, duration=1.0)
     for t in (0.5, 1.5, 2.5):
         sim.at(t, topo.client.send,
                data_packet(p.client_addr, p.server_addr))
     sim.run()
     assert len(delivered) == 2  # the t=1.5 packet vanished
-
-
-def test_endpoint_pairs_helper():
-    sim = Simulator()
-    topo = build_multipath(sim, n_paths=3, families=[4, 6, 4])
-    pairs = topo.client_endpoint_pairs()
-    assert len(pairs) == 3
-    assert pairs[1][0].family == 6

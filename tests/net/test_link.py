@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Simulator
+from repro.net import LinkFlap, Simulator
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.address import IPAddress
@@ -90,7 +90,7 @@ def test_link_down_blackholes():
     link = Link(sim, rate_bps=None, delay=0.0)
     delivered = []
     link.connect(lambda pkt: delivered.append(pkt))
-    link.set_up(False)
+    link.add_fault(LinkFlap()).force(True)
     link.send(make_packet())
     sim.run()
     assert delivered == []

@@ -4,7 +4,6 @@ from repro.net import Simulator
 from repro.net.address import IPAddress
 from repro.net.link import Link
 from repro.net.middlebox import (
-    Blackhole,
     NAT,
     OptionStrippingFirewall,
     Resegmenter,
@@ -33,15 +32,6 @@ def run_through(sim, boxes, packets, mtu=1500):
         link.send(packet)
     sim.run()
     return delivered
-
-
-def test_blackhole_active_window():
-    sim = Simulator()
-    hole = Blackhole()
-    hole.activate()
-    assert run_through(sim, [hole], [tcp_packet()]) == []
-    hole.deactivate()
-    assert len(run_through(sim, [hole], [tcp_packet()])) == 1
 
 
 def test_rst_injector_rewrites_one_packet():

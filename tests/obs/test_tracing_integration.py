@@ -12,7 +12,12 @@ from helpers import (
     tcpls_pair,
 )
 
+from repro.net import Resegmenter, Simulator
+from repro.net.address import IPAddress
+from repro.net.link import Link
+from repro.net.packet import Packet
 from repro.obs import CaptureSink, arm_invariants
+from repro.tcp.segment import Segment
 
 pytestmark = pytest.mark.obs
 
@@ -119,6 +124,33 @@ def test_link_drop_events_match_link_stats():
     assert reasons == dict(link.stats.drop_reasons)
     # And byte counts agree too.
     assert sum(e.data["bytes"] for e in delivers) == link.stats.tx_bytes
+
+
+def test_resegmented_pieces_are_booked_like_deliveries():
+    """A resegmenter turns one 1,448-byte segment into three packets at
+    the sink: the link books all three, each with an enqueue/deliver
+    event pair, and conservation stays balanced."""
+    sim = Simulator()
+    harness = arm_invariants(sim, strict=True)
+    sink = CaptureSink()
+    sim.bus.subscribe(sink, categories=("link",))
+    link = Link(sim, rate_bps=None, delay=0.001)
+    link.add_middlebox(Resegmenter(chunk=536))
+    arrived = []
+    link.connect(arrived.append)
+    segment = Segment(src_port=1000, dst_port=2000, seq=0,
+                      flags=frozenset({"ACK"}), payload=bytes(1448))
+    link.send(Packet(IPAddress("10.0.0.1"), IPAddress("10.0.0.2"), "tcp",
+                     segment))
+    sim.run()
+    harness.assert_clean()
+    sizes = sorted(packet.wire_size() for packet in arrived)
+    assert len(sizes) == 3 and sum(sizes) == 1568
+    assert link.stats.tx_packets == 3
+    assert link.stats.tx_bytes == 1568
+    delivers = sink.select(name="deliver", link=link.obs_name)
+    assert sorted(e.data["bytes"] for e in delivers) == sizes
+    assert len(sink.select(name="enqueue", link=link.obs_name)) == 3
 
 
 def test_full_run_with_everything_armed_is_clean_and_cheap():

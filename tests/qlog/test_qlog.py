@@ -188,7 +188,7 @@ def test_tracer_chains_all_preexisting_callbacks_on_failover():
     stream = client.create_stream(client.conns[0])
     stream.send(b"data" * 1000)
     client.set_user_timeout(client.conns[0], 0.25)
-    topo.path(0).set_blackholed(True)
+    topo.set_path_down(0)
     sim.run(until=sim.now + 3.0)
     assert "ready" in calls and "established" in calls
     assert any(c.startswith("failed:") for c in calls)

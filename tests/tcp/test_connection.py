@@ -5,7 +5,6 @@ import pytest
 from helpers import bulk_receiver, bulk_sender, make_net, tcp_pair
 
 from repro.net.address import Endpoint
-from repro.net.middlebox import RstInjector
 
 
 def test_three_way_handshake():
@@ -109,8 +108,6 @@ def test_rst_on_connect_to_closed_port():
 
 def test_spurious_rst_mid_transfer():
     sim, topo, cstack, sstack = make_net(n_paths=1)
-    injector = RstInjector()
-    topo.path(0).s2c.add_middlebox(injector)
     on_accept, received = bulk_receiver()
     sstack.listen(443, on_accept)
     p = topo.path(0)
@@ -118,7 +115,7 @@ def test_spurious_rst_mid_transfer():
     reset = []
     conn.on_reset = lambda c: reset.append(sim.now)
     bulk_sender(conn, b"z" * (1 << 20))
-    injector.schedule_rst(sim, 0.2)
+    topo.rst_path(0, at=0.2)
     sim.run(until=5)
     assert reset and reset[0] == pytest.approx(0.21, abs=0.05)
 
@@ -133,7 +130,7 @@ def test_user_timeout_fires_on_silence():
     bulk_sender(conn, b"x" * (2 << 20))  # keeps data in flight
     conn.set_user_timeout(0.25)
     conn.on_user_timeout = lambda c: fired.append(sim.now)
-    topo.path(0).blackhole(sim, start=0.5)
+    topo.flap_path(0, at=0.5)
     sim.run(until=5)
     assert fired
     assert 0.7 <= fired[0] <= 1.1  # ~250 ms after the last segment

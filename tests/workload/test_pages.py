@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workload import (
     PageObject,
@@ -112,3 +113,63 @@ class TestHarLite:
         assert page.name == "page"
         assert page.objects["only"].kind == "object"
         assert page.objects["only"].depends_on == ()
+
+    @pytest.mark.parametrize("data, field", [
+        ({}, "objects"),
+        ({"objects": 5}, "objects"),
+        ([{"name": "a", "size": 1}], "page"),
+        ({"objects": ["a"]}, r"objects\[0\]"),
+        ({"objects": [{"size": 10}]}, "name"),
+        ({"objects": [{"name": ["a"], "size": 10}]}, "name"),
+        ({"objects": [{"name": "a"}]}, "size"),
+        ({"objects": [{"name": "a", "size": "big"}]}, "size"),
+        ({"objects": [{"name": "a", "size": 1e400}]}, "size"),
+        ({"objects": [{"name": "a", "size": True}]}, "size"),
+        ({"objects": [{"name": "a", "size": 0}]}, "size"),
+        ({"objects": [{"name": "a", "size": 1},
+                      {"name": "b", "size": 1, "depends_on": "a"}]},
+         "depends_on"),
+        ({"objects": [{"name": "a", "size": 1, "depends_on": [["b"]]}]},
+         "depends_on"),
+    ])
+    def test_malformed_page_is_a_value_error_naming_the_field(
+            self, data, field):
+        with pytest.raises(ValueError, match=field):
+            page_from_dict(data)
+
+    def test_string_dependency_is_not_read_as_its_characters(self):
+        with pytest.raises(ValueError, match="depends_on"):
+            page_from_dict({"objects": [
+                {"name": "a", "size": 1}, {"name": "b", "size": 1},
+                {"name": "c", "size": 1}, {"name": "d", "size": 1,
+                                           "depends_on": "bc"}]})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+_NAMES = st.sampled_from(["a", "b", "c"])
+_ENTRY = st.fixed_dictionaries({}, optional={
+    "name": _NAMES | _JSON,
+    "size": st.integers(-1, 3) | _JSON,
+    "depends_on": st.lists(_NAMES, max_size=3) | _JSON,
+    "kind": _JSON,
+})
+_PAGE = st.fixed_dictionaries({}, optional={
+    "name": _JSON,
+    "objects": st.lists(_ENTRY | _JSON, max_size=4) | _JSON,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAGE | _JSON)
+def test_hostile_dict_yields_a_page_or_a_value_error(data):
+    try:
+        page = page_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(page, PageSpec)
+    assert all(obj.size > 0 for obj in page.objects.values())
