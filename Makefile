@@ -5,8 +5,8 @@ export PYTHONPATH := src
 # is byte-identical for any JOBS value; see repro/perf/matrix.py.
 JOBS ?= 1
 
-.PHONY: test test-obs bench bench-check bench-matrix \
-        bench-matrix-rerun ledger trace-demo loc
+.PHONY: test test-obs bench bench-check bench-matrix ledger \
+        trace-demo loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -30,22 +30,13 @@ bench-check:
 # content-addressed result cache: unchanged points are served from
 # .bench_cache (override with --cache-dir or REPRO_BENCH_CACHE), so an
 # immediately repeated run is ~100% cache hits and finishes in under a
-# second.  The gate diffs the whole matrix against the committed
+# second.  Failures are never cached, so re-running this target is how
+# an interrupted run resumes and a failed point re-runs.  The gate diffs the whole matrix against the committed
 # envelope, grouping regressions by axis value; refresh
 # benchmarks/baselines/BENCH_matrix.json when a drift is intended.
 bench-matrix:
 	$(PYTHON) benchmarks/runner.py --jobs $(JOBS) \
 	    --json benchmarks/BENCH_matrix.json \
-	    --stats-json benchmarks/BENCH_matrix.stats.json
-	$(PYTHON) benchmarks/gate.py \
-	    benchmarks/baselines/BENCH_matrix.json \
-	    benchmarks/BENCH_matrix.json
-
-# Re-execute exactly the matrix points whose journalled result carried
-# an "error" tag (everything else is reused), then re-gate.
-bench-matrix-rerun:
-	$(PYTHON) benchmarks/runner.py --jobs $(JOBS) \
-	    --rerun-failed --json benchmarks/BENCH_matrix.json \
 	    --stats-json benchmarks/BENCH_matrix.stats.json
 	$(PYTHON) benchmarks/gate.py \
 	    benchmarks/baselines/BENCH_matrix.json \

@@ -9,10 +9,12 @@ sessions/sec, p99 handshake and transfer latency, and bytes/s per
 core.
 
 Default shape is the acceptance run: 10k sessions concurrently alive
-inside ONE process.  ``--shards N`` instead fans the population out
-over N worker processes in a deterministic listener-per-shard layout
-(shard ``i`` on ``base_port + i``, one core each), merged through :func:`repro.perf.matrix.run_matrix` so
-the output is byte-identical for any ``--jobs`` value.
+inside ONE worker process.  ``--shards N`` instead fans it out over
+N shards in a deterministic listener-per-shard layout (shard ``i`` on
+``base_port + i``, one core each).  Every shard count, ``--shards 1``
+included, and every fluid scenario runs as a matrix point through
+:func:`repro.perf.matrix.run_matrix`, each in a fresh worker process,
+so the output is byte-identical for any ``--jobs`` value.
 
 The JSON envelope (``--json``) contains only simulator-time metrics --
 same seed, same bytes, every run.  Wall-clock timing goes to stderr
@@ -39,10 +41,21 @@ from repro.perf.loadgen import (
     FluidScenarioHarness,
     merge_shards,
     run_fluid_scenario,
-    run_shard,
     shard_points,
 )
-from repro.perf.matrix import run_matrix
+from repro.perf.matrix import MatrixPoint, run_matrix
+
+
+def run_points(points, jobs):
+    """Each point's metrics in input order, or None once a failure is
+    reported."""
+    results, _ = run_matrix(points, jobs=jobs)
+    for result in results:
+        if "error" in result:
+            print("c1m: %s failed: %s" % (result["name"], result["error"]),
+                  file=sys.stderr)
+            return None
+    return [result["metrics"] for result in results]
 
 
 def run_fluid(args):
@@ -55,21 +68,22 @@ def run_fluid(args):
         "flows": args.flows,
         "seed": args.seed,
     }
+    points = [MatrixPoint("c1m-fluid/%s" % scenario, run_fluid_scenario,
+                          {"scenario": scenario, "flows": args.flows,
+                           "seed": args.seed})
+              for scenario in scenarios]
     started = time.monotonic()
-    results = []
-    for scenario in scenarios:
-        t0 = time.monotonic()
-        metrics = run_fluid_scenario(
-            scenario=scenario, flows=args.flows, seed=args.seed)
-        scenario_wall = time.monotonic() - t0
+    results = run_points(points, args.jobs)
+    wall = time.monotonic() - started
+    if results is None:
+        return 1
+    for scenario, metrics in zip(scenarios, results):
         print("c1m-fluid: %s: %d/%d flows, %d leaps (%.1fs sim leapt), "
-              "%d solves, wall %.1fs"
+              "%d solves"
               % (scenario, metrics["flows_completed"], metrics["flows"],
                  metrics["fluid_leaps"], metrics["fluid_leapt_time"],
-                 metrics["fluid_solves"], scenario_wall),
+                 metrics["fluid_solves"]),
               file=sys.stderr)
-        results.append(metrics)
-    wall = time.monotonic() - started
     envelope = {
         "bench": "c1m-fluid",
         "config": config,
@@ -109,7 +123,8 @@ def main(argv=None):
                         help="worker-process shards (default 1: the "
                              "single-process acceptance run)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for --shards > 1")
+                        help="parallel workers for --shards and "
+                             "--fluid all")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--budget", type=int, default=256 * 1024,
                         help="per-session receive-memory budget (bytes)")
@@ -135,22 +150,12 @@ def main(argv=None):
         "budget_bytes": args.budget,
     }
     started = time.monotonic()
-    if args.shards == 1:
-        shard_results = [run_shard(sessions=args.sessions, seed=args.seed,
-                                   budget_bytes=args.budget)]
-    else:
-        points = shard_points(args.sessions, args.shards, seed=args.seed,
-                              budget_bytes=args.budget)
-        results, _ = run_matrix(points, jobs=args.jobs)
-        shard_results = []
-        for result in results:
-            if "error" in result:
-                print("c1m: shard %s failed: %s"
-                      % (result["name"], result["error"]),
-                      file=sys.stderr)
-                return 1
-            shard_results.append(result["metrics"])
+    shard_results = run_points(
+        shard_points(args.sessions, args.shards, seed=args.seed,
+                     budget_bytes=args.budget), args.jobs)
     wall = time.monotonic() - started
+    if shard_results is None:
+        return 1
 
     summary = merge_shards(shard_results)
     envelope = {

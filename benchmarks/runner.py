@@ -7,19 +7,16 @@ Usage (from the repo root)::
     python benchmarks/runner.py --points fig8 --json out.json
 
 Runs the declarative experiment matrix (:mod:`matrix_points`, 176
-points) with the content-addressed result cache and per-shard journals:
-
-- unchanged points (same spec, same source fingerprint) are served
-  from ``.bench_cache/`` (``--cache-dir`` / ``$REPRO_BENCH_CACHE``)
-  without spawning a worker -- an immediately repeated run is ~100%
-  cache hits and finishes in under a second;
-- ``--resume`` reuses successful entries from the journal directory
-  and re-runs only missing/failed points;
-- ``--rerun-failed`` re-executes exactly the points whose journalled
-  result carried an ``"error"`` tag (implies ``--resume``).
+points) with the content-addressed result cache: unchanged points
+(same spec, same source fingerprint) are served from ``.bench_cache/``
+(``--cache-dir`` / ``$REPRO_BENCH_CACHE``) without spawning a worker,
+so an immediately repeated run is ~100% cache hits and finishes in
+under a second.  Each success is cached as it completes and a failure
+never is: an interrupted run resumes, and a failed point re-runs, by
+running the same command again.
 
 The merged JSON is byte-identical for any ``--jobs`` value, shard
-split, interrupt/resume history or cache state; CI asserts it with
+split, interrupted history or cache state; CI asserts it with
 ``cmp``.  Cache statistics go to stderr and ``--stats-json`` only --
 never into the merged report.
 """
@@ -56,17 +53,8 @@ def main(argv=None):
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache (every point "
                              "executes)")
-    parser.add_argument("--journal-dir", default=None, metavar="DIR",
-                        help="shard-journal directory (default: "
-                             "<cache-dir>/journal)")
-    parser.add_argument("--resume", action="store_true",
-                        help="reuse successful journal entries; re-run "
-                             "only missing/failed points")
-    parser.add_argument("--rerun-failed", action="store_true",
-                        help="re-execute exactly the journalled points "
-                             "whose result carried an error tag")
     parser.add_argument("--stats-json", default=None, metavar="PATH",
-                        help="write cache/journal statistics here "
+                        help="write cache statistics here "
                              "(kept out of the merged report so it "
                              "stays byte-identical across runs)")
     parser.add_argument("--profile", default=None, metavar="PATH",
@@ -79,12 +67,11 @@ def main(argv=None):
     import matrix_points
     from repro.perf import (
         ResultCache,
-        ShardJournal,
         filter_points,
         matrix_to_json,
         run_matrix,
     )
-    from repro.perf.cache import resolve_cache_dir
+    from repro.perf.matrix import _entry_for, _execute
 
     points = matrix_points.default_matrix()
     if args.points:
@@ -105,14 +92,9 @@ def main(argv=None):
         import pstats
 
         profiler = cProfile.Profile()
-        results = []
         profiler.enable()
-        for point in points:
-            try:
-                results.append({"name": point.name,
-                                "metrics": point.run()})
-            except Exception as exc:   # mirror the pool's error shape
-                results.append({"name": point.name, "error": repr(exc)})
+        results = [_entry_for(point, _execute((index, point))[1])
+                   for index, point in enumerate(points)]
         profiler.disable()
         profiler.dump_stats(args.profile)
         stats_obj = pstats.Stats(profiler)
@@ -126,13 +108,7 @@ def main(argv=None):
             cache = ResultCache.open(
                 args.cache_dir,
                 roots=[os.path.join(_SRC, "repro"), _HERE])
-        journal_dir = args.journal_dir or os.path.join(
-            resolve_cache_dir(args.cache_dir), "journal")
-        journal = ShardJournal(journal_dir)
-        results, stats = run_matrix(
-            points, jobs=args.jobs, cache=cache, journal=journal,
-            resume=args.resume or args.rerun_failed,
-            rerun_failed=args.rerun_failed)
+        results, stats = run_matrix(points, jobs=args.jobs, cache=cache)
     elapsed = time.perf_counter() - started
 
     failures = [r for r in results if "error" in r]

@@ -92,13 +92,12 @@ class Subflow:
 class MptcpConnection:
     """One MPTCP connection endpoint (either side)."""
 
-    def __init__(self, sim, stack, token, is_client, scheduler="lowest-rtt",
+    def __init__(self, sim, stack, token, is_client,
                  path_manager="fullmesh", config_delay=0.0):
         self.sim = sim
         self.stack = stack
         self.token = token
         self.is_client = is_client
-        self.scheduler = scheduler
         self.path_manager = path_manager
         self.config_delay = config_delay
         self.subflows = []
@@ -433,12 +432,11 @@ class MptcpClient(MptcpConnection):
 
     _next_token = 1
 
-    def __init__(self, sim, stack, scheduler="lowest-rtt",
-                 path_manager="fullmesh", config_delay=0.0):
+    def __init__(self, sim, stack, path_manager="fullmesh",
+                 config_delay=0.0):
         MptcpClient._next_token += 1
         super().__init__(sim, stack, MptcpClient._next_token,
-                         is_client=True, scheduler=scheduler,
-                         path_manager=path_manager,
+                         is_client=True, path_manager=path_manager,
                          config_delay=config_delay)
 
     def connect(self, address_pairs, port):

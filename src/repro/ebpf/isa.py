@@ -144,11 +144,6 @@ def decode_program(data):
     return instructions
 
 
-def slot_count(instructions):
-    """Wire slots used (lddw counts twice)."""
-    return sum(2 if insn.opcode == OP_LDDW else 1 for insn in instructions)
-
-
 def _as_s32(value):
     value &= 0xFFFFFFFF
     return value - (1 << 32) if value >= (1 << 31) else value

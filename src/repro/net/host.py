@@ -34,7 +34,6 @@ class Host:
         self.name = name
         self.interfaces = []
         self._routes = {}
-        self._default_routes = {}
         self._stacks = {}
         self.rx_packets = 0
         self.tx_packets = 0
@@ -78,11 +77,6 @@ class Host:
         self._routes[dst_address] = interface
         self._route_cache.clear()
 
-    def add_default_route(self, family, interface):
-        """Per-family fallback route."""
-        self._default_routes[family] = interface
-        self._route_cache.clear()
-
     def register_stack(self, proto, stack):
         """Register the transport stack handling ``proto`` packets."""
         self._stacks[proto] = stack
@@ -110,8 +104,6 @@ class Host:
             iface = self.interface_for_address(src_address)
         if iface is None:
             iface = self._routes.get(dst_address)
-        if iface is None:
-            iface = self._default_routes.get(dst_address.family)
         cache[key] = iface
         return iface
 

@@ -35,7 +35,6 @@ from repro.perf.matrix import (
     Axis,
     MatrixPoint,
     MatrixSpec,
-    ShardJournal,
     expand_matrix,
     filter_points,
     matrix_to_json,
@@ -48,7 +47,6 @@ __all__ = [
     "MatrixPoint",
     "MatrixSpec",
     "ResultCache",
-    "ShardJournal",
     "expand_matrix",
     "filter_points",
     "matrix_to_json",

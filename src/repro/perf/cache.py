@@ -127,16 +127,13 @@ class ResultCache:
 
     ``get`` returns the stored result dict (or ``None`` on any kind of
     miss); ``put`` stores a result -- error-tagged results are refused,
-    a failed run must always re-execute.  Counters: ``hits``,
-    ``misses``, ``stores``.
+    a failed run must always re-execute.  What a run hit, missed and
+    stored is counted by :class:`~repro.perf.matrix.MatrixStats`.
     """
 
     def __init__(self, root, fingerprint=""):
         self.root = root
         self.fingerprint = fingerprint
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     def key(self, point):
         digest = hashlib.sha256()
@@ -161,9 +158,7 @@ class ResultCache:
             if "metrics" not in result or "error" in result:
                 raise ValueError("cached entry is not a success")
         except Exception:   # missing/corrupt/mismatched -> live run
-            self.misses += 1
             return None
-        self.hits += 1
         return result
 
     def put(self, point, result):
@@ -190,7 +185,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
 
     @classmethod
     def open(cls, cli_dir=None, roots=None):

@@ -1,5 +1,5 @@
-"""Declarative experiment matrices with deterministic, resumable,
-cached execution.
+"""Declarative experiment matrices with deterministic, cached
+execution.
 
 The paper's evaluation is a grid -- scenario x topology x cipher x
 scheduler.  A *point* is a named ``(callable, kwargs)`` pair returning
@@ -11,12 +11,14 @@ serialises point lists:
   dropping combinations a validity predicate rejects;
 - :func:`filter_points` applies the runner's substring (default) or
   ``--exact`` name filters;
-- :func:`run_matrix` executes a point list with a content-addressed
-  :class:`~repro.perf.cache.ResultCache` (unchanged points are skipped
-  entirely) and a :class:`ShardJournal` (per-shard JSONL files written
-  as points complete), supporting ``resume`` (re-run only
-  missing/failed entries) and ``rerun_failed`` (force re-execution of
-  exactly the error-tagged entries).
+- :func:`run_matrix` executes a point list -- matrix rows, C1M shards,
+  fluid scenarios alike -- with a content-addressed
+  :class:`~repro.perf.cache.ResultCache`.  The cache is the only way a
+  point is skipped: a stored success whose spec and source fingerprint
+  match is served without running, each success is stored as it
+  completes, and a failure is never stored.  An interrupted run
+  resumes by running again; a failed point re-runs on the next run;
+  after a source edit every point re-runs.
 
 Determinism rules:
 
@@ -31,7 +33,7 @@ Determinism rules:
   completion order.
 
 So the serialised JSON is byte-identical for any jobs/shard split, any
-interrupt/resume history, and any cache hit/miss pattern.
+interrupted history, and any cache hit/miss pattern.
 
 Points must be importable top-level callables (pickled by reference);
 closures and lambdas are rejected up front with a clear error rather
@@ -40,7 +42,6 @@ than a multiprocessing pickle backtrace.
 
 import itertools
 import json
-import os
 import pickle
 
 
@@ -145,79 +146,27 @@ def filter_points(points, patterns, exact=False):
             if any(pattern in p.name for pattern in patterns)]
 
 
-class ShardJournal:
-    """Per-shard JSONL journals of completed point results.
-
-    Shard ``k`` appends to ``<dir>/shard-<k>.jsonl`` as its points
-    complete, so an interrupted run leaves a complete record of
-    everything that finished.  ``load`` merges every shard file into a
-    name -> entry dict (last write wins, so resumed runs may append
-    fresh entries for names an older line also carries).
-    """
-
-    def __init__(self, directory):
-        self.directory = directory
-
-    def _path(self, shard):
-        return os.path.join(self.directory, "shard-%d.jsonl" % shard)
-
-    def append(self, shard, entry):
-        os.makedirs(self.directory, exist_ok=True)
-        with open(self._path(shard), "a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    def load(self):
-        entries = {}
-        if not os.path.isdir(self.directory):
-            return entries
-        for filename in sorted(os.listdir(self.directory)):
-            if not (filename.startswith("shard-")
-                    and filename.endswith(".jsonl")):
-                continue
-            with open(os.path.join(self.directory, filename)) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue    # torn tail line from an interrupt
-                    if isinstance(entry, dict) and "name" in entry:
-                        entries[entry["name"]] = entry
-        return entries
-
-
 class MatrixStats:
-    """Where each point's result came from, plus wall bookkeeping."""
+    """Where each point's result came from: the cache or a worker."""
 
     def __init__(self):
         self.cache_hits = 0
-        self.journal_reused = 0
         self.executed = 0
         self.errors = 0
         self.stored = 0
 
-    @property
-    def skipped(self):
-        """Points that never executed this run (cache or journal)."""
-        return self.cache_hits + self.journal_reused
-
     def to_dict(self):
         return {
             "cache_hits": self.cache_hits,
-            "journal_reused": self.journal_reused,
             "executed": self.executed,
             "errors": self.errors,
             "stored": self.stored,
-            "skipped": self.skipped,
         }
 
     def summary(self):
-        return ("%d hits / %d misses / %d skipped "
-                "(%d journal-reused, %d errors, %d stored)"
-                % (self.cache_hits, self.executed, self.skipped,
-                   self.journal_reused, self.errors, self.stored))
+        return ("%d hits / %d misses (%d errors, %d stored)"
+                % (self.cache_hits, self.executed, self.errors,
+                   self.stored))
 
 
 def _entry_for(point, result):
@@ -260,19 +209,15 @@ def _check_picklable(points):
             ) from exc
 
 
-def run_matrix(points, jobs=1, cache=None, journal=None, resume=False,
-               rerun_failed=False):
+def run_matrix(points, jobs=1, cache=None):
     """Run a matrix point list; returns ``(results, stats)``.
 
-    ``results`` is in canonical (input) order whatever the shard split,
-    completion order or resume history.  Resolution order per point:
-
-    1. with ``resume``/``rerun_failed``: a successful journal entry is
-       reused (error entries are always re-run);
-    2. a cache hit (skipped when ``rerun_failed`` names this point as
-       previously failed -- a forced fresh execution);
-    3. live execution in a spawn worker; the result is journalled under
-       the worker's shard and stored to the cache on success.
+    ``results`` is in canonical (input) order whatever the shard split
+    or completion order.  A point is served from ``cache`` when its
+    spec and source fingerprint match a stored success; every other
+    point runs in a spawn worker, and its result is stored as soon as
+    it lands unless it failed.  So an interrupted run resumes by
+    running again, and a failed point re-runs on the next run.
     """
     points = list(points)
     if jobs < 1:
@@ -280,34 +225,14 @@ def run_matrix(points, jobs=1, cache=None, journal=None, resume=False,
     stats = MatrixStats()
     results = [None] * len(points)
 
-    prior_failed = set()
-    if journal is not None and (resume or rerun_failed):
-        prior = journal.load()
-        for index, point in enumerate(points):
-            entry = prior.get(point.name)
-            if entry is None:
-                continue
-            if "error" in entry:
-                prior_failed.add(point.name)
-                continue
-            results[index] = entry
-            stats.journal_reused += 1
-
     todo = []
     for index, point in enumerate(points):
-        if results[index] is not None:
-            continue
-        force = rerun_failed and point.name in prior_failed
-        if cache is not None and not force:
-            hit = cache.get(point)
-            if hit is not None:
-                entry = _entry_for(point, hit)
-                results[index] = entry
-                stats.cache_hits += 1
-                if journal is not None:
-                    journal.append(index % jobs, entry)
-                continue
-        todo.append((index, point))
+        hit = cache.get(point) if cache is not None else None
+        if hit is not None:
+            results[index] = _entry_for(point, hit)
+            stats.cache_hits += 1
+        else:
+            todo.append((index, point))
 
     if todo:
         # Every remaining point pays for a fresh spawn interpreter; when
@@ -320,16 +245,13 @@ def run_matrix(points, jobs=1, cache=None, journal=None, resume=False,
         with ctx.Pool(processes=workers, maxtasksperchild=1) as pool:
             for index, result in pool.imap_unordered(_execute, todo):
                 point = points[index]
-                entry = _entry_for(point, result)
-                results[index] = entry
+                results[index] = _entry_for(point, result)
                 stats.executed += 1
                 if "error" in result:
                     stats.errors += 1
                 elif cache is not None:
                     cache.put(point, result)
                     stats.stored += 1
-                if journal is not None:
-                    journal.append(index % jobs, entry)
 
     return results, stats
 

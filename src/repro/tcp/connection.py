@@ -693,24 +693,6 @@ class TcpConnection:
         self._retransmit_lost()
         self._arm_rto()
 
-    def _retransmit_first_unacked(self):
-        seq = max(self.snd_una, self.snd_buf.base_seq)
-        if self._fin_sent and seq >= (self._fin_seq or 0):
-            self._send_segment(flags=FLAGS_FIN_ACK, seq=self._fin_seq,
-                               ack=self._ack_value())
-            self.retransmissions += 1
-            return
-        end = min(self.snd_nxt, seq + self.mss, self.snd_buf.end_seq)
-        length = end - seq
-        if length <= 0:
-            return
-        payload = self.snd_buf.peek(seq, length)
-        self._send_segment(flags=FLAGS_ACK, seq=seq, ack=self._ack_value(),
-                           payload=payload)
-        self.retransmissions += 1
-        if self._rtt_seq is not None and self._rtt_seq <= seq + length:
-            self._rtt_seq = None
-
     # ------------------------------------------------------------------
     # Input path
     # ------------------------------------------------------------------

@@ -152,7 +152,3 @@ class RangeSet:
         if cursor < end:
             gaps.add(cursor, end)
         return gaps
-
-    def union_update(self, other):
-        for s, e in other:
-            self.add(s, e)

@@ -52,36 +52,6 @@ def _request(nbytes):
     return b"R%031d" % nbytes
 
 
-class _BaseFetcher:
-    """Common surface: ``connect(on_ready)`` then ``pool(...)``."""
-
-    #: per-connection concurrent-transfer capacity (overridden)
-    capacity = 1
-    #: per-host connection limit handed to the pool
-    max_per_host = 6
-
-    def __init__(self, sim):
-        self.sim = sim
-
-    def connect(self, on_ready):
-        """Prepare the stack; ``on_ready`` fires when page loading may
-        start.  Default: nothing to pre-establish."""
-        self.sim.schedule(0.0, on_ready)
-
-    def pool(self, bus=None, idle_timeout=30.0):
-        """Build the ConnectionPool wired to this fetcher's factory."""
-        return ConnectionPool(
-            self.sim, self._factory, max_per_host=self.max_per_host,
-            capacity=self.capacity, idle_timeout=idle_timeout, bus=bus,
-        )
-
-    def _factory(self, host):
-        raise NotImplementedError
-
-    def fetch(self, entry, transfer, done):
-        raise NotImplementedError
-
-
 # -- TCPLS -----------------------------------------------------------------
 
 

@@ -16,7 +16,12 @@ import sys
 
 import pytest
 
-from repro.perf import MatrixPoint, ResultCache, source_fingerprint
+from repro.perf import (
+    MatrixPoint,
+    ResultCache,
+    run_matrix,
+    source_fingerprint,
+)
 from repro.perf.cache import (
     CACHE_ENV_VAR,
     canonical_point_spec,
@@ -40,10 +45,12 @@ def test_round_trip_and_counters(tmp_path):
     cache = make_cache(tmp_path)
     point = make_point(x=3)
     assert cache.get(point) is None
-    result = {"name": point.name, "metrics": {"x": 3}}
-    cache.put(point, result)
-    assert cache.get(point) == result
-    assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
+    _, cold = run_matrix([point], cache=cache)
+    assert (cold.cache_hits, cold.executed, cold.stored) == (0, 1, 1)
+    stored = cache.get(point)
+    assert stored == {"name": point.name, "metrics": metrics_point(x=3)}
+    _, warm = run_matrix([point], cache=cache)
+    assert (warm.cache_hits, warm.executed, warm.stored) == (1, 0, 0)
 
 
 def test_key_depends_on_name_fn_and_kwargs(tmp_path):
@@ -146,8 +153,8 @@ def test_error_results_are_never_cached(tmp_path):
     cache = make_cache(tmp_path)
     point = make_point(x=9)
     cache.put(point, {"name": point.name, "error": "RuntimeError: no"})
-    assert cache.stores == 0
     assert cache.get(point) is None
+    assert not os.path.exists(cache._path(cache.key(point)))
 
 
 def test_unkeyable_kwarg_is_rejected():

@@ -2,13 +2,16 @@
 
 Pins the fleet-grade properties: declarative expansion with validity
 predicates, substring/exact filters, one fresh interpreter per point,
-shard journals that survive an interrupt, resume that re-runs only
-missing/failed points, rerun-failed that re-executes exactly the
-error-tagged points, and a merged JSON that is byte-identical across
-jobs counts, cache states and resume histories.
+the result cache as the only way a point is skipped (an interrupted run
+resumes by running again, a failed point is never cached), and a merged
+JSON that is byte-identical across jobs counts and cache states.
 """
 
+import ast
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +20,6 @@ from repro.perf import (
     MatrixSpec,
     ResultCache,
     MatrixPoint,
-    ShardJournal,
     expand_matrix,
     filter_points,
     matrix_to_json,
@@ -125,7 +127,7 @@ def test_run_matrix_results_in_canonical_order(tmp_path):
     assert results[0]["metrics"] == {"cube": 1}
     assert results[0]["axes"] == {"x": 1, "scale": 1}
     assert stats.executed == len(POINTS)
-    assert stats.skipped == 0
+    assert stats.cache_hits == 0
 
 
 def test_empty_point_list():
@@ -166,11 +168,9 @@ def test_picklability_checked_once_per_distinct_fn(monkeypatch):
     assert len(calls) == 2
 
 
-def test_merged_json_identical_for_any_shard_split(tmp_path):
-    serial, _ = run_matrix(POINTS, jobs=1,
-                           journal=ShardJournal(str(tmp_path / "j1")))
-    parallel, _ = run_matrix(POINTS, jobs=3,
-                             journal=ShardJournal(str(tmp_path / "j3")))
+def test_merged_json_identical_for_any_shard_split():
+    serial, _ = run_matrix(POINTS, jobs=1)
+    parallel, _ = run_matrix(POINTS, jobs=3)
     text = matrix_to_json(serial)
     assert text == matrix_to_json(parallel)
     assert text.endswith("\n")
@@ -197,70 +197,6 @@ def test_partially_cached_run_executes_only_the_misses(tmp_path):
     assert stats.cache_hits == 3
     assert stats.executed == len(POINTS) - 3
     assert results == run_matrix(POINTS, jobs=1)[0]
-
-
-def test_journal_written_per_shard_as_points_complete(tmp_path):
-    journal = ShardJournal(str(tmp_path / "journal"))
-    run_matrix(POINTS, jobs=2, journal=journal)
-    files = sorted(
-        p.name for p in (tmp_path / "journal").iterdir())
-    assert files == ["shard-0.jsonl", "shard-1.jsonl"]
-    entries = journal.load()
-    assert set(entries) == {p.name for p in POINTS}
-
-
-def test_interrupted_shard_resumes_to_identical_json(tmp_path):
-    """Kill mid-matrix (only a prefix journalled), resume, and the
-    merged JSON must match an uninterrupted run byte for byte."""
-    uninterrupted, _ = run_matrix(POINTS, jobs=2)
-
-    journal = ShardJournal(str(tmp_path / "journal"))
-    run_matrix(POINTS[:2], jobs=2, journal=journal)   # the "interrupt"
-    # A torn tail line from the kill must not poison the journal.
-    with open(journal._path(0), "a") as handle:
-        handle.write('{"name": "unit/x=')
-    resumed, stats = run_matrix(POINTS, jobs=2, journal=journal,
-                                resume=True)
-    assert stats.journal_reused == 2
-    assert stats.executed == len(POINTS) - 2
-    assert matrix_to_json(resumed) == matrix_to_json(uninterrupted)
-
-
-def test_resume_reruns_failed_entries(tmp_path):
-    points = [MatrixPoint("f/x=%d" % x, flaky_point,
-                          {"x": x, "fail": x == 1}, axes={"x": x})
-              for x in range(3)]
-    journal = ShardJournal(str(tmp_path / "journal"))
-    first, stats = run_matrix(points, jobs=1, journal=journal)
-    assert first[1] == {"name": "f/x=1", "axes": {"x": 1},
-                        "error": "RuntimeError: scripted failure 1"}
-    assert stats.errors == 1
-
-    fixed = [MatrixPoint(p.name, flaky_point, {"x": p.axes["x"],
-                                               "fail": False},
-                         axes=p.axes) for p in points]
-    second, stats = run_matrix(fixed, jobs=1, journal=journal,
-                               resume=True)
-    assert stats.journal_reused == 2        # successes kept
-    assert stats.executed == 1              # only the failure re-ran
-    assert all("metrics" in r for r in second)
-
-
-def test_rerun_failed_bypasses_cache_for_failed_points(tmp_path):
-    """--rerun-failed must force fresh execution of exactly the
-    error-tagged points even when a (stale-success) cache entry for
-    the same key exists."""
-    point = MatrixPoint("f/x=1", flaky_point, {"x": 1, "fail": False},
-                        axes={"x": 1})
-    cache = ResultCache(str(tmp_path / "cache"), "fp")
-    cache.put(point, {"name": point.name, "metrics": {"ok": -999}})
-    journal = ShardJournal(str(tmp_path / "journal"))
-    journal.append(0, {"name": point.name, "error": "RuntimeError: x"})
-
-    results, stats = run_matrix([point], jobs=1, cache=cache,
-                                journal=journal, rerun_failed=True)
-    assert stats.executed == 1 and stats.cache_hits == 0
-    assert results[0]["metrics"] == {"ok": 1}
 
 
 def test_error_points_are_not_cached(tmp_path):
@@ -294,3 +230,62 @@ def test_fully_cached_matrix_spawns_no_pool(tmp_path, monkeypatch):
 def test_bad_jobs_rejected():
     with pytest.raises(ValueError):
         run_matrix(POINTS, jobs=0)
+
+
+# -- the runner --------------------------------------------------------------
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+RUNNER = os.path.join(REPO, "benchmarks", "runner.py")
+
+
+def run_runner(*args):
+    subprocess.run([sys.executable, RUNNER] + list(args), check=True,
+                   capture_output=True)
+
+
+def test_profiled_run_writes_the_pools_json(tmp_path):
+    """``--profile`` runs in-process but through the pool's own entry
+    code, so its report carries the same axes blocks, byte for byte."""
+    names = ",".join(
+        "fig7/stack=tcpls/mtu=1500/cipher=aes128gcm/recsize=%d/ack=16" % size
+        for size in (1024, 16384))
+    pooled, profiled = tmp_path / "pooled.json", tmp_path / "profiled.json"
+    run_runner("--exact", "--points", names, "--no-cache",
+               "--json", str(pooled))
+    run_runner("--exact", "--points", names, "--json", str(profiled),
+               "--profile", str(tmp_path / "runner.prof"))
+    assert len(json.loads(pooled.read_text())["results"]) == 2
+    assert profiled.read_bytes() == pooled.read_bytes()
+
+
+def test_one_way_to_skip_a_point():
+    """The result cache is the only skip mechanism: no shard journal,
+    no resume or rerun-failed switch, in the code or in the commands
+    the docs tell a reader to run."""
+    banned = {"ShardJournal", "journal_reused", "rerun_failed"}
+    found = []
+    for top in ("src", "benchmarks"):
+        for dirpath, _, filenames in os.walk(os.path.join(REPO, top)):
+            for filename in filenames:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, filename)
+                with open(path) as handle:
+                    tree = ast.parse(handle.read(), path)
+                for node in ast.walk(tree):
+                    names = {getattr(node, attr, None) for attr in
+                             ("id", "attr", "name", "arg", "value")}
+                    hits = banned & {n for n in names if isinstance(n, str)}
+                    if isinstance(node, ast.arg) and node.arg == "resume":
+                        hits.add("resume parameter")
+                    found.extend("%s:%d %s" % (os.path.relpath(path, REPO),
+                                               node.lineno, hit)
+                                 for hit in hits)
+    for rel in ("benchmarks/runner.py", "Makefile", "README.md"):
+        with open(os.path.join(REPO, rel)) as handle:
+            text = handle.read()
+        found.extend("%s %s" % (rel, flag) for flag in
+                     ("--resume", "--rerun-failed", "--journal-dir",
+                      "bench-matrix-rerun") if flag in text)
+    assert found == []
