@@ -14,6 +14,8 @@ test:
 test-obs:
 	$(PYTHON) -m pytest -m obs -q
 
+# The pytest benches the matrix does not hold yet (Fig. 12, Sec. 5.1,
+# ablations) and the micro hot-path suite.
 bench:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest -q -s --benchmark-only --json BENCH_all.json
 
@@ -25,15 +27,16 @@ bench-check:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest bench_micro_hotpaths.py -q -s --benchmark-only --benchmark-disable-gc --benchmark-min-rounds=7 --json BENCH_micro.json
 	$(PYTHON) benchmarks/gate.py benchmarks/baselines/BENCH_micro.json benchmarks/BENCH_micro.json $(BENCH_GATE_FLAGS)
 
-# Full experiment matrix (176 scenario x topology x cipher x scheduler
-# points), sharded over $(JOBS) worker processes, with the
+# Full experiment matrix (211 scenario x topology x cipher x scheduler
+# points, the paper's tables and figures but Fig. 12), sharded over $(JOBS) worker processes, with the
 # content-addressed result cache: unchanged points are served from
 # .bench_cache (override with --cache-dir or REPRO_BENCH_CACHE), so an
 # immediately repeated run is ~100% cache hits and finishes in under a
 # second.  Failures are never cached, so re-running this target is how
-# an interrupted run resumes and a failed point re-runs.  The gate diffs the whole matrix against the committed
-# envelope, grouping regressions by axis value; refresh
-# benchmarks/baselines/BENCH_matrix.json when a drift is intended.
+# an interrupted run resumes and a failed point re-runs.  The gate diffs
+# the whole matrix against the committed envelope, grouping regressions
+# by axis value, then checks every paper claim of benchmarks/claims.py;
+# refresh benchmarks/baselines/BENCH_matrix.json when a drift is intended.
 bench-matrix:
 	$(PYTHON) benchmarks/runner.py --jobs $(JOBS) \
 	    --json benchmarks/BENCH_matrix.json \

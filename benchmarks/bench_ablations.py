@@ -12,7 +12,7 @@
 
 from conftest import run_once
 
-from common import PSK, banner, build_tcpls_group_upload, scaled
+from common import PSK, banner, build_tcpls_group_upload
 from repro.core import TcplsClient, TcplsServer
 from repro.core.engine.policy import LowestRttScheduler, RoundRobinScheduler
 from repro.net import Simulator, build_multipath
@@ -144,7 +144,7 @@ def run_ack_interval(interval):
     server = TcplsServer(sim, sstack, 443, psk=PSK, ack_interval=interval)
     sessions = []
     done = []
-    size = scaled(8 << 20)
+    size = 8 << 20
 
     def on_session(sess):
         sessions.append(sess)
@@ -203,7 +203,7 @@ def run_scheduler(scheduler_factory):
                            rates=[25_000_000, 25_000_000],
                            delays=[0.005, 0.050])  # 10 ms vs 100 ms RTT
     _client, _sessions, _probe, done = build_tcpls_group_upload(
-        sim, topo, scaled(8 << 20), n_paths=2, scheduler=scheduler_factory())
+        sim, topo, 8 << 20, n_paths=2, scheduler=scheduler_factory())
     sim.run(until=60)
     return done[0] if done else None
 

@@ -1,71 +1,17 @@
-"""Shared scenario builders for the figure-regeneration benches.
+"""Shared scenario builders for the matrix points and the remaining
+pytest benches.
 
-Each experiment mirrors a Sec. 5 evaluation setup.  Figures are
-regenerated as printed series (time, goodput) plus summary rows; the
-benches assert the *shape* results the paper reports (who wins, rough
-factors, crossovers) rather than absolute testbed numbers.
-
-Set ``REPRO_SCALE`` (default 1.0) to scale transfer sizes, e.g. 0.25
-for a quick pass.
+Each experiment mirrors a Sec. 5 evaluation setup: a goodput probe
+sampled every 0.25 s of simulated time, and a client/server pair that
+downloads or uploads one object.
 """
 
-import os
-
-from repro.net import Simulator, build_multipath
 from repro.net.address import Endpoint
 from repro.tcp import TcpStack
 from repro.core import TcplsClient, TcplsServer
 from repro.baselines.mptcp import MptcpClient, MptcpServer
 
 PSK = b"bench-psk"
-
-SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
-
-#: directory for qlog traces; set by the ``--qlog`` pytest option (see
-#: conftest) or the REPRO_QLOG environment variable.  None = disabled.
-QLOG_DIR = os.environ.get("REPRO_QLOG") or None
-
-#: (tracer, filename) pairs pending a dump at session finish
-_PENDING_TRACES = []
-
-#: categories captured for benchmark traces — lifecycle + recovery +
-#: congestion dynamics, but not per-record events (a full-scale figure
-#: run seals hundreds of thousands of records)
-TRACE_CATEGORIES = ("session", "recovery", "tcp", "link")
-
-
-def scaled(size):
-    return max(int(size * SCALE), 1 << 20)
-
-
-def maybe_trace(sim, name, categories=TRACE_CATEGORIES):
-    """Arm a qlog tracer on this run when ``--qlog``/REPRO_QLOG is set.
-
-    Returns the tracer (or None when tracing is disabled).  The trace
-    is written as ``<dir>/<name>.qlog`` once the pytest session ends.
-    """
-    if not QLOG_DIR:
-        return None
-    from repro.qlog import QlogTracer
-
-    tracer = QlogTracer(sim, title=name)
-    sim.bus.subscribe(tracer, categories=categories)
-    _PENDING_TRACES.append((tracer, "%s.qlog" % name))
-    return tracer
-
-
-def dump_traces():
-    """Write all pending traces; returns the paths written."""
-    if not _PENDING_TRACES:
-        return []
-    os.makedirs(QLOG_DIR, exist_ok=True)
-    paths = []
-    while _PENDING_TRACES:
-        tracer, filename = _PENDING_TRACES.pop(0)
-        path = os.path.join(QLOG_DIR, filename)
-        tracer.dump(path)
-        paths.append(path)
-    return paths
 
 
 class GoodputProbe:

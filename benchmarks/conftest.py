@@ -1,10 +1,11 @@
 """Benchmark harness plumbing.
 
-Every bench in this directory regenerates one of the paper's tables or
-figures (see DESIGN.md's per-experiment index).  Each test wraps its
-experiment in the pytest-benchmark fixture (rounds=1 -- the experiments
-are deterministic discrete-event runs, not micro timings) so
-``pytest benchmarks/ --benchmark-only`` executes the whole evaluation.
+The paper's tables and figures are matrix rows (``matrix_points.py``)
+checked by ``claims.py``; the pytest benches here are the experiments
+not yet in the matrix (Fig. 12, Sec. 5.1, the ablations) and the micro
+hot-path suite.  Each experiment test wraps its run in the
+pytest-benchmark fixture (rounds=1 -- the experiments are
+deterministic discrete-event runs, not micro timings).
 """
 
 import os
@@ -15,23 +16,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--qlog", metavar="DIR", default=None,
-        help="write one qlog trace per instrumented experiment run into "
-             "DIR (equivalent to REPRO_QLOG=DIR); inspect with QVIS",
-    )
-    parser.addoption(
         "--json", metavar="PATH", default=None, dest="bench_json",
         help="write the run's benchmark timings to PATH as JSON "
              "(consumed by benchmarks/gate.py for regression checks)",
     )
-
-
-def pytest_configure(config):
-    qlog_dir = config.getoption("--qlog", default=None)
-    if qlog_dir:
-        import common
-
-        common.QLOG_DIR = qlog_dir
 
 
 def _bench_stat(bench, key):
@@ -44,11 +32,6 @@ def _bench_stat(bench, key):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    import common
-
-    for path in common.dump_traces():
-        print("[qlog] wrote %s" % path)
-
     json_path = session.config.getoption("bench_json", default=None)
     if not json_path:
         return

@@ -22,17 +22,25 @@ Reads both report shapes, told apart by their top-level key:
 Failures are grouped by axis value: matrix points carry their axis
 assignment (``{"axes": {"cipher": "chacha20poly1305", ...}}``), so the
 report says "all cipher=chacha20poly1305 points slowed" instead of
-printing hundreds of indistinguishable rows.  Exit status 1 on any
-regression or on a point that errors where the baseline succeeded, 0
-otherwise; names present on only one side are reported but never fail
-the run (new points need a first baseline, retired ones a refresh, and
-a filtered run is gated on the points it ran).
+printing hundreds of indistinguishable rows.  Names present on only one
+side are reported but never fail the run (new points need a first
+baseline, retired ones a refresh, and a filtered run is gated on the
+points it ran).
+
+After the drift check, a matrix report is held to the paper: every
+claim of ``claims.py`` whose rows the run has is evaluated on the new
+rows, and a failing claim is printed with the rows it read.  Claims
+whose rows the run skipped are listed as not evaluated.  Exit status 1
+on any regression, on a point that errors where the baseline succeeded
+or on a failed claim, 0 otherwise.
 """
 
 import argparse
 import json
 import sys
 from collections import defaultdict
+
+import claims
 
 #: metric -> smaller is better (simulated completion/latency seconds)
 LOWER_IS_BETTER = frozenset((
@@ -99,6 +107,26 @@ def print_one_sided(names, note):
         print("%-64s (%s)" % (name, note))
     if len(names) > 10:
         print("... and %d more (%s)" % (len(names) - 10, note))
+
+
+def check_claims(baseline, new):
+    """Print the claims' verdicts on the new rows; returns the number
+    that failed."""
+    outcome = claims.evaluate(new, names=baseline)
+    print("\n%d claims evaluated (%d failed, %d known-wrong), "
+          "%d not evaluated" % (len(outcome.evaluated), len(outcome.failed),
+                                len(outcome.known), len(outcome.skipped)))
+    for claim, reason, read in outcome.failed:
+        print("CLAIM FAILED %s (%s; %s): %s"
+              % (claim.id, claim.cites, claim.tolerance, reason))
+        for name, entry in read:
+            shown = entry.get("error") or json.dumps(entry["metrics"],
+                                                     sort_keys=True)
+            print("  %s %s" % (name, shown[:240]))
+    for cid, names in sorted(outcome.known.items()):
+        print("known-wrong %s: %s" % (cid, ", ".join(names)))
+    print_one_sided(outcome.skipped, "claim not evaluated: rows not run")
+    return len(outcome.failed)
 
 
 def main(argv=None):
@@ -175,11 +203,19 @@ def main(argv=None):
     print_one_sided(only_new, "new: no baseline yet")
     print_one_sided(only_old, "removed: present only in baseline")
 
+    failed_claims = 0
+    if any("metrics" in entry or "error" in entry for entry in new.values()):
+        failed_claims = check_claims(baseline, new)
+
     if regressed or new_errors:
         print("\nFAIL: drifted past %.0f%% of %s.  If the change is "
               "intended, refresh the baseline (see bench-check and "
               "bench-matrix in the Makefile)."
               % (args.threshold * 100, args.baseline))
+        return 1
+    if failed_claims:
+        print("\nFAIL: %d claim(s) of benchmarks/claims.py do not hold"
+              % failed_claims)
         return 1
     print("within the baseline")
     return 0

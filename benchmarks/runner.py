@@ -6,7 +6,7 @@ Usage (from the repo root)::
     python benchmarks/runner.py --list
     python benchmarks/runner.py --points fig8 --json out.json
 
-Runs the declarative experiment matrix (:mod:`matrix_points`, 176
+Runs the declarative experiment matrix (:mod:`matrix_points`, 211
 points) with the content-addressed result cache: unchanged points
 (same spec, same source fingerprint) are served from ``.bench_cache/``
 (``--cache-dir`` / ``$REPRO_BENCH_CACHE``) without spawning a worker,

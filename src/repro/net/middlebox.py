@@ -86,14 +86,10 @@ class OptionStrippingFirewall(Middlebox):
     """
 
     #: kinds every middlebox predates: EOL, NOP, MSS, WScale, SACKperm, TS
-    DEFAULT_ALLOWED = frozenset({0, 1, 2, 3, 4, 5, 8})
+    ALLOWED = frozenset({0, 1, 2, 3, 4, 5, 8})
 
-    def __init__(self, name="", allowed_kinds=None):
+    def __init__(self, name=""):
         super().__init__(name)
-        self.allowed_kinds = (
-            frozenset(allowed_kinds) if allowed_kinds is not None
-            else self.DEFAULT_ALLOWED
-        )
         self.stripped = 0
 
     def process(self, packet):
@@ -101,7 +97,7 @@ class OptionStrippingFirewall(Middlebox):
         if packet.proto != "tcp":
             return packet
         seg = packet.payload
-        kept = [o for o in seg.options if o.kind in self.allowed_kinds]
+        kept = [o for o in seg.options if o.kind in self.ALLOWED]
         if len(kept) != len(seg.options):
             self.stripped += len(seg.options) - len(kept)
             packet.payload = seg.replace(options=tuple(kept))
@@ -169,10 +165,10 @@ class NAT:
     two halves share the translation table.
     """
 
-    def __init__(self, public_address, name="nat", port_base=40000):
+    def __init__(self, public_address, name="nat"):
         self.public_address = public_address
         self.name = name
-        self._next_port = port_base
+        self._next_port = 40000
         self._out_map = {}
         self._in_map = {}
         self.outbound = _NatHalf(self, outbound=True, name=name + "-out")

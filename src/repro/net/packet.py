@@ -26,15 +26,13 @@ class Packet:
         on the wire (headers + data).
     """
 
-    __slots__ = ("src", "dst", "proto", "payload", "ttl", "_sized",
-                 "_size")
+    __slots__ = ("src", "dst", "proto", "payload", "_sized", "_size")
 
-    def __init__(self, src, dst, proto, payload, ttl=64):
+    def __init__(self, src, dst, proto, payload):
         self.src = src
         self.dst = dst
         self.proto = proto
         self.payload = payload
-        self.ttl = ttl
         self._sized = None
 
     def wire_size(self):
@@ -55,7 +53,7 @@ class Packet:
 
     def copy(self):
         """Shallow copy (payload shared) used by duplicating middleboxes."""
-        return Packet(self.src, self.dst, self.proto, self.payload, self.ttl)
+        return Packet(self.src, self.dst, self.proto, self.payload)
 
     def __repr__(self):
         return "Packet(%s -> %s, %s, %d B)" % (

@@ -517,7 +517,7 @@ class FluidScenarioHarness:
                      for s in cohort.sizes[cohort.completed:]]
         if not remaining:
             return
-        links = [self.topo.leaves[cohort.leaf], self.topo.backup]
+        links = self.topo.path(cohort.leaf, via_backup=True)
         moved = FluidCohort(links, remaining, rtt=self._rtt(links),
                             cwnd=self._iw, label=cohort.label + "-bk")
         moved.leaf = cohort.leaf

@@ -3,17 +3,19 @@
 Implements the connection lifecycle over :mod:`repro.net`: three-way
 handshake (with optional TCP Fast Open), bidirectional bytestream
 transfer with cumulative ACKs, RFC 6298 retransmission timeouts with
-exponential backoff, fast retransmit after three duplicate ACKs with
-NewReno-style recovery, receive-window flow control, FIN/RST teardown,
-and the RFC 5482 User Timeout used by TCPLS to detect blackholed paths.
+exponential backoff, fast retransmit after three duplicate ACKs,
+SACK-based loss recovery (an ACK sent while the receive buffer has a
+gap carries SACK blocks; the sender keeps an RFC 6675-style scoreboard
+of what the peer holds and what is deemed lost), receive-window flow
+control, FIN/RST teardown, and the RFC 5482 User Timeout used by TCPLS
+to detect blackholed paths.
 
 Simplifications relative to a kernel stack (documented here because
 tests rely on them): sequence numbers are Python ints that never wrap
 (ISS is small); the advertised window is carried as an integer without
 the 16-bit clamp + window-scale split; ACKs are sent immediately
-rather than delayed; SACK blocks are not generated (loss recovery is
-NewReno).  None of these affect the transport dynamics the paper
-measures.
+rather than delayed.  None of these affect the transport dynamics the
+paper measures.
 """
 
 from repro.net.packet import Packet

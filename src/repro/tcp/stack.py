@@ -29,10 +29,9 @@ class Listener:
 class TcpStack:
     """Host-wide TCP state."""
 
-    def __init__(self, sim, host, default_cc="cubic", tfo_enabled=False):
+    def __init__(self, sim, host, tfo_enabled=False):
         self.sim = sim
         self.host = host
-        self.default_cc = default_cc
         self.tfo_enabled = tfo_enabled
         self._connections = {}
         self._listeners = {}
@@ -52,7 +51,7 @@ class TcpStack:
         """
         if port in self._listeners:
             raise ValueError("port %d already listening" % port)
-        listener = Listener(port, on_accept, cc or self.default_cc)
+        listener = Listener(port, on_accept, cc or "cubic")
         self._listeners[port] = listener
         return listener
 
@@ -67,7 +66,7 @@ class TcpStack:
         if local_port is None:
             local_port = self._allocate_port()
         local = Endpoint(local_addr, local_port)
-        conn = TcpConnection(self, local, remote, cc=cc or self.default_cc)
+        conn = TcpConnection(self, local, remote, cc=cc or "cubic")
         self._register(conn)
         conn.connect(tfo_data=tfo_data)
         return conn

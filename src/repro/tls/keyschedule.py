@@ -14,32 +14,34 @@ TCPLS's Fig. 2 IV derivation starts from the traffic IVs produced here.
 import hashlib
 import hmac
 
-from repro.crypto.hkdf import derive_secret, hkdf_expand_label, hkdf_extract
+from repro.crypto.hkdf import (
+    HASH,
+    HASH_LEN,
+    derive_secret,
+    hkdf_expand_label,
+    hkdf_extract,
+)
 
 
 class TrafficKeys:
-    """AEAD key + static IV derived from one traffic secret."""
+    """AEAD key + 12-byte static IV derived from one traffic secret."""
 
     __slots__ = ("secret", "key", "iv")
 
-    def __init__(self, secret, key_size, iv_size=12, hash_name="sha256"):
+    def __init__(self, secret, key_size):
         self.secret = secret
-        self.key = hkdf_expand_label(secret, b"key", b"", key_size, hash_name)
-        self.iv = hkdf_expand_label(secret, b"iv", b"", iv_size, hash_name)
+        self.key = hkdf_expand_label(secret, b"key", b"", key_size)
+        self.iv = hkdf_expand_label(secret, b"iv", b"", 12)
 
 
 class KeySchedule:
     """Runs the schedule incrementally as handshake messages are hashed."""
 
-    def __init__(self, cipher_cls, psk=b"", hash_name="sha256"):
+    def __init__(self, cipher_cls, psk=b""):
         self.cipher_cls = cipher_cls
-        self.hash_name = hash_name
-        self._digest_size = hashlib.new(hash_name).digest_size
-        self._transcript = hashlib.new(hash_name)
+        self._transcript = hashlib.sha256()
         self._transcript_bytes = b""
-        self.early_secret = hkdf_extract(
-            b"", psk or b"\x00" * self._digest_size, hash_name
-        )
+        self.early_secret = hkdf_extract(b"", psk or b"\x00" * HASH_LEN)
         self.handshake_secret = None
         self.master_secret = None
         self.client_handshake = None
@@ -62,21 +64,16 @@ class KeySchedule:
     def derive_early_traffic(self):
         """client_early_traffic_secret for 0-RTT data (after CH)."""
         secret = self._derive("c e traffic", self.early_secret)
-        return TrafficKeys(secret, self.cipher_cls.key_size,
-                           hash_name=self.hash_name)
+        return TrafficKeys(secret, self.cipher_cls.key_size)
 
     def derive_handshake(self, dhe_shared_secret):
         """After ServerHello: handshake traffic keys."""
-        derived = derive_secret(self.early_secret, b"derived", b"",
-                                self.hash_name)
-        self.handshake_secret = hkdf_extract(derived, dhe_shared_secret,
-                                             self.hash_name)
+        derived = derive_secret(self.early_secret, b"derived", b"")
+        self.handshake_secret = hkdf_extract(derived, dhe_shared_secret)
         client = self._derive("c hs traffic", self.handshake_secret)
         server = self._derive("s hs traffic", self.handshake_secret)
-        self.client_handshake = TrafficKeys(client, self.cipher_cls.key_size,
-                                            hash_name=self.hash_name)
-        self.server_handshake = TrafficKeys(server, self.cipher_cls.key_size,
-                                            hash_name=self.hash_name)
+        self.client_handshake = TrafficKeys(client, self.cipher_cls.key_size)
+        self.server_handshake = TrafficKeys(server, self.cipher_cls.key_size)
         return self.client_handshake, self.server_handshake
 
     def derive_application(self):
@@ -89,32 +86,22 @@ class KeySchedule:
         """
         if self.handshake_secret is None:
             raise RuntimeError("derive_handshake must run first")
-        derived = derive_secret(self.handshake_secret, b"derived", b"",
-                                self.hash_name)
-        self.master_secret = hkdf_extract(
-            derived, b"\x00" * self._digest_size, self.hash_name
-        )
+        derived = derive_secret(self.handshake_secret, b"derived", b"")
+        self.master_secret = hkdf_extract(derived, b"\x00" * HASH_LEN)
         client = self._derive("c ap traffic", self.master_secret)
         server = self._derive("s ap traffic", self.master_secret)
-        self.client_application = TrafficKeys(
-            client, self.cipher_cls.key_size, hash_name=self.hash_name
-        )
-        self.server_application = TrafficKeys(
-            server, self.cipher_cls.key_size, hash_name=self.hash_name
-        )
+        self.client_application = TrafficKeys(client,
+                                              self.cipher_cls.key_size)
+        self.server_application = TrafficKeys(server,
+                                              self.cipher_cls.key_size)
         return self.client_application, self.server_application
 
     def finished_verify_data(self, traffic_secret):
         """Finished.verify_data = HMAC(finished_key, Transcript-Hash)."""
-        finished_key = hkdf_expand_label(
-            traffic_secret, b"finished", b"", self._digest_size,
-            self.hash_name,
-        )
-        return hmac.new(finished_key, self.transcript_hash(),
-                        self.hash_name).digest()
+        finished_key = hkdf_expand_label(traffic_secret, b"finished", b"",
+                                         HASH_LEN)
+        return hmac.new(finished_key, self.transcript_hash(), HASH).digest()
 
     def _derive(self, label, secret):
-        return hkdf_expand_label(
-            secret, label.encode(), self.transcript_hash(),
-            self._digest_size, self.hash_name,
-        )
+        return hkdf_expand_label(secret, label.encode(),
+                                 self.transcript_hash(), HASH_LEN)

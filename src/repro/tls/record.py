@@ -53,24 +53,20 @@ def xor_nonce(iv, sequence):
 
 
 class RecordEncryptor:
-    """Protects records under one traffic key (cipher + IV + sequence).
+    """Protects records under one traffic key (cipher + IV + sequence),
+    with RFC 8446's IV XOR seq nonce."""
 
-    ``nonce_fn`` may be overridden to plug in the TCPLS per-stream
-    derivation of Fig. 2; the default is RFC 8446's IV XOR seq.
-    """
-
-    def __init__(self, cipher, iv, nonce_fn=None):
+    def __init__(self, cipher, iv):
         self.cipher = cipher
         self.iv = iv
         self.sequence = 0
-        self._nonce_fn = nonce_fn or (lambda seq: xor_nonce(self.iv, seq))
 
     def protect(self, content_type, payload, padding=0):
         """Encrypt one record; returns the full wire bytes."""
         inner = payload + bytes([content_type]) + b"\x00" * padding
         if len(inner) > MAX_RECORD_PAYLOAD + 1 + padding:
             raise TlsRecordError("record payload exceeds 2^14 bytes")
-        nonce = self._nonce_fn(self.sequence)
+        nonce = xor_nonce(self.iv, self.sequence)
         length = len(inner) + self.cipher.tag_size
         header = encode_record_header(CONTENT_APPLICATION_DATA, length)
         ciphertext = self.cipher.seal(nonce, inner, aad=header)
@@ -81,11 +77,10 @@ class RecordEncryptor:
 class RecordDecryptor:
     """Unprotects records under one traffic key."""
 
-    def __init__(self, cipher, iv, nonce_fn=None):
+    def __init__(self, cipher, iv):
         self.cipher = cipher
         self.iv = iv
         self.sequence = 0
-        self._nonce_fn = nonce_fn or (lambda seq: xor_nonce(self.iv, seq))
         self.forgery_attempts = 0
 
     def unprotect(self, record):
@@ -96,7 +91,7 @@ class RecordDecryptor:
         """
         header, ciphertext = record[:RECORD_HEADER_SIZE], record[
             RECORD_HEADER_SIZE:]
-        nonce = self._nonce_fn(self.sequence)
+        nonce = xor_nonce(self.iv, self.sequence)
         try:
             inner = self.cipher.open(nonce, ciphertext, aad=header)
         except AeadAuthenticationError as exc:
@@ -104,14 +99,6 @@ class RecordDecryptor:
             raise TlsRecordError("record authentication failed") from exc
         self.sequence += 1
         return split_inner_plaintext(inner)
-
-    def verify_only(self, record):
-        """Cheap tag check at the current sequence, without decrypting or
-        advancing state -- the TCPLS stream-demux trial operation."""
-        header, ciphertext = record[:RECORD_HEADER_SIZE], record[
-            RECORD_HEADER_SIZE:]
-        nonce = self._nonce_fn(self.sequence)
-        return self.cipher.verify_tag(nonce, ciphertext, aad=header)
 
 
 def split_inner_plaintext(inner):

@@ -1,14 +1,14 @@
-"""Scenario smoke runs of the Fig. 8 / Fig. 9 benchmarks.
+"""Scenario smoke runs of the Fig. 8 / Fig. 9 matrix points.
 
-Runs the two outage benchmarks in fast mode (1 MiB transfers, outages
+Runs the two outage points in fast mode (1 MiB transfers, outages
 pulled forward) so a regression in the scenario plumbing fails loudly
 in the ordinary test suite, and asserts the acceptance criterion for
-the fault layer: identical seeds produce identical metrics — goodput
-series, completion times and per-link drop accounting — across two
-runs of the same scripted outage.
+the fault layer: identical seeds produce identical metrics -- goodput
+series digest, completion time and delivered bytes -- across two runs
+of the same scripted outage.
 
 Select just these (plus the rest of the fault suite) with
-``pytest -m faults``; ``-m smoke`` narrows to the bench runs alone.
+``pytest -m faults``; ``-m smoke`` narrows to the scenario runs alone.
 """
 
 import os
@@ -23,44 +23,39 @@ BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
 if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
-import bench_fig8_failover as fig8    # noqa: E402
-import bench_fig9_outages as fig9     # noqa: E402
+from matrix_points import fig8_matrix_point, fig9_rotation_point  # noqa: E402
 
 SMOKE_SIZE = 1 << 20
 
 
-@pytest.fixture(autouse=True)
-def fast_mode(monkeypatch):
-    """Shrink the experiments so each run takes well under a second of
-    wall clock while still exercising the scripted outage mid-transfer."""
-    monkeypatch.setattr(fig8, "SIZE", SMOKE_SIZE)
-    monkeypatch.setattr(fig9, "SIZE", 4 * SMOKE_SIZE)
-    monkeypatch.setattr(fig9, "HORIZON", 20.0)
+def twice(fn, **kwargs):
+    return [fn(**kwargs) for _ in range(2)]
 
 
 def test_fig8_blackhole_scenario_is_deterministic():
-    runs = [fig8.run_tcpls("blackhole", outage_at=0.3) for _ in range(2)]
-    series, finished = runs[0]
+    runs = twice(fig8_matrix_point, proto="tcpls", outage="blackhole",
+                 outage_at=0.3, size=SMOKE_SIZE)
     assert runs[0] == runs[1]
-    assert finished is not None and finished > 0.3  # outage bit mid-run
+    assert runs[0]["done_at"] > 0.3     # the outage bit mid-run
+    assert runs[0]["bytes_delivered"] == SMOKE_SIZE
 
 
 def test_fig8_rst_scenario_is_deterministic():
-    runs = [fig8.run_tcpls("rst", outage_at=0.3) for _ in range(2)]
+    runs = twice(fig8_matrix_point, proto="tcpls", outage="rst",
+                 outage_at=0.3, size=SMOKE_SIZE)
     assert runs[0] == runs[1]
-    assert runs[0][1] is not None
+    assert runs[0]["done_at"] is not None
 
 
 def test_fig8_mptcp_scenario_is_deterministic():
-    runs = [fig8.run_mptcp("blackhole", outage_at=0.3) for _ in range(2)]
+    runs = twice(fig8_matrix_point, proto="mptcp", outage="blackhole",
+                 outage_at=0.3, size=SMOKE_SIZE)
     assert runs[0] == runs[1]
 
 
 def test_fig9_rotating_outage_scenario_is_deterministic():
-    runs = [fig9.run_tcpls(rotate_every=1.0) for _ in range(2)]
-    (series_a, done_a, total_a), (series_b, done_b, total_b) = runs
-    assert series_a == series_b
-    assert done_a == done_b
-    assert total_a == total_b
-    assert total_a >= 4 * SMOKE_SIZE      # the transfer completed
-    assert done_a is not None and done_a > 1.0  # survived >=1 rotation
+    runs = twice(fig9_rotation_point, rotate_every=1.0,
+                 size=4 * SMOKE_SIZE, horizon=20.0)
+    assert runs[0] == runs[1]
+    assert runs[0]["bytes_delivered"] >= 4 * SMOKE_SIZE   # completed
+    assert runs[0]["done_at"] > 1.0     # survived >= 1 rotation

@@ -148,12 +148,14 @@ def test_lower_is_better_direction(tmp_path):
 
 def test_nested_metrics_are_gated(tmp_path):
     """The c1m rows nest their latency percentiles and the fluid rows
-    their probe: the gate must reach one level down."""
+    their probe: the gate must reach one level down.  (The rows carry
+    what their families' claims read, so only the drift can fail.)"""
     def doc(p99=0.008, utilization=1.0):
         return {"results": [
-            entry("c1m/sessions=120", {"sessions": 120},
+            entry("c1m/sessions=120", {"sessions": 120}, table_end=0,
                   handshake_latency={"count": 150, "p99": p99}),
             entry("fluid/scenario=incast", {"scenario": "incast"},
+                  flows=10, flows_completed=10,
                   probe={"bottleneck_utilization": utilization,
                          "time": 1.3})]}
     base = write(tmp_path, "base.json", doc())

@@ -77,14 +77,6 @@ def test_sequence_mismatch_fails():
     assert dec2.unprotect(second)[1] == b"two"
 
 
-def test_verify_only_does_not_advance():
-    enc, dec = traffic_pair()
-    record = enc.protect(CONTENT_APPLICATION_DATA, b"x")
-    assert dec.verify_only(record)
-    assert dec.sequence == 0
-    assert dec.unprotect(record)[1] == b"x"
-
-
 def test_xor_nonce():
     iv = bytes(12)
     assert xor_nonce(iv, 0) == bytes(12)
