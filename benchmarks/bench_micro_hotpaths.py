@@ -124,6 +124,20 @@ def test_aes128gcm_open_16k(benchmark):
     assert benchmark(cipher.open, NONCE, sealed, b"hdr") == PAYLOAD
 
 
+def test_null_tag_seal_16k(benchmark):
+    """The simulator's cipher: one hash pass over the record and a
+    copy (the pairs above are the real AEADs on the same record)."""
+    cipher = NullTagCipher(b"k" * 32)
+    sealed = benchmark(cipher.seal, NONCE, PAYLOAD, b"hdr")
+    assert len(sealed) == len(PAYLOAD) + 16
+
+
+def test_null_tag_open_16k(benchmark):
+    cipher = NullTagCipher(b"k" * 32)
+    sealed = cipher.seal(NONCE, PAYLOAD, b"hdr")
+    assert benchmark(cipher.open, NONCE, sealed, b"hdr") == PAYLOAD
+
+
 BATCH_KEYS = {
     "chacha20poly1305": {},
     "aes128gcm": {"key": b"\x11" * 16, "peer_key": b"\x33" * 16},

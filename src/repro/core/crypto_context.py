@@ -16,7 +16,6 @@ Encrypt-then-MAC AEADs) against candidate contexts.
 """
 
 import struct
-from operator import add
 
 from repro.crypto.tagtrial import TagTrial
 from repro.tls.record import (
@@ -96,26 +95,34 @@ class StreamCryptoContext:
 
     def seal(self, inner_plaintext):
         """Encrypt at the next send sequence; returns full record bytes."""
-        return self.seal_many((inner_plaintext,))[0]
+        return self.seal_records(((inner_plaintext,),))[0]
 
     def seal_many(self, inner_plaintexts):
+        """:meth:`seal_records` of contiguous inner plaintexts."""
+        return self.seal_records([(inner,) for inner in inner_plaintexts])
+
+    def seal_records(self, inners):
         """Full wire records of consecutive records from the next send
-        sequence.
+        sequence, each inner plaintext given as a sequence of parts
+        (views of the application's bytes and the record's trailer).
 
         The nonces of the whole run are known before the first byte is
         encrypted, so a cipher with pads makes every keystream and
         one-time key of the run in one lane pass, then every tag in one
-        MAC pass (``Aead.seal_many``).
+        MAC pass (``Aead.seal_many``); the null-tag cipher hashes the
+        parts where they lie and gathers each record once
+        (``NullTagCipher.seal_records``).
         """
         cipher = self.cipher
         first = self.send_seq
-        self.send_seq = first + len(inner_plaintexts)
+        self.send_seq = first + len(inners)
+        tag_size = cipher.tag_size
         headers = [encode_record_header(CONTENT_APPLICATION_DATA,
-                                        len(inner) + cipher.tag_size)
-                   for inner in inner_plaintexts]
-        return list(map(add, headers, cipher.seal_many(
+                                        sum(map(len, parts)) + tag_size)
+                   for parts in inners]
+        return cipher.seal_records(
             [self._nonce(seq) for seq in range(first, self.send_seq)],
-            inner_plaintexts, headers)))
+            headers, inners)
 
     def expect(self, first_seq, trials):
         """Make ``trials`` ready to be the records at consecutive

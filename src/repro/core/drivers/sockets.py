@@ -18,6 +18,8 @@ import selectors
 import socket
 import struct
 import time
+from collections import deque
+from itertools import islice
 
 from repro.core.engine.interfaces import (
     Driver,
@@ -56,11 +58,19 @@ class SocketClock(HeapClock):
 
 
 class SocketTransport(Transport):
-    """One non-blocking TCP socket driven by the selector loop."""
+    """One non-blocking TCP socket driven by the selector loop.
+
+    Sends queue their records by reference and a flush hands the whole
+    queue to the kernel in one ``sendmsg`` gather, so no record is
+    copied in user space.  Each ``recv`` chunk goes to the engine as it
+    arrives, and reading stops while the engine has paused it.
+    """
 
     #: engine-visible send buffer bound (send_space = cap - queued)
     SEND_BUFFER_CAP = 1 << 20
     _RECV_CHUNK = 1 << 16
+    #: buffers per ``sendmsg`` gather (Linux allows 1024)
+    _GATHER_MAX = 512
 
     def __init__(self, driver, sock, remote, connecting=False):
         self.driver = driver
@@ -68,8 +78,13 @@ class SocketTransport(Transport):
         self.remote = remote
         self.local = _endpoint_from_sockname(sock.getsockname(),
                                              sock.family)
-        self._outbuf = bytearray()
-        self._recv_buffer = bytearray()
+        #: what send() took and the kernel has not (the head may be a
+        #: view of a partly sent record), and its byte count
+        self._outq = deque()
+        self._unsent = 0
+        #: chunks read but not yet taken by recv(), and their byte count
+        self._inq = []
+        self._readable = 0
         self._connecting = connecting
         self._open = True
         self._close_pending = False
@@ -84,33 +99,39 @@ class SocketTransport(Transport):
     # -- data path ------------------------------------------------------
 
     def send(self, data):
-        if not self._open:
+        if not self._open or self._close_pending:
             raise DriverError("send on closed transport %r" % (self,))
-        data = bytes(data)
-        self._outbuf += data
-        self._flush()
-        self.driver._update_interest(self)
+        if type(data) is not bytes:
+            data = bytes(data)
+        if data:
+            self._outq.append(data)
+            self._unsent += len(data)
+            self._flush()
+            self.driver._update_interest(self)
         return len(data)
 
     def recv(self, n=None):
-        if n is None or n >= len(self._recv_buffer):
-            data = bytes(self._recv_buffer)
-            self._recv_buffer.clear()
-            return data
-        data = bytes(self._recv_buffer[:n])
-        del self._recv_buffer[:n]
+        chunks = self._inq
+        if not chunks:
+            return b""
+        data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        chunks.clear()
+        if n is not None and n < len(data):
+            chunks.append(data[n:])
+            data = data[:n]
+        self._readable -= len(data)
         return data
 
     def send_space(self):
-        if not self._open:
+        if not self._open or self._close_pending:
             return 0
-        return max(self.SEND_BUFFER_CAP - len(self._outbuf), 0)
+        return max(self.SEND_BUFFER_CAP - self._unsent, 0)
 
     def unsent_bytes(self):
-        return len(self._outbuf)
+        return self._unsent
 
     def readable_bytes(self):
-        return len(self._recv_buffer)
+        return self._readable
 
     def fileno(self):
         """Kernel fd (the multi-session connection-table key)."""
@@ -140,9 +161,10 @@ class SocketTransport(Transport):
         return self._open
 
     def close(self):
+        """Graceful close: the FIN follows what is still queued."""
         if not self._open:
             return
-        if self._outbuf:
+        if self._outq:
             self._close_pending = True
             return
         self._teardown(graceful=True)
@@ -161,6 +183,9 @@ class SocketTransport(Transport):
 
     def _teardown(self, graceful):
         self._open = False
+        self._close_pending = False
+        self._outq.clear()
+        self._unsent = 0
         self.driver._unregister(self)
         try:
             if graceful:
@@ -236,23 +261,35 @@ class SocketTransport(Transport):
     # -- selector plumbing ----------------------------------------------
 
     def _wants_write(self):
-        return self._open and (self._connecting or bool(self._outbuf)
-                               or self._close_pending)
+        return self._open and (self._connecting or bool(self._outq))
 
     def _flush(self):
-        while self._outbuf and self._open and not self._connecting:
+        """Hand the queue to the kernel, one ``sendmsg`` gather at a
+        time, until it takes less than it was offered; a close waiting
+        on the queue runs once the queue is empty."""
+        queue = self._outq
+        while queue and self._open and not self._connecting:
+            if len(queue) <= self._GATHER_MAX:
+                offered, size = queue, self._unsent
+            else:
+                offered = list(islice(queue, self._GATHER_MAX))
+                size = sum(map(len, offered))
             try:
-                sent = self.sock.send(bytes(self._outbuf[:self._RECV_CHUNK]))
+                sent = self.sock.sendmsg(offered)
             except BlockingIOError:
                 return
             except OSError as exc:
                 self._fail(exc)
                 return
-            if sent <= 0:
-                return
-            del self._outbuf[:sent]
-        if not self._outbuf and self._close_pending:
-            self._close_pending = False
+            self._unsent -= sent
+            left = sent
+            while left and left >= len(queue[0]):
+                left -= len(queue.popleft())
+            if left:
+                queue[0] = memoryview(queue[0])[left:]
+            if sent < size:
+                break       # the kernel's buffer is full
+        if not queue and self._close_pending:
             self._teardown(graceful=True)
 
     def _fail(self, exc):
@@ -280,46 +317,40 @@ class SocketTransport(Transport):
                     self.on_established(self)
                 if not self._open:
                     return
-            had_backlog = bool(self._outbuf)
+            had_backlog = bool(self._outq)
             self._flush()
             if not self._open:
                 return
-            if had_backlog and not self._outbuf and \
+            if had_backlog and not self._outq and \
                     self.on_send_space is not None:
                 self.on_send_space(self)
             if not self._open:
                 return
-        if mask & selectors.EVENT_READ and not self._paused:
+        if mask & selectors.EVENT_READ:
             self._handle_read()
         if self._open:
             self.driver._update_interest(self)
 
     def _handle_read(self):
-        got_data = False
-        while self._open:
+        """Each chunk goes to ``on_data`` as it arrives; reading stops
+        at ``EAGAIN``, at a pause and at a close."""
+        while self._open and not self._paused:
             try:
                 chunk = self.sock.recv(self._RECV_CHUNK)
             except BlockingIOError:
-                break
+                return
             except OSError as exc:
                 self._fail(exc)
                 return
-            if chunk == b"":
-                if got_data and self.on_data is not None:
-                    self.on_data(self)
-                self._open = False
-                self.driver._unregister(self)
-                try:
-                    self.sock.close()
-                except OSError:
-                    pass
+            if not chunk:
+                self._teardown(graceful=False)
                 if self.on_close is not None:
                     self.on_close(self)
                 return
-            self._recv_buffer += chunk
-            got_data = True
-        if got_data and self.on_data is not None:
-            self.on_data(self)
+            self._inq.append(chunk)
+            self._readable += len(chunk)
+            if self.on_data is not None:
+                self.on_data(self)
 
     def __repr__(self):
         return "SocketTransport(%s->%s)" % (self.local, self.remote)

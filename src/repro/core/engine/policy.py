@@ -52,7 +52,7 @@ class RecordContext:
     @property
     def pending_bytes(self):
         """Object bytes still queued behind this decision."""
-        return len(self.group.pending) if self.group is not None else 0
+        return self.group.queued_bytes if self.group is not None else 0
 
     def __repr__(self):
         return "RecordContext(group=%s, t=%.6f)" % (

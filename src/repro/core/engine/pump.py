@@ -10,6 +10,32 @@ from repro.tls.record import RECORD_HEADER_SIZE
 UNSENT_TARGET = 128 * 1024
 
 _STREAM_DATA = rec.RECORD_TYPE_STREAM_DATA
+#: a stream record's trailer: its flags, then the record's last two
+#: bytes (control length, type); the same length with or without FIN
+_DATA_TRAILER = rec.encode_trailer(_STREAM_DATA, rec.encode_stream_control(0))
+_FIN_TRAILER = rec.encode_trailer(_STREAM_DATA,
+                                  rec.encode_stream_control(rec.FLAG_FIN))
+_TRAILER_SIZE = len(_DATA_TRAILER)
+
+
+def _cut(channel, size):
+    """The next ``size`` bytes ``channel`` has queued (no more than it
+    has), as a list of the parts they lie in: whole chunks that
+    ``send`` took and views of them -- no byte is copied."""
+    chunks = channel.pending
+    channel.queued_bytes -= size
+    parts = []
+    while size:
+        chunk = chunks[0]
+        length = len(chunk)
+        if size < length:
+            view = memoryview(chunk)
+            parts.append(view[:size])
+            chunks[0] = view[size:]
+            break
+        parts.append(chunks.popleft())
+        size -= length
+    return parts
 
 
 class Pump:
@@ -75,26 +101,32 @@ class Pump:
     def send_typed(self, conn, record_type, payload):
         """Seal one record on ``conn``'s control stream."""
         self._seal_batch(conn, conn.control_stream,
-                         [rec.encode_inner(record_type, payload)],
+                         [(payload, rec.encode_trailer(record_type))],
                          record_type)
 
     def _seal_batch(self, conn, stream, inners, record_type=_STREAM_DATA):
-        """Seal a batch of records on ``stream`` (:meth:`seal_many`) and
-        book it: unacked replay copies (STREAM_DATA only: control
-        streams are never replayed), stats, per-record trace events,
-        one queue append pass and one transport drain."""
+        """Seal a batch of records on ``stream`` (:meth:`seal_records
+        <repro.core.crypto_context.StreamCryptoContext.seal_records>`,
+        each inner plaintext as its parts) and book it: unacked replay
+        copies (STREAM_DATA only: control streams are never replayed),
+        stats, per-record trace events, one queue append and one
+        transport drain."""
         session = self.session
-        first_seq = stream.ctx_send.send_seq
-        wires = stream.ctx_send.seal_many(inners)
+        ctx = stream.ctx_send
+        first_seq = ctx.send_seq
+        wires = ctx.seal_records(inners)
         if record_type == _STREAM_DATA and session.failover_enabled:
             unacked = stream.unacked
             seq = first_seq
             for wire in wires:
                 unacked.append((seq, wire))
                 seq += 1
+        count = len(wires)
+        total = sum(map(len, wires))
         stats = session.stats
-        stats["records_sent"] += len(wires)
-        stats["bytes_sealed"] += sum(map(len, inners))
+        stats["records_sent"] += count
+        stats["bytes_sealed"] += total - count * (RECORD_HEADER_SIZE
+                                                  + ctx.cipher.tag_size)
         if session.bus.wants("tls"):
             seq = first_seq
             for wire in wires:
@@ -105,11 +137,7 @@ class Pump:
                 seq += 1
         if conn.failed:
             return
-        pending_out = conn.pending_out
-        total = 0
-        for wire in wires:
-            pending_out.append(wire)
-            total += len(wire)
+        conn.pending_out.extend(wires)
         conn.pending_out_bytes += total
         self.drain(conn)
 
@@ -148,9 +176,12 @@ class Pump:
         each record's full wire length, i.e. assuming nothing leaves the
         TCP buffer meanwhile), so a batch never seals a record the
         record-at-a-time pump would not have.  Within a batch the
-        framing, AEAD sealing (:meth:`seal_many`), unacked bookkeeping
-        and transport drain each run as one pass instead of per record
-        -- same records, same wire bytes, one ``drain`` per batch.
+        framing, AEAD sealing (:meth:`seal_records`), unacked
+        bookkeeping and transport drain each run as one pass instead of
+        per record -- same records, same wire bytes, one ``drain`` per
+        batch.  A record's payload is cut out of the queued chunks as
+        views (:func:`_cut`); the cipher's gather of the wire record is
+        the only copy the send path makes of it.
         """
         conn = stream.connection
         sent = False
@@ -161,40 +192,21 @@ class Pump:
             budget = self._conn_budget(conn)
             if budget <= 0:
                 break
-            ctx = stream.ctx_send
-            record_overhead = ctx.cipher.tag_size + RECORD_HEADER_SIZE
-            pending = stream.pending
-            remaining = len(pending)
+            size = self._chunk_size(rec.STREAM_CONTROL_SIZE)
+            overhead = (stream.ctx_send.cipher.tag_size + RECORD_HEADER_SIZE
+                        + _TRAILER_SIZE)
             fin_left = stream.fin_pending and not stream.fin_sent
             inners = []
-            offset = 0
-            # Zero-copy: hand the framer views of the app buffer; the
-            # gather in encode_inner is the send path's only copy.  The
-            # views must be released before the bytearray can shrink.
-            view = memoryview(pending)
-            try:
-                while budget > 0 and (remaining or fin_left):
-                    last = fin_left and remaining <= self._chunk_size(
-                        rec.STREAM_CONTROL_SIZE)
-                    flags = rec.FLAG_FIN if last else 0
-                    control = rec.encode_stream_control(flags)
-                    size = self._chunk_size(len(control))
-                    chunk = view[offset:offset + size]
-                    try:
-                        inners.append(rec.encode_inner(
-                            _STREAM_DATA, chunk, control))
-                    finally:
-                        chunk.release()
-                    consumed = min(size, remaining)
-                    offset += consumed
-                    remaining -= consumed
-                    budget -= len(inners[-1]) + record_overhead
-                    if last:
-                        fin_left = False
-                        stream.fin_sent = True
-            finally:
-                view.release()
-            del pending[:offset]
+            while budget > 0 and (stream.pending or fin_left):
+                last = fin_left and stream.queued_bytes <= size
+                consumed = min(size, stream.queued_bytes)
+                budget -= consumed + overhead
+                parts = _cut(stream, consumed)
+                parts.append(_FIN_TRAILER if last else _DATA_TRAILER)
+                inners.append(parts)
+                if last:
+                    fin_left = False
+                    stream.fin_sent = True
             self._seal_batch(conn, stream, inners)
             sent = True
         return sent
@@ -236,19 +248,15 @@ class Pump:
                 })
             last = (
                 group.fin_pending
-                and len(group.pending)
+                and group.queued_bytes
                 <= self._chunk_size(rec.COUPLED_CONTROL_SIZE)
             )
             control = group.next_control(fin=last)
-            size = self._chunk_size(len(control))
-            chunk = memoryview(group.pending)[:size]
-            try:
-                inner = rec.encode_inner(_STREAM_DATA, chunk, control)
-            finally:
-                chunk.release()
-            del group.pending[:size]
+            parts = _cut(group, min(self._chunk_size(len(control)),
+                                    group.queued_bytes))
+            parts.append(rec.encode_trailer(_STREAM_DATA, control))
             for stream in targets:
-                self._seal_batch(stream.connection, stream, [inner])
+                self._seal_batch(stream.connection, stream, [parts])
             if last:
                 group.fin_sent = True
             sent = True

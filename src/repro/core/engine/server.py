@@ -258,9 +258,7 @@ class TcplsServerEngine(EventSource):
             # flight was lost on the first path): the session has no
             # keys yet.  Park it; records that shared a read with its
             # Finished wait in the connection's own reassembler.
-            conn.tls.takeover = (
-                lambda records: conn.reassembler._buffer.extend(
-                    b"".join(records)))
+            conn.tls.takeover = conn.reassembler.hold
             session.parked.append(conn)
             return
         self._attach(conn)

@@ -35,6 +35,10 @@ from repro.tls.record import TlsError
 #: ``(_CONTROL, opcode)``
 _CONTROL = rec.RECORD_TYPE_CONTROL
 
+#: the rows whose payload stays a view of the read's chunk until it is
+#: copied into its stream's buffer; every other row decodes bytes
+_VIEW_ROWS = (rec.RECORD_TYPE_STREAM_DATA, rec.RECORD_TYPE_APPDATA)
+
 #: the events emitted per record or per ACK, as module globals: reading
 #: one costs a fraction of an enum class attribute
 _STREAM_DATA = SessionEvent.STREAM_DATA
@@ -737,7 +741,9 @@ class TcplsEngine(EventSource):
         stream.mark_decrypted(seq)
         self.stats["bytes_opened"] += len(plaintext)
         conn.last_stream = stream
-        inner = rec.decode_inner(plaintext)
+        inner = rec.decode_inner(plaintext, zero_copy=True)
+        if inner.record_type not in _VIEW_ROWS:
+            inner.payload = bytes(inner.payload)
         self._emit("tls", "record_opened", {
             "conn": conn.conn_id, "stream": stream.stream_id,
             "seq": seq, "type": inner.record_type,

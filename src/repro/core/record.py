@@ -104,16 +104,21 @@ class TcplsRecord:
         )
 
 
-def encode_inner(record_type, payload=b"", control=b""):
-    """Frame the AEAD plaintext with end-of-record control data.
-
-    ``payload`` may be any bytes-like object (including a zero-copy
-    ``memoryview`` of an application buffer); the single gather below is
-    the only copy the send path makes of it.
-    """
+def encode_trailer(record_type, control=b""):
+    """What follows the payload in the AEAD plaintext: the control
+    fields, their length and the record type.  The send path keeps a
+    record's payload where the application put it and hands the cipher
+    ``(payload parts..., trailer)``; the cipher's one gather of the wire
+    record is the only copy it makes of the payload."""
     if len(control) > 255:
         raise ValueError("control fields limited to 255 bytes")
-    return b"".join((payload, control, bytes((len(control), record_type))))
+    return control + bytes((len(control), record_type))
+
+
+def encode_inner(record_type, payload=b"", control=b""):
+    """Frame the AEAD plaintext with end-of-record control data, in one
+    contiguous buffer.  ``payload`` may be any bytes-like object."""
+    return b"".join((payload, encode_trailer(record_type, control)))
 
 
 def decode_inner(plaintext, zero_copy=False):

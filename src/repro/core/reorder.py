@@ -32,6 +32,9 @@ class ReorderBuffer:
             return []
         if seq != self.next_seq:
             self.out_of_order += 1
+            if isinstance(payload, memoryview):
+                # it waits for a gap: a copy, not a pin on its read
+                payload = payload.tobytes()
         heapq.heappush(self._heap, seq)
         self._pending[seq] = payload
         # Payloads are bytes on the session path; test harnesses push

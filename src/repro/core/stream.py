@@ -9,6 +9,8 @@ carries an explicit group sequence number in its control tail and the
 receiver reorders with a heap.
 """
 
+from collections import deque
+
 from repro.core.crypto_context import StreamCryptoContext
 from repro.core.engine.events import SessionEvent
 from repro.core.errors import StreamClosedError
@@ -51,10 +53,17 @@ class _Channel:
 
     def send(self, data):
         """Queue application bytes (sealed lazily at transmit time so
-        steering can redirect not-yet-sent data)."""
+        steering can redirect not-yet-sent data).  ``bytes`` are queued
+        by reference: the pump cuts records out of them as views, and
+        the cipher's gather of each wire record is the only copy made.
+        Mutable input is copied here, since the caller may change it."""
         if self.fin_pending:
             raise StreamClosedError("send on closed %r" % (self,))
-        self.pending += data
+        if type(data) is not bytes:
+            data = bytes(data)
+        if data:
+            self.pending.append(data)
+            self.queued_bytes += len(data)
         self.session.pump.run()
         return len(data)
 
@@ -78,11 +87,6 @@ class _Channel:
                 handler(self.session)
         return data
 
-    @property
-    def queued_bytes(self):
-        """Application bytes accepted but not yet sealed into records."""
-        return len(self.pending)
-
 
 class TcplsStream(_Channel):
     """One TCPLS stream endpoint (both directions)."""
@@ -96,7 +100,9 @@ class TcplsStream(_Channel):
         self.ctx_send = StreamCryptoContext(cipher_send, send_iv, stream_id)
         self.ctx_recv = StreamCryptoContext(cipher_recv, recv_iv, stream_id)
         # Send side.
-        self.pending = bytearray()       # app bytes not yet sealed
+        # app bytes not yet sealed: the chunks send() took, and their sum
+        self.pending = deque()
+        self.queued_bytes = 0
         self.unacked = []                # [(record_seq, wire_bytes)]
         self.fin_pending = False
         self.fin_sent = False
@@ -165,7 +171,8 @@ class CoupledGroup(_Channel):
         self.group_id = group_id
         self.scheduler = scheduler
         self.streams = []
-        self.pending = bytearray()
+        self.pending = deque()
+        self.queued_bytes = 0
         self.next_group_seq = 0
         self.reorder = ReorderBuffer()
         self.recv_buffer = bytearray()

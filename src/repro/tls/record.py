@@ -19,6 +19,8 @@ CONTENT_APPLICATION_DATA = 23
 
 LEGACY_RECORD_VERSION = 0x0303
 RECORD_HEADER_SIZE = 5
+#: the length field of a record header
+_LENGTH = struct.Struct("!3xH")
 
 #: RFC 8446: at most 2^14 bytes of plaintext per record.
 MAX_RECORD_PAYLOAD = 16384
@@ -89,16 +91,18 @@ class RecordDecryptor:
         Returns ``(content_type, plaintext)``; raises
         :class:`TlsRecordError` when authentication fails.
         """
-        header, ciphertext = record[:RECORD_HEADER_SIZE], record[
-            RECORD_HEADER_SIZE:]
+        view = memoryview(record)
+        header = bytes(view[:RECORD_HEADER_SIZE])
         nonce = xor_nonce(self.iv, self.sequence)
         try:
-            inner = self.cipher.open(nonce, ciphertext, aad=header)
+            inner = self.cipher.open(nonce, view[RECORD_HEADER_SIZE:],
+                                     aad=header)
         except AeadAuthenticationError as exc:
             self.forgery_attempts += 1
             raise TlsRecordError("record authentication failed") from exc
         self.sequence += 1
-        return split_inner_plaintext(inner)
+        content_type, payload = split_inner_plaintext(inner)
+        return content_type, bytes(payload)
 
 
 def split_inner_plaintext(inner):
@@ -114,41 +118,79 @@ def split_inner_plaintext(inner):
 class RecordReassembler:
     """Cuts a TCP bytestream back into complete TLS records.
 
-    Feed arbitrary byte chunks; iterate complete records.  This is where
-    a tuned receive path matters (Sec. 5.1 discusses picotls losing 40%
-    throughput to record fragmentation): the reassembler keeps one
-    contiguous buffer and never copies completed records twice.
+    Feed each chunk of the stream as it arrives; every call returns the
+    records the chunk completed.  This is where a tuned receive path
+    matters (Sec. 5.1 discusses picotls losing 40% throughput to record
+    fragmentation): a record that lies inside one chunk comes back as a
+    :class:`memoryview` slice of that chunk, no byte moved.  Only a
+    record a chunk boundary cuts is copied, once: its head into a small
+    buffer when the boundary cuts it, its rest when the next chunk
+    completes it.  A slice keeps its chunk alive, so a chunk that is
+    not ``bytes`` is frozen into ``bytes`` first.
     """
 
     def __init__(self, max_record=MAX_RECORD_PAYLOAD + MAX_CIPHERTEXT_EXPANSION):
+        #: the head of the one record the last chunk cut, and how many
+        #: bytes it still lacks (up to the end of its header while the
+        #: header is what was cut)
         self._buffer = bytearray()
+        self._missing = 0
+        #: whole records handed back by :meth:`hold`
+        self._held = []
         self.max_record = max_record
-        self.records_out = 0
+
+    def hold(self, records):
+        """Keep whole records back: the next :meth:`feed` returns them
+        first, ahead of the records it cuts."""
+        self._held.extend(records)
+
+    def _too_long(self, length):
+        return TlsRecordError("record length %d exceeds maximum %d"
+                              % (length, self.max_record))
 
     def feed(self, data):
-        """Buffer incoming bytes and return a list of complete records."""
-        buf = self._buffer
-        buf += data
-        size = len(buf)
-        records = []
+        """Cut ``data``, the next chunk of the stream; returns the list
+        of records it completed, each a view."""
+        records, self._held = self._held, []
+        if type(data) is not bytes:
+            data = bytes(data)
+        view = memoryview(data)
+        size = len(data)
         offset = 0
+        buf = self._buffer
+        while buf:
+            # Finish the record the last chunk cut.
+            missing = self._missing
+            if missing > size - offset:
+                buf += view[offset:]
+                self._missing = missing - (size - offset)
+                return records
+            buf += view[offset:offset + missing]
+            offset += missing
+            if len(buf) == RECORD_HEADER_SIZE:
+                # the header was what was cut: now its length is known
+                (length,) = _LENGTH.unpack_from(buf)
+                if length > self.max_record:
+                    raise self._too_long(length)
+                if length:
+                    self._missing = length
+                    continue
+            records.append(memoryview(buf))
+            self._buffer = buf = bytearray()
+        max_record = self.max_record
         while size - offset >= RECORD_HEADER_SIZE:
-            content_type, _version, length = struct.unpack_from(
-                "!BHH", buf, offset
-            )
-            if length > self.max_record:
-                raise TlsRecordError(
-                    "record length %d exceeds maximum %d"
-                    % (length, self.max_record)
-                )
-            total = RECORD_HEADER_SIZE + length
-            if size - offset < total:
+            (length,) = _LENGTH.unpack_from(data, offset)
+            if length > max_record:
+                raise self._too_long(length)
+            end = offset + RECORD_HEADER_SIZE + length
+            if end > size:
                 break
-            records.append(bytes(buf[offset:offset + total]))
-            offset += total
-        if offset:
-            del buf[:offset]
-            self.records_out += len(records)
+            records.append(view[offset:end])
+            offset = end
+        if offset < size:
+            buf += view[offset:]
+            self._missing = (end if size - offset >= RECORD_HEADER_SIZE
+                             else offset + RECORD_HEADER_SIZE) - size
         return records
 
     @property

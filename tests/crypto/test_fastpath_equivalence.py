@@ -759,17 +759,19 @@ def test_one_lane_kernel_per_module():
     for gone in ("_lane_chains", "_lane_table"):
         assert not hasattr(Ghash, gone)
     # one authentication body: a record sealed on its own is a run of
-    # one, and only the run folds and finishes tags -- except that the
-    # null-tag cipher, with nothing to batch, seals record by record
-    assert _functions_mentioning(aead, "seal_many") == ["seal"]
+    # one, a run of wire records is a run with its headers added, and
+    # only the run folds and finishes tags -- except that the null-tag
+    # cipher, with nothing to batch, seals record by record
+    assert _functions_mentioning(aead, "seal_many") == \
+        ["seal", "seal_records"]
     assert _functions_mentioning(aead, "mac_states") == ["seal_many"]
     assert _functions_mentioning(aead, "finish_tags") == ["seal_many"]
     assert _functions_mentioning(aead, "mac_state") == \
-        ["mac_states", "seal"]      # the run's default, null-tag's seal
-    assert _functions_mentioning(crypto_context, "seal_many") == \
-        ["seal", "seal_many"]       # self.seal_many, cipher.seal_many
+        ["mac_states", "seal", "seal_records"]  # the run's, null-tag's
+    assert _functions_mentioning(crypto_context, "seal_records") == \
+        ["seal", "seal_many", "seal_records"]   # ... cipher.seal_records
     assert _functions_mentioning(crypto_context, "encode_record_header") \
-        == ["seal_many"]
+        == ["seal_records"]
 
 
 def test_aead_suite_passes_without_numpy():
