@@ -9,8 +9,8 @@ Everything is implemented from scratch on the standard library:
   paper benchmarks;
 - finite-field Diffie-Hellman over the RFC 7919 ffdhe2048 group for the
   (EC)DHE part of the handshake;
-- a ``null-tag`` cipher: identity "encryption" with a keyed BLAKE2s
-  authentication tag.  It preserves every structural property TCPLS
+- a ``null-tag`` cipher: identity "encryption" with a keyed, truncated
+  SHA-256 authentication tag.  It preserves every structural property TCPLS
   relies on (16-byte tags, key/nonce-dependent authentication, hence
   working tag-trial stream demultiplexing) at hashlib speed, and is the
   default for simulator-scale experiments where pure-Python AES would

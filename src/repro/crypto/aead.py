@@ -176,7 +176,7 @@ class Aes128Gcm(AesGcm, Aead):
 
 
 class NullTagCipher(Aead):
-    """Identity "encryption" with a keyed BLAKE2s tag.
+    """Identity "encryption" with a keyed, truncated SHA-256 tag.
 
     **Simulation substitute** (documented in DESIGN.md): pure-Python
     AES/ChaCha20 cannot sustain megabytes of emulated traffic, so
@@ -186,11 +186,20 @@ class NullTagCipher(Aead):
     nonce -- while "encrypting" at memcpy speed.  It offers **no
     confidentiality** and must never be used outside the simulator.
 
-    The tag is ``BLAKE2s_key(len(aad) || aad || payload || nonce)``.
-    The nonce goes *last* so that a tag trial hashes the record once and
-    each candidate nonce costs one state copy plus one 12-byte update;
-    the length prefix keeps the aad/payload boundary bound, and nonces
-    are always ``nonce_size`` bytes, so the encoding stays injective.
+    The tag is the first 16 bytes of
+    ``SHA-256(key || 0^32 || len(aad) || aad || payload || nonce)``
+    (``len(aad)`` 8 bytes little-endian).  Key and zeros fill exactly
+    one 64-byte block, so keying is one precomputed state that every
+    record copies.  A secret prefix is a MAC here because the tag is
+    truncated: it withholds 128 of the 256 state bits (chop-MD), so the
+    chaining value a length extension would continue from is never
+    revealed.  The nonce goes *last* so that a tag trial hashes the
+    record once and each candidate nonce costs one state copy plus one
+    12-byte update; the length prefix keeps the aad/payload boundary
+    bound, and nonces are always ``nonce_size`` bytes, so the encoding
+    stays injective.  SHA-256 because OpenSSL runs it on the CPU's SHA
+    extensions where they exist: a 16 KiB record hashes about three
+    times faster than with BLAKE2s, and about as fast without them.
     """
 
     key_size = 32
@@ -199,7 +208,7 @@ class NullTagCipher(Aead):
     def __init__(self, key):
         super().__init__(key)
         # keying absorbs one block; every record copies this state
-        self._keyed = hashlib.blake2s(key=key, digest_size=self.tag_size)
+        self._keyed = hashlib.sha256(key + bytes(64 - self.key_size))
 
     def seal(self, nonce, plaintext, aad=b""):
         """One record at a time: there is nothing to batch, and a run of
@@ -232,7 +241,7 @@ class NullTagCipher(Aead):
     def finish_tag(self, mac, nonce, pad=None):
         mac = mac.copy()
         mac.update(nonce)
-        return mac.digest()
+        return mac.digest()[:self.tag_size]
 
     def crypt(self, nonce, data, pad=None):
         """The identity: ``data`` itself, a view stays a view."""

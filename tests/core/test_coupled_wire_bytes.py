@@ -6,7 +6,8 @@ over every record each transport of both endpoints writes (in write
 order, per transport) during two coupled uploads over two paths --
 round-robin with record ACKs on and one path reset mid-transfer (SYNC
 and replay included), and a replicating ``RedundantScheduler``.  A
-refactor of the send path must leave them unchanged.
+refactor of the send path must leave them unchanged; a change of the
+null-tag construction moves every tag, and with it both pins.
 """
 
 import hashlib
@@ -19,9 +20,9 @@ SIZE = 1 << 20
 
 #: sha256 over the two uploads' per-transport write digests
 ROUND_ROBIN_FAILOVER = (
-    "803f5ca54bd8148d3a8517ace3bef9d2b7666ed8c99c22ef7e8366f11cd06bc1")
+    "bc7d70260493dbbb7878f53b2215e4e43be2e3e4118592d6fe55d1a351845237")
 REDUNDANT = (
-    "9fe4a0c31977282d883dd39032a028c3df1f4703d7452f3fb8de298dcf074bc2")
+    "6fba6bc4644904a8745ff522b8f91fc787c3a163bae79e48f1e59d6e345fdde8")
 
 
 def _capture(conn, digests):

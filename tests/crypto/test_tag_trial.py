@@ -7,6 +7,7 @@ hide behind itself.
 """
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +38,9 @@ def _pad16(data):
 def reference_seal(cipher_cls, key, nonce, plaintext, aad):
     """``ciphertext || tag`` straight from the specifications."""
     if cipher_cls is NullTagCipher:
-        tag = hashlib.blake2s(
-            len(aad).to_bytes(8, "little") + aad + plaintext + nonce,
-            key=key, digest_size=16).digest()
+        tag = hashlib.sha256(
+            key + b"\x00" * 32 + len(aad).to_bytes(8, "little") + aad
+            + plaintext + nonce).digest()[:16]
         return plaintext + tag
     if cipher_cls is Chacha20Poly1305:
         ciphertext = chacha20_encrypt(key, 1, nonce, plaintext)
@@ -190,3 +191,90 @@ def test_null_tag_payload_tail_is_not_mistaken_for_the_nonce():
     sealed = cipher.seal(nonce_a, b"x" * 4 + nonce_b, b"hdr")
     swapped = b"x" * 4 + nonce_a + sealed[-16:]
     assert not cipher.verify_tag(nonce_b, swapped, b"hdr")
+
+
+# -- null-tag: a length extension needs the 128 bits the tag withholds ------
+
+_M32 = 0xFFFFFFFF
+
+
+def _icbrt(n):
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+#: SHA-256 round constants: the first 32 fraction bits of the cube roots
+#: of the first 64 primes (FIPS 180-4, 4.2.2)
+_K = [_icbrt(p << 96) & _M32 for p in
+      [p for p in range(2, 312)
+       if all(p % q for q in range(2, int(p ** 0.5) + 1))][:64]]
+
+
+def _rotr(x, n):
+    return (x >> n | x << (32 - n)) & _M32
+
+
+def _compress(state, block):
+    """One SHA-256 compression (FIPS 180-4, 6.2.2)."""
+    w = list(struct.unpack(">16I", block))
+    for i in range(16, 64):
+        s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ w[i - 15] >> 3
+        s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ w[i - 2] >> 10
+        w.append((w[i - 16] + s0 + w[i - 7] + s1) & _M32)
+    a, b, c, d, e, f, g, h = state
+    for i in range(64):
+        t1 = (h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25))
+              + (e & f ^ ~e & g) + _K[i] + w[i]) & _M32
+        t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) \
+            + (a & b ^ a & c ^ b & c)
+        h, g, f, e, d, c, b, a = g, f, e, (d + t1) & _M32, c, b, a, \
+            (t1 + t2) & _M32
+    return [(x + y) & _M32 for x, y in zip(state, (a, b, c, d, e, f, g, h))]
+
+
+def _md_pad(length):
+    """SHA-256's padding of a ``length``-byte message."""
+    return (b"\x80" + b"\x00" * ((55 - length) % 64)
+            + (8 * length).to_bytes(8, "big"))
+
+
+def _extend(digest, hashed, suffix):
+    """SHA-256 of ``m || suffix`` from the 32-byte ``digest`` of ``m``,
+    where ``hashed`` is ``len(m)`` plus its padding: a length extension,
+    which needs no key -- only the whole chaining value."""
+    state = list(struct.unpack(">8I", digest))
+    tail = suffix + _md_pad(hashed + len(suffix))
+    for offset in range(0, len(tail), 64):
+        state = _compress(state, tail[offset:offset + 64])
+    return struct.pack(">8I", *state)
+
+
+@settings(max_examples=20, deadline=None)
+@given(key=keys, nonce=nonces, aad=st.binary(max_size=16),
+       payload=st.binary(max_size=80),
+       suffix=st.binary(min_size=12, max_size=40))
+def test_null_tag_resists_length_extension(key, nonce, aad, payload,
+                                           suffix):
+    """A forger who sees a record and its tag appends SHA-256's padding
+    and ``suffix`` -- whose last 12 bytes become the forged nonce.  With
+    the whole digest the forgery would verify (the control below); the
+    tag is its first half, and guessing the other half fails."""
+    cipher = NullTagCipher(key)
+    sealed = cipher.seal(nonce, payload, aad)
+    message = (key + b"\x00" * 32 + len(aad).to_bytes(8, "little") + aad
+               + payload + nonce)
+    glue = _md_pad(len(message))
+    hashed = len(message) + len(glue)
+    forged = payload + nonce + glue + suffix[:-12]
+    forged_nonce = suffix[-12:]
+    whole = hashlib.sha256(message).digest()
+    assert _extend(whole, hashed, suffix) == \
+        hashlib.sha256(message + glue + suffix).digest()
+    assert cipher.verify_tag(
+        forged_nonce, forged + _extend(whole, hashed, suffix)[:16], aad)
+    guessed = _extend(sealed[-16:] + b"\x00" * 16, hashed, suffix)[:16]
+    assert not cipher.verify_tag(forged_nonce, forged + guessed, aad)
