@@ -62,13 +62,15 @@ class SocketTransport(Transport):
 
     Sends queue their records by reference and a flush hands the whole
     queue to the kernel in one ``sendmsg`` gather, so no record is
-    copied in user space.  Each ``recv`` chunk goes to the engine as it
-    arrives, and reading stops while the engine has paused it.
+    copied in user space.  What arrives goes to the engine a bounded
+    read at a time, and reading stops while the engine has paused it.
     """
 
     #: engine-visible send buffer bound (send_space = cap - queued)
     SEND_BUFFER_CAP = 1 << 20
-    _RECV_CHUNK = 1 << 16
+    #: the most one ``recv`` asks for, and what a read gathers before
+    #: it goes to the engine: about one lane pass of full records
+    _RECV_CHUNK = 1 << 18
     #: buffers per ``sendmsg`` gather (Linux allows 1024)
     _GATHER_MAX = 512
 
@@ -332,25 +334,35 @@ class SocketTransport(Transport):
             self.driver._update_interest(self)
 
     def _handle_read(self):
-        """Each chunk goes to ``on_data`` as it arrives; reading stops
-        at ``EAGAIN``, at a pause and at a close."""
+        """Hand ``on_data`` what has arrived, a read at a time: a read
+        ends at ``EAGAIN``, at EOF or once it holds ``_RECV_CHUNK``
+        bytes, and reading stops at a pause and at a close."""
+        fresh = 0
         while self._open and not self._paused:
             try:
                 chunk = self.sock.recv(self._RECV_CHUNK)
             except BlockingIOError:
-                return
+                break
             except OSError as exc:
                 self._fail(exc)
                 return
             if not chunk:
-                self._teardown(graceful=False)
-                if self.on_close is not None:
-                    self.on_close(self)
+                if fresh and self.on_data is not None:
+                    self.on_data(self)
+                if self._open:
+                    self._teardown(graceful=False)
+                    if self.on_close is not None:
+                        self.on_close(self)
                 return
             self._inq.append(chunk)
             self._readable += len(chunk)
-            if self.on_data is not None:
-                self.on_data(self)
+            fresh += len(chunk)
+            if fresh >= self._RECV_CHUNK:
+                fresh = 0
+                if self.on_data is not None:
+                    self.on_data(self)
+        if fresh and self.on_data is not None:
+            self.on_data(self)
 
     def __repr__(self):
         return "SocketTransport(%s->%s)" % (self.local, self.remote)

@@ -210,8 +210,7 @@ def test_tcp_info_reflects_kernel_state():
 #: traced bytes an upload may peak at, whatever its size: the send path
 #: queues the application's bytes by reference and seals at most a
 #: budget of records ahead, and the receive path holds a read's chunk
-#: and the stream buffer a reader drains (before, the peak was about
-#: 1.8 times the payload: 29 MB for 16 MiB)
+#: and the stream buffer a reader drains
 UPLOAD_PEAK_BOUND = 2 << 20
 
 

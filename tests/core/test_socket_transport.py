@@ -3,7 +3,7 @@
 Each fake ``sendmsg`` takes what its script says -- a byte count, all
 of what it is offered, or an exception -- and each ``recv`` returns its
 scripted chunk, so the send queue, the close and abort paths and the
-per-chunk read loop are driven byte by byte and deterministically.
+read loop are driven byte by byte and deterministically.
 """
 
 import selectors
@@ -206,23 +206,27 @@ def test_eof_in_the_middle_of_a_record():
     assert sock.closed and transport not in driver.transports
 
 
-def test_each_chunk_reaches_the_engine_as_it_arrives_until_paused():
-    chunks = [b"a" * 10, b"b" * 20, b"c" * 30]
+def test_a_read_is_what_arrived_up_to_a_bound_and_stops_at_a_pause():
+    """Chunks are gathered into one read until ``EAGAIN`` or until the
+    read holds ``_RECV_CHUNK`` bytes; a pause leaves the rest in the
+    kernel until the engine resumes."""
+    chunks = [b"a" * 10, b"b" * 20, b"c" * 24, b"d" * 5]
     transport, sock, _ = make_transport(reads=list(chunks))
+    transport._RECV_CHUNK = 25
     got = []
 
     def on_data(t):
         got.append(t.recv())
-        if len(got) == 2:
+        if len(got) == 1:
             t.pause_reading()
 
     transport.set_callbacks(on_data=on_data)
     transport._handle_events(selectors.EVENT_READ)
-    assert got == chunks[:2]
+    assert got == [chunks[0] + chunks[1]]
     assert sock.reads == chunks[2:]     # left in the kernel
     transport.resume_reading()
     transport._handle_events(selectors.EVENT_READ)
-    assert got == chunks
+    assert got == [chunks[0] + chunks[1], chunks[2] + chunks[3]]
 
 
 def test_recv_of_part_of_what_was_read():

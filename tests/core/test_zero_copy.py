@@ -22,6 +22,26 @@ def test_zero_copy_payload_is_a_view_over_the_buffer():
     assert record2.payload[0] == ord("!")
 
 
+def test_null_tag_record_opens_to_a_view_of_the_wire_bytes():
+    """Verified, "decrypted" and decoded, a null-tag STREAM_DATA payload
+    is still the received wire bytes: the first copy is the stream
+    buffer's."""
+    from repro.core.crypto_context import StreamCryptoContext, prepare_record
+    from repro.crypto.aead import NullTagCipher
+
+    cipher = NullTagCipher(b"k" * 32)
+    tx = StreamCryptoContext(cipher, bytes(12), 3)
+    rx = StreamCryptoContext(cipher, bytes(12), 3)
+    payload = bytes(range(256)) * 4
+    wire = tx.seal(encode_inner(RECORD_TYPE_STREAM_DATA, payload, b"\x00"))
+    trial = prepare_record(cipher, wire)
+    assert rx.verify_at(trial, 0)
+    record = decode_inner(rx.open_verified(trial, 0), zero_copy=True)
+    assert isinstance(record.payload, memoryview)
+    assert record.payload.obj is wire
+    assert record.payload == payload
+
+
 def test_default_decode_copies():
     inner = bytearray(encode_inner(RECORD_TYPE_STREAM_DATA, b"abc"))
     record = decode_inner(inner)

@@ -111,6 +111,23 @@ def test_every_cipher_exposes_the_three_primitives(cipher_cls):
 
 
 @pytest.mark.parametrize("cipher_cls", CIPHERS)
+@settings(max_examples=25, deadline=None)
+@given(payload=st.binary(max_size=200),
+       cuts=st.lists(st.integers(0, 200), max_size=4))
+def test_seal_records_gathers_parts_as_seal_does(cipher_cls, payload, cuts):
+    """A wire record sealed from its plaintext's parts (views, as the
+    pump cuts them) is its header and the contiguous plaintext's seal."""
+    cipher = cipher_cls(bytes(range(cipher_cls.key_size)))
+    bounds = sorted({min(cut, len(payload)) for cut in cuts})
+    parts = [memoryview(payload)[a:b]
+             for a, b in zip([0] + bounds, bounds + [len(payload)])]
+    header = b"\x17\x03\x03" + (len(payload) + 16).to_bytes(2, "big")
+    nonce = b"\x07" * 12
+    (wire,) = cipher.seal_records([nonce], [header], [parts])
+    assert wire == header + cipher.seal(nonce, payload, header)
+
+
+@pytest.mark.parametrize("cipher_cls", CIPHERS)
 def test_trial_accepts_any_buffer_type(cipher_cls):
     cipher = cipher_cls(bytes(range(cipher_cls.key_size)))
     nonce = b"\x09" * 12

@@ -109,6 +109,24 @@ class TestReassembler:
         r2 = encode_plaintext_record(CONTENT_APPLICATION_DATA, b"two")
         assert buf.feed(r1 + r2) == [r1, r2]
 
+    def test_records_inside_a_chunk_are_views_of_it(self):
+        r1 = encode_plaintext_record(CONTENT_HANDSHAKE, b"one")
+        r2 = encode_plaintext_record(CONTENT_APPLICATION_DATA, b"two" * 50)
+        chunk = r1 + r2[:10]
+        buf = RecordReassembler()
+        out = buf.feed(chunk)
+        assert out == [r1] and out[0].obj is chunk     # no byte moved
+        assert buf.pending_bytes == 10                 # the cut head
+        assert buf.feed(r2[10:]) == [r2]
+
+    def test_held_records_come_first(self):
+        buf = RecordReassembler()
+        held = [encode_plaintext_record(CONTENT_HANDSHAKE, b"h")]
+        buf.hold(held)
+        record = encode_plaintext_record(CONTENT_APPLICATION_DATA, b"x")
+        assert buf.feed(record) == held + [record]
+        assert buf.feed(b"") == []
+
     def test_oversized_record_rejected(self):
         buf = RecordReassembler(max_record=100)
         bogus = bytes([23, 3, 3]) + (5000).to_bytes(2, "big")
