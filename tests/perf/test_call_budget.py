@@ -27,7 +27,7 @@ delivered packet (26,249 with only the boxes detached; building no box
 saves the other six); 68.64 (26,151) once the key schedule was fixed to
 SHA-256 and records to the IV-XOR-sequence nonce: the handshake no
 longer calls a digest-size lookup per HKDF step nor a nonce lambda per
-TLS record; 67.95 (25,889) once records were cut from the queued
+TLS record; 67.98 (25,901) once records were cut from the queued
 chunks as views with two precomputed trailers, a batch's wire records
 joined the connection queue in one ``extend``, and the reassembler
 remembered how many bytes its cut record still lacks instead of
