@@ -311,7 +311,7 @@ class QuicConnection:
         if opener is None:
             return
         try:
-            plaintext = bytes(opener.open(_nonce(iv, pn), body, aad=header))
+            plaintext = opener.open(_nonce(iv, pn), body, aad=header)
         except AeadAuthenticationError:
             return
         self.packets_received += 1

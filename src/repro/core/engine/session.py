@@ -652,16 +652,15 @@ class TcplsEngine(EventSource):
         record's nonce only by tag trial.  So the read's trials are
         prepared first, the nonce-independent part of every tag (all of
         GHASH) in one MAC pass per lane pass, and the rest is guessed:
-        the read is taken to continue the data stream that took the
-        connection's last record, and once a record has been accepted
-        on a data stream, the records after it to continue that stream,
-        at the next sequences; their pads and tags (all of Poly1305) are
-        made in one pass each.  A guess stays in its record's trial and
-        serves only the candidate whose nonce is the guessed one; the
-        record is tried, authenticated and dispatched exactly as without
-        it.  A record accepted anywhere else ends the guessed run (at
-        most one pass of lane work) and starts over from where it was
-        accepted; a rejected one says nothing about its neighbours.
+        once a record has been accepted on a data stream, the records
+        after it are taken to continue that stream at the next
+        sequences, and their pads and tags (all of Poly1305) are made in
+        one pass each.  A guess stays in its record's trial and serves
+        only the candidate whose nonce is the guessed one; the record is
+        tried, authenticated and dispatched exactly as without it.  A
+        record accepted anywhere else ends the guessed run (at most one
+        pass of lane work) and starts over from where it was accepted; a
+        rejected one says nothing about its neighbours.
 
         A malformed record -- its row's decoder raised
         :class:`TcplsProtocolError` -- fails the connection, and the
@@ -675,25 +674,24 @@ class TcplsEngine(EventSource):
                     self._process_record(conn, record_bytes)
                 return
             trials = prepare_records(cipher, records)
-            # record index -> the (stream, seq) its trial expects; a run
-            # is guessed from (stream, seq) where no guess is left
+            # record index -> the (stream, seq) its trial expects
             guesses = {}
-            stream = conn.last_stream
-            seq = stream.primary_trial_seq() if stream is not None else 0
             for index, (record_bytes, trial) in enumerate(zip(records,
                                                               trials)):
-                if stream is not None and index not in guesses \
-                        and not self._is_control(stream):
-                    run = trials[index:index + per_pass]
-                    stream.ctx_recv.expect(seq, run)
-                    for offset in range(len(run)):
-                        guesses[index + offset] = (stream, seq + offset)
                 guessed = guesses.pop(index, None)
                 accepted = self._process_record(conn, record_bytes, trial)
-                if accepted is not None and accepted != guessed:
+                if accepted is None:
+                    continue
+                if accepted != guessed:
                     guesses.clear()
-                stream, seq = accepted or (None, 0)
-                seq += 1
+                stream, seq = accepted
+                rest = trials[index + 1:index + 1 + per_pass]
+                if not rest or index + 1 in guesses \
+                        or self._is_control(stream):
+                    continue
+                stream.ctx_recv.expect(seq + 1, rest)
+                for offset in range(1, len(rest) + 1):
+                    guesses[index + offset] = (stream, seq + offset)
         except TcplsProtocolError:
             self.failover.fail(conn, "protocol")
 

@@ -4,7 +4,7 @@ All ciphers share one interface so the TLS record layer and the TCPLS
 per-stream contexts are cipher-agnostic:
 
 - ``seal(nonce, plaintext, aad) -> ciphertext||tag``
-- ``open(nonce, data, aad) -> plaintext`` (raises on bad tag)
+- ``open(nonce, data, aad) -> plaintext`` bytes (raises on bad tag)
 - ``verify_tag(nonce, data, aad) -> bool`` -- authentication check
   without decryption
 - ``prepare(data, aad) -> TagTrial`` -- the operation TCPLS uses to find
@@ -114,7 +114,7 @@ class Aead:
         trial = self.prepare(data, aad)
         if not trial.matches(nonce):
             raise AeadAuthenticationError("%s tag mismatch" % self.name)
-        return trial.plaintext(nonce)
+        return bytes(trial.plaintext(nonce))
 
     def verify_tag(self, nonce, data, aad=b""):
         return self.prepare(data, aad).matches(nonce)
@@ -244,7 +244,8 @@ class NullTagCipher(Aead):
         return mac.digest()[:self.tag_size]
 
     def crypt(self, nonce, data, pad=None):
-        """The identity: ``data`` itself, a view stays a view."""
+        """The identity: ``data`` itself, a view stays a view (only
+        ``open`` makes it bytes)."""
         return data
 
 

@@ -101,8 +101,7 @@ class RecordDecryptor:
             self.forgery_attempts += 1
             raise TlsRecordError("record authentication failed") from exc
         self.sequence += 1
-        content_type, payload = split_inner_plaintext(inner)
-        return content_type, bytes(payload)
+        return split_inner_plaintext(inner)
 
 
 def split_inner_plaintext(inner):

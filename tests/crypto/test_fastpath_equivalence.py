@@ -669,42 +669,6 @@ def test_guessed_pads_serve_the_run_and_only_the_run(
 
 
 @needs_numpy
-@pytest.mark.parametrize("cipher_cls", [Chacha20Poly1305, Aes128Gcm])
-def test_a_read_continues_the_stream_of_the_read_before(
-        monkeypatch, cipher_cls):
-    """A transport hands reads over as they arrive, so a stream's run of
-    records is cut wherever a read ends: the next read's records are
-    taken to continue the stream that accepted the connection's last
-    record, and ride one guessed pass from its first record on."""
-    force_tier(monkeypatch, "lanes")
-    keys = {"key": b"\x11" * 16, "peer_key": b"\x33" * 16} \
-        if cipher_cls is Aes128Gcm else {}
-    client, conn = bootstrap_ready_session(
-        is_client=True, cipher_name=cipher_cls.name, record_payload=700,
-        **keys)
-    payload = bytes(range(256)) * 11
-    client.create_stream(conn).send(payload)
-    records = RecordReassembler().feed(conn.tcp.take_sent())
-    server, sconn = bootstrap_ready_session(
-        is_client=False, cipher_name=cipher_cls.name, record_payload=700,
-        **keys)
-    rode = []
-    process = server._process_record
-
-    def watched_process(conn, record, trial=None):
-        rode.append(trial is not None and trial._ahead is not None)
-        return process(conn, record, trial)
-
-    server._process_record = watched_process
-    cut = len(records) - 3
-    server.bytes_received(sconn, b"".join(records[:cut]))
-    server.bytes_received(sconn, b"".join(records[cut:]))
-    assert rode[cut:] == [True] * 3
-    assert payload in [bytes(stream.recv_buffer)
-                       for stream in server.streams.values()]
-
-
-@needs_numpy
 @pytest.mark.parametrize("pass_records", [16, 4])
 def test_one_ghash_pass_per_lane_pass_of_a_read(monkeypatch, pass_records):
     """AES-GCM: a read's records are hashed before their trials, one
