@@ -14,8 +14,8 @@ test:
 test-obs:
 	$(PYTHON) -m pytest -m obs -q
 
-# The pytest benches the matrix does not hold yet (Fig. 12, Sec. 5.1,
-# ablations) and the micro hot-path suite.
+# The pytest bench the matrix does not hold yet (Fig. 12) and the micro
+# hot-path suite.
 bench:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest -q -s --benchmark-only --json BENCH_all.json
 
@@ -27,8 +27,10 @@ bench-check:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest bench_micro_hotpaths.py -q -s --benchmark-only --benchmark-disable-gc --benchmark-min-rounds=7 --json BENCH_micro.json
 	$(PYTHON) benchmarks/gate.py benchmarks/baselines/BENCH_micro.json benchmarks/BENCH_micro.json $(BENCH_GATE_FLAGS)
 
-# Full experiment matrix (211 scenario x topology x cipher x scheduler
-# points, the paper's tables and figures but Fig. 12), sharded over $(JOBS) worker processes, with the
+# Full experiment matrix (224 scenario x topology x cipher x scheduler
+# points: the paper's tables and figures but Fig. 12, plus Sec. 5.1 and
+# the design ablations; the four scale points run only when named, see
+# benchmarks/runner.py), sharded over $(JOBS) worker processes, with the
 # content-addressed result cache: unchanged points are served from
 # .bench_cache (override with --cache-dir or REPRO_BENCH_CACHE), so an
 # immediately repeated run is ~100% cache hits and finishes in under a

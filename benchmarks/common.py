@@ -1,5 +1,5 @@
-"""Shared scenario builders for the matrix points and the remaining
-pytest benches.
+"""Shared scenario builders for the matrix points and the Fig. 12
+pytest bench.
 
 Each experiment mirrors a Sec. 5 evaluation setup: a goodput probe
 sampled every 0.25 s of simulated time, and a client/server pair that

@@ -1,9 +1,10 @@
 """Benchmark harness plumbing.
 
-The paper's tables and figures are matrix rows (``matrix_points.py``)
-checked by ``claims.py``; the pytest benches here are the experiments
-not yet in the matrix (Fig. 12, Sec. 5.1, the ablations) and the micro
-hot-path suite.  Each experiment test wraps its run in the
+The paper's tables and figures, Sec. 5.1's text results and the design
+ablations are matrix rows (``matrix_points.py``) checked by
+``claims.py``; the pytest benches here are the experiment not yet in
+the matrix (Fig. 12) and the micro hot-path suite.  Each experiment
+test wraps its run in the
 pytest-benchmark fixture (rounds=1 -- the experiments are
 deterministic discrete-event runs, not micro timings).
 """

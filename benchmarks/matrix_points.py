@@ -5,9 +5,11 @@ metrics dict, so :mod:`repro.perf.matrix` can pickle it by reference
 into spawn workers.  A family holds the paper's own cell -- the run the
 figure reports, at its size, seed and horizon -- and, for fig7-9,
 scaled-down variants across more axes (a couple of MiB instead of
-tens) that exercise handshakes, outages and recovery cheaply.  A row
-carries the summary numbers its claims read (``claims.py``), not
-series.
+tens) that exercise handshakes, outages and recovery cheaply.  The
+``sec51`` and ``ablation`` families hold Sec. 5.1's model results and
+the design ablations; the scale rows of ``c1m`` and ``fluid`` run only
+when named.  A row carries the summary numbers its claims read
+(``claims.py``), not series.
 
 Every metric here must be bit-deterministic: times come from the
 simulator clock, byte counts from stack counters.  Nothing may read
@@ -23,6 +25,7 @@ from common import (
 )
 from repro.baselines.quic.impls import IMPL_PROFILES
 from repro.core import TcplsClient, TcplsServer
+from repro.core.engine.policy import LowestRttScheduler, RoundRobinScheduler
 from repro.net import Simulator, build_faulty_multipath, build_multipath
 from repro.net.address import Endpoint
 from repro.perf import (
@@ -478,11 +481,11 @@ def table1_features_point(proto="tcpls"):
 
 
 def c1m_loadgen_point(sessions=400, failover_sessions=8, seed=42):
-    """Scaled-down C1M churn run: hundreds of sessions through one
+    """C1M churn run: ``sessions`` sessions through one
     :class:`~repro.core.drivers.multi.MultiSessionServer`, with joins,
-    a mid-transfer path outage and close/reconnect churn.  The full
-    10k-session run lives in ``bench_c1m.py``; this point keeps the
-    multi-session path in the gated matrix."""
+    a mid-transfer path outage and close/reconnect churn.  Hundreds of
+    sessions keep the multi-session path in the gated matrix; the
+    10k-session acceptance run, in one process, is a scale row."""
     from repro.perf.loadgen import run_shard
 
     return run_shard(sessions=sessions,
@@ -490,9 +493,9 @@ def c1m_loadgen_point(sessions=400, failover_sessions=8, seed=42):
 
 
 def fluid_scenario_point(scenario="fairness", flows=20_000, seed=42):
-    """Scaled-down fluid fast-forward population: the 100k-flow
-    scenarios live in ``bench_c1m.py --fluid``; this point keeps the
-    closed-form engine in the gated matrix."""
+    """Fluid fast-forward population: thousands of flows keep the
+    closed-form engine in the gated matrix; the 100k-flow populations
+    are scale rows."""
     from repro.perf.loadgen import run_fluid_scenario
 
     metrics = run_fluid_scenario(scenario=scenario, flows=flows,
@@ -514,10 +517,165 @@ def pageload_point(stack="tcpls", policy="round-robin", grid="ge-light",
                              horizon=60.0, seed=seed)
 
 
-def default_matrix():
-    """The full experiment matrix: scenario x topology x cipher x
-    scheduler families expanding to 211 points, 35 of them the paper's
-    own cells.
+def sec51_receive_point(buffers="tuned"):
+    """Sec. 5.1: tuning picotls's receive buffers -- no fragmented
+    record re-staged through intermediate buffers -- gained ~40 %
+    client throughput.  The untuned receiver pays 17 extra byte-copies
+    per byte in the cost model, which reproduces the measured gap."""
+    extra_copies = {"tuned": 0, "untuned": 17}[buffers]
+    model = TlsTcpModel(CpuProfile(), mtu=1500, extra_copies=extra_copies)
+    return {"extra_copies": extra_copies,
+            "gbps": round(8.0 / model.receiver_ns_per_byte(), 6)}
+
+
+def sec51_aead_point(aead="aes128gcm"):
+    """Sec. 5.1's in-memory AES-128-GCM rates on 16,384-byte records:
+    the cost model's anchors, and the ceiling the fastest TLS/TCP cell
+    (9,000-byte MTU) stays under."""
+    cpu = CpuProfile()
+    return {
+        "seal_gbps": round(8.0 / cpu.aead_seal_ns_per_byte, 6),
+        "open_gbps": round(8.0 / cpu.aead_open_ns_per_byte, 6),
+        "tls_tcp_jumbo_gbps": round(
+            solve_throughput_gbps(TlsTcpModel(cpu, mtu=9000)), 6),
+    }
+
+
+def ablation_framing_point(layout="end-of-record", record_size=16384):
+    """Sec. 3.1's zero-copy argument: the payload bytes a receiver moves
+    to hand one record's payload on as the prefix of a buffer.
+    End-of-record control leaves the payload as the receive buffer's
+    prefix (``decode_inner(zero_copy=True)``); header-first framing puts
+    it after the control block, so the receiver copies it out.  Bytes
+    are counted, not timed: after the decode the receive buffer is
+    zeroed, and every payload byte that keeps its value was moved."""
+    from repro.core.record import (
+        RECORD_TYPE_STREAM_DATA,
+        TcplsRecord,
+        decode_inner,
+        encode_inner,
+    )
+
+    payload = b"\x99" * record_size
+    control = b"\x01" + bytes(8)
+    if layout == "end-of-record":
+        buffer = bytearray(encode_inner(RECORD_TYPE_STREAM_DATA, payload,
+                                        control))
+        record = decode_inner(buffer, zero_copy=True)
+    elif layout == "header-first":
+        buffer = bytearray([RECORD_TYPE_STREAM_DATA, len(control)])
+        buffer += control + payload
+        start = 2 + buffer[1]
+        record = TcplsRecord(buffer[0], bytes(buffer[start:]),
+                             bytes(buffer[2:start]))
+    else:
+        raise ValueError("unknown layout %r" % layout)
+    payload_ok = bytes(record.payload) == payload
+    buffer[:] = bytes(len(buffer))
+    return {"record_size": record_size, "payload_ok": payload_ok,
+            "bytes_moved": bytes(record.payload).count(payload[0])}
+
+
+def ablation_demux_point(order="sequential", streams=4, seed=21):
+    """Footnote 2: tag trials per record when ``streams`` streams share
+    one connection, each sent whole (``sequential``) or 4,000 bytes at a
+    time round the streams (``interleaved``, the receiver's worst
+    case)."""
+    sim = Simulator(seed=seed)
+    topo = build_multipath(sim, n_paths=1, families=[4])
+    cstack, sstack = TcpStack(sim, topo.client), TcpStack(sim, topo.server)
+    server = TcplsServer(sim, sstack, 443, psk=PSK)
+    sessions = []
+    server.on_session = lambda s: (
+        sessions.append(s), setattr(s, "on_stream_data", lambda st: st.recv())
+    )
+    client = TcplsClient(sim, cstack, psk=PSK)
+    p = topo.path(0)
+    client.connect(p.client_addr, Endpoint(p.server_addr, 443))
+    sim.run(until=0.2)
+    opened = [client.create_stream(client.conns[0]) for _ in range(streams)]
+    chunk, rounds = 4000, 60
+    if order == "interleaved":
+        for _ in range(rounds):
+            for stream in opened:
+                stream.send(b"i" * chunk)
+    elif order == "sequential":
+        for stream in opened:
+            stream.send(b"s" * (chunk * rounds))
+    else:
+        raise ValueError("unknown order %r" % order)
+    sim.run(until=20)
+    stats = sessions[0].stats
+    return {
+        "tag_trials": stats["tag_trials"],
+        "records_received": stats["records_received"],
+        "trials_per_record": round(
+            stats["tag_trials"] / max(stats["records_received"], 1), 6),
+    }
+
+
+def ablation_ack_interval_point(interval=16, size=8 << 20, seed=22):
+    """The record-ACK interval the paper leaves as future work, live: an
+    8 MiB upload with failover on, one record ACK every ``interval``
+    records, on one uncongested path."""
+    sim = Simulator(seed=seed)
+    topo = build_multipath(sim, n_paths=1, families=[4])
+    cstack, sstack = TcpStack(sim, topo.client), TcpStack(sim, topo.server)
+    server = TcplsServer(sim, sstack, 443, psk=PSK, ack_interval=interval)
+    sessions, done = [], []
+
+    def on_session(sess):
+        sessions.append(sess)
+        sess.enable_failover()
+        state = {"got": 0}
+
+        def on_stream_data(stream):
+            state["got"] += len(stream.recv())
+            if state["got"] >= size and not done:
+                done.append(sim.now)
+        sess.on_stream_data = on_stream_data
+
+    server.on_session = on_session
+    client = TcplsClient(sim, cstack, psk=PSK, ack_interval=interval)
+    p = topo.path(0)
+
+    def on_ready(_s):
+        stream = client.create_stream(client.conns[0])
+        stream.send(b"a" * size)
+        stream.close()
+
+    client.on_ready = on_ready
+    client.connect(p.client_addr, Endpoint(p.server_addr, 443))
+    sim.run(until=60)
+    return {"done_at": _done_at(done),
+            "acks_sent": sessions[0].stats["acks_sent"]}
+
+
+SCHEDULERS = {"round-robin": RoundRobinScheduler,
+              "lowest-rtt": LowestRttScheduler}
+
+
+def ablation_scheduler_point(scheduler="round-robin", seed=23):
+    """Record schedulers on asymmetric paths (the paper ships
+    round-robin and leaves others to the application): an 8 MiB
+    coupled upload over a 10 ms and a 100 ms RTT path."""
+    sim = Simulator(seed=seed)
+    topo = build_multipath(sim, n_paths=2,
+                           rates=[25_000_000, 25_000_000],
+                           delays=[0.005, 0.050])
+    _client, _sessions, _probe, done = build_tcpls_group_upload(
+        sim, topo, 8 << 20, n_paths=2, scheduler=SCHEDULERS[scheduler]())
+    sim.run(until=60)
+    return {"done_at": _done_at(done)}
+
+
+def matrix():
+    """Every point of the experiment matrix: scenario x topology x
+    cipher x scheduler families expanding to 224 points -- 35 of them
+    the paper's own cells, 3 its Sec. 5.1 model results, 10 the design
+    ablations -- plus four scale points (the 10k-session C1M run and the
+    100k-flow fluid populations) that a run executes only when a
+    pattern names them (:func:`repro.perf.filter_points`).
 
     The point functions are crossed over explicit axes, validity
     predicates drop meaningless combinations (an ``ack_interval`` only
@@ -613,13 +771,51 @@ def default_matrix():
                 "sessions": c["sessions"],
                 "failover_sessions": c["failover"]}),
         MatrixSpec(
+            "c1m", c1m_loadgen_point,
+            [Axis("sessions", (10000,)), Axis("failover", (16,))],
+            to_kwargs=lambda c: {
+                "sessions": c["sessions"],
+                "failover_sessions": c["failover"]},
+            scale=True),
+        MatrixSpec(
             "fluid", fluid_scenario_point,
             [Axis("scenario", ("fairness", "incast", "failover_storm")),
              Axis("flows", (2000, 10000))]),
+        MatrixSpec(
+            "fluid", fluid_scenario_point,
+            [Axis("scenario", ("fairness", "incast", "failover_storm")),
+             Axis("flows", (100_000,))],
+            scale=True),
         MatrixSpec(
             "pageload", pageload_point,
             [Axis("stack", ("tcpls", "quic", "mptcp")),
              Axis("policy", ("round-robin", "lowest-rtt", "predictive")),
              Axis("grid", ("clean", "ge-light", "ge-burst"))]),
+        MatrixSpec("sec51", sec51_receive_point,
+                   [Axis("buffers", ("tuned", "untuned"))]),
+        MatrixSpec("sec51", sec51_aead_point, [Axis("aead", ("aes128gcm",))]),
+        MatrixSpec("ablation", ablation_framing_point,
+                   [Axis("framing", ("end-of-record", "header-first"))],
+                   to_kwargs=lambda c: {"layout": c["framing"]}),
+        MatrixSpec("ablation", ablation_demux_point,
+                   [Axis("demux", ("sequential", "interleaved")),
+                    Axis("streams", (4, 8))],
+                   valid=lambda c: c["demux"] == "interleaved"
+                   or c["streams"] == 4,
+                   to_kwargs=lambda c: {"order": c["demux"],
+                                        "streams": c["streams"]}),
+        MatrixSpec("ablation", ablation_ack_interval_point,
+                   [Axis("ack_interval", (2, 16, 64))],
+                   to_kwargs=lambda c: {"interval": c["ack_interval"]}),
+        MatrixSpec("ablation", ablation_scheduler_point,
+                   [Axis("scheduler", tuple(SCHEDULERS))]),
     ]
     return expand_matrix(specs)
+
+
+def default_matrix():
+    """The points a run without ``--points`` executes: every point but
+    the scale ones.  The committed envelope holds exactly these."""
+    from repro.perf import filter_points
+
+    return filter_points(matrix(), None)

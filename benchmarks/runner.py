@@ -5,15 +5,19 @@ Usage (from the repo root)::
     python benchmarks/runner.py --jobs 4 --json benchmarks/BENCH_matrix.json
     python benchmarks/runner.py --list
     python benchmarks/runner.py --points fig8 --json out.json
+    python benchmarks/runner.py --points flows=100000 --json fluid.json
 
-Runs the declarative experiment matrix (:mod:`matrix_points`, 211
+Runs the declarative experiment matrix (:mod:`matrix_points`, 224
 points) with the content-addressed result cache: unchanged points
 (same spec, same source fingerprint) are served from ``.bench_cache/``
 (``--cache-dir`` / ``$REPRO_BENCH_CACHE``) without spawning a worker,
 so an immediately repeated run is ~100% cache hits and finishes in
 under a second.  Each success is cached as it completes and a failure
 never is: an interrupted run resumes, and a failed point re-runs, by
-running the same command again.
+running the same command again.  The four scale points (the
+10k-session C1M run, the 100k-flow fluid populations) run only when a
+``--points`` pattern selects nothing else: ``sessions=10000``,
+``flows=100000`` or a whole name.
 
 The merged JSON is byte-identical for any ``--jobs`` value, shard
 split, interrupted history or cache state; CI asserts it with
@@ -73,10 +77,8 @@ def main(argv=None):
     )
     from repro.perf.matrix import _entry_for, _execute
 
-    points = matrix_points.default_matrix()
-    if args.points:
-        wanted = [w.strip() for w in args.points.split(",") if w.strip()]
-        points = filter_points(points, wanted, exact=args.exact)
+    wanted = [w.strip() for w in (args.points or "").split(",") if w.strip()]
+    points = filter_points(matrix_points.matrix(), wanted, exact=args.exact)
     if args.list:
         for point in points:
             print(point.name)

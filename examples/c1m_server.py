@@ -16,10 +16,11 @@ table back to zero.
 
 Run:  PYTHONPATH=src python examples/c1m_server.py [n_clients]
 
-For the 10k-session simulated churn benchmark (connect waves, MPJOINs,
-scripted path outage + failovers, close/reconnect churn), see
-``benchmarks/bench_c1m.py``.  For worker-process sharding, give each
-worker its own listener on ``base_port + i`` (or one shared port with
+For the 10k-session simulated churn run (connect waves, MPJOINs,
+scripted path outage + failovers, close/reconnect churn), run the
+matrix's scale row: ``python benchmarks/runner.py --points
+sessions=10000``.  For worker-process sharding, give each worker its
+own listener on ``base_port + i`` (or one shared port with
 ``SocketDriver(reuse_port=True)``).
 """
 

@@ -23,6 +23,7 @@ from repro.core import record as rec
 from repro.core.crypto_context import prepare_record, prepare_records
 from repro.core.errors import SessionNotReadyError, TcplsProtocolError
 from repro.core.engine.connection import ConnectionState
+from repro.core.engine.ebpf_chunks import ProgramChunks
 from repro.core.engine.events import EventSource, SessionEvent, slot
 from repro.core.engine.failover import (Failover, on_ack,
                                         on_enable_failover, on_sync)
@@ -111,7 +112,7 @@ class TcplsEngine(EventSource):
         self._send_iv = None
         self._recv_iv = None
 
-        self._ebpf_chunks = {}
+        self._ebpf_chunks = ProgramChunks()
         self._tcpinfo_callbacks = {}
         #: the send side: sealing, booking, connection queues
         self.pump = Pump(self)
@@ -122,7 +123,7 @@ class TcplsEngine(EventSource):
         #: replay (debugging).
         self.input_log = None
 
-        # Statistics (the ablation benches read these).
+        # Statistics (the ablation matrix rows read these).
         self.stats = {
             "records_sent": 0,
             "records_received": 0,
@@ -805,19 +806,15 @@ class TcplsEngine(EventSource):
         self.emit(SessionEvent.TCP_OPTION, conn, kind, data)
 
     def _on_ebpf_chunk(self, conn, stream, seq, inner):
-        """Collect a program's chunks (keyed with their total, so a
-        complete set is every index below it) and ask the transport to
-        verify and attach it (drivers without pluggable CC decline)."""
+        """Collect a program's chunks (:class:`ProgramChunks`) and ask
+        the transport to verify and attach it (drivers without pluggable
+        CC decline)."""
         program_id, index, total, data = rec.decode_ebpf_chunk(inner.payload)
-        chunks = self._ebpf_chunks.setdefault((program_id, total), {})
-        chunks[index] = data
-        if len(chunks) < total:
+        bytecode = self._ebpf_chunks.add(program_id, index, total, data)
+        if bytecode is None:
             return
-        del self._ebpf_chunks[program_id, total]
         attached = conn.tcp.attach_ebpf_congestion(
-            b"".join(chunks[i] for i in range(total)),
-            program_name="prog%d" % program_id,
-        )
+            bytecode, program_name="prog%d" % program_id)
         if attached:
             self.emit(SessionEvent.EBPF_ATTACHED, conn, program_id)
 

@@ -19,12 +19,7 @@ from repro.perf.costmodel import (
     TcplsModel,
     solve_throughput_gbps,
 )
-from repro.perf.loadgen import (
-    LoadgenHarness,
-    merge_shards,
-    run_shard,
-    shard_points,
-)
+from repro.perf.loadgen import LoadgenHarness, run_shard
 from repro.perf.pageload import make_policy, run_pageload_cell
 from repro.perf.cache import (
     ResultCache,
@@ -60,9 +55,7 @@ __all__ = [
     "TcplsVariant",
     "TlsTcpModel",
     "make_policy",
-    "merge_shards",
     "run_pageload_cell",
     "run_shard",
-    "shard_points",
     "solve_throughput_gbps",
 ]

@@ -19,11 +19,10 @@ discrete-event simulation, with scripted churn:
 
 Every metric is derived from simulator time and deterministic
 counters; a fixed configuration yields byte-identical results on every
-run -- the property the churn/soak test and the ``bench_c1m``
-determinism gate assert.  ``run_shard`` is a top-level function so
+run -- the property the churn/soak test asserts and the ``c1m``
+matrix rows are gated on.  ``run_shard`` is a top-level function so
 :func:`repro.perf.matrix.run_matrix` can pickle it by reference into
-spawn workers for the listener-per-shard layout (shard ``i`` listens
-on ``base_port + i``).
+spawn workers.
 """
 
 from repro.core.drivers.multi import MultiSessionServer
@@ -607,73 +606,16 @@ def run_fluid_scenario(**kwargs):
 def run_shard(**kwargs):
     """Run one loadgen shard; returns its deterministic metrics dict.
 
-    Top-level (picklable) so spawn workers can run shards in parallel:
-    shard ``i`` of ``n`` serves ``sessions`` sessions on
-    ``base_port + i`` in its own process, and the merged JSON is
-    byte-identical for any worker count.
+    Top-level (picklable), so a matrix point runs it in a spawn
+    worker.
     """
     return LoadgenHarness(**kwargs).run()
-
-
-def shard_points(total_sessions, n_shards, base_port=4443, **kwargs):
-    """Matrix points for a sharded run (listener-per-shard layout)."""
-    from repro.perf.matrix import MatrixPoint
-
-    per_shard = total_sessions // n_shards
-    points = []
-    for shard in range(n_shards):
-        count = per_shard + (1 if shard < total_sessions % n_shards else 0)
-        cfg = dict(kwargs)
-        cfg.update(sessions=count, shard=shard, port=base_port + shard)
-        points.append(MatrixPoint("c1m/shard%d" % shard, run_shard, cfg))
-    return points
-
-
-def merge_shards(results):
-    """Aggregate per-shard metrics into one deterministic summary."""
-    total = {
-        "shards": len(results),
-        "started": 0, "ready": 0, "transfers_completed": 0,
-        "joins_completed": 0, "failovers": 0,
-        "peak_concurrent_sessions": 0, "table_peak": 0,
-        "table_end": 0, "sessions_end": 0, "bytes_delivered": 0,
-        "budget_pauses": 0, "retired": 0,
-        "heap_compactions": 0,
-    }
-    hs_p99 = []
-    tr_p99 = []
-    rate = 0.0
-    bytes_rate = 0.0
-    for result in results:
-        for key in ("started", "ready", "transfers_completed",
-                    "joins_completed", "failovers", "table_end",
-                    "sessions_end", "bytes_delivered", "budget_pauses",
-                    "retired", "heap_compactions"):
-            total[key] += result[key]
-        for key in ("peak_concurrent_sessions", "table_peak"):
-            total[key] += result[key]
-        if result["handshake_latency"]["p99"] is not None:
-            hs_p99.append(result["handshake_latency"]["p99"])
-        if result["transfer_latency"]["p99"] is not None:
-            tr_p99.append(result["transfer_latency"]["p99"])
-        rate += result["sessions_per_sec"]
-        bytes_rate += result["bytes_per_sec"]
-    total["p99_handshake_s"] = max(hs_p99) if hs_p99 else None
-    total["p99_transfer_s"] = max(tr_p99) if tr_p99 else None
-    total["sessions_per_sec"] = round(rate, 3)
-    # One shard == one core in the layout, so the per-core figure is
-    # the mean shard rate.
-    total["bytes_per_core_per_s"] = round(
-        bytes_rate / max(len(results), 1), 3)
-    return total
 
 
 __all__ = [
     "FluidScenarioHarness",
     "LoadgenHarness",
     "build_wave_schedule",
-    "merge_shards",
     "run_fluid_scenario",
     "run_shard",
-    "shard_points",
 ]

@@ -10,9 +10,9 @@ serialises point lists:
   :class:`MatrixPoint`\\ s (each remembers its axis assignment),
   dropping combinations a validity predicate rejects;
 - :func:`filter_points` applies the runner's substring (default) or
-  ``--exact`` name filters;
-- :func:`run_matrix` executes a point list -- matrix rows, C1M shards,
-  fluid scenarios alike -- with a content-addressed
+  ``--exact`` name filters, and keeps the *scale* points (runs too long
+  for every run) out of any selection that has other points in it;
+- :func:`run_matrix` executes a point list with a content-addressed
   :class:`~repro.perf.cache.ResultCache`.  The cache is the only way a
   point is skipped: a stored success whose spec and source fingerprint
   match is served without running, each success is stored as it
@@ -63,15 +63,16 @@ class Axis:
 class MatrixPoint:
     """One named point: ``fn(**kwargs)`` -> metrics dict, plus the axis
     assignment the gate groups regressions by (empty for a point that
-    belongs to no spec, e.g. a C1M shard)."""
+    belongs to no spec) and whether it is a scale point."""
 
-    __slots__ = ("name", "fn", "kwargs", "axes")
+    __slots__ = ("name", "fn", "kwargs", "axes", "scale")
 
-    def __init__(self, name, fn, kwargs=None, axes=None):
+    def __init__(self, name, fn, kwargs=None, axes=None, scale=False):
         self.name = name
         self.fn = fn
         self.kwargs = dict(kwargs) if kwargs else {}
         self.axes = dict(axes) if axes else {}
+        self.scale = scale
 
     def run(self):
         return self.fn(**self.kwargs)
@@ -86,19 +87,21 @@ class MatrixSpec:
     ``valid`` (optional) receives the combo dict and returns False to
     drop a combination; ``to_kwargs`` (optional) maps the combo dict to
     the callable's kwargs (default: the combo itself); ``fixed`` kwargs
-    are merged into every point.  Point names are
+    are merged into every point; ``scale`` marks every point a scale
+    point (see :func:`filter_points`).  Point names are
     ``family/axis=value/...`` in axis order, so name filters can select
     whole families (``fig8``) or single axis values (``cipher=chacha20``).
     """
 
     def __init__(self, family, fn, axes, valid=None, to_kwargs=None,
-                 fixed=None):
+                 fixed=None, scale=False):
         self.family = family
         self.fn = fn
         self.axes = list(axes)
         self.valid = valid
         self.to_kwargs = to_kwargs
         self.fixed = dict(fixed) if fixed else {}
+        self.scale = scale
 
     def point_name(self, combo):
         parts = [self.family]
@@ -118,7 +121,7 @@ class MatrixSpec:
             kwargs.update(self.to_kwargs(combo) if self.to_kwargs
                           else combo)
             points.append(MatrixPoint(self.point_name(combo), self.fn,
-                                      kwargs, axes=combo))
+                                      kwargs, axes=combo, scale=self.scale))
         return points
 
 
@@ -136,14 +139,18 @@ def expand_matrix(specs):
 
 
 def filter_points(points, patterns, exact=False):
-    """Name filters: substring match by default, whole-name with exact."""
-    if not patterns:
-        return list(points)
-    if exact:
-        wanted = set(patterns)
-        return [p for p in points if p.name in wanted]
-    return [p for p in points
-            if any(pattern in p.name for pattern in patterns)]
+    """The points a run selects.  Each pattern selects the points whose
+    name contains it (is it, with ``exact``); no pattern selects every
+    point.  A scale point is kept only by a pattern that selects nothing
+    else: the default run and a family name (``fluid``) skip the scale
+    rows, a pattern naming them (``flows=100000``) runs them."""
+    chosen = set()
+    for pattern in patterns or [None]:
+        hits = [p for p in points if pattern is None
+                or (p.name == pattern if exact else pattern in p.name)]
+        plain = [p.name for p in hits if not p.scale]
+        chosen.update(plain or [p.name for p in hits])
+    return [p for p in points if p.name in chosen]
 
 
 class MatrixStats:

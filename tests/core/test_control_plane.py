@@ -72,6 +72,28 @@ def test_malformed_record_fails_the_connection(case):
     assert server._ebpf_chunks == {}
 
 
+@pytest.mark.parametrize("chunk,at_cap", [
+    (b"\x90" * 16384, 2),      # the 32 KiB of 4,096 instructions
+    (b"", 4096),                # one chunk per instruction
+], ids=["large chunks", "empty chunks"])
+def test_ebpf_chunks_past_the_largest_program_fail_the_connection(
+        chunk, at_cap):
+    """A session holds what the largest verifiable program needs and no
+    more, however the chunks spread over program ids."""
+    server, sconn, seal, failures = ready_pair()
+
+    def send(index):
+        payload = rec.encode_ebpf_chunk(1 + index % 4, index, 65535, chunk)
+        server.bytes_received(sconn, seal(rec.RECORD_TYPE_EBPF, payload))
+
+    for index in range(at_cap):
+        send(index)
+    assert failures == []
+    send(at_cap)
+    assert failures == [(sconn, "protocol")]
+    assert sconn.failed and server._ebpf_chunks == {}
+
+
 def test_a_malformed_record_drops_the_rest_of_its_read():
     server, sconn, seal, failures = ready_pair()
     enable = rec.encode_control(rec.CTRL_ENABLE_FAILOVER)

@@ -87,6 +87,8 @@ INVERSIONS = {
     "fluid": ("fluid/scenario=incast/flows=2000", "flows_completed", 1999),
     "pageload": ("pageload/stack=tcpls/policy=round-robin/grid=clean",
                  "plt_p50", 1.0),
+    "sec51": (claims.S51 % "untuned", "gbps", 5.0),
+    "ablation": (claims.FRAMING % "end-of-record", "bytes_moved", 16384),
 }
 
 
@@ -164,7 +166,8 @@ def test_one_place_per_claim():
         "fig7_throughput", "fig8_failover", "fig9_outages",
         "fig10_migration", "fig11_aggregation", "fig13_record_size",
         "sec45_establishment", "sec52_middlebox", "table1_features")]
-    gone += ["REPRO_SCALE", "REPRO_QLOG", "--qlog"]
+    gone += ["bench_ablations", "bench_sec51_buffers", "bench_c1m"]
+    gone += ["REPRO_SCALE", "REPRO_QLOG", "--qlog", "--fluid"]
     paths = [os.path.join(BENCH_DIR, entry)
              for entry in sorted(os.listdir(BENCH_DIR))
              if os.path.isfile(os.path.join(BENCH_DIR, entry))]

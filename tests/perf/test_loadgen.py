@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.perf.loadgen import merge_shards, run_shard, shard_points
+from repro.perf.loadgen import run_shard
 
 pytestmark = pytest.mark.smoke
 
@@ -49,23 +49,3 @@ def test_churn_soak_2k_sessions_deterministic():
     assert first["handshake_latency"]["count"] == 2500
     assert 0 < first["handshake_latency"]["p99"] < 0.1
     assert first["transfer_latency"]["p99"] > 0
-
-
-def test_shard_layout_partition_and_merge():
-    """Sharded points cover the population exactly once and the merged
-    summary preserves the totals."""
-    points = shard_points(10, 3, base_port=5000, seed=1)
-    assert [p.kwargs["sessions"] for p in points] == [4, 3, 3]
-    assert [p.kwargs["port"] for p in points] == [5000, 5001, 5002]
-
-    results = [run_shard(**dict(p.kwargs, waves=4,
-                                failover_sessions=0,
-                                churn_fraction=0.0))
-               for p in points]
-    summary = merge_shards(results)
-    assert summary["shards"] == 3
-    assert summary["started"] == 10
-    assert summary["transfers_completed"] == 10
-    assert summary["table_end"] == 0 and summary["sessions_end"] == 0
-    assert summary["sessions_per_sec"] == round(
-        sum(r["sessions_per_sec"] for r in results), 3)

@@ -116,6 +116,25 @@ def test_filter_substring_and_exact():
     assert filter_points(points, ["x=2"], exact=True) == []
 
 
+def test_scale_points_run_only_when_a_pattern_names_them_alone():
+    plain = spec_for(values=(1, 10)).expand()
+    scale = MatrixSpec("unit", cube_point, [Axis("x", (100,)),
+                                            Axis("scale", (1,))],
+                       scale=True).expand()
+    points = plain + scale
+
+    def names(patterns, exact=False):
+        return [p.name for p in filter_points(points, patterns, exact)]
+
+    assert names(None) == [p.name for p in plain]
+    assert names(["unit"]) == names(None)
+    assert names(["x=10"]) == ["unit/x=10/scale=1", "unit/x=10/scale=10"]
+    assert names(["x=100"]) == ["unit/x=100/scale=1"]
+    assert names(["unit/x=100/scale=1"], exact=True) == names(["x=100"])
+    assert names(["x=1/", "x=100"]) == [
+        "unit/x=1/scale=1", "unit/x=1/scale=10", "unit/x=100/scale=1"]
+
+
 # -- execution ---------------------------------------------------------------
 
 POINTS = spec_for().expand()

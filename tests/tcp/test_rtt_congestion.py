@@ -158,7 +158,7 @@ class TestVegas:
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 9: on_rto recomputes ssthresh from cwnd on every "
+    "ROADMAP item 12: on_rto recomputes ssthresh from cwnd on every "
     "timeout, so the second of two back-to-back RTOs sets it to 2*MSS "
     "and the flow crawls in congestion avoidance from one segment"))
 def test_second_rto_for_the_same_segment_holds_ssthresh():

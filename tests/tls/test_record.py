@@ -1,7 +1,7 @@
 """TLS 1.3 record layer: framing, protection, reassembly."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aead import NullTagCipher
@@ -137,6 +137,8 @@ class TestReassembler:
     @given(st.lists(st.binary(min_size=0, max_size=300), min_size=1,
                     max_size=10),
            st.integers(1, 40))
+    # Sec. 5.1: full 16 KiB records read one 1,460-byte MSS at a time
+    @example(payloads=[b"x" * 16384] * 4, chunk=1460)
     def test_property_any_fragmentation(self, payloads, chunk):
         """However TCP fragments the byte stream, the reassembler yields
         exactly the original records, in order."""
