@@ -297,8 +297,9 @@ CLAIMS = [
          "lowest-RTT done <= 1.1 x round-robin's time (10 vs 100 ms RTT)",
          [SCHEDULER % "lowest-rtt", SCHEDULER % "round-robin"],
          lambda a, b: a["done_at"] <= b["done_at"] * 1.1),
-    each("c1m.table-drains", "C1M serving layer", "table_end == 0",
-         "c1m/*", lambda m: m["table_end"] == 0),
+    each("c1m.table-drains", "C1M serving layer",
+         "table_end == 0 and sessions_end == 0", "c1m/*",
+         lambda m: m["table_end"] == 0 and m["sessions_end"] == 0),
     each("fluid.completes", "fluid fast-forward", "flows_completed == flows",
          "fluid/*", lambda m: m["flows_completed"] == m["flows"]),
 ]

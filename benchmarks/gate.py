@@ -25,7 +25,9 @@ report says "all cipher=chacha20poly1305 points slowed" instead of
 printing hundreds of indistinguishable rows.  Names present on only one
 side are reported but never fail the run (new points need a first
 baseline, retired ones a refresh, and a filtered run is gated on the
-points it ran).
+points it ran).  A matrix row only the baseline has is *removed* when
+the matrix (:func:`matrix_points.matrix`) no longer defines it, and
+*not run* when the run merely left it out.
 
 After the drift check, a matrix report is held to the paper: every
 claim of ``claims.py`` whose rows the run has is evaluated on the new
@@ -37,10 +39,17 @@ or on a failed claim, 0 otherwise.
 
 import argparse
 import json
+import os
 import sys
 from collections import defaultdict
 
 import claims
+
+#: ``matrix_points`` (:func:`spec_names`) imports the library
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
 
 #: metric -> smaller is better (simulated completion/latency seconds)
 LOWER_IS_BETTER = frozenset((
@@ -109,6 +118,14 @@ def print_one_sided(names, note):
         print("... and %d more (%s)" % (len(names) - 10, note))
 
 
+def spec_names():
+    """Every point name the experiment matrix defines, scale rows
+    included."""
+    import matrix_points
+
+    return {point.name for point in matrix_points.matrix()}
+
+
 def check_claims(baseline, new):
     """Print the claims' verdicts on the new rows; returns the number
     that failed."""
@@ -159,12 +176,19 @@ def main(argv=None):
         if found:
             regressed[name] = found
 
+    is_matrix = any("metrics" in entry or "error" in entry
+                    for entry in (*baseline.values(), *new.values()))
     only_old = sorted(set(baseline) - set(new))
     only_new = sorted(set(new) - set(baseline))
+    not_run = []
+    if is_matrix and only_old:
+        defined = spec_names()
+        not_run = [name for name in only_old if name in defined]
+        only_old = [name for name in only_old if name not in defined]
     print("%d points compared against the baseline "
-          "(%d regressed, %d new errors, %d new, %d removed)"
+          "(%d regressed, %d new errors, %d new, %d removed, %d not run)"
           % (compared, len(regressed), len(new_errors), len(only_new),
-             len(only_old)))
+             len(only_old), len(not_run)))
 
     if regressed:
         groups = defaultdict(lambda: [0, 0])    # (axis, value) -> [bad, total]
@@ -202,6 +226,7 @@ def main(argv=None):
         print("NEW ERROR %s: %s" % (name, error))
     print_one_sided(only_new, "new: no baseline yet")
     print_one_sided(only_old, "removed: present only in baseline")
+    print_one_sided(not_run, "not run: left out of this run")
 
     failed_claims = 0
     if any("metrics" in entry or "error" in entry for entry in new.values()):

@@ -160,6 +160,16 @@ class StreamCryptoContext:
             return True
         return False
 
+    def replayed(self, trial, record_seq):
+        """Is ``trial`` the record this context already opened at
+        ``record_seq``?  One tag trial (:meth:`verify_at`), and no hit
+        counted: a record that authenticates there again is a
+        duplicate, not an open."""
+        if self.verify_at(trial, record_seq):
+            self.tag_hits -= 1
+            return True
+        return False
+
     def open_verified(self, trial, record_seq):
         """Plaintext of a trial that :meth:`verify_at` has just matched
         at ``record_seq``; the tag is not checked a second time."""

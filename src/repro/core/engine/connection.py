@@ -33,7 +33,7 @@ class ConnectionState:
         self.control_stream = None
         self.last_stream = None
         #: ``(epoch, last_stream, candidates)`` of the last tag-trial
-        #: order built for this connection (see ``_demux_candidates``)
+        #: order built for this connection (see ``Demux.candidates``)
         self.demux_order = (None, None, ())
         self.alive = False
         self.failed = False

@@ -6,23 +6,19 @@ Secs. 3-4 of the paper.  The ClientHello and its answer are per role
 (:mod:`~repro.core.engine.client`, :mod:`~repro.core.engine.server`).
 Here live the input events, :meth:`TcplsEngine.attach_conn`, the
 receive path, :attr:`TcplsEngine.ROWS` and the public API; the send
-pump (``engine.pump``, :mod:`~repro.core.engine.pump`) and record-level
-failover (``engine.failover``, :mod:`~repro.core.engine.failover`) do
-the rest.  Effects leave only through the
-:mod:`~repro.core.engine.interfaces` contracts, never through
-:mod:`repro.net` or :mod:`repro.tcp`.
-
-Receive-path demultiplexing (Sec. 4.1): records carry no stream id; the
-session first tries the connection's last successful stream at its next
-expected sequence, then the other attached streams, then widens to a
-bounded trial window of sequences -- which is what makes stream
-steering and failover replay work without explicit wire signalling.
+pump (``engine.pump``, :mod:`~repro.core.engine.pump`), the tag-trial
+demultiplexer (``engine.demux``, :mod:`~repro.core.engine.demux`) and
+record-level failover (``engine.failover``,
+:mod:`~repro.core.engine.failover`) do the rest.  Effects leave only
+through the :mod:`~repro.core.engine.interfaces` contracts, never
+through :mod:`repro.net` or :mod:`repro.tcp`.
 """
 
 from repro.core import record as rec
 from repro.core.crypto_context import prepare_record, prepare_records
 from repro.core.errors import SessionNotReadyError, TcplsProtocolError
 from repro.core.engine.connection import ConnectionState
+from repro.core.engine.demux import Demux
 from repro.core.engine.ebpf_chunks import ProgramChunks
 from repro.core.engine.events import EventSource, SessionEvent, slot
 from repro.core.engine.failover import (Failover, on_ack,
@@ -39,6 +35,8 @@ _CONTROL = rec.RECORD_TYPE_CONTROL
 #: the rows whose payload stays a view of the read's chunk until it is
 #: copied into its stream's buffer; every other row decodes bytes
 _VIEW_ROWS = (rec.RECORD_TYPE_STREAM_DATA, rec.RECORD_TYPE_APPDATA)
+#: what a failover replays, so what the demux's replay index keeps
+_STREAM_DATA_TYPE = rec.RECORD_TYPE_STREAM_DATA
 
 #: the events emitted per record or per ACK, as module globals: reading
 #: one costs a fraction of an enum class attribute
@@ -51,7 +49,8 @@ class TcplsEngine(EventSource):
     """Shared session logic for both endpoints, over any driver."""
 
     #: sequences tried per stream before a record is declared
-    #: undecryptable (the slow pass of the tag-trial demux)
+    #: undecryptable (the slow pass of the tag-trial demux), and the
+    #: records per stream its replay index keeps
     trial_window = 64
 
     # The application's slots, one per session event (see
@@ -85,9 +84,6 @@ class TcplsEngine(EventSource):
 
         self.conns = []
         self.streams = {}
-        #: bumped whenever the stream set or an attachment changes
-        #: (invalidates every connection's cached tag-trial order)
-        self._demux_epoch = 0
         self.groups = {}
         self._next_stream_id = 1 if is_client else 2
         self._next_group_id = 1 if is_client else 2
@@ -116,6 +112,8 @@ class TcplsEngine(EventSource):
         self._tcpinfo_callbacks = {}
         #: the send side: sealing, booking, connection queues
         self.pump = Pump(self)
+        #: which stream and sequence a received record belongs to
+        self.demux = Demux(self)
         #: record ACKs, the failure body, SYNC and replay
         self.failover = Failover(self)
         #: optional :class:`~repro.core.engine.replay.InputLog`; when
@@ -260,7 +258,7 @@ class TcplsEngine(EventSource):
             coupled_group=coupled_group,
         )
         self.streams[stream_id] = stream
-        self._demux_epoch += 1
+        self.demux.renew(stream_id)
         self._emit("session", "stream_created", {
             "stream": stream_id, "conn": conn.conn_id,
             "group": coupled_group or 0,
@@ -624,26 +622,7 @@ class TcplsEngine(EventSource):
         """Move ``stream`` to ``conn``; every cached trial order that
         ranked it by its old connection is now stale."""
         stream.connection = conn
-        self._demux_epoch += 1
-
-    def _demux_candidates(self, conn):
-        """Streams in tag-trial order for a record arriving on ``conn``:
-        the last stream seen there, its control stream, the other
-        streams attached to it, then everything else.  Cached until the
-        stream set, an attachment or ``conn.last_stream`` changes."""
-        epoch, last, order = conn.demux_order
-        if epoch == self._demux_epoch and last is conn.last_stream:
-            return order
-        last = conn.last_stream
-        head = [s for s in (last, conn.control_stream) if s is not None]
-        if len(head) == 2 and head[0] is head[1]:
-            del head[1]
-        streams = [s for s in self.streams.values() if s not in head]
-        order = tuple(head
-                      + [s for s in streams if s.connection is conn]
-                      + [s for s in streams if s.connection is not conn])
-        conn.demux_order = (self._demux_epoch, last, order)
-        return order
+        self.demux.epoch += 1
 
     def _process_records(self, conn, records):
         """The complete records of one read, strictly in order.
@@ -697,36 +676,21 @@ class TcplsEngine(EventSource):
             self.failover.fail(conn, "protocol")
 
     def _process_record(self, conn, record_bytes, trial=None):
-        """Find the record's stream by tag trial and dispatch it;
-        returns the ``(stream, seq)`` it was accepted at, or ``None``.
-        ``trial`` is the record's, prepared with its read's."""
+        """Find the record's stream by tag trial (:meth:`Demux.find
+        <repro.core.engine.demux.Demux.find>`) and dispatch it; returns
+        the ``(stream, seq)`` it was accepted at, or ``None``.  ``trial``
+        is the record's, prepared with its read's."""
         conn.records_received += 1
         stats = self.stats
         stats["records_received"] += 1
-        candidates = self._demux_candidates(conn)
-        # One MAC pass over the record; every candidate below only
-        # finishes the tag under its own nonce.
+        # One MAC pass over the record; every candidate only finishes
+        # the tag under its own nonce.
         if trial is None:
             trial = prepare_record(self._recv_key, record_bytes)
-        # Fast pass: each candidate's single most likely sequence.
-        for position, stream in enumerate(candidates):
-            seq = stream.primary_trial_seq()
-            stats["tag_trials"] += 1
-            if stream.ctx_recv.verify_at(trial, seq):
-                if position > 0:
-                    stats["demux_fallbacks"] += 1
-                self._accept_record(conn, stream, seq, trial,
-                                    len(record_bytes))
-                return stream, seq
-        # Slow pass: bounded sequence windows (steering / replay).
-        for stream in candidates:
-            for seq in stream.trial_seqs(self.trial_window)[1:]:
-                stats["tag_trials"] += 1
-                if stream.ctx_recv.verify_at(trial, seq):
-                    stats["demux_fallbacks"] += 1
-                    self._accept_record(conn, stream, seq, trial,
-                                        len(record_bytes))
-                    return stream, seq
+        found = self.demux.find(conn, trial)
+        if found is not None:
+            self._accept_record(conn, *found, trial, len(record_bytes))
+            return found
         # Undecryptable: duplicate failover replay or forgery.
         stats["demux_drops"] += 1
         self._emit("tls", "record_rejected", {
@@ -745,6 +709,8 @@ class TcplsEngine(EventSource):
         inner = rec.decode_inner(plaintext, zero_copy=True)
         if inner.record_type not in _VIEW_ROWS:
             inner.payload = bytes(inner.payload)
+        elif inner.record_type == _STREAM_DATA_TYPE and self.failover_enabled:
+            self.demux.opened(stream, seq, trial)
         self._emit("tls", "record_opened", {
             "conn": conn.conn_id, "stream": stream.stream_id,
             "seq": seq, "type": inner.record_type,

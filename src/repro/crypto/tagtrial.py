@@ -44,7 +44,7 @@ from hmac import compare_digest
 class TagTrial:
     """One received ``ciphertext || tag``, prepared for tag trials."""
 
-    __slots__ = ("_cipher", "_ciphertext", "_tag", "_state", "_ahead")
+    __slots__ = ("_cipher", "_ciphertext", "tag", "_state", "_ahead")
 
     def __init__(self, cipher, data, aad=b"", state=None):
         """``state`` is the record's ``mac_state`` where it was folded
@@ -55,11 +55,13 @@ class TagTrial:
         self._ahead = None
         tag_size = cipher.tag_size
         if len(data) < tag_size:
-            self._tag = None        # too short to carry a tag
+            #: the record's tag (a view of it), or ``None`` for a record
+            #: too short to carry one
+            self.tag = None
             return
         view = memoryview(data)
         self._ciphertext = view[:-tag_size]
-        self._tag = view[-tag_size:]
+        self.tag = view[-tag_size:]
         self._state = cipher.mac_state(self._ciphertext, aad) \
             if state is None else state
 
@@ -83,7 +85,7 @@ class TagTrial:
         the guess was right, so it stays with its trial; a trial too
         short to carry a tag gets none."""
         tagged = [(trial, nonce) for trial, nonce in zip(trials, nonces)
-                  if trial._tag is not None]
+                  if trial.tag is not None]
         if not tagged:
             return
         run, guessed = zip(*tagged)
@@ -96,7 +98,7 @@ class TagTrial:
 
     def matches(self, nonce):
         """Constant-time: does the record authenticate under ``nonce``?"""
-        tag = self._tag
+        tag = self.tag
         if tag is None:
             return False
         ahead = self._ahead

@@ -112,6 +112,9 @@ class TcpConnection:
         self._sacked = RangeSet()
         self._lost = RangeSet()
         self._rexmitted = RangeSet()
+        #: the holes ``_mark_holes_lost`` marked since ``_rexmitted``
+        #: was last cleared, as ``(start, end)``
+        self._marked = set()
         self._rtt_seq = None
         self._rtt_time = None
         self._persist_backoff = 0
@@ -549,34 +552,38 @@ class TcpConnection:
         only once at least DupThresh (3) segments' worth of data above it
         has been SACKed -- otherwise it is merely still in flight and
         retransmitting it would inflate the pipe past cwnd."""
-        # One pass down the scoreboard: the gap under each SACKed range
-        # has every range from that one upwards above it.
-        threshold = 3 * self.mss
-        snd_una = self.snd_una
-        sacked_above = 0
-        holes = []
-        upper = None  # start of the range just above
-        for start, end in reversed(self._sacked):
-            if end <= snd_una:
-                break
-            if upper is not None and sacked_above >= threshold:
-                holes.append((end, upper))
-            sacked_above += end - start
-            upper = start
-        if upper is not None and upper > snd_una \
-                and sacked_above >= threshold:
-            holes.append((snd_una, upper))
+        holes = self._sacked.gaps_covered_above(self.snd_una, 3 * self.mss)
         # Mark bottom-up, in MSS chunks, skipping what this recovery
-        # episode already retransmitted.
+        # episode already retransmitted -- and every hole marked since:
+        # what marking it again would add is still in ``_lost``.  A SACK
+        # inside a hole makes other holes of it, and whatever else takes
+        # bytes out of ``_lost`` drops the holes it touches (``_unmark``).
         mss = self.mss
+        marked = self._marked
         covers, add = self._rexmitted.covers, self._lost.add
-        for start, end in reversed(holes):
-            cursor = start
+        for hole in holes:
+            if hole in marked:
+                continue
+            cursor, end = hole
             while cursor < end:
                 chunk_end = min(cursor + mss, end)
                 if not covers(cursor, chunk_end):
                     add(cursor, chunk_end)
                 cursor = chunk_end
+        self._marked = set(holes)
+
+    def _unmark(self, seq, end, chunk=False):
+        """``[seq, end)`` left ``_lost`` other than by a SACK: each
+        marked hole it touches is marked again on the next walk, unless
+        it was one whole chunk of the hole's MSS grid, retransmitted
+        (``chunk``), which the walk skips."""
+        marked, mss = self._marked, self.mss
+        for hole in [hole for hole in marked if hole[0] < end
+                     and seq < hole[1]]:
+            start, hole_end = hole
+            if not (chunk and seq >= start and (seq - start) % mss == 0
+                    and end == min(seq + mss, hole_end)):
+                marked.discard(hole)
 
     def _retransmit_lost(self):
         """Retransmit marked-lost ranges while the window has room.
@@ -594,6 +601,7 @@ class TcpConnection:
             if self._fin_sent and self._fin_seq is not None and \
                     seq >= self._fin_seq:
                 self._lost.subtract(seq, end)
+                self._unmark(seq, end)
                 self._send_segment(flags=FLAGS_FIN_ACK, seq=self._fin_seq,
                                    ack=self._ack_value())
                 self.retransmissions += 1
@@ -601,12 +609,14 @@ class TcpConnection:
             end = min(end, seq + self.mss, self.snd_buf.end_seq)
             if end <= seq:
                 self._lost.subtract(seq, hole[1])
+                self._unmark(seq, hole[1])
                 continue
             payload = self.snd_buf.peek(seq, end - seq)
             self._send_segment(flags=FLAGS_ACK, seq=seq,
                                ack=self._ack_value(), payload=payload)
             self._lost.subtract(seq, end)      # back in flight
             self._rexmitted.add(seq, end)
+            self._unmark(seq, end, chunk=True)
             self.retransmissions += 1
         n = self.retransmissions - before
         if n == 0:
@@ -688,6 +698,7 @@ class TcpConnection:
         self._in_recovery = False
         self._dupacks = 0
         self._rexmitted.clear()
+        self._marked = set()
         # Everything outstanding and not SACKed is presumed lost; it will
         # be retransmitted in cwnd-sized bursts as ACKs return.
         self._lost = self._sacked.complement_within(self.snd_una,
@@ -837,6 +848,7 @@ class TcpConnection:
                 if ack >= self._recover_point:
                     self._in_recovery = False
                     self._rexmitted.clear()
+                    self._marked = set()
                     self.cc.on_exit_recovery(self.sim.now)
                     self._observe_cc("exit_recovery")
                     if self.sim.bus.wants("tcp"):
@@ -874,6 +886,7 @@ class TcpConnection:
         self._in_recovery = True
         self._recover_point = self.snd_nxt
         self._rexmitted.clear()
+        self._marked = set()
         self._rtt_seq = None  # Karn: no samples across a loss event
         self.cc.on_loss(self.sim.now)
         self._observe_cc("loss")

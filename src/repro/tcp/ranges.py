@@ -135,6 +135,31 @@ class RangeSet:
             return tuple(ranges[i])
         return None
 
+    def gaps_covered_above(self, floor, amount):
+        """The gaps with at least ``amount`` covered above them, as
+        ascending ``(start, end)`` tuples: those between two ranges, and
+        the one from ``floor`` up to the lowest range, of the ranges
+        that end above ``floor`` (RFC 6675's IsLost on a SACK
+        scoreboard).  The cover above a gap only grows downwards, so
+        the walk from the top stops where it first reaches ``amount``:
+        every gap below that range qualifies."""
+        ranges = self._ranges
+        low = bisect_left(ranges, [floor])
+        if low > 0 and ranges[low - 1][1] > floor:
+            low -= 1
+        cut = len(ranges)
+        covered = 0
+        while cut > low and covered < amount:
+            cut -= 1
+            covered += ranges[cut][1] - ranges[cut][0]
+        if cut == len(ranges) or covered < amount:
+            return []
+        gaps = [(ranges[i - 1][1], ranges[i][0]) for i in range(low + 1,
+                                                               cut + 1)]
+        if ranges[low][0] > floor:
+            gaps.insert(0, (floor, ranges[low][0]))
+        return gaps
+
     def complement_within(self, start, end):
         """Gaps of this set inside [start, end), as a new RangeSet."""
         gaps = RangeSet()

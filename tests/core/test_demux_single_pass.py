@@ -155,7 +155,7 @@ def reference_candidates(session, conn):
 
 def check_candidate_order(session, checked):
     """Compare every cached order ``session`` uses with a rebuild."""
-    cached = session._demux_candidates
+    cached = session.demux.candidates
 
     def checking(conn):
         order = cached(conn)
@@ -163,7 +163,7 @@ def check_candidate_order(session, checked):
         checked.append(len(order))
         return order
 
-    session._demux_candidates = checking
+    session.demux.candidates = checking
 
 
 def test_cached_candidate_order_tracks_joins_and_steering():

@@ -243,6 +243,7 @@ MOVED = {
                     "_do_failover", "_migrate", "_replay_unacked",
                     "_has_pending_transfer", "on_ack", "on_sync",
                     "on_enable_failover", "peer_closed", "timed_out"},
+    "demux.py": {"Demux", "renew", "candidates", "find", "opened"},
 }
 #: the engine methods and state that forwarded to, or were, the above
 GONE_FROM_ENGINE = {"_pump", "_drain", "_conn_write", "_send_typed",
@@ -250,7 +251,7 @@ GONE_FROM_ENGINE = {"_pump", "_drain", "_conn_write", "_send_typed",
                     "_on_sync", "_on_enable_failover", "_conn_failed",
                     "_abort_conn", "_conn_closed", "_on_user_timeout",
                     "_resolve_pending_failover", "_pending_failover",
-                    "transport"}
+                    "transport", "_demux_candidates", "_demux_epoch"}
 SESSION_CEILING = 900
 
 
@@ -280,7 +281,8 @@ def _defined(node, scope):
 
 def _is_forwarder(function):
     """A method whose body (docstring aside) is one call to a method of
-    ``self.pump`` or ``self.failover``, passing its own arguments on."""
+    ``self.pump``, ``self.demux`` or ``self.failover``, passing its own
+    arguments on."""
     body = [s for s in function.body if not (
         isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
     if len(body) != 1 or not isinstance(body[0], (ast.Expr, ast.Return)):
@@ -291,19 +293,20 @@ def _is_forwarder(function):
             and isinstance(call.func, ast.Attribute)
             and isinstance(call.func.value, ast.Attribute)
             and _name(call.func.value.value) == "self"
-            and call.func.value.attr in ("pump", "failover")
+            and call.func.value.attr in ("pump", "demux", "failover")
             and [_name(a) for a in call.args]
             + [k.arg for k in call.keywords] == params)
 
 
 def test_engine_is_a_composition_root():
-    """The send pump (``engine/pump.py``) and record-level failover
+    """The send pump (``engine/pump.py``), the tag-trial demultiplexer
+    (``engine/demux.py``) and record-level failover
     (``engine/failover.py``) own what left ``TcplsEngine``: their names
     are defined nowhere else in ``core``, the engine keeps no method
     that only forwards to them, only the pump writes a connection's
     ``pending_out`` queue, only the failure body (``Failover.fail``)
     marks a connection failed, and ``session.py`` stays under its
-    ceiling.  The I/O-layer lint above walks both new modules."""
+    ceiling.  The I/O-layer lint above walks every one of their modules."""
     offences = []
     mutators = {"append", "appendleft", "extend", "clear", "pop", "popleft"}
     owner = {name: module for module, names in MOVED.items()

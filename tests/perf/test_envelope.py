@@ -108,6 +108,20 @@ def test_an_inverted_row_fails_a_claim(fam):
     assert all(cid.startswith(fam + ".") for cid, _read in failed), failed
 
 
+def test_c1m_claim_fails_on_leaked_sessions():
+    """A C1M row that drains its connection table but leaves sessions
+    behind fails ``c1m.table-drains`` too."""
+    rows = copy.deepcopy(envelope_rows())
+    name = "c1m/sessions=120/failover=0"
+    assert rows[name]["metrics"]["table_end"] == 0
+    rows[name]["metrics"]["sessions_end"] = 3
+    outcome = claims.evaluate(rows)
+    failed = [(claim.id, [n for n, _entry in read])
+              for claim, _why, read in outcome.failed]
+    assert [cid for cid, _read in failed] == ["c1m.table-drains"]
+    assert name in failed[0][1]
+
+
 def test_known_wrong_is_strict():
     assert set(claims.KNOWN_WRONG) <= {c.id for c in claims.CLAIMS}
     rows = copy.deepcopy(envelope_rows())

@@ -153,6 +153,7 @@ def test_nested_metrics_are_gated(tmp_path):
     def doc(p99=0.008, utilization=1.0):
         return {"results": [
             entry("c1m/sessions=120", {"sessions": 120}, table_end=0,
+                  sessions_end=0,
                   handshake_latency={"count": 150, "p99": p99}),
             entry("fluid/scenario=incast", {"scenario": "incast"},
                   flows=10, flows_completed=10,
@@ -188,6 +189,26 @@ def test_new_and_removed_points_are_informational(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "no baseline yet" in out
     assert "present only in baseline" in out
+
+
+def test_rows_a_filtered_run_left_out_are_not_removed(tmp_path, capsys):
+    """A baseline row the matrix still defines, absent from a filtered
+    run, is "not run"; only a row the matrix no longer defines is
+    "removed".  The summary counts them apart."""
+    base_doc = matrix_doc()
+    base_doc["results"] += [
+        entry("c1m/sessions=120/failover=0", {"sessions": 120},
+              table_end=0, sessions_end=0),
+        entry("fig7/cipher=retired/mtu=0", {"cipher": "retired"},
+              gbps=1.0)]
+    assert gate.main([write(tmp_path, "b.json", base_doc),
+                      write(tmp_path, "n.json", matrix_doc())]) == 0
+    out = capsys.readouterr().out
+    assert "(0 regressed, 0 new errors, 0 new, 1 removed, 1 not run)" in out
+    assert "fig7/cipher=retired/mtu=0" in out.split(
+        "(removed: present only in baseline)")[0].splitlines()[-1]
+    assert "c1m/sessions=120/failover=0" in out.split(
+        "(not run: left out of this run)")[0].splitlines()[-1]
 
 
 def test_new_error_fails_the_gate(tmp_path, capsys):
