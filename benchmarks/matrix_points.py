@@ -482,7 +482,7 @@ def table1_features_point(proto="tcpls"):
 
 def c1m_loadgen_point(sessions=400, failover_sessions=8, seed=42):
     """C1M churn run: ``sessions`` sessions through one
-    :class:`~repro.core.drivers.multi.MultiSessionServer`, with joins,
+    :class:`~repro.core.engine.server.TcplsServerEngine`, with joins,
     a mid-transfer path outage and close/reconnect churn.  Hundreds of
     sessions keep the multi-session path in the gated matrix; the
     10k-session acceptance run, in one process, is a scale row."""

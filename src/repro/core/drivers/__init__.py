@@ -8,11 +8,6 @@
   loopback or a testbed.
 """
 
-from repro.core.drivers.multi import (
-    ConnectionTable,
-    MemoryBudget,
-    MultiSessionServer,
-)
 from repro.core.drivers.sim import (
     SimClock,
     SimDriver,
@@ -26,9 +21,6 @@ from repro.core.drivers.sockets import (
 )
 
 __all__ = [
-    "ConnectionTable",
-    "MemoryBudget",
-    "MultiSessionServer",
     "SimClock",
     "SimDriver",
     "SocketClock",

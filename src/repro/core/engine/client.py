@@ -45,7 +45,7 @@ class TcplsClientEngine(TcplsEngine):
         self.fallback_retry = fallback_retry
         #: ``"dhe"`` (default) or ``"psk"`` (RFC 8446 psk_ke: skip the
         #: FFDHE exponentiations -- the cheap handshake mass-session
-        #: load generators use; see repro.core.drivers.multi)
+        #: load generators use; see repro.perf.loadgen)
         self.key_exchange = key_exchange
         #: abandon a join attempt that has not completed in this long
         #: and rotate to another path (failover path probing)

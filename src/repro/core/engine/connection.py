@@ -43,6 +43,8 @@ class ConnectionState:
         self.records_received = 0
         #: server: 0-RTT chunks decrypted before the session was up
         self.early_data = []
+        #: server: not read while its session is over its receive budget
+        self.paused = False
 
     @property
     def is_primary(self):
@@ -66,7 +68,7 @@ class ConnectionState:
         """Drop the TLS handshake machine once the session has taken
         over record processing (the traffic keys live in the stream
         crypto contexts, not here).  Saves tens of kilobytes per
-        connection; the mass-session server calls this after
+        connection; the server engine calls this a tick after
         :meth:`TcplsEngine._takeover_tls`."""
         if self.tls is not None and self.tls.handshake_complete:
             self.tls = None

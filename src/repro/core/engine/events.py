@@ -6,8 +6,8 @@ session became ready, a stream delivered data, a connection failed --
 is one :class:`SessionEvent` member, and every listener of that moment
 is a handler in the emitting engine's table for it.
 
-Library code (the multi-session server, the qlog tracer, the Fig. 5
-facade) *subscribes* (:meth:`EventSource.subscribe`).  The application
+Library code (the server engine, the qlog tracer, the Fig. 5 facade)
+*subscribes* (:meth:`EventSource.subscribe`).  The application
 keeps one slot per event, ``on_<event>``: assigning it replaces the
 application's handler and nothing else, so neither side can displace
 the other.  An emission calls the subscribed handlers in subscription
@@ -27,7 +27,7 @@ class SessionEvent(IntEnum):
     """What the engines report; the comment is each handler's arguments.
 
     The first thirteen come from a session
-    (:class:`~repro.core.engine.session.TcplsEngine`), the last four
+    (:class:`~repro.core.engine.session.TcplsEngine`), the last two
     from the listener
     (:class:`~repro.core.engine.server.TcplsServerEngine`).  An
     ``IntEnum``, so a member indexes the handler table as a plain int.
@@ -47,9 +47,7 @@ class SessionEvent(IntEnum):
     TCP_OPTION = 11       # (conn, kind, data)
     DRAIN = 12            # (session)
     SESSION = 13          # (session)
-    ACCEPTED = 14         # (conn)
-    ATTACHED = 15         # (conn)
-    ABORTED = 16          # (conn)
+    ABORTED = 14          # (conn)
 
 
 _COUNT = len(SessionEvent)

@@ -254,11 +254,10 @@ class PredictivePolicy(Policy):
 
     The trick the workload layer exists to exercise: because the engine
     is sans-I/O and the simulator deterministic, a candidate's future
-    is cheap to compute.  For every candidate the policy forks a
-    throwaway clock (a :class:`~repro.core.engine.replay.ManualClock`)
-    and fast-forwards a fluid-style congestion model seeded from the
-    candidate's *live* transport state -- srtt, cwnd, bytes in flight,
-    queued backlog -- until the hypothetical transfer completes, then
+    is cheap to compute.  For every candidate the policy steps a
+    fluid-style congestion model, seeded from the candidate's *live*
+    transport state -- srtt, cwnd, bytes in flight, queued backlog --
+    forward in time until the hypothetical transfer completes, then
     commits to the candidate with the earliest estimated finish.
 
     The estimator intentionally mirrors the fluid engine's flow model
@@ -282,41 +281,39 @@ class PredictivePolicy(Policy):
         #: estimates of the last decision: ``[(estimate_s, label)]``
         self.last_estimates = []
 
-    # -- the forked-clock estimator --------------------------------------
+    # -- the completion-time estimator ----------------------------------
 
     def estimate_completion(self, nbytes, srtt, cwnd,
                             backlog=0.0, rate_cap_bps=None):
-        """Fast-forward a forked clock until ``nbytes`` would be fully
-        delivered on a path with the given state; returns seconds.
+        """Seconds until ``nbytes`` would be fully delivered on a path
+        with the given state.
 
         One RTT per step: ``cwnd`` bytes leave, then the window doubles
         (slow start) until the cap ``rate_cap_bps * srtt`` binds --
         exactly the cohort model the fluid engine advances in closed
-        form, run here step-by-step on a private ManualClock.
+        form, run here step by step.
         """
-        from repro.core.engine.replay import ManualClock
-
         if srtt is None or srtt <= 0.0 or srtt == float("inf"):
             return float("inf")
         cap = rate_cap_bps if rate_cap_bps is not None else self.rate_cap_bps
         cwnd = max(float(cwnd), self.MSS)
         cwnd_cap = (cap / 8.0) * srtt if cap else float("inf")
         remaining = float(nbytes) + float(backlog)
-        clock = ManualClock()
-        while remaining > 0.0 and clock.now < self.horizon:
+        elapsed = 0.0
+        while remaining > 0.0 and elapsed < self.horizon:
             window = min(cwnd, cwnd_cap)
             if remaining <= window:
                 # Partial final window: sending time scales with the
                 # fraction used, plus half an RTT for the last records
                 # to land.
-                clock.advance(srtt * (remaining / window) + srtt / 2.0)
+                elapsed += srtt * (remaining / window) + srtt / 2.0
                 remaining = 0.0
                 break
-            clock.advance(srtt)
+            elapsed += srtt
             remaining -= window
             cwnd = min(cwnd * 2.0, cwnd_cap) if cwnd_cap != float("inf") \
                 else cwnd * 2.0
-        return clock.now if remaining <= 0.0 else float("inf")
+        return elapsed if remaining <= 0.0 else float("inf")
 
     # -- decision point 1 -------------------------------------------------
 

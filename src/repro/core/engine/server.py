@@ -14,6 +14,19 @@ map.  Either way the connection enters its session through
 :meth:`~repro.core.engine.session.TcplsEngine.attach_conn`; a join whose
 handshake completes before its session's primary has attached waits,
 parked, until it has.
+
+The engine keeps the serving layer's books where it handles each
+transport (the ``CONN_OPENED``/``CONN_CLOSED`` lifecycle picotcpls
+reports through ``tcpls_event_t``): a transport is *live* from accept
+until it aborts, fails, is closed by its peer or its session retires,
+and *pending* until it attaches.  Two opt-ins serve many sessions on
+one loop: ``budget_bytes`` bounds each session's receive memory (its
+transports stop being read above the budget, so the peer is throttled
+by its closing window, and are read again once the application drains
+below half of it), and ``auto_retire`` retires a session one tick
+after its last transport goes.  Every change is published on the bus's
+``mux`` category with the ``table`` (live transports) and ``sessions``
+gauges.
 """
 
 import hashlib
@@ -43,8 +56,10 @@ from repro.tls.record import TlsError
 class TcplsServerSessionEngine(TcplsEngine):
     """One server-side session (a client plus its joined connections)."""
 
-    def __init__(self, driver, session_id, **session_kwargs):
-        super().__init__(driver, is_client=False, **session_kwargs)
+    def __init__(self, server, session_id):
+        super().__init__(server.driver, is_client=False,
+                         **server.session_kwargs)
+        self.server = server
         self.session_id = session_id
         #: join credentials minted for this session and not yet spent:
         #: what :meth:`TcplsServerEngine.retire` revokes
@@ -53,6 +68,62 @@ class TcplsServerSessionEngine(TcplsEngine):
         #: arrival order (each spent a single-use credential, so at
         #: most one batch of them); attached right after the primary
         self.parked = []
+        self.subscribe(SessionEvent.CONN_FAILED, lambda conn, reason:
+                       server._conn_gone(conn, "failed:%s" % reason))
+        if server.budget_bytes is not None:
+            self.subscribe(SessionEvent.DRAIN, self._resume_reads)
+
+    def conn_closed(self, conn):
+        super().conn_closed(conn)
+        self.server._conn_gone(conn, "close")
+
+    # -- the receive budget ------------------------------------------------
+
+    def _on_tcp_data(self, conn):
+        budget = self.server.budget_bytes
+        if budget is None:
+            self.bytes_received(conn, conn.tcp.recv())
+            return
+        if conn.paused:
+            return
+        if self.buffered_rx_bytes() < budget:
+            self.bytes_received(conn, conn.tcp.recv())
+            if self.buffered_rx_bytes() < budget:
+                return
+        # On a simulated transport pause_reading does nothing: the
+        # bytes wait unread, the advertised window closes and TCP
+        # throttles the peer, as a kernel socket without read interest.
+        conn.paused = True
+        server = self.server
+        server.stats["pauses"] += 1
+        conn.tcp.pause_reading()
+        server._note("pause", {"session": self.obs_id, "conn": conn.conn_id,
+                               "buffered": self.buffered_rx_bytes()})
+
+    def _resume_reads(self, _session):
+        """``DRAIN``: once the application is below half the budget,
+        read the paused transports again."""
+        server = self.server
+        if self.buffered_rx_bytes() > server.budget_bytes // 2:
+            return
+        for conn in self.conns:
+            if conn.paused and conn in server.live:
+                conn.paused = False
+                server.stats["resumes"] += 1
+                conn.tcp.resume_reading()
+                server._note("resume", {"session": self.obs_id,
+                                        "conn": conn.conn_id})
+                # Next tick: DRAIN fires inside recv(), often deep in
+                # this session's own delivery path.
+                self.clock.call_later(0.0, self._read_backlog, conn)
+
+    def _read_backlog(self, conn):
+        """What arrived while ``conn`` was paused, read through the
+        budget (which pauses it again if it overshoots)."""
+        if conn.paused or conn not in self.server.live:
+            return
+        if conn.tcp.is_open() or conn.tcp.readable_bytes():
+            self._on_tcp_data(conn)
 
 
 class TcplsServerEngine(EventSource):
@@ -61,18 +132,15 @@ class TcplsServerEngine(EventSource):
     #: each new server session, before any of its records is processed
     #: (where the application attaches its session handlers)
     on_session = slot(SessionEvent.SESSION)
-    #: the serving layer's view of a connection, each called with it: a
-    #: transport was accepted; it attached to its session; its handshake
-    #: was refused and the transport aborted (which fires no transport
-    #: callback) before it ever attached
-    on_accepted = slot(SessionEvent.ACCEPTED)
-    on_attached = slot(SessionEvent.ATTACHED)
+    #: a connection whose handshake was refused before it attached:
+    #: its transport is aborted, which fires no transport callback
     on_aborted = slot(SessionEvent.ABORTED)
 
     def __init__(self, driver, port, psk, cipher_names=("null-tag",),
                  cookie_batch=8, auto_replenish=True, enable_tcpls=True,
                  strict_extensions=False, advertise_addresses=True,
-                 token_mode=False, cc=None, **session_kwargs):
+                 token_mode=False, cc=None, budget_bytes=None,
+                 auto_retire=False, **session_kwargs):
         super().__init__()
         self.driver = driver
         self.clock = driver.clock
@@ -99,6 +167,16 @@ class TcplsServerEngine(EventSource):
         #: would collide with, and silently overwrite, a live session's
         #: dict slot.
         self._session_seq = 0
+        #: per-session receive-memory budget in bytes (None: unbounded)
+        self.budget_bytes = budget_bytes
+        #: retire a session once its last transport is gone (herd-scale
+        #: churn would otherwise leak session state)
+        self.auto_retire = auto_retire
+        #: the books: every live transport's connection, and lifetime
+        #: counts (``peak`` is the most transports live at once)
+        self.live = set()
+        self.stats = {"accepts": 0, "attaches": 0, "teardowns": 0,
+                      "peak": 0, "pauses": 0, "resumes": 0, "retired": 0}
         self.listener = driver.listen(port, self._on_accept, cc=cc)
         #: actual bound port (drivers may assign one when ``port`` is 0)
         self.port = self.listener.port
@@ -142,16 +220,70 @@ class TcplsServerEngine(EventSource):
         return credentials
 
     def retire(self, session):
-        """Close ``session`` and forget it, revoking its unspent join
-        credentials: a later join presenting one must be refused, not
-        resurrect the session.  Returns how many were revoked."""
+        """Close ``session`` and forget it, with its transports, revoking
+        its unspent join credentials: a later join presenting one must be
+        refused, not resurrect the session.  Returns how many were
+        revoked."""
+        for conn in session.conns:
+            self._forget(conn)
         revoked = len(session.outstanding)
         for credential in session.outstanding:
             del self._credentials[credential]
         session.outstanding.clear()
         session.close()
         self.sessions.pop(session.session_id, None)
+        self.stats["retired"] += 1
+        self._note("session_retired", {"session": session.obs_id,
+                                       "revoked_credentials": revoked})
         return revoked
+
+    # ------------------------------------------------------------------
+    # The books
+    # ------------------------------------------------------------------
+
+    def _note(self, name, data=None):
+        """Publish one serving event on the bus's ``mux`` category."""
+        bus = self.driver.bus
+        if not bus.wants("mux"):
+            return
+        payload = {"table": len(self.live), "sessions": len(self.sessions)}
+        if data:
+            payload.update(data)
+        bus.emit("mux", name, payload)
+
+    def _forget(self, conn):
+        """Drop ``conn`` from the live transports; False if it was not
+        there (a teardown racing another)."""
+        if conn not in self.live:
+            return False
+        self.live.remove(conn)
+        self.stats["teardowns"] += 1
+        return True
+
+    def _pending_gone(self, conn, reason):
+        if self._forget(conn):
+            self._note("pending_teardown", {"reason": reason})
+
+    def _conn_gone(self, conn, reason):
+        """An attached connection failed or its peer closed it."""
+        if not self._forget(conn):
+            return
+        session = conn.session
+        self._note("teardown", {"session": session.obs_id,
+                                "conn": conn.conn_id, "reason": reason})
+        if self.auto_retire and not self._has_live(session):
+            # Next tick: this runs deep in the transport's close/reset
+            # delivery, and a join racing the teardown may still attach
+            # first (the check then keeps the session).
+            self.clock.call_later(0.0, self._retire_if_idle, session)
+
+    def _has_live(self, session):
+        return any(conn in self.live for conn in session.conns)
+
+    def _retire_if_idle(self, session):
+        if session.session_id in self.sessions \
+                and not self._has_live(session):
+            self.retire(session)
 
     # ------------------------------------------------------------------
     # Accept and ClientHello
@@ -172,8 +304,17 @@ class TcplsServerEngine(EventSource):
             lambda _e, data: conn.early_data.append(data))
         tls.on_handshake_complete = (
             lambda _e: self._on_handshake_complete(conn))
-        tcp.set_callbacks(on_data=lambda _c: self._feed(conn))
-        self.emit(SessionEvent.ACCEPTED, conn)
+        # Attaching re-wires all three to the session.
+        tcp.set_callbacks(
+            on_data=lambda _c: self._feed(conn),
+            on_close=lambda _c: self._pending_gone(conn, "close"),
+            on_reset=lambda _c: self._pending_gone(conn, "reset"),
+        )
+        self.live.add(conn)
+        stats = self.stats
+        stats["accepts"] += 1
+        stats["peak"] = max(stats["peak"], len(self.live))
+        self._note("accept")
 
     def _feed(self, conn):
         """Handshake bytes of a connection that has not attached yet."""
@@ -188,6 +329,7 @@ class TcplsServerEngine(EventSource):
             conn.tls.feed(data)
         except TlsError:
             conn.tcp.abort()
+            self._pending_gone(conn, "abort")
             self.emit(SessionEvent.ABORTED, conn)
             return
         out = conn.tls.data_to_send()
@@ -209,8 +351,7 @@ class TcplsServerEngine(EventSource):
 
     def _answer_hello(self, conn):
         session_id = self._new_session_id()
-        session = TcplsServerSessionEngine(self.driver, session_id,
-                                           **self.session_kwargs)
+        session = TcplsServerSessionEngine(self, session_id)
         session.tcpls_enabled = True
         self.sessions[session_id] = session
         conn.session = session
@@ -252,7 +393,7 @@ class TcplsServerEngine(EventSource):
             # Plain TLS client: wrap it in a degraded session so the
             # application still gets stream-0 data callbacks.
             session = conn.session = TcplsServerSessionEngine(
-                self.driver, b"\x00" * 16, **self.session_kwargs)
+                self, b"\x00" * 16)
         if not conn.is_primary and not session.ready:
             # The join overtook its primary (the client's last handshake
             # flight was lost on the first path): the session has no
@@ -277,7 +418,18 @@ class TcplsServerEngine(EventSource):
             for chunk in conn.early_data:
                 stream0.recv_buffer += chunk
             session.emit(SessionEvent.STREAM_DATA, stream0)
-        self.emit(SessionEvent.ATTACHED, conn)
+        if conn.failed:
+            # It failed inside attach_conn: already torn down, by the
+            # session's CONN_FAILED handler.
+            return
+        self.stats["attaches"] += 1
+        # Drop the TLS handshake machine (tens of KB per connection at
+        # C1M scale) on the next tick: the handshake often completes
+        # inside tls.feed(), whose caller still touches conn.tls after.
+        self.clock.call_later(0.0, conn.release_handshake)
+        self._note("attach", {"session": session.obs_id,
+                              "conn": conn.conn_id,
+                              "join": not conn.is_primary})
 
     def _role_step(self, conn):
         if conn.is_primary:

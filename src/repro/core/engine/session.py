@@ -440,10 +440,8 @@ class TcplsEngine(EventSource):
     def buffered_rx_bytes(self):
         """Receive-side bytes this session holds for the application:
         delivered-but-unread stream/group buffers plus out-of-order
-        records parked in the reorder heaps.  The multi-session driver
-        (:mod:`repro.core.drivers.multi`) reads this against a
-        per-session memory budget to decide when to stop reading the
-        session's sockets."""
+        records parked in the reorder heaps: what the server engine's
+        receive budget is checked against."""
         total = 0
         for stream in self.streams.values():
             total += len(stream.recv_buffer)

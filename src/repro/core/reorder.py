@@ -19,8 +19,8 @@ class ReorderBuffer:
         self._pending = {}
         self.max_depth = 0
         self.out_of_order = 0
-        #: payload bytes parked waiting for a gap to fill (feeds the
-        #: per-session memory budget in repro.core.drivers.multi)
+        #: payload bytes parked waiting for a gap to fill (counted
+        #: against the server engine's per-session receive budget)
         self.buffered_bytes = 0
 
     def push(self, seq, payload):

@@ -32,8 +32,8 @@ CAT_SCHEDULER = "scheduler"
 #: Performance counters: per-run seal/open byte totals, event-loop heap
 #: compactions (emitted by the simulator and session hot paths).
 CAT_PERF = "perf"
-#: Multi-session serving (repro.core.drivers.multi): connection-table
-#: gauges, attach/teardown accounting, backpressure pause/resume.
+#: Serving (repro.core.engine.server): live-transport and session
+#: gauges, accept/attach/teardown accounting, backpressure pause/resume.
 CAT_MUX = "mux"
 #: Web-workload layer (repro.workload): page-object lifecycle
 #: (ready/start/done), pool assignment decisions, page-load-time.

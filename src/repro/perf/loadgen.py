@@ -1,8 +1,9 @@
 """Scripted mass-session load generator (the C1M harness).
 
 Drives thousands of client TCPLS sessions against one
-:class:`~repro.core.drivers.multi.MultiSessionServer` inside a single
-discrete-event simulation, with scripted churn:
+:class:`~repro.core.engine.server.TcplsServerEngine` (receive budget
+and auto-retire on) inside a single discrete-event simulation, with
+scripted churn:
 
 - **connect waves**: sessions ramp up in evenly spaced waves;
 - **transfers**: each session runs a request/response exchange of
@@ -25,9 +26,9 @@ matrix rows are gated on.  ``run_shard`` is a top-level function so
 spawn workers.
 """
 
-from repro.core.drivers.multi import MultiSessionServer
 from repro.core.drivers.sim import SimDriver, TcplsClient
 from repro.core.engine.events import SessionEvent
+from repro.core.engine.server import TcplsServerEngine
 from repro.net import (
     LinkFlap, Simulator, build_dumbbell, build_faulty_multipath)
 from repro.net.fluid import FluidCohort, FluidEngine
@@ -61,7 +62,9 @@ def build_wave_schedule(count, waves, wave_interval, start=0.0):
     return schedule
 
 
-def _percentile(sorted_values, fraction):
+def percentile(sorted_values, fraction):
+    """The ``fraction`` quantile of ``sorted_values`` (nearest rank
+    below), rounded to the nanosecond; None when empty."""
     if not sorted_values:
         return None
     index = int(fraction * (len(sorted_values) - 1))
@@ -72,8 +75,8 @@ def _latency_stats(samples):
     ordered = sorted(samples)
     return {
         "count": len(ordered),
-        "p50": _percentile(ordered, 0.50),
-        "p99": _percentile(ordered, 0.99),
+        "p50": percentile(ordered, 0.50),
+        "p99": percentile(ordered, 0.99),
         "max": round(ordered[-1], 9) if ordered else None,
     }
 
@@ -125,7 +128,7 @@ class _ClientScript:
         self.t_ready = h.sim.now
         h.handshake_latencies.append(self.t_ready - self.t_connect)
         h.counters["ready"] += 1
-        # Trim handshake state like the server mux does (the client
+        # Trim handshake state like the server engine does (the client
         # side would otherwise dominate a 10k-session run's memory).
         h.sim.schedule(0.0, self._release_handshakes)
         if self.is_failover:
@@ -197,44 +200,45 @@ class _ClientScript:
 
 
 class LoadgenHarness:
-    """One shard's simulation: server mux + N scripted clients."""
+    """One simulation: a server engine + N scripted clients.
 
-    def __init__(self, sessions=1000, seed=42, shard=0,
-                 waves=20, wave_interval=0.05,
-                 transfer_bytes=4096, join_fraction=0.05,
-                 failover_sessions=16, failover_bytes=262144,
-                 churn_fraction=0.25,
-                 budget_bytes=256 * 1024, key_exchange="psk",
-                 rate_bps=10_000_000_000, delay=0.002,
-                 uto=0.25, horizon=60.0, port=4443):
+    A run is set by ``sessions``, ``failover_sessions`` and ``seed``;
+    the rest of its configuration is the class attributes below.
+    """
+
+    shard = 0
+    waves = 20
+    wave_interval = 0.05
+    transfer_bytes = 4096
+    join_fraction = 0.05
+    failover_bytes = 262144
+    churn_fraction = 0.25
+    budget_bytes = 256 * 1024
+    key_exchange = "psk"
+    rate_bps = 10_000_000_000
+    delay = 0.002
+    uto = 0.25
+    horizon = 60.0
+    port = 4443
+    join_delay = 0.05
+    failover_path = 2
+
+    def __init__(self, sessions=1000, failover_sessions=16, seed=42):
         self.sessions = sessions
         self.seed = seed
-        self.shard = shard
-        self.waves = waves
-        self.wave_interval = wave_interval
-        self.transfer_bytes = transfer_bytes
-        self.failover_bytes = failover_bytes
-        self.join_fraction = join_fraction
         self.failover_sessions = min(failover_sessions, sessions)
-        self.churn_fraction = churn_fraction
-        self.key_exchange = key_exchange
-        self.uto = uto
-        self.horizon = horizon
-        self.port = port
-        self.join_delay = 0.05
-        self.failover_path = 2
 
-        self.sim = Simulator(seed=seed + shard)
+        self.sim = Simulator(seed=seed + self.shard)
         self.topo = build_faulty_multipath(
-            self.sim, n_paths=3, rate_bps=rate_bps, delay=delay)
+            self.sim, n_paths=3, rate_bps=self.rate_bps, delay=self.delay)
         self.cstack = TcpStack(self.sim, self.topo.client)
         self.sstack = TcpStack(self.sim, self.topo.server)
         self.driver = SimDriver(self.sim, self.sstack)
-        self.mux = MultiSessionServer(
-            self.driver, port, _PSK, budget_bytes=budget_bytes,
+        self.server = TcplsServerEngine(
+            self.driver, self.port, _PSK, budget_bytes=self.budget_bytes,
             auto_retire=True,
         )
-        self.mux.on_session = self._serve
+        self.server.on_session = self._serve
 
         self.handshake_latencies = []
         self.transfer_latencies = []
@@ -247,7 +251,7 @@ class LoadgenHarness:
         self.scripts = []
 
         # Scripted timeline.
-        ramp = waves * wave_interval
+        ramp = self.waves * self.wave_interval
         self.t_hold = ramp + 0.6
         self.t_fail = self.t_hold + 0.2
         self.t_churn = self.t_fail + 1.0
@@ -281,7 +285,7 @@ class LoadgenHarness:
 
     def _sample(self):
         self.peak_sessions = max(self.peak_sessions,
-                                 self.mux.session_count())
+                                 len(self.server.sessions))
 
     def _schedule_generation(self, count, start, generation):
         last_t = None
@@ -346,7 +350,8 @@ class LoadgenHarness:
             for s in self.scripts if s.client is not None)
         elapsed = round(self.sim.now, 9)
         done = self.t_close
-        table = self.mux.table
+        server = self.server
+        stats = server.stats
         metrics = {
             "shard": self.shard,
             "sessions": self.sessions,
@@ -357,14 +362,14 @@ class LoadgenHarness:
             "failovers": failovers,
             "closed": c["closed"],
             "peak_concurrent_sessions": self.peak_sessions,
-            "table_peak": table.peak,
-            "table_end": len(table),
-            "sessions_end": self.mux.session_count(),
-            "accepts": table.accepts,
-            "attaches": table.attaches,
-            "teardowns": table.teardowns,
-            "budget_pauses": self.mux.pauses,
-            "retired": self.mux.retired,
+            "table_peak": stats["peak"],
+            "table_end": len(server.live),
+            "sessions_end": len(server.sessions),
+            "accepts": stats["accepts"],
+            "attaches": stats["attaches"],
+            "teardowns": stats["teardowns"],
+            "budget_pauses": stats["pauses"],
+            "retired": stats["retired"],
             "bytes_delivered": c["bytes"],
             "handshake_latency": _latency_stats(self.handshake_latencies),
             "transfer_latency": _latency_stats(self.transfer_latencies),

@@ -16,7 +16,7 @@ spawn workers.
 """
 
 from repro.net import Simulator, build_faulty_multipath
-from repro.perf.loadgen import build_wave_schedule
+from repro.perf.loadgen import build_wave_schedule, percentile
 
 __all__ = [
     "make_policy",
@@ -87,13 +87,6 @@ def _make_fetcher(stack, sim, topo, n_paths):
     raise ValueError("unknown stack %r" % (stack,))
 
 
-def _percentile(ordered, fraction):
-    if not ordered:
-        return None
-    index = int(fraction * (len(ordered) - 1))
-    return round(ordered[index], 9)
-
-
 def run_pageload_cell(stack="tcpls", policy="round-robin", grid="clean",
                       pages=6, waves=3, wave_interval=0.25,
                       n_objects=30, seed=42, n_paths=2,
@@ -149,8 +142,8 @@ def run_pageload_cell(stack="tcpls", policy="round-robin", grid="clean",
         "objects_completed": objects_done,
         "bytes": sum(m.page.total_bytes for m in managers),
         "plt_samples": [round(v, 9) for v in plts],
-        "plt_p50": _percentile(plts, 0.50),
-        "plt_p95": _percentile(plts, 0.95),
+        "plt_p50": percentile(plts, 0.50),
+        "plt_p95": percentile(plts, 0.95),
         "plt_max": round(plts[-1], 9) if plts else None,
         "pool": pool.stats(),
     }

@@ -1,5 +1,5 @@
-"""Per-session memory budgets and backpressure in the multi-session
-mux (:class:`repro.core.drivers.multi.MultiSessionServer`).
+"""Per-session memory budgets and backpressure in the server engine
+(:class:`repro.core.engine.server.TcplsServerEngine`, ``budget_bytes``).
 
 A session whose application stops draining must stop being *read* --
 its buffered bytes bounded near the budget, its peer throttled through
@@ -11,9 +11,7 @@ applying when an MPJOIN adds a second transport.
 
 from helpers import PSK, make_net
 
-from repro.core import TcplsClient
-from repro.core.drivers.multi import MultiSessionServer
-from repro.core.drivers.sim import SimDriver
+from repro.core import TcplsClient, TcplsServer
 from repro.net import Simulator, build_multipath
 from repro.net.address import Endpoint
 from repro.tcp import TcpStack
@@ -28,9 +26,15 @@ def _setup(budget=BUDGET, n_paths=2, seed=7):
                            rate_bps=100_000_000, delay=0.002)
     cstack = TcpStack(sim, topo.client)
     sstack = TcpStack(sim, topo.server)
-    mux = MultiSessionServer(SimDriver(sim, sstack), PORT, PSK,
-                             budget_bytes=budget, auto_retire=True)
-    return sim, topo, cstack, mux
+    server = TcplsServer(sim, sstack, PORT, PSK, budget_bytes=budget,
+                         auto_retire=True)
+    return sim, topo, cstack, server
+
+
+def paused(server):
+    """The live connections the receive budget stopped reading."""
+    return [conn for session in server.sessions.values()
+            for conn in session.conns if conn.paused and conn in server.live]
 
 
 def _connect(sim, topo, cstack, path=0):
@@ -50,16 +54,16 @@ def _flood(client, nbytes):
 
 
 def test_over_budget_session_stops_being_read():
-    sim, topo, cstack, mux = _setup()
+    sim, topo, cstack, server = _setup()
     # The server application never drains this session's streams.
-    mux.on_session = lambda s: None
+    server.on_session = lambda s: None
     client = _connect(sim, topo, cstack)
     _flood(client, 512 * 1024)
     sim.run(until=sim.now + 5.0)
 
-    session = next(iter(mux.sessions.values()))
-    assert mux.paused_fds(), "over-budget session was never paused"
-    assert mux.pauses >= 1
+    session = next(iter(server.sessions.values()))
+    assert paused(server), "over-budget session was never paused"
+    assert server.stats["pauses"] >= 1
     # Bounded: the budget is a soft watermark -- one batched read may
     # overshoot, but buffering must stay in the budget's neighbourhood,
     # nowhere near the 512 KiB the peer wants to push.
@@ -69,7 +73,7 @@ def test_over_budget_session_stops_being_read():
 
 
 def test_no_cross_session_head_of_line_blocking():
-    sim, topo, cstack, mux = _setup()
+    sim, topo, cstack, server = _setup()
     stalled_sessions = []
     echoed = []
 
@@ -85,7 +89,7 @@ def test_no_cross_session_head_of_line_blocking():
 
         session.on_stream_data = on_stream_data
 
-    mux.on_session = serve
+    server.on_session = serve
     stalled = _connect(sim, topo, cstack)
     healthy = _connect(sim, topo, cstack)
     _flood(stalled, 512 * 1024)
@@ -95,20 +99,20 @@ def test_no_cross_session_head_of_line_blocking():
     stream = _flood(healthy, 4096)
     sim.run(until=sim.now + 5.0)
 
-    assert mux.paused_fds(), "stalled session should be paused"
+    assert paused(server), "stalled session should be paused"
     assert sum(len(d) for d in got) == 4096, \
         "healthy session starved behind a stalled one"
 
 
 def test_resume_after_drain():
-    sim, topo, cstack, mux = _setup()
+    sim, topo, cstack, server = _setup()
     sessions = []
-    mux.on_session = sessions.append      # buffer, don't drain yet
+    server.on_session = sessions.append      # buffer, don't drain yet
     client = _connect(sim, topo, cstack)
     total = 512 * 1024
     _flood(client, total)
     sim.run(until=sim.now + 5.0)
-    assert mux.paused_fds()
+    assert paused(server)
 
     # Application catches up: drain everything buffered, repeatedly --
     # each drain below the low watermark resumes reads, the peer sends
@@ -127,22 +131,23 @@ def test_resume_after_drain():
     pump()
     sim.run(until=sim.now + 30.0)
     assert sum(drained) == total
-    assert not mux.paused_fds()
-    assert mux.resumes >= 1
+    assert not paused(server)
+    assert server.stats["resumes"] >= 1
     assert session.buffered_rx_bytes() == 0
 
 
 def test_budget_survives_mpjoin_second_transport():
-    sim, topo, cstack, mux = _setup()
-    mux.on_session = lambda s: None       # never drain
+    sim, topo, cstack, server = _setup()
+    server.on_session = lambda s: None       # never drain
     client = _connect(sim, topo, cstack)
     p1 = topo.path(1)
     client.join(p1.client_addr, remote=Endpoint(p1.server_addr, PORT))
     sim.run(until=sim.now + 1.0)
     assert len(client.conns) == 2 and client.conns[1].usable()
 
-    session = next(iter(mux.sessions.values()))
-    assert len(mux.table.entries_for(session)) == 2
+    session = next(iter(server.sessions.values()))
+    assert all(conn in server.live for conn in session.conns)
+    assert len(session.conns) == 2
 
     # Flood through BOTH transports: the shared session budget must
     # pause each of them, since buffered_rx_bytes is session-wide.
@@ -151,6 +156,6 @@ def test_budget_survives_mpjoin_second_transport():
         stream.send(b"\xCD" * (512 * 1024))
     sim.run(until=sim.now + 5.0)
 
-    assert len(mux.paused_fds()) == 2, \
+    assert len(paused(server)) == 2, \
         "both transports of the over-budget session must pause"
     assert session.buffered_rx_bytes() < 4 * BUDGET

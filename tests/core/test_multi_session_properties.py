@@ -1,17 +1,17 @@
-"""Property-based tests of the multi-session mux
-(:mod:`repro.core.drivers.multi`).
+"""Property-based tests of multi-session serving in the server engine
+(:class:`~repro.core.engine.server.TcplsServerEngine`).
 
 Random interleavings of accept / join / close / failover against one
-:class:`MultiSessionServer` must preserve the serving invariants:
+server with auto-retire on must preserve the serving invariants:
 
 - **isolation**: no session ever receives another session's bytes;
-- **no leaks**: after every session closes, the connection table and
+- **no leaks**: after every session closes, the live transports and
   the session map are empty and accepts == teardowns;
 - **no resurrection**: a retired session's outstanding join
   credentials are dead -- a late MPJOIN must fail, not revive it.
 
-The last two are also pinned by example, through the engine's serving
-callbacks and :meth:`TcplsServerEngine.retire`.
+The last two are also pinned by example, through the engine's books
+and :meth:`TcplsServerEngine.retire`.
 """
 
 import random
@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 
 from helpers import PSK, make_net
 
-from repro.core import TcplsClient
-from repro.core.drivers.multi import ConnectionTable, MultiSessionServer
-from repro.core.drivers.sim import SimDriver
+from repro.core import TcplsClient, TcplsServer
 from repro.net import Simulator, build_multipath
 from repro.net.address import Endpoint
 from repro.tcp import TcpStack
@@ -72,19 +70,19 @@ class _EchoClient:
         self.send_chunk()
 
 
-def _mux_net(seed, **server_kwargs):
+def _serving_net(seed, **server_kwargs):
     sim = Simulator(seed=seed)
     topo = build_multipath(sim, n_paths=N_PATHS, families=[4, 6, 4])
     cstack = TcpStack(sim, topo.client)
     sstack = TcpStack(sim, topo.server)
-    mux = MultiSessionServer(SimDriver(sim, sstack), PORT, PSK,
-                             auto_retire=True, **server_kwargs)
+    server = TcplsServer(sim, sstack, PORT, PSK, budget_bytes=256 * 1024,
+                         auto_retire=True, **server_kwargs)
 
     def serve(session):
         session.on_stream_data = lambda s: s.send(s.recv())
 
-    mux.on_session = serve
-    return sim, topo, cstack, mux
+    server.on_session = serve
+    return sim, topo, cstack, server
 
 
 def _settle(sim, seconds=1.0):
@@ -98,7 +96,7 @@ def _settle(sim, seconds=1.0):
     st.integers(0, 2**31 - 1),
 )
 def test_property_random_churn_interleavings(ops, seed):
-    sim, topo, cstack, mux = _mux_net(seed % 1000 + 1)
+    sim, topo, cstack, server = _serving_net(seed % 1000 + 1)
     rng = random.Random(seed)
     live = []
     tags = iter(bytes([c]) for c in range(65, 65 + 64))
@@ -142,53 +140,50 @@ def test_property_random_churn_interleavings(ops, seed):
         assert set(ec.received) <= set(ec.tag), \
             "session %r received foreign bytes" % ec.tag
 
-    # No leaks: the table and session map drained to zero.
-    assert len(mux.table) == 0
-    assert mux.session_count() == 0
-    assert mux.table.accepts == mux.table.teardowns
-    assert not mux.paused_fds()
+    # No leaks: the live transports and session map drained to zero.
+    assert not server.live and not server.sessions
+    assert server.stats["accepts"] == server.stats["teardowns"]
+    assert server.stats["pauses"] == 0
 
 
 @pytest.mark.parametrize("token_mode", [False, True],
                          ids=["cookie", "token"])
 def test_retired_session_is_never_resurrected(token_mode):
-    sim, topo, cstack, mux = _mux_net(7, token_mode=token_mode)
+    sim, topo, cstack, server = _serving_net(7, token_mode=token_mode)
     ec = _EchoClient(sim, cstack, topo, b"A")
     _settle(sim)
     assert ec.client.ready
     assert ec.client.tokens if token_mode else ec.client.cookies
 
-    session = next(iter(mux.sessions.values()))
+    session = next(iter(server.sessions.values()))
     assert session.outstanding
-    mux.retire_session(session)
-    assert mux.session_count() == 0
-    assert not session.outstanding and not mux.engine._credentials
+    server.retire(session)
+    assert not server.sessions
+    assert not session.outstanding and not server._credentials
 
     # A join presenting one of the retired session's credentials must
     # be refused (transport aborted), not resurrect the session.
     ec.join(1)
     _settle(sim)
-    assert mux.session_count() == 0
-    assert len(mux.table) == 0
-    assert mux.table.accepts == mux.table.teardowns == 2
+    assert not server.sessions and not server.live
+    assert server.stats["accepts"] == server.stats["teardowns"] == 2
     assert len(session.conns) == 1
     assert not ec.client.conns[1].alive
 
 
 def test_handshakes_that_never_attach_leave_no_table_entry():
-    """The engine's accepted / aborted callbacks are all the mux needs
-    to keep ``accepts == teardowns``: a client that gives up
-    mid-handshake and a ClientHello with a stale cookie both leave the
-    table empty."""
-    sim, topo, cstack, mux = _mux_net(11)
+    """Transports that never attach leave the engine's books too, so
+    ``accepts == teardowns``: a client that gives up mid-handshake and
+    a ClientHello with a stale cookie both leave no live transport."""
+    sim, topo, cstack, server = _serving_net(11)
     p = topo.path(0)
     # Gives up mid-handshake: TCP opens, no ClientHello ever follows.
     quitter = cstack.connect(p.client_addr, Endpoint(p.server_addr, PORT))
     _settle(sim, 0.2)
-    assert len(mux.table) == 1 and mux.session_count() == 0
+    assert len(server.live) == 1 and not server.sessions
     quitter.abort()
     _settle(sim, 0.2)
-    assert len(mux.table) == 0
+    assert not server.live
 
     # Stale cookie: a live session, then a join the server refuses.
     ec = _EchoClient(sim, cstack, topo, b"B")
@@ -196,34 +191,8 @@ def test_handshakes_that_never_attach_leave_no_table_entry():
     ec.client.cookies = [b"\x5a" * 16]
     ec.join(1)
     _settle(sim)
-    assert len(mux.table) == 1 and mux.session_count() == 1
+    assert len(server.live) == 1 and len(server.sessions) == 1
     ec.client.close()
     _settle(sim)
-    assert len(mux.table) == 0 and mux.session_count() == 0
-    assert mux.table.accepts == mux.table.teardowns == 3
-
-
-def test_connection_table_counts_and_lookup():
-    table = ConnectionTable()
-
-    class T:
-        pass
-
-    class S:
-        obs_id = 99
-
-    t1, t2 = T(), T()
-    e1 = table.add_pending(t1)
-    e2 = table.add_pending(t2)
-    assert len(table) == 2 and table.peak == 2
-    assert table.lookup(e1.fd) is e1
-    session = S()
-    assert table.attach(e1.fd, session, conn="c") is e1
-    assert [e.fd for e in table.entries_for(session)] == [e1.fd]
-    table.remove(e1.fd)
-    table.remove(e2.fd)
-    assert len(table) == 0
-    assert table.accepts == table.teardowns == 2
-    assert table.by_session == {}
-    # Removing a racing (already-gone) fd is a no-op, not an error.
-    assert table.remove(e1.fd) is None
+    assert not server.live and not server.sessions
+    assert server.stats["accepts"] == server.stats["teardowns"] == 3

@@ -1,10 +1,10 @@
 """One event vocabulary: the :class:`SessionEvent` handler table.
 
 Library code subscribes and the application owns one ``on_<event>``
-slot per event, so neither can displace the other: the multi-session
-server keeps its table sweep and its backpressure resume whatever slots
-the application assigns, and every failed connection is published on
-the bus as well as to the handlers.
+slot per event, so neither can displace the other: the server engine
+keeps its books and its backpressure resume whatever slots the
+application assigns, and every failed connection is published on the
+bus as well as to the handlers.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.core.engine import (
 from repro.core.engine.interfaces import PlainAddress, PlainEndpoint
 from repro.obs import CaptureSink
 from repro.perf.loadgen import LoadgenHarness
-from tests.core.test_multi_backpressure import _connect, _flood, _setup
+from tests.core.test_multi_backpressure import _connect, _flood, _setup, paused
 from tests.obs.test_golden_traces import run_fig8_flap
 
 
@@ -96,8 +96,8 @@ class _NotingHarness(LoadgenHarness):
 
 @pytest.mark.parametrize("how", ["slot", "subscribe"])
 def test_an_application_conn_failed_handler_leaks_no_mux_entry(how):
-    """The failover sessions' dead connections are swept from the mux
-    table (and their sessions retired) although the application handles
+    """The failover sessions' dead connections leave the server's books
+    (and their sessions retire) although the application handles
     ``CONN_FAILED`` too."""
     harness = _NotingHarness(how, sessions=40, failover_sessions=4, seed=3)
     metrics = harness.run()
@@ -106,7 +106,7 @@ def test_an_application_conn_failed_handler_leaks_no_mux_entry(how):
 
 
 def test_backpressure_resumes_when_the_application_sets_on_drain():
-    sim, topo, cstack, mux = _setup()
+    sim, topo, cstack, server = _setup()
     sessions = []
     drains = []
 
@@ -114,12 +114,12 @@ def test_backpressure_resumes_when_the_application_sets_on_drain():
         sessions.append(session)
         session.on_drain = drains.append
 
-    mux.on_session = serve
+    server.on_session = serve
     client = _connect(sim, topo, cstack)
     total = 512 * 1024
     _flood(client, total)
     sim.run(until=sim.now + 5.0)
-    assert mux.paused_fds()
+    assert paused(server)
     (session,) = sessions
     drained = []
 
@@ -132,7 +132,7 @@ def test_backpressure_resumes_when_the_application_sets_on_drain():
     pump()
     sim.run(until=sim.now + 30.0)
     assert sum(drained) == total and drains
-    assert mux.resumes >= 1 and not mux.paused_fds()
+    assert server.stats["resumes"] >= 1 and not paused(server)
 
 
 def test_the_peer_publishes_the_connection_a_sync_names_as_failed():

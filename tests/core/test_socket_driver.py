@@ -133,21 +133,20 @@ def test_echo_roundtrip_via_example_helper():
 
 def test_hundred_connection_storm_over_loopback():
     """Accept/echo/close storm: 100 kernel-socket TCPLS sessions into
-    one :class:`MultiSessionServer` on a single selectors loop --
-    every session isolated, every byte echoed, table drained to zero
-    after the close wave.  psk_ke handshakes keep it CI-safe."""
-    from repro.core.drivers.multi import MultiSessionServer
-
+    one :class:`TcplsServerEngine` on a single selectors loop -- every
+    session isolated, every byte echoed, no transport left live after
+    the close wave.  psk_ke handshakes keep it CI-safe."""
     n_clients = 100
     driver = SocketDriver(backlog=256)
     try:
-        mux = MultiSessionServer(driver, 0, PSK, auto_retire=True,
-                                 cipher_names=("chacha20poly1305",))
+        server = TcplsServerEngine(driver, 0, PSK, budget_bytes=256 * 1024,
+                                   auto_retire=True,
+                                   cipher_names=("chacha20poly1305",))
 
         def serve(session):
             session.on_stream_data = lambda s: s.send(s.recv())
 
-        mux.on_session = serve
+        server.on_session = serve
 
         clients = []
         echoes = []
@@ -159,14 +158,14 @@ def test_hundred_connection_storm_over_loopback():
             echo = bytearray()
             client.on_stream_data = \
                 (lambda buf: lambda s: buf.extend(s.recv()))(echo)
-            client.connect(None, driver.endpoint("127.0.0.1", mux.port))
+            client.connect(None, driver.endpoint("127.0.0.1", server.port))
             clients.append(client)
             echoes.append(echo)
 
         driver.run_until(lambda: all(c.ready for c in clients),
                          timeout=60.0)
-        assert mux.session_count() == n_clients
-        assert len(mux.table) == n_clients
+        assert len(server.sessions) == n_clients
+        assert len(server.live) == n_clients
 
         payloads = []
         for i, client in enumerate(clients):
@@ -186,11 +185,12 @@ def test_hundred_connection_storm_over_loopback():
         for client in clients:
             client.close()
         driver.run_until(
-            lambda: mux.session_count() == 0 and len(mux.table) == 0,
+            lambda: not server.sessions and not server.live,
             timeout=60.0,
         )
-        assert mux.table.accepts == mux.table.teardowns == n_clients
-        assert mux.retired == n_clients
+        stats = server.stats
+        assert stats["accepts"] == stats["teardowns"] == n_clients
+        assert stats["retired"] == n_clients
     finally:
         driver.close()
 

@@ -33,7 +33,10 @@ joined the connection queue in one ``extend``, and the reassembler
 remembered how many bytes its cut record still lacks instead of
 measuring its buffer on every read; 68.32 (26,030) once the receiver
 kept the tags of the data records it opened (the demultiplexer's own
-method and the index's upkeep, about six calls per record).
+method and the index's upkeep, about six calls per record); 68.37
+(26,050) once the server engine kept its own books: the accept and
+attach bookkeeping and the handshake release cost twenty calls for the
+one connection, none per segment.
 
 The recovery path has a budget of its own (:func:`failover_download`,
 Fig. 8: a 1 MiB download whose path goes dark at 0.3 s, User Timeout,

@@ -2,7 +2,7 @@
 
 A 2k-session simulated run with joins, a scripted path outage
 (failovers) and close/reconnect churn must finish clean -- every
-transfer delivered, every session torn down, the mux table empty --
+transfer delivered, every session torn down, no transport left live --
 and be **bit-deterministic**: two runs of the same configuration
 produce byte-identical aggregate counters.
 
@@ -37,8 +37,8 @@ def test_churn_soak_2k_sessions_deterministic():
     assert first["failovers"] == 16
     assert first["joins_completed"] > 0
 
-    # No leaks: table and session map returned to zero, every accept
-    # was torn down, every session retired.
+    # No leaks: live transports and session map returned to zero,
+    # every accept was torn down, every session retired.
     assert first["table_end"] == 0
     assert first["sessions_end"] == 0
     assert first["accepts"] == first["teardowns"]

@@ -1,6 +1,6 @@
 """psk_ke mode (RFC 8446 Sec. 4.2.9): PSK-only establishment.
 
-The mass-session serving path (repro.core.drivers.multi) negotiates
+The mass-session load generator (repro.perf.loadgen) negotiates
 psk_ke so per-handshake cost stays flat at thousands of sessions --
 no FFDHE exponentiations, just the HKDF schedule.  These tests pin the
 negotiation shape and that psk_ke produces working, *distinct* traffic
