@@ -16,7 +16,7 @@ from repro.core.crypto_context import (
     record_nonce,
 )
 from repro.core.record import decode_inner, encode_inner
-from repro.core.engine import bootstrap_ready_session
+from repro.core.drivers import bootstrap_ready_session
 from repro.core.record import RECORD_TYPE_STREAM_DATA
 from repro.core.reorder import ReorderBuffer
 from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305, NullTagCipher

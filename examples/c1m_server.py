@@ -21,8 +21,7 @@ For the 10k-session simulated churn run (connect waves, MPJOINs,
 scripted path outage + failovers, close/reconnect churn), run the
 matrix's scale row: ``python benchmarks/runner.py --points
 sessions=10000``.  For worker-process sharding, give each worker its
-own listener on ``base_port + i`` (or one shared port with
-``SocketDriver(reuse_port=True)``).
+own listener on ``base_port + i``.
 """
 
 import sys

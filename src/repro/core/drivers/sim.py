@@ -3,7 +3,8 @@
 The transports handed to the engine are the simulator's own
 :class:`repro.tcp.connection.TcpConnection` objects (they satisfy the
 :class:`~repro.core.engine.interfaces.Transport` contract directly), so
-this driver adds no per-byte indirection.
+this driver adds no per-byte indirection; its clock is the simulator
+itself.
 
 :func:`TcplsClient` and :func:`TcplsServer` build the engines bound to
 a simulated host's TCP stack -- the constructors the experiments, the
@@ -11,36 +12,17 @@ examples and the tests use.
 """
 
 from repro.core.engine.client import TcplsClientEngine
-from repro.core.engine.interfaces import Clock, Driver
+from repro.core.engine.interfaces import Driver
 from repro.core.engine.server import TcplsServerEngine
 from repro.net.address import Endpoint
-
-
-class SimClock(Clock):
-    """Simulated time: proxies the :class:`repro.net.Simulator`."""
-
-    def __init__(self, sim):
-        self.sim = sim
-
-    @property
-    def now(self):
-        return self.sim.now
-
-    @property
-    def compactions(self):
-        return self.sim.compactions
-
-    def call_later(self, delay, fn, *args):
-        return self.sim.schedule(delay, fn, *args)
 
 
 class SimDriver(Driver):
     """Bind engines to one host's :class:`repro.tcp.stack.TcpStack`."""
 
     def __init__(self, sim, stack):
-        self.sim = sim
+        self.clock = sim
         self.stack = stack
-        self.clock = SimClock(sim)
         self.bus = sim.bus
         self.rng = sim.rng
 
@@ -88,4 +70,4 @@ def TcplsServer(sim, stack, port, psk, **server_kwargs):
                              **server_kwargs)
 
 
-__all__ = ["SimClock", "SimDriver", "TcplsClient", "TcplsServer"]
+__all__ = ["SimDriver", "TcplsClient", "TcplsServer"]

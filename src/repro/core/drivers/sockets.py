@@ -1,19 +1,20 @@
 """Socket driver: runs the TCPLS engine over real kernel TCP.
 
-A :class:`SocketDriver` owns a :mod:`selectors` event loop, a monotonic
-clock with a timer heap, and non-blocking :class:`SocketTransport`
-objects satisfying the engine's Transport contract.  The engine code
-that runs here is byte-for-byte the same as under the simulator driver
--- only the environment differs, which is the point of the sans-I/O
-split (and what lets ``examples/loopback_sockets.py`` move TCPLS
-records over OS loopback).
+A :class:`SocketDriver` owns a :mod:`selectors` event loop, a
+:class:`~repro.net.Simulator` for its clock (run to monotonic wall time
+on every loop step, so the engine's timers use the simulator's heap),
+and non-blocking :class:`SocketTransport` objects satisfying the
+engine's Transport contract.  The engine code that runs here is
+byte-for-byte the same as under the simulator driver -- only the
+environment differs, which is the point of the sans-I/O split (and
+what lets ``examples/loopback_sockets.py`` move TCPLS records over OS
+loopback).
 
 ``tcp_info`` is populated from the Linux ``TCP_INFO`` socket option
 when available and degrades to conservative defaults elsewhere.
 """
 
 import errno
-import random
 import selectors
 import socket
 import struct
@@ -23,13 +24,12 @@ from itertools import islice
 
 from repro.core.engine.interfaces import (
     Driver,
-    HeapClock,
     PlainAddress,
     PlainEndpoint,
     Transport,
 )
 from repro.core.errors import DriverError
-from repro.obs.bus import EventBus
+from repro.net.simulator import Simulator
 
 #: Linux ``struct tcp_info`` prefix: 8 bytes of u8 fields, 24 u32
 #: counters, 4 u64 rate/byte counters, 2 u32 segment counters.
@@ -43,18 +43,6 @@ def _endpoint_from_sockname(sockname, family):
     return PlainEndpoint(
         PlainAddress(host, 6 if family == socket.AF_INET6 else 4), port
     )
-
-
-class SocketClock(HeapClock):
-    """Monotonic real time (epoch at driver creation) + timer heap."""
-
-    def __init__(self):
-        super().__init__()
-        self._epoch = time.monotonic()
-
-    @property
-    def now(self):
-        return time.monotonic() - self._epoch
 
 
 class SocketTransport(Transport):
@@ -134,13 +122,6 @@ class SocketTransport(Transport):
 
     def readable_bytes(self):
         return self._readable
-
-    def fileno(self):
-        """Kernel fd (the multi-session connection-table key)."""
-        try:
-            return self.sock.fileno()
-        except (OSError, AttributeError):
-            return -1
 
     def pause_reading(self):
         """Backpressure: drop read interest so the kernel's receive
@@ -401,23 +382,27 @@ class _SocketListener:
 
 
 class SocketDriver(Driver):
-    """Selector event loop binding engines to kernel TCP sockets."""
+    """Selector event loop binding engines to kernel TCP sockets.
 
-    def __init__(self, name="sockets", host="127.0.0.1", seed=None,
-                 bus=None, reuse_port=False, backlog=128):
+    The clock reads seconds of monotonic wall time since the driver was
+    made, as of the last :meth:`step`: engine reads and bus events
+    within one step share that step's time.
+    """
+
+    #: the address listeners bind and connections come from
+    host = "127.0.0.1"
+
+    def __init__(self, name="sockets", seed=None, backlog=128):
         self.name = name
-        self.host = host
-        self.clock = SocketClock()
-        self.bus = bus if bus is not None else EventBus(self.clock)
-        self.rng = random.Random(seed)
+        self.clock = Simulator(seed)
+        self.bus = self.clock.bus
+        self.rng = self.clock.rng
         self.tfo_enabled = False
-        #: bind listeners with SO_REUSEPORT so several shard processes
-        #: can share one port (the C1M listener-per-shard layout).
-        self.reuse_port = reuse_port
         self.backlog = backlog
         self.selector = selectors.DefaultSelector()
         self.transports = []
         self.listeners = []
+        self._epoch = time.monotonic()
 
     # -- Driver interface -----------------------------------------------
 
@@ -440,8 +425,6 @@ class SocketDriver(Driver):
     def listen(self, port, on_accept, cc=None):
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.reuse_port and hasattr(socket, "SO_REUSEPORT"):
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((self.host, port))
         sock.listen(self.backlog)
         listener = _SocketListener(self, sock, on_accept)
@@ -460,39 +443,40 @@ class SocketDriver(Driver):
     # -- event loop -----------------------------------------------------
 
     def step(self, timeout=0.05):
-        """One select + timer pass; returns number of I/O events."""
+        """One select (no longer than until the next timer is due),
+        then the clock runs to the wall time the select returned at --
+        firing the timers due by then, each at its deadline -- and the
+        I/O events are handled at that time.  Returns the number of I/O
+        events."""
+        clock = self.clock
         wait = timeout
-        deadline = self.clock.next_deadline()
-        if deadline is not None:
-            wait = min(wait, max(deadline - self.clock.now, 0.0))
+        due = clock.next_time()
+        if due is not None:
+            wait = min(wait, max(due - (time.monotonic() - self._epoch),
+                                 0.0))
         if self.selector.get_map():
             events = self.selector.select(wait)
         else:
             time.sleep(wait)
             events = []
+        clock.run(until=time.monotonic() - self._epoch)
         for key, mask in events:
             key.data._handle_events(mask)
-        self.clock.fire_due()
         return len(events)
 
     def run_until(self, predicate, timeout=10.0):
         """Spin the loop until ``predicate()`` is true.
 
-        Raises :class:`DriverError` on timeout so hangs surface as
-        errors instead of silent stalls.
+        Raises :class:`DriverError` after ``timeout`` seconds of wall
+        time so hangs surface as errors instead of silent stalls.
         """
-        deadline = self.clock.now + timeout
+        deadline = time.monotonic() + timeout
         while not predicate():
-            if self.clock.now >= deadline:
+            if time.monotonic() >= deadline:
                 raise DriverError(
                     "run_until timed out after %.1fs" % timeout)
             self.step()
         return True
-
-    def run_for(self, duration):
-        deadline = self.clock.now + duration
-        while self.clock.now < deadline:
-            self.step(timeout=min(0.05, deadline - self.clock.now))
 
     def close(self):
         """Tear down every transport and listener and the selector."""
@@ -547,4 +531,4 @@ class SocketDriver(Driver):
             registry.remove(transport)
 
 
-__all__ = ["SocketClock", "SocketDriver", "SocketTransport"]
+__all__ = ["SocketDriver", "SocketTransport"]

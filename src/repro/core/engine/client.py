@@ -12,6 +12,7 @@ reset outright (legacy servers aborting on unknown extensions), the
 client retries once without any TCPLS extension.
 """
 
+from repro.core.engine.events import SessionEvent
 from repro.core.engine.session import TcplsEngine
 from repro.core.errors import JoinError, SessionStateError
 from repro.core.stream import conn_id_from_cookie
@@ -103,7 +104,7 @@ class TcplsClientEngine(TcplsEngine):
         conn = self._open(local_addr, remote, [join_ext], cc=cc,
                           conn_id=conn_id_from_cookie(credential))
         if self.join_timeout is not None:
-            self.clock.call_later(self.join_timeout, self._check_join, conn)
+            self.clock.schedule(self.join_timeout, self._check_join, conn)
         return conn
 
     def _check_join(self, conn):
@@ -214,11 +215,28 @@ class TcplsClientEngine(TcplsEngine):
         self.fell_back = True
         self.enable_tcpls = False
         self.conns.clear()
-        self.clock.call_later(0.0, self._retry_plain_tls)
+        self.clock.schedule(0.0, self._retry_plain_tls)
         return True
 
     def _retry_plain_tls(self):
         self._open(self._primary_local, self._primary_remote, [])
+
+    def _on_clean_close(self, conn):
+        """The server closed ``conn`` cleanly (it retired the session,
+        say): close our half too, and once no usable connection is
+        left the session is over -- no longer ready, and
+        ``CONN_FAILED(conn, "fin")`` says so.  No failover, no join:
+        the server ended it on purpose."""
+        self.pump.drain(conn)
+        self.pump.drop(conn)
+        conn.tcp.close()
+        conn.local_closed = True
+        if any(c.usable() for c in self.conns):
+            return
+        self.ready = False
+        self._emit("session", "conn_failed",
+                   {"conn": conn.conn_id, "reason": "fin"})
+        self.emit(SessionEvent.CONN_FAILED, conn, "fin")
 
     def _on_no_failover_target(self, failed_conn):
         """Break-before-make recovery (Fig. 4): open a fresh TCP

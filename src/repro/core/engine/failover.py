@@ -133,6 +133,7 @@ class Failover:
         else:
             conn.alive = False
             session.emit_perf_totals()
+            session._on_clean_close(conn)
 
     def timed_out(self, conn):
         """UTO fired: fail over only if a transfer actually hangs on

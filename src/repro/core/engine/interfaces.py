@@ -1,9 +1,11 @@
-"""The engine/driver boundary: Transport, Clock and Driver contracts.
+"""The engine/driver boundary: the Transport and Driver contracts.
 
 The TCPLS engine consumes a plain TCP bytestream plus ``tcp_info`` --
 exactly the service model of the paper (Sec. 3).  These abstract
 classes pin down everything the engine is allowed to ask of its
-environment; a driver supplies concrete implementations.
+environment; a driver supplies concrete implementations.  Time is the
+driver's ``clock``, a :class:`repro.net.Simulator` under every driver,
+so all of the engine's timers sit on that one scheduler's heap.
 
 Input events (driver -> engine)
 -------------------------------
@@ -16,7 +18,7 @@ engine entry point      meaning
 ``conn_failed``         the connection died (RST, timeout, error)
 ``conn_closed``         the peer closed cleanly (FIN)
 ``user_timeout_fired``  the armed user timeout elapsed
-timer callbacks         scheduled via :meth:`Clock.call_later`
+timer callbacks         armed earlier via ``clock.schedule``
 ======================  ==============================================
 
 Effects (engine -> driver)
@@ -28,14 +30,13 @@ interface call          meaning
 ``Transport.send``      write bytes on connection N
 ``Transport.close``     graceful close / ``abort`` hard reset
 ``Transport.set_user_timeout``  arm the TCP user timeout
-``Clock.call_later``    arm a timer
+``clock.schedule``      arm a timer
 ``bus.emit``            publish an observability event
 ``emit(SessionEvent)``  deliver application data / lifecycle events
 ======================  ==============================================
 """
 
 import abc
-import heapq
 from collections import namedtuple
 
 
@@ -147,72 +148,6 @@ class Transport(abc.ABC):
         return False
 
 
-class Clock(abc.ABC):
-    """Time source and timer service.
-
-    ``now`` is an attribute/property (seconds, float); drivers define
-    the epoch (simulated time or monotonic real time).
-    """
-
-    now = 0.0
-
-    #: event-loop heap compactions (perf observability; drivers without
-    #: a compacting event loop report 0).
-    compactions = 0
-
-    @abc.abstractmethod
-    def call_later(self, delay, fn, *args):
-        """Run ``fn(*args)`` after ``delay`` seconds; returns a handle
-        with a ``cancel()`` method."""
-
-
-class HeapClock(Clock):
-    """A :class:`Clock` whose timers live in one heap, fired in deadline
-    order (arming order among equal deadlines); subclasses supply
-    ``now``."""
-
-    class _Timer:
-        __slots__ = ("when", "fn", "args", "cancelled")
-
-        def __init__(self, when, fn, args):
-            self.when = when
-            self.fn = fn
-            self.args = args
-            self.cancelled = False
-
-        def cancel(self):
-            self.cancelled = True
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-
-    def call_later(self, delay, fn, *args):
-        timer = self._Timer(self.now + delay, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (timer.when, self._seq, timer))
-        return timer
-
-    def next_deadline(self):
-        """When the earliest live timer is due (``None`` if none is)."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    def fire_due(self):
-        """Fire every live timer due by ``now`` (re-read after each);
-        returns how many fired."""
-        fired = 0
-        heap = self._heap
-        while heap and heap[0][0] <= self.now:
-            _when, _seq, timer = heapq.heappop(heap)
-            if not timer.cancelled:
-                timer.fn(*timer.args)
-                fired += 1
-        return fired
-
-
 class PlainAddress(namedtuple("PlainAddress", "value family",
                               defaults=(4,))):
     """An address value with the engine's ``family`` attribute, for
@@ -243,11 +178,14 @@ class Driver(abc.ABC):
     Attributes
     ----------
     clock:
-        The driver's :class:`Clock`.
+        The driver's :class:`repro.net.Simulator`: ``now`` (seconds),
+        ``schedule(delay, fn, *args)`` (a handle with ``cancel()``) and
+        ``compactions``; drivers define the epoch (simulated time or
+        monotonic wall time).
     bus:
-        An observability :class:`~repro.obs.bus.EventBus`.
+        The clock's observability :class:`~repro.obs.bus.EventBus`.
     rng:
-        ``random.Random`` used for handshake randomness.
+        The clock's ``random.Random``, used for handshake randomness.
     name:
         Stable host name (feeds server session-id derivation).
     tfo_enabled:
@@ -290,5 +228,4 @@ class Driver(abc.ABC):
         return []
 
 
-__all__ = ["Clock", "Driver", "HeapClock", "PlainAddress", "PlainEndpoint",
-           "Transport"]
+__all__ = ["Driver", "PlainAddress", "PlainEndpoint", "Transport"]

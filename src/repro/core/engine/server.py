@@ -115,7 +115,7 @@ class TcplsServerSessionEngine(TcplsEngine):
                                         "conn": conn.conn_id})
                 # Next tick: DRAIN fires inside recv(), often deep in
                 # this session's own delivery path.
-                self.clock.call_later(0.0, self._read_backlog, conn)
+                self.clock.schedule(0.0, self._read_backlog, conn)
 
     def _read_backlog(self, conn):
         """What arrived while ``conn`` was paused, read through the
@@ -275,7 +275,7 @@ class TcplsServerEngine(EventSource):
             # Next tick: this runs deep in the transport's close/reset
             # delivery, and a join racing the teardown may still attach
             # first (the check then keeps the session).
-            self.clock.call_later(0.0, self._retire_if_idle, session)
+            self.clock.schedule(0.0, self._retire_if_idle, session)
 
     def _has_live(self, session):
         return any(conn in self.live for conn in session.conns)
@@ -426,7 +426,7 @@ class TcplsServerEngine(EventSource):
         # Drop the TLS handshake machine (tens of KB per connection at
         # C1M scale) on the next tick: the handshake often completes
         # inside tls.feed(), whose caller still touches conn.tls after.
-        self.clock.call_later(0.0, conn.release_handshake)
+        self.clock.schedule(0.0, conn.release_handshake)
         self._note("attach", {"session": session.obs_id,
                               "conn": conn.conn_id,
                               "join": not conn.is_primary})

@@ -306,6 +306,10 @@ class TcplsEngine(EventSource):
     def _on_no_failover_target(self, conn):
         """Hook: the client overrides this to open + join a new path."""
 
+    def _on_clean_close(self, conn):
+        """Hook: the peer closed ``conn`` cleanly and stranded nothing
+        (the client overrides this to end its side too)."""
+
     def attach_conn(self, conn, role_step=None):
         """``conn`` finished its handshake: make it carry the session
         (Sec. 3.2-3.3.2, Fig. 3).

@@ -350,6 +350,14 @@ class Simulator:
                 break
         return satisfied[0] or predicate()
 
+    def next_time(self):
+        """When the first queued entry is due (``None`` with nothing
+        queued).  A dead entry counts too, so the answer may be early,
+        never late: a loop sleeping until then at worst wakes for
+        nothing."""
+        queue = self._queue
+        return queue[0][0] if queue else None
+
     @property
     def pending_events(self):
         """Number of events still due to fire: live events and armed

@@ -55,6 +55,8 @@ TIME_WAIT = "TIME_WAIT"
 
 TIME_WAIT_DURATION = 1.0  # shortened 2*MSL for simulation
 MAX_SYN_RETRIES = 6
+#: bytes an application may queue on one connection (``send_space``)
+SEND_BUFFER_CAPACITY = 4 << 20
 
 
 class TcpConnection:
@@ -69,8 +71,7 @@ class TcpConnection:
     """
 
     def __init__(self, stack, local, remote, passive=False, cc="cubic",
-                 iss=None, send_buffer_capacity=4 << 20,
-                 recv_buffer_capacity=1 << 20):
+                 iss=None):
         self.stack = stack
         self.sim = stack.sim
         #: per-simulation ordinal (also seeds the default ISS)
@@ -86,7 +87,7 @@ class TcpConnection:
         self.iss = iss if iss is not None else (self.conn_id * 100000)
         self.snd_una = self.iss
         self.snd_nxt = self.iss
-        self.snd_buf = SendBuffer(self.iss + 1, capacity=send_buffer_capacity)
+        self.snd_buf = SendBuffer(self.iss + 1, capacity=SEND_BUFFER_CAPACITY)
         self.rcv_buf = None     # created once the peer's ISS is known
         self.peer_window = self.mss * 10
         self.irs = None

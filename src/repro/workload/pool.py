@@ -26,13 +26,6 @@ __all__ = ["Candidate", "ConnectionPool", "PoolView", "PooledConnection"]
 _DEFAULT_CWND = 10 * 1500.0
 
 
-def _clock_now(clock):
-    """Read the current time off any clock-ish object (`.now` attribute
-    on the simulator and ManualClock, ``now()`` method elsewhere)."""
-    now = getattr(clock, "now", 0.0)
-    return now() if callable(now) else now
-
-
 class PooledConnection:
     """One live pooled connection and its accounting state."""
 
@@ -145,7 +138,7 @@ class ConnectionPool:
     Parameters
     ----------
     clock:
-        Time source (``.now`` attribute or ``now()`` method); drives
+        Time source with a ``now`` attribute (the simulator); drives
         idle-expiry and the opened/idle timestamps.
     factory:
         ``factory(host) -> handle``; invoked on checkout of a ``"new"``
@@ -206,7 +199,7 @@ class ConnectionPool:
     def checkout(self, candidate):
         """Commit a policy's candidate choice; returns the
         :class:`PooledConnection` now carrying the transfer."""
-        now = _clock_now(self.clock)
+        now = self.clock.now
         if candidate.kind == "new":
             host = candidate.host
             if len(self._entries.get(host, ())) >= self.max_per_host:
@@ -246,7 +239,7 @@ class ConnectionPool:
             raise ValueError("release of idle connection: %r" % (entry,))
         entry.active -= 1
         if entry.active == 0:
-            entry.last_idle = _clock_now(self.clock)
+            entry.last_idle = self.clock.now
         for callback in list(self._capacity_listeners):
             callback()
 
@@ -254,7 +247,7 @@ class ConnectionPool:
 
     def sweep(self):
         """Close connections idle past the timeout; returns how many."""
-        now = _clock_now(self.clock)
+        now = self.clock.now
         closed = 0
         for host, entries in list(self._entries.items()):
             keep = []

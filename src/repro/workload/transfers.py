@@ -17,7 +17,6 @@ transport code.
 """
 
 from repro.obs.events import CAT_WORKLOAD
-from repro.workload.pool import _clock_now
 
 __all__ = ["Transfer", "TransferManager"]
 
@@ -107,7 +106,7 @@ class TransferManager:
     def start(self):
         """Release the page's root objects (call once; the rest of the
         page unfolds from completion callbacks)."""
-        self.t_begin = _clock_now(self.clock)
+        self.t_begin = self.clock.now
         for obj in self.page.roots():
             self._mark_ready(self.transfers[obj.name])
 
@@ -117,7 +116,7 @@ class TransferManager:
 
     def _mark_ready(self, transfer):
         transfer.status = "ready"
-        transfer.t_ready = _clock_now(self.clock)
+        transfer.t_ready = self.clock.now
         self._emit("object_ready", transfer, {
             "size": transfer.size, "kind": transfer.spec.kind,
         })
@@ -135,7 +134,7 @@ class TransferManager:
         transfer.entry = entry
         transfer.placement = candidate.kind
         transfer.status = "running"
-        transfer.t_start = _clock_now(self.clock)
+        transfer.t_start = self.clock.now
         self._emit("object_start", transfer, {
             "size": transfer.size,
             "placement": candidate.kind,
@@ -146,7 +145,7 @@ class TransferManager:
 
     def _on_done(self, transfer):
         transfer.status = "done"
-        transfer.t_done = _clock_now(self.clock)
+        transfer.t_done = self.clock.now
         self.pool.release(transfer.entry)
         self._completed.add(transfer.name)
         self._emit("object_done", transfer, {

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import record as rec
-from repro.core.engine import TcplsEngine, bootstrap_ready_session
+from repro.core.drivers import bootstrap_ready_session
+from repro.core.engine import TcplsEngine
 
 
 def ready_pair():

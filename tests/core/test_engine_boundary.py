@@ -4,7 +4,7 @@ Walks every module under ``repro.core.engine`` with :mod:`ast` and
 rejects any import (top-level *or* nested inside a function) of
 ``repro.net`` or ``repro.tcp`` -- those belong to drivers.  This is the
 acceptance gate for the engine/driver split: the engine only sees the
-Transport/Clock/Driver interfaces.
+Transport/Driver interfaces and the clock's ``now``/``schedule``.
 """
 
 import ast
@@ -74,6 +74,33 @@ def test_no_segment_train_fork_under_src():
     offences = ["%s:%d %s" % hit for hit in _identifiers(SRC_DIR)
                 if hit[2] in gone]
     assert not offences, "\n".join(offences)
+
+
+def test_one_clock():
+    """Time is one heap: every driver hands the engine a
+    :class:`~repro.net.Simulator` whose bus and rng are the driver's,
+    no class (nor any other name) ending in ``Clock`` grows back under
+    ``src/repro``, and nothing arms a timer through ``call_later``."""
+    from repro.core.drivers import SimDriver, SocketDriver, StubDriver
+    from repro.net import Simulator
+
+    clocks = ["%s:%d %s" % (path.relative_to(SRC_DIR), lineno, name)
+              for path, lineno, name in _identifiers(SRC_DIR)
+              if name.endswith("Clock")]
+    assert not clocks, clocks
+    timers = ["%s:%d" % (path, lineno)
+              for path, lineno, line in _lines("src") if "call_later" in line]
+    assert not timers, timers
+
+    sockets = SocketDriver()
+    try:
+        for driver in (SimDriver(Simulator(seed=1), stack=None), sockets,
+                       StubDriver()):
+            assert type(driver.clock) is Simulator, driver
+            assert driver.bus is driver.clock.bus, driver
+            assert driver.rng is driver.clock.rng, driver
+    finally:
+        sockets.close()
 
 
 def _lines(*tops):

@@ -10,12 +10,8 @@ engine/driver split unlocks.
 
 import pytest
 
-from repro.core.engine import (
-    InputLog,
-    ManualClock,
-    StubDriver,
-    bootstrap_ready_session,
-)
+from repro.core.drivers import StubDriver, bootstrap_ready_session
+from repro.core.engine import InputLog
 from repro.core.errors import SessionNotReadyError, TcplsError
 
 
@@ -68,17 +64,6 @@ class TestStubEngine:
         with pytest.raises(RuntimeError):    # legacy catch still works
             engine.create_coupled_group([])
 
-    def test_manual_clock_orders_timers(self):
-        clock = ManualClock()
-        fired = []
-        clock.call_later(2.0, fired.append, "b")
-        clock.call_later(1.0, fired.append, "a")
-        cancelled = clock.call_later(1.5, fired.append, "x")
-        cancelled.cancel()
-        clock.advance(3.0)
-        assert fired == ["a", "b"]
-        assert clock.now == 3.0
-
 
 class TestInputReplay:
     def test_log_captures_external_inputs(self):
@@ -125,11 +110,15 @@ class TestInputReplay:
         assert rconn.failed
         assert not rconn.alive
 
-    def test_replay_advances_manual_clock(self):
+    def test_replay_runs_the_stub_clock_to_each_entry(self):
         server, sconn = bootstrap_ready_session(is_client=False)
+        fired = []
+        server.clock.schedule(1.0, lambda: fired.append(server.clock.now))
+        server.clock.schedule(2.0, lambda: fired.append(server.clock.now))
         log = InputLog()
         log.record(1.25, "writable", sconn.conn_id, None)
         log.replay_into(server)
+        assert fired == [1.0]   # the due timer fired at its deadline
         assert server.clock.now == 1.25
 
     def test_replay_unknown_conn_id_raises(self):

@@ -16,11 +16,8 @@ import pytest
 from helpers import PSK
 
 from repro.core import record as rec
-from repro.core.engine import (
-    StubDriver,
-    TcplsClientEngine,
-    bootstrap_ready_session,
-)
+from repro.core.drivers import StubDriver, bootstrap_ready_session
+from repro.core.engine import TcplsClientEngine
 from repro.core.engine.interfaces import PlainAddress, PlainEndpoint
 from repro.crypto.aead import get_cipher
 from repro.obs import CaptureSink
@@ -105,7 +102,7 @@ def join_timeout():
     conn.tcp.capacity = 0
     conn.tcp.on_established(conn.tcp)          # the ClientHello waits
     assert conn.pending_out
-    return client, conn, lambda: client.clock.advance(client.join_timeout)
+    return client, conn, lambda: client.clock.run(until=client.join_timeout)
 
 
 def join_rejected():
@@ -167,6 +164,6 @@ def test_the_fallback_retry_publishes_no_failure():
     client.conn_failed(conn, "rst")
     assert conn.failed and client.fell_back and not client.enable_tcpls
     assert calls == [] and not sink.select(name="conn_failed")
-    driver.clock.advance(0.0)
+    driver.clock.run(until=0.0)
     assert len(driver.transports) == 2
     assert [c.tcp for c in client.conns] == [driver.transports[1]]

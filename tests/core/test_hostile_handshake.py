@@ -17,12 +17,8 @@ from hypothesis import strategies as st
 
 from helpers import PSK
 
-from repro.core.engine import (
-    ReplayTransport,
-    StubDriver,
-    TcplsClientEngine,
-    TcplsServerEngine,
-)
+from repro.core.drivers import ReplayTransport, StubDriver
+from repro.core.engine import TcplsClientEngine, TcplsServerEngine
 from repro.core.engine.interfaces import PlainAddress, PlainEndpoint
 from repro.tls import Extension, TlsClient, TlsServer
 from repro.tls.extensions import EXT_KEY_SHARE

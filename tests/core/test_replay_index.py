@@ -9,7 +9,7 @@ emptied, which is the receiver as it was before the index.
 
 import pytest
 
-from repro.core.engine import bootstrap_ready_session
+from repro.core.drivers import bootstrap_ready_session
 from repro.obs import CaptureSink
 from repro.tls.record import RECORD_HEADER_SIZE, RecordReassembler
 

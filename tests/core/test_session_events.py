@@ -11,17 +11,19 @@ import pytest
 
 from helpers import PSK
 
-from repro.core import SessionEvent
+from repro.core import SessionEvent, TcplsClient, TcplsServer
+from repro.core.drivers import StubDriver, bootstrap_ready_session
 from repro.core.engine import (
-    StubDriver,
     TcplsClientEngine,
     TcplsEngine,
     TcplsServerEngine,
-    bootstrap_ready_session,
 )
 from repro.core.engine.interfaces import PlainAddress, PlainEndpoint
+from repro.net import Simulator, build_multipath
+from repro.net.address import Endpoint
 from repro.obs import CaptureSink
 from repro.perf.loadgen import LoadgenHarness
+from repro.tcp import TcpStack
 from tests.core.test_multi_backpressure import _connect, _flood, _setup, paused
 from tests.obs.test_golden_traces import run_fig8_flap
 
@@ -160,3 +162,41 @@ def test_a_failed_handshake_is_published_on_the_bus():
     (failed,) = sink.select(name="conn_failed")
     assert reasons == [failed.data["reason"]]
     assert failed.data["reason"].startswith("tls:")
+
+
+def test_a_session_the_server_retires_ends_on_the_client():
+    """The server retiring a one-connection session closes it cleanly:
+    the client closes its half (no transport left in CLOSE_WAIT), is no
+    longer ready, and publishes one ``CONN_FAILED(conn, "fin")`` --
+    without failing over or joining, though it holds join cookies.
+    The server's books and ``mux`` events are those of any retirement."""
+    sim = Simulator(seed=5)
+    topo = build_multipath(sim, n_paths=2, rate_bps=100_000_000, delay=0.002)
+    server = TcplsServer(sim, TcpStack(sim, topo.server), 4443, PSK)
+    sink = CaptureSink()
+    sim.bus.subscribe(sink, categories=("mux", "session"))
+    client = TcplsClient(sim, TcpStack(sim, topo.client), psk=PSK)
+    path = topo.path(0)
+    client.connect(path.client_addr, Endpoint(path.server_addr, 4443))
+    sim.run(until=0.5)
+    client.enable_failover()
+    sim.run(until=1.0)
+    assert client.ready and client.cookies
+    failed = []
+    client.on_conn_failed = lambda conn, reason: failed.append((conn, reason))
+
+    (session,) = server.sessions.values()
+    server.retire(session)
+    sim.run(until=sim.now + 1.0)
+
+    (conn,) = client.conns
+    assert conn.tcp.state == "CLOSED"
+    assert not client.ready
+    assert failed == [(conn, "fin")]
+    assert not sink.select(name="join")
+    mux = [event.name for event in sink if event.category == "mux"]
+    assert mux == ["accept", "attach", "session_retired"]
+    assert server.stats == {"accepts": 1, "attaches": 1, "teardowns": 1,
+                            "peak": 1, "pauses": 0, "resumes": 0,
+                            "retired": 1}
+    assert not server.live and not server.sessions

@@ -7,6 +7,8 @@ simulator tests exercise.  Marked ``smoke`` (real sockets + wall-clock
 time; excluded from environments without loopback networking).
 """
 
+import time
+
 import pytest
 
 from repro.core.drivers.sockets import SocketDriver
@@ -191,6 +193,27 @@ def test_hundred_connection_storm_over_loopback():
         stats = server.stats
         assert stats["accepts"] == stats["teardowns"] == n_clients
         assert stats["retired"] == n_clients
+    finally:
+        driver.close()
+
+
+def test_a_timer_fires_on_the_wall_clock_within_one_step():
+    """A timer armed on the driver's clock fires no sooner than its
+    delay of wall time, in the first loop step that begins after its
+    deadline: the select waits for the timer, not for its timeout."""
+    start = time.monotonic()
+    driver = SocketDriver()
+    try:
+        fired = []
+        driver.clock.schedule(0.05, lambda: fired.append(time.monotonic()))
+        armed = time.monotonic()
+        began = []
+        while not fired:
+            began.append(time.monotonic())
+            driver.step(timeout=1.0)
+        assert fired[0] - start >= 0.05
+        assert all(t < armed + 0.05 for t in began[:-1])
+        assert fired[0] - armed < 0.5
     finally:
         driver.close()
 

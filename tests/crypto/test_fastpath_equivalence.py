@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from repro.core import crypto_context
 from repro.core.crypto_context import StreamCryptoContext
 from repro.core.record import RECORD_TYPE_STREAM_DATA
-from repro.core.engine import bootstrap_ready_session
+from repro.core.drivers import bootstrap_ready_session
 from repro.crypto import aead, aes, chacha20, gcm, lanes, poly1305
 from repro.crypto.aead import Aes128Gcm, Chacha20Poly1305, NullTagCipher
 from repro.crypto.aes import Aes128

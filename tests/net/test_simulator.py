@@ -50,6 +50,18 @@ def test_run_until_stops_the_clock():
     assert fired == ["early", "late"]
 
 
+def test_next_time_is_never_later_than_the_next_firing():
+    sim = Simulator()
+    assert sim.next_time() is None
+    sim.schedule(2.0, lambda: None)
+    early = sim.schedule(1.0, lambda: None)
+    assert sim.next_time() == 1.0
+    early.cancel()       # a dead head entry may wake a loop early
+    assert sim.next_time() == 1.0
+    sim.run(until=1.5)
+    assert sim.next_time() == 2.0
+
+
 def test_scheduling_into_the_past_rejected():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)

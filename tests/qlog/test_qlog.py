@@ -6,7 +6,7 @@ import pytest
 
 from helpers import connect_tcpls, make_net, tcpls_pair
 
-from repro.core.engine import bootstrap_ready_session
+from repro.core.drivers import bootstrap_ready_session
 from repro.net import Simulator
 from repro.qlog import QlogTracer, attach_session_tracer
 
