@@ -306,10 +306,9 @@ CLAIMS = [
 
 #: claim id -> row patterns a known defect breaks (ROADMAP item 1)
 KNOWN_WRONG = {
-    # item 1(c): the scaled rotation at 0.35 s ends short, done_at null
-    "fig9.tcpls-completes": ("fig9/rotate=0.35/*",),
-    # item 1(d): the MPTCP paper cell sends nothing after t = 35.0 s
-    "fig9.mptcp-recovers": (F9 % "mptcp",),
+    # item 1(c): the scaled rotation at 0.35 s over four paths is too
+    # slow to finish in its horizon (it finishes at 95.1 s of 200)
+    "fig9.tcpls-completes": ("fig9/rotate=0.35/paths=4",),
 }
 
 

@@ -151,7 +151,16 @@ class MptcpConnection:
             lambda _c, sf=subflow, k=kind: self._subflow_up(sf, k)
         )
         self._remote_port = remote.port
+        # Give up on a subflow that cannot establish quickly, so that
+        # the path manager may try another pair (a SYN into a dead path
+        # would otherwise count as an attempt in progress for minutes).
+        self.sim.schedule(self.reopen_interval, self._expire, subflow)
         return subflow
+
+    def _expire(self, subflow):
+        if not subflow.established and not subflow.failed:
+            subflow.failed = True
+            subflow.tcp.abort()
 
     def _subflow_up(self, subflow, kind):
         subflow.established = True
@@ -230,14 +239,7 @@ class MptcpConnection:
         pair = self._known_pairs[self._reopen_cursor %
                                  len(self._known_pairs)]
         self._reopen_cursor += 1
-        subflow = self.open_subflow(pair[0], pair[1])
-        if subflow is not None:
-            # Give up on this attempt if it cannot establish quickly.
-            def expire(sf=subflow):
-                if not sf.established and not sf.failed:
-                    sf.failed = True
-                    sf.tcp.abort()
-            self.sim.schedule(self.reopen_interval, expire)
+        self.open_subflow(pair[0], pair[1])
 
     def _on_subflow_failed(self, subflow, reason):
         if subflow.failed:

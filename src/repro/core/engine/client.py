@@ -12,6 +12,7 @@ reset outright (legacy servers aborting on unknown extensions), the
 client retries once without any TCPLS extension.
 """
 
+from repro.core.engine.connection import HANDSHAKING
 from repro.core.engine.events import SessionEvent
 from repro.core.engine.session import TcplsEngine
 from repro.core.errors import JoinError, SessionStateError
@@ -89,30 +90,23 @@ class TcplsClientEngine(TcplsEngine):
             raise JoinError("no join cookies left (server controls joins)")
         if remote is None:
             remote = self._pick_remote(local_addr)
-        if self.tokens:
-            # Sec. 3.4 unlinkable join: the single-use token stands in
-            # for both the SESSID and the cookie, so nothing on the
-            # wire repeats across the session's connections.
-            credential = self.tokens.pop(0)
-            join_ext = Extension(EXT_TCPLS_TOKEN, credential)
-        else:
-            credential = self.cookies.pop(0)
-            join_ext = Extension(
-                EXT_TCPLS_JOIN,
-                encode_tcpls_join(self.session_id, credential),
-            )
+        pool = self.tokens or self.cookies
+        credential = pool.pop(0)
+        # Sec. 3.4 unlinkable join: the single-use token stands in for
+        # both the SESSID and the cookie, so nothing on the wire repeats
+        # across the session's connections.
+        join_ext = Extension(EXT_TCPLS_TOKEN, credential) \
+            if pool is self.tokens else Extension(
+                EXT_TCPLS_JOIN, encode_tcpls_join(self.session_id, credential))
         conn = self._open(local_addr, remote, [join_ext], cc=cc,
                           conn_id=conn_id_from_cookie(credential))
+        conn.credential = (pool, credential)
         if self.join_timeout is not None:
-            self.clock.schedule(self.join_timeout, self._check_join, conn)
+            # Abandon a join that never attaches (the chosen path is
+            # blackholed, say) so that failover can probe another path.
+            self.clock.schedule(self.join_timeout, conn.expire,
+                                "join-timeout")
         return conn
-
-    def _check_join(self, conn):
-        """Abandon a join that never completed (e.g. the chosen path is
-        blackholed) so the failover engine can probe another path."""
-        if conn.alive or conn.failed:
-            return
-        self.failover.fail(conn, "join-timeout")
 
     def _mark_pair_failed(self, conn):
         pair = (conn.tcp.local.addr, conn.tcp.remote.addr)
@@ -153,16 +147,16 @@ class TcplsClientEngine(TcplsEngine):
             lambda _endpoint: self._on_handshake_complete(conn)
         )
         if tfo_payload:
-            # Flight already in the SYN; nothing to do at establishment.
-            tcp.set_callbacks(on_established=lambda _c: None)
+            # The flight is in the SYN: nothing to do at establishment.
+            conn.enter(HANDSHAKING)
         else:
             tcp.set_callbacks(
                 on_established=lambda _c: self._start_tls(conn))
         return conn
 
     def _start_tls(self, conn):
-        if conn.tls._state == "START":
-            conn.tls.start()
+        conn.enter(HANDSHAKING)
+        conn.tls.start()
         self._flush_tls(conn)
 
     # ------------------------------------------------------------------
@@ -223,14 +217,10 @@ class TcplsClientEngine(TcplsEngine):
 
     def _on_clean_close(self, conn):
         """The server closed ``conn`` cleanly (it retired the session,
-        say): close our half too, and once no usable connection is
-        left the session is over -- no longer ready, and
-        ``CONN_FAILED(conn, "fin")`` says so.  No failover, no join:
-        the server ended it on purpose."""
-        self.pump.drain(conn)
-        self.pump.drop(conn)
-        conn.tcp.close()
-        conn.local_closed = True
+        say), and so did we: once no usable connection is left the
+        session is over -- no longer ready, and ``CONN_FAILED(conn,
+        "fin")`` says so.  No failover, no join: the server ended it on
+        purpose."""
         if any(c.usable() for c in self.conns):
             return
         self.ready = False

@@ -2,14 +2,8 @@
 replay, and :meth:`Failover.fail`, the one way a connection dies."""
 
 from repro.core import record as rec
+from repro.core.engine.connection import CLOSED, ENDED, FAILED, recoverable
 from repro.core.engine.events import SessionEvent
-
-#: failure reasons that end the connection outright: no fallback retry,
-#: no perf totals, no failover (``tls:`` stands for every ``tls:...``)
-_OUTRIGHT = frozenset(("sync", "join-rejected", "tls:"))
-#: failure reasons whose transport is still open and is reset here
-_ABORTED = frozenset(("sync", "join-rejected", "tls:", "join-timeout",
-                      "protocol"))
 
 
 class Failover:
@@ -86,28 +80,17 @@ class Failover:
     # -- the failure body ---------------------------------------------------
 
     def fail(self, conn, reason):
-        """``conn`` is dead: mark it failed, reset its transport if still
-        open, drop its queue, publish ``session/conn_failed`` and call
-        the ``CONN_FAILED`` handlers.  Unless the failure is outright,
-        publish the perf totals and fail over -- or let ``_fall_back``
-        retry it, publishing nothing."""
-        if conn.failed:
+        """``conn`` is dead: it enters FAILED (:meth:`ConnectionState.enter
+        <repro.core.engine.connection.ConnectionState.enter>` resets or
+        closes its transport, drops its queue and publishes the
+        failure).  Unless the failure is outright, fail over -- or let
+        ``_fall_back`` retry it, publishing nothing: the retried
+        connection has left ``conns`` by the time it fails."""
+        if conn.state in ENDED:
             return
-        kind = "tls:" if reason.startswith("tls:") else reason
-        recover = kind not in _OUTRIGHT
-        conn.failed = True
-        conn.alive = False
-        if kind in _ABORTED:
-            conn.tcp.abort()
         session = self.session
-        session.pump.drop(conn)
-        if recover and session._fall_back(conn):
-            return
-        session._emit("session", "conn_failed",
-                      {"conn": conn.conn_id, "reason": reason})
-        if recover:
-            session.emit_perf_totals()
-        session.emit(SessionEvent.CONN_FAILED, conn, reason)
+        recover = recoverable(reason) and not session._fall_back(conn)
+        conn.enter(FAILED, reason)
         if not (recover and session.failover_enabled and session.ready):
             return
         session.stats["failovers"] += 1
@@ -122,17 +105,16 @@ class Failover:
 
     def peer_closed(self, conn):
         """The peer's FIN: a failure if it strands records we still
-        owe, else the connection just stops carrying."""
+        owe, else the connection closes our half too."""
         session = self.session
-        if conn.failed or not session.ready:
+        if conn.state in ENDED or not session.ready:
             return
-        has_unacked = any(s.unacked for s in session.data_streams(conn))
-        pending = conn.pending_out or conn.tcp.unsent_bytes()
-        if session.failover_enabled and (has_unacked or pending):
+        owed = conn.pending_out or conn.tcp.unsent_bytes() or any(
+            s.unacked for s in session.data_streams(conn))
+        if session.failover_enabled and owed:
             self.fail(conn, "fin")
         else:
-            conn.alive = False
-            session.emit_perf_totals()
+            conn.enter(CLOSED, "fin")
             session._on_clean_close(conn)
 
     def timed_out(self, conn):
@@ -144,7 +126,11 @@ class Failover:
             conn.tcp.set_user_timeout(conn.tcp.user_timeout)
 
     def _has_pending_transfer(self, conn):
-        """Is this connection carrying an unfinished transfer?"""
+        """Is this connection carrying an unfinished transfer?  Its own
+        unacknowledged bytes count: a join's handshake Finished, say,
+        which no stream is bound to yet."""
+        if conn.tcp.bytes_in_flight() > 0:
+            return True
         session = self.session
         for stream in session.data_streams(conn):
             if (stream.pending or stream.unacked

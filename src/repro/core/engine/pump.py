@@ -2,6 +2,7 @@
 drain.  Only this module writes a connection's ``pending_out``."""
 
 from repro.core import record as rec
+from repro.core.engine.connection import ENDED
 from repro.core.engine.policy import RecordContext
 from repro.tls.record import RECORD_HEADER_SIZE
 
@@ -48,9 +49,9 @@ class Pump:
 
     def write(self, conn, data):
         """Queue ``data`` (a handshake flight or a replayed record) on
-        ``conn`` and hand the transport what it takes.  A failed
+        ``conn`` and hand the transport what it takes.  An ended
         connection's queue stays empty: nothing would ever leave it."""
-        if conn.failed:
+        if conn.state in ENDED:
             return
         conn.pending_out.append(data)
         conn.pending_out_bytes += len(data)
@@ -135,7 +136,7 @@ class Pump:
                     "seq": seq, "type": record_type, "length": len(wire),
                 })
                 seq += 1
-        if conn.failed:
+        if conn.state in ENDED:
             return
         conn.pending_out.extend(wires)
         conn.pending_out_bytes += total

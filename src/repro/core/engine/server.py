@@ -18,12 +18,13 @@ parked, until it has.
 The engine keeps the serving layer's books where it handles each
 transport (the ``CONN_OPENED``/``CONN_CLOSED`` lifecycle picotcpls
 reports through ``tcpls_event_t``): a transport is *live* from accept
-until it aborts, fails, is closed by its peer or its session retires,
-and *pending* until it attaches.  Two opt-ins serve many sessions on
-one loop: ``budget_bytes`` bounds each session's receive memory (its
-transports stop being read above the budget, so the peer is throttled
-by its closing window, and are read again once the application drains
-below half of it), and ``auto_retire`` retires a session one tick
+until its connection enters FAILED or CLOSED
+(:meth:`TcplsServerEngine.conn_ended`), and *pending* until it
+attaches.  Two opt-ins serve many sessions on one loop:
+``budget_bytes`` bounds each session's receive memory (its transports
+stop being read above the budget, so the peer is throttled by its
+closing window, and are read again once the application drains below
+half of it), and ``auto_retire`` retires a session one tick
 after its last transport goes.  Every change is published on the bus's
 ``mux`` category with the ``table`` (live transports) and ``sessions``
 gauges.
@@ -32,7 +33,8 @@ gauges.
 import hashlib
 
 from repro.core import record as rec
-from repro.core.engine.connection import ConnectionState
+from repro.core.engine.connection import (CLOSED, FAILED, HANDSHAKING,
+                                          ConnectionState)
 from repro.core.engine.events import EventSource, SessionEvent, slot
 from repro.core.engine.session import TcplsEngine
 from repro.core.stream import conn_id_from_cookie
@@ -68,14 +70,8 @@ class TcplsServerSessionEngine(TcplsEngine):
         #: arrival order (each spent a single-use credential, so at
         #: most one batch of them); attached right after the primary
         self.parked = []
-        self.subscribe(SessionEvent.CONN_FAILED, lambda conn, reason:
-                       server._conn_gone(conn, "failed:%s" % reason))
         if server.budget_bytes is not None:
             self.subscribe(SessionEvent.DRAIN, self._resume_reads)
-
-    def conn_closed(self, conn):
-        super().conn_closed(conn)
-        self.server._conn_gone(conn, "close")
 
     # -- the receive budget ------------------------------------------------
 
@@ -220,16 +216,16 @@ class TcplsServerEngine(EventSource):
         return credentials
 
     def retire(self, session):
-        """Close ``session`` and forget it, with its transports, revoking
+        """Close ``session`` and its transports and forget it, revoking
         its unspent join credentials: a later join presenting one must be
         refused, not resurrect the session.  Returns how many were
         revoked."""
-        for conn in session.conns:
-            self._forget(conn)
         revoked = len(session.outstanding)
         for credential in session.outstanding:
             del self._credentials[credential]
         session.outstanding.clear()
+        for conn in session.conns:
+            conn.enter(CLOSED, "retire")
         session.close()
         self.sessions.pop(session.session_id, None)
         self.stats["retired"] += 1
@@ -251,31 +247,28 @@ class TcplsServerEngine(EventSource):
             payload.update(data)
         bus.emit("mux", name, payload)
 
-    def _forget(self, conn):
-        """Drop ``conn`` from the live transports; False if it was not
-        there (a teardown racing another)."""
-        if conn not in self.live:
-            return False
+    def conn_ended(self, conn, reason):
+        """``conn`` failed or closed (:meth:`ConnectionState.enter
+        <repro.core.engine.connection.ConnectionState.enter>`, its one
+        caller): it leaves the live transports.  A retiring session's
+        transports leave without a ``teardown`` event of their own."""
         self.live.remove(conn)
         self.stats["teardowns"] += 1
-        return True
-
-    def _pending_gone(self, conn, reason):
-        if self._forget(conn):
-            self._note("pending_teardown", {"reason": reason})
-
-    def _conn_gone(self, conn, reason):
-        """An attached connection failed or its peer closed it."""
-        if not self._forget(conn):
+        if conn.index is None:      # it never attached
+            self._note("pending_teardown", {"reason": {
+                "fin": "close", "rst": "reset"}.get(reason, "abort")})
             return
-        session = conn.session
-        self._note("teardown", {"session": session.obs_id,
-                                "conn": conn.conn_id, "reason": reason})
-        if self.auto_retire and not self._has_live(session):
+        if reason == "retire":
+            return
+        self._note("teardown", {
+            "session": conn.session.obs_id, "conn": conn.conn_id,
+            "reason": "failed:%s" % reason if conn.state == FAILED
+            else "close"})
+        if self.auto_retire and not self._has_live(conn.session):
             # Next tick: this runs deep in the transport's close/reset
             # delivery, and a join racing the teardown may still attach
             # first (the check then keeps the session).
-            self.clock.schedule(0.0, self._retire_if_idle, session)
+            self.clock.schedule(0.0, self._retire_if_idle, conn.session)
 
     def _has_live(self, session):
         return any(conn in self.live for conn in session.conns)
@@ -296,6 +289,8 @@ class TcplsServerEngine(EventSource):
         )
         # The session is only known once the ClientHello is parsed.
         conn = ConnectionState(tcp, tls)
+        conn.server = self
+        conn.enter(HANDSHAKING)
         tls.encrypted_extensions_fn = (
             lambda hello: self._answer_client_hello(conn, hello))
         # 0-RTT early data (Sec. 4.5): buffered until the session is up,
@@ -307,8 +302,8 @@ class TcplsServerEngine(EventSource):
         # Attaching re-wires all three to the session.
         tcp.set_callbacks(
             on_data=lambda _c: self._feed(conn),
-            on_close=lambda _c: self._pending_gone(conn, "close"),
-            on_reset=lambda _c: self._pending_gone(conn, "reset"),
+            on_close=lambda _c: conn.enter(CLOSED, "fin"),
+            on_reset=lambda _c: conn.enter(FAILED, "rst"),
         )
         self.live.add(conn)
         stats = self.stats
@@ -327,9 +322,8 @@ class TcplsServerEngine(EventSource):
             return
         try:
             conn.tls.feed(data)
-        except TlsError:
-            conn.tcp.abort()
-            self._pending_gone(conn, "abort")
+        except TlsError as exc:
+            conn.enter(FAILED, "tls:%s" % exc)
             self.emit(SessionEvent.ABORTED, conn)
             return
         out = conn.tls.data_to_send()
@@ -418,9 +412,8 @@ class TcplsServerEngine(EventSource):
             for chunk in conn.early_data:
                 stream0.recv_buffer += chunk
             session.emit(SessionEvent.STREAM_DATA, stream0)
-        if conn.failed:
-            # It failed inside attach_conn: already torn down, by the
-            # session's CONN_FAILED handler.
+        if conn.state == FAILED:
+            # It failed inside attach_conn: already off the books.
             return
         self.stats["attaches"] += 1
         # Drop the TLS handshake machine (tens of KB per connection at

@@ -17,7 +17,7 @@ through :mod:`repro.net` or :mod:`repro.tcp`.
 from repro.core import record as rec
 from repro.core.crypto_context import prepare_record, prepare_records
 from repro.core.errors import SessionNotReadyError, TcplsProtocolError
-from repro.core.engine.connection import ConnectionState
+from repro.core.engine.connection import ATTACHED, CLOSED, ConnectionState
 from repro.core.engine.demux import Demux
 from repro.core.engine.ebpf_chunks import ProgramChunks
 from repro.core.engine.events import EventSource, SessionEvent, slot
@@ -282,10 +282,6 @@ class TcplsEngine(EventSource):
         conn.session = self
         conn.index = len(self.conns)
         self.conns.append(conn)
-        self._wire_tcp_callbacks(conn)
-        return conn
-
-    def _wire_tcp_callbacks(self, conn):
         conn.tcp.set_callbacks(
             on_data=lambda _c: self._on_tcp_data(conn),
             on_reset=lambda _c: self.conn_failed(conn, "rst"),
@@ -293,6 +289,7 @@ class TcplsEngine(EventSource):
             on_user_timeout=lambda _c: self.user_timeout_fired(conn),
             on_send_space=lambda _c: self.conn_writable(conn),
         )
+        return conn
 
     def _open_conn(self, tcp, tls=None, conn_id=0):
         """Track a transport this endpoint opened itself."""
@@ -307,8 +304,9 @@ class TcplsEngine(EventSource):
         """Hook: the client overrides this to open + join a new path."""
 
     def _on_clean_close(self, conn):
-        """Hook: the peer closed ``conn`` cleanly and stranded nothing
-        (the client overrides this to end its side too)."""
+        """Hook: the peer closed ``conn`` cleanly and stranded nothing,
+        and it has closed too (the client overrides this to end the
+        session with its last usable connection)."""
 
     def attach_conn(self, conn, role_step=None):
         """``conn`` finished its handshake: make it carry the session
@@ -329,17 +327,17 @@ class TcplsEngine(EventSource):
         """
         if conn.index is None:
             self._register(conn)
-        conn.alive = True
         # The client Finished leaves before any record queues behind it.
         self._flush_tls(conn)
         self._emit("session", "conn_established", {
             "conn": conn.conn_id, "index": conn.index,
             "local": str(conn.tcp.local), "remote": str(conn.tcp.remote),
         })
+        if conn.is_primary and conn.tls is not None:
+            self._setup_keys(conn.tls.schedule, conn.tls.cipher_cls)
+        self._install_control_stream(conn)
+        conn.enter(ATTACHED)
         if conn.is_primary:
-            if conn.tls is not None:
-                self._setup_keys(conn.tls.schedule, conn.tls.cipher_cls)
-            self._install_control_stream(conn)
             self.ready = True
             self._emit("session", "ready", {"tcpls": self.tcpls_enabled,
                                             "fallback": self.fell_back})
@@ -347,7 +345,6 @@ class TcplsEngine(EventSource):
                 role_step(conn)
             self.emit(SessionEvent.READY, self)
         else:
-            self._install_control_stream(conn)
             if role_step is not None:
                 role_step(conn)
             self._emit("session", "join", {"conn": conn.conn_id,
@@ -462,14 +459,8 @@ class TcplsEngine(EventSource):
         not accept yet are dropped along with the session's readiness,
         so a retiring multi-session server releases the fds promptly.
         """
-        for conn in list(self.conns):
-            if conn.pending_out:
-                self.pump.drain(conn)
-                self.pump.drop(conn)
-            if not conn.failed and conn.tcp.is_open():
-                conn.tcp.close()
-            conn.local_closed = True
-            conn.alive = False
+        for conn in self.conns:
+            conn.enter(CLOSED, "close")
         self.ready = False
         self._emit("session", "closed", {"conns": len(self.conns)})
 

@@ -5,6 +5,8 @@ import pytest
 from helpers import make_net
 
 from repro.baselines.mptcp import MptcpClient, MptcpServer
+from repro.net import Simulator, build_faulty_multipath
+from repro.tcp import TcpStack
 
 
 def mptcp_pair(sim, topo, cstack, sstack, **client_kwargs):
@@ -161,3 +163,27 @@ def test_data_acks_prune_sender_state():
     client.on_established = lambda c: c.send(b"a" * (1 << 20))
     sim.run(until=20)
     assert len(client.unacked) < 200
+
+
+def test_a_subflow_that_never_establishes_is_given_up():
+    """Every subflow the client opens gets the ``reopen_interval``
+    deadline.  A full-mesh subflow whose SYN goes into a dead path used
+    to count as an attempt in progress until its SYN retries ran out
+    (minutes), so when the established subflow failed, the path manager
+    opened nothing and the upload stalled (as the Fig. 9 MPTCP cell
+    did)."""
+    sim = Simulator(seed=1)
+    topo = build_faulty_multipath(sim, n_paths=2)
+    server = MptcpServer(sim, TcpStack(sim, topo.server), 443)
+    received, done = bytearray(), []
+    server.on_connection = collect([], received, done, sim)
+    client = MptcpClient(sim, TcpStack(sim, topo.client))
+    topo.set_path_down(1)
+    topo.flap_path(0, at=0.2, duration=2.0)
+    client.connect(pairs_for(topo), 443)
+    client.on_established = lambda c: (c.send(b"m" * (1 << 20)), c.close())
+    sim.run(until=client.reopen_interval + 0.01)
+    dead = client.subflows[1]
+    assert dead.failed and dead.tcp.state == "CLOSED"
+    sim.run(until=10.0)
+    assert done and len(received) == 1 << 20

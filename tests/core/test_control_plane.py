@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core import record as rec
 from repro.core.drivers import bootstrap_ready_session
 from repro.core.engine import TcplsEngine
+from repro.core.engine.connection import FAILED
 
 
 def ready_pair():
@@ -68,7 +69,7 @@ def test_malformed_record_fails_the_connection(case):
     server, sconn, seal, failures = ready_pair()
     server.bytes_received(sconn, seal(*MALFORMED[case]))
     assert failures == [(sconn, "protocol")]
-    assert sconn.failed and sconn.tcp.aborted
+    assert sconn.state == FAILED and sconn.tcp.aborted
     assert server.cookies == [] and server.tokens == []
     assert server._ebpf_chunks == {}
 
@@ -92,7 +93,7 @@ def test_ebpf_chunks_past_the_largest_program_fail_the_connection(
     assert failures == []
     send(at_cap)
     assert failures == [(sconn, "protocol")]
-    assert sconn.failed and server._ebpf_chunks == {}
+    assert sconn.state == FAILED and server._ebpf_chunks == {}
 
 
 def test_a_malformed_record_drops_the_rest_of_its_read():

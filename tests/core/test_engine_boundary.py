@@ -272,13 +272,16 @@ MOVED = {
                     "on_enable_failover", "peer_closed", "timed_out"},
     "demux.py": {"Demux", "renew", "candidates", "find", "opened"},
 }
-#: the engine methods and state that forwarded to, or were, the above
+#: the engine methods and state that forwarded to, or were, the above,
+#: and the connection flags and teardown paths that ``state`` replaced
 GONE_FROM_ENGINE = {"_pump", "_drain", "_conn_write", "_send_typed",
                     "_send_control", "_maybe_ack", "_send_ack", "_on_ack",
                     "_on_sync", "_on_enable_failover", "_conn_failed",
                     "_abort_conn", "_conn_closed", "_on_user_timeout",
                     "_resolve_pending_failover", "_pending_failover",
-                    "transport", "_demux_candidates", "_demux_epoch"}
+                    "transport", "_demux_candidates", "_demux_epoch",
+                    "alive", "failed", "local_closed", "_check_join",
+                    "_forget", "_pending_gone", "_conn_gone"}
 SESSION_CEILING = 900
 
 
@@ -331,9 +334,10 @@ def test_engine_is_a_composition_root():
     (``engine/failover.py``) own what left ``TcplsEngine``: their names
     are defined nowhere else in ``core``, the engine keeps no method
     that only forwards to them, only the pump writes a connection's
-    ``pending_out`` queue, only the failure body (``Failover.fail``)
-    marks a connection failed, and ``session.py`` stays under its
-    ceiling.  The I/O-layer lint above walks every one of their modules."""
+    ``pending_out`` queue, only the transition method
+    (``ConnectionState.enter``) assigns a connection's ``state``, and
+    ``session.py`` stays under its ceiling.  The I/O-layer lint above
+    walks every one of their modules."""
     offences = []
     mutators = {"append", "appendleft", "extend", "clear", "pop", "popleft"}
     owner = {name: module for module, names in MOVED.items()
@@ -363,10 +367,10 @@ def test_engine_is_a_composition_root():
                         and path.name != "pump.py" and not declaring:
                     offences.append((where + " writes %s") % (
                         node.lineno, target.attr))
-                if target.attr == "failed" and isinstance(node, ast.Assign) \
-                        and not declaring and scope[-2:] != ("Failover",
-                                                             "fail"):
-                    offences.append((where + " assigns .failed") %
+                if target.attr == "state" and isinstance(node, ast.Assign) \
+                        and not declaring and scope[-2:] != (
+                            "ConnectionState", "enter"):
+                    offences.append((where + " assigns .state") %
                                     node.lineno)
     session = ast.parse((ENGINE_DIR / "session.py").read_text())
     offences += ["session.py forwards %s" % node.name

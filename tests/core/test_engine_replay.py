@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.drivers import StubDriver, bootstrap_ready_session
 from repro.core.engine import InputLog
+from repro.core.engine.connection import FAILED
 from repro.core.errors import SessionNotReadyError, TcplsError
 
 
@@ -107,8 +108,7 @@ class TestInputReplay:
 
         replayed, rconn = bootstrap_ready_session(is_client=True)
         log.replay_into(replayed)
-        assert rconn.failed
-        assert not rconn.alive
+        assert rconn.state == FAILED
 
     def test_replay_runs_the_stub_clock_to_each_entry(self):
         server, sconn = bootstrap_ready_session(is_client=False)

@@ -18,6 +18,7 @@ from helpers import PSK
 from repro.core import record as rec
 from repro.core.drivers import StubDriver, bootstrap_ready_session
 from repro.core.engine import TcplsClientEngine
+from repro.core.engine.connection import FAILED
 from repro.core.engine.interfaces import PlainAddress, PlainEndpoint
 from repro.crypto.aead import get_cipher
 from repro.obs import CaptureSink
@@ -146,7 +147,7 @@ def test_every_failure_takes_the_one_path(reason):
     assert event.data["reason"] == called[1]
     assert called[1].startswith(reason) if reason == "tls:" \
         else called[1] == reason
-    assert conn.failed and not conn.writable()
+    assert conn.state == FAILED and not conn.writable()
     assert not conn.pending_out and conn.pending_out_bytes == 0
 
 
@@ -162,8 +163,26 @@ def test_the_fallback_retry_publishes_no_failure():
     conn = client.connect(PlainAddress("client"), SERVER)
     conn.tcp.on_established(conn.tcp)
     client.conn_failed(conn, "rst")
-    assert conn.failed and client.fell_back and not client.enable_tcpls
+    assert conn.state == FAILED
+    assert client.fell_back and not client.enable_tcpls
     assert calls == [] and not sink.select(name="conn_failed")
     driver.clock.run(until=0.0)
     assert len(driver.transports) == 2
     assert [c.tcp for c in client.conns] == [driver.transports[1]]
+
+
+def test_a_join_that_fails_before_its_client_hello_keeps_its_cookie():
+    """A join that times out still CONNECTING never sent its
+    ClientHello, so its single-use cookie goes back to the client
+    (ROADMAP 1(c) ``paths=4``); one whose ClientHello left has spent
+    it."""
+    client = _ready_client()
+    (cookie,) = client.cookies
+    unsent = client.join(PlainAddress("client2"), remote=SERVER)
+    assert client.cookies == []
+    client.clock.run(until=client.join_timeout)
+    assert unsent.state == FAILED and client.cookies == [cookie]
+    sent = client.join(PlainAddress("client2"), remote=SERVER)
+    sent.tcp.on_established(sent.tcp)
+    client.clock.run(until=2 * client.join_timeout)
+    assert sent.state == FAILED and client.cookies == []

@@ -19,6 +19,7 @@ from helpers import PSK
 
 from repro.core.drivers import ReplayTransport, StubDriver
 from repro.core.engine import TcplsClientEngine, TcplsServerEngine
+from repro.core.engine.connection import FAILED
 from repro.core.engine.interfaces import PlainAddress, PlainEndpoint
 from repro.tls import Extension, TlsClient, TlsServer
 from repro.tls.extensions import EXT_KEY_SHARE
@@ -57,7 +58,7 @@ def test_a_two_byte_server_hello_fails_the_connection():
     client, conn, failures = waiting_client()
     client.bytes_received(conn, bytes.fromhex("1603030006020000020000"))
     assert failures == ["tls:truncated ServerHello"]
-    assert conn.failed and conn.tcp.aborted
+    assert conn.state == FAILED and conn.tcp.aborted
 
 
 def test_a_malformed_key_share_fails_the_connection():
@@ -128,7 +129,7 @@ def test_hostile_bytes_to_a_client_waiting_for_the_server_hello(data):
     client.bytes_received(conn, data)
     assert len(failures) <= 1
     assert all(reason.startswith("tls:") for reason in failures)
-    assert conn.tcp.aborted == conn.failed == bool(failures)
+    assert conn.tcp.aborted == (conn.state == FAILED) == bool(failures)
 
 
 @PROPERTY

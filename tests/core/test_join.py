@@ -4,6 +4,7 @@ import pytest
 
 from helpers import connect_tcpls, make_net, tcpls_pair
 
+from repro.core.engine.connection import ATTACHED
 from repro.net.address import Endpoint
 from repro.net.scenario import Scenario
 
@@ -146,7 +147,7 @@ def test_join_that_overtakes_its_primary_attaches_after_it(join_flight_lost):
     assert client.ready and not sessions    # Finished lost at ~0.0404 s
     join = client.join(topo.path(1).client_addr)
     sim.run(until=0.15)
-    assert join.alive and not sessions      # the RTO resend is at ~0.28 s
+    assert join.state == ATTACHED and not sessions      # the RTO resend is at ~0.28 s
     client.create_stream(join).send(b"sent before the server was up" * 300)
     sim.run(until=2.0)
     session, = sessions

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from helpers import PSK, make_net
 
 from repro.core import TcplsClient, TcplsServer
+from repro.core.engine.connection import ATTACHED
 from repro.net import Simulator, build_multipath
 from repro.net.address import Endpoint
 from repro.tcp import TcpStack
@@ -168,7 +169,7 @@ def test_retired_session_is_never_resurrected(token_mode):
     assert not server.sessions and not server.live
     assert server.stats["accepts"] == server.stats["teardowns"] == 2
     assert len(session.conns) == 1
-    assert not ec.client.conns[1].alive
+    assert ec.client.conns[1].state != ATTACHED
 
 
 def test_handshakes_that_never_attach_leave_no_table_entry():

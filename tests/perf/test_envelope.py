@@ -125,14 +125,13 @@ def test_c1m_claim_fails_on_leaked_sessions():
 def test_known_wrong_is_strict():
     assert set(claims.KNOWN_WRONG) <= {c.id for c in claims.CLAIMS}
     rows = copy.deepcopy(envelope_rows())
-    rows["fig9/rotate=0.35/paths=2"]["metrics"]["done_at"] = 30.0
+    rows["fig9/rotate=0.35/paths=4"]["metrics"]["done_at"] = 95.1
     outcome = claims.evaluate(rows)
     assert [(c.id, why, [n for n, _e in read])
             for c, why, read in outcome.failed] == [
         ("fig9.tcpls-completes", "holds, but KNOWN_WRONG lists it",
-         ["fig9/rotate=0.35/paths=2"])]
-    assert outcome.known["fig9.tcpls-completes"] == [
-        "fig9/rotate=0.35/paths=4"]
+         ["fig9/rotate=0.35/paths=4"])]
+    assert outcome.known == {}
 
     stale = dict(claims.KNOWN_WRONG,
                  **{"fig7.link-bound": ("fig7/stack=mvfst/*",)})
@@ -157,7 +156,7 @@ def test_gate_prints_a_failed_claim_with_its_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "CLAIM FAILED fig8.mptcp-blackhole-slower" in out
     assert claims.f8("tcpls", "blackhole") in out
-    assert "known-wrong fig9.mptcp-recovers" in out
+    assert "known-wrong fig9.tcpls-completes" in out
 
 
 def test_filtered_run_lists_the_claims_it_did_not_evaluate(tmp_path, capsys):
