@@ -304,12 +304,10 @@ CLAIMS = [
          "fluid/*", lambda m: m["flows_completed"] == m["flows"]),
 ]
 
-#: claim id -> row patterns a known defect breaks (ROADMAP item 1)
-KNOWN_WRONG = {
-    # item 1(c): the scaled rotation at 0.35 s over four paths is too
-    # slow to finish in its horizon (it finishes at 95.1 s of 200)
-    "fig9.tcpls-completes": ("fig9/rotate=0.35/paths=4",),
-}
+#: claim id -> row patterns a known defect breaks (ROADMAP item 1);
+#: empty since the last entry, item 1(c)'s ``fig9/rotate=0.35/paths=4``,
+#: finished inside its horizon
+KNOWN_WRONG = {}
 
 
 class Outcome:

@@ -472,7 +472,7 @@ def table1_features_point(proto="tcpls"):
                  has(QuicConnection, "open_stream"), True, "partial",
                  False),
         # HoL avoidance is per stream, unless the streams are coupled
-        "tcpls": (True, True, has(Failover, "fail", "_replay_unacked"),
+        "tcpls": (True, True, has(Failover, "fail", "_replay"),
                   "partial", has(TcplsEngine, "create_stream"),
                   has(TcplsEngine, "steer_stream", "add_group_stream"),
                   has(TcplsEngine, "create_coupled_group")),

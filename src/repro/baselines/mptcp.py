@@ -432,12 +432,9 @@ class MptcpConnection:
 class MptcpClient(MptcpConnection):
     """Client side: opens the initial subflow, then per path manager."""
 
-    _next_token = 1
-
     def __init__(self, sim, stack, path_manager="fullmesh",
                  config_delay=0.0):
-        MptcpClient._next_token += 1
-        super().__init__(sim, stack, MptcpClient._next_token,
+        super().__init__(sim, stack, 1 + sim.bus.next_id("mptcp"),
                          is_client=True, path_manager=path_manager,
                          config_delay=config_delay)
 

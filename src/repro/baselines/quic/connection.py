@@ -438,12 +438,9 @@ class QuicConnection:
 
 
 class QuicClient(QuicConnection):
-    _next_dcid = 100
-
     def __init__(self, sim, udp_stack, local_addr, remote, psk, **kwargs):
-        QuicClient._next_dcid += 1
         socket = udp_stack.bind(local_addr)
-        super().__init__(sim, socket, remote, QuicClient._next_dcid,
+        super().__init__(sim, socket, remote, 100 + sim.bus.next_id("quic"),
                          is_client=True, psk=psk, **kwargs)
 
 

@@ -62,6 +62,10 @@ class ConnectionState:
         #: the pump's budget check is O(1) per record, not O(queue)).
         self.pending_out_bytes = 0
         self.control_stream = None
+        #: streams that moved off this connection with records sealed
+        #: here still unacked, each with the first sequence it sealed
+        #: after the move: this connection's failure replays them too
+        self.departed = {}
         self.last_stream = None
         #: ``(epoch, last_stream, candidates)`` of the last tag-trial
         #: order built for this connection (see ``Demux.candidates``)

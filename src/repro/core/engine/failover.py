@@ -2,7 +2,8 @@
 replay, and :meth:`Failover.fail`, the one way a connection dies."""
 
 from repro.core import record as rec
-from repro.core.engine.connection import CLOSED, ENDED, FAILED, recoverable
+from repro.core.engine.connection import (ATTACHED, CLOSED, ENDED, FAILED,
+                                          recoverable)
 from repro.core.engine.events import SessionEvent
 
 
@@ -83,15 +84,23 @@ class Failover:
         """``conn`` is dead: it enters FAILED (:meth:`ConnectionState.enter
         <repro.core.engine.connection.ConnectionState.enter>` resets or
         closes its transport, drops its queue and publishes the
-        failure).  Unless the failure is outright, fail over -- or let
-        ``_fall_back`` retry it, publishing nothing: the retried
-        connection has left ``conns`` by the time it fails."""
+        failure).  Unless the failure is outright, an ATTACHED
+        connection fails over -- or ``_fall_back`` retries it,
+        publishing nothing: the retried connection has left ``conns``
+        by the time it fails."""
         if conn.state in ENDED:
             return
         session = self.session
+        attached = conn.state == ATTACHED
         recover = recoverable(reason) and not session._fall_back(conn)
         conn.enter(FAILED, reason)
         if not (recover and session.failover_enabled and session.ready):
+            return
+        if not attached:
+            # A join probe that never attached carries no stream: it is
+            # no failover, but the one that waits needs the next probe.
+            if self.pending:
+                session._on_no_failover_target(conn)
             return
         session.stats["failovers"] += 1
         target = self._failover_target(conn)
@@ -172,16 +181,21 @@ class Failover:
         ]
         return (different or alive)[0]
 
-    def _migrate(self, failed_conn, target):
-        """Attach ``failed_conn``'s data streams to ``target``."""
-        moved = list(self.session.data_streams(failed_conn))
-        for stream in moved:
-            self.session._attach(stream, target)
-        return moved
+    def _carried(self, failed_conn):
+        """The data streams ``failed_conn`` carried: those attached to
+        it, and those that left it with records sealed there still
+        unacked (its ``departed`` book, emptied: each moves once)."""
+        departed, failed_conn.departed = failed_conn.departed, {}
+        return list(self.session.data_streams(failed_conn)) + [
+            stream for stream, seq in departed.items()
+            if stream.connection is not failed_conn and stream.unacked
+            and stream.unacked[0][0] < seq]
 
     def _do_failover(self, failed_conn, target):
         session = self.session
-        moved = self._migrate(failed_conn, target)
+        moved = self._carried(failed_conn)
+        for stream in moved:
+            session._attach(stream, target)
         entries = []
         for stream in moved:
             resume = stream.unacked[0][0] if stream.unacked else \
@@ -196,23 +210,23 @@ class Failover:
             rec.encode_sync(failed_conn.conn_id, entries),
         )
         session.stats["syncs_sent"] += 1
-        self._replay_unacked(target)
+        self._replay(target, moved)
         session.emit(SessionEvent.FAILOVER, failed_conn, target)
         session.pump.run()
 
-    def _replay_unacked(self, target):
-        """Retransmit stored ciphertexts as-is (per-stream contexts make
-        the bytes connection-independent)."""
+    def _replay(self, target, moved):
+        """Retransmit the ``moved`` streams' stored ciphertexts as-is
+        (per-stream contexts make the bytes connection-independent):
+        every unacked record of a stream that moved, once; a stream
+        that did not move replays nothing."""
         session = self.session
-        replayed = 0
-        for stream in session.data_streams(target):
-            for _seq, wire in stream.unacked:
-                session.pump.write(target, wire)
-                session.stats["records_replayed"] += 1
-                replayed += 1
-        if replayed:
+        wires = [wire for stream in moved for _seq, wire in stream.unacked]
+        for wire in wires:
+            session.pump.write(target, wire)
+        if wires:
+            session.stats["records_replayed"] += len(wires)
             session._emit("recovery", "replay",
-                          {"conn": target.conn_id, "records": replayed})
+                          {"conn": target.conn_id, "records": len(wires)})
 
 
 # -- the failover rows of TcplsEngine.ROWS (each called with the session) --
@@ -225,9 +239,13 @@ def on_ack(session, conn, stream, seq, inner):
 
 
 def on_sync(session, conn, stream, seq, inner):
-    """Peer signalled failover: reattach our view of its streams to
-    this connection, move our own streams off the dead connection,
-    and replay our unacked records (Fig. 4)."""
+    """Peer signalled failover: move the streams it names that are not
+    on this connection yet, then the rest of what the dead connection
+    carried, and replay the unacked records of what moved (Fig. 4).
+    A stream our own failover already moved here replays nothing.
+    Connection ids repeat (a probe that never sent its ClientHello
+    gives its credential back), so only a connection that has not
+    ended can be the one named."""
     failed_conn_id, entries = rec.decode_sync(inner.payload)
     session._emit("recovery", "sync_received", {
         "conn": conn.conn_id, "failed": failed_conn_id,
@@ -236,19 +254,19 @@ def on_sync(session, conn, stream, seq, inner):
     failover = session.failover
     failed = next(
         (c for c in session.conns if c.conn_id == failed_conn_id
-         and c is not conn),
+         and c is not conn and c.state not in ENDED),
         None,
     )
     if failed is not None:
         failover.fail(failed, "sync")
-    for stream_id, _resume_seq in entries:
-        named = session.streams.get(stream_id)
-        if named is not None:
-            session._attach(named, conn)
+    named = (session.streams.get(stream_id) for stream_id, _ in entries)
+    moved = [s for s in named if s is not None and s.connection is not conn]
     if failed is not None:
-        failover._migrate(failed, conn)
+        moved += [s for s in failover._carried(failed) if s not in moved]
         failover.pending = [c for c in failover.pending if c is not failed]
-    failover._replay_unacked(conn)
+    for stream in moved:
+        session._attach(stream, conn)
+    failover._replay(conn, moved)
     session.pump.run()
 
 

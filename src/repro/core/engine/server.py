@@ -64,7 +64,7 @@ class TcplsServerSessionEngine(TcplsEngine):
         self.server = server
         self.session_id = session_id
         #: join credentials minted for this session and not yet spent:
-        #: what :meth:`TcplsServerEngine.retire` revokes
+        #: what :meth:`close` revokes
         self.outstanding = set()
         #: joins whose handshake completed before the primary's, in
         #: arrival order (each spent a single-use credential, so at
@@ -72,6 +72,15 @@ class TcplsServerSessionEngine(TcplsEngine):
         self.parked = []
         if server.budget_bytes is not None:
             self.subscribe(SessionEvent.DRAIN, self._resume_reads)
+
+    def close(self):
+        """Close the session and revoke its unspent join credentials: a
+        later join presenting one is refused, not parked for good in a
+        session that is never ready again.  Retiring closes here too."""
+        for credential in self.outstanding:
+            del self.server._credentials[credential]
+        self.outstanding.clear()
+        super().close()
 
     # -- the receive budget ------------------------------------------------
 
@@ -221,9 +230,6 @@ class TcplsServerEngine(EventSource):
         refused, not resurrect the session.  Returns how many were
         revoked."""
         revoked = len(session.outstanding)
-        for credential in session.outstanding:
-            del self._credentials[credential]
-        session.outstanding.clear()
         for conn in session.conns:
             conn.enter(CLOSED, "retire")
         session.close()

@@ -613,7 +613,12 @@ class TcplsEngine(EventSource):
 
     def _attach(self, stream, conn):
         """Move ``stream`` to ``conn``; every cached trial order that
-        ranked it by its old connection is now stale."""
+        ranked it by its old connection is now stale.  Records it
+        sealed on a live old connection may still be queued there, so
+        that connection books it in ``departed``."""
+        old = stream.connection
+        if stream.unacked and old is not conn and old.state == ATTACHED:
+            old.departed[stream] = stream.ctx_send.send_seq
         stream.connection = conn
         self.demux.epoch += 1
 

@@ -25,10 +25,11 @@ Determinism rules:
 - **spawn** start method: workers never inherit parent state by fork,
   so a point's result cannot depend on what the parent imported or ran
   first.
-- ``maxtasksperchild=1``: every point runs in a fresh interpreter.
-  Simulation code keeps module/class-level counters (connection ids
-  seed the ISS, links number themselves for observability); a reused
-  worker would leak those from whatever point it ran previously.
+- workers live for the whole run, so a point must not depend on what
+  its worker ran before it: every identifier a simulation draws (TCP
+  connection ids, which seed the ISS, session and link ordinals, MPTCP
+  tokens, QUIC connection ids) comes from its own ``sim.bus.next_id``,
+  never from a module- or class-level counter.
 - results are merged in canonical (input) order regardless of
   completion order.
 
@@ -242,14 +243,14 @@ def run_matrix(points, jobs=1, cache=None):
             todo.append((index, point))
 
     if todo:
-        # Every remaining point pays for a fresh spawn interpreter; when
+        # The spawn interpreters start once per run, not per point; when
         # the cache resolved the whole matrix no pool is created at all.
         _check_picklable([point for _, point in todo])
         import multiprocessing
 
         ctx = multiprocessing.get_context("spawn")
         workers = min(jobs, len(todo))
-        with ctx.Pool(processes=workers, maxtasksperchild=1) as pool:
+        with ctx.Pool(processes=workers) as pool:
             for index, result in pool.imap_unordered(_execute, todo):
                 point = points[index]
                 results[index] = _entry_for(point, result)

@@ -11,6 +11,14 @@ of ROADMAP item 1(c) that the engine's old flags could not name.
   and the client ran out of them.
 - a peer FIN that stranded records failed the connection without
   closing our half, which stayed in CLOSE_WAIT for the session's life.
+- a join probe that timed out before it attached was failed over as
+  if it carried streams: counted, queued, and later named in a SYNC
+  that moved nothing.
+- a server ``session.close()`` kept the session's join credentials, so
+  the client's next join was parked on the server for good.
+- a stream steered off a connection that then failed lost the records
+  still queued there: only the streams attached to the failed
+  connection were replayed.
 """
 
 import os
@@ -18,12 +26,13 @@ import sys
 
 import pytest
 
-from helpers import PSK
+from helpers import PSK, connect_tcpls, tcpls_pair
 
 from repro.core import TcplsClient, TcplsServer
-from repro.core.engine.connection import ENDED, FAILED
+from repro.core.engine.connection import ENDED, FAILED, HANDSHAKING
 from repro.net import Simulator, build_faulty_multipath, build_multipath
 from repro.net.address import Endpoint
+from repro.obs import CaptureSink
 from repro.tcp import TcpStack
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
@@ -32,6 +41,10 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 from matrix_points import POINT_SIZE, fig9_rotation_point  # noqa: E402
+from tests.core.test_failover_scenarios import (  # noqa: E402
+    download_setup,
+    make_faulty_net,
+)
 
 
 def test_a_join_finished_into_an_outage_is_timed_out():
@@ -39,15 +52,84 @@ def test_a_join_finished_into_an_outage_is_timed_out():
     pending transfer, so its UTO fails it and the stream fails over."""
     row = fig9_rotation_point(rotate_every=0.35, n_paths=2)
     assert row["bytes_delivered"] == POINT_SIZE
-    assert row["done_at"] == pytest.approx(12.556, abs=0.01)
+    assert row["done_at"] == pytest.approx(12.454, abs=0.01)
 
 
 def test_joins_that_never_connected_leave_the_cookies_unspent():
     """Item 1(c) ``paths=4``: with every join failing still CONNECTING
     the client keeps its cookies and keeps probing paths (it stopped at
-    786,288 bytes when it spent them all); the rest is slowness."""
+    786,288 bytes when it spent them all).  A probe that never attached
+    is no failover, so no SYNC names it and nothing is replayed for it:
+    the download completes inside the 60 s horizon (it had 1,523,433
+    bytes by then while every probe failed over)."""
     row = fig9_rotation_point(rotate_every=0.35, n_paths=4)
-    assert row["bytes_delivered"] > 1_500_000
+    assert row["bytes_delivered"] == POINT_SIZE
+    assert row["done_at"] == pytest.approx(58.413, abs=0.01)
+
+
+def test_a_join_that_times_out_while_a_failover_waits_is_no_failover():
+    """No backup joined, and the outage takes two of three paths: the
+    primary's failover waits while three join probes time out before
+    the fourth attaches.  A probe carries no stream, so it only starts
+    the next one; the failover that waited is the only one, and its
+    SYNC the only SYNC."""
+    sim, topo, cstack, sstack = make_faulty_net(n_paths=3, seed=7)
+    sink = CaptureSink()
+    sim.bus.subscribe(sink, categories=("session", "recovery"))
+    client, _sessions, payload, received, done = download_setup(
+        sim, topo, cstack, sstack, 2 << 20)
+    for index in (0, 1):
+        topo.flap_path(index, at=0.5, duration=10.0)
+    sim.run(until=20)
+    assert done and bytes(received) == payload
+    mine = client.obs_id
+    timeouts = sink.select(name="conn_failed", session=mine,
+                           reason="join-timeout")
+    assert len(timeouts) == 3
+    assert client.stats["failovers"] == client.stats["syncs_sent"] == 1
+    (pending,) = sink.select(name="failover_pending", session=mine)
+    assert pending.data["reason"] == "uto"
+    (failover,) = sink.select(name="failover", session=mine)
+    assert failover.data["from"] == 0 and failover.data["streams"] == 2
+
+
+@pytest.mark.parametrize("upload", [True, False])
+def test_a_stream_steered_off_a_connection_that_fails_is_replayed(upload):
+    """The client steers a busy stream from the primary to the join and
+    the primary's path goes dark at once: the records already queued on
+    the primary are lost with it, and the sender's failover replays
+    them although the stream has left.  Uploading, the client steers
+    its own records; downloading, its STREAM_ATTACH moves the server's."""
+    sim, topo, cstack, sstack = make_faulty_net(n_paths=2, seed=7)
+    client, server, sessions = tcpls_pair(sim, topo, cstack, sstack)
+    received = bytearray()
+    payload = bytes(range(256)) * (2 << 12)
+    sender = client if upload else None
+
+    def on_session(session):
+        sessions.append(session)
+        session.enable_failover()
+        if upload:
+            session.on_stream_data = lambda st: received.extend(st.recv())
+    server.on_session = on_session
+    connect_tcpls(sim, topo, client)
+    client.join(topo.path(1).client_addr)
+    sim.run(until=sim.now + 0.3)
+    client.set_user_timeout(client.conns[0], 0.25)
+    if upload:
+        stream = client.create_stream(client.conns[0])
+    else:
+        (sender,) = sessions
+        stream = sender.create_stream(sender.conns[0])
+        client.on_stream_data = lambda st: received.extend(st.recv())
+    stream.send(payload)
+    stream.close()
+    sim.run(until=sim.now + 0.1)
+    client.steer_stream(client.streams[stream.stream_id], client.conns[1])
+    topo.flap_path(0, at=sim.now)
+    sim.run(until=sim.now + 20)
+    assert bytes(received) == payload
+    assert sender.stats["records_replayed"] > 0
 
 
 def _server_closes_mid_upload():
@@ -93,6 +175,19 @@ def test_the_server_books_hold_the_connections_that_have_not_ended():
                            if conn.state not in ENDED}
     assert server.stats["teardowns"] + len(server.live) == \
         server.stats["accepts"]
+
+
+def test_a_closed_server_session_parks_no_join():
+    """Closing a server session revokes its join credentials, as
+    retiring it does: the client's failover joins are refused, and none
+    is left HANDSHAKING on the server or parked in the session."""
+    sim, server, _client, _failed = _server_closes_mid_upload()
+    (session,) = server.sessions.values()
+    sim.run(until=sim.now + 5.0)
+    assert not [conn for conn in server.live
+                if conn.session is session and conn.state == HANDSHAKING]
+    assert session.parked == []
+    assert not session.outstanding
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP 1(e): a client stream "

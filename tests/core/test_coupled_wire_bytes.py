@@ -20,7 +20,7 @@ SIZE = 1 << 20
 
 #: sha256 over the two uploads' per-transport write digests
 ROUND_ROBIN_FAILOVER = (
-    "bc7d70260493dbbb7878f53b2215e4e43be2e3e4118592d6fe55d1a351845237")
+    "77d0d1aa3d4a3c33d69d7d57bdb47ad12cb5fbf8c9f7f1c981457f1cd09d87e1")
 REDUNDANT = (
     "6fba6bc4644904a8745ff522b8f91fc787c3a163bae79e48f1e59d6e345fdde8")
 

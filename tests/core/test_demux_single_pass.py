@@ -195,7 +195,7 @@ def test_cached_candidate_order_tracks_failover():
     """Blackhole, UTO, join on the other path, SYNC, replay (Fig. 8)."""
     sim, topo, cstack, sstack = make_net()
     client, server, sessions = tcpls_pair(sim, topo, cstack, sstack)
-    size = 1 << 20
+    size = 2 << 20
     checked = []
     received = bytearray()
 

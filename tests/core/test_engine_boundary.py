@@ -267,13 +267,15 @@ MOVED = {
                 "_chunk_size"},
     "failover.py": {"Failover", "maybe_ack", "reack", "send_ack", "fail",
                     "resolve", "_failover_target",
-                    "_do_failover", "_migrate", "_replay_unacked",
+                    "_do_failover", "_move", "_replay",
                     "_has_pending_transfer", "on_ack", "on_sync",
                     "on_enable_failover", "peer_closed", "timed_out"},
     "demux.py": {"Demux", "renew", "candidates", "find", "opened"},
 }
 #: the engine methods and state that forwarded to, or were, the above,
-#: and the connection flags and teardown paths that ``state`` replaced
+#: the connection flags and teardown paths that ``state`` replaced, and
+#: the stream move and the replay of every stream on the target that
+#: ``_move`` and ``_replay`` replaced
 GONE_FROM_ENGINE = {"_pump", "_drain", "_conn_write", "_send_typed",
                     "_send_control", "_maybe_ack", "_send_ack", "_on_ack",
                     "_on_sync", "_on_enable_failover", "_conn_failed",
@@ -281,7 +283,8 @@ GONE_FROM_ENGINE = {"_pump", "_drain", "_conn_write", "_send_typed",
                     "_resolve_pending_failover", "_pending_failover",
                     "transport", "_demux_candidates", "_demux_epoch",
                     "alive", "failed", "local_closed", "_check_join",
-                    "_forget", "_pending_gone", "_conn_gone"}
+                    "_forget", "_pending_gone", "_conn_gone", "_migrate",
+                    "_replay_unacked"}
 SESSION_CEILING = 900
 
 

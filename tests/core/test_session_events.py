@@ -25,7 +25,7 @@ from repro.obs import CaptureSink
 from repro.perf.loadgen import LoadgenHarness
 from repro.tcp import TcpStack
 from tests.core.test_multi_backpressure import _connect, _flood, _setup, paused
-from tests.obs.test_golden_traces import run_fig8_flap
+from tests.obs.test_golden_traces import run_fig9_rotation
 
 
 def test_subscribers_run_in_order_then_the_slot():
@@ -138,8 +138,11 @@ def test_backpressure_resumes_when_the_application_sets_on_drain():
 
 
 def test_the_peer_publishes_the_connection_a_sync_names_as_failed():
-    sink, harness = run_fig8_flap()
-    (sync,) = sink.select(name="sync_received")
+    """Fig. 9's rotation: the server's UTO fails the join it had moved
+    the download onto, and the client, whose end of that join had not
+    failed, learns it from the server's SYNC."""
+    sink, harness = run_fig9_rotation()
+    sync = sink.select(name="sync_received")[-1]
     assert any(event.data["reason"] == "sync"
                and event.data["conn"] == sync.data["failed"]
                and event.data["session"] == sync.data["session"]

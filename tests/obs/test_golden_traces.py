@@ -45,38 +45,46 @@ def key_trace(sink):
     return out
 
 
+def mid_transfer(sink, received, payload, done):
+    """The download completed, and the first failure came before it
+    did: what the trace pins is a failover, not the aftermath of a
+    finished transfer."""
+    assert done and bytes(received) == payload
+    assert sink.select(name="conn_failed")[0].time < done[0]
+
+
 def run_fig8_flap(seed=7):
-    """Fig. 8 blackhole scenario at test scale: 2-path download with the
-    primary flapping at t=1s for 2s."""
+    """Fig. 8 blackhole scenario at test scale: a 4 MiB download over 2
+    paths, the primary flapping at t=1s for 2s, about half-way through."""
     sim, topo, cstack, sstack = make_faulty_net(seed=seed)
     harness = arm_invariants(sim)
     sink = CaptureSink()
     sim.bus.subscribe(sink, categories=("session", "recovery"))
     client, sessions, payload, received, done = download_setup(
-        sim, topo, cstack, sstack, 2 << 20)
+        sim, topo, cstack, sstack, 4 << 20)
     client.join(topo.path(1).client_addr)
     topo.flap_path(0, at=1.0, duration=2.0)
     sim.run(until=20)
-    assert done and bytes(received) == payload
+    mid_transfer(sink, received, payload, done)
     return sink, harness
 
 
 def run_fig9_rotation(seed=9):
-    """Fig. 9 at test scale: 3 paths, the working one rotating, so the
-    session must fail over repeatedly."""
+    """Fig. 9 at test scale: an 8 MiB download over 3 paths, the working
+    one rotating every 2 s, so the session fails over mid-transfer."""
     sim, topo, cstack, sstack = make_faulty_net(n_paths=3, seed=seed)
     harness = arm_invariants(sim)
     sink = CaptureSink()
     sim.bus.subscribe(sink, categories=("session", "recovery"))
     client, sessions, payload, received, done = download_setup(
-        sim, topo, cstack, sstack, 2 << 20)
+        sim, topo, cstack, sstack, 8 << 20)
     client.auto_user_timeout = 0.25
     for i in range(1, 3):
         client.join(topo.path(i).client_addr)
     sim.run(until=sim.now + 0.3)       # joins complete before the chaos
     topo.rotate_working(2.0)
     sim.run(until=40)
-    assert done and bytes(received) == payload
+    mid_transfer(sink, received, payload, done)
     return sink, harness
 
 
@@ -85,10 +93,10 @@ def test_fig8_key_event_subsequence():
     names = sink.names()
     # The failover chain, in causal order: the session comes up, the
     # second path joins, the flap kills the primary, streams move onto
-    # the joined path, and the peer resynchronises + replays.
+    # the joined path and replay there, and the peer resynchronises.
     assert is_subsequence(
-        ["ready", "join", "conn_failed", "failover", "sync_received",
-         "replay"],
+        ["ready", "join", "conn_failed", "failover", "replay",
+         "sync_received"],
         names,
     )
     # With a backup already joined the failover is immediate — no
@@ -117,25 +125,43 @@ def test_fig8_failover_without_backup_goes_through_pending():
 
 
 def test_fig8_failover_event_names_the_surviving_connection():
+    """Both ends arm the UTO, so both see the blackhole: each fails over
+    once, from the connection it saw fail."""
     sink, _harness = run_fig8_flap()
-    (failover,) = sink.select(name="failover")
-    failed = sink.select(name="conn_failed")
-    assert failed[0].data["conn"] == failover.data["from"]
-    assert failover.data["from"] != failover.data["to"]
-    assert failover.data["streams"] >= 1
+    failovers = sink.select(name="failover")
+    assert sorted(e.data["session"] for e in failovers) == [1, 2]
+    for failover in failovers:
+        failed = sink.select(name="conn_failed",
+                             session=failover.data["session"])
+        assert failed[0].data["conn"] == failover.data["from"]
+        assert failover.data["from"] != failover.data["to"]
+        assert failover.data["streams"] >= 1
 
 
 def test_fig8_peer_sees_the_sync_and_replay():
     sink, _harness = run_fig8_flap()
-    syncs = sink.select(name="sync_received")
-    assert syncs, "peer never processed the failover SYNC"
-    (failover,) = sink.select(name="failover")
-    # The SYNC names the connection that failed and arrives on the
-    # surviving one.
-    assert syncs[0].data["failed"] == failover.data["from"]
-    assert syncs[0].data["conn"] == failover.data["to"]
+    for failover in sink.select(name="failover"):
+        peer = 3 - failover.data["session"]
+        # The SYNC names the connection that failed and arrives on the
+        # surviving one.
+        (sync,) = sink.select(name="sync_received", session=peer)
+        assert sync.data["failed"] == failover.data["from"]
+        assert sync.data["conn"] == failover.data["to"]
     # The failing side replays its unacked records after the SYNC.
     assert sink.select(name="replay")
+
+
+def test_fig8_each_end_replays_only_what_its_own_failover_moved():
+    """Each end's failover moves its streams and replays their unacked
+    records once, right after its SYNC.  The peer's SYNC then names
+    streams that are already on the connection it arrives on: it moves
+    nothing and replays nothing."""
+    sink, _harness = run_fig8_flap()
+    for session in (1, 2):
+        names = [e.name for e in sink.events
+                 if e.data.get("session") == session
+                 and e.name in ("failover", "sync_received", "replay")]
+        assert names == ["failover", "replay", "sync_received"]
 
 
 def test_fig8_golden_trace_is_stable_across_runs():

@@ -11,6 +11,7 @@ bench jobs.
 import copy
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -45,6 +46,42 @@ def test_envelope_rows_are_the_matrix_spec():
         assert row["axes"] == points[name].axes, name
     name = "fig7/stack=tcpls/mtu=1500/cipher=aes128gcm/recsize=16384/ack=16"
     assert points[name].run() == rows[name]["metrics"]
+
+
+#: the cheapest rows of every family, with the MPTCP and QUIC stacks
+#: (fig10, fig11 and fig13 have no row under 2 s)
+ONE_PROCESS_ROWS = (
+    "table1/proto=mptcp", "table1/proto=quic",
+    "fig7/stack=tcpls/mtu=1500/cipher=aes128gcm/recsize=16384/ack=16",
+    "fig7/stack=quicly/mtu=1500",
+    "fig8/proto=tcpls/outage=rst/at=0.45",
+    "fig8/proto=mptcp/outage=rst/at=0.2",
+    "fig9/rotate=0.8/paths=2", "fig10/mib=60", "fig11/proto=tcpls",
+    "fig13/records=16384", "sec45/mode=tfo", "sec52/device=nat",
+    "sec51/buffers=tuned", "c1m/sessions=120/failover=8",
+    "fluid/scenario=incast/flows=2000",
+    "pageload/stack=tcpls/policy=round-robin/grid=ge-light",
+    "pageload/stack=mptcp/policy=predictive/grid=clean",
+    "pageload/stack=quic/policy=lowest-rtt/grid=clean",
+    "ablation/demux=interleaved/streams=4",
+    "ablation/framing=end-of-record",
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rows_run_one_after_another_in_one_process(seed):
+    """Matrix workers live for the whole run, so a row must not depend
+    on what its process ran before it: rows of every family, run in one
+    process in a seeded shuffle, are the envelope's."""
+    assert {family(name) for name in ONE_PROCESS_ROWS} == \
+        {family(name) for name in envelope_rows()}
+    points = {p.name: p for p in matrix_points.default_matrix()}
+    rows = envelope_rows()
+    names = list(ONE_PROCESS_ROWS)
+    random.Random(seed).shuffle(names)
+    for name in names:
+        metrics = json.loads(json.dumps(points[name].run()))
+        assert metrics == rows[name]["metrics"], name
 
 
 def test_gate_reaches_every_family_and_names_no_absent_metric():
@@ -124,14 +161,19 @@ def test_c1m_claim_fails_on_leaked_sessions():
 
 def test_known_wrong_is_strict():
     assert set(claims.KNOWN_WRONG) <= {c.id for c in claims.CLAIMS}
-    rows = copy.deepcopy(envelope_rows())
-    rows["fig9/rotate=0.35/paths=4"]["metrics"]["done_at"] = 95.1
-    outcome = claims.evaluate(rows)
+    row = "fig9/rotate=0.35/paths=4"
+    listed = dict(claims.KNOWN_WRONG, **{"fig9.tcpls-completes": (row,)})
+    outcome = claims.evaluate(envelope_rows(), known_wrong=listed)
     assert [(c.id, why, [n for n, _e in read])
             for c, why, read in outcome.failed] == [
         ("fig9.tcpls-completes", "holds, but KNOWN_WRONG lists it",
-         ["fig9/rotate=0.35/paths=4"])]
+         [row])]
     assert outcome.known == {}
+    rows = copy.deepcopy(envelope_rows())
+    rows[row]["metrics"]["done_at"] = None
+    outcome = claims.evaluate(rows, known_wrong=listed)
+    assert outcome.failed == []
+    assert outcome.known == {"fig9.tcpls-completes": [row]}
 
     stale = dict(claims.KNOWN_WRONG,
                  **{"fig7.link-bound": ("fig7/stack=mvfst/*",)})
@@ -147,16 +189,21 @@ def write(tmp_path, name, rows):
     return str(path)
 
 
-def test_gate_prints_a_failed_claim_with_its_rows(tmp_path, capsys):
+def test_gate_prints_a_failed_claim_with_its_rows(tmp_path, capsys,
+                                                 monkeypatch):
+    row = "fig9/rotate=0.35/paths=4"
+    monkeypatch.setitem(claims.KNOWN_WRONG, "fig9.tcpls-completes", (row,))
     rows = envelope_rows()
     base = write(tmp_path, "base.json", rows)
     bad = copy.deepcopy(rows)
     bad[claims.f8("mptcp", "blackhole")]["metrics"]["recovery_s"] = 0.5
+    bad[row]["metrics"]["done_at"] = None
     assert gate.main([base, write(tmp_path, "bad.json", bad)]) == 1
     out = capsys.readouterr().out
     assert "CLAIM FAILED fig8.mptcp-blackhole-slower" in out
     assert claims.f8("tcpls", "blackhole") in out
-    assert "known-wrong fig9.tcpls-completes" in out
+    assert "known-wrong fig9.tcpls-completes: %s" % row in out
+    assert "(1 failed, 1 known-wrong)" in out
 
 
 def test_filtered_run_lists_the_claims_it_did_not_evaluate(tmp_path, capsys):

@@ -41,9 +41,9 @@ def flaky_point(x=0, fail=False):
 
 
 def connection_id_probe():
-    """Exposes interpreter-state leaks: TcpConnection numbers itself
-    with a class counter, so a reused worker would return different
-    ids for the same point."""
+    """Exposes interpreter-state leaks: were TcpConnection numbered by a
+    class counter, a reused worker would return different ids for the
+    same point."""
     from repro.net import Simulator, build_multipath
     from repro.net.address import Endpoint
     from repro.tcp import TcpStack
@@ -154,9 +154,10 @@ def test_empty_point_list():
     assert results == [] and stats.executed == 0
 
 
-def test_fresh_interpreter_per_point():
-    """Two identical simulation points must return identical ids even
-    in the same worker slot -- maxtasksperchild=1 guarantees it."""
+def test_a_reused_worker_gives_a_point_the_same_ids():
+    """Workers live for the whole run: two identical simulation points
+    in one worker still return identical ids, because every id is drawn
+    per simulation (``sim.bus.next_id``), not from a class counter."""
     points = [MatrixPoint("probe-a", connection_id_probe),
               MatrixPoint("probe-b", connection_id_probe)]
     (a, b), _ = run_matrix(points, jobs=1)
