@@ -127,12 +127,12 @@ class Failover:
             session._on_clean_close(conn)
 
     def timed_out(self, conn):
-        """UTO fired: fail over only if a transfer actually hangs on
-        this connection; a merely idle session re-arms the timer."""
-        if self._has_pending_transfer(conn):
+        """UTO fired: fail over if the transport has already ended (a
+        kernel UTO tears its socket down) or a transfer hangs on this
+        connection.  A merely idle one is left alone: the transport
+        arms its next check on its own progress."""
+        if not conn.tcp.is_open() or self._has_pending_transfer(conn):
             self.fail(conn, "uto")
-        elif conn.tcp.user_timeout is not None:
-            conn.tcp.set_user_timeout(conn.tcp.user_timeout)
 
     def _has_pending_transfer(self, conn):
         """Is this connection carrying an unfinished transfer?  Its own
@@ -145,10 +145,14 @@ class Failover:
             if (stream.pending or stream.unacked
                     or (stream.fin_pending and not stream.fin_sent)):
                 return True
-            # Inbound stream mid-transfer: recent data, no FIN yet.
-            if stream.recv_decrypted and not stream.fin_received and \
+            # Inbound stream mid-transfer: data within TCP's own 4 x
+            # UTO, no FIN yet.  Only the client can act on its stall
+            # (by joining), so only the client counts it.
+            if session.is_client and stream.recv_decrypted and \
+                    not stream.fin_received and \
                     stream.coupled_group is None and \
-                    session.clock.now - stream.last_delivery < 2.0:
+                    session.clock.now - stream.last_delivery \
+                    < 4 * conn.tcp.user_timeout:
                 return True
         for group in session.groups.values():
             if not any(s.connection is conn for s in group.streams):

@@ -17,7 +17,7 @@ engine entry point      meaning
 ``conn_writable``       the connection drained; more may be written
 ``conn_failed``         the connection died (RST, timeout, error)
 ``conn_closed``         the peer closed cleanly (FIN)
-``user_timeout_fired``  the armed user timeout elapsed
+``user_timeout_fired``  the silence reached the user timeout
 timer callbacks         armed earlier via ``clock.schedule``
 ======================  ==============================================
 
@@ -51,6 +51,12 @@ class Transport(abc.ABC):
       (or ``None``);
     - ``on_established``: settable callback attribute fired once the
       connection completes its open.
+
+    The user timeout has one owner, the transport: ``on_user_timeout``
+    fires once per silence, and only the transport re-arms it (on its
+    own progress).  The engine decides what a timeout means and never
+    re-arms it; a transport whose timeout also ended it (a kernel
+    ``ETIMEDOUT``) is no longer :meth:`is_open` when it fires.
     """
 
     #: the callbacks :meth:`set_callbacks` installs (``None`` until set)
@@ -139,7 +145,7 @@ class Transport(abc.ABC):
         return 0
 
     def set_user_timeout(self, seconds):
-        """Arm the TCP user timeout (RFC 5482 semantics)."""
+        """Arm (or update) the TCP user timeout (RFC 5482 semantics)."""
         self.user_timeout = seconds
 
     def attach_ebpf_congestion(self, bytecode, program_name="prog"):

@@ -121,9 +121,18 @@ class TcpConnection:
         self._persist_backoff = 0
 
         # User timeout (RFC 5482): TCPLS's blackhole-detection trigger.
+        # Its checks tick every UTO/4 from ``_uto_origin`` (establishment
+        # or the last set_user_timeout); ``_uto_timer`` is armed for the
+        # one tick at which the silence reaches the timeout.
         self.user_timeout = None
         self.last_segment_received = self.sim.now
         self.last_data_received = None
+        self._uto_origin = None
+        #: the send that started the silence after a check ran
+        self._uto_sent_at = self.sim.now
+        #: the check ran and nothing has happened since: the next
+        #: segment received or send arms it again
+        self._uto_spent = False
 
         # TFO state for this connection attempt.
         self._tfo_data = b""
@@ -261,6 +270,10 @@ class TcpConnection:
         if self._fin_queued:
             raise RuntimeError("send() after close()")
         accepted = self.snd_buf.write(bytes(data))
+        if self._uto_spent:
+            # a send starts the next silence
+            self._uto_sent_at = self.sim.now
+            self._arm_uto()
         self._try_send()
         return accepted
 
@@ -316,9 +329,10 @@ class TcpConnection:
         self._enter_closed(notify=False)
 
     def set_user_timeout(self, seconds):
-        """Arm (or update) the RFC 5482 user timeout."""
+        """Arm (or update) the RFC 5482 user timeout; its checks tick
+        every UTO/4 from now (from establishment if not yet open)."""
         self.user_timeout = seconds
-        self._schedule_uto_check()
+        self._start_uto()
 
     def is_open(self):
         return self.state in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, FIN_WAIT_2)
@@ -725,7 +739,8 @@ class TcpConnection:
         """
         self.segments_received += 1
         self.last_segment_received = self.sim.now
-        if self.state == ESTABLISHED and segment.flags is FLAGS_ACK \
+        state = self.state
+        if state == ESTABLISHED and segment.flags is FLAGS_ACK \
                 and not segment.options:
             if (segment.ack == self.snd_una == self.snd_nxt
                     == self.snd_buf.end_seq and not self._fin_queued
@@ -738,17 +753,16 @@ class TcpConnection:
                 self._process_ack(segment)
             if segment.payload:
                 self._process_payload(segment)
-            return
-        if segment.is_rst:
+        elif segment.is_rst:
             self._handle_rst(segment)
-            return
-        state = self.state
-        if state == SYN_SENT:
+        elif state == SYN_SENT:
             self._rx_syn_sent(segment)
         elif state == SYN_RCVD:
             self._rx_syn_rcvd(segment)
         else:
             self._rx_established_family(segment)
+        if self._uto_spent:
+            self._arm_uto()
 
     def _handle_rst(self, segment):
         if self.state == CLOSED:
@@ -804,7 +818,8 @@ class TcpConnection:
     def _become_established(self):
         self._set_state(ESTABLISHED)
         self.established_at = self.sim.now
-        self._schedule_uto_check()
+        if self.user_timeout is not None:
+            self._start_uto()
         if self.on_established is not None:
             self.on_established(self)
 
@@ -967,15 +982,38 @@ class TcpConnection:
         elif not reset and self.on_close is not None:
             self.on_close(self)
 
-    def _schedule_uto_check(self):
-        if self.user_timeout is None or self.state != ESTABLISHED:
-            return
-        self._uto_timer.arm(max(self.user_timeout / 4.0, 0.01))
+    def _start_uto(self):
+        self._uto_origin = self.sim.now
+        self._arm_uto()
+
+    def _uto_tick(self):
+        """The first check tick after the origin at which the silence
+        -- since the last segment received, or the send that started
+        it -- reaches the user timeout."""
+        uto, origin = self.user_timeout, self._uto_origin
+        since = max(self.last_segment_received, self._uto_sent_at)
+        period = max(uto / 4.0, 0.01)
+        return origin + max(-((origin - since - uto) // period), 1.0) * period
+
+    def _arm_uto(self):
+        self._uto_spent = False
+        # checked while established only
+        if self.state == ESTABLISHED and self.user_timeout is not None:
+            self._uto_timer.arm_at(self._uto_tick())
 
     def _check_uto(self):
+        """The UTO check tick: unless a segment arrived since it was
+        armed (then it moves to the tick that silence reaches), tell
+        the application, once, if a transfer hangs on the connection.
+        Only progress (:meth:`receive_segment`, :meth:`send`) arms the
+        next check."""
         if self.user_timeout is None or self.state != ESTABLISHED:
             return
-        idle = self.sim.now - self.last_segment_received
+        tick = self._uto_tick()
+        if tick > self.sim.now:
+            self._uto_timer.arm_at(tick)
+            return
+        self._uto_spent = True
         # RFC 5482 covers unacknowledged sent data; the paper
         # additionally uses it receiver-side to notice a stalled inbound
         # transfer.  Either way an *idle* connection must not fire.
@@ -984,11 +1022,8 @@ class TcpConnection:
             and self.sim.now - self.last_data_received
             < 4 * self.user_timeout
         )
-        if idle >= self.user_timeout and transfer_active:
-            if self.on_user_timeout is not None:
-                self.on_user_timeout(self)
-            return  # fired once; TCPLS decides what happens next
-        self._schedule_uto_check()
+        if transfer_active and self.on_user_timeout is not None:
+            self.on_user_timeout(self)
 
     def __repr__(self):
         return "TcpConnection(%s %s->%s)" % (self.state, self.local,

@@ -19,6 +19,9 @@ of ROADMAP item 1(c) that the engine's old flags could not name.
 - a stream steered off a connection that then failed lost the records
   still queued there: only the streams attached to the failed
   connection were replayed.
+- a finished download failed the server's primary as ``uto``: the
+  client's request stream counted as a stalled inbound transfer on the
+  end that cannot act on it.
 """
 
 import os
@@ -190,41 +193,80 @@ def test_a_closed_server_session_parks_no_join():
     assert not session.outstanding
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 1(e): a client stream "
-                   "that never sends its FIN counts as an inbound "
-                   "transfer for 2 s after its last delivery")
-def test_no_user_timeout_failure_after_a_finished_download():
-    """No fault, 4 MiB downloaded by 1.47 s; the server's UTO then fails
-    the primary as ``uto`` at 1.74 s, because the client's GET stream
-    delivered data within the last 2 s and never sent a FIN."""
-    sim = Simulator(seed=1171176839)
-    topo = build_faulty_multipath(sim, n_paths=2)
+def _answering_pair(sim, topo, size):
+    """A client and a failover-enabled server that answers each GET
+    with ``size`` bytes and a FIN on a stream of its own; returns the
+    client, the byte counts it received and the connection failures
+    of both ends as ``(time, reason)``."""
     server = TcplsServer(sim, TcpStack(sim, topo.server), 443, psk=PSK)
     client = TcplsClient(sim, TcpStack(sim, topo.client), psk=PSK)
-    size, received, failures = 4 << 20, [], []
+    received, failures = [], []
+
+    def on_failed(_conn, reason):
+        failures.append((sim.now, reason))
 
     def on_session(session):
         session.enable_failover()
-        session.on_conn_failed = lambda conn, reason: failures.append(
-            (sim.now, reason))
+        session.on_conn_failed = on_failed
 
         def on_request(stream):
             if stream.recv().startswith(b"GET"):
-                out = session.create_stream(session.conns[0])
+                out = session.create_stream(stream.connection)
                 out.send(b"x" * size)
                 out.close()
         session.on_stream_data = on_request
+
+    server.on_session = on_session
+    client.on_stream_data = lambda stream: received.append(
+        len(stream.recv()))
+    client.on_conn_failed = on_failed
+    return client, received, failures
+
+
+@pytest.mark.parametrize("size", [16 << 10, 1 << 20, 4 << 20])
+def test_no_user_timeout_failure_after_a_finished_download(size):
+    """No fault: neither end fails a connection once the download is
+    done.  It did, as ``uto``, at every size (16 KiB at 0.363 s, 1 MiB
+    at 0.738 s, 4 MiB at 1.738 s): the client's GET stream, which never
+    sends a FIN, counted as a stalled inbound transfer on the server,
+    which cannot act on it, for 2 s after its last delivery."""
+    sim = Simulator(seed=1171176839)
+    topo = build_faulty_multipath(sim, n_paths=2)
+    client, received, failures = _answering_pair(sim, topo, size)
 
     def on_ready(_session):
         client.set_user_timeout(client.conns[0], 0.25)
         client.create_stream(client.conns[0]).send(b"GET /file")
 
-    server.on_session = on_session
     client.on_ready = on_ready
-    client.on_stream_data = lambda stream: received.append(
-        len(stream.recv()))
     path = topo.path(0)
     client.connect(path.client_addr, Endpoint(path.server_addr, 443))
     sim.run(until=5.0)
     assert sum(received) == size
+    assert failures == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1(e): a one-record "
+                   "request stream is never record-acked, so its "
+                   "unacked record counts as a pending transfer")
+def test_no_user_timeout_failure_after_a_second_finished_request():
+    """Both responses arrive, yet the client fails conn 0 as ``uto`` at
+    3.713 s: the silence after ``GET /b``'s response reaches the UTO,
+    and ``GET /a``'s stream still holds its one record, unacked, which
+    ``_has_pending_transfer`` counts as a transfer."""
+    sim = Simulator(seed=7)
+    topo = build_multipath(sim, n_paths=2, delay=0.1)
+    client, received, failures = _answering_pair(sim, topo, 20000)
+
+    def on_ready(_session):
+        client.set_user_timeout(client.conns[0], 0.25)
+        client.create_stream(client.conns[0]).send(b"GET /a")
+
+    client.on_ready = on_ready
+    path = topo.path(0)
+    client.connect(path.client_addr, Endpoint(path.server_addr, 443))
+    sim.run(until=3.0)
+    client.create_stream(client.conns[0]).send(b"GET /b")
+    sim.run(until=6.0)
+    assert sum(received) == 40000
     assert failures == []

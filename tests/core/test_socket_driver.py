@@ -7,12 +7,14 @@ simulator tests exercise.  Marked ``smoke`` (real sockets + wall-clock
 time; excluded from environments without loopback networking).
 """
 
+import errno
 import time
 
 import pytest
 
 from repro.core.drivers.sockets import SocketDriver
 from repro.core.engine import TcplsClientEngine, TcplsServerEngine
+from repro.core.engine.connection import FAILED
 
 pytestmark = pytest.mark.smoke
 
@@ -271,3 +273,25 @@ def test_upload_memory_does_not_grow_with_its_size(size):
         driver.close()
     assert received.digest() == expected
     assert peak < UPLOAD_PEAK_BOUND, "traced peak %.1f MB" % (peak / 1e6)
+
+
+def test_a_kernel_user_timeout_fails_the_connection():
+    """The kernel's TCP_USER_TIMEOUT surfaces as ``ETIMEDOUT``, and the
+    transport tears its socket down before it reports the timeout: the
+    connection must fail as ``uto`` (not stay ATTACHED on a closed
+    socket), so the client learns it has no usable connection left."""
+    driver = SocketDriver()
+    try:
+        client, _server, _session = _connect_pair(driver)
+        failures = []
+        client.on_conn_failed = lambda conn, reason: failures.append(
+            (conn, reason))
+        (conn,) = client.conns
+        client.set_user_timeout(conn, 0.25)
+        conn.tcp._fail(OSError(errno.ETIMEDOUT, "user timeout"))
+        assert not conn.tcp.is_open()
+        assert conn.state == FAILED
+        assert failures == [(conn, "uto")]
+        assert not any(c.usable() for c in client.conns)
+    finally:
+        driver.close()

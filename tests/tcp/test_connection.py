@@ -5,6 +5,7 @@ import pytest
 from helpers import bulk_receiver, bulk_sender, make_net, tcp_pair
 
 from repro.net.address import Endpoint
+from repro.tcp.connection import TcpConnection
 
 
 def test_three_way_handshake():
@@ -132,8 +133,10 @@ def test_user_timeout_fires_on_silence():
     conn.on_user_timeout = lambda c: fired.append(sim.now)
     topo.flap_path(0, at=0.5)
     sim.run(until=5)
-    assert fired
-    assert 0.7 <= fired[0] <= 1.1  # ~250 ms after the last segment
+    # The first UTO/4 check tick (established at 0.02002816 s) at which
+    # the silence since the last segment reaches 250 ms -- once.
+    assert conn.last_segment_received == pytest.approx(0.49992, abs=1e-6)
+    assert fired == [pytest.approx(0.77002816, abs=1e-9)]
 
 
 def test_user_timeout_idle_connection_does_not_fire():
@@ -154,6 +157,59 @@ def test_user_timeout_idle_connection_does_not_fire():
     conn.on_user_timeout = lambda c: fired.append(sim.now)
     sim.run(until=5)
     assert not fired
+
+
+def test_user_timeout_counts_a_send_after_idling_from_the_send():
+    """A send on a connection idle for 5 s starts a new silence: the
+    timeout must not fire before the send's ACK, one 200 ms RTT on."""
+    sim, topo, cstack, sstack = make_net(n_paths=1, delay=0.1)
+    on_accept, received = bulk_receiver()
+    sstack.listen(443, on_accept)
+    p = topo.path(0)
+    conn = cstack.connect(p.client_addr, Endpoint(p.server_addr, 443))
+    conn.set_user_timeout(0.25)
+    fired = []
+    conn.on_user_timeout = lambda c: fired.append(sim.now)
+    sim.run(until=5.0)
+    conn.send(b"x" * 1000)
+    sim.run(until=5.5)
+    assert conn.bytes_acked == 1000 and len(received) == 1000
+    assert fired == []
+
+
+def test_user_timeout_on_an_idle_connection_runs_one_check(monkeypatch):
+    """The UTO check is computed, not polled: a minute of idling with
+    the timeout armed runs the check at most once."""
+    checks = []
+    check = TcpConnection._check_uto
+
+    def counted(self):
+        checks.append(self.sim.now)
+        check(self)
+
+    monkeypatch.setattr(TcpConnection, "_check_uto", counted)
+    sim, topo, cstack, sstack = make_net(n_paths=1)
+    conn, _accepted = tcp_pair(sim, topo, cstack, sstack)
+    conn.set_user_timeout(0.25)
+    sim.run(until=60.0)
+    assert conn.state == "ESTABLISHED"
+    assert len(checks) <= 1
+
+
+def test_user_timeout_cleared_mid_transfer_does_not_fire():
+    sim, topo, cstack, sstack = make_net(n_paths=1)
+    on_accept, _ = bulk_receiver()
+    sstack.listen(443, on_accept)
+    p = topo.path(0)
+    conn = cstack.connect(p.client_addr, Endpoint(p.server_addr, 443))
+    fired = []
+    bulk_sender(conn, b"x" * (2 << 20))
+    conn.set_user_timeout(0.25)
+    conn.on_user_timeout = lambda c: fired.append(sim.now)
+    topo.flap_path(0, at=0.5)
+    sim.at(0.6, conn.set_user_timeout, None)
+    sim.run(until=5)
+    assert fired == []
 
 
 def test_user_timeout_quiet_when_traffic_flows():

@@ -44,6 +44,8 @@ def _never_predict(self, segment, packet):
     self.segments_received += 1
     self.last_segment_received = self.sim.now
     self._rx_established_family(segment)
+    if self._uto_spent:
+        self._arm_uto()
 
 
 class FlagRebuilder(Middlebox):
