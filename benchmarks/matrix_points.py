@@ -462,7 +462,7 @@ def table1_features_point(proto="tcpls"):
         "tcp": (has(TcpConnection, "_retransmit_lost", "_on_rto"),
                 False, False, False, False, False, False),
         # one data sequence space; path managers, not app-driven moves
-        "mptcp": (True, False, has(MptcpConnection, "_on_subflow_failed"),
+        "mptcp": (True, False, has(MptcpConnection, "_end_subflow"),
                   False, False, "partial",
                   has(MptcpConnection, "_pick_subflow")),
         "tls-tcp": (True, has(_TlsEndpoint, "send_application_data"),

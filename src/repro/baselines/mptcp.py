@@ -23,11 +23,19 @@ kernel-style MPTCP connection built from TCP subflows over
 
 Failure handling mirrors the behaviours the paper measured: an explicit
 RST kills a subflow immediately; a blackholed subflow is only declared
-dead after its retransmission timer has backed off ``RTO_FAIL_BACKOFF``
-times, which is what makes MPTCP take seconds per outage in Fig. 9.
+dead when its retransmission timer fires with ``RTO_FAIL_BACKOFF``
+backoffs done (TCP's ``on_rto`` hook, Linux's ``BPF_SOCK_OPS_RTO_CB``),
+which is what makes MPTCP take seconds per outage in Fig. 9.
 Re-created subflows to a previously reset address pair are attempted at
 most once; a second RST on the same pair blacklists it (the stall the
 paper observed when injecting RSTs repeatedly).
+
+A subflow has one state (``OPENING``, ``UP``, ``FAILED``, ``CLOSED``)
+and one way to end (:meth:`MptcpConnection._end_subflow`): its
+``reopen_interval`` deadline, an RST, a stall and the peer's FIN all go
+through it.  Nothing polls: the path manager runs when a subflow ends,
+or from one timer when only ``reopen_interval`` holds it back, so an
+idle connection has nothing scheduled.
 """
 
 import struct
@@ -51,40 +59,45 @@ RTO_FAIL_BACKOFF = 3
 #: data chunk granularity (one TCP payload per chunk)
 CHUNK_SIZE = 1448
 
+#: :attr:`Subflow.state`; FAILED and CLOSED are final
+OPENING, UP, FAILED, CLOSED = "opening", "up", "failed", "closed"
+
 
 class Subflow:
     """One TCP subflow plus its MPTCP bookkeeping."""
 
-    def __init__(self, mptcp, tcp, pair, backup=False):
+    def __init__(self, mptcp, tcp, pair, backup=False, state=OPENING):
         self.mptcp = mptcp
         self.tcp = tcp
         self.pair = pair          # (local addr, remote addr)
         self.backup = backup
-        self.established = False
-        self.failed = False
+        self.state = state
+        #: when the subflow came up (``None`` while it never did)
+        self.up_at = mptcp.sim.now if state == UP else None
         self._parse_buffer = bytearray()
         tcp.on_data = lambda _c: mptcp._on_subflow_data(self)
-        tcp.on_reset = lambda _c: mptcp._on_subflow_failed(self, "rst")
-        tcp.on_close = lambda _c: mptcp._on_subflow_closed(self)
+        tcp.on_reset = lambda _c: mptcp._end_subflow(self, FAILED, "rst")
+        tcp.on_close = lambda _c: mptcp._end_subflow(self, CLOSED, "fin")
+        tcp.on_rto = self._on_rto
         tcp.on_send_space = lambda _c: mptcp._pump()
 
     def usable(self):
-        return self.established and not self.failed and self.tcp.is_open()
+        return self.state == UP and self.tcp.is_open()
 
     def srtt(self):
         value = self.tcp.rtt.srtt
         return value if value is not None else float("inf")
 
-    def monitor_stall(self):
-        """Blackhole detection: excessive RTO backoff means the path is
-        gone even though no explicit signal arrived."""
-        return self.tcp._rto_backoff >= RTO_FAIL_BACKOFF
+    def _on_rto(self, _tcp, backoff):
+        """Blackhole detection: a retransmission timer that has backed
+        off ``RTO_FAIL_BACKOFF`` times means the path is gone even
+        though no explicit signal arrived."""
+        if backoff >= RTO_FAIL_BACKOFF:
+            self.mptcp._end_subflow(self, FAILED, "stall")
 
     def __repr__(self):
-        state = "failed" if self.failed else (
-            "up" if self.established else "opening")
         return "Subflow(%s->%s %s%s)" % (
-            self.pair[0], self.pair[1], state,
+            self.pair[0], self.pair[1], self.state,
             " backup" if self.backup else "",
         )
 
@@ -120,15 +133,18 @@ class MptcpConnection:
         self._fin_seq = None
         self.bytes_delivered = 0
 
-        self._monitor_event = None
         self.on_data = None
         self.on_established = None
-        self.on_subflow_failed = None
-        self._established_fired = False
+        #: ``fn(subflow, reason)`` when a subflow ends; reason is
+        #: ``"timeout"``, ``"rst"``, ``"stall"`` or ``"fin"``
+        self.on_subflow_ended = None
+        #: True once the first subflow came up
+        self.established = False
         self._remote_port = None
         self._known_pairs = []       # (local, remote Endpoint) history
         self._reopen_cursor = 0
         self._next_reopen = 0.0
+        self._reopen_timer = sim.timer(self._maybe_reopen)
         #: seconds between path-manager re-establishment attempts when
         #: every subflow is dead -- the "several seconds to recover the
         #: right path" behaviour of Fig. 9
@@ -158,27 +174,24 @@ class MptcpConnection:
         return subflow
 
     def _expire(self, subflow):
-        if not subflow.established and not subflow.failed:
-            subflow.failed = True
-            subflow.tcp.abort()
+        if subflow.state == OPENING:
+            self._end_subflow(subflow, FAILED, "timeout")
 
     def _subflow_up(self, subflow, kind):
-        subflow.established = True
+        subflow.state = UP
+        subflow.up_at = self.sim.now
         subflow.tcp.send(TOKEN_HEADER.pack(kind, self.token))
-        if not self._established_fired:
-            self._established_fired = True
+        if not self.established:
+            self.established = True
             if self.on_established is not None:
                 self.on_established(self)
-        self._arm_monitor()
         self._pump()
 
     def attach_passive_subflow(self, tcp):
         """Server side: adopt an accepted TCP connection."""
-        subflow = Subflow(self, tcp,
-                          (tcp.local.addr, tcp.remote.addr))
-        subflow.established = True
+        subflow = Subflow(self, tcp, (tcp.local.addr, tcp.remote.addr),
+                          state=UP)
         self.subflows.append(subflow)
-        self._arm_monitor()
         return subflow
 
     def add_local_address(self, local_addr, remote=None):
@@ -203,37 +216,19 @@ class MptcpConnection:
 
     # -- failure handling --------------------------------------------------
 
-    def _arm_monitor(self):
-        if self._monitor_event is None:
-            self._monitor_event = self.sim.schedule(0.1, self._monitor)
-
-    def _monitor(self):
-        self._monitor_event = None
-        for subflow in list(self.subflows):
-            if subflow.usable() and subflow.monitor_stall():
-                self._on_subflow_failed(subflow, "stall")
-        self._maybe_reopen()
-        keep_watching = (
-            (self.is_client and bool(self._known_pairs))
-            or any(sf.usable() or (not sf.established and not sf.failed)
-                   for sf in self.subflows)
-        )
-        if keep_watching:
-            self._monitor_event = self.sim.schedule(0.1, self._monitor)
-
     def _maybe_reopen(self):
-        """Path manager: with no usable subflow left, periodically try to
-        re-establish one per known address pair, round-robin.  Each
-        attempt must itself time out (SYN retransmissions) before the
-        next pair is tried, which is why recovery takes seconds."""
+        """Path manager: with no usable subflow left, try to
+        re-establish one per known address pair, round-robin, at most
+        once per ``reopen_interval``.  Each attempt must itself time out
+        before the next pair is tried, which is why recovery takes
+        seconds.  Runs when a subflow ends, and from ``_reopen_timer``
+        when only the interval holds it back."""
         if not self.is_client or not self._known_pairs:
             return
-        if any(sf.usable() for sf in self.subflows):
-            return
-        if any(not sf.established and not sf.failed
-               for sf in self.subflows):
-            return  # an attempt is already in progress
+        if any(sf.state == OPENING or sf.usable() for sf in self.subflows):
+            return  # its end calls back
         if self.sim.now < self._next_reopen:
+            self._reopen_timer.arm_at(self._next_reopen)
             return
         self._next_reopen = self.sim.now + self.reopen_interval
         pair = self._known_pairs[self._reopen_cursor %
@@ -241,18 +236,24 @@ class MptcpConnection:
         self._reopen_cursor += 1
         self.open_subflow(pair[0], pair[1])
 
-    def _on_subflow_failed(self, subflow, reason):
-        if subflow.failed:
+    def _end_subflow(self, subflow, state, reason):
+        """End ``subflow`` as FAILED (deadline, RST or stall: the TCP is
+        aborted) or CLOSED (the peer's FIN: the TCP is closed).  Only an
+        RST counts toward the pair's blacklist.  The subflow's unacked
+        chunks are reinjected on the survivors, a backup is promoted,
+        and the path manager may open a replacement."""
+        if subflow.state in (FAILED, CLOSED):
             return
-        subflow.failed = True
+        subflow.state = state
+        if state == CLOSED:
+            subflow.tcp.close()
+        else:
+            subflow.tcp.abort()
         if reason == "rst":
             pair = subflow.pair
             self._blacklist[pair] = self._blacklist.get(pair, 0) + 1
-        subflow.tcp.abort()
-        if self.on_subflow_failed is not None:
-            self.on_subflow_failed(subflow, reason)
-        # Reinjection: data mapped to the dead subflow goes back out on
-        # the survivors.
+        if self.on_subflow_ended is not None:
+            self.on_subflow_ended(subflow, reason)
         for data_seq, (chunk, owner) in sorted(self.unacked.items()):
             if owner is subflow:
                 self.reinject_queue.append((data_seq, chunk))
@@ -261,9 +262,7 @@ class MptcpConnection:
                 if backup_flow.backup and backup_flow.usable():
                     backup_flow.backup = False  # promote
         self._pump()
-
-    def _on_subflow_closed(self, subflow):
-        subflow.established = False
+        self._maybe_reopen()
 
     # -- scheduler ---------------------------------------------------------
 

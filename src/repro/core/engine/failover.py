@@ -247,20 +247,18 @@ def on_sync(session, conn, stream, seq, inner):
     on this connection yet, then the rest of what the dead connection
     carried, and replay the unacked records of what moved (Fig. 4).
     A stream our own failover already moved here replays nothing.
-    Connection ids repeat (a probe that never sent its ClientHello
-    gives its credential back), so only a connection that has not
-    ended can be the one named."""
+    The connection named is the newest with its id
+    (:meth:`~repro.core.engine.session.TcplsEngine.conn_by_id`), and
+    only if it has not ended."""
     failed_conn_id, entries = rec.decode_sync(inner.payload)
     session._emit("recovery", "sync_received", {
         "conn": conn.conn_id, "failed": failed_conn_id,
         "streams": len(entries),
     })
     failover = session.failover
-    failed = next(
-        (c for c in session.conns if c.conn_id == failed_conn_id
-         and c is not conn and c.state not in ENDED),
-        None,
-    )
+    failed = session.conn_by_id(failed_conn_id)
+    if failed is not None and (failed is conn or failed.state in ENDED):
+        failed = None
     if failed is not None:
         failover.fail(failed, "sync")
     named = (session.streams.get(stream_id) for stream_id, _ in entries)

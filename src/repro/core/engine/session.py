@@ -216,8 +216,11 @@ class TcplsEngine(EventSource):
         self.failover.timed_out(conn)
 
     def conn_by_id(self, conn_id):
-        """Resolve a wire connection id (replay helper)."""
-        for conn in self.conns:
+        """Resolve a wire connection id: the newest connection
+        registered with it.  Ids repeat (a join that fails still
+        CONNECTING gives its credential back and the next join derives
+        the same id), and only the newest can still be live."""
+        for conn in reversed(self.conns):
             if conn.conn_id == conn_id:
                 return conn
         return None

@@ -67,7 +67,10 @@ class TcpConnection:
     the callback attributes ``on_established``, ``on_data``,
     ``on_close``, ``on_reset``, ``on_user_timeout`` and
     ``on_send_space`` -- each called with the connection as the sole
-    argument.
+    argument.  ``on_rto`` (not part of the engine's ``Transport``
+    contract) is called as ``on_rto(conn, backoff)`` after each
+    retransmission timeout of a synchronised connection, once the timer
+    is re-armed: Linux's ``BPF_SOCK_OPS_RTO_CB``.
     """
 
     def __init__(self, stack, local, remote, passive=False, cc="cubic",
@@ -160,6 +163,7 @@ class TcpConnection:
         self.on_reset = None
         self.on_user_timeout = None
         self.on_send_space = None
+        self.on_rto = None
 
         # Observability (repro.obs): last cwnd/ssthresh pair reported,
         # so cwnd_updated only fires on actual changes.
@@ -720,6 +724,8 @@ class TcpConnection:
                                                     self.snd_nxt)
         self._retransmit_lost()
         self._arm_rto()
+        if self.on_rto is not None:
+            self.on_rto(self, self._rto_backoff)
 
     # ------------------------------------------------------------------
     # Input path

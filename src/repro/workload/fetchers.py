@@ -329,7 +329,7 @@ class _MptcpHandle:
 
     def fetch(self, transfer, done):
         self.queue.append((transfer, done))
-        if self.current is None and self.conn._established_fired:
+        if self.current is None and self.conn.established:
             self._next()
 
     def _flush(self, _conn):
@@ -355,14 +355,17 @@ class _MptcpHandle:
             done()
             self._next()
 
+    def _came_up(self):
+        return [sf for sf in self.conn.subflows if sf.up_at is not None]
+
     def srtt(self):
-        live = [sf.srtt() for sf in self.conn.subflows if sf.established]
+        live = [sf.srtt() for sf in self._came_up()]
         finite = [s for s in live if s != float("inf")]
         return min(finite) if finite else float("inf")
 
     def cwnd(self):
         return float(sum(sf.tcp.congestion_window()
-                         for sf in self.conn.subflows if sf.established)
+                         for sf in self._came_up())
                      or 1500.0 * 10)
 
     def backlog_bytes(self):

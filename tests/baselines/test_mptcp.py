@@ -1,11 +1,14 @@
-"""MPTCP baseline: subflows, DSS reassembly, reinjection, path managers."""
+"""MPTCP baseline: subflows, DSS reassembly, reinjection, path managers,
+and the subflow lifecycle (one ``Subflow.state``, events instead of a
+poll)."""
 
 import pytest
 
 from helpers import make_net
 
-from repro.baselines.mptcp import MptcpClient, MptcpServer
+from repro.baselines.mptcp import CLOSED, FAILED, MptcpClient, MptcpServer
 from repro.net import Simulator, build_faulty_multipath
+from repro.obs import CaptureSink
 from repro.tcp import TcpStack
 
 
@@ -83,7 +86,7 @@ def test_backup_failover_on_blackhole():
     received, done = bytearray(), []
     server.on_connection = collect(conns, received, done, sim)
     failures = []
-    client.on_subflow_failed = lambda sf, r: failures.append((sim.now, r))
+    client.on_subflow_ended = lambda sf, r: failures.append((sim.now, r))
     client.connect(pairs_for(topo), 443)
     size = 8 << 20
     client.on_established = lambda c: (c.send(b"f" * size), c.close())
@@ -102,7 +105,7 @@ def test_rst_kills_subflow_immediately():
     received, done = bytearray(), []
     server.on_connection = collect(conns, received, done, sim)
     failures = []
-    client.on_subflow_failed = lambda sf, r: failures.append((sim.now, r))
+    client.on_subflow_ended = lambda sf, r: failures.append((sim.now, r))
     client.connect(pairs_for(topo), 443)
     size = 4 << 20
     client.on_established = lambda c: (c.send(b"r" * size), c.close())
@@ -121,13 +124,13 @@ def test_repeated_rst_blacklists_address_pair():
     client.connect(pairs_for(topo, 1), 443)
     sim.run(until=1)
     subflow = client.subflows[0]
-    client._on_subflow_failed(subflow, "rst")
+    client._end_subflow(subflow, FAILED, "rst")
     again = client.open_subflow(subflow.pair[0],
                                 __import__("repro.net.address",
                                            fromlist=["Endpoint"]).Endpoint(
                                     subflow.pair[1], 443))
     assert again is not None
-    client._on_subflow_failed(again, "rst")
+    client._end_subflow(again, FAILED, "rst")
     third = client.open_subflow(subflow.pair[0],
                                 __import__("repro.net.address",
                                            fromlist=["Endpoint"]).Endpoint(
@@ -184,6 +187,79 @@ def test_a_subflow_that_never_establishes_is_given_up():
     client.on_established = lambda c: (c.send(b"m" * (1 << 20)), c.close())
     sim.run(until=client.reopen_interval + 0.01)
     dead = client.subflows[1]
-    assert dead.failed and dead.tcp.state == "CLOSED"
+    assert dead.state == FAILED and dead.tcp.state == "CLOSED"
     sim.run(until=10.0)
     assert done and len(received) == 1 << 20
+
+
+def faulty_pair(n_paths):
+    """Seed-1 faulty topology with an MPTCP server collecting what
+    arrives: (sim, topo, client, server connections, received, done)."""
+    sim = Simulator(seed=1)
+    topo = build_faulty_multipath(sim, n_paths=n_paths)
+    server = MptcpServer(sim, TcpStack(sim, topo.server), 443)
+    conns, received, done = [], bytearray(), []
+    hook = collect(conns, received, done, sim)
+
+    def on_connection(conn):
+        conns.append(conn)
+        hook(conn)
+    server.on_connection = on_connection
+    client = MptcpClient(sim, TcpStack(sim, topo.client))
+    return sim, topo, client, conns, received, done
+
+
+def test_a_subflow_the_peer_closes_is_replaced():
+    """Item 1(d): a peer FIN ends the subflow as CLOSED.  It used to
+    clear only ``established``, so the subflow counted as an attempt in
+    progress forever: when path 1 then blackholed, the path manager
+    opened nothing and 19,012,240 of 67,108,864 bytes arrived by 60 s."""
+    sim, topo, client, conns, received, done = faulty_pair(2)
+    client.connect(pairs_for(topo), 443)
+    size = 64 << 20
+    client.on_established = lambda c: (c.send(b"d" * size), c.close())
+
+    def server_closes_path_0():
+        subflow = conns[0].subflows[0]
+        subflow.state = CLOSED
+        subflow.tcp.close()
+    sim.at(3.0, server_closes_path_0)
+    topo.flap_path(1, at=3.5, duration=30.0)
+    sim.run(until=60)
+    assert len(received) == size
+    assert done[0] == pytest.approx(21.40, abs=0.01)
+    closed, stalled, reopened = client.subflows
+    assert (closed.state, stalled.state, reopened.state) == (
+        CLOSED, FAILED, "up")
+    assert reopened.pair == closed.pair
+
+
+def test_a_stall_is_seen_at_the_rto_that_makes_it():
+    """The subflow fails as ``stall`` inside the retransmission timeout
+    that reaches ``RTO_FAIL_BACKOFF`` backoffs, not on a later poll tick
+    (it failed at 1.720028 s, the next 100 ms tick)."""
+    sim, topo, client, _conns, _received, _done = faulty_pair(1)
+    sink = CaptureSink()
+    sim.bus.subscribe(sink, categories=("tcp",))
+    ended = []
+    client.on_subflow_ended = lambda sf, r: ended.append((sim.now, r))
+    client.connect(pairs_for(topo), 443)
+    client.on_established = lambda c: (c.send(b"s" * (4 << 20)), c.close())
+    topo.flap_path(0, at=0.3)
+    sim.run(until=3.0)
+    rtos = sink.select(name="rto", conn=client.subflows[0].tcp.conn_id)
+    third = rtos[2]
+    assert third.data["backoff"] == 2
+    assert third.time == pytest.approx(1.699908, abs=1e-6)
+    assert ended[0] == (third.time, "stall")
+
+
+def test_an_idle_pair_has_nothing_scheduled():
+    """Nothing polls: once the upload is done, neither end keeps an
+    event on the heap (both ends re-armed a 100 ms monitor until 60 s)."""
+    sim, topo, client, _conns, received, done = faulty_pair(2)
+    client.connect(pairs_for(topo, 1), 443)
+    client.on_established = lambda c: (c.send(b"i" * (1 << 20)), c.close())
+    sim.run(until=5.0)
+    assert done and len(received) == 1 << 20
+    assert sim.pending_events == 0

@@ -13,7 +13,8 @@ of ROADMAP item 1(c) that the engine's old flags could not name.
   closing our half, which stayed in CLOSE_WAIT for the session's life.
 - a join probe that timed out before it attached was failed over as
   if it carried streams: counted, queued, and later named in a SYNC
-  that moved nothing.
+  that moved nothing; and ``conn_by_id`` named the first of the probes
+  that share the attached join's id.
 - a server ``session.close()`` kept the session's join credentials, so
   the client's next join was parked on the server for good.
 - a stream steered off a connection that then failed lost the records
@@ -32,7 +33,7 @@ import pytest
 from helpers import PSK, connect_tcpls, tcpls_pair
 
 from repro.core import TcplsClient, TcplsServer
-from repro.core.engine.connection import ENDED, FAILED, HANDSHAKING
+from repro.core.engine.connection import ATTACHED, ENDED, FAILED, HANDSHAKING
 from repro.net import Simulator, build_faulty_multipath, build_multipath
 from repro.net.address import Endpoint
 from repro.obs import CaptureSink
@@ -94,6 +95,25 @@ def test_a_join_that_times_out_while_a_failover_waits_is_no_failover():
     assert pending.data["reason"] == "uto"
     (failover,) = sink.select(name="failover", session=mine)
     assert failover.data["from"] == 0 and failover.data["streams"] == 2
+
+
+def test_a_repeated_conn_id_resolves_to_the_newest_connection():
+    """The three join probes that timed out still CONNECTING gave their
+    credential back, so the join that attached has their id too;
+    ``conn_by_id`` (an ``InputLog`` replay's and a SYNC's lookup) names
+    the attached join, not the first failed probe."""
+    sim, topo, cstack, sstack = make_faulty_net(n_paths=3, seed=7)
+    client, _sessions, payload, received, done = download_setup(
+        sim, topo, cstack, sstack, 2 << 20)
+    for index in (0, 1):
+        topo.flap_path(index, at=0.5, duration=10.0)
+    sim.run(until=20)
+    assert done and bytes(received) == payload
+    *probes, join = client.conns[1:]
+    assert [(c.conn_id, c.state) for c in probes] == [
+        (join.conn_id, FAILED)] * 3
+    assert join.state == ATTACHED
+    assert client.conn_by_id(join.conn_id) is join
 
 
 @pytest.mark.parametrize("upload", [True, False])
